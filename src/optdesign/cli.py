@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -67,11 +68,23 @@ SEED_ENV_VAR = "OPTDESIGN_SEED"
 CRITERION_KINDS = ("D", "R", "R2", "C", "SA", "EM", "CPB", "COMPOUND")
 
 
+# A negative number, or a comma-separated list of numbers that starts with one.
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,-?{_NUMBER})*$")
+
+
 class UsageError(Exception):
     """Bad flags or config; maps to exit code 64."""
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses scientific notation and lists, so
+        # "--a -1e-3" would read "-1e-3" as an option.  No option name looks
+        # like a number.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 

@@ -1,13 +1,21 @@
 """Numeric design optimization and the Michaelis-Menten reference tables.
 
 The search is grid-plus-refinement.  A coarse grid over the design space
-supplies candidate supports; every candidate pair gets its weight optimized by
-golden section (all pairs at once, vectorized), the best few are polished by
-coordinate descent on the support coordinates with step halving, and for the
+supplies candidate supports, and every grid pair gets its weight optimized by
+golden section, all pairs at once.  The best few pairs are polished by
+coordinate descent on the support coordinates with step halving.  For the
 non-convex criteria (squared correlation and condition number, which carry no
 equivalence theorem) a seeded multistart adds random initial supports.  Convex
 results come back with a directional-derivative certificate on a fine grid;
 non-convex results are labeled best-found.
+
+Two-point refinement is batched: all candidates, stage-1 picks and multistarts
+alike, are rows of arrays.  Each sweep builds the four moves (plus or minus
+the candidate's step on either coordinate) of every live candidate and weighs
+all of them in one vectorized golden section.  A candidate takes its best
+improving move, or halves its step when none improves, and drops out once the
+step falls to ``STEP_MIN_REL`` times the width.  Three- and four-point
+supports are refined one at a time with pairwise mass transfers.
 
 Weight optimization relies on the criteria being unimodal along the weight
 segment of a fixed two-point support: the convex criteria trivially so, and
@@ -41,7 +49,7 @@ from .mm import MMParams, mm_d_optimal, mm_model
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-STAGE1_ITERS = 28          # golden-section iterations for the vectorized pass
+STAGE1_TOL = 2e-6          # weight bracket of the stage-1 pass: 28 golden iterations
 REFINE_TOP = 16            # candidates kept for coordinate-descent polish
 MULTISTARTS = 16           # random restarts for non-convex criteria
 STEP_MIN_REL = 1e-8        # refinement stops at this step, relative to the width
@@ -69,6 +77,12 @@ class OptimizeRequest:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """Outcome of a design search.
+
+    ``iterations`` counts the support moves the refinement evaluated, summed
+    over all candidates.
+    """
+
     design: Design
     criterion_value: float
     derivative_report: DerivativeReport | None
@@ -142,17 +156,51 @@ def _golden_scalar(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _best_weight_2pt(spec: CriterionSpec, oa: np.ndarray, ob: np.ndarray,
-                     tol: float) -> tuple[float, float]:
-    """Optimal mass w at the first point of a fixed two-point support."""
-    def val(w: float) -> float:
-        return _scalar_value(
-            spec,
-            w * oa[0] + (1.0 - w) * ob[0],
-            w * oa[1] + (1.0 - w) * ob[1],
-            w * oa[2] + (1.0 - w) * ob[2],
-        )
-    return _golden_scalar(val, 0.0, 1.0, tol)
+def _golden_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal mass w at the first point of each row's two-point support.
+
+    Oa and Ob hold the (n, 3) outer-product entries of the two points.  This is
+    a golden section on [0, 1] run on all rows at once: each iteration places
+    one new point per row and reuses the other, until the bracket is at most
+    ``tol`` wide.  Returns (w, value).
+    """
+    def values(w: np.ndarray) -> np.ndarray:
+        return criterion_values_raw(spec,
+                                    w * Oa[:, 0] + (1.0 - w) * Ob[:, 0],
+                                    w * Oa[:, 1] + (1.0 - w) * Ob[:, 1],
+                                    w * Oa[:, 2] + (1.0 - w) * Ob[:, 2])
+
+    a = np.zeros(len(Oa))
+    b = np.ones(len(Oa))
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    yc, yd = values(c), values(d)
+    for _ in range(max(0, math.ceil(math.log(tol) / math.log(INVPHI)))):
+        left = yc < yd  # the minimum lies in [a, d]: d becomes the old c
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        x = np.where(left, b - INVPHI * (b - a), a + INVPHI * (b - a))
+        y = values(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
+    # The midpoint, unless an interior point of the final bracket beats it by
+    # more than rounding: that happens at a kink, such as |correlation| = 0.
+    w = 0.5 * (a + b)
+    y = values(w)
+    for z, yz in ((c, yc), (d, yd)):
+        take = yz < y * (1.0 - 1e-12)
+        w = np.where(take, z, w)
+        y = np.where(take, yz, y)
+    return w, y
+
+
+def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Optimal weights and criterion value on the support with outer-product entries O."""
+    if len(O) == 2:
+        w, val = _golden_mass(spec, O[:1], O[1:], tol)
+        return np.array([w[0], 1.0 - w[0]]), float(val[0])
+    return _best_weights_k(spec, O, tol)
 
 
 def _best_weights_k(spec: CriterionSpec, outers: np.ndarray, tol: float,
@@ -211,12 +259,7 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
         if not model.space.contains(x):
             raise ValidationError(f"support point {x} outside the design space")
     F = np.asarray(model.regressor(xs), dtype=float)
-    O = _outer3(F)
-    if len(xs) == 2:
-        w, val = _best_weight_2pt(criterion, O[0], O[1], tol)
-        weights = np.array([w, 1.0 - w])
-    else:
-        weights, val = _best_weights_k(criterion, O, tol)
+    weights, val = _support_weights(criterion, _outer3(F), tol)
     if not math.isfinite(val):
         raise OptimizationError("criterion is infinite for every weighting of this support")
     return weights
@@ -226,31 +269,68 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
 
 def _stage1_pairs(spec: CriterionSpec, O: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized weight optimization over all grid pairs; returns (i, j, w, value)."""
-    n = len(O)
-    I, J = np.triu_indices(n, k=1)
-    Oi, Oj = O[I], O[J]
+    I, J = np.triu_indices(len(O), k=1)
+    w, vals = _golden_mass(spec, O[I], O[J], STAGE1_TOL)
+    return I, J, w, vals
 
-    def values(w: np.ndarray) -> np.ndarray:
-        m11 = w * Oi[:, 0] + (1.0 - w) * Oj[:, 0]
-        m12 = w * Oi[:, 1] + (1.0 - w) * Oj[:, 1]
-        m22 = w * Oi[:, 2] + (1.0 - w) * Oj[:, 2]
-        return criterion_values_raw(spec, m11, m12, m22)
 
-    a = np.zeros(len(I))
-    b = np.ones(len(I))
-    for _ in range(STAGE1_ITERS):
-        c = b - INVPHI * (b - a)
-        d = a + INVPHI * (b - a)
-        left = values(c) < values(d)
-        b = np.where(left, d, b)
-        a = np.where(left, c, a)
-    w = 0.5 * (a + b)
-    return I, J, w, values(w)
+# The four moves of a two-point support: +step and -step on the first point,
+# then on the second (the order breaks ties between equally good moves).
+_PAIR_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def _refine_pairs(model: Model, spec: CriterionSpec, X: np.ndarray, step: np.ndarray,
+                  wtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Batched coordinate descent on two-point supports, with per-candidate step halving.
+
+    X (n, 2) holds the sorted initial supports and ``step`` (n,) their
+    initial steps.  Each sweep weighs the moves of every live candidate in one
+    golden section; a candidate takes its best improving move or halves its
+    step.  Returns the supports, the masses at their first points, the
+    criterion values and the number of moves evaluated.
+    """
+    space = model.space
+    merge_tol = space.merge_tol()
+    step_min = STEP_MIN_REL * space.width
+
+    def evaluate(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        F = np.asarray(model.regressor(supports.ravel()), dtype=float).reshape(-1, 2, 2)
+        O = _outer3(F)
+        w, v = _golden_mass(spec, O[:, 0], O[:, 1], wtol)
+        return w, np.where(np.all(np.isfinite(F), axis=(1, 2)), v, np.inf)
+
+    X = np.array(X, dtype=float)
+    step = np.array(step, dtype=float)
+    W, V = evaluate(X)
+    moves = 0
+    live = np.flatnonzero(step > step_min)
+    while len(live):
+        base = X[live, None, :]
+        cand = np.sort(np.clip(base + step[live, None, None] * _PAIR_MOVES,
+                               space.lo, space.hi), axis=2)
+        # A move that merges the two points, or that the boundary clips to
+        # the current support, is not evaluated.
+        ok = (cand[..., 1] - cand[..., 0] > merge_tol) & np.any(cand != base, axis=2)
+        vals = np.full(ok.shape, np.inf)
+        masses = np.zeros(ok.shape)
+        masses[ok], vals[ok] = evaluate(cand[ok])
+        moves += int(np.count_nonzero(ok))
+        rows = np.arange(len(live))
+        k = np.argmin(vals, axis=1)
+        best = vals[rows, k]
+        better = best < V[live]
+        won = live[better]
+        X[won] = cand[rows, k][better]
+        W[won] = masses[rows, k][better]
+        V[won] = best[better]
+        step[live[~better]] *= 0.5
+        live = live[step[live] > step_min]
+    return X, W, V, moves
 
 
 def _refine_support(model: Model, spec: CriterionSpec, xs0: Sequence[float],
                     step0: float, wtol: float) -> tuple[list[float], np.ndarray, float, int]:
-    """Coordinate descent on support coordinates with step halving."""
+    """Coordinate descent on the coordinates of a 3- or 4-point support, with step halving."""
     space = model.space
     merge_tol = space.merge_tol()
     step_min = STEP_MIN_REL * space.width
@@ -259,11 +339,7 @@ def _refine_support(model: Model, spec: CriterionSpec, xs0: Sequence[float],
         F = np.asarray(model.regressor(np.asarray(xs, dtype=float)), dtype=float)
         if not np.all(np.isfinite(F)):
             return np.full(len(xs), math.nan), math.inf
-        O = _outer3(F)
-        if len(xs) == 2:
-            w, v = _best_weight_2pt(spec, O[0], O[1], wtol)
-            return np.array([w, 1.0 - w]), v
-        return _best_weights_k(spec, O, wtol)
+        return _best_weights_k(spec, _outer3(F), wtol)
 
     xs = sorted(float(x) for x in xs0)
     weights, best = evaluate(xs)
@@ -350,30 +426,34 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
         raise OptimizationError("no admissible (non-singular) design found on the grid")
 
     step0 = space.width / max(request.grid_resolution - 1, 1)
-    refined: list[tuple[float, tuple[float, ...], np.ndarray, int]] = []
-    total_iter = 0
-    for _, supp in candidates:
-        xs, ws, val, iters = _refine_support(model, spec, supp, step0, request.weight_tolerance)
-        total_iter += iters
-        refined.append((val, tuple(xs), ws, iters))
-
+    starts = [(tuple(supp), step0) for _, supp in candidates]
     if not spec.is_convex:
         rng = np.random.default_rng(request.seed)
         for _ in range(MULTISTARTS):
             supp = np.sort(rng.uniform(space.lo, space.hi, request.n_support))
             if len(supp) > 1 and np.min(np.diff(supp)) <= space.merge_tol():
                 continue
-            xs, ws, val, iters = _refine_support(model, spec, supp, space.width / 16.0,
-                                                 request.weight_tolerance)
+            starts.append((tuple(float(x) for x in supp), space.width / 16.0))
+
+    refined: list[tuple[float, tuple[float, ...], np.ndarray]] = []
+    if request.n_support == 2:
+        X, W, V, total_iter = _refine_pairs(model, spec, np.array([s for s, _ in starts]),
+                                            np.array([h for _, h in starts]),
+                                            request.weight_tolerance)
+        refined = [(float(val), (float(x1), float(x2)), np.array([w, 1.0 - w]))
+                   for (x1, x2), w, val in zip(X, W, V)]
+    else:
+        total_iter = 0
+        for supp, step in starts:
+            xs, ws, val, iters = _refine_support(model, spec, supp, step, request.weight_tolerance)
             total_iter += iters
-            if math.isfinite(val):
-                refined.append((val, tuple(xs), ws, iters))
+            refined.append((val, tuple(xs), ws))
 
     finite = [r for r in refined if math.isfinite(r[0])]
     if not finite:
         raise OptimizationError("no admissible (non-singular) design found")
     finite.sort(key=lambda r: (r[0], _design_key(r[1], r[2])))
-    best_val, best_xs, best_ws, _ = finite[0]
+    best_val, best_xs, best_ws = finite[0]
 
     # Canonicalize: a support point carrying negligible mass is optimizer dust;
     # drop it and re-optimize the remaining weights when that does not hurt.
@@ -381,12 +461,7 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     if 2 <= len(keep) < len(best_xs):
         xs2 = [best_xs[i] for i in keep]
         F2 = np.asarray(model.regressor(np.asarray(xs2)), dtype=float)
-        O2 = _outer3(F2)
-        if len(xs2) == 2:
-            w2, val2 = _best_weight_2pt(spec, O2[0], O2[1], request.weight_tolerance)
-            ws2 = np.array([w2, 1.0 - w2])
-        else:
-            ws2, val2 = _best_weights_k(spec, O2, request.weight_tolerance)
+        ws2, val2 = _support_weights(spec, _outer3(F2), request.weight_tolerance)
         if val2 <= best_val * (1.0 + 1e-9) + 1e-12:
             best_xs, best_ws, best_val = tuple(xs2), ws2, val2
 

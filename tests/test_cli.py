@@ -41,6 +41,12 @@ class TestOptimal:
         assert abs(pts[0]["x"] / 227.27 - 0.71) < 0.01
         assert abs(pts[0]["w"] - 0.5) < 1e-4
 
+    def test_negative_value_in_scientific_notation(self, capsys):
+        code, out, _ = run(capsys, "optimal", "--model", "slr", "--a", "-1e-3", "--b", "2",
+                           "--criterion", "D")
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["model_params"]["a"] == -1e-3
+
     def test_missing_b_is_usage_error(self, capsys):
         code, _, err = run(capsys, "optimal", "--model", "slr", "--a", "1",
                            "--criterion", "R")

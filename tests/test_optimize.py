@@ -23,6 +23,8 @@ from optdesign import (
 from optdesign.mm import MMParams, mm_model
 from optdesign.optimize import (
     OptimizeRequest,
+    _golden_mass,
+    _outer3,
     c_optimal,
     mm_designs_csv,
     mm_efficiencies_csv,
@@ -169,6 +171,96 @@ class TestOptimizeDesign:
         # canonicalization drops the zero-weight third point
         assert res.design.support_size == 2
         assert abs(res.criterion_value - phi_d(fim(slr_15, d_optimal_slr(SlrInterval(1, 5))))) < 1e-4
+
+
+# optimize_design results with seed 7, recorded before the two-point
+# refinement was batched.  The criterion parameters are recorded with them, so
+# that each case exercises optimize_design alone.
+PINNED_MODELS = {
+    "slr": slr_model(DesignSpace(-1.3, 4.2)),
+    "mm": mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.5)),
+}
+PINNED_SPECS = {
+    "slr": {
+        "C": CriterionSpec("C", c=(1.0, 6.0)),
+        "SA": CriterionSpec("SA", sa_refs=(1.0, 0.1322314049586777)),
+        "COMPOUND": CriterionSpec("COMPOUND", lam=0.5, phi_d_star=0.36363636363636365,
+                                  phi_r_star=0.3906385899918728),
+    },
+    "mm": {
+        "C": CriterionSpec("C", c=(1.0, 0.5)),
+        "SA": CriterionSpec("SA", sa_refs=(6.753878438166096, 1902.6241053409324)),
+        "COMPOUND": CriterionSpec("COMPOUND", lam=0.5, phi_d_star=71.84496867139269,
+                                  phi_r_star=125.41165399160522),
+    },
+}
+PINNED_VALUES = {
+    "slr": {
+        "D": 0.36363636363636365,
+        "R": 0.3906385899918728,
+        "R2": 3.4480975675537566e-25,
+        "C": 2.7375206611570255,
+        "SA": 2.148623685100273,
+        "EM": 1.000000003175771,
+        "CPB": 5.872050380875284e-13,
+        "COMPOUND": 1.0095874225440065,
+    },
+    "mm": {
+        "D": 71.84496867139269,
+        "R": 125.41165399160522,
+        "R2": 0.6399999999999999,
+        "C": 595.7681507063578,
+        "SA": 2.2126891445618986,
+        "EM": 437.72126588859464,
+        "CPB": 0.7999999999999999,
+        "COMPOUND": 1.006896444560438,
+    },
+}
+
+
+@pytest.mark.parametrize("model_name, kind",
+                         [(m, k) for m, values in PINNED_VALUES.items() for k in values])
+def test_pinned_results(model_name, kind):
+    # Non-convex designs are not pinned: on SLR a whole set of designs reaches
+    # r2 = 0, so only the value is stable.
+    spec = PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
+    res = optimize_design(OptimizeRequest(model=PINNED_MODELS[model_name], criterion=spec, seed=7))
+    pinned = PINNED_VALUES[model_name][kind]
+    if spec.is_convex:
+        assert res.label == "certified"
+        assert math.isclose(res.criterion_value, pinned, rel_tol=1e-12, abs_tol=0.0)
+    elif kind == "EM":
+        assert res.criterion_value <= pinned * (1.0 + 1e-8)
+    else:
+        assert res.criterion_value <= pinned + 1e-12
+
+
+class TestGoldenMass:
+    # SLR rows: a comparison-based search resolves the mass only to about the
+    # square root of machine epsilon, scaled by the conditioning of M; on the
+    # badly scaled MM regressor that floor exceeds 1e-8.
+    SUPPORTS = np.array([(-1.0, 1.0), (0.3, 4.0), (-2.5, -0.1), (-3.0, 5.0)])
+    TOL = 1e-8  # the default weight_tolerance
+
+    def rows(self):
+        model = slr_model(DesignSpace(-3.0, 5.0))
+        F = np.asarray(model.regressor(self.SUPPORTS.ravel()), dtype=float).reshape(-1, 2, 2)
+        return F, _outer3(F)
+
+    def test_d_mass_is_half(self):
+        _, O = self.rows()
+        w, _ = _golden_mass(CriterionSpec("D"), O[:, 0], O[:, 1], self.TOL)
+        assert np.all(np.abs(w - 0.5) <= self.TOL)
+
+    @pytest.mark.parametrize("c", [(1.0, 0.0), (0.0, 1.0), (1.0, 6.0), (2.0, -1.0)])
+    def test_c_mass_closed_form(self, c):
+        # c^T M^-1 c = sum u_i^2 / w_i with u = F^-T c, minimized at w_i ~ |u_i|.
+        F, O = self.rows()
+        u = np.linalg.solve(np.transpose(F, (0, 2, 1)), np.tile(c, (len(F), 1))[..., None])[..., 0]
+        expected = np.abs(u[:, 0]) / np.abs(u).sum(axis=1)
+        w, vals = _golden_mass(CriterionSpec("C", c=c), O[:, 0], O[:, 1], self.TOL)
+        assert np.all(np.abs(w - expected) <= self.TOL)
+        assert np.allclose(vals, np.abs(u).sum(axis=1) ** 2, rtol=1e-12)
 
 
 class TestCOptimal:
