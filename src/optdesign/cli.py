@@ -525,3 +525,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

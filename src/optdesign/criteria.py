@@ -339,11 +339,17 @@ def derivative_report(model: Model, design: Design, spec: CriterionSpec,
 # --- vectorized raw-entry evaluation (optimizer hot path) ---------------------
 
 def criterion_values_raw(spec: CriterionSpec, m11: np.ndarray, m12: np.ndarray,
-                         m22: np.ndarray) -> np.ndarray:
+                         m22: np.ndarray, d: Sequence[np.ndarray] | None = None,
+                         ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Criterion values for arrays of matrix entries; singular entries map to +inf.
 
     The R2/CPB kinds also map singular to +inf here: in an optimizer a design
     whose correlation is undefined is simply inadmissible.
+
+    With a direction ``d = (d11, d12, d22)`` it returns ``(values, slopes)``,
+    the slopes along d of the criterion or, where the criterion has a kink, of
+    a smooth increasing transform: r^2 for CPB, (disc/tr)^2 for EM.  Singular
+    entries get a NaN slope.
     """
     m11 = np.asarray(m11, dtype=float)
     m12 = np.asarray(m12, dtype=float)
@@ -351,31 +357,56 @@ def criterion_values_raw(spec: CriterionSpec, m11: np.ndarray, m12: np.ndarray,
     det = m11 * m22 - m12 * m12
     ok = det > 1e-12 * np.maximum(1.0, m11 * m22)
     safe_det = np.where(ok, det, 1.0)
+    if d is not None:
+        d11, d12, d22 = (np.asarray(v, dtype=float) for v in d)
+        ddet = d11 * m22 + m11 * d22 - 2.0 * m12 * d12   # slope of det
+        dprod = d11 * m22 + m11 * d22                     # slope of m11 m22
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if spec.kind == "D":
             vals = safe_det ** -0.5
+            if d is not None:
+                slopes = -0.5 * vals * ddet / safe_det
         elif spec.kind == "R":
             vals = np.sqrt(m11 * m22) / safe_det
-        elif spec.kind == "R2":
-            vals = (m12 * m12) / np.where(m11 * m22 > 0, m11 * m22, 1.0)
-        elif spec.kind == "CPB":
-            vals = np.abs(m12) / np.sqrt(np.where(m11 * m22 > 0, m11 * m22, 1.0))
+            if d is not None:
+                slopes = vals * (0.5 * dprod / (m11 * m22) - ddet / safe_det)
+        elif spec.kind in ("R2", "CPB"):
+            prod = np.where(m11 * m22 > 0, m11 * m22, 1.0)
+            r2 = (m12 * m12) / prod
+            vals = r2 if spec.kind == "R2" else np.abs(m12) / np.sqrt(prod)
+            if d is not None:
+                slopes = (2.0 * m12 * d12 - r2 * dprod) / prod
         elif spec.kind == "C":
             c1, c2 = spec.c  # type: ignore[misc]
             vals = (c1 * c1 * m22 - 2.0 * c1 * c2 * m12 + c2 * c2 * m11) / safe_det
+            if d is not None:
+                slopes = (c1 * c1 * d22 - 2.0 * c1 * c2 * d12 + c2 * c2 * d11 - vals * ddet) / safe_det
         elif spec.kind == "SA":
             ref1, ref2 = spec.sa_refs  # type: ignore[misc]
             vals = (m22 / safe_det) / ref1 + (m11 / safe_det) / ref2
+            if d is not None:
+                slopes = (d22 / ref1 + d11 / ref2 - vals * ddet) / safe_det
         elif spec.kind == "EM":
             tr = m11 + m22
             disc = np.sqrt((m11 - m22) ** 2 + 4.0 * m12 * m12)
             lmin = 0.5 * (tr - disc)
             vals = np.where(lmin > 0, (tr + disc) / np.where(lmin > 0, 2.0 * lmin, 1.0), np.inf)
+            if d is not None:
+                q = (disc / tr) ** 2
+                slopes = (2.0 * (m11 - m22) * (d11 - d22) + 8.0 * m12 * d12
+                          - 2.0 * q * tr * (d11 + d22)) / (tr * tr)
         elif spec.kind == "COMPOUND":
             lam = spec.lam  # type: ignore[assignment]
-            vals = ((1.0 - lam) * safe_det ** -0.5 / spec.phi_d_star
-                    + lam * (np.sqrt(m11 * m22) / safe_det) / spec.phi_r_star)
+            d_part = safe_det ** -0.5
+            r_part = np.sqrt(m11 * m22) / safe_det
+            vals = (1.0 - lam) * d_part / spec.phi_d_star + lam * r_part / spec.phi_r_star
+            if d is not None:
+                slopes = (-0.5 * (1.0 - lam) * d_part * ddet / safe_det / spec.phi_d_star
+                          + lam * r_part * (0.5 * dprod / (m11 * m22) - ddet / safe_det)
+                          / spec.phi_r_star)
         else:
             raise ValidationError(f"unknown criterion kind {spec.kind!r}")
-    vals = np.where(ok, vals, np.inf)
-    return np.where(np.isnan(vals), np.inf, vals)
+    vals = np.where(ok & ~np.isnan(vals), vals, np.inf)
+    if d is None:
+        return vals
+    return vals, np.where(np.isfinite(vals), slopes, np.nan)

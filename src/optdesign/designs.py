@@ -89,12 +89,6 @@ class Design:
     def support_size(self) -> int:
         return len(self.points)
 
-    def weight_at(self, x: float, tol: float = 0.0) -> float:
-        for px, pw in self.points:
-            if abs(px - x) <= tol:
-                return pw
-        return 0.0
-
     def mean_x(self) -> float:
         return float(sum(x * w for x, w in self.points))
 
@@ -161,9 +155,6 @@ class InfoMatrix:
         d = self.det
         return self.m22 / d, -self.m12 / d, self.m11 / d
 
-    def scaled(self, factor: float) -> "InfoMatrix":
-        return InfoMatrix(self.m11 * factor, self.m12 * factor, self.m22 * factor)
-
     def mixed_with(self, other: "InfoMatrix", alpha: float) -> "InfoMatrix":
         """Convex combination (1 - alpha) * self + alpha * other."""
         return InfoMatrix(
@@ -171,18 +162,6 @@ class InfoMatrix:
             (1.0 - alpha) * self.m12 + alpha * other.m12,
             (1.0 - alpha) * self.m22 + alpha * other.m22,
         )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m12, self.m22]], dtype=float)
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "InfoMatrix":
-        a = np.asarray(arr, dtype=float)
-        if a.shape != (2, 2):
-            raise ValidationError(f"expected a 2x2 matrix, got shape {a.shape}")
-        if abs(a[0, 1] - a[1, 0]) > 1e-9 * max(1.0, abs(a[0, 1])):
-            raise ValidationError("matrix is not symmetric")
-        return InfoMatrix(float(a[0, 0]), 0.5 * float(a[0, 1] + a[1, 0]), float(a[1, 1]))
 
 
 @dataclass(frozen=True)

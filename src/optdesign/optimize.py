@@ -2,17 +2,17 @@
 
 The search is grid-plus-refinement.  A coarse grid over the design space
 supplies candidate supports, and every grid pair gets its weight optimized by
-golden section, all pairs at once.  The best few pairs are polished by
-coordinate descent on the support coordinates with step halving.  For the
-non-convex criteria (squared correlation and condition number, which carry no
-equivalence theorem) a seeded multistart adds random initial supports.  Convex
-results come back with a directional-derivative certificate on a fine grid;
-non-convex results are labeled best-found.
+a bracketed secant on the criterion's slope, all pairs at once.  The best few
+pairs are polished by coordinate descent on the support coordinates with step
+halving.  For the non-convex criteria (squared correlation and condition
+number, which carry no equivalence theorem) a seeded multistart adds random
+initial supports.  Convex results come back with a directional-derivative
+certificate on a fine grid; non-convex results are labeled best-found.
 
 Two-point refinement is batched: all candidates, stage-1 picks and multistarts
 alike, are rows of arrays.  Each sweep builds the four moves (plus or minus
 the candidate's step on either coordinate) of every live candidate and weighs
-all of them in one vectorized golden section.  A candidate takes its best
+all of them in one vectorized mass solve.  A candidate takes its best
 improving move, or halves its step when none improves, and drops out once the
 step falls to ``STEP_MIN_REL`` times the width.  Three- and four-point
 supports are refined one at a time with pairwise mass transfers.
@@ -49,7 +49,9 @@ from .mm import MMParams, mm_d_optimal, mm_model
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-STAGE1_TOL = 2e-6          # weight bracket of the stage-1 pass: 28 golden iterations
+STAGE1_TOL = 2e-6          # width of the stage-1 mass brackets
+STAGE1_BLOCK = 4096        # stage-1 pairs per mass solve; bounds its working arrays
+MASS_ITERS = 64            # cap on the secant iterations of one mass solve
 REFINE_TOP = 16            # candidates kept for coordinate-descent polish
 MULTISTARTS = 16           # random restarts for non-convex criteria
 STEP_MIN_REL = 1e-8        # refinement stops at this step, relative to the width
@@ -156,49 +158,60 @@ def _golden_scalar(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _golden_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray,
+               tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Optimal mass w at the first point of each row's two-point support.
 
-    Oa and Ob hold the (n, 3) outer-product entries of the two points.  This is
-    a golden section on [0, 1] run on all rows at once: each iteration places
-    one new point per row and reuses the other, until the bracket is at most
-    ``tol`` wide.  Returns (w, value).
+    Oa and Ob hold the (n, 3) outer-product entries of the two points; at mass
+    w the matrix is Ob + w (Oa - Ob).  A bracketed secant (Dekker's zero
+    finder) drives the criterion's slope along Oa - Ob to 0 on all rows at
+    once, so rounding in the slope, not in the value, limits its precision.
+    A row stops at a zero slope or once its bracket is at most ``tol`` wide.
+    Returns (w, value) at the bracket end with the smaller slope.
     """
-    def values(w: np.ndarray) -> np.ndarray:
-        return criterion_values_raw(spec,
-                                    w * Oa[:, 0] + (1.0 - w) * Ob[:, 0],
-                                    w * Oa[:, 1] + (1.0 - w) * Ob[:, 1],
-                                    w * Oa[:, 2] + (1.0 - w) * Ob[:, 2])
+    base, direction = Ob.T.copy(), (Oa - Ob).T.copy()  # (3, n): m11, m12, m22
+    n = len(Oa)
+    # Bracket ends (mass, slope, value): the slope is <= 0 at lo and >= 0 at hi.
+    lo, s_lo, v_lo = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
+    hi, s_hi, v_hi = np.ones(n), np.full(n, np.inf), np.full(n, np.inf)
 
-    a = np.zeros(len(Oa))
-    b = np.ones(len(Oa))
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    yc, yd = values(c), values(d)
-    for _ in range(max(0, math.ceil(math.log(tol) / math.log(INVPHI)))):
-        left = yc < yd  # the minimum lies in [a, d]: d becomes the old c
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        x = np.where(left, b - INVPHI * (b - a), a + INVPHI * (b - a))
-        y = values(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
-    # The midpoint, unless an interior point of the final bracket beats it by
-    # more than rounding: that happens at a kink, such as |correlation| = 0.
-    w = 0.5 * (a + b)
-    y = values(w)
-    for z, yz in ((c, yc), (d, yd)):
-        take = yz < y * (1.0 - 1e-12)
-        w = np.where(take, z, w)
-        y = np.where(take, yz, y)
-    return w, y
+    def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = direction[:, rows]
+        v, s = criterion_values_raw(spec, *(base[:, rows] + w * d), d=d)
+        # Singular masses lie next to 0 or 1; the admissible ones are inward.
+        return v, np.where(np.isnan(s), np.where(w > 0.5, np.inf, -np.inf), s)
+
+    def update(rows: np.ndarray, w: np.ndarray, v: np.ndarray, s: np.ndarray) -> None:
+        for side, at, s_at, v_at in ((s <= 0.0, lo, s_lo, v_lo), (s >= 0.0, hi, s_hi, v_hi)):
+            at[rows[side]], s_at[rows[side]], v_at[rows[side]] = w[side], s[side], v[side]
+
+    rows = np.arange(n)
+    w0, w1 = np.full(n, 0.5), np.full(n, 0.5 + 1e-6)  # a start and its secant partner
+    v, s = evaluate(np.concatenate([rows, rows]), np.concatenate([w0, w1]))
+    (v0, v1), (s0, s1) = np.split(v, 2), np.split(s, 2)
+    update(rows, w0, v0, s0)
+    update(rows, w1, v1, s1)
+    live = rows[hi - lo > tol]
+    for _ in range(MASS_ITERS):
+        if not len(live):
+            break
+        a, sa, b, sb, left, right = (x[live] for x in (w0, s0, w1, s1, lo, hi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = b - sb * (b - a) / (sb - sa)
+        w = np.where((left < w) & (w < right), w, 0.5 * (left + right))
+        w = np.where(np.abs(w - b) < 0.5 * tol, b + np.copysign(0.5 * tol, w - b), w)
+        v, s = evaluate(live, w)
+        w0[live], s0[live], w1[live], s1[live] = b, sb, w, s
+        update(live, w, v, s)
+        live = live[hi[live] - lo[live] > tol]
+    take_lo = np.abs(s_lo) <= np.abs(s_hi)
+    return np.where(take_lo, lo, hi), np.where(take_lo, v_lo, v_hi)
 
 
 def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     """Optimal weights and criterion value on the support with outer-product entries O."""
     if len(O) == 2:
-        w, val = _golden_mass(spec, O[:1], O[1:], tol)
+        w, val = _best_mass(spec, O[:1], O[1:], tol)
         return np.array([w[0], 1.0 - w[0]]), float(val[0])
     return _best_weights_k(spec, O, tol)
 
@@ -247,8 +260,9 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
                      tol: float = 1e-8) -> np.ndarray:
     """Optimal simplex weights for a fixed support.
 
-    Two points: golden section on the mass split.  Three or four points:
-    cyclic pairwise transfers, each step itself a golden section.
+    Two points: a bracketed secant on the criterion's slope in the mass split.
+    Three or four points: cyclic pairwise transfers, each step itself a golden
+    section.
     """
     xs = np.asarray(sorted(float(x) for x in support), dtype=float)
     if len(xs) < 2:
@@ -270,7 +284,10 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
 def _stage1_pairs(spec: CriterionSpec, O: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized weight optimization over all grid pairs; returns (i, j, w, value)."""
     I, J = np.triu_indices(len(O), k=1)
-    w, vals = _golden_mass(spec, O[I], O[J], STAGE1_TOL)
+    w, vals = np.empty(len(I)), np.empty(len(I))
+    for start in range(0, len(I), STAGE1_BLOCK):
+        block = slice(start, start + STAGE1_BLOCK)
+        w[block], vals[block] = _best_mass(spec, O[I[block]], O[J[block]], STAGE1_TOL)
     return I, J, w, vals
 
 
@@ -285,7 +302,7 @@ def _refine_pairs(model: Model, spec: CriterionSpec, X: np.ndarray, step: np.nda
 
     X (n, 2) holds the sorted initial supports and ``step`` (n,) their
     initial steps.  Each sweep weighs the moves of every live candidate in one
-    golden section; a candidate takes its best improving move or halves its
+    batched mass solve; a candidate takes its best improving move or halves its
     step.  Returns the supports, the masses at their first points, the
     criterion values and the number of moves evaluated.
     """
@@ -296,7 +313,7 @@ def _refine_pairs(model: Model, spec: CriterionSpec, X: np.ndarray, step: np.nda
     def evaluate(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         F = np.asarray(model.regressor(supports.ravel()), dtype=float).reshape(-1, 2, 2)
         O = _outer3(F)
-        w, v = _golden_mass(spec, O[:, 0], O[:, 1], wtol)
+        w, v = _best_mass(spec, O[:, 0], O[:, 1], wtol)
         return w, np.where(np.all(np.isfinite(F), axis=(1, 2)), v, np.inf)
 
     X = np.array(X, dtype=float)

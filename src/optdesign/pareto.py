@@ -77,11 +77,6 @@ def evaluate_front_points(model: Model, designs: Sequence[Design],
     return points
 
 
-def _dominates(q: FrontPoint, p: FrontPoint) -> bool:
-    return (q.eff_d >= p.eff_d and q.eff_r >= p.eff_r
-            and (q.eff_d - p.eff_d > TIE_TOL or q.eff_r - p.eff_r > TIE_TOL))
-
-
 def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:
     """Non-dominated subset under (maximize eff_d, maximize eff_r), sorted by eff_d descending.
 

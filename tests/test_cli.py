@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,17 @@ class TestOptimal:
                            "--criterion", "D")
         assert code == EXIT_OK
         assert json.loads(out)["config"]["model_params"]["a"] == -1e-3
+
+    @pytest.mark.parametrize("module", ["optdesign", "optdesign.cli"])
+    def test_module_execution(self, module):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "optimal", "--model", "slr", "--a", "-1", "--b", "1",
+             "--criterion", "D"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == EXIT_OK, proc.stderr
+        points = json.loads(proc.stdout)["design"]["points"]
+        assert [p["x"] for p in points] == [-1.0, 1.0]
 
     def test_missing_b_is_usage_error(self, capsys):
         code, _, err = run(capsys, "optimal", "--model", "slr", "--a", "1",

@@ -212,7 +212,7 @@ class TestIdentityAndConvexity:
             if m.is_singular:
                 continue
             lam = float(rng.uniform(0.1, 10.0))
-            scaled = m.scaled(lam)
+            scaled = InfoMatrix(m.m11 * lam, m.m12 * lam, m.m22 * lam)
             assert abs(phi_d(scaled) - phi_d(m) / lam) <= 1e-12 * phi_d(m) / lam
             assert abs(phi_r(scaled) - phi_r(m) / lam) <= 1e-12 * phi_r(m) / lam
 
@@ -342,3 +342,60 @@ class TestCriterionSpec:
                     assert math.isinf(vec[i])
                 else:
                     assert abs(vec[i] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+RAW_SPECS = [CriterionSpec("D"), CriterionSpec("R"), CriterionSpec("R2"), CriterionSpec("CPB"),
+             CriterionSpec("C", c=(1.0, -0.5)), CriterionSpec("SA", sa_refs=(2.0, 3.0)),
+             CriterionSpec("EM"),
+             CriterionSpec("COMPOUND", lam=0.3, phi_d_star=0.8, phi_r_star=1.1)]
+
+
+def slope_transform(kind, values):
+    """The increasing transform of the criterion whose slope the raw kernel reports."""
+    if kind == "CPB":
+        return values * values  # r^2
+    if kind == "EM":
+        return ((values - 1.0) / (values + 1.0)) ** 2  # (disc / tr)^2
+    return values
+
+
+class TestRawSlopes:
+    H = 3e-6  # central finite-difference step
+
+    def sample(self, n=200):
+        rng = np.random.default_rng(17)
+        A = rng.normal(size=(n, 2, 2))
+        M = A @ np.transpose(A, (0, 2, 1)) + 0.2 * np.eye(2)  # det >= 0.04
+        return (M[:, 0, 0], M[:, 0, 1], M[:, 1, 1]), rng.normal(size=(3, n))
+
+    def shifted(self, spec, m, d, h):
+        return criterion_values_raw(spec, *(mi + h * di for mi, di in zip(m, d)))
+
+    @pytest.mark.parametrize("spec", RAW_SPECS, ids=lambda s: s.kind)
+    def test_slope_matches_finite_difference(self, spec):
+        m, d = self.sample()
+        values, slopes = criterion_values_raw(spec, *m, d=d)
+        assert np.array_equal(values, criterion_values_raw(spec, *m))
+        fd = (slope_transform(spec.kind, self.shifted(spec, m, d, self.H))
+              - slope_transform(spec.kind, self.shifted(spec, m, d, -self.H))) / (2.0 * self.H)
+        # Relative, except for slopes so near 0 that the difference is rounding.
+        assert np.all(np.abs(slopes - fd) <= 1e-6 * np.maximum(np.abs(fd), 1e-2))
+
+    @pytest.mark.parametrize("kind", ["CPB", "EM"])
+    def test_transform_slope_has_the_criterion_sign(self, kind):
+        spec = CriterionSpec(kind)
+        m, d = self.sample()
+        values, slopes = criterion_values_raw(spec, *m, d=d)
+        step = self.shifted(spec, m, d, self.H) - self.shifted(spec, m, d, -self.H)
+        # Away from the kink (r = 0, EM = 1) and from a zero slope.
+        away = (np.abs(values - (kind == "EM")) > 0.05) & (np.abs(step) > 1e-9)
+        assert np.count_nonzero(away) > 150
+        assert np.array_equal(np.sign(slopes[away]), np.sign(step[away]))
+
+    @pytest.mark.parametrize("spec", RAW_SPECS, ids=lambda s: s.kind)
+    def test_singular_rows(self, spec):
+        f = np.array([[1.0, 2.0], [0.5, -0.3], [0.0, 1.0]])  # rank-one M = f f^T
+        values, slopes = criterion_values_raw(spec, f[:, 0] ** 2, f[:, 0] * f[:, 1], f[:, 1] ** 2,
+                                              d=np.ones((3, 3)))
+        assert np.all(values == np.inf)
+        assert np.all(np.isnan(slopes))

@@ -118,7 +118,7 @@ class TestFim:
             for x, w in d.points:
                 f = np.array([1.0, x])
                 ref += w * np.outer(f, f)
-            got = m.as_array()
+            got = np.array([[m.m11, m.m12], [m.m12, m.m22]])
             assert np.allclose(got, ref, rtol=1e-14, atol=1e-14 * max(1.0, abs(ref).max()))
 
     def test_det_nonnegative_and_zero_iff_collinear(self):
@@ -157,12 +157,8 @@ class TestInfoMatrix:
     def test_eigenvalues_match_numpy(self):
         m = InfoMatrix(2.0, 0.3, 0.5)
         lo, hi = m.eigenvalues()
-        ref = np.linalg.eigvalsh(m.as_array())
+        ref = np.linalg.eigvalsh(np.array([[m.m11, m.m12], [m.m12, m.m22]]))
         assert np.allclose([lo, hi], ref)
-
-    def test_from_array_requires_symmetry(self):
-        with pytest.raises(ValidationError):
-            InfoMatrix.from_array(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 class TestCovQuantities:
@@ -189,7 +185,7 @@ class TestCovQuantities:
             if cq.singular:
                 continue
             inv = np.array([[cq.v1, cq.cov12], [cq.cov12, cq.v2]])
-            prod = m.as_array() @ inv
+            prod = np.array([[m.m11, m.m12], [m.m12, m.m22]]) @ inv
             assert np.allclose(prod, np.eye(2), rtol=1e-10, atol=1e-10)
             assert cq.cov12 ** 2 <= cq.v1 * cq.v2 * (1.0 + 1e-10)
 

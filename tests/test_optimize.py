@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from optdesign import (
 from optdesign.mm import MMParams, mm_model
 from optdesign.optimize import (
     OptimizeRequest,
-    _golden_mass,
+    _best_mass,
     _outer3,
+    _stage1_pairs,
     c_optimal,
     mm_designs_csv,
     mm_efficiencies_csv,
@@ -236,31 +238,69 @@ def test_pinned_results(model_name, kind):
 
 
 class TestGoldenMass:
-    # SLR rows: a comparison-based search resolves the mass only to about the
-    # square root of machine epsilon, scaled by the conditioning of M; on the
-    # badly scaled MM regressor that floor exceeds 1e-8.
+    # The two-point mass solver against closed forms.  It zeroes the slope, so
+    # its precision is set by rounding in the slope, not in the value: on the
+    # badly scaled MM regressor (columns about tenfold apart), and on the close
+    # pair (0.06K, 0.07K) above all, a search that compares criterion values
+    # misses these masses by up to 1.5e-6.
     SUPPORTS = np.array([(-1.0, 1.0), (0.3, 4.0), (-2.5, -0.1), (-3.0, 5.0)])
+    MM_SUPPORTS = 227.27 * np.array([(0.06, 0.07), (0.1, 5.0), (0.5, 5.0), (0.71, 5.0),
+                                     (0.06, 1.0)])
     TOL = 1e-8  # the default weight_tolerance
 
-    def rows(self):
-        model = slr_model(DesignSpace(-3.0, 5.0))
-        F = np.asarray(model.regressor(self.SUPPORTS.ravel()), dtype=float).reshape(-1, 2, 2)
+    def rows(self, model=None, supports=None):
+        model = model or slr_model(DesignSpace(-3.0, 5.0))
+        supports = self.SUPPORTS if supports is None else supports
+        F = np.asarray(model.regressor(supports.ravel()), dtype=float).reshape(-1, 2, 2)
         return F, _outer3(F)
 
-    def test_d_mass_is_half(self):
-        _, O = self.rows()
-        w, _ = _golden_mass(CriterionSpec("D"), O[:, 0], O[:, 1], self.TOL)
+    def mm_rows(self):
+        return self.rows(mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.05)), self.MM_SUPPORTS)
+
+    def check_d_mass(self, O):
+        w, _ = _best_mass(CriterionSpec("D"), O[:, 0], O[:, 1], self.TOL)
         assert np.all(np.abs(w - 0.5) <= self.TOL)
+
+    def check_c_mass(self, F, O, c):
+        # c^T M^-1 c = sum u_i^2 / w_i with u = F^-T c, minimized at w_i ~ |u_i|.
+        u = np.linalg.solve(np.transpose(F, (0, 2, 1)), np.tile(c, (len(F), 1))[..., None])[..., 0]
+        expected = np.abs(u[:, 0]) / np.abs(u).sum(axis=1)
+        w, vals = _best_mass(CriterionSpec("C", c=c), O[:, 0], O[:, 1], self.TOL)
+        assert np.all(np.abs(w - expected) <= self.TOL)
+        return vals, np.abs(u).sum(axis=1) ** 2
+
+    def test_d_mass_is_half(self):
+        self.check_d_mass(self.rows()[1])
 
     @pytest.mark.parametrize("c", [(1.0, 0.0), (0.0, 1.0), (1.0, 6.0), (2.0, -1.0)])
     def test_c_mass_closed_form(self, c):
-        # c^T M^-1 c = sum u_i^2 / w_i with u = F^-T c, minimized at w_i ~ |u_i|.
-        F, O = self.rows()
-        u = np.linalg.solve(np.transpose(F, (0, 2, 1)), np.tile(c, (len(F), 1))[..., None])[..., 0]
-        expected = np.abs(u[:, 0]) / np.abs(u).sum(axis=1)
-        w, vals = _golden_mass(CriterionSpec("C", c=c), O[:, 0], O[:, 1], self.TOL)
-        assert np.all(np.abs(w - expected) <= self.TOL)
-        assert np.allclose(vals, np.abs(u).sum(axis=1) ** 2, rtol=1e-12)
+        vals, expected = self.check_c_mass(*self.rows(), c)
+        assert np.allclose(vals, expected, rtol=1e-12)
+
+    def test_mm_d_mass_is_half(self):
+        self.check_d_mass(self.mm_rows()[1])
+
+    @pytest.mark.parametrize("c", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.5)])
+    def test_mm_c_mass_closed_form(self, c):
+        # The value itself carries the rounding of M^-1, about 1e-11 relative
+        # on the close pair, so only the mass is checked to the tolerance.
+        self.check_c_mass(*self.mm_rows(), c)
+
+
+@pytest.mark.parametrize("kind", list(PINNED_VALUES["slr"]))
+def test_stage1_heap_peak(kind):
+    # Stage 1 solves the 20,100 pairs of a 201-point grid in blocks: about
+    # 2.5 MB at its peak, against about 9-10 MB for one unblocked solve.
+    model = PINNED_MODELS["slr"]
+    O = _outer3(np.asarray(model.regressor(model.space.grid(201)), dtype=float))
+    spec = PINNED_SPECS["slr"].get(kind) or CriterionSpec(kind)
+    tracemalloc.start()
+    try:
+        _stage1_pairs(spec, O)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 class TestCOptimal:
