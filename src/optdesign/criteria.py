@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .designs import Design, InfoMatrix, Model, fim
+from .designs import SINGULARITY_TOL, Design, InfoMatrix, Model, fim
 from .errors import SingularDesignError, ValidationError
 
 C1 = (1.0, 0.0)
@@ -246,43 +246,18 @@ def efficiency(kind: str, design: Design, design_star: Design, model: Model) -> 
 def _dd_arrays(m: InfoMatrix, F: np.ndarray, spec: CriterionSpec) -> np.ndarray:
     """Directional derivative of the criterion toward one-point designs.
 
-    F has shape (n, 2) holding regressor values at the probe points.  Only the
-    convex kinds are supported; those are the ones with an equivalence theorem.
+    F has shape (n, 2) holding regressor values at the probe points.  The
+    derivative toward x is the slope of the criterion along f(x) f(x)^T - M,
+    taken from ``criterion_values_raw``.  Only the convex kinds are supported;
+    those are the ones with an equivalence theorem.
     """
     if not spec.is_convex:
         raise ValidationError(f"criterion {spec.kind} is not convex; no directional-derivative certificate exists")
     if m.is_singular:
         raise SingularDesignError("directional derivative needs a non-singular design")
-    det = m.det
-    i11, i12, i22 = m.inverse_entries()
-    u1 = F[:, 0] * i11 + F[:, 1] * i12
-    u2 = F[:, 0] * i12 + F[:, 1] * i22
-    d = F[:, 0] * u1 + F[:, 1] * u2  # f^T M^-1 f
-
-    if spec.kind == "D":
-        return 0.5 * det ** -0.5 * (2.0 - d)
-    if spec.kind == "R":
-        pr = math.sqrt(m.m11 * m.m22) / det
-        h = i12
-        return ((2.0 - d) / det + 2.0 * h * (h - u1 * u2)) / (2.0 * pr)
-    if spec.kind == "C":
-        c1, c2 = spec.c  # type: ignore[misc]
-        val = phi_c(m, spec.c)  # type: ignore[arg-type]
-        fc = u1 * c1 + u2 * c2  # f^T M^-1 c
-        return val - fc * fc
-    if spec.kind == "SA":
-        ref1, ref2 = spec.sa_refs  # type: ignore[misc]
-        v1 = i11
-        v2 = i22
-        return (v1 - u1 * u1) / ref1 + (v2 - u2 * u2) / ref2
-    if spec.kind == "COMPOUND":
-        dd_dpart = 0.5 * det ** -0.5 * (2.0 - d)
-        pr = math.sqrt(m.m11 * m.m22) / det
-        h = i12
-        dd_rpart = ((2.0 - d) / det + 2.0 * h * (h - u1 * u2)) / (2.0 * pr)
-        lam = spec.lam  # type: ignore[assignment]
-        return (1.0 - lam) * dd_dpart / spec.phi_d_star + lam * dd_rpart / spec.phi_r_star
-    raise ValidationError(f"unsupported criterion kind {spec.kind!r}")
+    f1, f2 = F[:, 0], F[:, 1]
+    toward_x = (f1 * f1 - m.m11, f1 * f2 - m.m12, f2 * f2 - m.m22)  # f f^T - M
+    return criterion_values_raw(spec, m.m11, m.m12, m.m22, d=toward_x)[1]
 
 
 def directional_derivative(model: Model, design: Design, x: float, spec: CriterionSpec) -> float:
@@ -355,7 +330,7 @@ def criterion_values_raw(spec: CriterionSpec, m11: np.ndarray, m12: np.ndarray,
     m12 = np.asarray(m12, dtype=float)
     m22 = np.asarray(m22, dtype=float)
     det = m11 * m22 - m12 * m12
-    ok = det > 1e-12 * np.maximum(1.0, m11 * m22)
+    ok = det > SINGULARITY_TOL * np.maximum(1.0, m11 * m22)
     safe_det = np.where(ok, det, 1.0)
     if d is not None:
         d11, d12, d22 = (np.asarray(v, dtype=float) for v in d)

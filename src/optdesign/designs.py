@@ -151,7 +151,11 @@ class InfoMatrix:
         return mid - half_gap, mid + half_gap
 
     def inverse_entries(self) -> tuple[float, float, float]:
-        """({M^-1}_11, {M^-1}_12, {M^-1}_22); raises ZeroDivisionError-free inf on misuse guarded by callers."""
+        """Entries ({M^-1}_11, {M^-1}_12, {M^-1}_22) of the inverse.
+
+        Callers check ``is_singular`` first; a zero determinant raises
+        ZeroDivisionError.
+        """
         d = self.det
         return self.m22 / d, -self.m12 / d, self.m11 / d
 

@@ -1,21 +1,27 @@
 """Numeric design optimization and the Michaelis-Menten reference tables.
 
-The search is grid-plus-refinement.  A coarse grid over the design space
-supplies candidate supports, and every grid pair gets its weight optimized by
-a bracketed secant on the criterion's slope, all pairs at once.  The best few
-pairs are polished by coordinate descent on the support coordinates with step
-halving.  For the non-convex criteria (squared correlation and condition
+The search is grid-plus-refinement.  Stage 1 scores candidate supports on a
+grid: for two points every pair of the design grid, for three or four points
+every subset of a coarse grid, each with optimal weights, all at once.  The
+best few are polished by coordinate descent on the support coordinates with
+step halving.  For the non-convex criteria (squared correlation and condition
 number, which carry no equivalence theorem) a seeded multistart adds random
 initial supports.  Convex results come back with a directional-derivative
 certificate on a fine grid; non-convex results are labeled best-found.
 
-Two-point refinement is batched: all candidates, stage-1 picks and multistarts
-alike, are rows of arrays.  Each sweep builds the four moves (plus or minus
-the candidate's step on either coordinate) of every live candidate and weighs
-all of them in one vectorized mass solve.  A candidate takes its best
+One solver serves every weight problem: a bracketed secant on the
+criterion's slope in the mass split of two points, run on many rows at once.
+Supports of three or four points get their weights by cyclic pairwise
+transfers, each transfer such a two-point solve.
+
+The refinement is batched: all candidates, stage-1 picks and multistarts
+alike, are rows of arrays.  Each sweep builds the 2k moves (plus or minus the
+candidate's step on one of its k coordinates) of every live candidate and
+weighs all of them in one batched weight solve.  A candidate takes its best
 improving move, or halves its step when none improves, and drops out once the
-step falls to ``STEP_MIN_REL`` times the width.  Three- and four-point
-supports are refined one at a time with pairwise mass transfers.
+step falls to ``STEP_MIN_REL`` times the width, or once the criterion is at
+its infimum: r^2 zero to rounding for R2 and CPB, EM within the weight
+tolerance of 1.
 
 Weight optimization relies on the criteria being unimodal along the weight
 segment of a fixed two-point support: the convex criteria trivially so, and
@@ -47,14 +53,13 @@ from .designs import Design, Model, fim, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 STAGE1_TOL = 2e-6          # width of the stage-1 mass brackets
 STAGE1_BLOCK = 4096        # stage-1 pairs per mass solve; bounds its working arrays
 MASS_ITERS = 64            # cap on the secant iterations of one mass solve
 REFINE_TOP = 16            # candidates kept for coordinate-descent polish
 MULTISTARTS = 16           # random restarts for non-convex criteria
 STEP_MIN_REL = 1e-8        # refinement stops at this step, relative to the width
+R2_FLOOR = float(np.finfo(float).eps)  # r^2 this small is zero to rounding: R2/CPB refinement stops
 
 
 @dataclass(frozen=True)
@@ -93,69 +98,9 @@ class OptimizeResult:
     label: str  # "certified" or "best-found"
 
 
-# --- scalar criterion evaluation on raw entries ------------------------------
-
-def _scalar_value(spec: CriterionSpec, m11: float, m12: float, m22: float) -> float:
-    det = m11 * m22 - m12 * m12
-    if det <= 1e-12 * max(1.0, m11 * m22):
-        return math.inf
-    if spec.kind == "D":
-        return det ** -0.5
-    if spec.kind == "R":
-        return math.sqrt(m11 * m22) / det
-    if spec.kind == "R2":
-        return (m12 * m12) / (m11 * m22)
-    if spec.kind == "CPB":
-        return abs(m12) / math.sqrt(m11 * m22)
-    if spec.kind == "C":
-        c1, c2 = spec.c  # type: ignore[misc]
-        return (c1 * c1 * m22 - 2.0 * c1 * c2 * m12 + c2 * c2 * m11) / det
-    if spec.kind == "SA":
-        ref1, ref2 = spec.sa_refs  # type: ignore[misc]
-        return (m22 / det) / ref1 + (m11 / det) / ref2
-    if spec.kind == "EM":
-        tr = m11 + m22
-        disc = math.hypot(m11 - m22, 2.0 * m12)
-        lmin = 0.5 * (tr - disc)
-        return (tr + disc) / (2.0 * lmin) if lmin > 0.0 else math.inf
-    if spec.kind == "COMPOUND":
-        lam = spec.lam  # type: ignore[assignment]
-        return ((1.0 - lam) * det ** -0.5 / spec.phi_d_star
-                + lam * (math.sqrt(m11 * m22) / det) / spec.phi_r_star)
-    raise ValidationError(f"unknown criterion kind {spec.kind!r}")
-
-
 def _outer3(f: np.ndarray) -> np.ndarray:
-    """(n, 2) regressor values -> (n, 3) outer-product entries (f1^2, f1 f2, f2^2)."""
+    """(..., 2) regressor values -> (..., 3) outer-product entries (f1^2, f1 f2, f2^2)."""
     return np.stack([f[..., 0] ** 2, f[..., 0] * f[..., 1], f[..., 1] ** 2], axis=-1)
-
-
-def _mix_value(spec: CriterionSpec, outers: Sequence[np.ndarray], weights: Sequence[float]) -> float:
-    m11 = m12 = m22 = 0.0
-    for o, w in zip(outers, weights):
-        m11 += w * o[0]
-        m12 += w * o[1]
-        m22 += w * o[2]
-    return _scalar_value(spec, m11, m12, m22)
-
-
-def _golden_scalar(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize a unimodal scalar function on [lo, hi]; returns (argmin, min)."""
-    a, b = lo, hi
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    yc, yd = f(c), f(d)
-    while b - a > tol:
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = b - INVPHI * (b - a)
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + INVPHI * (b - a)
-            yd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray,
@@ -208,52 +153,44 @@ def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray,
     return np.where(take_lo, lo, hi), np.where(take_lo, v_lo, v_hi)
 
 
-def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Optimal weights and criterion value on the support with outer-product entries O."""
-    if len(O) == 2:
-        w, val = _best_mass(spec, O[:1], O[1:], tol)
-        return np.array([w[0], 1.0 - w[0]]), float(val[0])
+def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal weights (n, k) and criterion values (n,) of the n supports whose
+    points have the outer-product entries O (n, k, 3)."""
+    if O.shape[1] == 2:
+        w, v = _best_mass(spec, O[:, 0], O[:, 1], tol)
+        return np.stack([w, 1.0 - w], axis=1), v
     return _best_weights_k(spec, O, tol)
 
 
-def _best_weights_k(spec: CriterionSpec, outers: np.ndarray, tol: float,
-                    max_sweeps: int = 60) -> tuple[np.ndarray, float]:
-    """Pairwise mass transfers on the simplex for supports of 3 or 4 points."""
-    k = len(outers)
-    w = np.full(k, 1.0 / k)
-    val = _mix_value(spec, outers, w)
+def _best_weights_k(spec: CriterionSpec, O: np.ndarray, tol: float,
+                    max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic pairwise mass transfers on the simplex, for supports of 3 or 4 points.
+
+    O holds the (n, k, 3) outer-product entries of n supports, all solved at
+    once.  For points i and j, with R the weighted sum of the other points and
+    m = w_i + w_j, the transfer is the two-point mass solve between R + m O_i
+    and R + m O_j.  A row stops after a sweep whose largest weight shift is
+    below ``tol``.  Returns the weights (n, k) and the criterion values (n,).
+    """
+    n, k, _ = O.shape
+    W = np.full((n, k), 1.0 / k)
+    V = np.full(n, np.inf)
+    live = np.arange(n)
     for _ in range(max_sweeps):
-        shift = 0.0
-        for i, j in combinations(range(k), 2):
-            mass = w[i] + w[j]
-            if mass <= 0.0:
-                continue
-            rest11 = rest12 = rest22 = 0.0
-            for q in range(k):
-                if q in (i, j):
-                    continue
-                rest11 += w[q] * outers[q][0]
-                rest12 += w[q] * outers[q][1]
-                rest22 += w[q] * outers[q][2]
-
-            def val_t(t: float) -> float:
-                wi = t * mass
-                wj = mass - wi
-                return _scalar_value(
-                    spec,
-                    rest11 + wi * outers[i][0] + wj * outers[j][0],
-                    rest12 + wi * outers[i][1] + wj * outers[j][1],
-                    rest22 + wi * outers[i][2] + wj * outers[j][2],
-                )
-
-            t, v = _golden_scalar(val_t, 0.0, 1.0, tol)
-            new_i = t * mass
-            shift = max(shift, abs(new_i - w[i]))
-            w[i], w[j] = new_i, mass - new_i
-            val = v
-        if shift < tol:
+        if not len(live):
             break
-    return w, val
+        w, Ol = W[live], O[live]
+        shift = np.zeros(len(live))
+        for i, j in combinations(range(k), 2):
+            rest = sum(w[:, q, None] * Ol[:, q] for q in range(k) if q not in (i, j))
+            mass = w[:, i] + w[:, j]
+            t, V[live] = _best_mass(spec, rest + mass[:, None] * Ol[:, i],
+                                    rest + mass[:, None] * Ol[:, j], tol)
+            shift = np.maximum(shift, np.abs(t * mass - w[:, i]))
+            w[:, i], w[:, j] = t * mass, mass - t * mass
+        W[live] = w
+        live = live[shift >= tol]
+    return W, V
 
 
 def optimize_weights(model: Model, support: Sequence[float], criterion: CriterionSpec,
@@ -261,8 +198,8 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
     """Optimal simplex weights for a fixed support.
 
     Two points: a bracketed secant on the criterion's slope in the mass split.
-    Three or four points: cyclic pairwise transfers, each step itself a golden
-    section.
+    Three or four points: cyclic pairwise transfers between the points, each
+    one such two-point solve.
     """
     xs = np.asarray(sorted(float(x) for x in support), dtype=float)
     if len(xs) < 2:
@@ -273,10 +210,10 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
         if not model.space.contains(x):
             raise ValidationError(f"support point {x} outside the design space")
     F = np.asarray(model.regressor(xs), dtype=float)
-    weights, val = _support_weights(criterion, _outer3(F), tol)
-    if not math.isfinite(val):
+    W, V = _support_weights(criterion, _outer3(F)[None], tol)
+    if not math.isfinite(V[0]):
         raise OptimizationError("criterion is infinite for every weighting of this support")
-    return weights
+    return W[0]
 
 
 # --- support search -----------------------------------------------------------
@@ -291,103 +228,89 @@ def _stage1_pairs(spec: CriterionSpec, O: np.ndarray) -> tuple[np.ndarray, np.nd
     return I, J, w, vals
 
 
-# The four moves of a two-point support: +step and -step on the first point,
-# then on the second (the order breaks ties between equally good moves).
-_PAIR_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+def _refine(model: Model, spec: CriterionSpec, X: np.ndarray, step: np.ndarray,
+            wtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Batched coordinate descent on k-point supports, with per-candidate step halving.
 
-
-def _refine_pairs(model: Model, spec: CriterionSpec, X: np.ndarray, step: np.ndarray,
-                  wtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Batched coordinate descent on two-point supports, with per-candidate step halving.
-
-    X (n, 2) holds the sorted initial supports and ``step`` (n,) their
-    initial steps.  Each sweep weighs the moves of every live candidate in one
-    batched mass solve; a candidate takes its best improving move or halves its
-    step.  Returns the supports, the masses at their first points, the
-    criterion values and the number of moves evaluated.
+    X (n, k) holds the sorted initial supports and ``step`` (n,) their
+    initial steps.  Each sweep weighs the 2k moves of every live candidate in
+    one batched weight solve; a candidate takes its best improving move or
+    halves its step.  A candidate retires once its step falls to
+    ``STEP_MIN_REL`` times the width, or at the criterion's infimum: r^2 at
+    most ``R2_FLOOR`` for R2 and CPB, EM - 1 at most ``wtol``.  Returns the
+    supports, their weights (n, k), the criterion values and the number of
+    moves evaluated.
     """
     space = model.space
     merge_tol = space.merge_tol()
     step_min = STEP_MIN_REL * space.width
-
-    def evaluate(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        F = np.asarray(model.regressor(supports.ravel()), dtype=float).reshape(-1, 2, 2)
-        O = _outer3(F)
-        w, v = _best_mass(spec, O[:, 0], O[:, 1], wtol)
-        return w, np.where(np.all(np.isfinite(F), axis=(1, 2)), v, np.inf)
-
     X = np.array(X, dtype=float)
     step = np.array(step, dtype=float)
+    k = X.shape[1]
+    # The moves +e1, -e1, +e2, -e2, ... (this order breaks ties between
+    # equally good moves).
+    moves = np.zeros((2 * k, k))
+    moves[np.arange(2 * k), np.repeat(np.arange(k), 2)] = np.tile([1.0, -1.0], k)
+
+    def evaluate(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        F = np.asarray(model.regressor(supports.ravel()), dtype=float).reshape(-1, k, 2)
+        W, V = _support_weights(spec, _outer3(F), wtol)
+        return W, np.where(np.all(np.isfinite(F), axis=(1, 2)), V, np.inf)
+
+    def still_open(rows: np.ndarray) -> np.ndarray:
+        # On some spaces a continuum of designs reaches r = 0 or EM = 1.  A
+        # candidate there finds only "gains" made of the weight solve's
+        # error, and would chase them for thousands of sweeps.  EM grows
+        # linearly off its kink at 1, so weights resolved to wtol resolve
+        # EM - 1 only to about wtol.
+        keep = step[rows] > step_min
+        if spec.kind == "R2":
+            keep &= V[rows] > R2_FLOOR
+        elif spec.kind == "CPB":
+            keep &= V[rows] ** 2 > R2_FLOOR
+        elif spec.kind == "EM":
+            keep &= V[rows] - 1.0 > wtol
+        return rows[keep]
+
     W, V = evaluate(X)
-    moves = 0
-    live = np.flatnonzero(step > step_min)
+    n_moves = 0
+    live = still_open(np.arange(len(X)))
     while len(live):
         base = X[live, None, :]
-        cand = np.sort(np.clip(base + step[live, None, None] * _PAIR_MOVES,
-                               space.lo, space.hi), axis=2)
-        # A move that merges the two points, or that the boundary clips to
-        # the current support, is not evaluated.
-        ok = (cand[..., 1] - cand[..., 0] > merge_tol) & np.any(cand != base, axis=2)
+        cand = np.sort(np.clip(base + step[live, None, None] * moves, space.lo, space.hi), axis=2)
+        # A move that merges two points, or that the boundary clips to the
+        # current support, is not evaluated.
+        ok = np.all(np.diff(cand, axis=2) > merge_tol, axis=2) & np.any(cand != base, axis=2)
         vals = np.full(ok.shape, np.inf)
-        masses = np.zeros(ok.shape)
-        masses[ok], vals[ok] = evaluate(cand[ok])
-        moves += int(np.count_nonzero(ok))
+        weights = np.zeros(ok.shape + (k,))
+        weights[ok], vals[ok] = evaluate(cand[ok])
+        n_moves += int(np.count_nonzero(ok))
         rows = np.arange(len(live))
-        k = np.argmin(vals, axis=1)
-        best = vals[rows, k]
+        pick = np.argmin(vals, axis=1)
+        best = vals[rows, pick]
         better = best < V[live]
         won = live[better]
-        X[won] = cand[rows, k][better]
-        W[won] = masses[rows, k][better]
+        X[won] = cand[rows, pick][better]
+        W[won] = weights[rows, pick][better]
         V[won] = best[better]
         step[live[~better]] *= 0.5
-        live = live[step[live] > step_min]
-    return X, W, V, moves
-
-
-def _refine_support(model: Model, spec: CriterionSpec, xs0: Sequence[float],
-                    step0: float, wtol: float) -> tuple[list[float], np.ndarray, float, int]:
-    """Coordinate descent on the coordinates of a 3- or 4-point support, with step halving."""
-    space = model.space
-    merge_tol = space.merge_tol()
-    step_min = STEP_MIN_REL * space.width
-
-    def evaluate(xs: Sequence[float]) -> tuple[np.ndarray, float]:
-        F = np.asarray(model.regressor(np.asarray(xs, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(F)):
-            return np.full(len(xs), math.nan), math.inf
-        return _best_weights_k(spec, _outer3(F), wtol)
-
-    xs = sorted(float(x) for x in xs0)
-    weights, best = evaluate(xs)
-    step = step0
-    iterations = 0
-    while step > step_min:
-        improved = False
-        for k in range(len(xs)):
-            for delta in (step, -step):
-                cand = sorted(xs[:k] + [space.clip(xs[k] + delta)] + xs[k + 1:])
-                if min(np.diff(cand)) <= merge_tol:
-                    continue
-                w2, v2 = evaluate(cand)
-                iterations += 1
-                if v2 < best:
-                    xs, weights, best = cand, w2, v2
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return xs, weights, best, iterations
+        live = still_open(live)
+    return X, W, V, n_moves
 
 
 def _design_key(xs: Sequence[float], ws: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(v) for pair in zip(xs, ws) for v in pair)
 
 
-def _initial_supports(request: OptimizeRequest) -> list[tuple[float, ...]]:
-    """Deterministic candidate supports for three- and four-point searches."""
-    per_axis = 24 if request.n_support == 3 else 14
-    grid = request.model.space.grid(per_axis)
-    return [tuple(c) for c in combinations(grid, request.n_support)]
+def _initial_supports(model: Model, n_support: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate supports of a three- or four-point search: every subset of a
+    coarse grid, in lexicographic order, with their outer-product entries."""
+    grid = model.space.grid(24 if n_support == 3 else 14)
+    F = np.asarray(model.regressor(grid), dtype=float)
+    finite = np.all(np.isfinite(F), axis=1)
+    idx = np.array(list(combinations(range(np.count_nonzero(finite)), n_support)),
+                   dtype=int).reshape(-1, n_support)
+    return grid[finite][idx], _outer3(F[finite])[idx]
 
 
 def optimize_design(request: OptimizeRequest) -> OptimizeResult:
@@ -400,17 +323,14 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     model = request.model
     spec = request.criterion
     space = model.space
-    grid = space.grid(request.grid_resolution)
-    F = np.asarray(model.regressor(grid), dtype=float)
-    finite_rows = np.all(np.isfinite(F), axis=1)
-    if not np.all(finite_rows):
-        grid = grid[finite_rows]
-        F = F[finite_rows]
-    O = _outer3(F)
 
-    candidates: list[tuple[float, tuple[float, ...]]] = []  # (value, support)
+    candidates: list[tuple[float, ...]] = []  # stage-1 supports, best first
     if request.n_support == 2:
-        I, J, _, vals = _stage1_pairs(spec, O)
+        grid = space.grid(request.grid_resolution)
+        F = np.asarray(model.regressor(grid), dtype=float)
+        finite_rows = np.all(np.isfinite(F), axis=1)
+        grid, F = grid[finite_rows], F[finite_rows]
+        I, J, _, vals = _stage1_pairs(spec, _outer3(F))
         order = np.argsort(vals, kind="stable")
         # Coarse-cell dedupe so the refinement fan-out covers distinct basins
         # instead of sixteen neighbors of the same grid optimum.
@@ -423,27 +343,22 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
             if key in seen:
                 continue
             seen.add(key)
-            candidates.append((float(vals[idx]), (float(grid[I[idx]]), float(grid[J[idx]]))))
+            candidates.append((float(grid[I[idx]]), float(grid[J[idx]])))
             if len(candidates) >= REFINE_TOP:
                 break
     else:
-        loose = max(request.weight_tolerance, 1e-4)
-        scored = []
-        for supp in _initial_supports(request):
-            Fs = np.asarray(model.regressor(np.asarray(supp)), dtype=float)
-            if not np.all(np.isfinite(Fs)):
-                continue
-            _, v = _best_weights_k(spec, _outer3(Fs), loose, max_sweeps=4)
-            if math.isfinite(v):
-                scored.append((v, supp))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        candidates = scored[:REFINE_TOP]
+        S, O = _initial_supports(model, request.n_support)
+        _, vals = _best_weights_k(spec, O, max(request.weight_tolerance, 1e-4), max_sweeps=4)
+        # The rows are in lexicographic order, so a stable sort breaks ties by support.
+        candidates = [tuple(float(x) for x in S[i])
+                      for i in np.argsort(vals, kind="stable")[:REFINE_TOP]
+                      if math.isfinite(vals[i])]
 
     if not candidates:
         raise OptimizationError("no admissible (non-singular) design found on the grid")
 
     step0 = space.width / max(request.grid_resolution - 1, 1)
-    starts = [(tuple(supp), step0) for _, supp in candidates]
+    starts = [(supp, step0) for supp in candidates]
     if not spec.is_convex:
         rng = np.random.default_rng(request.seed)
         for _ in range(MULTISTARTS):
@@ -452,25 +367,14 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
                 continue
             starts.append((tuple(float(x) for x in supp), space.width / 16.0))
 
-    refined: list[tuple[float, tuple[float, ...], np.ndarray]] = []
-    if request.n_support == 2:
-        X, W, V, total_iter = _refine_pairs(model, spec, np.array([s for s, _ in starts]),
-                                            np.array([h for _, h in starts]),
-                                            request.weight_tolerance)
-        refined = [(float(val), (float(x1), float(x2)), np.array([w, 1.0 - w]))
-                   for (x1, x2), w, val in zip(X, W, V)]
-    else:
-        total_iter = 0
-        for supp, step in starts:
-            xs, ws, val, iters = _refine_support(model, spec, supp, step, request.weight_tolerance)
-            total_iter += iters
-            refined.append((val, tuple(xs), ws))
-
-    finite = [r for r in refined if math.isfinite(r[0])]
-    if not finite:
+    X, W, V, total_iter = _refine(model, spec, np.array([s for s, _ in starts]),
+                                  np.array([h for _, h in starts]), request.weight_tolerance)
+    refined = sorted(((float(v), tuple(float(x) for x in xs), ws)
+                      for xs, ws, v in zip(X, W, V) if math.isfinite(v)),
+                     key=lambda r: (r[0], _design_key(r[1], r[2])))
+    if not refined:
         raise OptimizationError("no admissible (non-singular) design found")
-    finite.sort(key=lambda r: (r[0], _design_key(r[1], r[2])))
-    best_val, best_xs, best_ws = finite[0]
+    best_val, best_xs, best_ws = refined[0]
 
     # Canonicalize: a support point carrying negligible mass is optimizer dust;
     # drop it and re-optimize the remaining weights when that does not hurt.
@@ -478,9 +382,9 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     if 2 <= len(keep) < len(best_xs):
         xs2 = [best_xs[i] for i in keep]
         F2 = np.asarray(model.regressor(np.asarray(xs2)), dtype=float)
-        ws2, val2 = _support_weights(spec, _outer3(F2), request.weight_tolerance)
-        if val2 <= best_val * (1.0 + 1e-9) + 1e-12:
-            best_xs, best_ws, best_val = tuple(xs2), ws2, val2
+        W2, V2 = _support_weights(spec, _outer3(F2)[None], request.weight_tolerance)
+        if V2[0] <= best_val * (1.0 + 1e-9) + 1e-12:
+            best_xs, best_ws, best_val = tuple(xs2), W2[0], float(V2[0])
 
     design = make_design(list(zip(best_xs, best_ws)), space)
     value = criterion_value(fim(model, design), spec)

@@ -77,6 +77,19 @@ def evaluate_front_points(model: Model, designs: Sequence[Design],
     return points
 
 
+def _dominated(points: Sequence[FrontPoint]) -> list[bool]:
+    """For each point: is it dominated under (maximize eff_d, maximize eff_r)?
+
+    A point is dominated by one at least as good on both objectives and
+    better by more than ``TIE_TOL`` on one of them.
+    """
+    d = np.array([p.eff_d for p in points])
+    r = np.array([p.eff_r for p in points])
+    return [bool(np.any((d >= p.eff_d) & (r >= p.eff_r)
+                        & ((d - p.eff_d > TIE_TOL) | (r - p.eff_r > TIE_TOL))))
+            for p in points]
+
+
 def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:
     """Non-dominated subset under (maximize eff_d, maximize eff_r), sorted by eff_d descending.
 
@@ -84,15 +97,8 @@ def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:
     """
     if len(points) == 0:
         raise ValidationError("pareto_front needs at least one point")
-    d = np.array([p.eff_d for p in points])
-    r = np.array([p.eff_r for p in points])
-    keep = []
-    for i, p in enumerate(points):
-        dominated = bool(np.any(
-            (d >= p.eff_d) & (r >= p.eff_r)
-            & ((d - p.eff_d > TIE_TOL) | (r - p.eff_r > TIE_TOL))))
-        if not dominated:
-            keep.append(replace(p, dominated=False))
+    keep = [replace(p, dominated=False)
+            for p, dominated in zip(points, _dominated(points)) if not dominated]
     keep.sort(key=lambda p: (-p.eff_d, -p.eff_r))
     return keep
 
@@ -101,15 +107,7 @@ def mark_dominance(points: Sequence[FrontPoint]) -> list[FrontPoint]:
     """Return all points with their dominated flag filled in."""
     if len(points) == 0:
         raise ValidationError("mark_dominance needs at least one point")
-    d = np.array([p.eff_d for p in points])
-    r = np.array([p.eff_r for p in points])
-    marked = []
-    for p in points:
-        dominated = bool(np.any(
-            (d >= p.eff_d) & (r >= p.eff_r)
-            & ((d - p.eff_d > TIE_TOL) | (r - p.eff_r > TIE_TOL))))
-        marked.append(replace(p, dominated=dominated))
-    return marked
+    return [replace(p, dominated=dominated) for p, dominated in zip(points, _dominated(points))]
 
 
 def front_csv(points: Sequence[FrontPoint], x_scale: float = 1.0) -> str:

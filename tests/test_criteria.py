@@ -243,13 +243,20 @@ class TestDirectionalDerivatives:
         iv = SlrInterval(-2.0, 2.0)
         assert dd_r(iv.model(), r_optimal_slr(iv), 0.0) > 0.0
 
-    @pytest.mark.parametrize("kind", ["D", "R"])
+    @pytest.mark.parametrize("kind", ["D", "R", "C", "SA", "COMPOUND"])
     def test_matches_finite_difference_quotient(self, kind):
         # The defining quotient with alpha = 1e-6 arbitrates the formulas.
         rng = np.random.default_rng(31)
         mm = mm_model(MMParams(eps=0.2))
-        spec = CriterionSpec(kind)
-        phi = phi_d if kind == "D" else phi_r
+        spec = {
+            "C": CriterionSpec("C", c=(1.0, 0.5)),
+            "SA": CriterionSpec("SA", sa_refs=(2.0, 0.5)),
+            "COMPOUND": CriterionSpec("COMPOUND", lam=0.5, phi_d_star=1.0, phi_r_star=2.0),
+        }.get(kind) or CriterionSpec(kind)
+
+        def phi(m):
+            return criterion_value(m, spec)
+
         checked = 0
         while checked < 40:
             model = mm if checked % 2 else random_slr_model(rng, min_width=2.0)

@@ -25,6 +25,8 @@ from optdesign.mm import MMParams, mm_model
 from optdesign.optimize import (
     OptimizeRequest,
     _best_mass,
+    _best_weights_k,
+    _initial_supports,
     _outer3,
     _stage1_pairs,
     c_optimal,
@@ -235,6 +237,47 @@ def test_pinned_results(model_name, kind):
         assert res.criterion_value <= pinned * (1.0 + 1e-8)
     else:
         assert res.criterion_value <= pinned + 1e-12
+
+
+@pytest.mark.parametrize("model, expected", [
+    (PINNED_MODELS["mm"], PINNED_VALUES["mm"]["D"]),
+    (slr_model(DesignSpace(1.0, 5.0)), 0.5),
+], ids=["mm", "slr_1_5"])
+def test_three_point_d_search_finds_two_point_optimum(model, expected):
+    # The D-optimum has two points.  A three-point search must reach it, not
+    # stop beside it with a third point of weight near 1e-7.
+    res = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("D"), n_support=3))
+    assert res.design.support_size == 2
+    assert math.isclose(res.criterion_value, expected, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("kind, n_support, space, bound", [
+    ("R2", 2, (-1.3, 4.2), PINNED_VALUES["slr"]["R2"]),
+    ("CPB", 2, (-1.3, 4.2), PINNED_VALUES["slr"]["CPB"]),
+    ("EM", 3, (-1.0, 1.0), 1.0 + 1e-8),
+], ids=["R2", "CPB", "EM-3pt"])
+def test_refinement_stops_at_infimum(kind, n_support, space, bound):
+    # On SLR a continuum of designs reaches r = 0 or EM = 1.  Once a
+    # candidate is there to the precision of its weights, the refinement has
+    # nothing left to gain and must stop.
+    res = optimize_design(OptimizeRequest(model=slr_model(DesignSpace(*space)),
+                                          criterion=CriterionSpec(kind), n_support=n_support,
+                                          seed=3))
+    assert res.criterion_value <= bound
+    assert res.iterations < 2000
+
+
+@pytest.mark.parametrize("n_support", [3, 4])
+@pytest.mark.parametrize("kind", ["D", "R", "C", "EM", "CPB"])
+def test_batched_k_point_weights_match_row_by_row(kind, n_support):
+    # Rows of one batched solve are independent: each equals its own solve.
+    spec = PINNED_SPECS["mm"].get(kind) or CriterionSpec(kind)
+    _, O = _initial_supports(PINNED_MODELS["mm"], n_support)
+    O = O[::len(O) // 4]
+    W, V = _best_weights_k(spec, O, 1e-8)
+    for i in range(len(O)):
+        Wi, Vi = _best_weights_k(spec, O[i:i + 1], 1e-8)
+        assert np.array_equal(Wi[0], W[i]) and Vi[0] == V[i]
 
 
 class TestGoldenMass:
