@@ -66,6 +66,7 @@ from .pareto import (
     criterion_sweep,
     pareto_front,
     sample_two_point_designs,
+    sampled_front,
 )
 from .slr import (
     SlrInterval,

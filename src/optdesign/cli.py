@@ -50,10 +50,8 @@ from .pareto import (
     compound_sweep,
     compound_sweep_csv,
     criterion_sweep,
-    evaluate_front_points,
     front_csv,
-    pareto_front,
-    sample_two_point_designs,
+    sampled_front,
     sweep_csv,
 )
 from .slr import table_slr, table_slr_csv
@@ -311,9 +309,7 @@ def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
     r_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R"),
                                              grid_resolution=grid, weight_tolerance=wtol,
                                              seed=seed)).criterion_value
-    designs = sample_two_point_designs(model, n, seed)
-    points = evaluate_front_points(model, designs, d_star, r_star)
-    front = pareto_front(points)
+    front = sampled_front(model, n, seed, d_star, r_star)
     x_scale = model.nominal_params[1] if model.name == "michaelis_menten" else 1.0
     _emit(front_csv(front, x_scale=x_scale), args.output)
     meta = {"seed": seed, "n": n, "front_size": len(front), "model": model_info,

@@ -257,7 +257,8 @@ def _dd_arrays(m: InfoMatrix, F: np.ndarray, spec: CriterionSpec) -> np.ndarray:
         raise SingularDesignError("directional derivative needs a non-singular design")
     f1, f2 = F[:, 0], F[:, 1]
     toward_x = (f1 * f1 - m.m11, f1 * f2 - m.m12, f2 * f2 - m.m22)  # f f^T - M
-    return criterion_values_raw(spec, m.m11, m.m12, m.m22, d=toward_x)[1]
+    # + 0.0 turns the -0.0 slope at an exact optimum into 0.0 and leaves the rest.
+    return criterion_values_raw(spec, m.m11, m.m12, m.m22, d=toward_x)[1] + 0.0
 
 
 def directional_derivative(model: Model, design: Design, x: float, spec: CriterionSpec) -> float:

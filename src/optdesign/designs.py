@@ -227,18 +227,32 @@ def make_design(pairs: Sequence[tuple[float, float]], space: DesignSpace) -> Des
     return Design(points=points)
 
 
+def fim_entries(model: Model, xs: np.ndarray, ws: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (m11, m12, m22) of the information matrices of n k-point designs.
+
+    Row i of xs (n, k) holds the support points of design i and row i of ws
+    its weights.  One regressor call covers every point; each matrix is the
+    product (F w)^T F of one stacked matmul, with m12 = (G12 + G21) / 2, so a
+    row's entries are bit for bit those of :func:`fim` on that design.
+    """
+    n, k = xs.shape
+    flat = xs.reshape(-1)
+    F = np.asarray(model.regressor(flat), dtype=float)
+    if F.shape != (n * k, 2):
+        raise ValidationError(f"regressor returned shape {F.shape}, expected ({n * k}, 2)")
+    if not np.all(np.isfinite(F)):
+        bad = flat[~np.all(np.isfinite(F), axis=1)]
+        raise ValidationError(f"regressor is non-finite at support point(s) {bad.tolist()}")
+    F = F.reshape(n, k, 2)
+    G = np.matmul((F * ws[:, :, None]).transpose(0, 2, 1), F)
+    return G[:, 0, 0], 0.5 * (G[:, 0, 1] + G[:, 1, 0]), G[:, 1, 1]
+
+
 def fim(model: Model, design: Design) -> InfoMatrix:
     """Information matrix M = sum_i w_i f(x_i) f(x_i)^T of a design."""
-    xs = design.xs
-    F = np.asarray(model.regressor(xs), dtype=float)
-    if F.shape != (len(xs), 2):
-        raise ValidationError(f"regressor returned shape {F.shape}, expected ({len(xs)}, 2)")
-    if not np.all(np.isfinite(F)):
-        bad = xs[~np.all(np.isfinite(F), axis=1)]
-        raise ValidationError(f"regressor is non-finite at support point(s) {bad.tolist()}")
-    w = design.ws
-    G = (F * w[:, None]).T @ F
-    return InfoMatrix(float(G[0, 0]), 0.5 * float(G[0, 1] + G[1, 0]), float(G[1, 1]))
+    m11, m12, m22 = fim_entries(model, design.xs[None, :], design.ws[None, :])
+    return InfoMatrix(float(m11[0]), float(m12[0]), float(m22[0]))
 
 
 def cov_quantities(m: InfoMatrix) -> CovQuantities:

@@ -1,10 +1,27 @@
 """Multi-objective analysis: Pareto fronts, compound-criterion sweeps, and
 fixed-support criterion sweeps.
 
-The front is computed on (Eff_D, Eff_R), both maximized; that ordering is
-equivalent to minimizing the criteria themselves because both are inverse
-homogeneous, and it keeps the two axes on the same unit scale.  Sampled
-designs with indistinguishable objectives (within 1e-12) are all retained.
+Sampling, evaluation and the front run on arrays; objects are built only for
+what a caller gets back (``sampled_front`` builds the front's points alone).
+
+Sampling.  Every attempt takes three uniforms (x1, x2, w) from one
+``default_rng(seed)`` stream, drawn as blocks of rows of ``rng.random``;
+x = lo + (hi - lo) u is the arithmetic of ``Generator.uniform``, so the
+stream is the one a draw-at-a-time loop consumes.  An attempt is rejected
+when w is not in (0, 1), when |x1 - x2| is within the merge tolerance, or
+when its information matrix is singular, in that order.  Accepted rows are
+canonical as ``make_design`` makes them (sorted, weights divided by the
+total mass, clipped), and the first n in draw order are kept.  A block of at
+least 4096 attempts without one admissible design raises OptimizationError.
+
+Front.  The front is computed on (Eff_D, Eff_R), both maximized; that
+ordering is equivalent to minimizing the criteria themselves because both are
+inverse homogeneous, and it keeps the two axes on the same unit scale.  A
+point is dominated by one at least as good on both objectives and better by
+more than TIE_TOL = 1e-12 on one of them, so sampled designs with
+indistinguishable objectives are all retained.  The flags come from one sort
+by Eff_D and two prefix maxima of Eff_R (sort-and-sweep maxima; Kung, Luccio
+& Preparata 1975, J. ACM 22:469), in O(n log n).
 
 The fixed-support sweep moves the mass p between two fixed points and tabulates
 all three head criteria plus the correlation; it is the data behind the
@@ -14,18 +31,18 @@ non-dominated, so neither criterion can be improved without hurting the other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .criteria import CriterionSpec, correlation, phi_d, phi_r, phi_r2
-from .designs import Design, Model, fim, make_design
-from .errors import ValidationError
+from .criteria import CriterionSpec, correlation, phi_d, phi_r
+from .designs import SINGULARITY_TOL, Design, Model, fim, fim_entries
+from .errors import OptimizationError, SingularDesignError, ValidationError
 from .optimize import OptimizeRequest, OptimizeResult, optimize_design
 
 TIE_TOL = 1e-12
+_MIN_BLOCK = 4096  # attempts per sampling block, at least
 
 
 @dataclass(frozen=True)
@@ -37,57 +54,151 @@ class FrontPoint:
     dominated: bool = False
 
 
+def _designs(xs: np.ndarray, ws: np.ndarray) -> list[Design]:
+    # Sampled rows are canonical already: sorted, normalized and clipped.
+    return [Design(points=tuple(zip(x, w))) for x, w in zip(xs.tolist(), ws.tolist())]
+
+
+def _masses(w: np.ndarray) -> np.ndarray:
+    """Weights (w, 1 - w) divided by their total 0 + w + (1 - w), as make_design does."""
+    return np.stack([w, 1.0 - w], 1) / (w + (1.0 - w))[:, None]
+
+
+def _sample(model: Model, n: int, seed: int,
+            ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Points (n, 2), weights (n, 2) and matrix entries of n random admissible designs."""
+    if n < 1:
+        raise ValidationError(f"need n >= 1 samples, got {n}")
+    space = model.space
+    lo, hi, tol = space.lo, space.hi, space.merge_tol()
+    rng = np.random.default_rng(seed)
+    blocks: list[tuple[np.ndarray, ...]] = []
+    got = 0
+    while got < n:
+        size = max(_MIN_BLOCK, (n - got) * 5 // 4)
+        u = rng.random((size, 3))
+        pts, w = lo + (hi - lo) * u[:, :2], u[:, 2]
+        rows = (0.0 < w) & (w < 1.0) & (np.abs(pts[:, 0] - pts[:, 1]) > tol)
+        pts, w = pts[rows], w[rows]
+        order = np.argsort(pts, axis=1)  # then clip, as make_design does
+        xs = np.clip(np.take_along_axis(pts, order, 1), lo, hi)
+        ws = np.take_along_axis(_masses(w), order, 1)
+        m11, m12, m22 = fim_entries(model, xs, ws)
+        ok = m11 * m22 - m12 * m12 > SINGULARITY_TOL * np.maximum(1.0, m11 * m22)
+        if not ok.any():
+            raise OptimizationError(
+                f"no admissible (non-singular) two-point design in {size} random draws "
+                f"on [{lo!r}, {hi!r}]")
+        take = np.flatnonzero(ok)[:n - got]
+        blocks.append((xs[take], ws[take], m11[take], m12[take], m22[take]))
+        got += len(take)
+    xs, ws, m11, m12, m22 = (np.concatenate(parts) for parts in zip(*blocks))
+    return xs, ws, (m11, m12, m22)
+
+
 def sample_two_point_designs(model: Model, n: int, seed: int) -> list[Design]:
     """n random two-point designs: points uniform on the space, weight uniform in (0,1).
 
     Samples whose information matrix is singular (coincident points, degenerate
     regressors) are resampled, so every returned design is admissible.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1 samples, got {n}")
-    rng = np.random.default_rng(seed)
-    space = model.space
-    out: list[Design] = []
-    while len(out) < n:
-        x1, x2 = rng.uniform(space.lo, space.hi, 2)
-        w = rng.uniform(0.0, 1.0)
-        if not 0.0 < w < 1.0:
-            continue
-        if abs(x1 - x2) <= space.merge_tol():
-            continue
-        design = make_design([(x1, w), (x2, 1.0 - w)], space)
-        if design.support_size < 2 or fim(model, design).is_singular:
-            continue
-        out.append(design)
-    return out
+    xs, ws, _ = _sample(model, n, seed)
+    return _designs(xs, ws)
+
+
+def _head_criteria(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi_D, phi_R, phi_r2) by the operations of phi_d, phi_r and phi_r2.
+
+    phi_D's power is taken on Python floats: numpy's may differ from C pow
+    by an ulp.
+    """
+    det = m11 * m22 - m12 * m12
+    prod = m11 * m22
+    if np.any(det <= SINGULARITY_TOL * np.maximum(1.0, prod)):
+        raise SingularDesignError("correlation is undefined for a singular information matrix")
+    return np.array([v ** -0.5 for v in det.tolist()]), np.sqrt(prod) / det, (m12 * m12) / prod
+
+
+def _front_values(m: Sequence[np.ndarray], phi_d_star: float, phi_r_star: float,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Eff_D, Eff_R, r^2) of the matrices with entries m = (m11, m12, m22)."""
+    phi_d_, phi_r_, r2 = _head_criteria(*m)
+    return phi_d_star / phi_d_, phi_r_star / phi_r_, r2
+
+
+def _with_values(designs: Sequence[Design], values: Sequence[np.ndarray]) -> list[FrontPoint]:
+    eff_d, eff_r, r2 = (v.tolist() for v in values)
+    return [FrontPoint(design=d, eff_d=a, eff_r=b, r2=c)
+            for d, a, b, c in zip(designs, eff_d, eff_r, r2)]
 
 
 def evaluate_front_points(model: Model, designs: Sequence[Design],
                           phi_d_star: float, phi_r_star: float) -> list[FrontPoint]:
     """Efficiencies and squared correlation for each design, dominance flags unset."""
-    points = []
-    for d in designs:
-        m = fim(model, d)
-        points.append(FrontPoint(
-            design=d,
-            eff_d=phi_d_star / phi_d(m),
-            eff_r=phi_r_star / phi_r(m),
-            r2=phi_r2(m),
-        ))
-    return points
+    m = np.empty((3, len(designs)))
+    sizes = np.array([d.support_size for d in designs], dtype=int)
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        pts = np.array([designs[i].points for i in rows.tolist()], dtype=float)
+        m[:, rows] = fim_entries(model, pts[:, :, 0], pts[:, :, 1])
+    return _with_values(designs, _front_values(m, phi_d_star, phi_r_star))
 
 
-def _dominated(points: Sequence[FrontPoint]) -> list[bool]:
-    """For each point: is it dominated under (maximize eff_d, maximize eff_r)?
+def _dominated(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """For each point: is it dominated under (maximize d, maximize r)?
 
-    A point is dominated by one at least as good on both objectives and
-    better by more than ``TIE_TOL`` on one of them.
+    q dominates p when d_q >= d_p, r_q >= r_p and one of them is better by
+    more than ``TIE_TOL``.  Sort by d descending; q dominates p iff
+      (a) r_q - r_p > TIE_TOL for some q with d_q >= d_p, or
+      (b) r_q >= r_p for some q with d_q - d_p > TIE_TOL.
+    A rounded difference is monotone in its first operand, so both sets of q
+    are prefixes of the sorted order and each test needs one prefix maximum
+    of r.  Points with a NaN coordinate neither dominate nor are dominated.
     """
-    d = np.array([p.eff_d for p in points])
-    r = np.array([p.eff_r for p in points])
-    return [bool(np.any((d >= p.eff_d) & (r >= p.eff_r)
-                        & ((d - p.eff_d > TIE_TOL) | (r - p.eff_r > TIE_TOL))))
-            for p in points]
+    d = np.asarray(d, dtype=float)
+    r = np.asarray(r, dtype=float)
+    dominated = np.zeros(d.shape, dtype=bool)
+    order = np.flatnonzero(~(np.isnan(d) | np.isnan(r)))
+    order = order[np.argsort(-d[order], kind="stable")]
+    ds, rs = d[order], r[order]
+    if len(ds) == 0:
+        return dominated
+    best = np.maximum.accumulate(rs)
+    k_a = np.searchsorted(-ds, -ds, side="right")         # #{q: d_q >= d_p} >= 1
+    lo, hi = np.zeros_like(k_a), k_a.copy()               # bisect #{q: d_q - d_p > TIE_TOL}
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        beyond = ds[np.minimum(mid, len(ds) - 1)] - ds > TIE_TOL
+        lo, hi = np.where((lo < hi) & beyond, mid + 1, lo), np.where(beyond, hi, mid)
+    dominated[order] = ((best[k_a - 1] - rs > TIE_TOL)
+                        | ((lo > 0) & (best[np.maximum(lo - 1, 0)] >= rs)))
+    return dominated
+
+
+def _by_eff_d(points: Sequence[FrontPoint]) -> list[FrontPoint]:
+    return sorted(points, key=lambda p: (-p.eff_d, -p.eff_r))
+
+
+def _flags(points: Sequence[FrontPoint], who: str) -> list[bool]:
+    if len(points) == 0:
+        raise ValidationError(f"{who} needs at least one point")
+    return _dominated(np.array([p.eff_d for p in points]),
+                      np.array([p.eff_r for p in points])).tolist()
+
+
+def sampled_front(model: Model, n: int, seed: int, phi_d_star: float,
+                  phi_r_star: float) -> list[FrontPoint]:
+    """Pareto front of n sampled two-point designs, sorted by eff_d descending.
+
+    Equal to ``pareto_front(evaluate_front_points(model,
+    sample_two_point_designs(model, n, seed), ...))``; only the front's
+    points are built as objects.
+    """
+    xs, ws, m = _sample(model, n, seed)
+    values = _front_values(m, phi_d_star, phi_r_star)
+    keep = np.flatnonzero(~_dominated(values[0], values[1]))
+    return _by_eff_d(_with_values(_designs(xs[keep], ws[keep]), [v[keep] for v in values]))
 
 
 def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:
@@ -95,19 +206,13 @@ def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:
 
     Ties within 1e-12 on both objectives are kept.  Idempotent.
     """
-    if len(points) == 0:
-        raise ValidationError("pareto_front needs at least one point")
-    keep = [replace(p, dominated=False)
-            for p, dominated in zip(points, _dominated(points)) if not dominated]
-    keep.sort(key=lambda p: (-p.eff_d, -p.eff_r))
-    return keep
+    flags = _flags(points, "pareto_front")
+    return _by_eff_d([replace(p, dominated=False) for p, f in zip(points, flags) if not f])
 
 
 def mark_dominance(points: Sequence[FrontPoint]) -> list[FrontPoint]:
     """Return all points with their dominated flag filled in."""
-    if len(points) == 0:
-        raise ValidationError("mark_dominance needs at least one point")
-    return [replace(p, dominated=dominated) for p, dominated in zip(points, _dominated(points))]
+    return [replace(p, dominated=f) for p, f in zip(points, _flags(points, "mark_dominance"))]
 
 
 def front_csv(points: Sequence[FrontPoint], x_scale: float = 1.0) -> str:
@@ -193,15 +298,14 @@ def criterion_sweep(model: Model, a_fixed: float, p_grid: Sequence[float]) -> li
     x_hi = model.space.hi
     if abs(x_hi - x_lo) <= model.space.merge_tol():
         raise ValidationError("fixed point coincides with the upper end of the space")
-    rows = []
     for p in p_grid:
         if not 0.0 < p < 1.0:
             raise ValidationError(f"sweep weights must lie strictly in (0, 1), got {p}")
-        design = make_design([(x_lo, float(p)), (x_hi, 1.0 - float(p))], model.space)
-        m = fim(model, design)
-        rows.append(SweepRow(p=float(p), phi_d=phi_d(m), phi_r=phi_r(m),
-                             phi_r2=phi_r2(m), corr=correlation(m)))
-    return rows
+    ps = [float(p) for p in p_grid]
+    xs = np.tile([model.space.clip(x_lo), x_hi], (len(ps), 1))
+    m11, m12, m22 = fim_entries(model, xs, _masses(np.array(ps)))
+    values = (*_head_criteria(m11, m12, m22), -m12 / np.sqrt(m11 * m22))
+    return [SweepRow(p_i, *row) for p_i, row in zip(ps, zip(*(v.tolist() for v in values)))]
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
@@ -215,11 +319,16 @@ def has_mutually_nondominated_rows(rows: Sequence[SweepRow]) -> bool:
     """True when some pair of sweep rows trades off phi_D against phi_R.
 
     Both criteria are minimized here: rows (i, j) are mutually non-dominated
-    when phi_D(i) < phi_D(j) while phi_R(i) > phi_R(j).
+    when phi_D(i) < phi_D(j) while phi_R(i) > phi_R(j).  Rows with a
+    non-finite value are ignored.  After a sort by phi_D, row j has such a
+    partner iff the largest phi_R among the rows with a strictly smaller
+    phi_D exceeds its own.
     """
-    vals = [(r.phi_d, r.phi_r) for r in rows if math.isfinite(r.phi_d) and math.isfinite(r.phi_r)]
-    for i, (d_i, r_i) in enumerate(vals):
-        for d_j, r_j in vals[i + 1:]:
-            if (d_i < d_j and r_i > r_j) or (d_j < d_i and r_j > r_i):
-                return True
-    return False
+    d = np.array([row.phi_d for row in rows], dtype=float)
+    r = np.array([row.phi_r for row in rows], dtype=float)
+    finite = np.isfinite(d) & np.isfinite(r)
+    order = np.argsort(d[finite], kind="stable")
+    d, r = d[finite][order], r[finite][order]
+    smaller = np.searchsorted(d, d, side="left")  # rows with a strictly smaller phi_D
+    best = np.maximum.accumulate(r)
+    return bool(np.any((smaller > 0) & (best[np.maximum(smaller - 1, 0)] > r)))

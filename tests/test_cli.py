@@ -129,6 +129,20 @@ class TestCheck:
         assert summary["certified"] is True
         assert summary["min_dd"] >= -1e-6 * max(1.0, summary["criterion_value"])
 
+    def test_exact_optimum_reports_positive_zero(self, capsys, d_optimal_file, tmp_path):
+        # The D slope at the support of an exact optimum is a signed zero;
+        # reports print 0.0, not -0.0.
+        code, out, _ = run(capsys, "optimal", "--model", "slr", "--a", "1", "--b", "5",
+                           "--criterion", "D", "--seed", "3")
+        assert code == EXIT_OK
+        assert '"min_dd": 0.0' in out
+        report = tmp_path / "report.csv"
+        code, out, _ = run(capsys, "check", "--model", "slr", "--a", "1", "--b", "5",
+                           "--criterion", "D", "--design", d_optimal_file, "-o", str(report))
+        assert code == EXIT_OK
+        assert '"min_dd": 0.0' in out
+        assert ",-0.0\n" not in report.read_text()
+
     def test_suboptimal_design_fails_with_argmin(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

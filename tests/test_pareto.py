@@ -2,24 +2,40 @@
 
 from __future__ import annotations
 
+import math
+import signal
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optdesign import (
     CriterionSpec,
+    Design,
     DesignSpace,
+    Model,
+    OptimizationError,
+    SingularDesignError,
     ValidationError,
     fim,
     make_design,
     phi_d,
     phi_r,
+    phi_r2,
     slr_model,
 )
+from optdesign.cli import main
+from optdesign.designs import fim_entries
 from optdesign.mm import MMParams, mm_model
 from optdesign.optimize import OptimizeRequest, optimize_design
 from optdesign.pareto import (
+    TIE_TOL,
     FrontPoint,
+    SweepRow,
+    _dominated,
     compound_sweep,
     criterion_sweep,
     evaluate_front_points,
@@ -28,8 +44,11 @@ from optdesign.pareto import (
     mark_dominance,
     pareto_front,
     sample_two_point_designs,
+    sampled_front,
     sweep_csv,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 DUMMY = make_design([(0.0, 0.5), (1.0, 0.5)], DesignSpace(0.0, 1.0))
 
@@ -198,3 +217,193 @@ class TestCriterionSweep:
             criterion_sweep(model, 9.0, [0.5])     # outside space
         with pytest.raises(ValidationError):
             criterion_sweep(model, 0.5, [0.0])     # boundary weight
+
+
+# --- array paths against their scalar definitions -------------------------------
+
+def reference_sample(model, n, seed):
+    """The scalar sampler the array path replaced: one attempt of three uniforms at a time."""
+    rng = np.random.default_rng(seed)
+    space = model.space
+    out = []
+    while len(out) < n:
+        x1, x2 = rng.uniform(space.lo, space.hi, 2)
+        w = rng.uniform(0.0, 1.0)
+        if not 0.0 < w < 1.0:
+            continue
+        if abs(x1 - x2) <= space.merge_tol():
+            continue
+        design = make_design([(x1, w), (x2, 1.0 - w)], space)
+        if design.support_size < 2 or fim(model, design).is_singular:
+            continue
+        out.append(design)
+    return out
+
+
+def reference_dominated(d, r):
+    """The O(n^2) definition: dominated by a point at least as good on both, better by > TIE_TOL on one."""
+    d, r = np.asarray(d, dtype=float), np.asarray(r, dtype=float)
+    return [bool(np.any((d >= dp) & (r >= rp) & ((d - dp > TIE_TOL) | (r - rp > TIE_TOL))))
+            for dp, rp in zip(d, r)]
+
+
+def scaled_slr(lo, hi, scale):
+    # f(x) = (1, scale x): on a space narrower than the merge tolerance's
+    # floor of 1e-9, a share of the draws is merged, not singular.
+    return Model("scaled", DesignSpace(lo, hi),
+                 lambda x: np.stack([np.ones_like(x), scale * np.asarray(x)], axis=-1))
+
+
+SAMPLER_MODELS = {
+    "slr": lambda: slr_model(DesignSpace(-1.3, 4.2)),
+    "mm": lambda: mm_model(MMParams(eps=0.5)),
+    "mm-v10-k50": lambda: mm_model(MMParams(V=10.0, K=50.0, b=3.0, eps=0.0)),
+    "slr-wide": lambda: slr_model(DesignSpace(-3e4, 5e5)),
+    "slr-half-singular": lambda: slr_model(DesignSpace(0.0, 1e-5)),
+    "merging": lambda: scaled_slr(0.0, 1e-8, 1e6),
+}
+
+
+class TestArraySampler:
+    @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
+    @pytest.mark.parametrize("seed", [0, 11, 20260810])
+    def test_matches_scalar_loop(self, name, seed):
+        model = SAMPLER_MODELS[name]()
+        n = 5000 if name == "slr-half-singular" else 1200   # several blocks there
+        got = sample_two_point_designs(model, n, seed)
+        assert got == reference_sample(model, n, seed)
+        assert all(type(v) is float for d in got for pt in d.points for v in pt)
+
+    def test_front_of_samples_equals_composition(self, mm_stars):
+        model, d_star, r_star = mm_stars
+        points = evaluate_front_points(model, sample_two_point_designs(model, 3000, 5),
+                                       d_star, r_star)
+        assert sampled_front(model, 3000, 5, d_star, r_star) == pareto_front(points)
+
+    def test_all_singular_space_raises(self):
+        # Every draw on [-1e-7, 1e-7] is singular; the scalar loop never ended.
+        model = slr_model(DesignSpace(-1e-7, 1e-7))
+        previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("sampler did not stop"))
+        signal.alarm(30)
+        try:
+            with pytest.raises(OptimizationError, match=r"\[-1e-07, 1e-07\]"):
+                sample_two_point_designs(model, 1, 0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_heap_peak(self, mm_stars):
+        # Arrays for about 25,000 attempts: about 6.4 MB at its peak, against
+        # about 12 MB when 20,000 designs and front points were objects.
+        model, d_star, r_star = mm_stars
+        tracemalloc.start()
+        try:
+            sampled_front(model, 20_000, 5, d_star, r_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+
+class TestArrayEvaluation:
+    def test_values_match_scalar_criteria(self, mm_half):
+        rng = np.random.default_rng(3)
+        space = mm_half.space
+        designs = [make_design(list(zip(rng.uniform(space.lo, space.hi, k),
+                                        rng.uniform(0.1, 1.0, k))), space)
+                   for k in (2, 3, 4, 2, 3) for _ in range(20)]
+        points = evaluate_front_points(mm_half, designs, 70.0, 120.0)
+        for d, p in zip(designs, points):
+            m = fim(mm_half, d)
+            assert (p.design, p.eff_d, p.eff_r, p.r2) == (d, 70.0 / phi_d(m), 120.0 / phi_r(m),
+                                                         phi_r2(m))
+
+    def test_singular_design_raises(self, slr_01):
+        with pytest.raises(SingularDesignError):
+            evaluate_front_points(slr_01, [make_design([(0.5, 1.0)], slr_01.space)], 1.0, 1.0)
+
+    def test_stacked_entries_equal_fim(self, mm_half):
+        rng = np.random.default_rng(4)
+        space = mm_half.space
+        for k in (2, 3, 4):
+            xs = np.sort(rng.uniform(space.lo, space.hi, (50, k)), axis=1)
+            ws = rng.uniform(0.05, 1.0, (50, k))
+            ws /= ws.sum(axis=1, keepdims=True)
+            entries = np.stack(fim_entries(mm_half, xs, ws), axis=1).tolist()
+            for x, w, e in zip(xs.tolist(), ws.tolist(), entries):
+                m = fim(mm_half, Design(points=tuple(zip(x, w))))
+                assert e == [m.m11, m.m12, m.m22]
+
+
+def tie_heavy(rng, n):
+    grid = rng.integers(0, 8, n) / 10.0
+    return grid + rng.choice([0.0, 5e-13, 1e-12, 2e-12], n)
+
+
+class TestSortAndSweepMask:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tie_heavy_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        d, r = tie_heavy(rng, n), tie_heavy(rng, n)
+        assert _dominated(d, r).tolist() == reference_dominated(d, r)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, -0.0, 0.1, 0.3, 1.0, math.inf, -math.inf, math.nan]),
+        st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]),
+        st.sampled_from([0.0, 0.1, 0.2, 1.0, math.inf, math.nan]),
+        st.sampled_from([0.0, 5e-13, 1e-12, 2e-12])), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_definition_with_non_finite_values(self, rows):
+        d = np.array([a + b for a, b, _, _ in rows], dtype=float)
+        r = np.array([c + e for _, _, c, e in rows], dtype=float)
+        with np.errstate(invalid="ignore"):
+            assert _dominated(d, r).tolist() == reference_dominated(d, r)
+
+
+def reference_tradeoff(rows):
+    vals = [(r.phi_d, r.phi_r) for r in rows if math.isfinite(r.phi_d) and math.isfinite(r.phi_r)]
+    return any((d_i < d_j and r_i > r_j) for d_i, r_i in vals for d_j, r_j in vals)
+
+
+class TestMutuallyNondominatedRows:
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0, math.inf, math.nan]),
+        st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.0 + 4e-16, -math.inf, math.nan])), max_size=25))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_oracle(self, pairs):
+        rows = [SweepRow(p=0.5, phi_d=d, phi_r=r, phi_r2=0.0, corr=0.0) for d, r in pairs]
+        assert has_mutually_nondominated_rows(rows) == reference_tradeoff(rows)
+
+    def test_ties_in_phi_d_do_not_trade_off(self):
+        rows = [SweepRow(0.5, 1.0, r, 0.0, 0.0) for r in (1.0, 2.0, 3.0)]
+        assert not has_mutually_nondominated_rows(rows)
+        assert has_mutually_nondominated_rows(rows + [SweepRow(0.5, 0.5, 2.5, 0.0, 0.0)])
+
+
+# --- CLI output recorded before the array path: byte for byte ------------------
+
+SLR_FLAGS = ("--model", "slr", "--a", "-1.3", "--b", "4.2")
+MM_FLAGS = ("--model", "mm", "--b", "5", "--eps", "0.5")
+
+
+def run_cli(capsys, *argv):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+@pytest.mark.parametrize("model", ["slr", "mm"])
+@pytest.mark.parametrize("seed", [5, 20260810])
+def test_pareto_golden(capsys, model, seed):
+    flags = SLR_FLAGS if model == "slr" else MM_FLAGS
+    out, err = run_cli(capsys, "pareto", *flags, "--n", "20000", "--seed", str(seed))
+    assert out == (GOLDEN / f"pareto-{model}-seed{seed}.csv").read_text()
+    assert err == (GOLDEN / f"pareto-{model}-seed{seed}.meta").read_text()
+
+
+@pytest.mark.parametrize("model,flags,a_fixed", [("slr", SLR_FLAGS, "0.35"),
+                                                 ("mm", MM_FLAGS, "0.71")])
+def test_sweep_golden(capsys, model, flags, a_fixed):
+    out, _ = run_cli(capsys, "sweep", *flags, "--a-fixed", a_fixed)
+    assert out == (GOLDEN / f"sweep-{model}.csv").read_text()
