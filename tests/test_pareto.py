@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import signal
 import tracemalloc
@@ -400,6 +401,25 @@ def test_pareto_golden(capsys, model, seed):
     out, err = run_cli(capsys, "pareto", *flags, "--n", "20000", "--seed", str(seed))
     assert out == (GOLDEN / f"pareto-{model}-seed{seed}.csv").read_text()
     assert err == (GOLDEN / f"pareto-{model}-seed{seed}.meta").read_text()
+
+
+@pytest.mark.parametrize("name", ["slr-seed5", "slr-seed20260810", "mm-seed5", "mm-seed20260810"])
+def test_pareto_golden_rebuilt_from_its_stars(name):
+    # A golden depends on the optimizer only through phi_d_star and
+    # phi_r_star in its meta line.  Fed those, the sampler and the front
+    # rebuild the CSV byte for byte, so an optimizer change that moves a
+    # star's last ulps moves only the stars and the eff_D/eff_R columns.
+    meta = json.loads((GOLDEN / f"pareto-{name}.meta").read_text())
+    info = meta["model"]
+    if info["model"] == "slr":
+        model, x_scale = slr_model(DesignSpace(info["a"], info["b"])), 1.0
+    else:
+        params = MMParams(V=info["V"], K=info["K"], b=info["b"], eps=info["eps"],
+                          eps_in_k_units=info["eps_in_k_units"])
+        model, x_scale = mm_model(params), params.K
+    front = sampled_front(model, meta["n"], meta["seed"], meta["phi_d_star"], meta["phi_r_star"])
+    assert len(front) == meta["front_size"]
+    assert front_csv(front, x_scale=x_scale) == (GOLDEN / f"pareto-{name}.csv").read_text()
 
 
 @pytest.mark.parametrize("model,flags,a_fixed", [("slr", SLR_FLAGS, "0.35"),
