@@ -100,6 +100,7 @@ class Model:
     regressor must be vectorized: given an ndarray of shape (n,) it returns
     the regressor values with shape (n, 2).  For nonlinear models this is the
     gradient of the mean function evaluated at ``nominal_params``.
+    ``regressor_dx``, vectorized alike, is its x-derivative; the optimizer needs it.
     """
 
     name: str
@@ -107,6 +108,7 @@ class Model:
     regressor: Callable[[np.ndarray], np.ndarray]
     nominal_params: tuple[float, ...] | None = None
     param_names: tuple[str, str] = ("theta1", "theta2")
+    regressor_dx: Callable[[np.ndarray], np.ndarray] | None = None
 
     def regressor_at(self, x: float) -> np.ndarray:
         """Regressor at a single point, shape (2,)."""
@@ -264,14 +266,15 @@ def cov_quantities(m: InfoMatrix) -> CovQuantities:
 
 
 def slr_model(space: DesignSpace) -> Model:
-    """Simple linear regression y = theta1 + theta2 x + noise; regressor f(x) = (1, x)."""
+    """Simple linear regression y = theta1 + theta2 x + noise; regressor f(x) = (1, x), f' = (0, 1)."""
 
     def regressor(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.stack([np.ones_like(x), x], axis=-1)
 
-    return Model(name="slr", space=space, regressor=regressor,
-                 nominal_params=None, param_names=("intercept", "slope"))
+    return Model(name="slr", space=space, regressor=regressor, nominal_params=None,
+                 param_names=("intercept", "slope"),
+                 regressor_dx=lambda x: np.tile([0.0, 1.0], np.shape(x) + (1,)))
 
 
 # --- JSON serialization (shared by the CLI and golden tests) ----------------

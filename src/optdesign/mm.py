@@ -2,7 +2,7 @@
 
 The sensitivity vector (gradient of the mean in (V, K) at nominal values) is
 
-    f(x) = ( x/(K+x),  -V x/(K+x)^2 ),
+    f(x) = ( x/(K+x),  -V x/(K+x)^2 ),   f'(x) = ( K/(K+x)^2,  -V (K-x)/(K+x)^3 ),
 
 which vanishes at x = 0, so designs putting all mass near the origin carry no
 information.  The design space is [eps*K, b*K]: multiples of K by default,
@@ -75,6 +75,8 @@ def mm_model(params: MMParams) -> Model:
         regressor=lambda x: mm_regressor(params, x),
         nominal_params=(params.V, params.K),
         param_names=("V", "K"),
+        regressor_dx=lambda x: np.stack([params.K / (params.K + x) ** 2,
+                                         -params.V * (params.K - x) / (params.K + x) ** 3], axis=-1),
     )
 
 

@@ -3,25 +3,19 @@
 The search is grid-plus-refinement.  Stage 1 scores candidate supports on a
 grid: for two points every pair of the design grid, for three or four points
 every subset of a coarse grid, each with optimal weights, all at once.  The
-best few are polished by coordinate descent on the support coordinates with
-step halving.  For the non-convex criteria (squared correlation and condition
+best few are polished by moving their support points along the criterion's
+slope.  For the non-convex criteria (squared correlation and condition
 number, which carry no equivalence theorem) a seeded multistart adds random
 initial supports.  Convex results come back with a directional-derivative
 certificate on a fine grid; non-convex results are labeled best-found.
 
-One solver serves every weight problem: a bracketed secant on the
-criterion's slope in the mass split of two points, run on many rows at once.
-Supports of three or four points get their weights by cyclic pairwise
-transfers, each transfer such a two-point solve.
-
-The refinement is batched: all candidates, stage-1 picks and multistarts
-alike, are rows of arrays.  Each sweep builds the 2k moves (plus or minus the
-candidate's step on one of its k coordinates) of every live candidate and
-weighs all of them in one batched weight solve.  A candidate takes its best
-improving move, or halves its step when none improves, and drops out once the
-step falls to ``STEP_MIN_REL`` times the width, or once the criterion is at
-its infimum: r^2 zero to rounding for R2 and CPB, EM within the weight
-tolerance of 1.
+One row solver, a bracketed secant driving a slope to 0 on many rows at
+once, serves masses and points.  A mass splits two points; three or four
+points get their weights by cyclic pairwise transfers, each such a solve.
+By the envelope theorem, at optimal weights the criterion's derivative in a
+support point x_j is its slope along w_j (f' f^T + f f'^T)(x_j): the polish
+cycles the coordinates of all candidates (stage-1 picks and multistarts, as
+rows of arrays), each evaluation a weight solve warm-started from the row's.
 
 Weight optimization relies on the criteria being unimodal along the weight
 segment of a fixed two-point support: the convex criteria trivially so, and
@@ -55,11 +49,12 @@ from .mm import MMParams, mm_d_optimal, mm_model
 
 STAGE1_TOL = 2e-6          # width of the stage-1 mass brackets
 STAGE1_BLOCK = 4096        # stage-1 pairs per mass solve; bounds its working arrays
-MASS_ITERS = 64            # cap on the secant iterations of one mass solve
-REFINE_TOP = 16            # candidates kept for coordinate-descent polish
+MASS_ITERS = 64            # cap on the secant iterations of one row solve
+REFINE_TOP = 16            # stage-1 candidates kept for the polish
 MULTISTARTS = 16           # random restarts for non-convex criteria
-STEP_MIN_REL = 1e-8        # refinement stops at this step, relative to the width
-R2_FLOOR = float(np.finfo(float).eps)  # r^2 this small is zero to rounding: R2/CPB refinement stops
+XTOL_REL = 1e-9            # support-point tolerance of the polish, relative to the width
+EPS = float(np.finfo(float).eps)
+M12_ROUNDING = 256 * EPS  # |m12| / sum_i w_i |f1 f2|(x_i) this small: r = 0
 
 
 @dataclass(frozen=True)
@@ -86,8 +81,8 @@ class OptimizeRequest:
 class OptimizeResult:
     """Outcome of a design search.
 
-    ``iterations`` counts the support moves the refinement evaluated, summed
-    over all candidates.
+    ``iterations`` counts the supports the refinement evaluated, each a
+    weight solve, summed over all candidates.
     """
 
     design: Design
@@ -103,77 +98,117 @@ def _outer3(f: np.ndarray) -> np.ndarray:
     return np.stack([f[..., 0] ** 2, f[..., 0] * f[..., 1], f[..., 1] ** 2], axis=-1)
 
 
-def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray,
-               tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal mass w at the first point of each row's two-point support.
+def _zero_slope(evaluate, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np.ndarray, tol: float,
+                known: tuple | None = None, open_ends: bool = True) -> tuple:
+    """Drive a slope to 0 on many rows at once, each row inside its bracket [lo, hi].
 
-    Oa and Ob hold the (n, 3) outer-product entries of the two points; at mass
-    w the matrix is Ob + w (Oa - Ob).  A bracketed secant (Dekker's zero
-    finder) drives the criterion's slope along Oa - Ob to 0 on all rows at
-    once, so rounding in the slope, not in the value, limits its precision.
-    A row stops at a zero slope or once its bracket is at most ``tol`` wide.
-    Returns (w, value) at the bracket end with the smaller slope.
+    ``evaluate(rows, x)`` gives the values, the slopes (NaN: singular, next to
+    an end, so taken to point inward) and extras or None at the points x of
+    those rows.  A bracketed secant (Dekker's zero finder) starts from x0 and
+    x1 (``known``: the results at x0).  A failed step bisects, but first
+    evaluates the end it bisects toward unless done or ``open_ends`` is False
+    (singular ends): an optimum at an end comes back exact.  A row stops at a
+    zero slope or a bracket at most ``tol`` wide.  Returns (x, value, extra)
+    at the end with the smaller slope.
     """
-    base, direction = Ob.T.copy(), (Oa - Ob).T.copy()  # (3, n): m11, m12, m22
-    n = len(Oa)
-    # Bracket ends (mass, slope, value): the slope is <= 0 at lo and >= 0 at hi.
-    lo, s_lo, v_lo = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
-    hi, s_hi, v_hi = np.ones(n), np.full(n, np.inf), np.full(n, np.inf)
+    n = len(lo)
+    lo, hi, mid = lo.copy(), hi.copy(), 0.5 * (lo + hi)
+    # The slope is <= 0 at lo and >= 0 at hi; NaN: that end is not evaluated yet.
+    s_lo, s_hi = (np.full(n, np.nan if open_ends else inward) for inward in (-np.inf, np.inf))
+    v_lo, v_hi, e_at = np.full(n, np.inf), np.full(n, np.inf), [None, None]  # e_at: extras at lo, hi
+    a, sa, b, sb = x0.copy(), np.full(n, np.nan), x1.copy(), np.full(n, np.nan)  # the secant pair
 
-    def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = direction[:, rows]
-        v, s = criterion_values_raw(spec, *(base[:, rows] + w * d), d=d)
-        # Singular masses lie next to 0 or 1; the admissible ones are inward.
-        return v, np.where(np.isnan(s), np.where(w > 0.5, np.inf, -np.inf), s)
-
-    def update(rows: np.ndarray, w: np.ndarray, v: np.ndarray, s: np.ndarray) -> None:
-        for side, at, s_at, v_at in ((s <= 0.0, lo, s_lo, v_lo), (s >= 0.0, hi, s_hi, v_hi)):
-            at[rows[side]], s_at[rows[side]], v_at[rows[side]] = w[side], s[side], v[side]
+    def probe(rows: np.ndarray, x: np.ndarray, result: tuple, start: bool = False) -> None:
+        v, s, extra = result
+        s = np.where(np.isnan(s), np.where(x > mid[rows], np.inf, -np.inf), s)
+        below, above = s <= 0.0, s >= 0.0
+        if start:  # a start beyond the other start's end must not widen the bracket
+            below, above = below & (x >= lo[rows]), above & (x <= hi[rows])
+        for i, (side, at, s_at, v_at) in enumerate(((below, lo, s_lo, v_lo), (above, hi, s_hi, v_hi))):
+            at[rows[side]], s_at[rows[side]], v_at[rows[side]] = x[side], s[side], v[side]
+            if extra is not None:
+                e_at[i] = np.zeros((n,) + extra.shape[1:]) if e_at[i] is None else e_at[i]
+                e_at[i][rows[side]] = extra[side]
+        a[rows], sa[rows], b[rows], sb[rows] = b[rows], sb[rows], x, s
 
     rows = np.arange(n)
-    w0, w1 = np.full(n, 0.5), np.full(n, 0.5 + 1e-6)  # a start and its secant partner
-    v, s = evaluate(np.concatenate([rows, rows]), np.concatenate([w0, w1]))
-    (v0, v1), (s0, s1) = np.split(v, 2), np.split(s, 2)
-    update(rows, w0, v0, s0)
-    update(rows, w1, v1, s1)
+    if known is None:  # both starts in one evaluation
+        both = evaluate(np.concatenate([rows, rows]), np.concatenate([x0, x1]))
+        known, first = ([z if z is None else z[h] for z in both] for h in (slice(n), slice(n, None)))
+        probe(rows, x0, known, start=True)
+        probe(rows, x1, first, start=True)
+    else:
+        probe(rows, x0, known, start=True)
+        live = rows[hi - lo > tol]
+        if len(live):
+            probe(live, x1[live], evaluate(live, x1[live]), start=True)
     live = rows[hi - lo > tol]
     for _ in range(MASS_ITERS):
         if not len(live):
             break
-        a, sa, b, sb, left, right = (x[live] for x in (w0, s0, w1, s1, lo, hi))
+        xa, ya, xb, yb, left, right = (z[live] for z in (a, sa, b, sb, lo, hi))
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = b - sb * (b - a) / (sb - sa)
-        w = np.where((left < w) & (w < right), w, 0.5 * (left + right))
-        w = np.where(np.abs(w - b) < 0.5 * tol, b + np.copysign(0.5 * tol, w - b), w)
-        v, s = evaluate(live, w)
-        w0[live], s0[live], w1[live], s1[live] = b, sb, w, s
-        update(live, w, v, s)
+            x = xb - yb * (xb - xa) / (yb - ya)
+        inside = (left <= x) & (x <= right) & np.isfinite(ya)  # ya infinite would freeze x at b
+        # Points stay tol/2 inside the bracket and tol/2 from b, toward the other end.
+        x = np.where(inside, np.minimum(np.maximum(x, left + 0.5 * tol), right - 0.5 * tol),
+                     0.5 * (left + right))
+        x = np.where(np.abs(x - xb) < 0.5 * tol, xb + np.copysign(0.5 * tol, left + right - 2.0 * xb), x)
+        if open_ends:
+            x = np.where(inside | ~np.isnan(s_lo[live]) & ~np.isnan(s_hi[live]), x,
+                         np.where(np.isnan(s_lo[live]), left, right))
+        probe(live, x, evaluate(live, x))
         live = live[hi[live] - lo[live] > tol]
-    take_lo = np.abs(s_lo) <= np.abs(s_hi)
-    return np.where(take_lo, lo, hi), np.where(take_lo, v_lo, v_hi)
+    take_lo = np.isnan(s_hi) | (np.abs(s_lo) <= np.abs(s_hi))
+    extra = None if e_at[0] is None else np.where(take_lo[:, None], e_at[0], e_at[1])
+    return np.where(take_lo, lo, hi), np.where(take_lo, v_lo, v_hi), extra
 
 
-def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray, tol: float,
+               w0: np.ndarray | None = None, open_ends: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal mass w at the first point of each row's two-point support.
+
+    Oa and Ob hold the (n, 3) outer-product entries of the two points; at mass
+    w the matrix is Ob + w (Oa - Ob).  ``_zero_slope`` drives the criterion's
+    slope along Oa - Ob to 0 from w0 (default 1/2).  The masses 0 and 1 are
+    one-point designs, singular, unless ``open_ends`` (a pairwise transfer,
+    where Oa and Ob carry the other points too).  Returns (w, value).
+    """
+    base, direction = Ob.T.copy(), (Oa - Ob).T.copy()  # (3, n): m11, m12, m22
+    n = len(Oa)
+
+    def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+        d = direction[:, rows]
+        return (*criterion_values_raw(spec, *(base[:, rows] + w * d), d=d), None)
+
+    w0 = np.full(n, 0.5) if w0 is None else w0
+    return _zero_slope(evaluate, np.zeros(n), np.ones(n), w0, np.where(w0 <= 0.5, w0 + 1e-6, w0 - 1e-6),
+                       tol, open_ends=open_ends)[:2]
+
+
+def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float,
+                     W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Optimal weights (n, k) and criterion values (n,) of the n supports whose
-    points have the outer-product entries O (n, k, 3)."""
+    points have the outer-product entries O (n, k, 3), started from W0 if given."""
     if O.shape[1] == 2:
-        w, v = _best_mass(spec, O[:, 0], O[:, 1], tol)
+        w, v = _best_mass(spec, O[:, 0], O[:, 1], tol, None if W0 is None else W0[:, 0])
         return np.stack([w, 1.0 - w], axis=1), v
-    return _best_weights_k(spec, O, tol)
+    return _best_weights_k(spec, O, tol, W0=W0)
 
 
 def _best_weights_k(spec: CriterionSpec, O: np.ndarray, tol: float,
-                    max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+                    max_sweeps: int = 60, W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic pairwise mass transfers on the simplex, for supports of 3 or 4 points.
 
     O holds the (n, k, 3) outer-product entries of n supports, all solved at
-    once.  For points i and j, with R the weighted sum of the other points and
-    m = w_i + w_j, the transfer is the two-point mass solve between R + m O_i
-    and R + m O_j.  A row stops after a sweep whose largest weight shift is
-    below ``tol``.  Returns the weights (n, k) and the criterion values (n,).
+    once from the weights W0 (default 1/k).  For points i and j, with R the
+    weighted sum of the others and m = w_i + w_j, the transfer is the mass
+    solve between R + m O_i and R + m O_j from the current split.  A row stops
+    after a sweep whose largest weight shift is below ``tol``.  Returns the
+    weights (n, k) and the criterion values (n,).
     """
     n, k, _ = O.shape
-    W = np.full((n, k), 1.0 / k)
+    W = np.full((n, k), 1.0 / k) if W0 is None else W0.copy()
     V = np.full(n, np.inf)
     live = np.arange(n)
     for _ in range(max_sweeps):
@@ -184,8 +219,9 @@ def _best_weights_k(spec: CriterionSpec, O: np.ndarray, tol: float,
         for i, j in combinations(range(k), 2):
             rest = sum(w[:, q, None] * Ol[:, q] for q in range(k) if q not in (i, j))
             mass = w[:, i] + w[:, j]
+            t0 = w[:, i] / np.where(mass > 0.0, mass, 1.0)
             t, V[live] = _best_mass(spec, rest + mass[:, None] * Ol[:, i],
-                                    rest + mass[:, None] * Ol[:, j], tol)
+                                    rest + mass[:, None] * Ol[:, j], tol, t0, open_ends=True)
             shift = np.maximum(shift, np.abs(t * mass - w[:, i]))
             w[:, i], w[:, j] = t * mass, mass - t * mass
         W[live] = w
@@ -228,74 +264,88 @@ def _stage1_pairs(spec: CriterionSpec, O: np.ndarray) -> tuple[np.ndarray, np.nd
     return I, J, w, vals
 
 
+def _point_slope(spec: CriterionSpec, F: np.ndarray, dF: np.ndarray, W: np.ndarray, j: int) -> np.ndarray:
+    """The kernel's slope in point j of n supports, at weights W (n, k): along
+    w_j (f' f^T + f f'^T)(x_j), with F and dF (n, k, 2) the regressor and its
+    x-derivative.  At optimal weights it is, by the envelope theorem, the
+    derivative of the profiled criterion."""
+    f, g = F[:, j], dF[:, j]
+    d = W[:, j] * np.stack([2.0 * f[:, 0] * g[:, 0], f[:, 0] * g[:, 1] + f[:, 1] * g[:, 0],
+                            2.0 * f[:, 1] * g[:, 1]])
+    return criterion_values_raw(spec, *np.einsum("nk,nkc->cn", W, _outer3(F)), d=d)[1]
+
+
 def _refine(model: Model, spec: CriterionSpec, X: np.ndarray, step: np.ndarray,
             wtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Batched coordinate descent on k-point supports, with per-candidate step halving.
+    """Batched cyclic polish of k-point supports by the slope in each point.
 
-    X (n, k) holds the sorted initial supports and ``step`` (n,) their
-    initial steps.  Each sweep weighs the 2k moves of every live candidate in
-    one batched weight solve; a candidate takes its best improving move or
-    halves its step.  A candidate retires once its step falls to
-    ``STEP_MIN_REL`` times the width, or at the criterion's infimum: r^2 at
-    most ``R2_FLOOR`` for R2 and CPB, EM - 1 at most ``wtol``.  Returns the
-    supports, their weights (n, k), the criterion values and the number of
-    moves evaluated.
+    For each coordinate in turn, ``_zero_slope`` drives ``_point_slope`` to 0
+    with x_j kept between its neighbours (or the ends of the space); a row
+    takes the result if it lowers the criterion beyond rounding.  X (n, k)
+    holds the sorted initial supports and ``step`` (n,) the first trial move
+    of each.  A row retires after a cycle that moves no point by more than
+    ``XTOL_REL`` times the width.  Returns the supports, their weights
+    (n, k), the criterion values and the number of supports evaluated.
     """
+    if model.regressor_dx is None:
+        raise ValidationError(f"model {model.name!r} has no regressor_dx; the optimizer needs it")
     space = model.space
-    merge_tol = space.merge_tol()
-    step_min = STEP_MIN_REL * space.width
-    X = np.array(X, dtype=float)
-    step = np.array(step, dtype=float)
-    k = X.shape[1]
-    # The moves +e1, -e1, +e2, -e2, ... (this order breaks ties between
-    # equally good moves).
-    moves = np.zeros((2 * k, k))
-    moves[np.arange(2 * k), np.repeat(np.arange(k), 2)] = np.tile([1.0, -1.0], k)
+    xtol, gap = XTOL_REL * space.width, space.merge_tol()
+    X, (n, k) = np.array(X, dtype=float), np.shape(X)
 
-    def evaluate(supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        F = np.asarray(model.regressor(supports.ravel()), dtype=float).reshape(-1, k, 2)
-        W, V = _support_weights(spec, _outer3(F), wtol)
-        return W, np.where(np.all(np.isfinite(F), axis=(1, 2)), V, np.inf)
+    def regress(x: np.ndarray) -> list[np.ndarray]:
+        return [np.asarray(f(x), dtype=float).reshape(x.shape + (2,))
+                for f in (model.regressor, model.regressor_dx)]
 
-    def still_open(rows: np.ndarray) -> np.ndarray:
-        # On some spaces a continuum of designs reaches r = 0 or EM = 1.  A
-        # candidate there finds only "gains" made of the weight solve's
-        # error, and would chase them for thousands of sweeps.  EM grows
-        # linearly off its kink at 1, so weights resolved to wtol resolve
-        # EM - 1 only to about wtol.
-        keep = step[rows] > step_min
-        if spec.kind == "R2":
-            keep &= V[rows] > R2_FLOOR
-        elif spec.kind == "CPB":
-            keep &= V[rows] ** 2 > R2_FLOOR
+    def slope(F: np.ndarray, dF: np.ndarray, W: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
+        # A continuum of designs may reach r = 0 or EM = 1, where the slope is
+        # only rounding and weight error.  A row at the infimum (r = 0 to the
+        # rounding of m12; EM - 1 within wtol, as EM grows linearly off its
+        # kink at 1) cannot be beaten, so all rows stop.
+        nonlocal done
+        if spec.kind in ("R2", "CPB"):
+            f12 = W * F[:, :, 0] * F[:, :, 1]
+            done |= bool(np.any(np.abs(f12.sum(axis=1)) <= M12_ROUNDING * np.abs(f12).sum(axis=1)))
         elif spec.kind == "EM":
-            keep &= V[rows] - 1.0 > wtol
-        return rows[keep]
+            done |= bool(np.any(V - 1.0 <= wtol))
+        # Weights resolved to wtol leave V's slope uncertain by about wtol V / width; the
+        # kernel's slope is that of r^2 for CPB and of (disc/tr)^2 for EM, dT times V's.
+        s = _point_slope(spec, F, dF, W, j)
+        with np.errstate(invalid="ignore"):
+            dT = {"CPB": 2.0 * V, "EM": 4.0 * (V - 1.0) / (V + 1.0) ** 3}.get(spec.kind, 1.0)
+            return np.where(done | (np.abs(s) * space.width <= wtol * np.abs(V * dT)), 0.0, s)
 
-    W, V = evaluate(X)
-    n_moves = 0
-    live = still_open(np.arange(len(X)))
+    F, dF = regress(X)
+    W, V = _support_weights(spec, _outer3(F), wtol)
+    V = np.where(np.all(np.isfinite(F), axis=(1, 2)), V, np.inf)
+    done, n_evals, live = False, n, np.flatnonzero(np.isfinite(V))
     while len(live):
-        base = X[live, None, :]
-        cand = np.sort(np.clip(base + step[live, None, None] * moves, space.lo, space.hi), axis=2)
-        # A move that merges two points, or that the boundary clips to the
-        # current support, is not evaluated.
-        ok = np.all(np.diff(cand, axis=2) > merge_tol, axis=2) & np.any(cand != base, axis=2)
-        vals = np.full(ok.shape, np.inf)
-        weights = np.zeros(ok.shape + (k,))
-        weights[ok], vals[ok] = evaluate(cand[ok])
-        n_moves += int(np.count_nonzero(ok))
-        rows = np.arange(len(live))
-        pick = np.argmin(vals, axis=1)
-        best = vals[rows, pick]
-        better = best < V[live]
-        won = live[better]
-        X[won] = cand[rows, pick][better]
-        W[won] = weights[rows, pick][better]
-        V[won] = best[better]
-        step[live[~better]] *= 0.5
-        live = still_open(live)
-    return X, W, V, n_moves
+        moved = np.zeros(len(live))
+        for j in range(k):
+            def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                nonlocal n_evals
+                n_evals += len(rows)
+                Fr, dFr = F[live[rows]], dF[live[rows]]
+                Fr[:, j], dFr[:, j] = regress(x)
+                Wr, Vr = _support_weights(spec, _outer3(Fr), wtol, W[live[rows]])
+                return Vr, slope(Fr, dFr, Wr, Vr, j), Wr
+
+            x0, s0 = X[live, j], slope(F[live], dF[live], W[live], V[live], j)
+            lo = X[live, j - 1] + gap if j else np.full(len(live), space.lo)
+            hi = X[live, j + 1] - gap if j < k - 1 else np.full(len(live), space.hi)
+            x, v, Wx = _zero_slope(evaluate, lo, hi, x0, np.clip(x0 - np.sign(s0) * step[live], lo, hi),
+                                   xtol, known=(V[live], s0, W[live]))
+            # A gain counts beyond the rounding of det(M), which near a singular
+            # design swamps the criterion: a continuum of optima leads there.
+            m11, m12, m22 = np.einsum("nk,nkc->cn", W[live], _outer3(F[live]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                better = v < V[live] * (1.0 - 4.0 * EPS * m11 * m22 / (m11 * m22 - m12 * m12))
+            won = live[better]
+            moved[better] = np.maximum(moved[better], np.abs(x - x0)[better])
+            X[won, j], W[won], V[won] = x[better], Wx[better], v[better]
+            F[won, j], dF[won, j] = regress(X[won, j])
+        live = live[moved > xtol]
+    return X, W, V, n_evals
 
 
 def _design_key(xs: Sequence[float], ws: Sequence[float]) -> tuple[float, ...]:
@@ -382,7 +432,8 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     if 2 <= len(keep) < len(best_xs):
         xs2 = [best_xs[i] for i in keep]
         F2 = np.asarray(model.regressor(np.asarray(xs2)), dtype=float)
-        W2, V2 = _support_weights(spec, _outer3(F2)[None], request.weight_tolerance)
+        w2 = np.asarray([best_ws[i] for i in keep])[None]
+        W2, V2 = _support_weights(spec, _outer3(F2)[None], request.weight_tolerance, w2 / w2.sum())
         if V2[0] <= best_val * (1.0 + 1e-9) + 1e-12:
             best_xs, best_ws, best_val = tuple(xs2), W2[0], float(V2[0])
 
@@ -409,36 +460,23 @@ def c_optimal(model: Model, c: Sequence[float], grid_resolution: int = 201,
     c1, c2 = float(c[0]), float(c[1])
     if c1 == 0.0 and c2 == 0.0:
         raise ValidationError("c must be nonzero")
-    spec = CriterionSpec("C", c=(c1, c2))
-    two_point = optimize_design(OptimizeRequest(
-        model=model, criterion=spec, n_support=2,
+    best = optimize_design(OptimizeRequest(
+        model=model, criterion=CriterionSpec("C", c=(c1, c2)), n_support=2,
         grid_resolution=grid_resolution, weight_tolerance=weight_tolerance, seed=seed))
 
-    best = two_point
-    # Singleton candidates: roots of cross(x) = c1 f2(x) - c2 f1(x).
+    def cross(x: np.ndarray) -> np.ndarray:  # zero where f(x) is parallel to c
+        F = np.asarray(model.regressor(x), dtype=float)
+        return c1 * F[:, 1] - c2 * F[:, 0]
+
+    # Singleton candidates: the roots of cross, each bracketed by a sign change
+    # on a grid and zeroed by the row solver.
     grid = model.space.grid(max(grid_resolution, 400))
-    F = np.asarray(model.regressor(grid), dtype=float)
-    cross = c1 * F[:, 1] - c2 * F[:, 0]
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        lo_v, hi_v = cross[i], cross[i + 1]
-        if lo_v == 0.0:
-            roots.append(float(grid[i]))
-        elif lo_v * hi_v < 0.0:
-            a, b = float(grid[i]), float(grid[i + 1])
-            fa = lo_v
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                f_mid = model.regressor_at(mid)
-                fm = float(c1 * f_mid[1] - c2 * f_mid[0])
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if cross[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    for x in roots:
+    g = cross(grid)
+    i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
+    sign = np.sign(g[i + 1])  # sign * cross is < 0 at grid[i] and > 0 at grid[i + 1]
+    roots = _zero_slope(lambda rows, x: (0.0 * x, sign[rows] * cross(x), None),
+                        grid[i], grid[i + 1], grid[i], grid[i + 1], EPS * model.space.width)[0]
+    for x in [*grid[g == 0.0], *roots]:
         design = make_design([(x, 1.0)], model.space)
         val = phi_c(fim(model, design), (c1, c2))
         if math.isfinite(val) and val < best.criterion_value * (1.0 - 1e-12):
@@ -492,12 +530,6 @@ class MMTables:
     efficiencies: tuple[MMEfficiencyRow, ...]
 
 
-def _criterion_for(kind: str, refs: tuple[float, float]) -> CriterionSpec:
-    if kind == "SA":
-        return CriterionSpec("SA", sa_refs=refs)
-    return CriterionSpec(kind)
-
-
 def mm_tables(params: MMParams, eps_list: Sequence[float],
               criteria: Sequence[str] = MM_CRITERIA, compat: bool = True,
               grid_resolution: int = 201, weight_tolerance: float = 1e-8,
@@ -524,6 +556,7 @@ def mm_tables(params: MMParams, eps_list: Sequence[float],
         at_zero_floor = p_eps.space().lo == 0.0
         refs = sa_references(model, grid_resolution, weight_tolerance, seed)
 
+        evaluators = {k: CriterionSpec(k, sa_refs=refs if k == "SA" else None) for k in MM_CRITERIA}
         designs: dict[str, Design | None] = {}
         for kind in criteria:
             if kind == "D":
@@ -531,19 +564,11 @@ def mm_tables(params: MMParams, eps_list: Sequence[float],
             elif kind in ("EM", "R2") and compat and at_zero_floor:
                 designs[kind] = None
             else:
-                spec = _criterion_for(kind, refs)
                 designs[kind] = optimize_design(OptimizeRequest(
-                    model=model, criterion=spec, n_support=2,
+                    model=model, criterion=evaluators[kind], n_support=2,
                     grid_resolution=grid_resolution,
                     weight_tolerance=weight_tolerance, seed=seed)).design
 
-        evaluators = {
-            "D": CriterionSpec("D"),
-            "SA": CriterionSpec("SA", sa_refs=refs),
-            "R": CriterionSpec("R"),
-            "EM": CriterionSpec("EM"),
-            "R2": CriterionSpec("R2"),
-        }
         stars: dict[str, float | None] = {}
         for kind in criteria:
             d = designs[kind]

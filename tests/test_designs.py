@@ -197,6 +197,14 @@ def test_slr_model_regressor():
     assert np.allclose(model2.regressor_at(-5.0), [1.0, -5.0])
 
 
+def test_slr_regressor_dx_matches_central_difference():
+    model = slr_model(DesignSpace(-5.0, 5.0))
+    x = np.random.default_rng(3).uniform(-5.0, 5.0, 50)
+    fd = (model.regressor(x + 1e-3) - model.regressor(x - 1e-3)) / 2e-3
+    assert np.allclose(model.regressor_dx(x), fd, rtol=0.0, atol=1e-12)
+    assert model.regressor_dx(x.reshape(5, 10)).shape == (5, 10, 2)
+
+
 def test_slr_two_point_det_is_spread():
     # det M({a: 1-p, b: p}) = p (1-p) (b-a)^2
     rng = np.random.default_rng(6)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optdesign import (
     ValidationError,
@@ -66,6 +70,25 @@ class TestRegressor:
             f = mm_regressor(p, x)
             assert abs(f[0] - g_v) <= 1e-6 * max(1.0, abs(g_v))
             assert abs(f[1] - g_k) <= 1e-6 * max(abs(g_k), 1e-9)
+
+
+class TestRegressorDerivative:
+    @given(u=st.floats(0.0, 20.0), V=st.floats(1e-2, 1e3), K=st.floats(1e-2, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_central_difference(self, u, V, K):
+        # x = u K.  f' peaks at x = 0, at (1/K, -V/K^2): the tolerance's scale.
+        model = mm_model(MMParams(V=V, K=K, b=25.0))
+        x, h = np.array([u * K]), 1e-5 * (K + u * K)
+        fd = (model.regressor(x + h) - model.regressor(x - h)) / (2 * h)
+        assert np.all(np.abs(model.regressor_dx(x) - fd) <= 1e-6 * np.array([1 / K, V / K ** 2]))
+
+    def test_vectorized_and_kept_by_replace(self):
+        # perfbench's tracer rebuilds models with dataclasses.replace.
+        model = mm_model(MMParams())
+        X = np.linspace(0.0, 5 * 227.27, 12).reshape(3, 4)
+        assert model.regressor_dx(X).shape == (3, 4, 2)
+        wrapped = dataclasses.replace(model, regressor=lambda x: model.regressor(x))
+        assert wrapped.regressor_dx is model.regressor_dx
 
 
 class TestDOptimal:
