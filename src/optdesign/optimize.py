@@ -105,11 +105,11 @@ def _zero_slope(evaluate, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np
     ``evaluate(rows, x)`` gives the values, the slopes (NaN: singular, next to
     an end, so taken to point inward) and extras or None at the points x of
     those rows.  A bracketed secant (Dekker's zero finder) starts from x0 and
-    x1 (``known``: the results at x0).  A failed step bisects, but first
-    evaluates the end it bisects toward unless done or ``open_ends`` is False
-    (singular ends): an optimum at an end comes back exact.  A row stops at a
-    zero slope or a bracket at most ``tol`` wide.  Returns (x, value, extra)
-    at the end with the smaller slope.
+    x1 (``known``: the results at x0).  A failed step bisects, or evaluates
+    the end it would bisect toward if that end is not evaluated yet, so an
+    optimum at an end comes back exact; ``open_ends`` False marks the ends as
+    singular.  A row stops at a zero slope or a bracket at most ``tol`` wide.
+    Returns (x, value, extra) at the end with the smaller slope.
     """
     n = len(lo)
     lo, hi, mid = lo.copy(), hi.copy(), 0.5 * (lo + hi)
@@ -311,7 +311,7 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray, step: np.ndarray,
         # Weights resolved to wtol leave V's slope uncertain by about wtol V / width; the
         # kernel's slope is that of r^2 for CPB and of (disc/tr)^2 for EM, dT times V's.
         s = _point_slope(spec, F, dF, W, j)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             dT = {"CPB": 2.0 * V, "EM": 4.0 * (V - 1.0) / (V + 1.0) ** 3}.get(spec.kind, 1.0)
             return np.where(done | (np.abs(s) * space.width <= wtol * np.abs(V * dT)), 0.0, s)
 
