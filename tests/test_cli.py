@@ -106,6 +106,13 @@ class TestTable:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("flags,name", [((), "mm-efficiencies"),
+                                            (("--strict",), "mm-efficiencies-strict")])
+    def test_mm_efficiencies_golden(self, capsys, flags, name):
+        code, out, _ = run(capsys, "table", "mm-efficiencies", *flags)
+        assert code == EXIT_OK
+        assert out == (Path(__file__).parent / "golden" / f"{name}.csv").read_text()
+
     def test_unknown_table(self, capsys):
         code, _, _ = run(capsys, "table", "slr", "--a-list")
         assert code == EXIT_USAGE

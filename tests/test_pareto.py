@@ -427,3 +427,10 @@ def test_pareto_golden_rebuilt_from_its_stars(name):
 def test_sweep_golden(capsys, model, flags, a_fixed):
     out, _ = run_cli(capsys, "sweep", *flags, "--a-fixed", a_fixed)
     assert out == (GOLDEN / f"sweep-{model}.csv").read_text()
+
+
+@pytest.mark.parametrize("model,flags", [("slr", ("--model", "slr", "--a", "1", "--b", "5")),
+                                         ("mm", MM_FLAGS)])
+def test_compound_sweep_golden(capsys, model, flags):
+    out, _ = run_cli(capsys, "sweep", "--sweep-kind", "compound", *flags)
+    assert out == (GOLDEN / f"compound-sweep-{model}.csv").read_text()
