@@ -158,11 +158,14 @@ def _resolve_seed(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(value) -> list[float]:
+    """Numbers from a comma-separated flag value or from a config-file list."""
+    tokens = value if isinstance(value, list) else [
+        tok for tok in str(value).split(",") if tok.strip() != ""]
     try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+        return [float(tok) for tok in tokens]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"expected a comma-separated list of numbers, got {value!r}") from exc
 
 
 def _build_model(args: argparse.Namespace, cfg: dict) -> tuple[Model, dict]:
@@ -209,6 +212,14 @@ def _result_json(result: OptimizeResult, model: Model, config: RunConfig) -> str
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _reference_stars(model: Model, grid: int, wtol: float, seed: int) -> tuple[float, float]:
+    """(phi_D*, phi_R*): the optimal D and R values, references of COMPOUND and the efficiencies."""
+    d_star, r_star = (optimize_design(OptimizeRequest(
+        model=model, criterion=CriterionSpec(kind), grid_resolution=grid,
+        weight_tolerance=wtol, seed=seed)).criterion_value for kind in ("D", "R"))
+    return d_star, r_star
+
+
 def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Model,
                      grid: int, wtol: float, seed: int) -> CriterionSpec:
     kind = kind.upper()
@@ -218,7 +229,7 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
         c = _setting(args, cfg, "c")
         if c is None:
             raise UsageError("criterion C needs --c 'c1,c2'")
-        vec = _parse_floats(c) if isinstance(c, str) else [float(v) for v in c]
+        vec = _parse_floats(c)
         if len(vec) != 2:
             raise UsageError("--c must hold exactly two numbers")
         return CriterionSpec("C", c=(vec[0], vec[1]))
@@ -229,12 +240,7 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
         lam = _setting(args, cfg, "lam")
         if lam is None:
             raise UsageError("criterion COMPOUND needs --lam in [0, 1]")
-        d_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("D"),
-                                                 grid_resolution=grid, weight_tolerance=wtol,
-                                                 seed=seed)).criterion_value
-        r_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R"),
-                                                 grid_resolution=grid, weight_tolerance=wtol,
-                                                 seed=seed)).criterion_value
+        d_star, r_star = _reference_stars(model, grid, wtol, seed)
         return CriterionSpec("COMPOUND", lam=float(lam), phi_d_star=d_star, phi_r_star=r_star)
     return CriterionSpec(kind)
 
@@ -274,19 +280,17 @@ def _cmd_table(args: argparse.Namespace, cfg: dict) -> int:
         a_list = _setting(args, cfg, "a_list")
         if a_list is None:
             raise UsageError("table slr needs --a-list 'a1,a2,...'")
-        a_values = _parse_floats(a_list) if isinstance(a_list, str) else [float(v) for v in a_list]
-        rows = table_slr(a_values, float(b))
+        rows = table_slr(_parse_floats(a_list), float(b))
         _emit(table_slr_csv(rows), args.output)
         return EXIT_OK
     if name in ("mm-designs", "mm-efficiencies"):
         eps_list = _setting(args, cfg, "eps_list", "0,0.05,0.5,1")
-        eps_values = _parse_floats(eps_list) if isinstance(eps_list, str) else [float(v) for v in eps_list]
         params = MMParams(
             V=float(_setting(args, cfg, "V", 43.73)),
             K=float(_setting(args, cfg, "K", 227.27)),
             b=float(_setting(args, cfg, "b", 5.0)),
         )
-        tables = mm_tables(params, eps_values,
+        tables = mm_tables(params, _parse_floats(eps_list),
                            compat=not bool(_setting(args, cfg, "strict", False)),
                            grid_resolution=int(_setting(args, cfg, "grid", 201)),
                            weight_tolerance=float(_setting(args, cfg, "weight_tolerance", 1e-8)),
@@ -303,12 +307,7 @@ def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
     n = int(_setting(args, cfg, "n", 1000))
     grid = int(_setting(args, cfg, "grid", 201))
     wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    d_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("D"),
-                                             grid_resolution=grid, weight_tolerance=wtol,
-                                             seed=seed)).criterion_value
-    r_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R"),
-                                             grid_resolution=grid, weight_tolerance=wtol,
-                                             seed=seed)).criterion_value
+    d_star, r_star = _reference_stars(model, grid, wtol, seed)
     front = sampled_front(model, n, seed, d_star, r_star)
     x_scale = model.nominal_params[1] if model.name == "michaelis_menten" else 1.0
     _emit(front_csv(front, x_scale=x_scale), args.output)
@@ -325,16 +324,10 @@ def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     kind = str(_setting(args, cfg, "sweep_kind", "criteria"))
     if kind == "compound":
         lam_list = _setting(args, cfg, "lam_list", "0,0.25,0.5,0.75,1")
-        lams = _parse_floats(lam_list) if isinstance(lam_list, str) else [float(v) for v in lam_list]
         grid = int(_setting(args, cfg, "grid", 201))
         wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-        d_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("D"),
-                                                 grid_resolution=grid, weight_tolerance=wtol,
-                                                 seed=seed)).criterion_value
-        r_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R"),
-                                                 grid_resolution=grid, weight_tolerance=wtol,
-                                                 seed=seed)).criterion_value
-        rows = compound_sweep(model, lams, d_star, r_star, grid_resolution=grid,
+        d_star, r_star = _reference_stars(model, grid, wtol, seed)
+        rows = compound_sweep(model, _parse_floats(lam_list), d_star, r_star, grid_resolution=grid,
                               weight_tolerance=wtol, seed=seed)
         _emit(compound_sweep_csv(rows), args.output)
         return EXIT_OK
@@ -389,28 +382,17 @@ def _cmd_efficiency(args: argparse.Namespace, cfg: dict) -> int:
     path_list = paths.split(",") if isinstance(paths, str) else list(paths)
     grid = int(_setting(args, cfg, "grid", 201))
     wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    d_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("D"),
-                                             grid_resolution=grid, weight_tolerance=wtol,
-                                             seed=seed)).criterion_value
-    r_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R"),
-                                             grid_resolution=grid, weight_tolerance=wtol,
-                                             seed=seed)).criterion_value
+    d_star, r_star = _reference_stars(model, grid, wtol, seed)
     entries = []
     for path in path_list:
         with open(path) as fh:
             design, _space = design_from_json(json.load(fh))
         m = fim(model, design)
-        singular = m.is_singular
-        entries.append({
-            "path": path,
-            "phi_D": phi_d(m) if not singular else None,
-            "phi_R": phi_r(m) if not singular else None,
-            "phi_r2": phi_r2(m) if not singular else None,
-            "corr": correlation(m) if not singular else None,
-            "eff_D": d_star / phi_d(m) if not singular else None,
-            "eff_R": r_star / phi_r(m) if not singular else None,
-            "singular": singular,
-        })
+        values = (dict.fromkeys(("phi_D", "phi_R", "phi_r2", "corr", "eff_D", "eff_R"))
+                  if m.is_singular else
+                  {"phi_D": phi_d(m), "phi_R": phi_r(m), "phi_r2": phi_r2(m), "corr": correlation(m),
+                   "eff_D": d_star / phi_d(m), "eff_R": r_star / phi_r(m)})
+        entries.append({"path": path, **values, "singular": m.is_singular})
     payload = {"model": model_info, "phi_d_star": d_star, "phi_r_star": r_star,
                "designs": entries}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)

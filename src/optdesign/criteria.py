@@ -1,33 +1,35 @@
 """Optimality criteria, efficiencies, correlations, and directional derivatives.
 
-All criteria are functions of the 2x2 information matrix M:
+All criteria are functions of the 2x2 information matrix M, through
+det = m11 m22 - m12^2, tr = m11 + m22 and disc = sqrt((m11 - m22)^2 + 4 m12^2):
 
-    phi_D  = det(M)^(-1/2)                      volume of the confidence ellipse
-    phi_R  = sqrt({M^-1}_11 {M^-1}_22)          product-of-variances criterion
-    phi_r2 = {M^-1}_12^2 / ({M^-1}_11{M^-1}_22) squared estimator correlation
-    phi_c  = c^T M^- c                          variance of c^T theta-hat
-    phi_SA = phi_c1/ref1 + phi_c2/ref2          variance sum, each term scaled
-                                                by its own c-optimal value
-    phi_EM = lambda_max(M) / lambda_min(M)      condition number of M
-    phi_CPB= RMS of off-diagonal correlations   (generic p x p version below)
-    phi_lambda = (1-l)/Eff_D + l/Eff_R          compound D/R criterion
+    phi_D  = det^(-1/2)                   volume of the confidence ellipse
+    phi_R  = sqrt(m11 m22) / det          sqrt({M^-1}_11 {M^-1}_22), product of variances
+    phi_r2 = m12^2 / (m11 m22)            squared estimator correlation
+    phi_c  = c^T M^- c                    variance of c^T theta-hat
+    phi_SA = phi_c1/ref1 + phi_c2/ref2    variance sum, each term scaled by its
+                                          own c-optimal value
+    phi_EM = (tr + disc)^2 / (4 det)      lambda_max / lambda_min, condition number
+    phi_CPB= sqrt(phi_r2)                 RMS off-diagonal correlation at p = 2
+    phi_lambda = (1-l)/Eff_D + l/Eff_R    compound D/R criterion
 
-The three head criteria are tied together by the exact identity
+Each formula is written once, next to its slope along a direction, in the
+table ``_criterion``: ``criterion_values_raw`` (the kernel) evaluates it on
+arrays, ``criterion_value`` and the phi_* functions on an InfoMatrix's Python
+floats.  EM's form avoids lambda_min = (tr - disc)/2, which cancels on badly
+scaled columns; 4 det = tr^2 - disc^2 = 4 m11 m22 (1 - r^2) does not.
 
-    phi_R^2 = phi_D^2 / (1 - phi_r2),
+Reported values use C pow.  The table's operations give the same bits on
+floats and on arrays, except a power: Python floats and numpy scalars take
+C pow, arrays (0-d too) numpy's vectorized pow, which may differ by an ulp.
+So the scalar path never builds an array, and squares are written as
+products (Python's x ** 2 is C pow).  The kernel agrees with the scalar API
+bit for bit on every kind but D and COMPOUND.
 
-which follows from {M^-1}_11 {M^-1}_22 = det(M^-1) + {M^-1}_12^2.  That same
-algebraic split is what makes phi_R^2 differentiable:
-
-    phi_R^2(M) = det(M)^-1 + h(M)^2,   h(M) = {M^-1}_12,
-
-so the directional derivative of phi_R toward a one-point design at x is
-
-    d phi_R = [ (2 - f^T M^-1 f)/det(M) + 2 h (h - u_1 u_2) ] / (2 phi_R),
-
-with u = M^-1 f(x).  The formula is validated against the defining
-finite-difference quotient in the test suite (the arbitration the published
-displays of this derivative do not survive).
+The head criteria satisfy phi_R^2 = phi_D^2 / (1 - phi_r2) exactly.  The
+directional derivative toward the one-point design at x is the slope along
+f(x) f(x)^T - M, checked against finite differences in the test suite (the
+published displays of the phi_R derivative do not survive that check).
 
 Sign convention: a directional derivative >= 0 at x means "no improvement by
 moving mass toward x"; a design is optimal for a convex criterion iff its
@@ -46,11 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .designs import SINGULARITY_TOL, Design, InfoMatrix, Model, fim
+from .designs import Design, InfoMatrix, Model, _is_singular, fim
 from .errors import SingularDesignError, ValidationError
-
-C1 = (1.0, 0.0)
-C2 = (0.0, 1.0)
 
 CONVEX_KINDS = frozenset({"D", "R", "C", "SA", "COMPOUND"})
 NONCONVEX_KINDS = frozenset({"R2", "EM", "CPB"})
@@ -100,27 +99,96 @@ class CriterionSpec:
         return self.kind in CONVEX_KINDS
 
 
+# --- the criterion table ----------------------------------------------------
+
+def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
+    """The one table of criterion formulas: (value, slope along d or None).
+
+    Entries and det are Python floats or float arrays; the caller masks
+    singular matrices.  The slope along ``d = (d11, d12, d22)`` is the
+    criterion's or, at a kink, a smooth increasing transform's: r^2 for CPB,
+    (disc/tr)^2 for EM.
+    """
+    sqrt = np.sqrt if isinstance(det, np.ndarray) else math.sqrt
+    kind, slope = spec.kind, None
+    if d is not None:
+        d11, d12, d22 = d
+        ddet = d11 * m22 + m11 * d22 - 2.0 * m12 * d12   # slope of det
+        dprod = d11 * m22 + m11 * d22                     # slope of m11 m22
+    if kind == "D":
+        value = det ** -0.5
+        if d is not None:
+            slope = -0.5 * value * ddet / det
+    elif kind == "R":
+        value = sqrt(m11 * m22) / det
+        if d is not None:
+            slope = value * (0.5 * dprod / (m11 * m22) - ddet / det)
+    elif kind in ("R2", "CPB"):
+        r2 = (m12 * m12) / (m11 * m22)
+        value = r2 if kind == "R2" else sqrt(r2)
+        if d is not None:
+            slope = (2.0 * m12 * d12 - r2 * dprod) / (m11 * m22)
+    elif kind == "C":
+        c1, c2 = spec.c  # type: ignore[misc]
+        value = (c1 * c1 * m22 - 2.0 * c1 * c2 * m12 + c2 * c2 * m11) / det
+        if d is not None:
+            slope = (c1 * c1 * d22 - 2.0 * c1 * c2 * d12 + c2 * c2 * d11 - value * ddet) / det
+    elif kind == "SA":
+        ref1, ref2 = spec.sa_refs  # type: ignore[misc]
+        value = (m22 / det) / ref1 + (m11 / det) / ref2
+        if d is not None:
+            slope = (d22 / ref1 + d11 / ref2 - value * ddet) / det
+    elif kind == "EM":
+        tr = m11 + m22
+        disc = sqrt((m11 - m22) * (m11 - m22) + 4.0 * m12 * m12)
+        value = (tr + disc) * (tr + disc) / (4.0 * det)
+        if d is not None:
+            rho = disc / tr
+            slope = (2.0 * (m11 - m22) * (d11 - d22) + 8.0 * m12 * d12
+                     - 2.0 * (rho * rho) * tr * (d11 + d22)) / (tr * tr)
+    elif kind == "COMPOUND":
+        lam = spec.lam  # type: ignore[assignment]
+        d_part = det ** -0.5
+        r_part = sqrt(m11 * m22) / det
+        value = (1.0 - lam) * d_part / spec.phi_d_star + lam * r_part / spec.phi_r_star
+        if d is not None:
+            slope = (-0.5 * (1.0 - lam) * d_part * ddet / det / spec.phi_d_star
+                     + lam * r_part * (0.5 * dprod / (m11 * m22) - ddet / det)
+                     / spec.phi_r_star)
+    else:
+        raise ValidationError(f"unknown criterion kind {kind!r}")
+    return value, slope
+
+
+_D, _R, _R2, _EM = (CriterionSpec(kind) for kind in ("D", "R", "R2", "EM"))
+
+
 # --- scalar criterion functions ---------------------------------------------
+
+def criterion_value(m: InfoMatrix, spec: CriterionSpec) -> float:
+    """Evaluate any CriterionSpec on M; +inf when singular (C: see phi_c)."""
+    if spec.kind == "C":
+        return phi_c(m, spec.c)  # type: ignore[arg-type]
+    if m.is_singular:
+        return math.inf
+    return _criterion(spec, m.m11, m.m12, m.m22, m.det)[0]
+
 
 def phi_d(m: InfoMatrix) -> float:
     """D-criterion |M^-1|^(1/2); +inf when singular."""
-    if m.is_singular:
-        return math.inf
-    return m.det ** -0.5
+    return criterion_value(m, _D)
 
 
 def phi_r(m: InfoMatrix) -> float:
     """R-criterion sqrt({M^-1}_11 {M^-1}_22); +inf when singular."""
-    if m.is_singular:
-        return math.inf
-    return math.sqrt(m.m11 * m.m22) / m.det
+    return criterion_value(m, _R)
 
 
 def phi_r2(m: InfoMatrix) -> float:
     """Squared correlation of the two estimators, in [0, 1]."""
     if m.is_singular:
         raise SingularDesignError("correlation is undefined for a singular information matrix")
-    return (m.m12 * m.m12) / (m.m11 * m.m22)
+    return criterion_value(m, _R2)
 
 
 def correlation(m: InfoMatrix) -> float:
@@ -140,7 +208,7 @@ def phi_c(m: InfoMatrix, c: Sequence[float]) -> float:
     if c1 == 0.0 and c2 == 0.0:
         raise ValidationError("c must be nonzero")
     if not m.is_singular:
-        return (c1 * c1 * m.m22 - 2.0 * c1 * c2 * m.m12 + c2 * c2 * m.m11) / m.det
+        return _criterion(CriterionSpec("C", c=(c1, c2)), m.m11, m.m12, m.m22, m.det)[0]
     t = m.trace
     if t <= 0.0:
         return math.inf
@@ -160,20 +228,16 @@ def phi_c(m: InfoMatrix, c: Sequence[float]) -> float:
 
 
 def phi_sa(m: InfoMatrix, ref1: float, ref2: float) -> float:
-    """Standardized variance sum phi_c1/ref1 + phi_c2/ref2; >= 2 at true references."""
-    if not (ref1 > 0.0 and ref2 > 0.0):
-        raise ValidationError(f"SA reference values must be positive, got ({ref1}, {ref2})")
-    return phi_c(m, C1) / ref1 + phi_c(m, C2) / ref2
+    """Standardized variance sum phi_c1/ref1 + phi_c2/ref2; >= 2 at true references.
+
+    +inf when singular: no rank-one M estimates both coordinates.
+    """
+    return criterion_value(m, CriterionSpec("SA", sa_refs=(ref1, ref2)))
 
 
 def phi_em(m: InfoMatrix) -> float:
     """Condition number lambda_max / lambda_min of M; +inf when singular."""
-    if m.is_singular:
-        return math.inf
-    lmin, lmax = m.eigenvalues()
-    if lmin <= 0.0:
-        return math.inf
-    return lmax / lmin
+    return criterion_value(m, _EM)
 
 
 def phi_c_pritchard(corr_matrix: np.ndarray) -> float:
@@ -196,33 +260,9 @@ def phi_c_pritchard(corr_matrix: np.ndarray) -> float:
 
 
 def phi_compound(m: InfoMatrix, lam: float, phi_d_star: float, phi_r_star: float) -> float:
-    """Compound criterion (1-lam)/Eff_D + lam/Eff_R; >= 1 at true references."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"compound weight must lie in [0, 1], got {lam}")
-    if phi_d_star <= 0.0 or phi_r_star <= 0.0:
-        raise ValidationError("reference criterion values must be positive")
-    return (1.0 - lam) * phi_d(m) / phi_d_star + lam * phi_r(m) / phi_r_star
-
-
-def criterion_value(m: InfoMatrix, spec: CriterionSpec) -> float:
-    """Evaluate any CriterionSpec on an information matrix."""
-    if spec.kind == "D":
-        return phi_d(m)
-    if spec.kind == "R":
-        return phi_r(m)
-    if spec.kind == "R2":
-        return math.inf if m.is_singular else phi_r2(m)
-    if spec.kind == "C":
-        return phi_c(m, spec.c)  # type: ignore[arg-type]
-    if spec.kind == "SA":
-        return phi_sa(m, *spec.sa_refs)  # type: ignore[misc]
-    if spec.kind == "EM":
-        return phi_em(m)
-    if spec.kind == "CPB":
-        return math.inf if m.is_singular else math.sqrt(phi_r2(m))
-    if spec.kind == "COMPOUND":
-        return phi_compound(m, spec.lam, spec.phi_d_star, spec.phi_r_star)  # type: ignore[arg-type]
-    raise ValidationError(f"unknown criterion kind {spec.kind!r}")
+    """Compound criterion (1-lam)/Eff_D + lam/Eff_R; >= 1 at true references; +inf when singular."""
+    return criterion_value(m, CriterionSpec("COMPOUND", lam=lam, phi_d_star=phi_d_star,
+                                            phi_r_star=phi_r_star))
 
 
 def efficiency(kind: str, design: Design, design_star: Design, model: Model) -> float:
@@ -323,66 +363,15 @@ def criterion_values_raw(spec: CriterionSpec, m11: np.ndarray, m12: np.ndarray,
     whose correlation is undefined is simply inadmissible.
 
     With a direction ``d = (d11, d12, d22)`` it returns ``(values, slopes)``,
-    the slopes along d of the criterion or, where the criterion has a kink, of
-    a smooth increasing transform: r^2 for CPB, (disc/tr)^2 for EM.  Singular
-    entries get a NaN slope.
+    the table's slopes along d; singular entries get a NaN slope.
     """
-    m11 = np.asarray(m11, dtype=float)
-    m12 = np.asarray(m12, dtype=float)
-    m22 = np.asarray(m22, dtype=float)
-    det = m11 * m22 - m12 * m12
-    ok = det > SINGULARITY_TOL * np.maximum(1.0, m11 * m22)
-    safe_det = np.where(ok, det, 1.0)
-    if d is not None:
-        d11, d12, d22 = (np.asarray(v, dtype=float) for v in d)
-        ddet = d11 * m22 + m11 * d22 - 2.0 * m12 * d12   # slope of det
-        dprod = d11 * m22 + m11 * d22                     # slope of m11 m22
+    m11, m12, m22 = (np.asarray(v, dtype=float) for v in (m11, m12, m22))
+    singular = _is_singular(m11, m12, m22)
+    d = None if d is None else tuple(np.asarray(v, dtype=float) for v in d)
+    det = np.asarray(m11 * m22 - m12 * m12)  # 0-d entries give a scalar; keep numpy's pow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if spec.kind == "D":
-            vals = safe_det ** -0.5
-            if d is not None:
-                slopes = -0.5 * vals * ddet / safe_det
-        elif spec.kind == "R":
-            vals = np.sqrt(m11 * m22) / safe_det
-            if d is not None:
-                slopes = vals * (0.5 * dprod / (m11 * m22) - ddet / safe_det)
-        elif spec.kind in ("R2", "CPB"):
-            prod = np.where(m11 * m22 > 0, m11 * m22, 1.0)
-            r2 = (m12 * m12) / prod
-            vals = r2 if spec.kind == "R2" else np.abs(m12) / np.sqrt(prod)
-            if d is not None:
-                slopes = (2.0 * m12 * d12 - r2 * dprod) / prod
-        elif spec.kind == "C":
-            c1, c2 = spec.c  # type: ignore[misc]
-            vals = (c1 * c1 * m22 - 2.0 * c1 * c2 * m12 + c2 * c2 * m11) / safe_det
-            if d is not None:
-                slopes = (c1 * c1 * d22 - 2.0 * c1 * c2 * d12 + c2 * c2 * d11 - vals * ddet) / safe_det
-        elif spec.kind == "SA":
-            ref1, ref2 = spec.sa_refs  # type: ignore[misc]
-            vals = (m22 / safe_det) / ref1 + (m11 / safe_det) / ref2
-            if d is not None:
-                slopes = (d22 / ref1 + d11 / ref2 - vals * ddet) / safe_det
-        elif spec.kind == "EM":
-            tr = m11 + m22
-            disc = np.sqrt((m11 - m22) ** 2 + 4.0 * m12 * m12)
-            lmin = 0.5 * (tr - disc)
-            vals = np.where(lmin > 0, (tr + disc) / np.where(lmin > 0, 2.0 * lmin, 1.0), np.inf)
-            if d is not None:
-                q = (disc / tr) ** 2
-                slopes = (2.0 * (m11 - m22) * (d11 - d22) + 8.0 * m12 * d12
-                          - 2.0 * q * tr * (d11 + d22)) / (tr * tr)
-        elif spec.kind == "COMPOUND":
-            lam = spec.lam  # type: ignore[assignment]
-            d_part = safe_det ** -0.5
-            r_part = np.sqrt(m11 * m22) / safe_det
-            vals = (1.0 - lam) * d_part / spec.phi_d_star + lam * r_part / spec.phi_r_star
-            if d is not None:
-                slopes = (-0.5 * (1.0 - lam) * d_part * ddet / safe_det / spec.phi_d_star
-                          + lam * r_part * (0.5 * dprod / (m11 * m22) - ddet / safe_det)
-                          / spec.phi_r_star)
-        else:
-            raise ValidationError(f"unknown criterion kind {spec.kind!r}")
-    vals = np.where(ok & ~np.isnan(vals), vals, np.inf)
+        vals, slopes = _criterion(spec, m11, m12, m22, det, d)
+    vals = np.where(singular | np.isnan(vals), np.inf, vals)
     if d is None:
         return vals
     return vals, np.where(np.isfinite(vals), slopes, np.nan)

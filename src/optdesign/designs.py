@@ -28,10 +28,16 @@ import numpy as np
 from .errors import ValidationError
 
 # Tolerances (scale-relative where a scale is available).
-WEIGHT_SUM_TOL = 1e-12
 MERGE_TOL = 1e-9         # times max(1, hi - lo)
 SINGULARITY_TOL = 1e-12  # times max(1, m11 * m22)
 PSD_TOL = 1e-12          # times max(1, m11 * m22)
+
+
+def _is_singular(m11, m12, m22):
+    """The singularity test, on floats or arrays of matrix entries: det(M) at
+    most SINGULARITY_TOL times max(1, m11 m22)."""
+    prod = m11 * m22
+    return prod - m12 * m12 <= SINGULARITY_TOL * np.maximum(1.0, prod)
 
 
 @dataclass(frozen=True)
@@ -143,14 +149,7 @@ class InfoMatrix:
 
     @property
     def is_singular(self) -> bool:
-        """Scale-relative singularity test; survives badly scaled regressors."""
-        return self.det <= SINGULARITY_TOL * max(1.0, self.m11 * self.m22)
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """(lambda_min, lambda_max) of the symmetric matrix."""
-        half_gap = math.hypot(0.5 * (self.m11 - self.m22), self.m12)
-        mid = 0.5 * self.trace
-        return mid - half_gap, mid + half_gap
+        return bool(_is_singular(self.m11, self.m12, self.m22))
 
     def inverse_entries(self) -> tuple[float, float, float]:
         """Entries ({M^-1}_11, {M^-1}_12, {M^-1}_22) of the inverse.

@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .criteria import CriterionSpec, correlation, phi_d, phi_r
-from .designs import SINGULARITY_TOL, Design, Model, fim, fim_entries
+from .criteria import _D, _R, _R2, CriterionSpec, _criterion, correlation, criterion_values_raw, phi_d, phi_r
+from .designs import Design, Model, _is_singular, fim, fim_entries
 from .errors import OptimizationError, SingularDesignError, ValidationError
 from .optimize import OptimizeRequest, OptimizeResult, optimize_design
 
@@ -84,7 +84,7 @@ def _sample(model: Model, n: int, seed: int,
         xs = np.clip(np.take_along_axis(pts, order, 1), lo, hi)
         ws = np.take_along_axis(_masses(w), order, 1)
         m11, m12, m22 = fim_entries(model, xs, ws)
-        ok = m11 * m22 - m12 * m12 > SINGULARITY_TOL * np.maximum(1.0, m11 * m22)
+        ok = ~_is_singular(m11, m12, m22)
         if not ok.any():
             raise OptimizationError(
                 f"no admissible (non-singular) two-point design in {size} random draws "
@@ -108,16 +108,18 @@ def sample_two_point_designs(model: Model, n: int, seed: int) -> list[Design]:
 
 def _head_criteria(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phi_D, phi_R, phi_r2) by the operations of phi_d, phi_r and phi_r2.
+    """(phi_D, phi_R, phi_r2) of non-singular matrices, bit for bit as phi_d,
+    phi_r and phi_r2 give them.
 
-    phi_D's power is taken on Python floats: numpy's may differ from C pow
-    by an ulp.
+    phi_R and phi_r2 come from the kernel; phi_D from the criterion table on
+    an object array of Python floats, so that its power is C pow as in phi_d:
+    numpy's may differ by an ulp.
     """
-    det = m11 * m22 - m12 * m12
-    prod = m11 * m22
-    if np.any(det <= SINGULARITY_TOL * np.maximum(1.0, prod)):
+    if np.any(_is_singular(m11, m12, m22)):
         raise SingularDesignError("correlation is undefined for a singular information matrix")
-    return np.array([v ** -0.5 for v in det.tolist()]), np.sqrt(prod) / det, (m12 * m12) / prod
+    det = (m11 * m22 - m12 * m12).astype(object)
+    return (_criterion(_D, m11, m12, m22, det)[0].astype(float),
+            criterion_values_raw(_R, m11, m12, m22), criterion_values_raw(_R2, m11, m12, m22))
 
 
 def _front_values(m: Sequence[np.ndarray], phi_d_star: float, phi_r_star: float,

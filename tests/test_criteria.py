@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -351,6 +352,51 @@ class TestCriterionSpec:
                     assert abs(vec[i] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def column_scaled(rng, n, log_scale):
+    """Entries of n matrices S M0 S with S = diag(s1, s2), log s_i uniform in
+    [-log_scale, log_scale] and M0 a random positive definite matrix."""
+    A = rng.normal(size=(n, 2, 2))
+    M0 = A @ np.transpose(A, (0, 2, 1)) + 0.1 * np.eye(2)
+    s1, s2 = np.exp(rng.uniform(-log_scale, log_scale, (2, n)))
+    return s1 * s1 * M0[:, 0, 0], s1 * s2 * M0[:, 0, 1], s2 * s2 * M0[:, 1, 1]
+
+
+@pytest.mark.parametrize("spec", [
+    CriterionSpec("R"), CriterionSpec("R2"), CriterionSpec("CPB"),
+    CriterionSpec("C", c=(1.0, -0.5)), CriterionSpec("SA", sa_refs=(2.0, 3.0)),
+    CriterionSpec("EM")], ids=lambda s: s.kind)
+def test_scalar_value_is_the_kernel_value_bit_for_bit(spec):
+    m11, m12, m22 = column_scaled(np.random.default_rng(23), 12000, 6.0)
+    mats = [InfoMatrix(*row) for row in zip(m11.tolist(), m12.tolist(), m22.tolist())]
+    keep = [i for i, m in enumerate(mats) if not m.is_singular]
+    assert len(keep) >= 10_000
+    vec = criterion_values_raw(spec, m11[keep], m12[keep], m22[keep]).tolist()
+    assert [criterion_value(mats[i], spec) for i in keep] == vec
+
+
+def test_em_survives_column_scaling():
+    # (tr + disc)^2 / (4 det) against lambda_max / lambda_min of the same
+    # float entries in 50-digit decimal arithmetic; lambda_min = (tr - disc) / 2
+    # cancels on badly scaled columns, det = m11 m22 (1 - r^2) does not.
+    rng = np.random.default_rng(29)
+    s1, s2 = 10.0 ** rng.uniform(-4.0, 4.0, (2, 3000))
+    r = rng.uniform(-0.9, 0.9, 3000)
+    ctx = decimal.Context(prec=50)
+    checked = 0
+    for m11, m12, m22 in zip((s1 * s1).tolist(), (r * s1 * s2).tolist(), (s2 * s2).tolist()):
+        m = InfoMatrix(m11, m12, m22)
+        if m.is_singular:  # the absolute floor of the singularity test
+            continue
+        a, b, c = (decimal.Decimal(v) for v in (m11, m12, m22))
+        tr = ctx.add(a, c)
+        disc = ctx.sqrt(ctx.add(ctx.multiply(ctx.subtract(a, c), ctx.subtract(a, c)),
+                                ctx.multiply(4, ctx.multiply(b, b))))
+        ref = float(ctx.divide(ctx.add(tr, disc), ctx.subtract(tr, disc)))
+        assert abs(phi_em(m) - ref) <= 1e-13 * ref
+        checked += 1
+    assert checked >= 2500
+
+
 RAW_SPECS = [CriterionSpec("D"), CriterionSpec("R"), CriterionSpec("R2"), CriterionSpec("CPB"),
              CriterionSpec("C", c=(1.0, -0.5)), CriterionSpec("SA", sa_refs=(2.0, 3.0)),
              CriterionSpec("EM"),
@@ -387,6 +433,16 @@ class TestRawSlopes:
               - slope_transform(spec.kind, self.shifted(spec, m, d, -self.H))) / (2.0 * self.H)
         # Relative, except for slopes so near 0 that the difference is rounding.
         assert np.all(np.abs(slopes - fd) <= 1e-6 * np.maximum(np.abs(fd), 1e-2))
+
+    @pytest.mark.parametrize("spec", RAW_SPECS, ids=lambda s: s.kind)
+    def test_one_matrix_is_a_row_of_the_batch(self, spec):
+        # The certificate passes one matrix as floats; it must take the
+        # batch's power too, not C pow on numpy scalars.
+        m, d = self.sample(2000)
+        values, slopes = criterion_values_raw(spec, *m, d=d)
+        for i in range(2000):
+            v, s = criterion_values_raw(spec, *(float(mi[i]) for mi in m), d=d[:, i:i + 1])
+            assert (float(v), s[0]) == (values[i], slopes[i])
 
     @pytest.mark.parametrize("kind", ["CPB", "EM"])
     def test_transform_slope_has_the_criterion_sign(self, kind):

@@ -21,6 +21,7 @@ from optdesign import (
     make_design,
     slr_model,
 )
+from optdesign.designs import _is_singular
 from conftest import random_design, random_slr_model
 
 UNIT = DesignSpace(0.0, 1.0)
@@ -154,11 +155,16 @@ class TestInfoMatrix:
         with pytest.raises(ValidationError):
             InfoMatrix(-1.0, 0.0, 1.0)
 
-    def test_eigenvalues_match_numpy(self):
-        m = InfoMatrix(2.0, 0.3, 0.5)
-        lo, hi = m.eigenvalues()
-        ref = np.linalg.eigvalsh(np.array([[m.m11, m.m12], [m.m12, m.m22]]))
-        assert np.allclose([lo, hi], ref)
+    def test_singularity_is_one_predicate_on_floats_and_arrays(self):
+        # Rows at, just above and just below det = 1e-12 max(1, m11 m22).
+        rng = np.random.default_rng(5)
+        m11, m22 = 10.0 ** rng.uniform(-8, 8, (2, 3000))
+        rel = np.repeat([0.0, 1e-12, 2e-12, 0.5e-12, 1e-3], 600)
+        m12 = np.sqrt(np.maximum(m11 * m22 - rel * np.maximum(1.0, m11 * m22), 0.0))
+        flags = _is_singular(m11, m12, m22)
+        assert flags.any() and not flags.all()
+        for row, flag in zip(zip(m11.tolist(), m12.tolist(), m22.tolist()), flags.tolist()):
+            assert InfoMatrix(*row).is_singular is flag
 
 
 class TestCovQuantities:
