@@ -279,6 +279,15 @@ class TestConfig:
         pts = json.loads(out)["design"]["points"]
         assert abs(pts[1]["x"] - 5.0) < 1e-9  # flag overrides the file's b=99
 
+    def test_config_file_lists(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"b": 5.0, "a_list": [-1, 0, 1.5]}))
+        code, out, _ = run(capsys, "table", "slr", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out == run(capsys, "table", "slr", "--b", "5", "--a-list", "-1,0,1.5")[1]
+        cfg.write_text(json.dumps({"b": 5.0, "a_list": [-1, "x"]}))
+        assert run(capsys, "table", "slr", "--config", str(cfg))[0] == EXIT_USAGE
+
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("OPTDESIGN_SEED", "123")
         _, _, err = run(capsys, "pareto", "--model", "mm", "--b", "5", "--eps", "0.5",
