@@ -34,8 +34,7 @@ PSD_TOL = 1e-12          # times max(1, m11 * m22)
 
 
 def _is_singular(m11, m12, m22):
-    """The singularity test, on floats or arrays of matrix entries: det(M) at
-    most SINGULARITY_TOL times max(1, m11 m22)."""
+    """det(M) <= SINGULARITY_TOL max(1, m11 m22), on floats or arrays of entries."""
     prod = m11 * m22
     return prod - m12 * m12 <= SINGULARITY_TOL * np.maximum(1.0, prod)
 
@@ -149,6 +148,7 @@ class InfoMatrix:
 
     @property
     def is_singular(self) -> bool:
+        """The package's one singularity test; see ``_is_singular``."""
         return bool(_is_singular(self.m11, self.m12, self.m22))
 
     def inverse_entries(self) -> tuple[float, float, float]:
