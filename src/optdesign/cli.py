@@ -9,9 +9,10 @@ Exit codes distinguish certificate strength so scripts can rely on them:
   64  usage or configuration error
 
 Options may come from flags or from a JSON config file (--config); flags
-override the file.  OPTDESIGN_SEED provides the default seed.  File outputs
-are written atomically (write to a temp file, then rename); with a fixed seed
-every run is byte-reproducible.
+override the file.  The seed (--seed, default OPTDESIGN_SEED) feeds only the
+sampler of `pareto`; `optimal` echoes it in its config.  The optimizer is
+deterministic.  File outputs are written atomically (write to a temp file,
+then rename); with a fixed seed every run is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -212,16 +213,16 @@ def _result_json(result: OptimizeResult, model: Model, config: RunConfig) -> str
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _reference_stars(model: Model, grid: int, wtol: float, seed: int) -> tuple[float, float]:
+def _reference_stars(model: Model, wtol: float) -> tuple[float, float]:
     """(phi_D*, phi_R*): the optimal D and R values, references of COMPOUND and the efficiencies."""
     d_star, r_star = (optimize_design(OptimizeRequest(
-        model=model, criterion=CriterionSpec(kind), grid_resolution=grid,
-        weight_tolerance=wtol, seed=seed)).criterion_value for kind in ("D", "R"))
+        model=model, criterion=CriterionSpec(kind), weight_tolerance=wtol)).criterion_value
+        for kind in ("D", "R"))
     return d_star, r_star
 
 
 def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Model,
-                     grid: int, wtol: float, seed: int) -> CriterionSpec:
+                     wtol: float) -> CriterionSpec:
     kind = kind.upper()
     if kind not in CRITERION_KINDS:
         raise UsageError(f"unknown criterion {kind!r}; choose from {CRITERION_KINDS}")
@@ -234,13 +235,13 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
             raise UsageError("--c must hold exactly two numbers")
         return CriterionSpec("C", c=(vec[0], vec[1]))
     if kind == "SA":
-        ref1, ref2 = sa_references(model, grid_resolution=grid, weight_tolerance=wtol, seed=seed)
+        ref1, ref2 = sa_references(model, weight_tolerance=wtol)
         return CriterionSpec("SA", sa_refs=(ref1, ref2))
     if kind == "COMPOUND":
         lam = _setting(args, cfg, "lam")
         if lam is None:
             raise UsageError("criterion COMPOUND needs --lam in [0, 1]")
-        d_star, r_star = _reference_stars(model, grid, wtol, seed)
+        d_star, r_star = _reference_stars(model, wtol)
         return CriterionSpec("COMPOUND", lam=float(lam), phi_d_star=d_star, phi_r_star=r_star)
     return CriterionSpec(kind)
 
@@ -250,21 +251,20 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
 def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
     model, model_info = _build_model(args, cfg)
     seed = _resolve_seed(args, cfg)
-    grid = int(_setting(args, cfg, "grid", 201))
     wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
     kind = _setting(args, cfg, "criterion")
     if kind is None:
         raise UsageError("--criterion is required")
-    spec = _build_criterion(str(kind), args, cfg, model, grid, wtol, seed)
+    spec = _build_criterion(str(kind), args, cfg, model, wtol)
     request = OptimizeRequest(model=model, criterion=spec,
                               n_support=int(_setting(args, cfg, "n_support", 2)),
-                              grid_resolution=grid, weight_tolerance=wtol, seed=seed)
+                              weight_tolerance=wtol)
     result = optimize_design(request)
     config = RunConfig(command="optimal", model=model_info["model"], model_params=model_info,
                        criterion=spec.kind,
                        criterion_params={"lam": spec.lam,
                                          "c": None if spec.c is None else list(spec.c)},
-                       options={"grid": grid, "n_support": request.n_support},
+                       options={"n_support": request.n_support},
                        output=args.output, seed=seed)
     _emit(_result_json(result, model, config), args.output)
     return EXIT_OK if result.converged else EXIT_BEST_FOUND
@@ -272,7 +272,6 @@ def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
 
 def _cmd_table(args: argparse.Namespace, cfg: dict) -> int:
     name = args.table
-    seed = _resolve_seed(args, cfg)
     if name == "slr":
         b = _setting(args, cfg, "b")
         if b is None:
@@ -292,9 +291,7 @@ def _cmd_table(args: argparse.Namespace, cfg: dict) -> int:
         )
         tables = mm_tables(params, _parse_floats(eps_list),
                            compat=not bool(_setting(args, cfg, "strict", False)),
-                           grid_resolution=int(_setting(args, cfg, "grid", 201)),
-                           weight_tolerance=float(_setting(args, cfg, "weight_tolerance", 1e-8)),
-                           seed=seed)
+                           weight_tolerance=float(_setting(args, cfg, "weight_tolerance", 1e-8)))
         text = mm_designs_csv(tables) if name == "mm-designs" else mm_efficiencies_csv(tables)
         _emit(text, args.output)
         return EXIT_OK
@@ -305,9 +302,8 @@ def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
     model, model_info = _build_model(args, cfg)
     seed = _resolve_seed(args, cfg)
     n = int(_setting(args, cfg, "n", 1000))
-    grid = int(_setting(args, cfg, "grid", 201))
     wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    d_star, r_star = _reference_stars(model, grid, wtol, seed)
+    d_star, r_star = _reference_stars(model, wtol)
     front = sampled_front(model, n, seed, d_star, r_star)
     x_scale = model.nominal_params[1] if model.name == "michaelis_menten" else 1.0
     _emit(front_csv(front, x_scale=x_scale), args.output)
@@ -319,16 +315,13 @@ def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     model, model_info = _build_model(args, cfg)
-    seed = _resolve_seed(args, cfg)
     a_fixed = _setting(args, cfg, "a_fixed")
     kind = str(_setting(args, cfg, "sweep_kind", "criteria"))
     if kind == "compound":
         lam_list = _setting(args, cfg, "lam_list", "0,0.25,0.5,0.75,1")
-        grid = int(_setting(args, cfg, "grid", 201))
         wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-        d_star, r_star = _reference_stars(model, grid, wtol, seed)
-        rows = compound_sweep(model, _parse_floats(lam_list), d_star, r_star, grid_resolution=grid,
-                              weight_tolerance=wtol, seed=seed)
+        d_star, r_star = _reference_stars(model, wtol)
+        rows = compound_sweep(model, _parse_floats(lam_list), d_star, r_star, weight_tolerance=wtol)
         _emit(compound_sweep_csv(rows), args.output)
         return EXIT_OK
     if a_fixed is None:
@@ -357,10 +350,8 @@ def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
             design, _space = design_from_json(json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read design {design_path}: {exc}") from exc
-    seed = _resolve_seed(args, cfg)
-    grid = int(_setting(args, cfg, "grid", 201))
     wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    spec = _build_criterion(kind, args, cfg, model, grid, wtol, seed)
+    spec = _build_criterion(kind, args, cfg, model, wtol)
     n_grid = int(_setting(args, cfg, "check_grid", 1000))
     report = derivative_report(model, design, spec, grid_points=n_grid)
     value = criterion_value(fim(model, design), spec)
@@ -375,23 +366,23 @@ def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
 
 def _cmd_efficiency(args: argparse.Namespace, cfg: dict) -> int:
     model, model_info = _build_model(args, cfg)
-    seed = _resolve_seed(args, cfg)
     paths = _setting(args, cfg, "designs")
     if paths is None:
         raise UsageError("efficiency needs --designs file1[,file2,...]")
     path_list = paths.split(",") if isinstance(paths, str) else list(paths)
-    grid = int(_setting(args, cfg, "grid", 201))
     wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    d_star, r_star = _reference_stars(model, grid, wtol, seed)
+    d_star, r_star = _reference_stars(model, wtol)
     entries = []
     for path in path_list:
         with open(path) as fh:
             design, _space = design_from_json(json.load(fh))
         m = fim(model, design)
-        values = (dict.fromkeys(("phi_D", "phi_R", "phi_r2", "corr", "eff_D", "eff_R"))
-                  if m.is_singular else
-                  {"phi_D": phi_d(m), "phi_R": phi_r(m), "phi_r2": phi_r2(m), "corr": correlation(m),
-                   "eff_D": d_star / phi_d(m), "eff_R": r_star / phi_r(m)})
+        if m.is_singular:
+            values = dict.fromkeys(("phi_D", "phi_R", "phi_r2", "corr", "eff_D", "eff_R"))
+        else:
+            phi_D, phi_R = phi_d(m), phi_r(m)
+            values = {"phi_D": phi_D, "phi_R": phi_R, "phi_r2": phi_r2(m), "corr": correlation(m),
+                      "eff_D": d_star / phi_D, "eff_R": r_star / phi_R}
         entries.append({"path": path, **values, "singular": m.is_singular})
     payload = {"model": model_info, "phi_d_star": d_star, "phi_r_star": r_star,
                "designs": entries}
@@ -416,9 +407,8 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="seed of the pareto sampler")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument("--grid", type=int, default=None, help="optimizer grid resolution")
     p.add_argument("--weight-tolerance", type=float, default=None)
 
 

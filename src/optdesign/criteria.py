@@ -160,6 +160,19 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
     return value, slope
 
 
+def _transform_rate(spec: CriterionSpec, value):
+    """dT/dvalue of the transform T whose slope ``_criterion`` gives, for the
+    kinds the optimizer searches (CPB is searched as R2): EM's slope is that of
+    (disc/tr)^2 = ((EM - 1)/(EM + 1))^2, every other kind's that of its value."""
+    return 4.0 * (value - 1.0) / (value + 1.0) ** 3 if spec.kind == "EM" else 1.0
+
+
+def _correlation(m11, m12, m22):
+    """Signed correlation of the two estimators, -m12 / sqrt(m11 m22), on floats or arrays."""
+    sqrt = np.sqrt if isinstance(m11, np.ndarray) else math.sqrt
+    return -m12 / sqrt(m11 * m22)
+
+
 _D, _R, _R2, _EM = (CriterionSpec(kind) for kind in ("D", "R", "R2", "EM"))
 
 
@@ -195,7 +208,7 @@ def correlation(m: InfoMatrix) -> float:
     """Signed correlation cov12 / sqrt(v1 v2); equals -m12/sqrt(m11 m22)."""
     if m.is_singular:
         raise SingularDesignError("correlation is undefined for a singular information matrix")
-    return -m.m12 / math.sqrt(m.m11 * m.m22)
+    return _correlation(m.m11, m.m12, m.m22)
 
 
 def phi_c(m: InfoMatrix, c: Sequence[float]) -> float:

@@ -1,28 +1,27 @@
 """Numeric design optimization and the Michaelis-Menten reference tables.
 
-The search is grid-plus-refinement.  Stage 1 scores candidate supports on a
-grid: for two points every pair of the design grid, for three or four points
-every subset of a coarse grid, each with optimal weights, all at once.  The
-best few are polished by moving their support points along the criterion's
-slope.  For the non-convex criteria (squared correlation and condition
-number, which carry no equivalence theorem) a seeded multistart adds random
-initial supports.  Convex results come back with a directional-derivative
-certificate on a fine grid; non-convex results are labeled best-found.
+The search is grid-plus-refinement.  Stage 1 weighs every k-subset of a
+coarse grid (33, 24 or 14 points for supports of 2, 3 or 4 points), all at
+once, each at loose optimal weights.  The best few are polished by moving
+their support points along the criterion's slope.  Convex results come back
+with a directional-derivative certificate on a fine grid; the non-convex
+criteria (squared correlation and condition number, which carry no
+equivalence theorem) are labeled best-found.
 
 One row solver, a bracketed secant driving a slope to 0 on many rows at
 once, serves masses and points.  A mass splits two points; three or four
 points get their weights by cyclic pairwise transfers, each such a solve.
 By the envelope theorem, at optimal weights the criterion's derivative in a
 support point x_j is its slope along w_j (f' f^T + f f'^T)(x_j): the polish
-cycles the coordinates of all candidates (stage-1 picks and multistarts, as
-rows of arrays), each evaluation a weight solve warm-started from the row's.
+cycles the coordinates of all candidates (as rows of arrays), each
+evaluation a weight solve warm-started from the row's.
 
 Weight optimization relies on the criteria being unimodal along the weight
 segment of a fixed two-point support: the convex criteria trivially so, and
 the two non-convex ones by direct analysis of their one-dimensional slices.
 
-Everything is deterministic given the request (the seed only feeds the
-multistart); ties are broken by lexicographic design comparison.
+Everything is deterministic given the request; ties are broken by
+lexicographic design comparison.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .criteria import (
     CriterionSpec,
     DerivativeReport,
     EQUIVALENCE_TOL,
+    _transform_rate,
     criterion_value,
     criterion_values_raw,
     derivative_report,
@@ -47,11 +47,10 @@ from .designs import Design, Model, fim, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
 
-STAGE1_TOL = 2e-6          # width of the stage-1 mass brackets
-STAGE1_BLOCK = 4096        # stage-1 pairs per mass solve; bounds its working arrays
 MASS_ITERS = 64            # cap on the secant iterations of one row solve
+STAGE1_GRID = {2: 33, 3: 24, 4: 14}  # coarse-grid points whose k-subsets stage 1 weighs
 REFINE_TOP = 16            # stage-1 candidates kept for the polish
-MULTISTARTS = 16           # random restarts for non-convex criteria
+FIRST_MOVE_REL = 1 / 200   # first trial move of the polish, relative to the width
 XTOL_REL = 1e-9            # support-point tolerance of the polish, relative to the width
 EPS = float(np.finfo(float).eps)
 M12_ROUNDING = 256 * EPS  # |m12| / sum_i w_i |f1 f2|(x_i) this small: r = 0
@@ -59,20 +58,16 @@ M12_ROUNDING = 256 * EPS  # |m12| / sum_i w_i |f1 f2|(x_i) this small: r = 0
 
 @dataclass(frozen=True)
 class OptimizeRequest:
-    """One optimization problem: model, criterion, and search controls."""
+    """One optimization problem: model, criterion, support size and weight tolerance."""
 
     model: Model
     criterion: CriterionSpec
     n_support: int = 2
-    grid_resolution: int = 201
     weight_tolerance: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 2 <= self.n_support <= 4:
             raise ValidationError(f"n_support must lie in [2, 4], got {self.n_support}")
-        if self.grid_resolution < 100:
-            raise ValidationError(f"grid_resolution must be >= 100, got {self.grid_resolution}")
         if not self.weight_tolerance > 0.0:
             raise ValidationError("weight_tolerance must be positive")
 
@@ -186,14 +181,15 @@ def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray, tol: float,
                        tol, open_ends=open_ends)[:2]
 
 
-def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float,
-                     W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float, W0: np.ndarray | None = None,
+                     max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """Optimal weights (n, k) and criterion values (n,) of the n supports whose
-    points have the outer-product entries O (n, k, 3), started from W0 if given."""
+    points have the outer-product entries O (n, k, 3), started from W0 if given;
+    ``max_sweeps`` caps the transfer sweeps of three or four points."""
     if O.shape[1] == 2:
         w, v = _best_mass(spec, O[:, 0], O[:, 1], tol, None if W0 is None else W0[:, 0])
         return np.stack([w, 1.0 - w], axis=1), v
-    return _best_weights_k(spec, O, tol, W0=W0)
+    return _best_weights_k(spec, O, tol, max_sweeps, W0)
 
 
 def _best_weights_k(spec: CriterionSpec, O: np.ndarray, tol: float,
@@ -254,16 +250,6 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
 
 # --- support search -----------------------------------------------------------
 
-def _stage1_pairs(spec: CriterionSpec, O: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized weight optimization over all grid pairs; returns (i, j, w, value)."""
-    I, J = np.triu_indices(len(O), k=1)
-    w, vals = np.empty(len(I)), np.empty(len(I))
-    for start in range(0, len(I), STAGE1_BLOCK):
-        block = slice(start, start + STAGE1_BLOCK)
-        w[block], vals[block] = _best_mass(spec, O[I[block]], O[J[block]], STAGE1_TOL)
-    return I, J, w, vals
-
-
 def _point_slope(spec: CriterionSpec, F: np.ndarray, dF: np.ndarray, W: np.ndarray, j: int) -> np.ndarray:
     """The kernel's slope in point j of n supports, at weights W (n, k): along
     w_j (f' f^T + f f'^T)(x_j), with F and dF (n, k, 2) the regressor and its
@@ -275,22 +261,22 @@ def _point_slope(spec: CriterionSpec, F: np.ndarray, dF: np.ndarray, W: np.ndarr
     return criterion_values_raw(spec, *np.einsum("nk,nkc->cn", W, _outer3(F)), d=d)[1]
 
 
-def _refine(model: Model, spec: CriterionSpec, X: np.ndarray, step: np.ndarray,
+def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
             wtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Batched cyclic polish of k-point supports by the slope in each point.
 
     For each coordinate in turn, ``_zero_slope`` drives ``_point_slope`` to 0
     with x_j kept between its neighbours (or the ends of the space); a row
     takes the result if it lowers the criterion beyond rounding.  X (n, k)
-    holds the sorted initial supports and ``step`` (n,) the first trial move
-    of each.  A row retires after a cycle that moves no point by more than
-    ``XTOL_REL`` times the width.  Returns the supports, their weights
+    holds the sorted initial supports; the first trial move is
+    ``FIRST_MOVE_REL`` times the width.  A row retires after a cycle that
+    moves no point by more than ``XTOL_REL`` times the width.  Returns the supports, their weights
     (n, k), the criterion values and the number of supports evaluated.
     """
     if model.regressor_dx is None:
         raise ValidationError(f"model {model.name!r} has no regressor_dx; the optimizer needs it")
     space = model.space
-    xtol, gap = XTOL_REL * space.width, space.merge_tol()
+    xtol, gap, step = XTOL_REL * space.width, space.merge_tol(), FIRST_MOVE_REL * space.width
     X, (n, k) = np.array(X, dtype=float), np.shape(X)
 
     def regress(x: np.ndarray) -> list[np.ndarray]:
@@ -303,16 +289,16 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray, step: np.ndarray,
         # rounding of m12; EM - 1 within wtol, as EM grows linearly off its
         # kink at 1) cannot be beaten, so all rows stop.
         nonlocal done
-        if spec.kind in ("R2", "CPB"):
+        if spec.kind == "R2":
             f12 = W * F[:, :, 0] * F[:, :, 1]
             done |= bool(np.any(np.abs(f12.sum(axis=1)) <= M12_ROUNDING * np.abs(f12).sum(axis=1)))
         elif spec.kind == "EM":
             done |= bool(np.any(V - 1.0 <= wtol))
         # Weights resolved to wtol leave V's slope uncertain by about wtol V / width; the
-        # kernel's slope is that of r^2 for CPB and of (disc/tr)^2 for EM, dT times V's.
+        # kernel's slope is that of a transform of V, with rate dT.
         s = _point_slope(spec, F, dF, W, j)
         with np.errstate(invalid="ignore", over="ignore"):
-            dT = {"CPB": 2.0 * V, "EM": 4.0 * (V - 1.0) / (V + 1.0) ** 3}.get(spec.kind, 1.0)
+            dT = _transform_rate(spec, V)
             return np.where(done | (np.abs(s) * space.width <= wtol * np.abs(V * dT)), 0.0, s)
 
     F, dF = regress(X)
@@ -333,7 +319,7 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray, step: np.ndarray,
             x0, s0 = X[live, j], slope(F[live], dF[live], W[live], V[live], j)
             lo = X[live, j - 1] + gap if j else np.full(len(live), space.lo)
             hi = X[live, j + 1] - gap if j < k - 1 else np.full(len(live), space.hi)
-            x, v, Wx = _zero_slope(evaluate, lo, hi, x0, np.clip(x0 - np.sign(s0) * step[live], lo, hi),
+            x, v, Wx = _zero_slope(evaluate, lo, hi, x0, np.clip(x0 - np.sign(s0) * step, lo, hi),
                                    xtol, known=(V[live], s0, W[live]))
             # A gain counts beyond the rounding of det(M), which near a singular
             # design swamps the criterion: a continuum of optima leads there.
@@ -353,9 +339,9 @@ def _design_key(xs: Sequence[float], ws: Sequence[float]) -> tuple[float, ...]:
 
 
 def _initial_supports(model: Model, n_support: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate supports of a three- or four-point search: every subset of a
+    """Candidate supports of an n_support-point search: every subset of a
     coarse grid, in lexicographic order, with their outer-product entries."""
-    grid = model.space.grid(24 if n_support == 3 else 14)
+    grid = model.space.grid(STAGE1_GRID[n_support])
     F = np.asarray(model.regressor(grid), dtype=float)
     finite = np.all(np.isfinite(F), axis=1)
     idx = np.array(list(combinations(range(np.count_nonzero(finite)), n_support)),
@@ -363,62 +349,34 @@ def _initial_supports(model: Model, n_support: int) -> tuple[np.ndarray, np.ndar
     return grid[finite][idx], _outer3(F[finite])[idx]
 
 
+def _stage1(model: Model, spec: CriterionSpec, n_support: int, wtol: float) -> np.ndarray:
+    """The best ``REFINE_TOP`` supports of ``_initial_supports``, best first,
+    each weighed at the loose tolerance max(wtol, 1e-4) (at most 4 transfer
+    sweeps); singular supports are dropped."""
+    S, O = _initial_supports(model, n_support)
+    _, vals = _support_weights(spec, O, max(wtol, 1e-4), max_sweeps=4)
+    # The rows are in lexicographic order, so a stable sort breaks ties by support.
+    top = np.argsort(vals, kind="stable")[:REFINE_TOP]
+    return S[top[np.isfinite(vals[top])]]
+
+
 def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     """Best design of the requested support size under the requested criterion.
 
     Convex criteria return with an equivalence certificate (directional
     derivative >= -1e-6, scaled, on a 1000-point grid); the non-convex ones
-    return the best design found by grid search plus seeded multistart.
+    return the best design found by the grid search and its polish.
     """
-    model = request.model
-    spec = request.criterion
+    model, spec, wtol = request.model, request.criterion, request.weight_tolerance
     space = model.space
+    # CPB is sqrt(r^2) for two parameters: the same designs, searched as r^2.
+    search = CriterionSpec("R2") if spec.kind == "CPB" else spec
 
-    candidates: list[tuple[float, ...]] = []  # stage-1 supports, best first
-    if request.n_support == 2:
-        grid = space.grid(request.grid_resolution)
-        F = np.asarray(model.regressor(grid), dtype=float)
-        finite_rows = np.all(np.isfinite(F), axis=1)
-        grid, F = grid[finite_rows], F[finite_rows]
-        I, J, _, vals = _stage1_pairs(spec, _outer3(F))
-        order = np.argsort(vals, kind="stable")
-        # Coarse-cell dedupe so the refinement fan-out covers distinct basins
-        # instead of sixteen neighbors of the same grid optimum.
-        cell = max(1, len(grid) // 32)
-        seen: set[tuple[int, int]] = set()
-        for idx in order:
-            if not math.isfinite(vals[idx]):
-                break
-            key = (int(I[idx]) // cell, int(J[idx]) // cell)
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append((float(grid[I[idx]]), float(grid[J[idx]])))
-            if len(candidates) >= REFINE_TOP:
-                break
-    else:
-        S, O = _initial_supports(model, request.n_support)
-        _, vals = _best_weights_k(spec, O, max(request.weight_tolerance, 1e-4), max_sweeps=4)
-        # The rows are in lexicographic order, so a stable sort breaks ties by support.
-        candidates = [tuple(float(x) for x in S[i])
-                      for i in np.argsort(vals, kind="stable")[:REFINE_TOP]
-                      if math.isfinite(vals[i])]
-
-    if not candidates:
+    starts = _stage1(model, search, request.n_support, wtol)
+    if not len(starts):
         raise OptimizationError("no admissible (non-singular) design found on the grid")
 
-    step0 = space.width / max(request.grid_resolution - 1, 1)
-    starts = [(supp, step0) for supp in candidates]
-    if not spec.is_convex:
-        rng = np.random.default_rng(request.seed)
-        for _ in range(MULTISTARTS):
-            supp = np.sort(rng.uniform(space.lo, space.hi, request.n_support))
-            if len(supp) > 1 and np.min(np.diff(supp)) <= space.merge_tol():
-                continue
-            starts.append((tuple(float(x) for x in supp), space.width / 16.0))
-
-    X, W, V, total_iter = _refine(model, spec, np.array([s for s, _ in starts]),
-                                  np.array([h for _, h in starts]), request.weight_tolerance)
+    X, W, V, total_iter = _refine(model, search, starts, wtol)
     refined = sorted(((float(v), tuple(float(x) for x in xs), ws)
                       for xs, ws, v in zip(X, W, V) if math.isfinite(v)),
                      key=lambda r: (r[0], _design_key(r[1], r[2])))
@@ -433,8 +391,8 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
         xs2 = [best_xs[i] for i in keep]
         F2 = np.asarray(model.regressor(np.asarray(xs2)), dtype=float)
         w2 = np.asarray([best_ws[i] for i in keep])[None]
-        W2, V2 = _support_weights(spec, _outer3(F2)[None], request.weight_tolerance, w2 / w2.sum())
-        if V2[0] <= best_val * (1.0 + 1e-9) + 1e-12:
+        W2, V2 = _support_weights(search, _outer3(F2)[None], wtol, w2 / w2.sum())
+        if V2[0] <= best_val * (1.0 + 1e-9):
             best_xs, best_ws, best_val = tuple(xs2), W2[0], float(V2[0])
 
     design = make_design(list(zip(best_xs, best_ws)), space)
@@ -448,8 +406,7 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     return OptimizeResult(design, value, None, False, total_iter, "best-found")
 
 
-def c_optimal(model: Model, c: Sequence[float], grid_resolution: int = 201,
-              weight_tolerance: float = 1e-8, seed: int = 0) -> OptimizeResult:
+def c_optimal(model: Model, c: Sequence[float], weight_tolerance: float = 1e-8) -> OptimizeResult:
     """Design minimizing the generalized variance c^T M^- c.
 
     c-optimal designs may be singular (one-point); those are admissible when
@@ -461,8 +418,7 @@ def c_optimal(model: Model, c: Sequence[float], grid_resolution: int = 201,
     if c1 == 0.0 and c2 == 0.0:
         raise ValidationError("c must be nonzero")
     best = optimize_design(OptimizeRequest(
-        model=model, criterion=CriterionSpec("C", c=(c1, c2)), n_support=2,
-        grid_resolution=grid_resolution, weight_tolerance=weight_tolerance, seed=seed))
+        model=model, criterion=CriterionSpec("C", c=(c1, c2)), weight_tolerance=weight_tolerance))
 
     def cross(x: np.ndarray) -> np.ndarray:  # zero where f(x) is parallel to c
         F = np.asarray(model.regressor(x), dtype=float)
@@ -470,7 +426,7 @@ def c_optimal(model: Model, c: Sequence[float], grid_resolution: int = 201,
 
     # Singleton candidates: the roots of cross, each bracketed by a sign change
     # on a grid and zeroed by the row solver.
-    grid = model.space.grid(max(grid_resolution, 400))
+    grid = model.space.grid(400)
     g = cross(grid)
     i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
     sign = np.sign(g[i + 1])  # sign * cross is < 0 at grid[i] and > 0 at grid[i + 1]
@@ -487,11 +443,10 @@ def c_optimal(model: Model, c: Sequence[float], grid_resolution: int = 201,
     return best
 
 
-def sa_references(model: Model, grid_resolution: int = 201,
-                  weight_tolerance: float = 1e-8, seed: int = 0) -> tuple[float, float]:
+def sa_references(model: Model, weight_tolerance: float = 1e-8) -> tuple[float, float]:
     """Optimal c-criterion values for c = (1,0) and c = (0,1), feeding the SA criterion."""
-    r1 = c_optimal(model, (1.0, 0.0), grid_resolution, weight_tolerance, seed)
-    r2 = c_optimal(model, (0.0, 1.0), grid_resolution, weight_tolerance, seed)
+    r1 = c_optimal(model, (1.0, 0.0), weight_tolerance)
+    r2 = c_optimal(model, (0.0, 1.0), weight_tolerance)
     return r1.criterion_value, r2.criterion_value
 
 
@@ -532,8 +487,7 @@ class MMTables:
 
 def mm_tables(params: MMParams, eps_list: Sequence[float],
               criteria: Sequence[str] = MM_CRITERIA, compat: bool = True,
-              grid_resolution: int = 201, weight_tolerance: float = 1e-8,
-              seed: int = 0) -> MMTables:
+              weight_tolerance: float = 1e-8) -> MMTables:
     """Optimal designs and cross-efficiencies per lower design-space extreme.
 
     With ``compat=True`` (default) the criteria without an attained optimum on
@@ -554,7 +508,7 @@ def mm_tables(params: MMParams, eps_list: Sequence[float],
         p_eps = replace(params, eps=float(eps))
         model = mm_model(p_eps)
         at_zero_floor = p_eps.space().lo == 0.0
-        refs = sa_references(model, grid_resolution, weight_tolerance, seed)
+        refs = sa_references(model, weight_tolerance)
 
         evaluators = {k: CriterionSpec(k, sa_refs=refs if k == "SA" else None) for k in MM_CRITERIA}
         designs: dict[str, Design | None] = {}
@@ -565,9 +519,8 @@ def mm_tables(params: MMParams, eps_list: Sequence[float],
                 designs[kind] = None
             else:
                 designs[kind] = optimize_design(OptimizeRequest(
-                    model=model, criterion=evaluators[kind], n_support=2,
-                    grid_resolution=grid_resolution,
-                    weight_tolerance=weight_tolerance, seed=seed)).design
+                    model=model, criterion=evaluators[kind],
+                    weight_tolerance=weight_tolerance)).design
 
         stars: dict[str, float | None] = {}
         for kind in criteria:

@@ -36,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .criteria import _D, _R, _R2, CriterionSpec, _criterion, correlation, criterion_values_raw, phi_d, phi_r
+from .criteria import (_D, _R, _R2, CriterionSpec, _correlation, _criterion, correlation,
+                       criterion_values_raw, phi_d, phi_r)
 from .designs import Design, Model, _is_singular, fim, fim_entries
 from .errors import OptimizationError, SingularDesignError, ValidationError
 from .optimize import OptimizeRequest, OptimizeResult, optimize_design
@@ -241,8 +242,7 @@ class CompoundSweepRow:
 
 
 def compound_sweep(model: Model, lam_grid: Sequence[float], phi_d_star: float,
-                   phi_r_star: float, grid_resolution: int = 201,
-                   weight_tolerance: float = 1e-8, seed: int = 0) -> list[CompoundSweepRow]:
+                   phi_r_star: float, weight_tolerance: float = 1e-8) -> list[CompoundSweepRow]:
     """Compound-optimal designs along a grid of mixing weights.
 
     At lam = 0 this is the D-optimal design, at lam = 1 the R-optimal one; in
@@ -257,8 +257,7 @@ def compound_sweep(model: Model, lam_grid: Sequence[float], phi_d_star: float,
         spec = CriterionSpec("COMPOUND", lam=float(lam),
                              phi_d_star=phi_d_star, phi_r_star=phi_r_star)
         res: OptimizeResult = optimize_design(OptimizeRequest(
-            model=model, criterion=spec, grid_resolution=grid_resolution,
-            weight_tolerance=weight_tolerance, seed=seed))
+            model=model, criterion=spec, weight_tolerance=weight_tolerance))
         m = fim(model, res.design)
         rows.append(CompoundSweepRow(
             lam=float(lam), design=res.design, value=res.criterion_value,
@@ -306,7 +305,7 @@ def criterion_sweep(model: Model, a_fixed: float, p_grid: Sequence[float]) -> li
     ps = [float(p) for p in p_grid]
     xs = np.tile([model.space.clip(x_lo), x_hi], (len(ps), 1))
     m11, m12, m22 = fim_entries(model, xs, _masses(np.array(ps)))
-    values = (*_head_criteria(m11, m12, m22), -m12 / np.sqrt(m11 * m22))
+    values = (*_head_criteria(m11, m12, m22), _correlation(m11, m12, m22))
     return [SweepRow(p_i, *row) for p_i, row in zip(ps, zip(*(v.tolist() for v in values)))]
 
 

@@ -108,7 +108,7 @@ def report(num: int, name: str, violations: list[str], elapsed: float | None = N
 def mm_reference_tables():
     """Reference tables over all four lower extremes, timed once."""
     t0 = time.perf_counter()
-    tables = mm_tables(MMParams(), eps_list=[0.0, 0.05, 0.5, 1.0], compat=True, seed=0)
+    tables = mm_tables(MMParams(), eps_list=[0.0, 0.05, 0.5, 1.0], compat=True)
     return tables, time.perf_counter() - t0
 
 

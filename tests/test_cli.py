@@ -62,6 +62,14 @@ class TestOptimal:
         points = json.loads(proc.stdout)["design"]["points"]
         assert [p["x"] for p in points] == [-1.0, 1.0]
 
+    @pytest.mark.parametrize("criterion", ["D", "EM"])
+    def test_seed_does_not_move_the_optimizer(self, capsys, criterion):
+        # The seed feeds only the pareto sampler; optimal echoes it and nothing else.
+        outs = [run(capsys, "optimal", "--model", "mm", "--b", "5", "--eps", "0.5",
+                    "--criterion", criterion, "--seed", seed)[1] for seed in ("1", "2")]
+        assert outs[0] != outs[1]
+        assert outs[0].replace('"seed": 1', '"seed": 2') == outs[1]
+
     def test_missing_b_is_usage_error(self, capsys):
         code, _, err = run(capsys, "optimal", "--model", "slr", "--a", "1",
                            "--criterion", "R")
