@@ -10,7 +10,8 @@ Exit codes distinguish certificate strength so scripts can rely on them:
 
 Options may come from flags or from a JSON config file (--config); flags
 override the file.  The seed (--seed, default OPTDESIGN_SEED) feeds only the
-sampler of `pareto`; `optimal` echoes it in its config.  The optimizer is
+sampler of `pareto`; `optimal` accepts it and echoes it in its config, and
+no other subcommand accepts it.  The optimizer is
 deterministic.  File outputs are written atomically (write to a temp file,
 then rename); with a fixed seed every run is byte-reproducible.
 """
@@ -407,7 +408,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=None, help="seed of the pareto sampler")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     p.add_argument("--weight-tolerance", type=float, default=None)
 
@@ -420,6 +420,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("optimal", help="compute an optimal design", parents=[])
     _add_model_args(p)
     _add_common_args(p)
+    p.add_argument("--seed", type=int, default=None, help="echoed only; the optimizer reads no seed")
     p.add_argument("--criterion", default=None, help=f"one of {CRITERION_KINDS}")
     p.add_argument("--c", default=None, help="c vector for criterion C, e.g. '1,0'")
     p.add_argument("--lam", type=float, default=None, help="compound weight in [0, 1]")
@@ -439,6 +440,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pareto", help="sampled two-point designs and their Pareto front")
     _add_model_args(p)
     _add_common_args(p)
+    p.add_argument("--seed", type=int, default=None, help="seed of the sampler")
     p.add_argument("--n", type=int, default=None, help="number of sampled designs")
     p.set_defaults(func=_cmd_pareto)
 

@@ -161,10 +161,14 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
 
 
 def _transform_rate(spec: CriterionSpec, value):
-    """dT/dvalue of the transform T whose slope ``_criterion`` gives, for the
-    kinds the optimizer searches (CPB is searched as R2): EM's slope is that of
-    (disc/tr)^2 = ((EM - 1)/(EM + 1))^2, every other kind's that of its value."""
-    return 4.0 * (value - 1.0) / (value + 1.0) ** 3 if spec.kind == "EM" else 1.0
+    """dT/dvalue of the increasing transform T whose slope ``_criterion`` gives:
+    T = CPB^2 = r^2 for CPB, T = (disc/tr)^2 = ((EM - 1)/(EM + 1))^2 for EM,
+    and T = value for every other kind."""
+    if spec.kind == "CPB":
+        return 2.0 * value
+    if spec.kind == "EM":
+        return 4.0 * (value - 1.0) / (value + 1.0) ** 3
+    return 1.0
 
 
 def _correlation(m11, m12, m22):

@@ -182,14 +182,14 @@ def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray, tol: float,
 
 
 def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float, W0: np.ndarray | None = None,
-                     max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+                     **sweeps) -> tuple[np.ndarray, np.ndarray]:
     """Optimal weights (n, k) and criterion values (n,) of the n supports whose
     points have the outer-product entries O (n, k, 3), started from W0 if given;
-    ``max_sweeps`` caps the transfer sweeps of three or four points."""
+    keyword options (``max_sweeps``) pass on to ``_best_weights_k`` for 3 or 4 points."""
     if O.shape[1] == 2:
         w, v = _best_mass(spec, O[:, 0], O[:, 1], tol, None if W0 is None else W0[:, 0])
         return np.stack([w, 1.0 - w], axis=1), v
-    return _best_weights_k(spec, O, tol, max_sweeps, W0)
+    return _best_weights_k(spec, O, tol, W0=W0, **sweeps)
 
 
 def _best_weights_k(spec: CriterionSpec, O: np.ndarray, tol: float,
@@ -406,7 +406,7 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     return OptimizeResult(design, value, None, False, total_iter, "best-found")
 
 
-def c_optimal(model: Model, c: Sequence[float], weight_tolerance: float = 1e-8) -> OptimizeResult:
+def c_optimal(model: Model, c: Sequence[float], *, weight_tolerance: float = 1e-8) -> OptimizeResult:
     """Design minimizing the generalized variance c^T M^- c.
 
     c-optimal designs may be singular (one-point); those are admissible when
@@ -443,10 +443,10 @@ def c_optimal(model: Model, c: Sequence[float], weight_tolerance: float = 1e-8) 
     return best
 
 
-def sa_references(model: Model, weight_tolerance: float = 1e-8) -> tuple[float, float]:
+def sa_references(model: Model, *, weight_tolerance: float = 1e-8) -> tuple[float, float]:
     """Optimal c-criterion values for c = (1,0) and c = (0,1), feeding the SA criterion."""
-    r1 = c_optimal(model, (1.0, 0.0), weight_tolerance)
-    r2 = c_optimal(model, (0.0, 1.0), weight_tolerance)
+    r1 = c_optimal(model, (1.0, 0.0), weight_tolerance=weight_tolerance)
+    r2 = c_optimal(model, (0.0, 1.0), weight_tolerance=weight_tolerance)
     return r1.criterion_value, r2.criterion_value
 
 
@@ -487,7 +487,7 @@ class MMTables:
 
 def mm_tables(params: MMParams, eps_list: Sequence[float],
               criteria: Sequence[str] = MM_CRITERIA, compat: bool = True,
-              weight_tolerance: float = 1e-8) -> MMTables:
+              *, weight_tolerance: float = 1e-8) -> MMTables:
     """Optimal designs and cross-efficiencies per lower design-space extreme.
 
     With ``compat=True`` (default) the criteria without an attained optimum on
@@ -508,7 +508,7 @@ def mm_tables(params: MMParams, eps_list: Sequence[float],
         p_eps = replace(params, eps=float(eps))
         model = mm_model(p_eps)
         at_zero_floor = p_eps.space().lo == 0.0
-        refs = sa_references(model, weight_tolerance)
+        refs = sa_references(model, weight_tolerance=weight_tolerance)
 
         evaluators = {k: CriterionSpec(k, sa_refs=refs if k == "SA" else None) for k in MM_CRITERIA}
         designs: dict[str, Design | None] = {}

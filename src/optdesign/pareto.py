@@ -242,7 +242,7 @@ class CompoundSweepRow:
 
 
 def compound_sweep(model: Model, lam_grid: Sequence[float], phi_d_star: float,
-                   phi_r_star: float, weight_tolerance: float = 1e-8) -> list[CompoundSweepRow]:
+                   phi_r_star: float, *, weight_tolerance: float = 1e-8) -> list[CompoundSweepRow]:
     """Compound-optimal designs along a grid of mixing weights.
 
     At lam = 0 this is the D-optimal design, at lam = 1 the R-optimal one; in

@@ -67,8 +67,19 @@ class TestOptimal:
         # The seed feeds only the pareto sampler; optimal echoes it and nothing else.
         outs = [run(capsys, "optimal", "--model", "mm", "--b", "5", "--eps", "0.5",
                     "--criterion", criterion, "--seed", seed)[1] for seed in ("1", "2")]
-        assert outs[0] != outs[1]
         assert outs[0].replace('"seed": 1', '"seed": 2') == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "slr", "--b", "5", "--a-list", "1", "--seed", "3"),
+        ("sweep", "--model", "slr", "--a", "1", "--b", "5", "--a-fixed", "2", "--seed", "3"),
+        ("check", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D", "--seed", "3"),
+        ("efficiency", "--model", "slr", "--a", "1", "--b", "5", "--seed", "3"),
+        ("optimal", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D", "--grid", "201"),
+    ], ids=["table-seed", "sweep-seed", "check-seed", "efficiency-seed", "optimal-grid"])
+    def test_knobs_nothing_reads_are_usage_errors(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in err
 
     def test_missing_b_is_usage_error(self, capsys):
         code, _, err = run(capsys, "optimal", "--model", "slr", "--a", "1",

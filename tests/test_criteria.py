@@ -33,7 +33,7 @@ from optdesign import (
     phi_sa,
     slr_model,
 )
-from optdesign.criteria import criterion_values_raw
+from optdesign.criteria import _transform_rate, criterion_values_raw
 from optdesign.mm import MMParams, mm_model
 from optdesign.slr import SlrInterval, d_optimal_slr, r_optimal_slr
 from conftest import random_design, random_slr_model
@@ -443,6 +443,17 @@ class TestRawSlopes:
         for i in range(2000):
             v, s = criterion_values_raw(spec, *(float(mi[i]) for mi in m), d=d[:, i:i + 1])
             assert (float(v), s[0]) == (values[i], slopes[i])
+
+    @pytest.mark.parametrize("spec", RAW_SPECS, ids=lambda s: s.kind)
+    def test_transform_rate_links_value_and_slope(self, spec):
+        # The kernel's slope is T's; dT/dvalue times the value's own slope gives it back.
+        m, d = self.sample()
+        values, slopes = criterion_values_raw(spec, *m, d=d)
+        fd = (self.shifted(spec, m, d, self.H) - self.shifted(spec, m, d, -self.H)) / (2.0 * self.H)
+        away = np.abs(values - (spec.kind == "EM")) > 0.05  # off the kinks r = 0 and EM = 1
+        assert np.count_nonzero(away) > 150
+        scaled = _transform_rate(spec, values[away]) * fd[away]
+        assert np.all(np.abs(slopes[away] - scaled) <= 1e-6 * np.maximum(np.abs(scaled), 1e-2))
 
     @pytest.mark.parametrize("kind", ["CPB", "EM"])
     def test_transform_slope_has_the_criterion_sign(self, kind):

@@ -520,6 +520,13 @@ class TestCOptimal:
         m = fim(mm_half, res1.design)
         assert abs(phi_c(m, (1.0, 0.0)) / ref1 - 1.0) <= 1e-9
 
+    def test_weight_tolerance_is_keyword_only(self, slr_15):
+        # A positional grid size from the old signatures must not pass as a tolerance.
+        with pytest.raises(TypeError):
+            c_optimal(slr_15, (1.0, 0.0), 401)
+        with pytest.raises(TypeError):
+            sa_references(slr_15, 201)
+
 
 @pytest.fixture(scope="module")
 def tables():
