@@ -14,11 +14,17 @@ sampler of `pareto`; `optimal` accepts it and echoes it in its config, and
 no other subcommand accepts it.  The optimizer is
 deterministic.  File outputs are written atomically (write to a temp file,
 then rename); with a fixed seed every run is byte-reproducible.
+
+`main(argv)` may be called repeatedly in one process.  The argument parser is
+built on the first call and reused: parsing returns a fresh namespace, every
+option defaults to None, errors raise instead of being stored, and the seed
+and config file are read at call time, so no call sees another's arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -473,10 +479,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser `main` uses, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         cfg = _load_config(getattr(args, "config", None))
         return args.func(args, cfg)
     except UsageError as exc:

@@ -362,8 +362,8 @@ def derivative_report(model: Model, design: Design, spec: CriterionSpec,
     dd = _dd_arrays(m, F, spec)
     k = int(np.argmin(dd))
     return DerivativeReport(
-        x_grid=tuple(float(v) for v in grid),
-        dd_values=tuple(float(v) for v in dd),
+        x_grid=tuple(grid.tolist()),
+        dd_values=tuple(dd.tolist()),
         min_dd=float(dd[k]),
         argmin_x=float(grid[k]),
     )

@@ -396,9 +396,10 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
             best_xs, best_ws, best_val = tuple(xs2), W2[0], float(V2[0])
 
     design = make_design(list(zip(best_xs, best_ws)), space)
-    value = criterion_value(fim(model, design), spec)
+    m = fim(model, design)
+    value = criterion_value(m, spec)
 
-    if spec.is_convex and not fim(model, design).is_singular:
+    if spec.is_convex and not m.is_singular:
         report = derivative_report(model, design, spec, grid_points=1000)
         converged = report.passes(value, EQUIVALENCE_TOL)
         return OptimizeResult(design, value, report, converged, total_iter,

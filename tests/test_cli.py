@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from optdesign.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    build_parser,
     main,
 )
 
@@ -287,6 +289,76 @@ class TestOptimalThenCheckContract:
                            *extra, "--design", str(design_file))
         assert code == EXIT_OK
         assert json.loads(out)["certified"] is True
+
+
+class TestSharedParser:
+    """`main` builds its parser once per process; no call sees another's arguments."""
+
+    OPTIMAL_R = ("optimal", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "R",
+                 "--seed", "7")
+
+    @pytest.fixture
+    def parser_inits(self, monkeypatch):
+        count = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return count
+
+    def test_second_call_builds_no_parser(self, capsys, parser_inits):
+        assert run(capsys, "table", "slr", "--b", "5", "--a-list", "1")[0] == EXIT_OK
+        parser_inits[0] = 0
+        code, _, _ = run(capsys, "sweep", "--model", "slr", "--a", "1", "--b", "5",
+                         "--a-fixed", "2", "--p-points", "3")
+        assert code == EXIT_OK
+        assert parser_inits[0] == 0
+
+    def test_build_parser_builds_a_new_parser_each_call(self, parser_inits):
+        # The benchmark's setup probe times build_parser, so it must keep constructing.
+        first = build_parser()
+        assert parser_inits[0] == 7  # the top parser and 6 subcommands
+        assert build_parser() is not first
+        assert parser_inits[0] == 14
+
+    def test_required_option_not_carried_over(self, capsys):
+        assert run(capsys, *self.OPTIMAL_R)[0] == EXIT_OK
+        code, _, err = run(capsys, "optimal", "--model", "slr", "--a", "1", "--b", "5")
+        assert code == EXIT_USAGE
+        assert "--criterion is required" in err
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, _, err = run(capsys, "optimal", "--model", "slr", "--a", "1", "--b", "5",
+                           "--criterion", "D", "--grid", "201")
+        assert code == EXIT_USAGE and "unrecognized arguments" in err
+        code, out, _ = run(capsys, "optimal", "--model", "slr", "--a", "1", "--b", "5",
+                           "--criterion", "D")
+        assert code == EXIT_OK
+        assert json.loads(out)["label"] == "certified"
+
+    def test_seed_not_carried_over(self, capsys, monkeypatch):
+        monkeypatch.delenv("OPTDESIGN_SEED", raising=False)
+        args = ("pareto", "--model", "slr", "--a", "1", "--b", "5", "--n", "50")
+        _, _, err = run(capsys, *args, "--seed", "5")
+        assert json.loads(err.strip().splitlines()[-1])["seed"] == 5
+        code, _, err = run(capsys, *args)
+        assert code == EXIT_OK
+        assert json.loads(err.strip().splitlines()[-1])["seed"] == 0
+
+    def test_repeat_call_matches_a_fresh_process(self, capsys):
+        code, first, _ = run(capsys, *self.OPTIMAL_R)
+        assert code == EXIT_OK
+        assert run(capsys, *self.OPTIMAL_R)[1] == first
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "OPTDESIGN_SEED"}
+        proc = subprocess.run([sys.executable, "-m", "optdesign", *self.OPTIMAL_R],
+                              capture_output=True, text=True, timeout=120,
+                              env={**env, "PYTHONPATH": str(src)})
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == first
 
 
 class TestConfig:
