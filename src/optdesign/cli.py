@@ -44,7 +44,7 @@ from .criteria import (
 )
 from .designs import DesignSpace, Model, design_from_json, design_to_json, fim, slr_model
 from .errors import OptDesignError, ValidationError
-from .mm import MMParams, mm_model
+from .mm import MMParams, mm_d_optimal, mm_model
 from .optimize import (
     OptimizeRequest,
     OptimizeResult,
@@ -57,12 +57,11 @@ from .optimize import (
 from .pareto import (
     compound_sweep,
     compound_sweep_csv,
-    criterion_sweep,
+    criterion_sweep_csv,
     front_csv,
     sampled_front,
-    sweep_csv,
 )
-from .slr import table_slr, table_slr_csv
+from .slr import SlrInterval, d_optimal_slr, r_optimal_slr, table_slr, table_slr_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -176,7 +175,8 @@ def _parse_floats(value) -> list[float]:
         raise UsageError(f"expected a comma-separated list of numbers, got {value!r}") from exc
 
 
-def _build_model(args: argparse.Namespace, cfg: dict) -> tuple[Model, dict]:
+def _build_model(args: argparse.Namespace, cfg: dict) -> tuple[Model, dict, SlrInterval | MMParams]:
+    """The model, its JSON description, and the parameters its closed forms take."""
     name = _setting(args, cfg, "model")
     if name is None:
         raise UsageError("--model is required (slr or mm)")
@@ -187,7 +187,7 @@ def _build_model(args: argparse.Namespace, cfg: dict) -> tuple[Model, dict]:
         if a is None or b is None:
             raise UsageError("model slr needs --a and --b")
         model = slr_model(DesignSpace(float(a), float(b)))
-        return model, {"model": "slr", "a": float(a), "b": float(b)}
+        return model, {"model": "slr", "a": float(a), "b": float(b)}, SlrInterval(float(a), float(b))
     if name in ("mm", "michaelis_menten", "michaelis-menten"):
         b = _setting(args, cfg, "b")
         if b is None:
@@ -199,10 +199,7 @@ def _build_model(args: argparse.Namespace, cfg: dict) -> tuple[Model, dict]:
             eps=float(_setting(args, cfg, "eps", 0.0)),
             eps_in_k_units=not bool(_setting(args, cfg, "eps_absolute", False)),
         )
-        return mm_model(params), {
-            "model": "michaelis_menten", "V": params.V, "K": params.K,
-            "b": params.b, "eps": params.eps, "eps_in_k_units": params.eps_in_k_units,
-        }
+        return mm_model(params), {"model": "michaelis_menten", **asdict(params)}, params
     raise UsageError(f"unknown model {name!r}; choose slr or mm")
 
 
@@ -220,16 +217,21 @@ def _result_json(result: OptimizeResult, model: Model, config: RunConfig) -> str
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _reference_stars(model: Model, wtol: float) -> tuple[float, float]:
-    """(phi_D*, phi_R*): the optimal D and R values, references of COMPOUND and the efficiencies."""
-    d_star, r_star = (optimize_design(OptimizeRequest(
-        model=model, criterion=CriterionSpec(kind), weight_tolerance=wtol)).criterion_value
-        for kind in ("D", "R"))
-    return d_star, r_star
+def _reference_stars(model: Model, params: SlrInterval | MMParams, wtol: float) -> tuple[float, float]:
+    """(phi_D*, phi_R*): the optimal D and R values, references of COMPOUND and the efficiencies.
+
+    Both come from closed forms on SLR; on MM phi_D* does, and phi_R*, which
+    has none, from the optimizer.
+    """
+    if isinstance(params, SlrInterval):
+        return phi_d(fim(model, d_optimal_slr(params))), phi_r(fim(model, r_optimal_slr(params)))
+    r_star = optimize_design(OptimizeRequest(
+        model=model, criterion=CriterionSpec("R"), weight_tolerance=wtol)).criterion_value
+    return phi_d(fim(model, mm_d_optimal(params))), r_star
 
 
 def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Model,
-                     wtol: float) -> CriterionSpec:
+                     params: SlrInterval | MMParams, wtol: float) -> CriterionSpec:
     kind = kind.upper()
     if kind not in CRITERION_KINDS:
         raise UsageError(f"unknown criterion {kind!r}; choose from {CRITERION_KINDS}")
@@ -242,13 +244,13 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
             raise UsageError("--c must hold exactly two numbers")
         return CriterionSpec("C", c=(vec[0], vec[1]))
     if kind == "SA":
-        ref1, ref2 = sa_references(model, weight_tolerance=wtol)
+        ref1, ref2 = sa_references(model)
         return CriterionSpec("SA", sa_refs=(ref1, ref2))
     if kind == "COMPOUND":
         lam = _setting(args, cfg, "lam")
         if lam is None:
             raise UsageError("criterion COMPOUND needs --lam in [0, 1]")
-        d_star, r_star = _reference_stars(model, wtol)
+        d_star, r_star = _reference_stars(model, params, wtol)
         return CriterionSpec("COMPOUND", lam=float(lam), phi_d_star=d_star, phi_r_star=r_star)
     return CriterionSpec(kind)
 
@@ -256,13 +258,13 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
 # --- subcommand implementations ----------------------------------------------
 
 def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
-    model, model_info = _build_model(args, cfg)
+    model, model_info, params = _build_model(args, cfg)
     seed = _resolve_seed(args, cfg)
     wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
     kind = _setting(args, cfg, "criterion")
     if kind is None:
         raise UsageError("--criterion is required")
-    spec = _build_criterion(str(kind), args, cfg, model, wtol)
+    spec = _build_criterion(str(kind), args, cfg, model, params, wtol)
     request = OptimizeRequest(model=model, criterion=spec,
                               n_support=int(_setting(args, cfg, "n_support", 2)),
                               weight_tolerance=wtol)
@@ -291,11 +293,8 @@ def _cmd_table(args: argparse.Namespace, cfg: dict) -> int:
         return EXIT_OK
     if name in ("mm-designs", "mm-efficiencies"):
         eps_list = _setting(args, cfg, "eps_list", "0,0.05,0.5,1")
-        params = MMParams(
-            V=float(_setting(args, cfg, "V", 43.73)),
-            K=float(_setting(args, cfg, "K", 227.27)),
-            b=float(_setting(args, cfg, "b", 5.0)),
-        )
+        params = MMParams(V=float(_setting(args, cfg, "V", 43.73)), K=float(_setting(args, cfg, "K", 227.27)),
+                          b=float(_setting(args, cfg, "b", 5.0)))
         tables = mm_tables(params, _parse_floats(eps_list),
                            compat=not bool(_setting(args, cfg, "strict", False)),
                            weight_tolerance=float(_setting(args, cfg, "weight_tolerance", 1e-8)))
@@ -306,11 +305,11 @@ def _cmd_table(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
-    model, model_info = _build_model(args, cfg)
+    model, model_info, params = _build_model(args, cfg)
     seed = _resolve_seed(args, cfg)
     n = int(_setting(args, cfg, "n", 1000))
     wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    d_star, r_star = _reference_stars(model, wtol)
+    d_star, r_star = _reference_stars(model, params, wtol)
     front = sampled_front(model, n, seed, d_star, r_star)
     x_scale = model.nominal_params[1] if model.name == "michaelis_menten" else 1.0
     _emit(front_csv(front, x_scale=x_scale), args.output)
@@ -321,13 +320,13 @@ def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
-    model, model_info = _build_model(args, cfg)
+    model, _, params = _build_model(args, cfg)
     a_fixed = _setting(args, cfg, "a_fixed")
     kind = str(_setting(args, cfg, "sweep_kind", "criteria"))
     if kind == "compound":
         lam_list = _setting(args, cfg, "lam_list", "0,0.25,0.5,0.75,1")
         wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-        d_star, r_star = _reference_stars(model, wtol)
+        d_star, r_star = _reference_stars(model, params, wtol)
         rows = compound_sweep(model, _parse_floats(lam_list), d_star, r_star, weight_tolerance=wtol)
         _emit(compound_sweep_csv(rows), args.output)
         return EXIT_OK
@@ -335,13 +334,12 @@ def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
         raise UsageError("sweep needs --a-fixed (lower support point; K units for mm)")
     n_p = int(_setting(args, cfg, "p_points", 199))
     p_grid = [(i + 1) / (n_p + 1) for i in range(n_p)]
-    rows = criterion_sweep(model, float(a_fixed), p_grid)
-    _emit(sweep_csv(rows), args.output)
+    _emit(criterion_sweep_csv(model, float(a_fixed), p_grid), args.output)
     return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
-    model, _ = _build_model(args, cfg)
+    model, _, params = _build_model(args, cfg)
     kind = _setting(args, cfg, "criterion")
     if kind is None:
         raise UsageError("--criterion is required")
@@ -358,7 +356,7 @@ def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read design {design_path}: {exc}") from exc
     wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    spec = _build_criterion(kind, args, cfg, model, wtol)
+    spec = _build_criterion(kind, args, cfg, model, params, wtol)
     n_grid = int(_setting(args, cfg, "check_grid", 1000))
     report = derivative_report(model, design, spec, grid_points=n_grid)
     value = criterion_value(fim(model, design), spec)
@@ -372,13 +370,13 @@ def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_efficiency(args: argparse.Namespace, cfg: dict) -> int:
-    model, model_info = _build_model(args, cfg)
+    model, model_info, params = _build_model(args, cfg)
     paths = _setting(args, cfg, "designs")
     if paths is None:
         raise UsageError("efficiency needs --designs file1[,file2,...]")
     path_list = paths.split(",") if isinstance(paths, str) else list(paths)
     wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    d_star, r_star = _reference_stars(model, wtol)
+    d_star, r_star = _reference_stars(model, params, wtol)
     entries = []
     for path in path_list:
         with open(path) as fh:
@@ -490,18 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _shared_parser().parse_args(argv)
         cfg = _load_config(getattr(args, "config", None))
         return args.func(args, cfg)
-    except UsageError as exc:
+    except (UsageError, ValidationError, OptDesignError, OSError) as exc:
         sys.stderr.write(f"optdesign: {exc}\n")
-        return EXIT_USAGE
-    except ValidationError as exc:
-        sys.stderr.write(f"optdesign: {exc}\n")
-        return EXIT_USAGE
-    except OptDesignError as exc:
-        sys.stderr.write(f"optdesign: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
-        sys.stderr.write(f"optdesign: {exc}\n")
-        return EXIT_ERROR
+        return EXIT_USAGE if isinstance(exc, (UsageError, ValidationError)) else EXIT_ERROR
 
 
 def console_main() -> None:

@@ -353,20 +353,21 @@ class DerivativeReport:
         return "\n".join(lines) + "\n"
 
 
+def _sampled_report(model: Model, design: Design, grid_points: int, dd_of) -> DerivativeReport:
+    """``dd_of(F)`` at the regressors F of an equispaced grid plus the support, each
+    point once (np.unique's grid, without the numpy.ma import it costs on first use)."""
+    grid = np.sort(np.concatenate([model.space.grid(grid_points), design.xs]))
+    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
+    dd = dd_of(np.asarray(model.regressor(grid), dtype=float))
+    k = int(np.argmin(dd))
+    return DerivativeReport(tuple(grid.tolist()), tuple(dd.tolist()), float(dd[k]), float(grid[k]))
+
+
 def derivative_report(model: Model, design: Design, spec: CriterionSpec,
                       grid_points: int = 1000) -> DerivativeReport:
     """Evaluate the directional derivative on an equispaced grid plus the support."""
-    grid = np.unique(np.concatenate([model.space.grid(grid_points), design.xs]))
     m = fim(model, design)
-    F = np.asarray(model.regressor(grid), dtype=float)
-    dd = _dd_arrays(m, F, spec)
-    k = int(np.argmin(dd))
-    return DerivativeReport(
-        x_grid=tuple(grid.tolist()),
-        dd_values=tuple(dd.tolist()),
-        min_dd=float(dd[k]),
-        argmin_x=float(grid[k]),
-    )
+    return _sampled_report(model, design, grid_points, lambda F: _dd_arrays(m, F, spec))
 
 
 # --- vectorized raw-entry evaluation (optimizer hot path) ---------------------

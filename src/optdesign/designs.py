@@ -151,15 +151,6 @@ class InfoMatrix:
         """The package's one singularity test; see ``_is_singular``."""
         return bool(_is_singular(self.m11, self.m12, self.m22))
 
-    def inverse_entries(self) -> tuple[float, float, float]:
-        """Entries ({M^-1}_11, {M^-1}_12, {M^-1}_22) of the inverse.
-
-        Callers check ``is_singular`` first; a zero determinant raises
-        ZeroDivisionError.
-        """
-        d = self.det
-        return self.m22 / d, -self.m12 / d, self.m11 / d
-
     def mixed_with(self, other: "InfoMatrix", alpha: float) -> "InfoMatrix":
         """Convex combination (1 - alpha) * self + alpha * other."""
         return InfoMatrix(
@@ -260,8 +251,8 @@ def cov_quantities(m: InfoMatrix) -> CovQuantities:
     """Variances and covariance of the estimators: entries of M^-1 (det also reported)."""
     if m.is_singular:
         return CovQuantities(v1=None, v2=None, cov12=None, det_m=m.det, singular=True)
-    v1, cov12, v2 = m.inverse_entries()
-    return CovQuantities(v1=v1, v2=v2, cov12=cov12, det_m=m.det, singular=False)
+    d = m.det
+    return CovQuantities(v1=m.m22 / d, v2=m.m11 / d, cov12=-m.m12 / d, det_m=d, singular=False)
 
 
 def slr_model(space: DesignSpace) -> Model:

@@ -80,29 +80,14 @@ def mm_model(params: MMParams) -> Model:
     )
 
 
-def mm_d_optimal_lower_point(params: MMParams) -> float:
-    """Unconstrained lower D-optimal support point b/(2+b) * K."""
-    return params.b / (2.0 + params.b) * params.K
-
-
 def mm_d_optimal(params: MMParams) -> Design:
     """D-optimal design: {lower point, b*K} with weights 1/2.
 
     The lower point is b/(2+b)*K, or the space floor when the floor excludes
     it (the determinant is decreasing beyond the unconstrained point, and the
     weight 1/2 is optimal for any fixed two-point support, so the constrained
-    optimum sits on the boundary).  ``mm_d_optimal_is_constrained`` tells the
-    two cases apart.
+    optimum sits on the boundary).
     """
     space = params.space()
-    x_lo = max(mm_d_optimal_lower_point(params), space.lo)
+    x_lo = max(params.b / (2.0 + params.b) * params.K, space.lo)
     return make_design([(x_lo, 0.5), (params.b * params.K, 0.5)], space)
-
-
-def mm_d_optimal_is_constrained(params: MMParams) -> bool:
-    return mm_d_optimal_lower_point(params) < params.space().lo
-
-
-def k_units(params: MMParams, x: float) -> float:
-    """Express a raw design point in units of K."""
-    return x / params.K

@@ -21,13 +21,14 @@ segment of a fixed two-point support: the convex criteria trivially so, and
 the two non-convex ones by direct analysis of their one-dimensional slices.
 
 Everything is deterministic given the request; ties are broken by
-lexicographic design comparison.
+lexicographic design comparison.  c-optimal designs, the SA references, need
+no search: ``c_optimal`` takes them from Elfving's theorem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -37,21 +38,23 @@ from .criteria import (
     CriterionSpec,
     DerivativeReport,
     EQUIVALENCE_TOL,
+    _sampled_report,
     _transform_rate,
     criterion_value,
     criterion_values_raw,
     derivative_report,
-    phi_c,
 )
 from .designs import Design, Model, fim, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
+from .slr import _fmt
 
 MASS_ITERS = 64            # cap on the secant iterations of one row solve
 STAGE1_GRID = {2: 33, 3: 24, 4: 14}  # coarse-grid points whose k-subsets stage 1 weighs
 REFINE_TOP = 16            # stage-1 candidates kept for the polish
 FIRST_MOVE_REL = 1 / 200   # first trial move of the polish, relative to the width
 XTOL_REL = 1e-9            # support-point tolerance of the polish, relative to the width
+ELFVING_GRID = 400         # grid on which c_optimal finds Elfving's dual and the support
 EPS = float(np.finfo(float).eps)
 M12_ROUNDING = 256 * EPS  # |m12| / sum_i w_i |f1 f2|(x_i) this small: r = 0
 
@@ -261,6 +264,14 @@ def _point_slope(spec: CriterionSpec, F: np.ndarray, dF: np.ndarray, W: np.ndarr
     return criterion_values_raw(spec, *np.einsum("nk,nkc->cn", W, _outer3(F)), d=d)[1]
 
 
+def _regress(model: Model, x: np.ndarray) -> list[np.ndarray]:
+    """The regressor and its x-derivative at the points x, each shaped x.shape + (2,)."""
+    if model.regressor_dx is None:
+        raise ValidationError(f"model {model.name!r} has no regressor_dx; the optimizer needs it")
+    return [np.asarray(f(x), dtype=float).reshape(x.shape + (2,))
+            for f in (model.regressor, model.regressor_dx)]
+
+
 def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
             wtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Batched cyclic polish of k-point supports by the slope in each point.
@@ -273,15 +284,9 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
     moves no point by more than ``XTOL_REL`` times the width.  Returns the supports, their weights
     (n, k), the criterion values and the number of supports evaluated.
     """
-    if model.regressor_dx is None:
-        raise ValidationError(f"model {model.name!r} has no regressor_dx; the optimizer needs it")
     space = model.space
     xtol, gap, step = XTOL_REL * space.width, space.merge_tol(), FIRST_MOVE_REL * space.width
     X, (n, k) = np.array(X, dtype=float), np.shape(X)
-
-    def regress(x: np.ndarray) -> list[np.ndarray]:
-        return [np.asarray(f(x), dtype=float).reshape(x.shape + (2,))
-                for f in (model.regressor, model.regressor_dx)]
 
     def slope(F: np.ndarray, dF: np.ndarray, W: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
         # A continuum of designs may reach r = 0 or EM = 1, where the slope is
@@ -301,7 +306,7 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
             dT = _transform_rate(spec, V)
             return np.where(done | (np.abs(s) * space.width <= wtol * np.abs(V * dT)), 0.0, s)
 
-    F, dF = regress(X)
+    F, dF = _regress(model, X)
     W, V = _support_weights(spec, _outer3(F), wtol)
     V = np.where(np.all(np.isfinite(F), axis=(1, 2)), V, np.inf)
     done, n_evals, live = False, n, np.flatnonzero(np.isfinite(V))
@@ -312,7 +317,7 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
                 nonlocal n_evals
                 n_evals += len(rows)
                 Fr, dFr = F[live[rows]], dF[live[rows]]
-                Fr[:, j], dFr[:, j] = regress(x)
+                Fr[:, j], dFr[:, j] = _regress(model, x)
                 Wr, Vr = _support_weights(spec, _outer3(Fr), wtol, W[live[rows]])
                 return Vr, slope(Fr, dFr, Wr, Vr, j), Wr
 
@@ -329,7 +334,7 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
             won = live[better]
             moved[better] = np.maximum(moved[better], np.abs(x - x0)[better])
             X[won, j], W[won], V[won] = x[better], Wx[better], v[better]
-            F[won, j], dF[won, j] = regress(X[won, j])
+            F[won, j], dF[won, j] = _regress(model, X[won, j])
         live = live[moved > xtol]
     return X, W, V, n_evals
 
@@ -407,48 +412,112 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     return OptimizeResult(design, value, None, False, total_iter, "best-found")
 
 
-def c_optimal(model: Model, c: Sequence[float], *, weight_tolerance: float = 1e-8) -> OptimizeResult:
-    """Design minimizing the generalized variance c^T M^- c.
+@dataclass(frozen=True)
+class COptimalResult(OptimizeResult):
+    """A c-optimal design with Elfving's dual: u^T c = 1, |u^T f| <= gamma on the space."""
 
-    c-optimal designs may be singular (one-point); those are admissible when
-    c is estimable there, found by locating the points where the regressor is
-    parallel to c.  Non-singular optima win ties so that they can carry an
-    equivalence certificate.
+    u: tuple[float, float]
+    gamma: float
+
+
+def _grid_dual(a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[int, float], tuple[int, float]]:
+    """min over t of max_i |a_i + t b_i|, by cutting planes: the max at t adds the
+    line s (a_i + t b_i) of its row, s its sign, and t moves to where the highest
+    falling and rising lines cross.  Returns t and those lines (i, s), falling
+    first; a flat line (b_i = 0) at the max is both."""
+    def top(t: float) -> tuple[int, float, float]:
+        v = a + t * b
+        i = int(np.argmax(np.abs(v)))
+        return i, (1.0 if v[i] >= 0.0 else -1.0), abs(float(v[i]))
+
+    T = 4.0 * np.max(np.abs(a)) / np.max(np.abs(b))  # at -T and T the max rises away from 0
+    (i, s, _), (j, r, _) = top(-T), top(T)
+    for _ in range(len(a)):
+        t = (r * a[j] - s * a[i]) / (s * b[i] - r * b[j])
+        k, q, v = top(t)
+        if (k, q) in ((i, s), (j, r)) or v <= r * (a[j] + t * b[j]) * (1.0 + 4.0 * EPS):
+            break
+        g = q * b[k]
+        i, s = (k, q) if g <= 0.0 else (i, s)
+        j, r = (k, q) if g >= 0.0 else (j, r)
+        if g == 0.0:
+            break
+    return float(t), (i, s), (j, r)
+
+
+def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
+    """Design minimizing c^T M^- c, by Elfving's theorem (Elfving 1952; Pukelsheim 2006,
+    ch. 2): the least value is 1/gamma^2, gamma the least over u with u^T c = 1 of
+    max_x |u^T f(x)|, convex in t along u = c/|c|^2 + t c_perp.  ``_grid_dual``'s two
+    active lines name the support.  Points apart are polished to local maxima of s u^T f
+    and t moved to where their lines cross, until they stand still; the weights solve
+    gamma c = sum_k w_k s_k f(x_k).  Neighbours of one sign straddle the one point where
+    f is parallel to c, the optimum only if no non-singular design ties it.  The report
+    is c^T M^- c (1 - (u^T f(x) / gamma)^2), u's certificate.
     """
     c1, c2 = float(c[0]), float(c[1])
     if c1 == 0.0 and c2 == 0.0:
         raise ValidationError("c must be nonzero")
-    best = optimize_design(OptimizeRequest(
-        model=model, criterion=CriterionSpec("C", c=(c1, c2)), weight_tolerance=weight_tolerance))
+    space, along, across = model.space, np.array([c1, c2]) / (c1 * c1 + c2 * c2), np.array([-c2, c1])
 
-    def cross(x: np.ndarray) -> np.ndarray:  # zero where f(x) is parallel to c
-        F = np.asarray(model.regressor(x), dtype=float)
-        return c1 * F[:, 1] - c2 * F[:, 0]
-
-    # Singleton candidates: the roots of cross, each bracketed by a sign change
-    # on a grid and zeroed by the row solver.
-    grid = model.space.grid(400)
-    g = cross(grid)
-    i = np.flatnonzero(g[:-1] * g[1:] < 0.0)
-    sign = np.sign(g[i + 1])  # sign * cross is < 0 at grid[i] and > 0 at grid[i + 1]
-    roots = _zero_slope(lambda rows, x: (0.0 * x, sign[rows] * cross(x), None),
-                        grid[i], grid[i + 1], grid[i], grid[i + 1], EPS * model.space.width)[0]
-    for x in [*grid[g == 0.0], *roots]:
-        design = make_design([(x, 1.0)], model.space)
-        val = phi_c(fim(model, design), (c1, c2))
-        if math.isfinite(val) and val < best.criterion_value * (1.0 - 1e-12):
-            best = OptimizeResult(design, val, None, False, best.iterations, "best-found")
-
-    if not math.isfinite(best.criterion_value):
+    grid = space.grid(ELFVING_GRID)
+    F = np.asarray(model.regressor(grid), dtype=float)
+    grid, F = grid[np.all(np.isfinite(F), axis=1)], F[np.all(np.isfinite(F), axis=1)]
+    a, b = F @ along, F @ across
+    if not np.any(a):
         raise OptimizationError("c is inestimable under every candidate design")
-    return best
+    t, *lines = _grid_dual(a, b) if np.any(b) else (0.0, *[(int(np.argmax(np.abs(a))), 1.0)] * 2)  # f || c
+    (i, s), (j, r) = sorted(lines)
+    n_evals = 0
+    if s == r and j - i <= 1:  # one point: the root of c_perp^T f
+        sign = 1.0 if b[j] >= b[i] else -1.0
+        x = _zero_slope(lambda rows, x: (0.0 * x, sign * (_regress(model, x)[0] @ across), None),
+                        grid[[i]], grid[[j]], grid[[i]], grid[[j]], EPS * space.width)[0]
+        Fx, dFx = _regress(model, x)
+        if space.lo < x[0] < space.hi and dFx[0] @ across != 0.0:
+            t = -float(dFx[0] @ along) / float(dFx[0] @ across)  # u normal to the curve at x
+        gamma, w = abs(float(Fx[0] @ along)), np.ones(1)
+    else:
+        X, S, tol = grid[[i, j]], np.array([s, r]), XTOL_REL * space.width
+        lo, hi = grid[np.clip([[i - 1, j - 1], [i + 1, j + 1]], 0, len(grid) - 1)]
+
+        def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+            nonlocal n_evals
+            n_evals += len(rows)
+            (Fr, dFr), u = _regress(model, x), along + t * across
+            # A slope within the rounding of its terms is 0: a flat stretch of the boundary.
+            rounding = 8.0 * EPS * (np.abs(dFr) @ (np.abs(along) + abs(t) * np.abs(across)))
+            slope = np.where(np.abs(dFr @ u) <= rounding, 0.0, dFr @ u)
+            return -S[rows] * (Fr @ u), -S[rows] * slope, None
+
+        for _ in range(MASS_ITERS):
+            known = evaluate(np.arange(2), X)
+            x1 = np.clip(X - np.sign(known[1]) * tol, lo, hi)
+            x = _zero_slope(evaluate, lo, hi, X, x1, tol, known=known)[0]
+            Fx = _regress(model, x)[0]
+            A, B = S * (Fx @ along), S * (Fx @ across)
+            t, moved, X = float((A[1] - A[0]) / (B[0] - B[1])), np.max(np.abs(x - X)), x
+            # t's error is second order in the points', so theirs squares each round.
+            if moved <= math.sqrt(tol * space.width):
+                break
+        # gamma c = sum_k w_k s_k f(x_k) with the w_k summing to 1: w / gamma by
+        # Cramer's rule, free of the cancellation in det M of a narrow support.
+        (g11, g12), (g21, g22) = S[:, None] * Fx
+        w = np.clip(np.array([c1 * g22 - c2 * g21, g11 * c2 - g12 * c1]) / (g11 * g22 - g12 * g21),
+                    0.0, None)
+        gamma, w = 1.0 / float(np.sum(w)), w / np.sum(w)
+    if not gamma > 0.0:
+        raise OptimizationError("c is inestimable under every candidate design")
+    design, value, u = make_design(list(zip(x.tolist(), w.tolist())), space), gamma**-2, along + t * across
+    report = _sampled_report(model, design, 1000, lambda F: value * (1.0 - ((F @ u) / gamma) ** 2) + 0.0)
+    converged = report.passes(value, EQUIVALENCE_TOL)
+    return COptimalResult(design, value, report, converged, n_evals,
+                          "certified" if converged else "best-found", (float(u[0]), float(u[1])), gamma)
 
 
-def sa_references(model: Model, *, weight_tolerance: float = 1e-8) -> tuple[float, float]:
+def sa_references(model: Model) -> tuple[float, float]:
     """Optimal c-criterion values for c = (1,0) and c = (0,1), feeding the SA criterion."""
-    r1 = c_optimal(model, (1.0, 0.0), weight_tolerance=weight_tolerance)
-    r2 = c_optimal(model, (0.0, 1.0), weight_tolerance=weight_tolerance)
-    return r1.criterion_value, r2.criterion_value
+    return c_optimal(model, (1.0, 0.0)).criterion_value, c_optimal(model, (0.0, 1.0)).criterion_value
 
 
 # --- Michaelis-Menten reference tables ---------------------------------------
@@ -502,89 +571,51 @@ def mm_tables(params: MMParams, eps_list: Sequence[float],
         if kind not in MM_CRITERIA:
             raise ValidationError(f"unknown table criterion {kind!r}; choose from {MM_CRITERIA}")
 
-    design_rows: list[MMDesignRow] = []
-    eff_rows: list[MMEfficiencyRow] = []
+    design_rows, eff_rows = [], []
 
     for eps in eps_list:
         p_eps = replace(params, eps=float(eps))
         model = mm_model(p_eps)
-        at_zero_floor = p_eps.space().lo == 0.0
-        refs = sa_references(model, weight_tolerance=weight_tolerance)
+        refs = sa_references(model)
 
         evaluators = {k: CriterionSpec(k, sa_refs=refs if k == "SA" else None) for k in MM_CRITERIA}
         designs: dict[str, Design | None] = {}
         for kind in criteria:
             if kind == "D":
                 designs[kind] = mm_d_optimal(p_eps)
-            elif kind in ("EM", "R2") and compat and at_zero_floor:
+            elif kind in ("EM", "R2") and compat and p_eps.space().lo == 0.0:
                 designs[kind] = None
             else:
                 designs[kind] = optimize_design(OptimizeRequest(
                     model=model, criterion=evaluators[kind],
                     weight_tolerance=weight_tolerance)).design
 
-        stars: dict[str, float | None] = {}
-        for kind in criteria:
-            d = designs[kind]
-            stars[kind] = None if d is None else criterion_value(fim(model, d), evaluators[kind])
-
+        stars = {k: None if designs[k] is None else criterion_value(fim(model, designs[k]), evaluators[k])
+                 for k in criteria}
         for kind in criteria:
             d = designs[kind]
             if d is None:
-                design_rows.append(MMDesignRow(eps=float(eps), criterion=kind,
-                                               a=0.0, p=1.0, design=None, collapsed=True))
-                cells = {k: (1.0 if k == kind else None) for k in MM_CRITERIA}
-                eff_rows.append(MMEfficiencyRow(
-                    eps=float(eps), criterion=kind,
-                    eff_d=cells["D"], eff_sa=cells["SA"], eff_r=cells["R"],
-                    eff_em=cells["EM"], eff_r2=cells["R2"], r2=None))
-                continue
-
-            x_lo, w_lo = d.points[0]
-            design_rows.append(MMDesignRow(
-                eps=float(eps), criterion=kind,
-                a=x_lo / p_eps.K, p=w_lo, design=d, collapsed=False))
-
-            m = fim(model, d)
-            def eff(col: str) -> float | None:
-                star = stars.get(col)
-                if star is None or col not in criteria:
-                    return None
-                val = criterion_value(m, evaluators[col])
-                if not math.isfinite(val) or val <= 0.0:
-                    return None
-                return star / val
-
-            r2_val = criterion_value(m, evaluators["R2"])
-            eff_rows.append(MMEfficiencyRow(
-                eps=float(eps), criterion=kind,
-                eff_d=eff("D"), eff_sa=eff("SA"), eff_r=eff("R"),
-                eff_em=eff("EM"), eff_r2=eff("R2"),
-                r2=r2_val if math.isfinite(r2_val) else None))
+                design_rows.append(MMDesignRow(float(eps), kind, 0.0, 1.0, None, True))
+                effs, r2 = [1.0 if k == kind else None for k in MM_CRITERIA], None
+            else:
+                (x_lo, w_lo), m = d.points[0], fim(model, d)
+                design_rows.append(MMDesignRow(float(eps), kind, x_lo / p_eps.K, w_lo, d, False))
+                vals = {k: criterion_value(m, evaluators[k]) for k in MM_CRITERIA}
+                # MMEfficiencyRow's eff_* fields follow MM_CRITERIA's order.
+                effs = [stars[k] / vals[k] if stars.get(k) is not None and 0.0 < vals[k] < math.inf
+                        else None for k in MM_CRITERIA]
+                r2 = vals["R2"] if math.isfinite(vals["R2"]) else None
+            eff_rows.append(MMEfficiencyRow(float(eps), kind, *effs, r2))
 
     return MMTables(designs=tuple(design_rows), efficiencies=tuple(eff_rows))
 
 
-def _fmt2(v: float | None) -> str:
-    if v is None:
-        return ""
-    r = round(v, 2)
-    if r == 0.0:
-        r = 0.0
-    return f"{r:.2f}"
-
-
 def mm_designs_csv(tables: MMTables) -> str:
-    lines = ["eps,criterion,a,p"]
-    for row in tables.designs:
-        lines.append(f"{row.eps:g},{row.criterion},{_fmt2(row.a)},{_fmt2(row.p)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(["eps,criterion,a,p", *(f"{r.eps:g},{r.criterion},{_fmt(r.a, 2)},{_fmt(r.p, 2)}"
+                                             for r in tables.designs)]) + "\n"
 
 
 def mm_efficiencies_csv(tables: MMTables) -> str:
-    lines = ["eps,criterion,Eff_D,Eff_SA,Eff_R,Eff_EM,Eff_r2,r2"]
-    for row in tables.efficiencies:
-        cells = [_fmt2(row.eff_d), _fmt2(row.eff_sa), _fmt2(row.eff_r),
-                 _fmt2(row.eff_em), _fmt2(row.eff_r2), _fmt2(row.r2)]
-        lines.append(f"{row.eps:g},{row.criterion}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join(["eps,criterion,Eff_D,Eff_SA,Eff_R,Eff_EM,Eff_r2,r2", *(
+        f"{r.eps:g},{r.criterion}," + ",".join(_fmt(v, 2) for v in astuple(r)[2:])
+        for r in tables.efficiencies)]) + "\n"

@@ -40,9 +40,10 @@ from .criteria import (_D, _R, _R2, CriterionSpec, _correlation, _criterion, cor
                        criterion_values_raw, phi_d, phi_r)
 from .designs import Design, Model, _is_singular, fim, fim_entries
 from .errors import OptimizationError, SingularDesignError, ValidationError
-from .optimize import OptimizeRequest, OptimizeResult, optimize_design
+from .optimize import OptimizeRequest, optimize_design
 
 TIE_TOL = 1e-12
+SWEEP_HEADER = "p,phi_D,phi_R,phi_r2,corr"
 _MIN_BLOCK = 4096  # attempts per sampling block, at least
 
 
@@ -141,7 +142,7 @@ def evaluate_front_points(model: Model, designs: Sequence[Design],
     """Efficiencies and squared correlation for each design, dominance flags unset."""
     m = np.empty((3, len(designs)))
     sizes = np.array([d.support_size for d in designs], dtype=int)
-    for k in np.unique(sizes).tolist():
+    for k in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == k)
         pts = np.array([designs[i].points for i in rows.tolist()], dtype=float)
         m[:, rows] = fim_entries(model, pts[:, :, 0], pts[:, :, 1])
@@ -224,11 +225,13 @@ def front_csv(points: Sequence[FrontPoint], x_scale: float = 1.0) -> str:
     a is the lower support point divided by x_scale (pass K to get K-units),
     p the mass it carries.
     """
-    lines = ["eff_D,eff_R,p,a,r2"]
-    for p in points:
-        x_lo, w_lo = p.design.points[0]
-        lines.append(f"{p.eff_d!r},{p.eff_r!r},{w_lo!r},{x_lo / x_scale!r},{p.r2!r}")
-    return "\n".join(lines) + "\n"
+    return _csv("eff_D,eff_R,p,a,r2", ((p.eff_d, p.eff_r, p.design.points[0][1],
+                                         p.design.points[0][0] / x_scale, p.r2) for p in points))
+
+
+def _csv(header: str, rows) -> str:
+    """CSV of rows of floats, each written as its repr."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -254,23 +257,17 @@ def compound_sweep(model: Model, lam_grid: Sequence[float], phi_d_star: float,
     for lam in lam_grid:
         if not 0.0 <= lam <= 1.0:
             raise ValidationError(f"lambda grid must lie in [0, 1], got {lam}")
-        spec = CriterionSpec("COMPOUND", lam=float(lam),
-                             phi_d_star=phi_d_star, phi_r_star=phi_r_star)
-        res: OptimizeResult = optimize_design(OptimizeRequest(
-            model=model, criterion=spec, weight_tolerance=weight_tolerance))
+        spec = CriterionSpec("COMPOUND", lam=float(lam), phi_d_star=phi_d_star, phi_r_star=phi_r_star)
+        res = optimize_design(OptimizeRequest(model=model, criterion=spec, weight_tolerance=weight_tolerance))
         m = fim(model, res.design)
-        rows.append(CompoundSweepRow(
-            lam=float(lam), design=res.design, value=res.criterion_value,
-            eff_d=phi_d_star / phi_d(m), eff_r=phi_r_star / phi_r(m),
-            corr=correlation(m)))
+        rows.append(CompoundSweepRow(float(lam), res.design, res.criterion_value, phi_d_star / phi_d(m),
+                                     phi_r_star / phi_r(m), correlation(m)))
     return rows
 
 
 def compound_sweep_csv(rows: Sequence[CompoundSweepRow]) -> str:
-    lines = ["lambda,value,eff_D,eff_R,corr"]
-    for r in rows:
-        lines.append(f"{r.lam!r},{r.value!r},{r.eff_d!r},{r.eff_r!r},{r.corr!r}")
-    return "\n".join(lines) + "\n"
+    return _csv("lambda,value,eff_D,eff_R,corr",
+                ((r.lam, r.value, r.eff_d, r.eff_r, r.corr) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -282,18 +279,10 @@ class SweepRow:
     corr: float
 
 
-def criterion_sweep(model: Model, a_fixed: float, p_grid: Sequence[float]) -> list[SweepRow]:
-    """Criterion values of the designs {x_lo: p, hi: 1-p} as the mass p varies.
-
-    x_lo is a_fixed, interpreted in K-units for the Michaelis-Menten model
-    (matching how its design spaces are specified) and in raw units otherwise.
-    The upper point is the top of the design space.  Every row satisfies the
-    identity phi_R^2 = phi_D^2 / (1 - phi_r2).
-    """
-    if model.name == "michaelis_menten" and model.nominal_params is not None:
-        x_lo = a_fixed * model.nominal_params[1]
-    else:
-        x_lo = a_fixed
+def _sweep_columns(model: Model, a_fixed: float, p_grid: Sequence[float]) -> list[list[float]]:
+    """The columns p, phi_D, phi_R, phi_r2 and corr of ``criterion_sweep``."""
+    mm = model.name == "michaelis_menten" and model.nominal_params is not None
+    x_lo = a_fixed * model.nominal_params[1] if mm else a_fixed
     if not model.space.contains(x_lo):
         raise ValidationError(f"fixed point {x_lo} outside the design space")
     x_hi = model.space.hi
@@ -305,15 +294,27 @@ def criterion_sweep(model: Model, a_fixed: float, p_grid: Sequence[float]) -> li
     ps = [float(p) for p in p_grid]
     xs = np.tile([model.space.clip(x_lo), x_hi], (len(ps), 1))
     m11, m12, m22 = fim_entries(model, xs, _masses(np.array(ps)))
-    values = (*_head_criteria(m11, m12, m22), _correlation(m11, m12, m22))
-    return [SweepRow(p_i, *row) for p_i, row in zip(ps, zip(*(v.tolist() for v in values)))]
+    return [ps, *(v.tolist() for v in (*_head_criteria(m11, m12, m22), _correlation(m11, m12, m22)))]
+
+
+def criterion_sweep(model: Model, a_fixed: float, p_grid: Sequence[float]) -> list[SweepRow]:
+    """Criterion values of the designs {x_lo: p, hi: 1-p} as the mass p varies.
+
+    x_lo is a_fixed, interpreted in K-units for the Michaelis-Menten model
+    (matching how its design spaces are specified) and in raw units otherwise.
+    The upper point is the top of the design space.  Every row satisfies the
+    identity phi_R^2 = phi_D^2 / (1 - phi_r2).
+    """
+    return [SweepRow(*row) for row in zip(*_sweep_columns(model, a_fixed, p_grid))]
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    lines = ["p,phi_D,phi_R,phi_r2,corr"]
-    for r in rows:
-        lines.append(f"{r.p!r},{r.phi_d!r},{r.phi_r!r},{r.phi_r2!r},{r.corr!r}")
-    return "\n".join(lines) + "\n"
+    return _csv(SWEEP_HEADER, ((r.p, r.phi_d, r.phi_r, r.phi_r2, r.corr) for r in rows))
+
+
+def criterion_sweep_csv(model: Model, a_fixed: float, p_grid: Sequence[float]) -> str:
+    """``sweep_csv(criterion_sweep(...))``, formatted straight from the columns."""
+    return _csv(SWEEP_HEADER, zip(*_sweep_columns(model, a_fixed, p_grid)))
 
 
 def has_mutually_nondominated_rows(rows: Sequence[SweepRow]) -> bool:

@@ -4,22 +4,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import optdesign.cli as cli_module
+from optdesign import CriterionSpec, OptimizeRequest, optimize_design
 from optdesign.cli import (
     EXIT_BEST_FOUND,
     EXIT_ERROR,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    _reference_stars,
     build_parser,
     main,
 )
+from optdesign.mm import MMParams, mm_model
+from optdesign.slr import SlrInterval
 
 
 def run(capsys, *argv):
@@ -234,6 +241,51 @@ class TestParetoAndSweep:
         last = lines[2].split(",")
         assert abs(float(first[2]) - 1.0) < 1e-6   # eff_D at lambda 0
         assert abs(float(last[3]) - 1.0) < 1e-6    # eff_R at lambda 1
+
+
+def searched_stars(model):
+    return tuple(optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec(kind))).criterion_value
+                 for kind in ("D", "R"))
+
+
+class TestReferenceStars:
+    def test_slr_closed_forms_equal_the_search(self):
+        rng = np.random.default_rng(21)
+        intervals = [(0.0, 3.0), (-2.5, 0.0), (-1.3, 4.2), (-2.0, 2.0)] + [
+            (a, a + float(rng.uniform(0.5, 6.0))) for a in rng.uniform(-5.0, 4.0, 30).tolist()]
+        for a, b in intervals:
+            interval = SlrInterval(a, b)
+            stars = _reference_stars(interval.model(), interval, 1e-8)
+            for got, want in zip(stars, searched_stars(interval.model())):
+                assert math.isclose(got, want, rel_tol=1e-12), (a, b)
+
+    def test_mm_closed_form_equals_the_search(self):
+        rng = np.random.default_rng(22)
+        for k in range(30):
+            b = float(rng.uniform(0.5, 10.0))
+            cut = b / (2.0 + b)  # the lower D-optimal point, in units of K
+            eps = (0.0, float(rng.uniform(0.0, cut)), float(rng.uniform(cut, 0.9 * b)))[k % 3]
+            params = MMParams(V=float(rng.uniform(1.0, 100.0)), K=float(rng.uniform(1.0, 500.0)),
+                              b=b, eps=eps)
+            model = mm_model(params)
+            for got, want in zip(_reference_stars(model, params, 1e-8), searched_stars(model)):
+                assert math.isclose(got, want, rel_tol=1e-12), params
+
+    @pytest.mark.parametrize("name, searched", [("slr", []), ("mm", ["R"])])
+    def test_searches_only_for_phi_r_on_mm(self, monkeypatch, name, searched):
+        calls = []
+
+        def counted(request):
+            calls.append(request.criterion.kind)
+            return optimize_design(request)
+        monkeypatch.setattr(cli_module, "optimize_design", counted)
+        if name == "slr":
+            params = SlrInterval(-1.3, 4.2)
+            _reference_stars(params.model(), params, 1e-8)
+        else:
+            params = MMParams(eps=0.5)
+            _reference_stars(mm_model(params), params, 1e-8)
+        assert calls == searched
 
 
 class TestEfficiencyCmd:

@@ -18,12 +18,15 @@ from optdesign import (
 )
 from optdesign.mm import (
     MMParams,
-    k_units,
     mm_d_optimal,
-    mm_d_optimal_is_constrained,
     mm_model,
     mm_regressor,
 )
+
+
+def is_constrained(p: MMParams) -> bool:
+    """The space floor cuts off the unconstrained lower D-optimal point b/(2+b) K."""
+    return p.b / (2.0 + p.b) * p.K < p.space().lo
 
 
 class TestParams:
@@ -99,8 +102,8 @@ class TestDOptimal:
         assert abs(xi.xs[0] - 5 / 7 * p.K) < 1e-9
         assert abs(xi.xs[0] - 162.33) < 0.01
         assert abs(xi.xs[1] - 5 * p.K) < 1e-9
-        assert not mm_d_optimal_is_constrained(p)
-        assert abs(k_units(p, xi.xs[0]) - 0.71) < 0.005
+        assert not is_constrained(p)
+        assert abs(xi.xs[0] / p.K - 0.71) < 0.005  # in units of K
 
     def test_b2_unit_k(self):
         xi = mm_d_optimal(MMParams(V=1.0, K=1.0, b=2.0))
@@ -108,7 +111,7 @@ class TestDOptimal:
 
     def test_constrained_floor(self):
         p = MMParams(b=5.0, eps=1.0)
-        assert mm_d_optimal_is_constrained(p)
+        assert is_constrained(p)
         xi = mm_d_optimal(p)
         assert abs(xi.xs[0] - p.K) < 1e-9
         assert np.allclose(xi.ws, [0.5, 0.5])

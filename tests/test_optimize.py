@@ -528,6 +528,90 @@ class TestCOptimal:
             sa_references(slr_15, 201)
 
 
+def exact_c_value(model: Model, design, c) -> float:
+    """c^T M^-1 c as sums of squares, free of the cancellation of det M near a
+    singular design: c^T adj(M) c = sum_i w_i (c x f_i)^2 and, by Cauchy-Binet,
+    det M = sum_{i<j} w_i w_j (f_i x f_j)^2."""
+    F = np.asarray(model.regressor(np.asarray(design.xs)), dtype=float)
+    w = np.asarray(design.ws)
+    cross = lambda p, q: p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]  # noqa: E731
+    det = sum(w[i] * w[j] * cross(F[i], F[j]) ** 2
+              for i in range(len(w)) for j in range(i + 1, len(w)))
+    return float(np.sum(w * cross(np.asarray(c, dtype=float), F) ** 2) / det)
+
+
+def random_c_problems(kind: str, seed: int, n: int):
+    """n (model, c) pairs: random SLR intervals or MM models, c standard normal."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        if kind == "slr":
+            a = float(rng.uniform(-5.0, 4.0))
+            model = slr_model(DesignSpace(a, a + float(rng.uniform(0.5, 6.0))))
+        else:
+            b = float(rng.uniform(0.5, 10.0))
+            model = mm_model(MMParams(V=float(rng.uniform(1.0, 100.0)), K=float(rng.uniform(1.0, 500.0)),
+                                      b=b, eps=float(rng.uniform(0.0, 0.9 * b)) * rng.integers(2)))
+        yield model, tuple(rng.normal(size=2).tolist())
+
+
+class TestElfving:
+    @pytest.mark.parametrize("kind", ["slr", "mm"])
+    def test_dual_certificate(self, kind):
+        for model, c in random_c_problems(kind, 11, 30):
+            res = c_optimal(model, c)
+            u = np.array(res.u)
+            assert abs(u @ np.array(c) - 1.0) <= 1e-12
+            g = np.abs(np.asarray(model.regressor(model.space.grid(1000))) @ u)
+            assert np.max(g) <= res.gamma * (1.0 + 1e-12)
+            assert math.isclose(res.criterion_value, res.gamma ** -2, rel_tol=1e-12)
+            assert res.label == "certified"
+
+    def test_slr_closed_forms_off_zero(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            lo, hi = np.sort(rng.uniform(0.01, 6.0, 2)) * rng.choice([-1.0, 1.0])
+            a, b = min(lo, hi), max(lo, hi)
+            model = slr_model(DesignSpace(a, b))
+            assert math.isclose(c_optimal(model, (0.0, 1.0)).criterion_value, 4.0 / (b - a) ** 2,
+                                rel_tol=1e-12)
+            assert math.isclose(c_optimal(model, (1.0, 0.0)).criterion_value,
+                                ((abs(a) + abs(b)) / (b - a)) ** 2, rel_tol=1e-12)
+
+    def test_one_point_optima_give_the_singleton_value(self):
+        slr = slr_model(DesignSpace(-1.0, 1.0))
+        at_zero = phi_c(fim(slr, make_design([(0.0, 1.0)], slr.space)), (1.0, 0.0))
+        res = c_optimal(slr, (1.0, 0.0))
+        assert math.isclose(res.criterion_value, at_zero, rel_tol=1e-12)
+        assert res.design.support_size == 2  # a non-singular optimum wins the tie
+        mm = PINNED_MODELS["mm"]
+        for x0 in (241.474375, 624.9925, mm.space.hi):
+            c = tuple(1.7 * np.asarray(mm.regressor(np.array([x0])))[0])
+            res = c_optimal(mm, c)
+            assert res.design.support_size == 1 and res.label == "certified"
+            assert math.isclose(res.design.xs[0], x0, rel_tol=1e-12)
+            assert math.isclose(res.criterion_value,
+                                phi_c(fim(mm, make_design([(x0, 1.0)], mm.space)), c), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["slr", "mm"])
+    def test_never_worse_than_the_search(self, kind):
+        # The search's value is taken at its design without cancellation: near a
+        # singular design phi_c's det carries rounding that has read up to 1e-5
+        # below the optimum.
+        for model, c in random_c_problems(kind, 13, 30):
+            found = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("C", c=c)))
+            bound = exact_c_value(model, found.design, c) * (1.0 + 1e-12)
+            assert c_optimal(model, c).criterion_value <= bound
+
+    @pytest.mark.parametrize("name", ["slr", "mm"])
+    def test_sa_references_match_the_recorded_ones_without_a_search(self, name, monkeypatch):
+        def no_search(request):
+            raise AssertionError("sa_references ran optimize_design")
+        monkeypatch.setattr(optimize_module, "optimize_design", no_search)
+        refs = sa_references(PINNED_MODELS[name])
+        for got, recorded in zip(refs, PINNED_SPECS[name]["SA"].sa_refs):
+            assert math.isclose(got, recorded, rel_tol=1e-12)
+
+
 @pytest.fixture(scope="module")
 def tables():
     return mm_tables(MMParams(), eps_list=[0.0, 0.5], compat=True)
