@@ -26,8 +26,6 @@ from .criteria import (
     DerivativeReport,
     correlation,
     criterion_value,
-    dd_d,
-    dd_r,
     derivative_report,
     directional_derivative,
     efficiency,

@@ -110,10 +110,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(obj: dict) -> "RunConfig":
-        return RunConfig(**obj)
-
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"

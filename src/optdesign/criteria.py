@@ -325,16 +325,6 @@ def directional_derivative(model: Model, design: Design, x: float, spec: Criteri
     return float(_dd_arrays(m, F, spec)[0])
 
 
-def dd_d(model: Model, design: Design, x: float) -> float:
-    """Directional derivative of phi_D toward the one-point design at x."""
-    return directional_derivative(model, design, x, CriterionSpec("D"))
-
-
-def dd_r(model: Model, design: Design, x: float) -> float:
-    """Directional derivative of phi_R toward the one-point design at x."""
-    return directional_derivative(model, design, x, CriterionSpec("R"))
-
-
 @dataclass(frozen=True)
 class DerivativeReport:
     """Directional derivative sampled on a grid, for equivalence-theorem checks."""

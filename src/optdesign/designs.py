@@ -94,9 +94,6 @@ class Design:
     def support_size(self) -> int:
         return len(self.points)
 
-    def mean_x(self) -> float:
-        return float(sum(x * w for x, w in self.points))
-
 
 @dataclass(frozen=True)
 class Model:

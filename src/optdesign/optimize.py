@@ -8,9 +8,10 @@ with a directional-derivative certificate on a fine grid; the non-convex
 criteria (squared correlation and condition number, which carry no
 equivalence theorem) are labeled best-found.
 
-One row solver, a bracketed secant driving a slope to 0 on many rows at
-once, serves masses and points.  A mass splits two points; three or four
-points get their weights by cyclic pairwise transfers, each such a solve.
+A mass splits two points.  For D, C, SA, EM, r^2 and CPB it is exact, one
+weight per point.  Every other solve is one row solver, a bracketed secant
+driving a slope to 0 on many rows at once: the masses of R and COMPOUND, the
+cyclic pairwise transfers that weigh three or four points, and the points.
 By the envelope theorem, at optimal weights the criterion's derivative in a
 support point x_j is its slope along w_j (f' f^T + f f'^T)(x_j): the polish
 cycles the coordinates of all candidates (as rows of arrays), each
@@ -91,6 +92,22 @@ class OptimizeResult:
     label: str  # "certified" or "best-found"
 
 
+# g(f) of the exact mass g_b / (g_a + g_b) at point a of a closed pair, where
+# det M = w (1 - w) (f_a x f_b)^2, from a point's entries (f1^2, f1 f2, f2^2).
+# R's mass is a cubic root and COMPOUND has none.  C: |c x f|, Elfving's weights,
+# with f = (|f1|, sign(f1 f2) |f2|), free of the cancellation in the sum of the
+# entries weighted (c2^2, -2 c1 c2, c1^2).  R2 and CPB: m12 = 0 where the signs
+# of f1 f2 differ, else the stationary point.
+_SPLIT_WEIGHT = {
+    "D": lambda s, o11, o12, o22: np.ones_like(o11),
+    "C": lambda s, o11, o12, o22: np.abs(s.c[0] * np.copysign(np.sqrt(o22), o12) - s.c[1] * np.sqrt(o11)),
+    "SA": lambda s, o11, o12, o22: np.sqrt(o22 / s.sa_refs[0] + o11 / s.sa_refs[1]),
+    "EM": lambda s, o11, o12, o22: o11 + o22,
+    "R2": lambda s, o11, o12, o22: np.abs(o12),
+    "CPB": lambda s, o11, o12, o22: np.abs(o12),
+}
+
+
 def _outer3(f: np.ndarray) -> np.ndarray:
     """(..., 2) regressor values -> (..., 3) outer-product entries (f1^2, f1 f2, f2^2)."""
     return np.stack([f[..., 0] ** 2, f[..., 0] * f[..., 1], f[..., 1] ** 2], axis=-1)
@@ -167,13 +184,19 @@ def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray, tol: float,
     """Optimal mass w at the first point of each row's two-point support.
 
     Oa and Ob hold the (n, 3) outer-product entries of the two points; at mass
-    w the matrix is Ob + w (Oa - Ob).  ``_zero_slope`` drives the criterion's
-    slope along Oa - Ob to 0 from w0 (default 1/2).  The masses 0 and 1 are
-    one-point designs, singular, unless ``open_ends`` (a pairwise transfer,
-    where Oa and Ob carry the other points too).  Returns (w, value).
+    w the matrix is Ob + w (Oa - Ob).  The masses 0 and 1 are one-point designs,
+    singular, unless ``open_ends`` (a pairwise transfer, where Oa and Ob carry
+    the other points too).  A closed pair takes its ``_SPLIT_WEIGHT`` split, kept
+    tol/2 inside (0, 1) as a secant's bracket keeps it; otherwise ``_zero_slope``
+    drives the slope along Oa - Ob to 0 from w0 (default 1/2).  Returns (w, value).
     """
     base, direction = Ob.T.copy(), (Oa - Ob).T.copy()  # (3, n): m11, m12, m22
     n = len(Oa)
+    split = None if open_ends else _SPLIT_WEIGHT.get(spec.kind)
+    if split is not None:
+        ga, gb = split(spec, *Oa.T), split(spec, *Ob.T)
+        w = np.divide(gb, ga + gb, out=np.full(n, 0.5), where=ga + gb > 0.0).clip(0.5 * tol, 1.0 - 0.5 * tol)
+        return w, criterion_values_raw(spec, *(base + w * direction))
 
     def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
         d = direction[:, rows]
@@ -186,9 +209,8 @@ def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray, tol: float,
 
 def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float, W0: np.ndarray | None = None,
                      **sweeps) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal weights (n, k) and criterion values (n,) of the n supports whose
-    points have the outer-product entries O (n, k, 3), started from W0 if given;
-    keyword options (``max_sweeps``) pass on to ``_best_weights_k`` for 3 or 4 points."""
+    """Optimal weights (n, k) and values (n,) of n supports with outer-product entries
+    O (n, k, 3), from W0 if given; ``max_sweeps`` passes on to ``_best_weights_k``."""
     if O.shape[1] == 2:
         w, v = _best_mass(spec, O[:, 0], O[:, 1], tol, None if W0 is None else W0[:, 0])
         return np.stack([w, 1.0 - w], axis=1), v
@@ -230,12 +252,8 @@ def _best_weights_k(spec: CriterionSpec, O: np.ndarray, tol: float,
 
 def optimize_weights(model: Model, support: Sequence[float], criterion: CriterionSpec,
                      tol: float = 1e-8) -> np.ndarray:
-    """Optimal simplex weights for a fixed support.
-
-    Two points: a bracketed secant on the criterion's slope in the mass split.
-    Three or four points: cyclic pairwise transfers between the points, each
-    one such two-point solve.
-    """
+    """Optimal simplex weights for a fixed support: one mass solve for two points,
+    cyclic pairwise transfers between the points for three or four."""
     xs = np.asarray(sorted(float(x) for x in support), dtype=float)
     if len(xs) < 2:
         raise ValidationError("optimize_weights needs at least two support points")
@@ -291,12 +309,13 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
     def slope(F: np.ndarray, dF: np.ndarray, W: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
         # A continuum of designs may reach r = 0 or EM = 1, where the slope is
         # only rounding and weight error.  A row at the infimum (r = 0 to the
-        # rounding of m12; EM - 1 within wtol, as EM grows linearly off its
-        # kink at 1) cannot be beaten, so all rows stop.
+        # rounding of a nonzero sum_i w_i |f1 f2|; EM - 1 within wtol, as EM grows
+        # linearly off its kink at 1) cannot be beaten, so all rows stop.
         nonlocal done
         if spec.kind == "R2":
             f12 = W * F[:, :, 0] * F[:, :, 1]
-            done |= bool(np.any(np.abs(f12.sum(axis=1)) <= M12_ROUNDING * np.abs(f12).sum(axis=1)))
+            scale = np.abs(f12).sum(axis=1)
+            done |= bool(np.any((np.abs(f12.sum(axis=1)) <= M12_ROUNDING * scale) & (scale > 0.0)))
         elif spec.kind == "EM":
             done |= bool(np.any(V - 1.0 <= wtol))
         # Weights resolved to wtol leave V's slope uncertain by about wtol V / width; the

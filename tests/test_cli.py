@@ -441,4 +441,4 @@ class TestConfig:
         cfg = RunConfig(command="optimal", model="slr",
                         model_params={"a": 1.0, "b": 5.0}, criterion="R",
                         criterion_params={}, options={"grid": 201}, output=None, seed=3)
-        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert RunConfig(**json.loads(json.dumps(cfg.to_dict()))) == cfg

@@ -16,8 +16,6 @@ from optdesign import (
     ValidationError,
     correlation,
     criterion_value,
-    dd_d,
-    dd_r,
     derivative_report,
     directional_derivative,
     efficiency,
@@ -224,25 +222,26 @@ class TestDirectionalDerivatives:
             iv = SlrInterval(a, b)
             model = iv.model()
             xi = d_optimal_slr(iv)
-            assert abs(dd_d(model, xi, a)) <= 1e-9
-            assert abs(dd_d(model, xi, b)) <= 1e-9
+            assert abs(directional_derivative(model, xi, a, CriterionSpec("D"))) <= 1e-9
+            assert abs(directional_derivative(model, xi, b, CriterionSpec("D"))) <= 1e-9
 
     def test_dd_d_interior_value(self):
         iv = SlrInterval(-1.0, 1.0)
         model = iv.model()
         # M = I, phi_D = 1; dd at 0 is (1/2)(2 - f M^-1 f) = 0.5
-        assert math.isclose(dd_d(model, d_optimal_slr(iv), 0.0), 0.5, rel_tol=1e-12)
+        dd = directional_derivative(model, d_optimal_slr(iv), 0.0, CriterionSpec("D"))
+        assert math.isclose(dd, 0.5, rel_tol=1e-12)
 
     def test_dd_r_zero_at_r_optimal_support(self):
         iv = SlrInterval(1.0, 5.0)
         model = iv.model()
         xi = r_optimal_slr(iv)
-        assert abs(dd_r(model, xi, 1.0)) <= 1e-6
-        assert abs(dd_r(model, xi, 5.0)) <= 1e-6
+        assert abs(directional_derivative(model, xi, 1.0, CriterionSpec("R"))) <= 1e-6
+        assert abs(directional_derivative(model, xi, 5.0, CriterionSpec("R"))) <= 1e-6
 
     def test_dd_r_positive_inside_symmetric_interval(self):
         iv = SlrInterval(-2.0, 2.0)
-        assert dd_r(iv.model(), r_optimal_slr(iv), 0.0) > 0.0
+        assert directional_derivative(iv.model(), r_optimal_slr(iv), 0.0, CriterionSpec("R")) > 0.0
 
     @pytest.mark.parametrize("kind", ["D", "R", "C", "SA", "COMPOUND"])
     def test_matches_finite_difference_quotient(self, kind):
@@ -295,7 +294,7 @@ class TestDirectionalDerivatives:
     def test_singular_design_rejected(self, slr_15):
         one_pt = make_design([(2.0, 1.0)], slr_15.space)
         with pytest.raises(SingularDesignError):
-            dd_d(slr_15, one_pt, 3.0)
+            directional_derivative(slr_15, one_pt, 3.0, CriterionSpec("D"))
 
     def test_report_internal_consistency(self, slr_15):
         iv = SlrInterval(1.0, 5.0)

@@ -283,11 +283,12 @@ def test_batched_k_point_weights_match_row_by_row(kind, n_support):
 
 
 class TestGoldenMass:
-    # The two-point mass solver against closed forms.  It zeroes the slope, so
-    # its precision is set by rounding in the slope, not in the value: on the
-    # badly scaled MM regressor (columns about tenfold apart), and on the close
-    # pair (0.06K, 0.07K) above all, a search that compares criterion values
-    # misses these masses by up to 1.5e-6.
+    # The two-point mass solver against closed forms.  A closed pair of D, C,
+    # SA, EM, R2 or CPB takes its exact split; the other masses come from a
+    # secant that zeroes the slope, so its precision is set by rounding in the
+    # slope, not in the value: on the badly scaled MM regressor (columns about
+    # tenfold apart), and on the close pair (0.06K, 0.07K) above all, a search
+    # that compares criterion values misses these masses by up to 1.5e-6.
     SUPPORTS = np.array([(-1.0, 1.0), (0.3, 4.0), (-2.5, -0.1), (-3.0, 5.0)])
     MM_SUPPORTS = 227.27 * np.array([(0.06, 0.07), (0.1, 5.0), (0.5, 5.0), (0.71, 5.0),
                                      (0.06, 1.0)])
@@ -331,6 +332,55 @@ class TestGoldenMass:
         # on the close pair, so only the mass is checked to the tolerance.
         self.check_c_mass(*self.mm_rows(), c)
 
+    def random_rows(self, model_name, n=24):
+        model = PINNED_MODELS[model_name]
+        rng = np.random.default_rng(20260812)
+        return self.rows(model, np.sort(rng.uniform(model.space.lo, model.space.hi, (n, 2)), axis=1))
+
+    @pytest.mark.parametrize("model_name", list(PINNED_MODELS))
+    @pytest.mark.parametrize("kind", ["D", "C", "SA", "EM", "R2", "CPB"])
+    def test_exact_mass_beats_grid_and_secant(self, model_name, kind):
+        spec = PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
+        _, O = self.random_rows(model_name)
+        w, vals = _best_mass(spec, O[:, 0], O[:, 1], self.TOL)
+        _, secant = _best_mass(spec, O[:, 0], O[:, 1], self.TOL, open_ends=True)
+        assert np.all(np.isfinite(vals)) and np.all((0.0 < w) & (w < 1.0))
+        assert np.all(vals <= secant * (1.0 + 1e-12))
+        grid = np.linspace(0.0, 1.0, 100_001)
+        for Oa, Ob, v in zip(O[:, 0], O[:, 1], vals):
+            on_grid = criterion_values_raw(spec, *(Ob[:, None] + grid * (Oa - Ob)[:, None]))
+            assert v <= on_grid.min() * (1.0 + 1e-12)
+
+    def test_r2_mass_zeroes_m12_across_a_sign_change(self):
+        # On SLR f1 f2 = x: a pair on both sides of 0 reaches m12 = 0.
+        F, O = self.random_rows("slr", n=200)
+        across = F[:, 0, 0] * F[:, 0, 1] * F[:, 1, 0] * F[:, 1, 1] < 0.0
+        assert np.count_nonzero(across) >= 20
+        for kind in ("R2", "CPB"):
+            w, vals = _best_mass(CriterionSpec(kind), O[across, 0], O[across, 1], self.TOL)
+            m11, m12, m22 = (O[across, 1] + w[:, None] * (O[across, 0] - O[across, 1])).T
+            scale = w * np.abs(O[across, 0, 1]) + (1.0 - w) * np.abs(O[across, 1, 1])
+            assert np.all(np.abs(m12) <= 4.0 * np.finfo(float).eps * scale)
+            r2 = vals if kind == "R2" else vals * vals
+            assert np.allclose(r2, m12 * m12 / (m11 * m22), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["D", "C", "SA", "EM", "R2", "CPB"])
+    def test_zero_information_point_keeps_mass_inside(self, kind):
+        # MM's regressor vanishes at x = 0.  An exact split of 1 there would
+        # give M = 0, which once stopped every row of the R2 polish.
+        model = mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.0))
+        spec = PINNED_SPECS["mm"].get(kind) or CriterionSpec(kind)
+        _, O = self.rows(model, np.array([(0.0, 0.3 * 227.27), (0.0, 5.0 * 227.27)]))
+        w, vals = _best_mass(spec, O[:, 0], O[:, 1], self.TOL)
+        assert np.all((0.0 < w) & (w < 1.0)) and np.all(np.isinf(vals))
+
+
+def test_mm_r2_at_zero_floor_is_not_stopped_by_a_zero_matrix():
+    # With M = 0 counted as r = 0, 2-point R2 stopped at 0.5419.
+    model = mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.0))
+    res = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R2")))
+    assert res.criterion_value < 0.4904
+
 
 @pytest.mark.parametrize("kind", list(PINNED_VALUES["slr"]))
 def test_stage1_heap_peak(kind):
@@ -348,14 +398,12 @@ def test_stage1_heap_peak(kind):
         assert peak <= 4e6, n_support
 
 
-# criterion_values_raw calls of each PINNED_VALUES call, as recorded for the
-# slope polish of the support points.  Before it (coordinate moves with step
-# halving and cold weight solves) they were: slr D 381, R 353, R2 197, C 595,
-# SA 322, EM 621, CPB 197, COMPOUND 313; mm D 441, R 295, R2 495, C 486,
-# SA 300, EM 938, CPB 495, COMPOUND 258.
+# criterion_values_raw calls of each PINNED_VALUES call, as recorded with the
+# slope polish of the support points and the exact two-point masses; a call
+# may make 20% more.
 KERNEL_CALLS = {
-    "slr": {"D": 28, "R": 63, "R2": 101, "C": 77, "SA": 63, "EM": 136, "CPB": 101, "COMPOUND": 57},
-    "mm": {"D": 63, "R": 128, "R2": 69, "C": 135, "SA": 126, "EM": 95, "CPB": 69, "COMPOUND": 108},
+    "slr": {"D": 14, "R": 39, "R2": 4, "C": 14, "SA": 14, "EM": 12, "CPB": 4, "COMPOUND": 36},
+    "mm": {"D": 36, "R": 103, "R2": 14, "C": 40, "SA": 38, "EM": 14, "CPB": 14, "COMPOUND": 95},
 }
 
 
@@ -482,7 +530,7 @@ class TestCOptimal:
         model = slr_model(DesignSpace(-1.0, 1.0))
         res = c_optimal(model, (1.0, 0.0))
         assert abs(res.criterion_value - 1.0) < 1e-9
-        assert abs(res.design.mean_x()) < 1e-6
+        assert abs(res.design.xs @ res.design.ws) < 1e-6
 
     def test_brute_force_oracle(self):
         model = slr_model(DesignSpace(-1.0, 1.0))

@@ -95,7 +95,7 @@ class TestClosedFormDesigns:
         iv = SlrInterval(-1, 5)
         xi = r2_optimal_slr(iv)
         assert np.allclose(xi.ws, [5 / 6, 1 / 6], atol=1e-12)
-        assert abs(xi.mean_x()) < 1e-12
+        assert abs(xi.xs @ xi.ws) < 1e-12
         assert abs(correlation(fim(iv.model(), xi))) < 1e-12
         assert not summarize(iv).r2_design_unique
 
@@ -187,7 +187,7 @@ class TestCrossChecks:
             w_neg = x_pos / (x_pos - x_neg)
             xi = make_design([(x_neg, w_neg), (x_pos, 1.0 - w_neg)], model.space)
             m = fim(model, xi)
-            assert abs(xi.mean_x()) < 1e-12
+            assert abs(xi.xs @ xi.ws) < 1e-12
             assert abs(phi_r2(m)) < 1e-20
             assert abs(phi_d(m) - phi_r(m)) <= 1e-10 * phi_d(m)
 
