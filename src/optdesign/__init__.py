@@ -9,12 +9,10 @@ certificates, and Pareto/compound multi-objective tooling, all behind a CLI.
 """
 
 from .designs import (
-    CovQuantities,
     Design,
     DesignSpace,
     InfoMatrix,
     Model,
-    cov_quantities,
     design_from_json,
     design_to_json,
     fim,
@@ -30,7 +28,6 @@ from .criteria import (
     directional_derivative,
     efficiency,
     phi_c,
-    phi_c_pritchard,
     phi_compound,
     phi_d,
     phi_em,

@@ -12,8 +12,10 @@ Options may come from flags or from a JSON config file (--config); flags
 override the file.  The seed (--seed, default OPTDESIGN_SEED) feeds only the
 sampler of `pareto`; `optimal` accepts it and echoes it in its config, and
 no other subcommand accepts it.  The optimizer is
-deterministic.  File outputs are written atomically (write to a temp file,
-then rename); with a fixed seed every run is byte-reproducible.
+deterministic, and no option sets its accuracy: its weight tolerances and the
+certificate's grid are constants (``optimize.WEIGHT_TOL``,
+``criteria.CERTIFICATE_GRID``).  File outputs are written atomically (write
+to a temp file, then rename); with a fixed seed every run is byte-reproducible.
 
 `main(argv)` may be called repeatedly in one process.  The argument parser is
 built on the first call and reused: parsing returns a fresh namespace, every
@@ -29,10 +31,11 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Sequence
 
 from .criteria import (
+    CERTIFICATE_GRID,
     CONVEX_KINDS,
     CriterionSpec,
     correlation,
@@ -42,7 +45,7 @@ from .criteria import (
     phi_r,
     phi_r2,
 )
-from .designs import DesignSpace, Model, design_from_json, design_to_json, fim, slr_model
+from .designs import Design, DesignSpace, Model, design_from_json, design_to_json, fim, slr_model
 from .errors import OptDesignError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
 from .optimize import (
@@ -94,23 +97,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings of one CLI run; JSON round-trips unchanged."""
-
-    command: str
-    model: str | None = None
-    model_params: dict = field(default_factory=dict)
-    criterion: str | None = None
-    criterion_params: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-    output: str | None = None
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w") as fh:
@@ -136,6 +122,16 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     return cfg
+
+
+def _read_design(path: str) -> Design:
+    """The design in a design JSON file; a file that cannot be read or parsed is a usage error."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise UsageError(f"cannot read design {path}: {exc}") from exc
+    return design_from_json(obj)[0]
 
 
 def _setting(args: argparse.Namespace, cfg: dict, name: str, default=None):
@@ -199,7 +195,7 @@ def _build_model(args: argparse.Namespace, cfg: dict) -> tuple[Model, dict, SlrI
     raise UsageError(f"unknown model {name!r}; choose slr or mm")
 
 
-def _result_json(result: OptimizeResult, model: Model, config: RunConfig) -> str:
+def _result_json(result: OptimizeResult, model: Model, config: dict) -> str:
     payload = {
         "design": design_to_json(result.design, model.space),
         "criterion_value": result.criterion_value,
@@ -208,12 +204,12 @@ def _result_json(result: OptimizeResult, model: Model, config: RunConfig) -> str
         "label": result.label,
         "min_dd": None if result.derivative_report is None else result.derivative_report.min_dd,
         "argmin_x": None if result.derivative_report is None else result.derivative_report.argmin_x,
-        "config": config.to_dict(),
+        "config": config,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _reference_stars(model: Model, params: SlrInterval | MMParams, wtol: float) -> tuple[float, float]:
+def _reference_stars(model: Model, params: SlrInterval | MMParams) -> tuple[float, float]:
     """(phi_D*, phi_R*): the optimal D and R values, references of COMPOUND and the efficiencies.
 
     Both come from closed forms on SLR; on MM phi_D* does, and phi_R*, which
@@ -221,13 +217,12 @@ def _reference_stars(model: Model, params: SlrInterval | MMParams, wtol: float) 
     """
     if isinstance(params, SlrInterval):
         return phi_d(fim(model, d_optimal_slr(params))), phi_r(fim(model, r_optimal_slr(params)))
-    r_star = optimize_design(OptimizeRequest(
-        model=model, criterion=CriterionSpec("R"), weight_tolerance=wtol)).criterion_value
+    r_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R"))).criterion_value
     return phi_d(fim(model, mm_d_optimal(params))), r_star
 
 
 def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Model,
-                     params: SlrInterval | MMParams, wtol: float) -> CriterionSpec:
+                     params: SlrInterval | MMParams) -> CriterionSpec:
     kind = kind.upper()
     if kind not in CRITERION_KINDS:
         raise UsageError(f"unknown criterion {kind!r}; choose from {CRITERION_KINDS}")
@@ -246,7 +241,7 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
         lam = _setting(args, cfg, "lam")
         if lam is None:
             raise UsageError("criterion COMPOUND needs --lam in [0, 1]")
-        d_star, r_star = _reference_stars(model, params, wtol)
+        d_star, r_star = _reference_stars(model, params)
         return CriterionSpec("COMPOUND", lam=float(lam), phi_d_star=d_star, phi_r_star=r_star)
     return CriterionSpec(kind)
 
@@ -256,21 +251,17 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
 def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
     model, model_info, params = _build_model(args, cfg)
     seed = _resolve_seed(args, cfg)
-    wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
     kind = _setting(args, cfg, "criterion")
     if kind is None:
         raise UsageError("--criterion is required")
-    spec = _build_criterion(str(kind), args, cfg, model, params, wtol)
+    spec = _build_criterion(str(kind), args, cfg, model, params)
     request = OptimizeRequest(model=model, criterion=spec,
-                              n_support=int(_setting(args, cfg, "n_support", 2)),
-                              weight_tolerance=wtol)
+                              n_support=int(_setting(args, cfg, "n_support", 2)))
     result = optimize_design(request)
-    config = RunConfig(command="optimal", model=model_info["model"], model_params=model_info,
-                       criterion=spec.kind,
-                       criterion_params={"lam": spec.lam,
-                                         "c": None if spec.c is None else list(spec.c)},
-                       options={"n_support": request.n_support},
-                       output=args.output, seed=seed)
+    config = {"command": "optimal", "model": model_info["model"], "model_params": model_info,
+              "criterion": spec.kind,
+              "criterion_params": {"lam": spec.lam, "c": None if spec.c is None else list(spec.c)},
+              "options": {"n_support": request.n_support}, "output": args.output, "seed": seed}
     _emit(_result_json(result, model, config), args.output)
     return EXIT_OK if result.converged else EXIT_BEST_FOUND
 
@@ -292,8 +283,7 @@ def _cmd_table(args: argparse.Namespace, cfg: dict) -> int:
         params = MMParams(V=float(_setting(args, cfg, "V", 43.73)), K=float(_setting(args, cfg, "K", 227.27)),
                           b=float(_setting(args, cfg, "b", 5.0)))
         tables = mm_tables(params, _parse_floats(eps_list),
-                           compat=not bool(_setting(args, cfg, "strict", False)),
-                           weight_tolerance=float(_setting(args, cfg, "weight_tolerance", 1e-8)))
+                           compat=not bool(_setting(args, cfg, "strict", False)))
         text = mm_designs_csv(tables) if name == "mm-designs" else mm_efficiencies_csv(tables)
         _emit(text, args.output)
         return EXIT_OK
@@ -304,8 +294,7 @@ def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
     model, model_info, params = _build_model(args, cfg)
     seed = _resolve_seed(args, cfg)
     n = int(_setting(args, cfg, "n", 1000))
-    wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    d_star, r_star = _reference_stars(model, params, wtol)
+    d_star, r_star = _reference_stars(model, params)
     front = sampled_front(model, n, seed, d_star, r_star)
     x_scale = model.nominal_params[1] if model.name == "michaelis_menten" else 1.0
     _emit(front_csv(front, x_scale=x_scale), args.output)
@@ -321,9 +310,8 @@ def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     kind = str(_setting(args, cfg, "sweep_kind", "criteria"))
     if kind == "compound":
         lam_list = _setting(args, cfg, "lam_list", "0,0.25,0.5,0.75,1")
-        wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-        d_star, r_star = _reference_stars(model, params, wtol)
-        rows = compound_sweep(model, _parse_floats(lam_list), d_star, r_star, weight_tolerance=wtol)
+        d_star, r_star = _reference_stars(model, params)
+        rows = compound_sweep(model, _parse_floats(lam_list), d_star, r_star)
         _emit(compound_sweep_csv(rows), args.output)
         return EXIT_OK
     if a_fixed is None:
@@ -346,21 +334,15 @@ def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
     design_path = _setting(args, cfg, "design")
     if design_path is None:
         raise UsageError("check needs --design FILE (design JSON)")
-    try:
-        with open(design_path) as fh:
-            design, _space = design_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read design {design_path}: {exc}") from exc
-    wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    spec = _build_criterion(kind, args, cfg, model, params, wtol)
-    n_grid = int(_setting(args, cfg, "check_grid", 1000))
-    report = derivative_report(model, design, spec, grid_points=n_grid)
+    design = _read_design(design_path)
+    spec = _build_criterion(kind, args, cfg, model, params)
+    report = derivative_report(model, design, spec)
     value = criterion_value(fim(model, design), spec)
     passed = report.passes(value)
     if args.output is not None:
         _atomic_write(args.output, report.to_csv())
     summary = {"criterion": spec.kind, "criterion_value": value, "min_dd": report.min_dd,
-               "argmin_x": report.argmin_x, "grid_points": n_grid, "certified": passed}
+               "argmin_x": report.argmin_x, "grid_points": CERTIFICATE_GRID, "certified": passed}
     sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if passed else EXIT_ERROR
 
@@ -371,13 +353,10 @@ def _cmd_efficiency(args: argparse.Namespace, cfg: dict) -> int:
     if paths is None:
         raise UsageError("efficiency needs --designs file1[,file2,...]")
     path_list = paths.split(",") if isinstance(paths, str) else list(paths)
-    wtol = float(_setting(args, cfg, "weight_tolerance", 1e-8))
-    d_star, r_star = _reference_stars(model, params, wtol)
+    d_star, r_star = _reference_stars(model, params)
     entries = []
     for path in path_list:
-        with open(path) as fh:
-            design, _space = design_from_json(json.load(fh))
-        m = fim(model, design)
+        m = fim(model, _read_design(path))
         if m.is_singular:
             values = dict.fromkeys(("phi_D", "phi_R", "phi_r2", "corr", "eff_D", "eff_R"))
         else:
@@ -409,7 +388,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument("--weight-tolerance", type=float, default=None)
 
 
 def build_parser() -> _Parser:
@@ -461,7 +439,6 @@ def build_parser() -> _Parser:
     p.add_argument("--criterion", default=None, help="a convex criterion")
     p.add_argument("--c", default=None)
     p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--check-grid", type=int, default=None)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("efficiency", help="criterion values and efficiencies of designs")

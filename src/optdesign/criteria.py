@@ -57,6 +57,8 @@ ALL_KINDS = CONVEX_KINDS | NONCONVEX_KINDS
 
 # Equivalence-theorem violation threshold, scaled by max(1, criterion value).
 EQUIVALENCE_TOL = 1e-6
+# Equispaced points on which the certificate samples the directional derivative.
+CERTIFICATE_GRID = 1000
 
 
 @dataclass(frozen=True)
@@ -257,25 +259,6 @@ def phi_em(m: InfoMatrix) -> float:
     return criterion_value(m, _EM)
 
 
-def phi_c_pritchard(corr_matrix: np.ndarray) -> float:
-    """Root-mean-square off-diagonal correlation of a p x p correlation matrix.
-
-    For p = 2 this reduces to |r12|.
-    """
-    r = np.asarray(corr_matrix, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 2:
-        raise ValidationError(f"need a square correlation matrix with p >= 2, got shape {r.shape}")
-    p = r.shape[0]
-    if not np.allclose(np.diag(r), 1.0, atol=1e-9):
-        raise ValidationError("correlation matrix diagonal must be 1")
-    if not np.allclose(r, r.T, atol=1e-9):
-        raise ValidationError("correlation matrix must be symmetric")
-    if np.any(np.abs(r) > 1.0 + 1e-9):
-        raise ValidationError("correlation entries must lie in [-1, 1]")
-    off = r - np.diag(np.diag(r))
-    return math.sqrt(float(np.sum(off * off)) / (p * (p - 1)))
-
-
 def phi_compound(m: InfoMatrix, lam: float, phi_d_star: float, phi_r_star: float) -> float:
     """Compound criterion (1-lam)/Eff_D + lam/Eff_R; >= 1 at true references; +inf when singular."""
     return criterion_value(m, CriterionSpec("COMPOUND", lam=lam, phi_d_star=phi_d_star,
@@ -343,21 +326,20 @@ class DerivativeReport:
         return "\n".join(lines) + "\n"
 
 
-def _sampled_report(model: Model, design: Design, grid_points: int, dd_of) -> DerivativeReport:
-    """``dd_of(F)`` at the regressors F of an equispaced grid plus the support, each
-    point once (np.unique's grid, without the numpy.ma import it costs on first use)."""
-    grid = np.sort(np.concatenate([model.space.grid(grid_points), design.xs]))
+def _sampled_report(model: Model, design: Design, dd_of) -> DerivativeReport:
+    """``dd_of(F)`` at the regressors F of a ``CERTIFICATE_GRID``-point grid plus the support,
+    each point once (np.unique's grid, without the numpy.ma import it costs on first use)."""
+    grid = np.sort(np.concatenate([model.space.grid(CERTIFICATE_GRID), design.xs]))
     grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
     dd = dd_of(np.asarray(model.regressor(grid), dtype=float))
     k = int(np.argmin(dd))
     return DerivativeReport(tuple(grid.tolist()), tuple(dd.tolist()), float(dd[k]), float(grid[k]))
 
 
-def derivative_report(model: Model, design: Design, spec: CriterionSpec,
-                      grid_points: int = 1000) -> DerivativeReport:
-    """Evaluate the directional derivative on an equispaced grid plus the support."""
+def derivative_report(model: Model, design: Design, spec: CriterionSpec) -> DerivativeReport:
+    """Evaluate the directional derivative on the certificate grid plus the support."""
     m = fim(model, design)
-    return _sampled_report(model, design, grid_points, lambda F: _dd_arrays(m, F, spec))
+    return _sampled_report(model, design, lambda F: _dd_arrays(m, F, spec))
 
 
 # --- vectorized raw-entry evaluation (optimizer hot path) ---------------------

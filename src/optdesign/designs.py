@@ -112,10 +112,6 @@ class Model:
     param_names: tuple[str, str] = ("theta1", "theta2")
     regressor_dx: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def regressor_at(self, x: float) -> np.ndarray:
-        """Regressor at a single point, shape (2,)."""
-        return np.asarray(self.regressor(np.array([x], dtype=float)), dtype=float)[0]
-
 
 @dataclass(frozen=True)
 class InfoMatrix:
@@ -147,29 +143,6 @@ class InfoMatrix:
     def is_singular(self) -> bool:
         """The package's one singularity test; see ``_is_singular``."""
         return bool(_is_singular(self.m11, self.m12, self.m22))
-
-    def mixed_with(self, other: "InfoMatrix", alpha: float) -> "InfoMatrix":
-        """Convex combination (1 - alpha) * self + alpha * other."""
-        return InfoMatrix(
-            (1.0 - alpha) * self.m11 + alpha * other.m11,
-            (1.0 - alpha) * self.m12 + alpha * other.m12,
-            (1.0 - alpha) * self.m22 + alpha * other.m22,
-        )
-
-
-@dataclass(frozen=True)
-class CovQuantities:
-    """Covariance-derived scalars of a design: variances, covariance, det(M).
-
-    When M is singular the variances are undefined; ``singular`` is set and the
-    other fields are None.  Callers decide how to treat that state.
-    """
-
-    v1: float | None
-    v2: float | None
-    cov12: float | None
-    det_m: float
-    singular: bool
 
 
 def make_design(pairs: Sequence[tuple[float, float]], space: DesignSpace) -> Design:
@@ -242,14 +215,6 @@ def fim(model: Model, design: Design) -> InfoMatrix:
     """Information matrix M = sum_i w_i f(x_i) f(x_i)^T of a design."""
     m11, m12, m22 = fim_entries(model, design.xs[None, :], design.ws[None, :])
     return InfoMatrix(float(m11[0]), float(m12[0]), float(m22[0]))
-
-
-def cov_quantities(m: InfoMatrix) -> CovQuantities:
-    """Variances and covariance of the estimators: entries of M^-1 (det also reported)."""
-    if m.is_singular:
-        return CovQuantities(v1=None, v2=None, cov12=None, det_m=m.det, singular=True)
-    d = m.det
-    return CovQuantities(v1=m.m22 / d, v2=m.m11 / d, cov12=-m.m12 / d, det_m=d, singular=False)
 
 
 def slr_model(space: DesignSpace) -> Model:

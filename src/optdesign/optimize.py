@@ -51,6 +51,8 @@ from .mm import MMParams, mm_d_optimal, mm_model
 from .slr import _fmt
 
 MASS_ITERS = 64            # cap on the secant iterations of one row solve
+WEIGHT_TOL = 1e-8          # weight tolerance of every solve but stage 1's
+STAGE1_WEIGHT_TOL = 1e-4   # stage 1's loose weight tolerance
 STAGE1_GRID = {2: 33, 3: 24, 4: 14}  # coarse-grid points whose k-subsets stage 1 weighs
 REFINE_TOP = 16            # stage-1 candidates kept for the polish
 FIRST_MOVE_REL = 1 / 200   # first trial move of the polish, relative to the width
@@ -62,18 +64,15 @@ M12_ROUNDING = 256 * EPS  # |m12| / sum_i w_i |f1 f2|(x_i) this small: r = 0
 
 @dataclass(frozen=True)
 class OptimizeRequest:
-    """One optimization problem: model, criterion, support size and weight tolerance."""
+    """One optimization problem: model, criterion and support size."""
 
     model: Model
     criterion: CriterionSpec
     n_support: int = 2
-    weight_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 2 <= self.n_support <= 4:
             raise ValidationError(f"n_support must lie in [2, 4], got {self.n_support}")
-        if not self.weight_tolerance > 0.0:
-            raise ValidationError("weight_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,7 @@ def _best_weights_k(spec: CriterionSpec, O: np.ndarray, tol: float,
     return W, V
 
 
-def optimize_weights(model: Model, support: Sequence[float], criterion: CriterionSpec,
-                     tol: float = 1e-8) -> np.ndarray:
+def optimize_weights(model: Model, support: Sequence[float], criterion: CriterionSpec) -> np.ndarray:
     """Optimal simplex weights for a fixed support: one mass solve for two points,
     cyclic pairwise transfers between the points for three or four."""
     xs = np.asarray(sorted(float(x) for x in support), dtype=float)
@@ -263,7 +261,7 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
         if not model.space.contains(x):
             raise ValidationError(f"support point {x} outside the design space")
     F = np.asarray(model.regressor(xs), dtype=float)
-    W, V = _support_weights(criterion, _outer3(F)[None], tol)
+    W, V = _support_weights(criterion, _outer3(F)[None], WEIGHT_TOL)
     if not math.isfinite(V[0]):
         raise OptimizationError("criterion is infinite for every weighting of this support")
     return W[0]
@@ -290,8 +288,8 @@ def _regress(model: Model, x: np.ndarray) -> list[np.ndarray]:
             for f in (model.regressor, model.regressor_dx)]
 
 
-def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
-            wtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _refine(model: Model, spec: CriterionSpec,
+            X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Batched cyclic polish of k-point supports by the slope in each point.
 
     For each coordinate in turn, ``_zero_slope`` drives ``_point_slope`` to 0
@@ -309,7 +307,7 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
     def slope(F: np.ndarray, dF: np.ndarray, W: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
         # A continuum of designs may reach r = 0 or EM = 1, where the slope is
         # only rounding and weight error.  A row at the infimum (r = 0 to the
-        # rounding of a nonzero sum_i w_i |f1 f2|; EM - 1 within wtol, as EM grows
+        # rounding of a nonzero sum_i w_i |f1 f2|; EM - 1 within WEIGHT_TOL, as EM grows
         # linearly off its kink at 1) cannot be beaten, so all rows stop.
         nonlocal done
         if spec.kind == "R2":
@@ -317,16 +315,16 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
             scale = np.abs(f12).sum(axis=1)
             done |= bool(np.any((np.abs(f12.sum(axis=1)) <= M12_ROUNDING * scale) & (scale > 0.0)))
         elif spec.kind == "EM":
-            done |= bool(np.any(V - 1.0 <= wtol))
-        # Weights resolved to wtol leave V's slope uncertain by about wtol V / width; the
-        # kernel's slope is that of a transform of V, with rate dT.
+            done |= bool(np.any(V - 1.0 <= WEIGHT_TOL))
+        # Weights resolved to WEIGHT_TOL leave V's slope uncertain by about
+        # WEIGHT_TOL V / width; the kernel's slope is that of a transform of V, with rate dT.
         s = _point_slope(spec, F, dF, W, j)
         with np.errstate(invalid="ignore", over="ignore"):
             dT = _transform_rate(spec, V)
-            return np.where(done | (np.abs(s) * space.width <= wtol * np.abs(V * dT)), 0.0, s)
+            return np.where(done | (np.abs(s) * space.width <= WEIGHT_TOL * np.abs(V * dT)), 0.0, s)
 
     F, dF = _regress(model, X)
-    W, V = _support_weights(spec, _outer3(F), wtol)
+    W, V = _support_weights(spec, _outer3(F), WEIGHT_TOL)
     V = np.where(np.all(np.isfinite(F), axis=(1, 2)), V, np.inf)
     done, n_evals, live = False, n, np.flatnonzero(np.isfinite(V))
     while len(live):
@@ -337,7 +335,7 @@ def _refine(model: Model, spec: CriterionSpec, X: np.ndarray,
                 n_evals += len(rows)
                 Fr, dFr = F[live[rows]], dF[live[rows]]
                 Fr[:, j], dFr[:, j] = _regress(model, x)
-                Wr, Vr = _support_weights(spec, _outer3(Fr), wtol, W[live[rows]])
+                Wr, Vr = _support_weights(spec, _outer3(Fr), WEIGHT_TOL, W[live[rows]])
                 return Vr, slope(Fr, dFr, Wr, Vr, j), Wr
 
             x0, s0 = X[live, j], slope(F[live], dF[live], W[live], V[live], j)
@@ -373,12 +371,12 @@ def _initial_supports(model: Model, n_support: int) -> tuple[np.ndarray, np.ndar
     return grid[finite][idx], _outer3(F[finite])[idx]
 
 
-def _stage1(model: Model, spec: CriterionSpec, n_support: int, wtol: float) -> np.ndarray:
+def _stage1(model: Model, spec: CriterionSpec, n_support: int) -> np.ndarray:
     """The best ``REFINE_TOP`` supports of ``_initial_supports``, best first,
-    each weighed at the loose tolerance max(wtol, 1e-4) (at most 4 transfer
+    each weighed at the loose ``STAGE1_WEIGHT_TOL`` (at most 4 transfer
     sweeps); singular supports are dropped."""
     S, O = _initial_supports(model, n_support)
-    _, vals = _support_weights(spec, O, max(wtol, 1e-4), max_sweeps=4)
+    _, vals = _support_weights(spec, O, STAGE1_WEIGHT_TOL, max_sweeps=4)
     # The rows are in lexicographic order, so a stable sort breaks ties by support.
     top = np.argsort(vals, kind="stable")[:REFINE_TOP]
     return S[top[np.isfinite(vals[top])]]
@@ -388,19 +386,20 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     """Best design of the requested support size under the requested criterion.
 
     Convex criteria return with an equivalence certificate (directional
-    derivative >= -1e-6, scaled, on a 1000-point grid); the non-convex ones
-    return the best design found by the grid search and its polish.
+    derivative >= -1e-6, scaled, on the ``criteria.CERTIFICATE_GRID``-point
+    grid); the non-convex ones return the best design found by the grid search
+    and its polish.
     """
-    model, spec, wtol = request.model, request.criterion, request.weight_tolerance
+    model, spec = request.model, request.criterion
     space = model.space
     # CPB is sqrt(r^2) for two parameters: the same designs, searched as r^2.
     search = CriterionSpec("R2") if spec.kind == "CPB" else spec
 
-    starts = _stage1(model, search, request.n_support, wtol)
+    starts = _stage1(model, search, request.n_support)
     if not len(starts):
         raise OptimizationError("no admissible (non-singular) design found on the grid")
 
-    X, W, V, total_iter = _refine(model, search, starts, wtol)
+    X, W, V, total_iter = _refine(model, search, starts)
     refined = sorted(((float(v), tuple(float(x) for x in xs), ws)
                       for xs, ws, v in zip(X, W, V) if math.isfinite(v)),
                      key=lambda r: (r[0], _design_key(r[1], r[2])))
@@ -415,7 +414,7 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
         xs2 = [best_xs[i] for i in keep]
         F2 = np.asarray(model.regressor(np.asarray(xs2)), dtype=float)
         w2 = np.asarray([best_ws[i] for i in keep])[None]
-        W2, V2 = _support_weights(search, _outer3(F2)[None], wtol, w2 / w2.sum())
+        W2, V2 = _support_weights(search, _outer3(F2)[None], WEIGHT_TOL, w2 / w2.sum())
         if V2[0] <= best_val * (1.0 + 1e-9):
             best_xs, best_ws, best_val = tuple(xs2), W2[0], float(V2[0])
 
@@ -424,7 +423,7 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     value = criterion_value(m, spec)
 
     if spec.is_convex and not m.is_singular:
-        report = derivative_report(model, design, spec, grid_points=1000)
+        report = derivative_report(model, design, spec)
         converged = report.passes(value, EQUIVALENCE_TOL)
         return OptimizeResult(design, value, report, converged, total_iter,
                               "certified" if converged else "best-found")
@@ -528,7 +527,7 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     if not gamma > 0.0:
         raise OptimizationError("c is inestimable under every candidate design")
     design, value, u = make_design(list(zip(x.tolist(), w.tolist())), space), gamma**-2, along + t * across
-    report = _sampled_report(model, design, 1000, lambda F: value * (1.0 - ((F @ u) / gamma) ** 2) + 0.0)
+    report = _sampled_report(model, design, lambda F: value * (1.0 - ((F @ u) / gamma) ** 2) + 0.0)
     converged = report.passes(value, EQUIVALENCE_TOL)
     return COptimalResult(design, value, report, converged, n_evals,
                           "certified" if converged else "best-found", (float(u[0]), float(u[1])), gamma)
@@ -574,9 +573,7 @@ class MMTables:
     efficiencies: tuple[MMEfficiencyRow, ...]
 
 
-def mm_tables(params: MMParams, eps_list: Sequence[float],
-              criteria: Sequence[str] = MM_CRITERIA, compat: bool = True,
-              *, weight_tolerance: float = 1e-8) -> MMTables:
+def mm_tables(params: MMParams, eps_list: Sequence[float], compat: bool = True) -> MMTables:
     """Optimal designs and cross-efficiencies per lower design-space extreme.
 
     With ``compat=True`` (default) the criteria without an attained optimum on
@@ -586,10 +583,6 @@ def mm_tables(params: MMParams, eps_list: Sequence[float],
     efficiency cells are left empty.  With ``compat=False`` the optimizer's
     best-found non-singular design is reported instead.
     """
-    for kind in criteria:
-        if kind not in MM_CRITERIA:
-            raise ValidationError(f"unknown table criterion {kind!r}; choose from {MM_CRITERIA}")
-
     design_rows, eff_rows = [], []
 
     for eps in eps_list:
@@ -599,19 +592,17 @@ def mm_tables(params: MMParams, eps_list: Sequence[float],
 
         evaluators = {k: CriterionSpec(k, sa_refs=refs if k == "SA" else None) for k in MM_CRITERIA}
         designs: dict[str, Design | None] = {}
-        for kind in criteria:
+        for kind in MM_CRITERIA:
             if kind == "D":
                 designs[kind] = mm_d_optimal(p_eps)
             elif kind in ("EM", "R2") and compat and p_eps.space().lo == 0.0:
                 designs[kind] = None
             else:
-                designs[kind] = optimize_design(OptimizeRequest(
-                    model=model, criterion=evaluators[kind],
-                    weight_tolerance=weight_tolerance)).design
+                designs[kind] = optimize_design(OptimizeRequest(model=model, criterion=evaluators[kind])).design
 
         stars = {k: None if designs[k] is None else criterion_value(fim(model, designs[k]), evaluators[k])
-                 for k in criteria}
-        for kind in criteria:
+                 for k in MM_CRITERIA}
+        for kind in MM_CRITERIA:
             d = designs[kind]
             if d is None:
                 design_rows.append(MMDesignRow(float(eps), kind, 0.0, 1.0, None, True))
@@ -621,7 +612,7 @@ def mm_tables(params: MMParams, eps_list: Sequence[float],
                 design_rows.append(MMDesignRow(float(eps), kind, x_lo / p_eps.K, w_lo, d, False))
                 vals = {k: criterion_value(m, evaluators[k]) for k in MM_CRITERIA}
                 # MMEfficiencyRow's eff_* fields follow MM_CRITERIA's order.
-                effs = [stars[k] / vals[k] if stars.get(k) is not None and 0.0 < vals[k] < math.inf
+                effs = [stars[k] / vals[k] if stars[k] is not None and 0.0 < vals[k] < math.inf
                         else None for k in MM_CRITERIA]
                 r2 = vals["R2"] if math.isfinite(vals["R2"]) else None
             eff_rows.append(MMEfficiencyRow(float(eps), kind, *effs, r2))

@@ -31,7 +31,7 @@ non-dominated, so neither criterion can be improved without hurting the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ from .errors import OptimizationError, SingularDesignError, ValidationError
 from .optimize import OptimizeRequest, optimize_design
 
 TIE_TOL = 1e-12
-SWEEP_HEADER = "p,phi_D,phi_R,phi_r2,corr"
 _MIN_BLOCK = 4096  # attempts per sampling block, at least
 
 
@@ -53,7 +52,6 @@ class FrontPoint:
     eff_d: float
     eff_r: float
     r2: float
-    dominated: bool = False
 
 
 def _designs(xs: np.ndarray, ws: np.ndarray) -> list[Design]:
@@ -139,7 +137,7 @@ def _with_values(designs: Sequence[Design], values: Sequence[np.ndarray]) -> lis
 
 def evaluate_front_points(model: Model, designs: Sequence[Design],
                           phi_d_star: float, phi_r_star: float) -> list[FrontPoint]:
-    """Efficiencies and squared correlation for each design, dominance flags unset."""
+    """Efficiencies and squared correlation for each design."""
     m = np.empty((3, len(designs)))
     sizes = np.array([d.support_size for d in designs], dtype=int)
     for k in sorted(set(sizes.tolist())):
@@ -184,13 +182,6 @@ def _by_eff_d(points: Sequence[FrontPoint]) -> list[FrontPoint]:
     return sorted(points, key=lambda p: (-p.eff_d, -p.eff_r))
 
 
-def _flags(points: Sequence[FrontPoint], who: str) -> list[bool]:
-    if len(points) == 0:
-        raise ValidationError(f"{who} needs at least one point")
-    return _dominated(np.array([p.eff_d for p in points]),
-                      np.array([p.eff_r for p in points])).tolist()
-
-
 def sampled_front(model: Model, n: int, seed: int, phi_d_star: float,
                   phi_r_star: float) -> list[FrontPoint]:
     """Pareto front of n sampled two-point designs, sorted by eff_d descending.
@@ -210,13 +201,10 @@ def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:
 
     Ties within 1e-12 on both objectives are kept.  Idempotent.
     """
-    flags = _flags(points, "pareto_front")
-    return _by_eff_d([replace(p, dominated=False) for p, f in zip(points, flags) if not f])
-
-
-def mark_dominance(points: Sequence[FrontPoint]) -> list[FrontPoint]:
-    """Return all points with their dominated flag filled in."""
-    return [replace(p, dominated=f) for p, f in zip(points, _flags(points, "mark_dominance"))]
+    if len(points) == 0:
+        raise ValidationError("pareto_front needs at least one point")
+    flags = _dominated(np.array([p.eff_d for p in points]), np.array([p.eff_r for p in points]))
+    return _by_eff_d([p for p, f in zip(points, flags.tolist()) if not f])
 
 
 def front_csv(points: Sequence[FrontPoint], x_scale: float = 1.0) -> str:
@@ -245,7 +233,7 @@ class CompoundSweepRow:
 
 
 def compound_sweep(model: Model, lam_grid: Sequence[float], phi_d_star: float,
-                   phi_r_star: float, *, weight_tolerance: float = 1e-8) -> list[CompoundSweepRow]:
+                   phi_r_star: float) -> list[CompoundSweepRow]:
     """Compound-optimal designs along a grid of mixing weights.
 
     At lam = 0 this is the D-optimal design, at lam = 1 the R-optimal one; in
@@ -258,7 +246,7 @@ def compound_sweep(model: Model, lam_grid: Sequence[float], phi_d_star: float,
         if not 0.0 <= lam <= 1.0:
             raise ValidationError(f"lambda grid must lie in [0, 1], got {lam}")
         spec = CriterionSpec("COMPOUND", lam=float(lam), phi_d_star=phi_d_star, phi_r_star=phi_r_star)
-        res = optimize_design(OptimizeRequest(model=model, criterion=spec, weight_tolerance=weight_tolerance))
+        res = optimize_design(OptimizeRequest(model=model, criterion=spec))
         m = fim(model, res.design)
         rows.append(CompoundSweepRow(float(lam), res.design, res.criterion_value, phi_d_star / phi_d(m),
                                      phi_r_star / phi_r(m), correlation(m)))
@@ -308,13 +296,9 @@ def criterion_sweep(model: Model, a_fixed: float, p_grid: Sequence[float]) -> li
     return [SweepRow(*row) for row in zip(*_sweep_columns(model, a_fixed, p_grid))]
 
 
-def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    return _csv(SWEEP_HEADER, ((r.p, r.phi_d, r.phi_r, r.phi_r2, r.corr) for r in rows))
-
-
 def criterion_sweep_csv(model: Model, a_fixed: float, p_grid: Sequence[float]) -> str:
-    """``sweep_csv(criterion_sweep(...))``, formatted straight from the columns."""
-    return _csv(SWEEP_HEADER, zip(*_sweep_columns(model, a_fixed, p_grid)))
+    """CSV of ``criterion_sweep``'s rows, each value its repr, formatted from the columns."""
+    return _csv("p,phi_D,phi_R,phi_r2,corr", zip(*_sweep_columns(model, a_fixed, p_grid)))
 
 
 def has_mutually_nondominated_rows(rows: Sequence[SweepRow]) -> bool:

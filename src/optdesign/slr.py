@@ -190,8 +190,7 @@ def corr_r(interval: SlrInterval) -> float:
     """Estimator correlation under the R-optimal design.
 
     At a = 0 (resp. b = 0) the display is 0/0; the one-sided limit
-    -1/sqrt(3) (resp. +1/sqrt(3)) is returned and flagged by
-    :func:`corr_r_is_limit`.
+    -1/sqrt(3) (resp. +1/sqrt(3)) is returned.
     """
     if interval.a_is_zero:
         return -CORR_R_LIMIT
@@ -203,11 +202,6 @@ def corr_r(interval: SlrInterval) -> float:
     rad = 2.0 * A ** 3 - 2.0 * (a2 ** 3 - 33.0 * a2 * a2 * b2 - 33.0 * a2 * b2 * b2 + b2 ** 3)
     den = math.copysign(1.0, a) * (a2 + A - b2) * math.sqrt(rad)
     return num / den
-
-
-def corr_r_is_limit(interval: SlrInterval) -> bool:
-    """True when corr_r reports the a->0 / b->0 limit rather than a defined value."""
-    return interval.a_is_zero or interval.b_is_zero
 
 
 def corr_r2(interval: SlrInterval) -> float:
@@ -233,7 +227,6 @@ class SlrSummary:
     corr_d: float
     corr_r: float
     corr_r2: float | None
-    corr_r_is_limit: bool
     r2_design_unique: bool
 
 
@@ -251,7 +244,6 @@ def summarize(interval: SlrInterval) -> SlrSummary:
         corr_d=corr_d(interval),
         corr_r=corr_r(interval),
         corr_r2=None if degenerate else corr_r2(interval),
-        corr_r_is_limit=corr_r_is_limit(interval),
         r2_design_unique=not interval.mixed_sign,
     )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from optdesign import Design, DesignSpace, Model, make_design, slr_model
+from optdesign import Design, DesignSpace, InfoMatrix, Model, make_design, slr_model
 from optdesign.mm import MMParams, mm_model
 
 
@@ -43,6 +43,12 @@ def random_design(model: Model, rng: np.random.Generator, k: int | None = None,
         design = make_design(list(zip(xs, ws)), space)
         if design.support_size >= 2:
             return design
+
+
+def mixed(m1: InfoMatrix, m2: InfoMatrix, alpha: float) -> InfoMatrix:
+    """The information matrix (1 - alpha) m1 + alpha m2, entry by entry."""
+    return InfoMatrix(*((1.0 - alpha) * a + alpha * b
+                        for a, b in zip((m1.m11, m1.m12, m1.m22), (m2.m11, m2.m12, m2.m22))))
 
 
 def random_slr_model(rng: np.random.Generator, min_width: float = 0.5) -> Model:

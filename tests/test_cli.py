@@ -20,7 +20,6 @@ from optdesign.cli import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_USAGE,
-    RunConfig,
     _reference_stars,
     build_parser,
     main,
@@ -78,13 +77,27 @@ class TestOptimal:
                     "--criterion", criterion, "--seed", seed)[1] for seed in ("1", "2")]
         assert outs[0].replace('"seed": 1', '"seed": 2') == outs[1]
 
+    # The optimizer's accuracy is fixed: a weight tolerance or a certificate grid,
+    # even at today's value, is an unknown flag.
+    WEIGHT_TOLERANCE = {
+        "optimal": ("optimal", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D"),
+        "table": ("table", "mm-designs"),
+        "pareto": ("pareto", "--model", "slr", "--a", "1", "--b", "5", "--n", "10"),
+        "sweep": ("sweep", "--model", "slr", "--a", "1", "--b", "5", "--a-fixed", "2"),
+        "check": ("check", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D"),
+        "efficiency": ("efficiency", "--model", "slr", "--a", "1", "--b", "5"),
+    }
+
     @pytest.mark.parametrize("argv", [
         ("table", "slr", "--b", "5", "--a-list", "1", "--seed", "3"),
         ("sweep", "--model", "slr", "--a", "1", "--b", "5", "--a-fixed", "2", "--seed", "3"),
         ("check", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D", "--seed", "3"),
         ("efficiency", "--model", "slr", "--a", "1", "--b", "5", "--seed", "3"),
         ("optimal", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D", "--grid", "201"),
-    ], ids=["table-seed", "sweep-seed", "check-seed", "efficiency-seed", "optimal-grid"])
+        *((*argv, "--weight-tolerance", "1e-8") for argv in WEIGHT_TOLERANCE.values()),
+        ("check", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D", "--check-grid", "1000"),
+    ], ids=["table-seed", "sweep-seed", "check-seed", "efficiency-seed", "optimal-grid",
+            *(f"{name}-weight-tolerance" for name in WEIGHT_TOLERANCE), "check-check-grid"])
     def test_knobs_nothing_reads_are_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
@@ -255,7 +268,7 @@ class TestReferenceStars:
             (a, a + float(rng.uniform(0.5, 6.0))) for a in rng.uniform(-5.0, 4.0, 30).tolist()]
         for a, b in intervals:
             interval = SlrInterval(a, b)
-            stars = _reference_stars(interval.model(), interval, 1e-8)
+            stars = _reference_stars(interval.model(), interval)
             for got, want in zip(stars, searched_stars(interval.model())):
                 assert math.isclose(got, want, rel_tol=1e-12), (a, b)
 
@@ -268,7 +281,7 @@ class TestReferenceStars:
             params = MMParams(V=float(rng.uniform(1.0, 100.0)), K=float(rng.uniform(1.0, 500.0)),
                               b=b, eps=eps)
             model = mm_model(params)
-            for got, want in zip(_reference_stars(model, params, 1e-8), searched_stars(model)):
+            for got, want in zip(_reference_stars(model, params), searched_stars(model)):
                 assert math.isclose(got, want, rel_tol=1e-12), params
 
     @pytest.mark.parametrize("name, searched", [("slr", []), ("mm", ["R"])])
@@ -281,10 +294,10 @@ class TestReferenceStars:
         monkeypatch.setattr(cli_module, "optimize_design", counted)
         if name == "slr":
             params = SlrInterval(-1.3, 4.2)
-            _reference_stars(params.model(), params, 1e-8)
+            _reference_stars(params.model(), params)
         else:
             params = MMParams(eps=0.5)
-            _reference_stars(mm_model(params), params, 1e-8)
+            _reference_stars(mm_model(params), params)
         assert calls == searched
 
 
@@ -315,6 +328,26 @@ class TestEfficiencyCmd:
         assert code == EXIT_OK
         entry = json.loads(out)["designs"][0]
         assert entry["singular"] is True and entry["eff_D"] is None
+
+
+class TestUnreadableDesignFile:
+    # check and efficiency read design files through one reader: a file that
+    # cannot be opened or parsed is a usage error naming the file.
+    COMMANDS = {
+        "check": ("check", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D", "--design"),
+        "efficiency": ("efficiency", "--model", "slr", "--a", "1", "--b", "5", "--designs"),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("content", [None, b'{"points": [{"x": 1.0,', b"\xff\xfe{"],
+                             ids=["missing", "malformed", "binary"])
+    def test_usage_error(self, capsys, tmp_path, command, content):
+        path = tmp_path / "design.json"
+        if content is not None:
+            path.write_bytes(content)
+        code, out, err = run(capsys, *self.COMMANDS[command], str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert f"cannot read design {path}" in err
 
 
 class TestOptimalThenCheckContract:
@@ -436,9 +469,3 @@ class TestConfig:
         _, _, err = run(capsys, "pareto", "--model", "mm", "--b", "5", "--eps", "0.5",
                         "--n", "50")
         assert json.loads(err.strip().splitlines()[-1])["seed"] == 123
-
-    def test_runconfig_roundtrip(self):
-        cfg = RunConfig(command="optimal", model="slr",
-                        model_params={"a": 1.0, "b": 5.0}, criterion="R",
-                        criterion_params={}, options={"grid": 201}, output=None, seed=3)
-        assert RunConfig(**json.loads(json.dumps(cfg.to_dict()))) == cfg

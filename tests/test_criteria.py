@@ -22,7 +22,6 @@ from optdesign import (
     fim,
     make_design,
     phi_c,
-    phi_c_pritchard,
     phi_compound,
     phi_d,
     phi_em,
@@ -34,7 +33,7 @@ from optdesign import (
 from optdesign.criteria import _transform_rate, criterion_values_raw
 from optdesign.mm import MMParams, mm_model
 from optdesign.slr import SlrInterval, d_optimal_slr, r_optimal_slr
-from conftest import random_design, random_slr_model
+from conftest import mixed, random_design, random_slr_model
 
 IDENTITY = InfoMatrix(1.0, 0.0, 1.0)
 HAND = InfoMatrix(1.0, 0.5, 0.5)       # det 1/4, v1 2, v2 4, cov12 -2
@@ -115,17 +114,6 @@ class TestScalarCriteria:
                 assert phi_em(m) > 1.0
         assert phi_em(InfoMatrix(2.5, 0.0, 2.5)) == 1.0
 
-    def test_phi_c_pritchard(self):
-        assert abs(phi_c_pritchard(np.array([[1.0, -0.832], [-0.832, 1.0]])) - 0.832) < 1e-12
-        assert phi_c_pritchard(np.eye(4)) == 0.0
-        r3 = np.full((3, 3), 0.5)
-        np.fill_diagonal(r3, 1.0)
-        assert math.isclose(phi_c_pritchard(r3), 0.5, rel_tol=1e-14)
-        with pytest.raises(ValidationError):
-            phi_c_pritchard(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(ValidationError):
-            phi_c_pritchard(np.ones((2, 3)))
-
     def test_phi_compound(self):
         iv = SlrInterval(1.0, 5.0)
         model = iv.model()
@@ -182,7 +170,7 @@ class TestIdentityAndConvexity:
             if m1.is_singular or m2.is_singular:
                 continue
             alpha = float(rng.uniform(0.05, 0.95))
-            mix = m1.mixed_with(m2, alpha)
+            mix = mixed(m1, m2, alpha)
             lhs = phi_r(mix) ** 2
             rhs = (1 - alpha) * phi_r(m1) ** 2 + alpha * phi_r(m2) ** 2
             assert lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
@@ -195,7 +183,7 @@ class TestIdentityAndConvexity:
             if m.is_singular:
                 continue
             x = float(rng.uniform(model.space.lo, model.space.hi))
-            f = model.regressor_at(x)
+            f = model.regressor(np.array([x]))[0]
             eps = 0.01
             bigger = InfoMatrix(m.m11 + eps * f[0] * f[0],
                                 m.m12 + eps * f[0] * f[1],
@@ -268,10 +256,10 @@ class TestDirectionalDerivatives:
             an = directional_derivative(model, design, x, spec)
             if abs(an) < 0.02 * phi(m):
                 continue  # relative comparison needs a non-vanishing target
-            f = model.regressor_at(x)
+            f = model.regressor(np.array([x]))[0]
             mx = InfoMatrix(f[0] * f[0], f[0] * f[1], f[1] * f[1])
             alpha = 1e-6
-            fd = (phi(m.mixed_with(mx, alpha)) - phi(m)) / alpha
+            fd = (phi(mixed(m, mx, alpha)) - phi(m)) / alpha
             assert abs(an - fd) <= 1e-4 * abs(fd)
             checked += 1
 
@@ -282,7 +270,7 @@ class TestDirectionalDerivatives:
             model = iv.model()
             for spec, xi in [(CriterionSpec("D"), d_optimal_slr(iv)),
                              (CriterionSpec("R"), r_optimal_slr(iv))]:
-                rep = derivative_report(model, xi, spec, grid_points=1000)
+                rep = derivative_report(model, xi, spec)
                 val = criterion_value(fim(model, xi), spec)
                 assert rep.min_dd >= -1e-6 * max(1.0, val)
 
@@ -298,7 +286,7 @@ class TestDirectionalDerivatives:
 
     def test_report_internal_consistency(self, slr_15):
         iv = SlrInterval(1.0, 5.0)
-        rep = derivative_report(slr_15, r_optimal_slr(iv), CriterionSpec("R"), grid_points=200)
+        rep = derivative_report(slr_15, r_optimal_slr(iv), CriterionSpec("R"))
         assert rep.min_dd == min(rep.dd_values)
         assert rep.argmin_x in rep.x_grid
         lines = rep.to_csv().strip().splitlines()

@@ -14,11 +14,11 @@ from optdesign import (
     DesignSpace,
     InfoMatrix,
     ValidationError,
-    cov_quantities,
     design_from_json,
     design_to_json,
     fim,
     make_design,
+    phi_c,
     slr_model,
 )
 from optdesign.designs import _is_singular
@@ -168,39 +168,48 @@ class TestInfoMatrix:
 
 
 class TestCovQuantities:
+    # The entries of M^-1 are the variances and the covariance of the two
+    # estimators; phi_c(m, c) = c^T M^-1 c is the variance of c^T theta-hat.
+    @staticmethod
+    def inverse(m: InfoMatrix) -> tuple[float, float, float]:
+        v1, v2 = phi_c(m, (1.0, 0.0)), phi_c(m, (0.0, 1.0))
+        return v1, v2, 0.5 * (phi_c(m, (1.0, 1.0)) - v1 - v2)
+
     def test_identity(self):
-        cq = cov_quantities(InfoMatrix(1.0, 0.0, 1.0))
-        assert (cq.v1, cq.v2, cq.cov12, cq.det_m) == (1.0, 1.0, 0.0, 1.0)
-        assert not cq.singular
+        m = InfoMatrix(1.0, 0.0, 1.0)
+        assert self.inverse(m) == (1.0, 1.0, 0.0) and m.det == 1.0
+        assert not m.is_singular
 
     def test_hand_inverse(self):
-        cq = cov_quantities(InfoMatrix(1.0, 0.5, 0.5))
-        assert abs(cq.det_m - 0.25) < 1e-15
-        assert np.allclose([cq.v1, cq.v2, cq.cov12], [2.0, 4.0, -2.0], atol=1e-12)
+        m = InfoMatrix(1.0, 0.5, 0.5)
+        assert abs(m.det - 0.25) < 1e-15
+        assert np.allclose(self.inverse(m), [2.0, 4.0, -2.0], atol=1e-12)
 
     def test_singular_marker(self):
-        cq = cov_quantities(InfoMatrix(1.0, 1.0, 1.0))
-        assert cq.singular and cq.v1 is None and cq.v2 is None and cq.cov12 is None
+        # M = (1, 1)(1, 1)^T estimates theta1 + theta2 alone, neither coordinate.
+        m = InfoMatrix(1.0, 1.0, 1.0)
+        assert m.is_singular
+        assert phi_c(m, (1.0, 0.0)) == math.inf and phi_c(m, (0.0, 1.0)) == math.inf
 
     def test_inverse_roundtrip_and_cauchy_schwarz(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
             model = random_slr_model(rng)
             m = fim(model, random_design(model, rng))
-            cq = cov_quantities(m)
-            if cq.singular:
+            if m.is_singular:
                 continue
-            inv = np.array([[cq.v1, cq.cov12], [cq.cov12, cq.v2]])
+            v1, v2, cov12 = self.inverse(m)
+            inv = np.array([[v1, cov12], [cov12, v2]])
             prod = np.array([[m.m11, m.m12], [m.m12, m.m22]]) @ inv
             assert np.allclose(prod, np.eye(2), rtol=1e-10, atol=1e-10)
-            assert cq.cov12 ** 2 <= cq.v1 * cq.v2 * (1.0 + 1e-10)
+            assert cov12 ** 2 <= v1 * v2 * (1.0 + 1e-10)
 
 
 def test_slr_model_regressor():
     model = slr_model(UNIT)
-    assert np.allclose(model.regressor_at(0.5), [1.0, 0.5])
+    assert np.allclose(model.regressor(np.array([0.5]))[0], [1.0, 0.5])
     model2 = slr_model(DesignSpace(-5.0, 5.0))
-    assert np.allclose(model2.regressor_at(-5.0), [1.0, -5.0])
+    assert np.allclose(model2.regressor(np.array([-5.0]))[0], [1.0, -5.0])
 
 
 def test_slr_regressor_dx_matches_central_difference():

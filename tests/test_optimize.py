@@ -50,24 +50,24 @@ from optdesign.slr import SlrInterval, d_optimal_slr, p_r, r2_optimal_slr, r_opt
 
 class TestOptimizeWeights:
     def test_slr_r_weights(self, slr_15):
-        ws = optimize_weights(slr_15, (1.0, 5.0), CriterionSpec("R"), tol=1e-10)
+        ws = optimize_weights(slr_15, (1.0, 5.0), CriterionSpec("R"))
         assert abs(ws[1] - 0.356) < 1e-3
         assert abs(ws[1] - p_r(SlrInterval(1.0, 5.0))) < 1e-4
 
     def test_slr_d_weights_half(self):
         model = slr_model(DesignSpace(-2.0, 3.0))
-        ws = optimize_weights(model, (-2.0, 3.0), CriterionSpec("D"), tol=1e-10)
+        ws = optimize_weights(model, (-2.0, 3.0), CriterionSpec("D"))
         assert np.allclose(ws, [0.5, 0.5], atol=1e-7)
 
     def test_mm_r_weights_at_published_support(self):
         model = mm_model(MMParams(b=5.0, eps=0.0))
         K = 227.27
-        ws = optimize_weights(model, (0.55 * K, 5 * K), CriterionSpec("R"), tol=1e-10)
+        ws = optimize_weights(model, (0.55 * K, 5 * K), CriterionSpec("R"))
         assert abs(ws[0] - 0.54) < 0.01  # mass at 0.55K
 
     def test_three_point_support_drops_interior_point(self, slr_15):
         # D-optimal weights on {1, 3, 5} put nothing on the middle point
-        ws = optimize_weights(slr_15, (1.0, 3.0, 5.0), CriterionSpec("D"), tol=1e-9)
+        ws = optimize_weights(slr_15, (1.0, 3.0, 5.0), CriterionSpec("D"))
         assert ws[1] < 1e-6
         assert abs(ws[0] - 0.5) < 1e-4 and abs(ws[2] - 0.5) < 1e-4
 
@@ -292,7 +292,7 @@ class TestGoldenMass:
     SUPPORTS = np.array([(-1.0, 1.0), (0.3, 4.0), (-2.5, -0.1), (-3.0, 5.0)])
     MM_SUPPORTS = 227.27 * np.array([(0.06, 0.07), (0.1, 5.0), (0.5, 5.0), (0.71, 5.0),
                                      (0.06, 1.0)])
-    TOL = 1e-8  # the default weight_tolerance
+    TOL = optimize_module.WEIGHT_TOL
 
     def rows(self, model=None, supports=None):
         model = model or slr_model(DesignSpace(-3.0, 5.0))
@@ -391,7 +391,7 @@ def test_stage1_heap_peak(kind):
     for n_support in (2, 3, 4):
         tracemalloc.start()
         try:
-            _stage1(model, spec, n_support, 1e-8)
+            _stage1(model, spec, n_support)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -694,8 +694,8 @@ class TestMMTables:
         assert eff[(0.5, "R")].eff_r == pytest.approx(1.0, abs=1e-6)
 
     def test_strict_mode_reports_best_found_at_zero_floor(self):
-        t = mm_tables(MMParams(), eps_list=[0.0], criteria=("EM",), compat=False)
-        row = t.designs[0]
+        t = mm_tables(MMParams(), eps_list=[0.0], compat=False)
+        row = next(r for r in t.designs if r.criterion == "EM")
         assert not row.collapsed and row.design is not None
 
     def test_csv_rendering_deterministic(self, tables):
@@ -705,7 +705,3 @@ class TestMMTables:
         assert a.splitlines()[0] == "eps,criterion,a,p"
         e = mm_efficiencies_csv(tables)
         assert e.splitlines()[0] == "eps,criterion,Eff_D,Eff_SA,Eff_R,Eff_EM,Eff_r2,r2"
-
-    def test_rejects_unknown_criterion(self):
-        with pytest.raises(ValidationError):
-            mm_tables(MMParams(), eps_list=[0.5], criteria=("Z",))

@@ -39,14 +39,13 @@ from optdesign.pareto import (
     _dominated,
     compound_sweep,
     criterion_sweep,
+    criterion_sweep_csv,
     evaluate_front_points,
     front_csv,
     has_mutually_nondominated_rows,
-    mark_dominance,
     pareto_front,
     sample_two_point_designs,
     sampled_front,
-    sweep_csv,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -113,11 +112,6 @@ class TestFront:
         effs = [p.eff_d for p in front]
         assert effs == sorted(effs, reverse=True)
 
-    def test_mark_dominance(self):
-        pts = [fp(1.0, 0.9), fp(0.8, 0.8)]
-        marked = mark_dominance(pts)
-        assert [p.dominated for p in marked] == [False, True]
-
 
 @pytest.fixture(scope="module")
 def mm_stars():
@@ -173,7 +167,7 @@ class TestCompoundSweep:
 
     def test_sweep_csv_header(self):
         model = slr_model(DesignSpace(1.0, 5.0))
-        csv_text = sweep_csv(criterion_sweep(model, 1.0, [0.5]))
+        csv_text = criterion_sweep_csv(model, 1.0, [0.5])
         assert csv_text.splitlines()[0] == "p,phi_D,phi_R,phi_r2,corr"
 
     def test_validation(self, mm_stars):

@@ -22,12 +22,12 @@ from optdesign import (
 from optdesign.criteria import CriterionSpec
 from optdesign.optimize import optimize_weights
 from optdesign.slr import (
+    CORR_R_LIMIT,
     EFF_D_OF_R_MIN,
     EFF_R_OF_D_MIN,
     corr_d,
     corr_r,
     corr_r2,
-    corr_r_is_limit,
     d_optimal_slr,
     eff_d_of_r,
     eff_d_of_r2,
@@ -83,7 +83,7 @@ class TestClosedFormDesigns:
         # golden-section weight optimization over endpoint designs
         for a, b in [(1.0, 5.0), (-2.0, 3.0), (0.0, 5.0), (-4.0, -0.5)]:
             iv = SlrInterval(a, b)
-            ws = optimize_weights(iv.model(), (a, b), CriterionSpec("R"), tol=1e-10)
+            ws = optimize_weights(iv.model(), (a, b), CriterionSpec("R"))
             assert abs(ws[1] - p_r(iv)) < 1e-6
 
     def test_r2_same_sign_weights(self):
@@ -139,7 +139,7 @@ class TestCrossChecks:
             assert abs(eff_d_of_r(iv) - efficiency("D", xi_r, xi_d, model)) <= 1e-12
             assert abs(eff_r_of_d(iv) - efficiency("R", xi_d, xi_r, model)) <= 1e-12
             assert abs(corr_r(iv) - correlation(fim(model, xi_r))) <= 1e-12
-            assert corr_r_is_limit(iv)
+            assert abs(corr_r(iv)) == CORR_R_LIMIT  # the one-sided limit
             assert eff_d_of_r2(iv) == 0.0 and eff_r_of_r2(iv) == 0.0
 
     def test_proposition_bounds(self):
