@@ -117,7 +117,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")

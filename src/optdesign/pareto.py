@@ -19,9 +19,10 @@ ordering is equivalent to minimizing the criteria themselves because both are
 inverse homogeneous, and it keeps the two axes on the same unit scale.  A
 point is dominated by one at least as good on both objectives and better by
 more than TIE_TOL = 1e-12 on one of them, so sampled designs with
-indistinguishable objectives are all retained.  The flags come from one sort
-by Eff_D and two prefix maxima of Eff_R (sort-and-sweep maxima; Kung, Luccio
-& Preparata 1975, J. ACM 22:469), in O(n log n).
+indistinguishable objectives are all retained.  ``sampled_front`` drops the rows
+that the row of largest Eff_R or of largest Eff_D surely dominates (filter, then
+exact: Bentley, Clarkson & Levine 1993, Algorithmica 9:168); the flags of the few
+left come from one sort by Eff_D and two prefix maxima of Eff_R (Kung et al. 1975).
 
 The fixed-support sweep moves the mass p between two fixed points and tabulates
 all three head criteria plus the correlation; it is the data behind the
@@ -43,6 +44,7 @@ from .errors import OptimizationError, SingularDesignError, ValidationError
 from .optimize import OptimizeRequest, optimize_design
 
 TIE_TOL = 1e-12
+MARGIN = 1e-9  # relative slack on the prefilter's Eff_D, far above its few ulps of error
 _MIN_BLOCK = 4096  # attempts per sampling block, at least
 
 
@@ -80,9 +82,8 @@ def _sample(model: Model, n: int, seed: int,
         pts, w = lo + (hi - lo) * u[:, :2], u[:, 2]
         rows = (0.0 < w) & (w < 1.0) & (np.abs(pts[:, 0] - pts[:, 1]) > tol)
         pts, w = pts[rows], w[rows]
-        order = np.argsort(pts, axis=1)  # then clip, as make_design does
-        xs = np.clip(np.take_along_axis(pts, order, 1), lo, hi)
-        ws = np.take_along_axis(_masses(w), order, 1)
+        swap = (pts[:, 0] > pts[:, 1])[:, None]  # sort (no ties left) and clip, as make_design
+        xs, ws = (np.where(swap, v[:, ::-1], v) for v in (np.clip(pts, lo, hi), _masses(w)))
         m11, m12, m22 = fim_entries(model, xs, ws)
         ok = ~_is_singular(m11, m12, m22)
         if not ok.any():
@@ -182,18 +183,32 @@ def _by_eff_d(points: Sequence[FrontPoint]) -> list[FrontPoint]:
     return sorted(points, key=lambda p: (-p.eff_d, -p.eff_r))
 
 
+def _survivors(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rows that neither the row of largest r nor that of largest d surely dominates:
+    by (a) or (b) of ``_dominated``, with d (within a few ulps) widened by MARGIN."""
+    s = MARGIN * np.abs(d) + np.finfo(float).tiny
+    lo, hi, a = d - s, d + s, np.array([[np.argmax(r)], [np.argmax(d)]])
+    sure = ((lo[a] >= hi) & (r[a] - r > TIE_TOL)) | ((r[a] >= r) & (lo[a] - hi > TIE_TOL))
+    return np.flatnonzero(~sure.any(axis=0))
+
+
 def sampled_front(model: Model, n: int, seed: int, phi_d_star: float,
                   phi_r_star: float) -> list[FrontPoint]:
     """Pareto front of n sampled two-point designs, sorted by eff_d descending.
 
     Equal to ``pareto_front(evaluate_front_points(model,
-    sample_two_point_designs(model, n, seed), ...))``; only the front's
-    points are built as objects.
+    sample_two_point_designs(model, n, seed), ...))``.  Eff_D = phi_D* sqrt(det)
+    is within a few ulps of the exact phi_D* / det ** -0.5, far inside MARGIN, so
+    ``_survivors`` drops only dominated rows.  Dominance on rounded differences
+    is transitive (they are monotone in each operand) and acyclic, so a row is
+    dominated iff a non-dominated row dominates it: the survivors' flags are exact.
     """
-    xs, ws, m = _sample(model, n, seed)
-    values = _front_values(m, phi_d_star, phi_r_star)
+    xs, ws, (m11, m12, m22) = _sample(model, n, seed)
+    rows = _survivors(phi_d_star * np.sqrt(m11 * m22 - m12 * m12),
+                      phi_r_star / criterion_values_raw(_R, m11, m12, m22))
+    values = _front_values((m11[rows], m12[rows], m22[rows]), phi_d_star, phi_r_star)
     keep = np.flatnonzero(~_dominated(values[0], values[1]))
-    return _by_eff_d(_with_values(_designs(xs[keep], ws[keep]), [v[keep] for v in values]))
+    return _by_eff_d(_with_values(_designs(xs[rows[keep]], ws[rows[keep]]), [v[keep] for v in values]))
 
 
 def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:

@@ -464,6 +464,16 @@ class TestConfig:
         cfg.write_text(json.dumps({"b": 5.0, "a_list": [-1, "x"]}))
         assert run(capsys, "table", "slr", "--config", str(cfg))[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("content", [None, b'{"b": 5', b"\xff{"],
+                             ids=["missing", "malformed", "not-utf8"])
+    def test_unreadable_config_file_is_usage_error(self, capsys, tmp_path, content):
+        cfg = tmp_path / "bad.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        code, out, err = run(capsys, "table", "slr", "--b", "5", "--a-list", "1", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert f"cannot read config file {cfg}" in err
+
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("OPTDESIGN_SEED", "123")
         _, _, err = run(capsys, "pareto", "--model", "mm", "--b", "5", "--eps", "0.5",

@@ -28,15 +28,18 @@ from optdesign import (
     phi_r2,
     slr_model,
 )
-from optdesign.cli import main
+from optdesign import pareto as pareto_module
+from optdesign.cli import _reference_stars, main
 from optdesign.designs import fim_entries
 from optdesign.mm import MMParams, mm_model
 from optdesign.optimize import OptimizeRequest, optimize_design
 from optdesign.pareto import (
+    MARGIN,
     TIE_TOL,
     FrontPoint,
     SweepRow,
     _dominated,
+    _survivors,
     compound_sweep,
     criterion_sweep,
     criterion_sweep_csv,
@@ -47,6 +50,7 @@ from optdesign.pareto import (
     sample_two_point_designs,
     sampled_front,
 )
+from optdesign.slr import SlrInterval
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -354,6 +358,114 @@ class TestSortAndSweepMask:
         r = np.array([c + e for _, _, c, e in rows], dtype=float)
         with np.errstate(invalid="ignore"):
             assert _dominated(d, r).tolist() == reference_dominated(d, r)
+
+
+def within_ulps(rng, d, k=2):
+    """d moved by up to k ulps either way, as the prefilter's Eff_D may be."""
+    for _ in range(k):
+        away = np.nextafter(d, rng.choice([-math.inf, math.inf], len(d)))
+        d = np.where(rng.random(len(d)) < 0.5, d, away)
+    return d
+
+
+def assert_prefilter_exact(d, r, d_near):
+    """_survivors on (d_near, r) drops only dominated rows, and _dominated on
+    the survivors alone gives the flags of the O(n^2) definition on all rows."""
+    flags = reference_dominated(d, r)
+    rows = _survivors(d_near, r)
+    assert all(flags[i] for i in sorted(set(range(len(d))) - set(rows.tolist())))
+    assert _dominated(d[rows], r[rows]).tolist() == [flags[i] for i in rows.tolist()]
+    return rows
+
+
+class TestPrefilter:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tie_heavy_inputs_within_ulps(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        d, r = tie_heavy(rng, n), tie_heavy(rng, n)
+        assert_prefilter_exact(d, r, within_ulps(rng, d))
+
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.1, 0.3, 1.0, math.inf, math.nan]),
+        st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]),
+        st.sampled_from([0.0, 0.1, 0.2, 1.0, math.inf, -math.inf, math.nan]),
+        st.sampled_from([0.0, 5e-13, 1e-12, 2e-12])), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_definition_with_non_finite_values(self, rows):
+        d = np.array([a + b for a, b, _, _ in rows], dtype=float)
+        r = np.array([c + e for _, _, c, e in rows], dtype=float)
+        with np.errstate(invalid="ignore"):
+            assert_prefilter_exact(d, r, d)
+
+    def test_single_row_and_exact_duplicates(self):
+        one = np.array([0.5])
+        assert _survivors(one, one).tolist() == [0]
+        d = np.array([1.0, 1.0, 0.5, 0.5, 0.9])
+        r = np.array([0.5, 0.5, 1.0, 1.0, 0.2])
+        assert assert_prefilter_exact(d, r, d).tolist() == [0, 1, 2, 3]
+
+    def test_approximation_that_ties_rows_an_ulp_apart(self):
+        # Exact Eff_D puts row 1 an ulp above row 0 and the approximation ties
+        # them: row 1 is on the front, though row 0 has the larger Eff_R.
+        d = np.array([np.nextafter(1.0, 0.0), 1.0])
+        assert assert_prefilter_exact(d, np.array([1.0, 0.5]), np.ones(2)).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("r_row,gap", [(0.5, 0.0), (1.0, TIE_TOL)])  # test (a), then (b)
+    def test_rows_ulps_apart_across_the_margin(self, r_row, gap):
+        # 601 rows 1 ulp apart around 1 - 2 MARGIN - gap, every one dominated
+        # by the anchor (1, 1); the prefilter keeps those within its margin.
+        center = 1.0 - 2.0 * MARGIN - gap
+        d = np.r_[1.0, center + np.arange(-300, 301) * np.spacing(center)]
+        r = np.r_[1.0, np.full(601, r_row)]
+        rows = assert_prefilter_exact(d, r, d)
+        assert 1 < len(rows) < len(d)
+
+
+FRONT_CASES = {
+    "slr[-6,-0.5]": lambda: SlrInterval(-6.0, -0.5),
+    "slr[0,3]": lambda: SlrInterval(0.0, 3.0),
+    "slr[-1,1]": lambda: SlrInterval(-1.0, 1.0),
+    "mm-eps0": lambda: MMParams(b=5.0, eps=0.0),
+    "mm-eps0.5": lambda: MMParams(b=5.0, eps=0.5),
+}
+
+
+@pytest.fixture(scope="module")
+def front_case():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            params = FRONT_CASES[name]()
+            model = (slr_model(DesignSpace(params.a, params.b)) if isinstance(params, SlrInterval)
+                     else mm_model(params))
+            cache[name] = (model, *_reference_stars(model, params))
+        return cache[name]
+    return get
+
+
+class TestPrefilteredFront:
+    @pytest.mark.parametrize("name", sorted(FRONT_CASES))
+    @pytest.mark.parametrize("n", [1, 2, 500, 20_000])
+    def test_equals_composition(self, front_case, name, n):
+        model, d_star, r_star = front_case(name)
+        points = evaluate_front_points(model, sample_two_point_designs(model, n, 3), d_star, r_star)
+        assert sampled_front(model, n, 3, d_star, r_star) == pareto_front(points)
+
+    @pytest.mark.parametrize("name", ["slr[-6,-0.5]", "mm-eps0"])
+    @pytest.mark.parametrize("seed", [5, 20260810])
+    def test_exact_pass_sees_few_rows(self, front_case, monkeypatch, name, seed):
+        model, d_star, r_star = front_case(name)
+        seen = []
+        head_criteria = pareto_module._head_criteria
+
+        def counted(m11, m12, m22):
+            seen.append(len(m11))
+            return head_criteria(m11, m12, m22)
+        monkeypatch.setattr(pareto_module, "_head_criteria", counted)
+        sampled_front(model, 20_000, seed, d_star, r_star)
+        assert len(seen) == 1 and 1 <= seen[0] <= 64
 
 
 def reference_tradeoff(rows):
