@@ -111,43 +111,56 @@ def _emit(text: str, output: str | None) -> None:
         _atomic_write(output, text)
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in a file; a file that cannot be read or parsed is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    cfg = _read_json(path, "config file")
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     return cfg
 
 
 def _read_design(path: str) -> Design:
-    """The design in a design JSON file; a file that cannot be read or parsed is a usage error."""
+    """The design in a design JSON file; a file that is not one is a usage error."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
-        raise UsageError(f"cannot read design {path}: {exc}") from exc
-    return design_from_json(obj)[0]
+        return design_from_json(_read_json(path, "design"))[0]
+    except ValidationError as exc:
+        raise UsageError(f"design {path}: {exc}") from exc
 
 
-def _setting(args: argparse.Namespace, cfg: dict, name: str, default=None):
-    """Flag value if given, else config-file value, else default."""
+def _setting(args: argparse.Namespace, cfg: dict, name: str, default=None, convert=None):
+    """Flag value if given, else config-file value (through ``convert``, as
+    argparse converts the flag), else default."""
     val = getattr(args, name.replace("-", "_"), None)
     if val is not None:
         return val
-    if name in cfg:
-        return cfg[name]
-    return default
+    if name not in cfg or convert is None:
+        return cfg.get(name, default)
+    try:
+        return convert(cfg[name])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config key {name!r} must be a number, got {cfg[name]!r}") from exc
+
+
+def _mm_params(args: argparse.Namespace, cfg: dict, names: Sequence[str], **fixed) -> MMParams:
+    """MMParams from the settings ``names``; an unset one keeps MMParams' default."""
+    values = {name: _setting(args, cfg, name, convert=float) for name in names}
+    return MMParams(**{k: v for k, v in values.items() if v is not None}, **fixed)
 
 
 def _resolve_seed(args: argparse.Namespace, cfg: dict) -> int:
-    val = _setting(args, cfg, "seed")
+    val = _setting(args, cfg, "seed", convert=int)
     if val is not None:
-        return int(val)
+        return val
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -174,23 +187,15 @@ def _build_model(args: argparse.Namespace, cfg: dict) -> tuple[Model, dict, SlrI
         raise UsageError("--model is required (slr or mm)")
     name = str(name).lower()
     if name == "slr":
-        a = _setting(args, cfg, "a")
-        b = _setting(args, cfg, "b")
+        a, b = _setting(args, cfg, "a", convert=float), _setting(args, cfg, "b", convert=float)
         if a is None or b is None:
             raise UsageError("model slr needs --a and --b")
-        model = slr_model(DesignSpace(float(a), float(b)))
-        return model, {"model": "slr", "a": float(a), "b": float(b)}, SlrInterval(float(a), float(b))
+        return slr_model(DesignSpace(a, b)), {"model": "slr", "a": a, "b": b}, SlrInterval(a, b)
     if name in ("mm", "michaelis_menten", "michaelis-menten"):
-        b = _setting(args, cfg, "b")
-        if b is None:
+        if _setting(args, cfg, "b") is None:
             raise UsageError("model mm needs --b (upper end of the space, in K units)")
-        params = MMParams(
-            V=float(_setting(args, cfg, "V", 43.73)),
-            K=float(_setting(args, cfg, "K", 227.27)),
-            b=float(b),
-            eps=float(_setting(args, cfg, "eps", 0.0)),
-            eps_in_k_units=not bool(_setting(args, cfg, "eps_absolute", False)),
-        )
+        params = _mm_params(args, cfg, ("V", "K", "b", "eps"),
+                            eps_in_k_units=not bool(_setting(args, cfg, "eps_absolute", False)))
         return mm_model(params), {"model": "michaelis_menten", **asdict(params)}, params
     raise UsageError(f"unknown model {name!r}; choose slr or mm")
 
@@ -238,11 +243,11 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
         ref1, ref2 = sa_references(model)
         return CriterionSpec("SA", sa_refs=(ref1, ref2))
     if kind == "COMPOUND":
-        lam = _setting(args, cfg, "lam")
+        lam = _setting(args, cfg, "lam", convert=float)
         if lam is None:
             raise UsageError("criterion COMPOUND needs --lam in [0, 1]")
         d_star, r_star = _reference_stars(model, params)
-        return CriterionSpec("COMPOUND", lam=float(lam), phi_d_star=d_star, phi_r_star=r_star)
+        return CriterionSpec("COMPOUND", lam=lam, phi_d_star=d_star, phi_r_star=r_star)
     return CriterionSpec(kind)
 
 
@@ -256,7 +261,7 @@ def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
         raise UsageError("--criterion is required")
     spec = _build_criterion(str(kind), args, cfg, model, params)
     request = OptimizeRequest(model=model, criterion=spec,
-                              n_support=int(_setting(args, cfg, "n_support", 2)))
+                              n_support=_setting(args, cfg, "n_support", 2, convert=int))
     result = optimize_design(request)
     config = {"command": "optimal", "model": model_info["model"], "model_params": model_info,
               "criterion": spec.kind,
@@ -269,20 +274,18 @@ def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
 def _cmd_table(args: argparse.Namespace, cfg: dict) -> int:
     name = args.table
     if name == "slr":
-        b = _setting(args, cfg, "b")
+        b = _setting(args, cfg, "b", convert=float)
         if b is None:
             raise UsageError("table slr needs --b")
         a_list = _setting(args, cfg, "a_list")
         if a_list is None:
             raise UsageError("table slr needs --a-list 'a1,a2,...'")
-        rows = table_slr(_parse_floats(a_list), float(b))
+        rows = table_slr(_parse_floats(a_list), b)
         _emit(table_slr_csv(rows), args.output)
         return EXIT_OK
     if name in ("mm-designs", "mm-efficiencies"):
         eps_list = _setting(args, cfg, "eps_list", "0,0.05,0.5,1")
-        params = MMParams(V=float(_setting(args, cfg, "V", 43.73)), K=float(_setting(args, cfg, "K", 227.27)),
-                          b=float(_setting(args, cfg, "b", 5.0)))
-        tables = mm_tables(params, _parse_floats(eps_list),
+        tables = mm_tables(_mm_params(args, cfg, ("V", "K", "b")), _parse_floats(eps_list),
                            compat=not bool(_setting(args, cfg, "strict", False)))
         text = mm_designs_csv(tables) if name == "mm-designs" else mm_efficiencies_csv(tables)
         _emit(text, args.output)
@@ -293,7 +296,7 @@ def _cmd_table(args: argparse.Namespace, cfg: dict) -> int:
 def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
     model, model_info, params = _build_model(args, cfg)
     seed = _resolve_seed(args, cfg)
-    n = int(_setting(args, cfg, "n", 1000))
+    n = _setting(args, cfg, "n", 1000, convert=int)
     d_star, r_star = _reference_stars(model, params)
     front = sampled_front(model, n, seed, d_star, r_star)
     x_scale = model.nominal_params[1] if model.name == "michaelis_menten" else 1.0
@@ -306,7 +309,7 @@ def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     model, _, params = _build_model(args, cfg)
-    a_fixed = _setting(args, cfg, "a_fixed")
+    a_fixed = _setting(args, cfg, "a_fixed", convert=float)
     kind = str(_setting(args, cfg, "sweep_kind", "criteria"))
     if kind == "compound":
         lam_list = _setting(args, cfg, "lam_list", "0,0.25,0.5,0.75,1")
@@ -316,9 +319,9 @@ def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
         return EXIT_OK
     if a_fixed is None:
         raise UsageError("sweep needs --a-fixed (lower support point; K units for mm)")
-    n_p = int(_setting(args, cfg, "p_points", 199))
+    n_p = _setting(args, cfg, "p_points", 199, convert=int)
     p_grid = [(i + 1) / (n_p + 1) for i in range(n_p)]
-    _emit(criterion_sweep_csv(model, float(a_fixed), p_grid), args.output)
+    _emit(criterion_sweep_csv(model, a_fixed, p_grid), args.output)
     return EXIT_OK
 
 
@@ -372,17 +375,21 @@ def _cmd_efficiency(args: argparse.Namespace, cfg: dict) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=["slr", "mm"], default=None)
-    p.add_argument("--a", type=float, default=None, help="lower end of the SLR interval")
-    p.add_argument("--b", type=float, default=None,
-                   help="upper end (SLR: raw units; mm: units of K)")
-    p.add_argument("--V", type=float, default=None, help="mm nominal maximum rate")
-    p.add_argument("--K", type=float, default=None, help="mm nominal half-saturation constant")
-    p.add_argument("--eps", type=float, default=None,
-                   help="mm lower extreme (units of K unless --eps-absolute)")
-    p.add_argument("--eps-absolute", action="store_const", const=True, default=None,
-                   help="interpret --eps in raw units instead of K units")
+_MODEL_FLAGS = {
+    "--model": {"choices": ["slr", "mm"]},
+    "--a": {"type": float, "help": "lower end of the SLR interval"},
+    "--b": {"type": float, "help": "upper end (SLR: raw units; mm: units of K)"},
+    "--V": {"type": float, "help": "mm nominal maximum rate"},
+    "--K": {"type": float, "help": "mm nominal half-saturation constant"},
+    "--eps": {"type": float, "help": "mm lower extreme (units of K unless --eps-absolute)"},
+    "--eps-absolute": {"action": "store_const", "const": True,
+                       "help": "interpret --eps in raw units instead of K units"},
+}
+
+
+def _add_model_args(p: argparse.ArgumentParser, flags: Sequence[str] = tuple(_MODEL_FLAGS)) -> None:
+    for flag in flags:
+        p.add_argument(flag, default=None, **_MODEL_FLAGS[flag])
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
@@ -405,9 +412,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n-support", type=int, default=None)
     p.set_defaults(func=_cmd_optimal)
 
-    p = sub.add_parser("table", help="emit a reference table as CSV")
+    # No abbreviations: --a and --eps would read as --a-list and --eps-list.
+    p = sub.add_parser("table", help="emit a reference table as CSV", allow_abbrev=False)
     p.add_argument("table", choices=["slr", "mm-designs", "mm-efficiencies"])
-    _add_model_args(p)
+    _add_model_args(p, ("--b", "--V", "--K"))
     _add_common_args(p)
     p.add_argument("--a-list", default=None, help="comma-separated interval lower ends")
     p.add_argument("--eps-list", default=None, help="comma-separated lower extremes")

@@ -109,7 +109,6 @@ class Model:
     space: DesignSpace
     regressor: Callable[[np.ndarray], np.ndarray]
     nominal_params: tuple[float, ...] | None = None
-    param_names: tuple[str, str] = ("theta1", "theta2")
     regressor_dx: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -225,7 +224,6 @@ def slr_model(space: DesignSpace) -> Model:
         return np.stack([np.ones_like(x), x], axis=-1)
 
     return Model(name="slr", space=space, regressor=regressor, nominal_params=None,
-                 param_names=("intercept", "slope"),
                  regressor_dx=lambda x: np.tile([0.0, 1.0], np.shape(x) + (1,)))
 
 
@@ -242,6 +240,6 @@ def design_from_json(obj: dict) -> tuple[Design, DesignSpace]:
     try:
         space = DesignSpace(float(obj["space"]["lo"]), float(obj["space"]["hi"]))
         pairs = [(float(p["x"]), float(p["w"])) for p in obj["points"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed design JSON: {exc}") from exc
     return make_design(pairs, space), space

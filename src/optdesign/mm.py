@@ -74,7 +74,6 @@ def mm_model(params: MMParams) -> Model:
         space=params.space(),
         regressor=lambda x: mm_regressor(params, x),
         nominal_params=(params.V, params.K),
-        param_names=("V", "K"),
         regressor_dx=lambda x: np.stack([params.K / (params.K + x) ** 2,
                                          -params.V * (params.K - x) / (params.K + x) ** 3], axis=-1),
     )

@@ -8,7 +8,7 @@ with a directional-derivative certificate on a fine grid; the non-convex
 criteria (squared correlation and condition number, which carry no
 equivalence theorem) are labeled best-found.
 
-A mass splits two points.  For D, C, SA, EM, r^2 and CPB it is exact, one
+A mass splits two points.  For D, SA, EM, r^2 and CPB it is exact, one
 weight per point.  Every other solve is one row solver, a bracketed secant
 driving a slope to 0 on many rows at once: the masses of R and COMPOUND, the
 cyclic pairwise transfers that weigh three or four points, and the points.
@@ -22,8 +22,8 @@ segment of a fixed two-point support: the convex criteria trivially so, and
 the two non-convex ones by direct analysis of their one-dimensional slices.
 
 Everything is deterministic given the request; ties are broken by
-lexicographic design comparison.  c-optimal designs, the SA references, need
-no search: ``c_optimal`` takes them from Elfving's theorem.
+lexicographic design comparison.  c-optimal designs (kind C, the SA references)
+need no search: ``c_optimal`` takes them, on at most two points, from Elfving's theorem.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class OptimizeRequest:
 class OptimizeResult:
     """Outcome of a design search.
 
-    ``iterations`` counts the supports the refinement evaluated, each a
-    weight solve, summed over all candidates.
+    ``iterations`` counts the supports the refinement evaluated (each a weight
+    solve, over all candidates), or for kind C the points ``c_optimal``'s polish evaluated.
     """
 
     design: Design
@@ -93,13 +93,10 @@ class OptimizeResult:
 
 # g(f) of the exact mass g_b / (g_a + g_b) at point a of a closed pair, where
 # det M = w (1 - w) (f_a x f_b)^2, from a point's entries (f1^2, f1 f2, f2^2).
-# R's mass is a cubic root and COMPOUND has none.  C: |c x f|, Elfving's weights,
-# with f = (|f1|, sign(f1 f2) |f2|), free of the cancellation in the sum of the
-# entries weighted (c2^2, -2 c1 c2, c1^2).  R2 and CPB: m12 = 0 where the signs
-# of f1 f2 differ, else the stationary point.
+# R's mass is a cubic root and COMPOUND has none; C is never searched.  R2 and
+# CPB: m12 = 0 where the signs of f1 f2 differ, else the stationary point.
 _SPLIT_WEIGHT = {
     "D": lambda s, o11, o12, o22: np.ones_like(o11),
-    "C": lambda s, o11, o12, o22: np.abs(s.c[0] * np.copysign(np.sqrt(o22), o12) - s.c[1] * np.sqrt(o11)),
     "SA": lambda s, o11, o12, o22: np.sqrt(o22 / s.sa_refs[0] + o11 / s.sa_refs[1]),
     "EM": lambda s, o11, o12, o22: o11 + o22,
     "R2": lambda s, o11, o12, o22: np.abs(o12),
@@ -388,9 +385,11 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     Convex criteria return with an equivalence certificate (directional
     derivative >= -1e-6, scaled, on the ``criteria.CERTIFICATE_GRID``-point
     grid); the non-convex ones return the best design found by the grid search
-    and its polish.
+    and its polish.  Kind C is ``c_optimal``'s design, whatever ``n_support``.
     """
     model, spec = request.model, request.criterion
+    if spec.kind == "C":
+        return c_optimal(model, spec.c)
     space = model.space
     # CPB is sqrt(r^2) for two parameters: the same designs, searched as r^2.
     search = CriterionSpec("R2") if spec.kind == "CPB" else spec
@@ -551,8 +550,7 @@ class MMDesignRow:
     criterion: str
     a: float
     p: float
-    design: Design | None
-    collapsed: bool
+    design: Design | None  # None: the degenerate limit row a=0, p=1
 
 
 @dataclass(frozen=True)
@@ -605,11 +603,11 @@ def mm_tables(params: MMParams, eps_list: Sequence[float], compat: bool = True) 
         for kind in MM_CRITERIA:
             d = designs[kind]
             if d is None:
-                design_rows.append(MMDesignRow(float(eps), kind, 0.0, 1.0, None, True))
+                design_rows.append(MMDesignRow(float(eps), kind, 0.0, 1.0, None))
                 effs, r2 = [1.0 if k == kind else None for k in MM_CRITERIA], None
             else:
                 (x_lo, w_lo), m = d.points[0], fim(model, d)
-                design_rows.append(MMDesignRow(float(eps), kind, x_lo / p_eps.K, w_lo, d, False))
+                design_rows.append(MMDesignRow(float(eps), kind, x_lo / p_eps.K, w_lo, d))
                 vals = {k: criterion_value(m, evaluators[k]) for k in MM_CRITERIA}
                 # MMEfficiencyRow's eff_* fields follow MM_CRITERIA's order.
                 effs = [stars[k] / vals[k] if stars[k] is not None and 0.0 < vals[k] < math.inf

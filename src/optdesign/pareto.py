@@ -254,12 +254,8 @@ def compound_sweep(model: Model, lam_grid: Sequence[float], phi_d_star: float,
     At lam = 0 this is the D-optimal design, at lam = 1 the R-optimal one; in
     between Eff_D decreases and Eff_R increases monotonically.
     """
-    if phi_d_star <= 0.0 or phi_r_star <= 0.0:
-        raise ValidationError("reference criterion values must be positive")
     rows = []
     for lam in lam_grid:
-        if not 0.0 <= lam <= 1.0:
-            raise ValidationError(f"lambda grid must lie in [0, 1], got {lam}")
         spec = CriterionSpec("COMPOUND", lam=float(lam), phi_d_star=phi_d_star, phi_r_star=phi_r_star)
         res = optimize_design(OptimizeRequest(model=model, criterion=spec))
         m = fim(model, res.design)

@@ -70,6 +70,18 @@ class TestOptimal:
         points = json.loads(proc.stdout)["design"]["points"]
         assert [p["x"] for p in points] == [-1.0, 1.0]
 
+    @pytest.mark.parametrize("x0", [241.474375, 624.9925, 5.0 * 227.27])
+    def test_c_parallel_to_one_regressor_is_the_one_point_design(self, capsys, x0):
+        # The c-optimal design for c = 1.7 f(x0) is the one point x0, with value 1.7^2.
+        f = mm_model(MMParams(b=5.0, eps=0.5)).regressor(np.array([x0]))[0].tolist()
+        code, out, _ = run(capsys, "optimal", "--model", "mm", "--b", "5", "--eps", "0.5", "--criterion", "C",
+                           f"--c={1.7 * f[0]!r},{1.7 * f[1]!r}")
+        payload = json.loads(out)
+        assert code == EXIT_OK and payload["label"] == "certified"
+        [point] = payload["design"]["points"]
+        assert point["w"] == 1.0 and math.isclose(point["x"], x0, rel_tol=1e-12)
+        assert math.isclose(payload["criterion_value"], 2.89, rel_tol=1e-12)
+
     @pytest.mark.parametrize("criterion", ["D", "EM"])
     def test_seed_does_not_move_the_optimizer(self, capsys, criterion):
         # The seed feeds only the pareto sampler; optimal echoes it and nothing else.
@@ -96,8 +108,11 @@ class TestOptimal:
         ("optimal", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D", "--grid", "201"),
         *((*argv, "--weight-tolerance", "1e-8") for argv in WEIGHT_TOLERANCE.values()),
         ("check", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D", "--check-grid", "1000"),
+        ("table", "mm-designs", "--eps", "0.5", "--eps-list", "0", "--b", "5"),
+        ("table", "slr", "--b", "5", "--a-list", "1", "--a", "3"),
     ], ids=["table-seed", "sweep-seed", "check-seed", "efficiency-seed", "optimal-grid",
-            *(f"{name}-weight-tolerance" for name in WEIGHT_TOLERANCE), "check-check-grid"])
+            *(f"{name}-weight-tolerance" for name in WEIGHT_TOLERANCE), "check-check-grid",
+            "table-eps", "table-a"])
     def test_knobs_nothing_reads_are_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
@@ -349,6 +364,14 @@ class TestUnreadableDesignFile:
         assert code == EXIT_USAGE and out == ""
         assert f"cannot read design {path}" in err
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_non_numeric_point_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({"points": [{"x": "abc", "w": 1.0}], "space": {"lo": 1.0, "hi": 5.0}}))
+        code, out, err = run(capsys, *self.COMMANDS[command], str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert f"design {path}" in err
+
 
 class TestOptimalThenCheckContract:
     MODELS = {
@@ -473,6 +496,18 @@ class TestConfig:
         code, out, err = run(capsys, "table", "slr", "--b", "5", "--a-list", "1", "--config", str(cfg))
         assert code == EXIT_USAGE and out == ""
         assert f"cannot read config file {cfg}" in err
+
+    @pytest.mark.parametrize("key,argv", [
+        ("b", ("optimal", "--model", "slr", "--a", "1", "--criterion", "D")),
+        ("b", ("table", "slr", "--a-list", "1")),
+        ("n", ("pareto", "--model", "slr", "--a", "1", "--b", "5")),
+    ], ids=["optimal-b", "table-b", "pareto-n"])
+    def test_non_numeric_config_value_is_usage_error(self, capsys, tmp_path, key, argv):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: "abc"}))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert f"config key {key!r}" in err
 
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("OPTDESIGN_SEED", "123")

@@ -650,6 +650,16 @@ class TestElfving:
             bound = exact_c_value(model, found.design, c) * (1.0 + 1e-12)
             assert c_optimal(model, c).criterion_value <= bound
 
+    @pytest.mark.parametrize("kind", ["slr", "mm"])
+    @pytest.mark.parametrize("n_support", [2, 3, 4])
+    def test_optimize_design_is_c_optimal(self, kind, n_support):
+        # Elfving's set is planar, so no support size needs more than c_optimal's two points.
+        for model, c in random_c_problems(kind, 17, 30):
+            res = optimize_design(OptimizeRequest(model, CriterionSpec("C", c=c), n_support))
+            dual = c_optimal(model, c)
+            assert res.design == dual.design and res.criterion_value == dual.criterion_value
+            assert res.label == dual.label == "certified"
+
     @pytest.mark.parametrize("name", ["slr", "mm"])
     def test_sa_references_match_the_recorded_ones_without_a_search(self, name, monkeypatch):
         def no_search(request):
@@ -674,7 +684,7 @@ class TestMMTables:
         rows = {(r.eps, r.criterion): r for r in tables.designs}
         for kind in ("EM", "R2"):
             row = rows[(0.0, kind)]
-            assert row.collapsed and row.a == 0.0 and row.p == 1.0 and row.design is None
+            assert row.design is None and row.a == 0.0 and row.p == 1.0
         eff = {(r.eps, r.criterion): r for r in tables.efficiencies}
         em_row = eff[(0.0, "EM")]
         assert em_row.eff_em == 1.0
@@ -696,7 +706,7 @@ class TestMMTables:
     def test_strict_mode_reports_best_found_at_zero_floor(self):
         t = mm_tables(MMParams(), eps_list=[0.0], compat=False)
         row = next(r for r in t.designs if r.criterion == "EM")
-        assert not row.collapsed and row.design is not None
+        assert row.design is not None
 
     def test_csv_rendering_deterministic(self, tables):
         a = mm_designs_csv(tables)
