@@ -53,6 +53,7 @@ from .optimize import (
     OptimizeResult,
     mm_designs_csv,
     mm_efficiencies_csv,
+    mm_r_optimal,
     mm_tables,
     optimize_design,
     sa_references,
@@ -138,11 +139,13 @@ def _read_design(path: str) -> Design:
 
 
 def _setting(args: argparse.Namespace, cfg: dict, name: str, default=None, convert=None):
-    """Flag value if given, else config-file value (through ``convert``, as
-    argparse converts the flag), else default."""
+    """Flag value if given, else config-file value (through ``convert``, as argparse
+    converts the flag; ``bool`` takes only JSON true or false), else default."""
     val = getattr(args, name.replace("-", "_"), None)
     if val is not None:
         return val
+    if convert is bool and not isinstance(cfg.get(name, False), bool):
+        raise UsageError(f"config key {name!r} must be true or false, got {cfg[name]!r}")
     if name not in cfg or convert is None:
         return cfg.get(name, default)
     try:
@@ -195,7 +198,7 @@ def _build_model(args: argparse.Namespace, cfg: dict) -> tuple[Model, dict, SlrI
         if _setting(args, cfg, "b") is None:
             raise UsageError("model mm needs --b (upper end of the space, in K units)")
         params = _mm_params(args, cfg, ("V", "K", "b", "eps"),
-                            eps_in_k_units=not bool(_setting(args, cfg, "eps_absolute", False)))
+                            eps_in_k_units=not _setting(args, cfg, "eps_absolute", False, convert=bool))
         return mm_model(params), {"model": "michaelis_menten", **asdict(params)}, params
     raise UsageError(f"unknown model {name!r}; choose slr or mm")
 
@@ -218,12 +221,11 @@ def _reference_stars(model: Model, params: SlrInterval | MMParams) -> tuple[floa
     """(phi_D*, phi_R*): the optimal D and R values, references of COMPOUND and the efficiencies.
 
     Both come from closed forms on SLR; on MM phi_D* does, and phi_R*, which
-    has none, from the optimizer.
+    has none, from ``mm_r_optimal``'s polish of one support, with no grid search.
     """
     if isinstance(params, SlrInterval):
         return phi_d(fim(model, d_optimal_slr(params))), phi_r(fim(model, r_optimal_slr(params)))
-    r_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R"))).criterion_value
-    return phi_d(fim(model, mm_d_optimal(params))), r_star
+    return phi_d(fim(model, mm_d_optimal(params))), mm_r_optimal(params).criterion_value
 
 
 def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Model,
@@ -286,7 +288,7 @@ def _cmd_table(args: argparse.Namespace, cfg: dict) -> int:
     if name in ("mm-designs", "mm-efficiencies"):
         eps_list = _setting(args, cfg, "eps_list", "0,0.05,0.5,1")
         tables = mm_tables(_mm_params(args, cfg, ("V", "K", "b")), _parse_floats(eps_list),
-                           compat=not bool(_setting(args, cfg, "strict", False)))
+                           compat=not _setting(args, cfg, "strict", False, convert=bool))
         text = mm_designs_csv(tables) if name == "mm-designs" else mm_efficiencies_csv(tables)
         _emit(text, args.output)
         return EXIT_OK

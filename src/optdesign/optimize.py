@@ -8,10 +8,10 @@ with a directional-derivative certificate on a fine grid; the non-convex
 criteria (squared correlation and condition number, which carry no
 equivalence theorem) are labeled best-found.
 
-A mass splits two points.  For D, SA, EM, r^2 and CPB it is exact, one
-weight per point.  Every other solve is one row solver, a bracketed secant
-driving a slope to 0 on many rows at once: the masses of R and COMPOUND, the
-cyclic pairwise transfers that weigh three or four points, and the points.
+A mass splits two points.  For D, SA, EM, r^2, CPB and R (a scale-free cubic's
+root) it is exact.  Every other solve is one row solver, a bracketed secant
+driving a slope to 0 on many rows at once: the mass of COMPOUND, the cyclic
+pairwise transfers that weigh three or four points, and the points.
 By the envelope theorem, at optimal weights the criterion's derivative in a
 support point x_j is its slope along w_j (f' f^T + f f'^T)(x_j): the polish
 cycles the coordinates of all candidates (as rows of arrays), each
@@ -93,8 +93,8 @@ class OptimizeResult:
 
 # g(f) of the exact mass g_b / (g_a + g_b) at point a of a closed pair, where
 # det M = w (1 - w) (f_a x f_b)^2, from a point's entries (f1^2, f1 f2, f2^2).
-# R's mass is a cubic root and COMPOUND has none; C is never searched.  R2 and
-# CPB: m12 = 0 where the signs of f1 f2 differ, else the stationary point.
+# R's mass is the root of a cubic (``_r_mass``); COMPOUND has none, and C is never searched.
+# R2 and CPB: m12 = 0 where the signs of f1 f2 differ, else the stationary point.
 _SPLIT_WEIGHT = {
     "D": lambda s, o11, o12, o22: np.ones_like(o11),
     "SA": lambda s, o11, o12, o22: np.sqrt(o22 / s.sa_refs[0] + o11 / s.sa_refs[1]),
@@ -102,6 +102,25 @@ _SPLIT_WEIGHT = {
     "R2": lambda s, o11, o12, o22: np.abs(o12),
     "CPB": lambda s, o11, o12, o22: np.abs(o12),
 }
+
+
+def _r_mass(Oa: np.ndarray, Ob: np.ndarray) -> np.ndarray:
+    """R's mass at point a of closed pairs (a, b) with outer-product entries Oa and Ob (n, 3): with r_i the
+    odds of w_i = |f_bi| / (|f_ai| + |f_bi|), which minimize the two variances R multiplies, its odds z solve
+    2 z^3 + (r_1^2 + r_2^2)(z^2 - z) = 2 r_1^2 r_2^2, a cubic free of scale, convex for z > 0 and rising for
+    z >= 1/2, so Newton from the middle's odds, >= 1 once a and b are swapped, needs no bracket."""
+    fa, fb = np.sqrt(Oa[:, ::2]), np.sqrt(Ob[:, ::2])  # |f1|, |f2|
+    w = np.divide(fb, fa + fb, out=np.full_like(fb, 0.5), where=fa + fb > 0.0)
+    swap = w.sum(axis=1) < 1.0
+    w = np.minimum(np.where(swap[:, None], 1.0 - w, w), 1.0 - EPS)
+    odds2 = (w / (1.0 - w)) ** 2
+    S, P, z = odds2.sum(axis=1), 2.0 * odds2.prod(axis=1), w.sum(axis=1) / (2.0 - w.sum(axis=1))
+    for _ in range(MASS_ITERS):
+        step = (((2.0 * z + S) * z - S) * z - P) / ((6.0 * z + 2.0 * S) * z - S)
+        z = z - step
+        if not (step > 4.0 * EPS * z).any():
+            break
+    return np.where(swap, 1.0, z) / (1.0 + z)
 
 
 def _outer3(f: np.ndarray) -> np.ndarray:
@@ -182,9 +201,9 @@ def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray, tol: float,
     Oa and Ob hold the (n, 3) outer-product entries of the two points; at mass
     w the matrix is Ob + w (Oa - Ob).  The masses 0 and 1 are one-point designs,
     singular, unless ``open_ends`` (a pairwise transfer, where Oa and Ob carry
-    the other points too).  A closed pair takes its ``_SPLIT_WEIGHT`` split, kept
-    tol/2 inside (0, 1) as a secant's bracket keeps it; otherwise ``_zero_slope``
-    drives the slope along Oa - Ob to 0 from w0 (default 1/2).  Returns (w, value).
+    the other points too).  A closed pair takes its ``_SPLIT_WEIGHT`` split, or R's
+    ``_r_mass``, kept tol/2 inside (0, 1) as a secant's bracket keeps it; otherwise
+    ``_zero_slope`` drives the slope along Oa - Ob to 0 from w0 (default 1/2).  Returns (w, value).
     """
     base, direction = Ob.T.copy(), (Oa - Ob).T.copy()  # (3, n): m11, m12, m22
     n = len(Oa)
@@ -192,6 +211,9 @@ def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray, tol: float,
     if split is not None:
         ga, gb = split(spec, *Oa.T), split(spec, *Ob.T)
         w = np.divide(gb, ga + gb, out=np.full(n, 0.5), where=ga + gb > 0.0).clip(0.5 * tol, 1.0 - 0.5 * tol)
+        return w, criterion_values_raw(spec, *(base + w * direction))
+    if spec.kind == "R" and not open_ends:
+        w = _r_mass(Oa, Ob).clip(0.5 * tol, 1.0 - 0.5 * tol)
         return w, criterion_values_raw(spec, *(base + w * direction))
 
     def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
@@ -390,7 +412,6 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     model, spec = request.model, request.criterion
     if spec.kind == "C":
         return c_optimal(model, spec.c)
-    space = model.space
     # CPB is sqrt(r^2) for two parameters: the same designs, searched as r^2.
     search = CriterionSpec("R2") if spec.kind == "CPB" else spec
 
@@ -417,16 +438,33 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
         if V2[0] <= best_val * (1.0 + 1e-9):
             best_xs, best_ws, best_val = tuple(xs2), W2[0], float(V2[0])
 
-    design = make_design(list(zip(best_xs, best_ws)), space)
+    return _result(model, spec, best_xs, best_ws, total_iter)
+
+
+def _result(model: Model, spec: CriterionSpec, xs: Sequence[float], ws: Sequence[float],
+            iterations: int) -> OptimizeResult:
+    """The design on xs with weights ws, its value and, for a convex kind, its certificate."""
+    design = make_design(list(zip(xs, ws)), model.space)
     m = fim(model, design)
     value = criterion_value(m, spec)
-
     if spec.is_convex and not m.is_singular:
         report = derivative_report(model, design, spec)
         converged = report.passes(value, EQUIVALENCE_TOL)
-        return OptimizeResult(design, value, report, converged, total_iter,
+        return OptimizeResult(design, value, report, converged, iterations,
                               "certified" if converged else "best-found")
-    return OptimizeResult(design, value, None, False, total_iter, "best-found")
+    return OptimizeResult(design, value, None, False, iterations, "best-found")
+
+
+def mm_r_optimal(params: MMParams) -> OptimizeResult:
+    """The R-optimal design on MM without stage 1: a two-point design with upper point bK dominates any
+    design in the Loewner order (Yang & Stufken 2009, *Ann. Statist.* 37:518) and R is Loewner-antitone, so
+    ``_refine`` polishes bK and the lower point (sqrt 2 - 1) b K / ((2 - sqrt 2) b + 1) (or the floor) of the
+    c-optimal designs for e_1 and e_2, whose variances R multiplies.  A failed certificate runs the search."""
+    model, spec, space, b = mm_model(params), CriterionSpec("R"), params.space(), params.b
+    x0 = max((math.sqrt(2.0) - 1.0) * b / ((2.0 - math.sqrt(2.0)) * b + 1.0) * params.K, space.lo)
+    X, W, _, n_evals = _refine(model, spec, np.array([[x0, space.hi]]))
+    result = _result(model, spec, X[0].tolist(), W[0], n_evals)
+    return result if result.converged else optimize_design(OptimizeRequest(model=model, criterion=spec))
 
 
 @dataclass(frozen=True)

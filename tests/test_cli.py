@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import optdesign.cli as cli_module
+import optdesign.optimize as optimize_module
 from optdesign import CriterionSpec, OptimizeRequest, optimize_design
 from optdesign.cli import (
     EXIT_BEST_FOUND,
@@ -276,6 +277,15 @@ def searched_stars(model):
                  for kind in ("D", "R"))
 
 
+def random_mm_params():
+    rng = np.random.default_rng(22)
+    for k in range(30):
+        b = float(rng.uniform(0.5, 10.0))
+        cut = b / (2.0 + b)  # the lower D-optimal point, in units of K
+        eps = (0.0, float(rng.uniform(0.0, cut)), float(rng.uniform(cut, 0.9 * b)))[k % 3]
+        yield MMParams(V=float(rng.uniform(1.0, 100.0)), K=float(rng.uniform(1.0, 500.0)), b=b, eps=eps)
+
+
 class TestReferenceStars:
     def test_slr_closed_forms_equal_the_search(self):
         rng = np.random.default_rng(21)
@@ -288,18 +298,21 @@ class TestReferenceStars:
                 assert math.isclose(got, want, rel_tol=1e-12), (a, b)
 
     def test_mm_closed_form_equals_the_search(self):
-        rng = np.random.default_rng(22)
-        for k in range(30):
-            b = float(rng.uniform(0.5, 10.0))
-            cut = b / (2.0 + b)  # the lower D-optimal point, in units of K
-            eps = (0.0, float(rng.uniform(0.0, cut)), float(rng.uniform(cut, 0.9 * b)))[k % 3]
-            params = MMParams(V=float(rng.uniform(1.0, 100.0)), K=float(rng.uniform(1.0, 500.0)),
-                              b=b, eps=eps)
+        for params in random_mm_params():
             model = mm_model(params)
             for got, want in zip(_reference_stars(model, params), searched_stars(model)):
                 assert math.isclose(got, want, rel_tol=1e-12), params
 
-    @pytest.mark.parametrize("name, searched", [("slr", []), ("mm", ["R"])])
+    def test_mm_runs_no_stage1(self, monkeypatch):
+        # mm_r_optimal's certificate passes on every model, so its fallback,
+        # the grid search, never runs.
+        def no_stage1(*args):
+            raise AssertionError("stage 1 ran")
+        monkeypatch.setattr(optimize_module, "_stage1", no_stage1)
+        for params in random_mm_params():
+            _reference_stars(mm_model(params), params)
+
+    @pytest.mark.parametrize("name, searched", [("slr", []), ("mm", [])])
     def test_searches_only_for_phi_r_on_mm(self, monkeypatch, name, searched):
         calls = []
 
@@ -307,6 +320,7 @@ class TestReferenceStars:
             calls.append(request.criterion.kind)
             return optimize_design(request)
         monkeypatch.setattr(cli_module, "optimize_design", counted)
+        monkeypatch.setattr(optimize_module, "optimize_design", counted)
         if name == "slr":
             params = SlrInterval(-1.3, 4.2)
             _reference_stars(params.model(), params)
@@ -508,6 +522,27 @@ class TestConfig:
         code, out, err = run(capsys, *argv, "--config", str(cfg))
         assert code == EXIT_USAGE and out == ""
         assert f"config key {key!r}" in err
+
+    @pytest.mark.parametrize("key,value,argv", [
+        ("strict", "false", ("table", "mm-efficiencies", "--eps-list", "0")),
+        ("strict", 1, ("table", "mm-efficiencies", "--eps-list", "0")),
+        ("strict", None, ("table", "mm-efficiencies", "--eps-list", "0")),
+        ("eps_absolute", "false", ("optimal", "--model", "mm", "--b", "5", "--eps", "0.5", "--criterion", "D")),
+    ], ids=["strict-string", "strict-number", "strict-null", "eps_absolute-string"])
+    def test_non_boolean_switch_is_usage_error(self, capsys, tmp_path, key, value, argv):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert f"config key {key!r} must be true or false" in err
+
+    @pytest.mark.parametrize("value,flags", [(True, ("--strict",)), (False, ())])
+    def test_boolean_switch_reads_as_its_flag(self, capsys, tmp_path, value, flags):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"strict": value}))
+        argv = ("table", "mm-efficiencies", "--eps-list", "0")
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_OK and out == run(capsys, *argv, *flags)[1]
 
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("OPTDESIGN_SEED", "123")

@@ -283,8 +283,8 @@ def test_batched_k_point_weights_match_row_by_row(kind, n_support):
 
 
 class TestGoldenMass:
-    # The two-point mass solver against closed forms.  A closed pair of D, C,
-    # SA, EM, R2 or CPB takes its exact split; the other masses come from a
+    # The two-point mass solver against closed forms.  A closed pair of D, SA,
+    # EM, R2, CPB or R takes its exact mass; the other masses come from a
     # secant that zeroes the slope, so its precision is set by rounding in the
     # slope, not in the value: on the badly scaled MM regressor (columns about
     # tenfold apart), and on the close pair (0.06K, 0.07K) above all, a search
@@ -338,7 +338,7 @@ class TestGoldenMass:
         return self.rows(model, np.sort(rng.uniform(model.space.lo, model.space.hi, (n, 2)), axis=1))
 
     @pytest.mark.parametrize("model_name", list(PINNED_MODELS))
-    @pytest.mark.parametrize("kind", ["D", "C", "SA", "EM", "R2", "CPB"])
+    @pytest.mark.parametrize("kind", ["D", "C", "SA", "EM", "R2", "CPB", "R"])
     def test_exact_mass_beats_grid_and_secant(self, model_name, kind):
         spec = PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
         _, O = self.random_rows(model_name)
@@ -364,7 +364,7 @@ class TestGoldenMass:
             r2 = vals if kind == "R2" else vals * vals
             assert np.allclose(r2, m12 * m12 / (m11 * m22), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("kind", ["D", "C", "SA", "EM", "R2", "CPB"])
+    @pytest.mark.parametrize("kind", ["D", "C", "SA", "EM", "R2", "CPB", "R"])
     def test_zero_information_point_keeps_mass_inside(self, kind):
         # MM's regressor vanishes at x = 0.  An exact split of 1 there would
         # give M = 0, which once stopped every row of the R2 polish.
@@ -373,6 +373,28 @@ class TestGoldenMass:
         _, O = self.rows(model, np.array([(0.0, 0.3 * 227.27), (0.0, 5.0 * 227.27)]))
         w, vals = _best_mass(spec, O[:, 0], O[:, 1], self.TOL)
         assert np.all((0.0 < w) & (w < 1.0)) and np.all(np.isinf(vals))
+
+    @pytest.mark.parametrize("model_name", [*PINNED_MODELS, "mm-badly-scaled"])
+    def test_r_mass_lies_between_the_variance_splits(self, model_name):
+        # R^2 multiplies the variances of the two estimates, least at the
+        # splits w_i = |f_bi| / (|f_ai| + |f_bi|): R's mass lies between them,
+        # and COMPOUND's between D's 1/2 and R's.  Only squares of each column
+        # enter, so rescaling a column leaves R's mass unchanged.
+        if model_name == "mm-badly-scaled":
+            model = mm_model(MMParams(V=1e-3, K=1e6, b=2.0, eps=1e-3))
+            spec = CriterionSpec("COMPOUND", lam=0.5, phi_d_star=1.0, phi_r_star=1.0)
+        else:
+            model, spec = PINNED_MODELS[model_name], PINNED_SPECS[model_name]["COMPOUND"]
+        rng = np.random.default_rng(20260813)
+        F, O = self.rows(model, np.sort(rng.uniform(model.space.lo, model.space.hi, (24, 2)), axis=1))
+        w1, w2 = (np.abs(F[:, 1, i]) / (np.abs(F[:, 0, i]) + np.abs(F[:, 1, i])) for i in (1, 0))
+        w, _ = _best_mass(CriterionSpec("R"), O[:, 0], O[:, 1], self.TOL)
+        assert np.all((np.minimum(w1, w2) <= w) & (w <= np.maximum(w1, w2)))
+        rescaled = _outer3(F * np.array([1e-9, 1e7]))
+        assert np.allclose(_best_mass(CriterionSpec("R"), rescaled[:, 0], rescaled[:, 1], self.TOL)[0], w,
+                           rtol=0.0, atol=4 * np.finfo(float).eps)
+        wc, _ = _best_mass(spec, O[:, 0], O[:, 1], self.TOL)
+        assert np.all((np.minimum(w, 0.5) - self.TOL <= wc) & (wc <= np.maximum(w, 0.5) + self.TOL))
 
 
 def test_mm_r2_at_zero_floor_is_not_stopped_by_a_zero_matrix():
@@ -399,11 +421,11 @@ def test_stage1_heap_peak(kind):
 
 
 # criterion_values_raw calls of each PINNED_VALUES call, as recorded with the
-# slope polish of the support points and the exact two-point masses; a call
-# may make 20% more.
+# slope polish of the support points and the exact two-point masses, R's
+# included; a call may make 20% more.
 KERNEL_CALLS = {
-    "slr": {"D": 14, "R": 39, "R2": 4, "C": 14, "SA": 14, "EM": 12, "CPB": 4, "COMPOUND": 36},
-    "mm": {"D": 36, "R": 103, "R2": 14, "C": 40, "SA": 38, "EM": 14, "CPB": 14, "COMPOUND": 95},
+    "slr": {"D": 14, "R": 14, "R2": 4, "C": 14, "SA": 14, "EM": 12, "CPB": 4, "COMPOUND": 36},
+    "mm": {"D": 36, "R": 38, "R2": 14, "C": 40, "SA": 38, "EM": 14, "CPB": 14, "COMPOUND": 95},
 }
 
 
@@ -659,6 +681,17 @@ class TestElfving:
             dual = c_optimal(model, c)
             assert res.design == dual.design and res.criterion_value == dual.criterion_value
             assert res.label == dual.label == "certified"
+
+    def test_mm_lower_point_closed_form(self):
+        # mm_r_optimal starts its polish here: on [0, bK] the c-optimal designs
+        # for e_1 and e_2 share the lower point (sqrt 2 - 1) b K / ((2 - sqrt 2) b + 1).
+        for b in (0.5, 1.0, 5.0, 50.0):
+            model = mm_model(MMParams(V=43.73, K=227.27, b=b, eps=0.0))
+            x = (math.sqrt(2.0) - 1.0) * b / ((2.0 - math.sqrt(2.0)) * b + 1.0) * 227.27
+            for c in ((1.0, 0.0), (0.0, 1.0)):
+                w = optimize_weights(model, [x, model.space.hi], CriterionSpec("C", c=c))
+                at_x = phi_c(fim(model, make_design([(x, w[0]), (model.space.hi, w[1])], model.space)), c)
+                assert math.isclose(at_x, c_optimal(model, c).criterion_value, rel_tol=1e-12)
 
     @pytest.mark.parametrize("name", ["slr", "mm"])
     def test_sa_references_match_the_recorded_ones_without_a_search(self, name, monkeypatch):
