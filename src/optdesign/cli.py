@@ -139,19 +139,22 @@ def _read_design(path: str) -> Design:
 
 
 def _setting(args: argparse.Namespace, cfg: dict, name: str, default=None, convert=None):
-    """Flag value if given, else config-file value (through ``convert``, as argparse
-    converts the flag; ``bool`` takes only JSON true or false), else default."""
+    """Flag value if given, else config-file value (through ``convert``, as argparse converts the flag:
+    ``bool`` takes only JSON true or false, no number a JSON boolean, ``int`` no fraction), else default."""
     val = getattr(args, name.replace("-", "_"), None)
     if val is not None:
         return val
     if convert is bool and not isinstance(cfg.get(name, False), bool):
         raise UsageError(f"config key {name!r} must be true or false, got {cfg[name]!r}")
-    if name not in cfg or convert is None:
+    if name not in cfg or convert in (None, bool):
         return cfg.get(name, default)
+    val, kind = cfg[name], "an integer" if convert is int else "a number"
+    if isinstance(val, bool) or convert is int and isinstance(val, float) and not val.is_integer():
+        raise UsageError(f"config key {name!r} must be {kind}, got {val!r}")
     try:
-        return convert(cfg[name])
+        return convert(val)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"config key {name!r} must be a number, got {cfg[name]!r}") from exc
+        raise UsageError(f"config key {name!r} must be {kind}, got {val!r}") from exc
 
 
 def _mm_params(args: argparse.Namespace, cfg: dict, names: Sequence[str], **fixed) -> MMParams:
@@ -411,7 +414,8 @@ def build_parser() -> _Parser:
     p.add_argument("--criterion", default=None, help=f"one of {CRITERION_KINDS}")
     p.add_argument("--c", default=None, help="c vector for criterion C, e.g. '1,0'")
     p.add_argument("--lam", type=float, default=None, help="compound weight in [0, 1]")
-    p.add_argument("--n-support", type=int, default=None)
+    p.add_argument("--n-support", type=int, default=None,
+                   help="most support points, in [2, 4] (default 2); every optimum needs at most two")
     p.set_defaults(func=_cmd_optimal)
 
     # No abbreviations: --a and --eps would read as --a-list and --eps-list.

@@ -1,17 +1,20 @@
 """Numeric design optimization and the Michaelis-Menten reference tables.
 
-The search is grid-plus-refinement.  Stage 1 weighs every k-subset of a
-coarse grid (33, 24 or 14 points for supports of 2, 3 or 4 points), all at
-once, each at loose optimal weights.  The best few are polished by moving
+Two support points suffice for every criterion: for D, R, SA and COMPOUND some
+two-point design dominates any design in the Loewner order (de la Garza 1954,
+*Ann. Math. Statist.* 25:123; Yang & Stufken 2009, *Ann. Statist.* 37:518), and
+r^2, CPB and EM, blind to the scale of M, are least on a chord of the
+normalised information disk.  So the search is over two-point supports,
+grid-plus-refinement: stage 1 weighs every pair of a 33-point coarse grid, all
+at once, each at loose optimal weights, and the best few are polished by moving
 their support points along the criterion's slope.  Convex results come back
 with a directional-derivative certificate on a fine grid; the non-convex
-criteria (squared correlation and condition number, which carry no
-equivalence theorem) are labeled best-found.
+criteria (squared correlation and condition number, which carry no equivalence
+theorem) are labeled best-found.
 
 A mass splits two points.  For D, SA, EM, r^2, CPB and R (a scale-free cubic's
 root) it is exact.  Every other solve is one row solver, a bracketed secant
-driving a slope to 0 on many rows at once: the mass of COMPOUND, the cyclic
-pairwise transfers that weigh three or four points, and the points.
+driving a slope to 0 on many rows at once: the mass of COMPOUND, and the points.
 By the envelope theorem, at optimal weights the criterion's derivative in a
 support point x_j is its slope along w_j (f' f^T + f f'^T)(x_j): the polish
 cycles the coordinates of all candidates (as rows of arrays), each
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +55,7 @@ from .slr import _fmt
 MASS_ITERS = 64            # cap on the secant iterations of one row solve
 WEIGHT_TOL = 1e-8          # weight tolerance of every solve but stage 1's
 STAGE1_WEIGHT_TOL = 1e-4   # stage 1's loose weight tolerance
-STAGE1_GRID = {2: 33, 3: 24, 4: 14}  # coarse-grid points whose k-subsets stage 1 weighs
+STAGE1_GRID = 33          # coarse-grid points whose pairs stage 1 weighs
 REFINE_TOP = 16            # stage-1 candidates kept for the polish
 FIRST_MOVE_REL = 1 / 200   # first trial move of the polish, relative to the width
 XTOL_REL = 1e-9            # support-point tolerance of the polish, relative to the width
@@ -64,7 +66,8 @@ M12_ROUNDING = 256 * EPS  # |m12| / sum_i w_i |f1 f2|(x_i) this small: r = 0
 
 @dataclass(frozen=True)
 class OptimizeRequest:
-    """One optimization problem: model, criterion and support size."""
+    """One optimization problem: model, criterion and an upper bound in [2, 4] on the
+    support size; every optimum needs at most two points, so each bound gets the same design."""
 
     model: Model
     criterion: CriterionSpec
@@ -195,24 +198,23 @@ def _zero_slope(evaluate, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np
 
 
 def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray, tol: float,
-               w0: np.ndarray | None = None, open_ends: bool = False) -> tuple[np.ndarray, np.ndarray]:
+               w0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Optimal mass w at the first point of each row's two-point support.
 
     Oa and Ob hold the (n, 3) outer-product entries of the two points; at mass
-    w the matrix is Ob + w (Oa - Ob).  The masses 0 and 1 are one-point designs,
-    singular, unless ``open_ends`` (a pairwise transfer, where Oa and Ob carry
-    the other points too).  A closed pair takes its ``_SPLIT_WEIGHT`` split, or R's
+    w the matrix is Ob + w (Oa - Ob), and the masses 0 and 1 are one-point
+    designs, singular.  A pair takes its ``_SPLIT_WEIGHT`` split, or R's
     ``_r_mass``, kept tol/2 inside (0, 1) as a secant's bracket keeps it; otherwise
     ``_zero_slope`` drives the slope along Oa - Ob to 0 from w0 (default 1/2).  Returns (w, value).
     """
     base, direction = Ob.T.copy(), (Oa - Ob).T.copy()  # (3, n): m11, m12, m22
     n = len(Oa)
-    split = None if open_ends else _SPLIT_WEIGHT.get(spec.kind)
+    split = _SPLIT_WEIGHT.get(spec.kind)
     if split is not None:
         ga, gb = split(spec, *Oa.T), split(spec, *Ob.T)
         w = np.divide(gb, ga + gb, out=np.full(n, 0.5), where=ga + gb > 0.0).clip(0.5 * tol, 1.0 - 0.5 * tol)
         return w, criterion_values_raw(spec, *(base + w * direction))
-    if spec.kind == "R" and not open_ends:
+    if spec.kind == "R":
         w = _r_mass(Oa, Ob).clip(0.5 * tol, 1.0 - 0.5 * tol)
         return w, criterion_values_raw(spec, *(base + w * direction))
 
@@ -222,58 +224,23 @@ def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray, tol: float,
 
     w0 = np.full(n, 0.5) if w0 is None else w0
     return _zero_slope(evaluate, np.zeros(n), np.ones(n), w0, np.where(w0 <= 0.5, w0 + 1e-6, w0 - 1e-6),
-                       tol, open_ends=open_ends)[:2]
+                       tol, open_ends=False)[:2]
 
 
-def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float, W0: np.ndarray | None = None,
-                     **sweeps) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal weights (n, k) and values (n,) of n supports with outer-product entries
-    O (n, k, 3), from W0 if given; ``max_sweeps`` passes on to ``_best_weights_k``."""
-    if O.shape[1] == 2:
-        w, v = _best_mass(spec, O[:, 0], O[:, 1], tol, None if W0 is None else W0[:, 0])
-        return np.stack([w, 1.0 - w], axis=1), v
-    return _best_weights_k(spec, O, tol, W0=W0, **sweeps)
-
-
-def _best_weights_k(spec: CriterionSpec, O: np.ndarray, tol: float,
-                    max_sweeps: int = 60, W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic pairwise mass transfers on the simplex, for supports of 3 or 4 points.
-
-    O holds the (n, k, 3) outer-product entries of n supports, all solved at
-    once from the weights W0 (default 1/k).  For points i and j, with R the
-    weighted sum of the others and m = w_i + w_j, the transfer is the mass
-    solve between R + m O_i and R + m O_j from the current split.  A row stops
-    after a sweep whose largest weight shift is below ``tol``.  Returns the
-    weights (n, k) and the criterion values (n,).
-    """
-    n, k, _ = O.shape
-    W = np.full((n, k), 1.0 / k) if W0 is None else W0.copy()
-    V = np.full(n, np.inf)
-    live = np.arange(n)
-    for _ in range(max_sweeps):
-        if not len(live):
-            break
-        w, Ol = W[live], O[live]
-        shift = np.zeros(len(live))
-        for i, j in combinations(range(k), 2):
-            rest = sum(w[:, q, None] * Ol[:, q] for q in range(k) if q not in (i, j))
-            mass = w[:, i] + w[:, j]
-            t0 = w[:, i] / np.where(mass > 0.0, mass, 1.0)
-            t, V[live] = _best_mass(spec, rest + mass[:, None] * Ol[:, i],
-                                    rest + mass[:, None] * Ol[:, j], tol, t0, open_ends=True)
-            shift = np.maximum(shift, np.abs(t * mass - w[:, i]))
-            w[:, i], w[:, j] = t * mass, mass - t * mass
-        W[live] = w
-        live = live[shift >= tol]
-    return W, V
+def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float,
+                     W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal weights (n, 2) and values (n,) of n two-point supports with outer-product
+    entries O (n, 2, 3), from W0 if given."""
+    w, v = _best_mass(spec, O[:, 0], O[:, 1], tol, None if W0 is None else W0[:, 0])
+    return np.stack([w, 1.0 - w], axis=1), v
 
 
 def optimize_weights(model: Model, support: Sequence[float], criterion: CriterionSpec) -> np.ndarray:
-    """Optimal simplex weights for a fixed support: one mass solve for two points,
-    cyclic pairwise transfers between the points for three or four."""
+    """Optimal weights for a fixed support of two points: one mass solve.  A design on more
+    points never beats the best two-point one, so larger supports are not weighed."""
     xs = np.asarray(sorted(float(x) for x in support), dtype=float)
-    if len(xs) < 2:
-        raise ValidationError("optimize_weights needs at least two support points")
+    if len(xs) != 2:
+        raise ValidationError(f"optimize_weights takes exactly two support points, got {len(xs)}")
     if np.min(np.diff(xs)) <= model.space.merge_tol():
         raise ValidationError("support points must be distinct")
     for x in xs:
@@ -309,15 +276,15 @@ def _regress(model: Model, x: np.ndarray) -> list[np.ndarray]:
 
 def _refine(model: Model, spec: CriterionSpec,
             X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Batched cyclic polish of k-point supports by the slope in each point.
+    """Batched cyclic polish of two-point supports by the slope in each point.
 
     For each coordinate in turn, ``_zero_slope`` drives ``_point_slope`` to 0
     with x_j kept between its neighbours (or the ends of the space); a row
-    takes the result if it lowers the criterion beyond rounding.  X (n, k)
+    takes the result if it lowers the criterion beyond rounding.  X (n, 2)
     holds the sorted initial supports; the first trial move is
     ``FIRST_MOVE_REL`` times the width.  A row retires after a cycle that
     moves no point by more than ``XTOL_REL`` times the width.  Returns the supports, their weights
-    (n, k), the criterion values and the number of supports evaluated.
+    (n, 2), the criterion values and the number of supports evaluated.
     """
     space = model.space
     xtol, gap, step = XTOL_REL * space.width, space.merge_tol(), FIRST_MOVE_REL * space.width
@@ -379,35 +346,34 @@ def _design_key(xs: Sequence[float], ws: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(v) for pair in zip(xs, ws) for v in pair)
 
 
-def _initial_supports(model: Model, n_support: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate supports of an n_support-point search: every subset of a
-    coarse grid, in lexicographic order, with their outer-product entries."""
-    grid = model.space.grid(STAGE1_GRID[n_support])
+def _initial_supports(model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate supports of stage 1: every pair of a coarse grid, in
+    lexicographic order, with their outer-product entries."""
+    grid = model.space.grid(STAGE1_GRID)
     F = np.asarray(model.regressor(grid), dtype=float)
     finite = np.all(np.isfinite(F), axis=1)
-    idx = np.array(list(combinations(range(np.count_nonzero(finite)), n_support)),
-                   dtype=int).reshape(-1, n_support)
+    idx = np.stack(np.triu_indices(np.count_nonzero(finite), 1), axis=1)
     return grid[finite][idx], _outer3(F[finite])[idx]
 
 
-def _stage1(model: Model, spec: CriterionSpec, n_support: int) -> np.ndarray:
+def _stage1(model: Model, spec: CriterionSpec) -> np.ndarray:
     """The best ``REFINE_TOP`` supports of ``_initial_supports``, best first,
-    each weighed at the loose ``STAGE1_WEIGHT_TOL`` (at most 4 transfer
-    sweeps); singular supports are dropped."""
-    S, O = _initial_supports(model, n_support)
-    _, vals = _support_weights(spec, O, STAGE1_WEIGHT_TOL, max_sweeps=4)
+    each weighed at the loose ``STAGE1_WEIGHT_TOL``; singular supports are dropped."""
+    S, O = _initial_supports(model)
+    _, vals = _support_weights(spec, O, STAGE1_WEIGHT_TOL)
     # The rows are in lexicographic order, so a stable sort breaks ties by support.
     top = np.argsort(vals, kind="stable")[:REFINE_TOP]
     return S[top[np.isfinite(vals[top])]]
 
 
 def optimize_design(request: OptimizeRequest) -> OptimizeResult:
-    """Best design of the requested support size under the requested criterion.
+    """Best design under the requested criterion: a two-point design, whatever
+    ``n_support`` (only an upper bound), as no design on more points does better.
 
     Convex criteria return with an equivalence certificate (directional
     derivative >= -1e-6, scaled, on the ``criteria.CERTIFICATE_GRID``-point
     grid); the non-convex ones return the best design found by the grid search
-    and its polish.  Kind C is ``c_optimal``'s design, whatever ``n_support``.
+    and its polish.  Kind C is ``c_optimal``'s design, on one or two points.
     """
     model, spec = request.model, request.criterion
     if spec.kind == "C":
@@ -415,7 +381,7 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     # CPB is sqrt(r^2) for two parameters: the same designs, searched as r^2.
     search = CriterionSpec("R2") if spec.kind == "CPB" else spec
 
-    starts = _stage1(model, search, request.n_support)
+    starts = _stage1(model, search)
     if not len(starts):
         raise OptimizationError("no admissible (non-singular) design found on the grid")
 
@@ -425,20 +391,7 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
                      key=lambda r: (r[0], _design_key(r[1], r[2])))
     if not refined:
         raise OptimizationError("no admissible (non-singular) design found")
-    best_val, best_xs, best_ws = refined[0]
-
-    # Canonicalize: a support point carrying negligible mass is optimizer dust;
-    # drop it and re-optimize the remaining weights when that does not hurt.
-    keep = [i for i, w in enumerate(best_ws) if w > 1e-7]
-    if 2 <= len(keep) < len(best_xs):
-        xs2 = [best_xs[i] for i in keep]
-        F2 = np.asarray(model.regressor(np.asarray(xs2)), dtype=float)
-        w2 = np.asarray([best_ws[i] for i in keep])[None]
-        W2, V2 = _support_weights(search, _outer3(F2)[None], WEIGHT_TOL, w2 / w2.sum())
-        if V2[0] <= best_val * (1.0 + 1e-9):
-            best_xs, best_ws, best_val = tuple(xs2), W2[0], float(V2[0])
-
-    return _result(model, spec, best_xs, best_ws, total_iter)
+    return _result(model, spec, *refined[0][1:], total_iter)
 
 
 def _result(model: Model, spec: CriterionSpec, xs: Sequence[float], ws: Sequence[float],

@@ -511,17 +511,34 @@ class TestConfig:
         assert code == EXIT_USAGE and out == ""
         assert f"cannot read config file {cfg}" in err
 
-    @pytest.mark.parametrize("key,argv", [
-        ("b", ("optimal", "--model", "slr", "--a", "1", "--criterion", "D")),
-        ("b", ("table", "slr", "--a-list", "1")),
-        ("n", ("pareto", "--model", "slr", "--a", "1", "--b", "5")),
-    ], ids=["optimal-b", "table-b", "pareto-n"])
-    def test_non_numeric_config_value_is_usage_error(self, capsys, tmp_path, key, argv):
+    SLR_D = ("optimal", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D")
+
+    # A JSON boolean is no number, and an integer setting takes no fraction,
+    # as --n-support 2.7 on the command line is a usage error.
+    @pytest.mark.parametrize("key,value,argv", [
+        ("b", "abc", ("optimal", "--model", "slr", "--a", "1", "--criterion", "D")),
+        ("b", "abc", ("table", "slr", "--a-list", "1")),
+        ("n", "abc", ("pareto", "--model", "slr", "--a", "1", "--b", "5")),
+        ("n_support", 2.7, SLR_D),
+        ("seed", 2.7, SLR_D),
+        ("seed", True, SLR_D),
+        ("a", True, ("optimal", "--model", "slr", "--b", "5", "--criterion", "D")),
+    ], ids=["optimal-b", "table-b", "pareto-n", "n_support-fraction", "seed-fraction", "seed-bool", "a-bool"])
+    def test_non_numeric_config_value_is_usage_error(self, capsys, tmp_path, key, value, argv):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({key: "abc"}))
+        cfg.write_text(json.dumps({key: value}))
         code, out, err = run(capsys, *argv, "--config", str(cfg))
         assert code == EXIT_USAGE and out == ""
         assert f"config key {key!r}" in err
+
+    def test_numeric_strings_and_whole_floats_are_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_support": "3", "seed": 7.0, "a": "1.5"}))
+        code, out, _ = run(capsys, "optimal", "--model", "slr", "--b", "5", "--criterion", "D",
+                           "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out == run(capsys, "optimal", "--model", "slr", "--a", "1.5", "--b", "5", "--criterion", "D",
+                          "--n-support", "3", "--seed", "7")[1]
 
     @pytest.mark.parametrize("key,value,argv", [
         ("strict", "false", ("table", "mm-efficiencies", "--eps-list", "0")),

@@ -31,12 +31,12 @@ from optdesign.mm import MMParams, mm_d_optimal, mm_model
 from optdesign.optimize import (
     OptimizeRequest,
     _best_mass,
-    _best_weights_k,
-    _initial_supports,
     _outer3,
     _point_slope,
+    _refine,
     _stage1,
     _support_weights,
+    _zero_slope,
     c_optimal,
     mm_designs_csv,
     mm_efficiencies_csv,
@@ -65,11 +65,10 @@ class TestOptimizeWeights:
         ws = optimize_weights(model, (0.55 * K, 5 * K), CriterionSpec("R"))
         assert abs(ws[0] - 0.54) < 0.01  # mass at 0.55K
 
-    def test_three_point_support_drops_interior_point(self, slr_15):
-        # D-optimal weights on {1, 3, 5} put nothing on the middle point
-        ws = optimize_weights(slr_15, (1.0, 3.0, 5.0), CriterionSpec("D"))
-        assert ws[1] < 1e-6
-        assert abs(ws[0] - 0.5) < 1e-4 and abs(ws[2] - 0.5) < 1e-4
+    def test_three_point_support_is_rejected(self, slr_15):
+        # No design on more points beats the best two-point one, so only two are weighed.
+        with pytest.raises(ValidationError, match="exactly two support points"):
+            optimize_weights(slr_15, (1.0, 3.0, 5.0), CriterionSpec("D"))
 
     def test_rejects_bad_support(self, slr_15):
         with pytest.raises(ValidationError):
@@ -133,8 +132,9 @@ class TestOptimizeDesign:
         assert abs(res.criterion_value - 0.507) < 0.005
 
     def test_oracle_dominance(self, mm_half):
-        # No random two-point design beats the search: the guard that the
-        # coarse-grid start and its polish need no random restarts.
+        # No random design of two, three or four points beats the search: the
+        # guard that the coarse-grid start and its polish need no random
+        # restarts, and that two support points are enough.
         rng = np.random.default_rng(7)
         models = [mm_half, mm_model(MMParams(b=5.0, eps=0.05)),
                   slr_model(DesignSpace(1.0, 5.0)), slr_model(DesignSpace(2.04, 3.15))]
@@ -143,12 +143,16 @@ class TestOptimizeDesign:
             X = np.sort(rng.uniform(space.lo, space.hi, (10_000, 2)), axis=1)
             w = rng.uniform(0.0, 1.0, 10_000)
             keep = (X[:, 1] - X[:, 0] > space.merge_tol()) & (0.0 < w) & (w < 1.0)
-            m = fim_entries(model, X[keep], np.stack([w, 1.0 - w], axis=1)[keep])
+            ms = [fim_entries(model, X[keep], np.stack([w, 1.0 - w], axis=1)[keep])]
+            for k in (3, 4):
+                X = np.sort(rng.uniform(space.lo, space.hi, (10_000, k)), axis=1)
+                ms.append(fim_entries(model, X, rng.dirichlet(np.ones(k), 10_000)))
             for kind in ("D", "R", "R2", "EM", "CPB"):
                 spec = CriterionSpec(kind)
                 res = optimize_design(OptimizeRequest(model=model, criterion=spec))
-                best_random = np.min(criterion_values_raw(spec, *m))
-                assert res.criterion_value <= best_random * (1 + 1e-8), (space, kind)
+                for k, m in enumerate(ms, start=2):
+                    best_random = np.min(criterion_values_raw(spec, *m))
+                    assert res.criterion_value <= best_random * (1 + 1e-8), (space, kind, k)
 
     def test_determinism(self, mm_half):
         req = OptimizeRequest(model=mm_half, criterion=CriterionSpec("EM"))
@@ -175,7 +179,7 @@ class TestOptimizeDesign:
     def test_three_support_collapses_to_two(self, slr_15):
         res = optimize_design(OptimizeRequest(model=slr_15, criterion=CriterionSpec("D"),
                                               n_support=3))
-        # canonicalization drops the zero-weight third point
+        # a support of at most three points gets the two-point optimum
         assert res.design.support_size == 2
         assert abs(res.criterion_value - phi_d(fim(slr_15, d_optimal_slr(SlrInterval(1, 5))))) < 1e-4
 
@@ -254,6 +258,33 @@ def test_three_point_d_search_finds_two_point_optimum(model, expected):
     assert math.isclose(res.criterion_value, expected, rel_tol=1e-12, abs_tol=0.0)
 
 
+TWO_POINT_RULE_MODELS = {**PINNED_MODELS, "mm-floor-0": mm_model(MMParams(V=77.79, K=113.38, b=3.8, eps=0.0))}
+
+
+@pytest.mark.parametrize("model_name", list(TWO_POINT_RULE_MODELS))
+@pytest.mark.parametrize("kind", list(PINNED_VALUES["slr"]))
+def test_larger_supports_get_the_two_point_search(monkeypatch, model_name, kind):
+    # Every optimum needs at most two points, so n_support is only an upper
+    # bound: 3 and 4 run the 2-point search, kernel call for kernel call.  On
+    # mm-floor-0 a 4-point r^2 search once ended at 0.6685, against 0.5711.
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return criterion_values_raw(*args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "criterion_values_raw", counted)
+    model = TWO_POINT_RULE_MODELS[model_name]
+    spec = PINNED_SPECS["slr" if model_name == "slr" else "mm"].get(kind) or CriterionSpec(kind)
+    runs = []
+    for n_support in (2, 3, 4):
+        calls = 0
+        res = optimize_design(OptimizeRequest(model=model, criterion=spec, n_support=n_support))
+        runs.append((res.design, res.criterion_value, res.label, res.iterations, calls))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 @pytest.mark.parametrize("kind, n_support, space, bound", [
     ("R2", 2, (-1.3, 4.2), PINNED_VALUES["slr"]["R2"]),
     ("CPB", 2, (-1.3, 4.2), PINNED_VALUES["slr"]["CPB"]),
@@ -267,19 +298,6 @@ def test_refinement_stops_at_infimum(kind, n_support, space, bound):
                                           criterion=CriterionSpec(kind), n_support=n_support))
     assert res.criterion_value <= bound
     assert res.iterations < 2000
-
-
-@pytest.mark.parametrize("n_support", [3, 4])
-@pytest.mark.parametrize("kind", ["D", "R", "C", "EM", "CPB"])
-def test_batched_k_point_weights_match_row_by_row(kind, n_support):
-    # Rows of one batched solve are independent: each equals its own solve.
-    spec = PINNED_SPECS["mm"].get(kind) or CriterionSpec(kind)
-    _, O = _initial_supports(PINNED_MODELS["mm"], n_support)
-    O = O[::len(O) // 4]
-    W, V = _best_weights_k(spec, O, 1e-8)
-    for i in range(len(O)):
-        Wi, Vi = _best_weights_k(spec, O[i:i + 1], 1e-8)
-        assert np.array_equal(Wi[0], W[i]) and Vi[0] == V[i]
 
 
 class TestGoldenMass:
@@ -299,6 +317,17 @@ class TestGoldenMass:
         supports = self.SUPPORTS if supports is None else supports
         F = np.asarray(model.regressor(supports.ravel()), dtype=float).reshape(-1, 2, 2)
         return F, _outer3(F)
+
+    def secant(self, spec, Oa, Ob):
+        # The slope-zeroing secant that weighs COMPOUND, here with the masses 0 and 1 open to it.
+        base, direction, n = Ob.T, (Oa - Ob).T, len(Oa)
+
+        def evaluate(rows, w):
+            d = direction[:, rows]
+            return (*criterion_values_raw(spec, *(base[:, rows] + w * d), d=d), None)
+
+        return _zero_slope(evaluate, np.zeros(n), np.ones(n), np.full(n, 0.5), np.full(n, 0.5 + 1e-6),
+                           self.TOL)[1]
 
     def mm_rows(self):
         return self.rows(mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.05)), self.MM_SUPPORTS)
@@ -343,7 +372,7 @@ class TestGoldenMass:
         spec = PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
         _, O = self.random_rows(model_name)
         w, vals = _best_mass(spec, O[:, 0], O[:, 1], self.TOL)
-        _, secant = _best_mass(spec, O[:, 0], O[:, 1], self.TOL, open_ends=True)
+        secant = self.secant(spec, O[:, 0], O[:, 1])
         assert np.all(np.isfinite(vals)) and np.all((0.0 < w) & (w < 1.0))
         assert np.all(vals <= secant * (1.0 + 1e-12))
         grid = np.linspace(0.0, 1.0, 100_001)
@@ -406,18 +435,16 @@ def test_mm_r2_at_zero_floor_is_not_stopped_by_a_zero_matrix():
 
 @pytest.mark.parametrize("kind", list(PINNED_VALUES["slr"]))
 def test_stage1_heap_peak(kind):
-    # Stage 1 weighs every subset of its coarse grid at once, for every
-    # support size: the 2,024 three-point subsets are the largest batch.
+    # Stage 1 weighs the 528 pairs of its coarse grid at once.
     model = PINNED_MODELS["slr"]
     spec = PINNED_SPECS["slr"].get(kind) or CriterionSpec(kind)
-    for n_support in (2, 3, 4):
-        tracemalloc.start()
-        try:
-            _stage1(model, spec, n_support)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4e6, n_support
+    tracemalloc.start()
+    try:
+        _stage1(model, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 # criterion_values_raw calls of each PINNED_VALUES call, as recorded with the
@@ -529,15 +556,14 @@ def test_dust_resolve_keeps_r_zero(n_support):
     assert res.criterion_value <= 1e-24
 
 
-def test_boundary_mass_comes_back_exact():
-    # The D-optimal weights of the support (-1, 0, 1) on [-1, 1] are
-    # (1/2, 0, 1/2), with value 1.  A solver that bisects toward the end
-    # w = 0 without evaluating it stops at a middle weight of about 4e-9.
+def test_boundary_points_come_back_exact():
+    # The D-, R- and SA-optimal supports on [-1, 1] are its ends.  A polish
+    # that bisects toward an end of the space without evaluating it stops
+    # beside the end.
     model = slr_model(DesignSpace(-1.0, 1.0))
-    O = _outer3(np.asarray(model.regressor(np.array([-1.0, 0.0, 1.0]))))[None]
-    W, V = _best_weights_k(CriterionSpec("D"), O, 1e-8)
-    assert W[0, 1] == 0.0 and abs(V[0] - 1.0) <= 1e-15
-    assert abs(W[0, 0] - 0.5) <= 1e-12
+    for spec in (CriterionSpec("D"), CriterionSpec("R"), CriterionSpec("SA", sa_refs=sa_references(model))):
+        X, _, _, _ = _refine(model, spec, np.array([[-0.5, 0.5], [-0.9, 0.2]]))
+        assert np.array_equal(X, [[-1.0, 1.0], [-1.0, 1.0]]), spec.kind
 
 
 class TestCOptimal:

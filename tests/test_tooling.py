@@ -10,8 +10,11 @@ import optdesign.optimize as optimize_module
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # The tracer still names these three functions of the optimizer's earlier
-# search; no other traced name may go missing, or its layer would read 0.
-KNOWN_ABSENT = {f"optdesign.optimize.{name}" for name in ("_stage1_pairs", "_refine_support", "_scalar_value")}
+# search, and _best_weights_k, the 3- and 4-point weight solver, deleted
+# because every optimum needs at most two points; no other traced name may go
+# missing, or its layer would read 0.
+KNOWN_ABSENT = {f"optdesign.optimize.{name}"
+                for name in ("_stage1_pairs", "_refine_support", "_scalar_value", "_best_weights_k")}
 
 
 def test_tracer_misses_no_layer_beyond_the_known_ones():
