@@ -13,11 +13,11 @@ det = m11 m22 - m12^2, tr = m11 + m22 and disc = sqrt((m11 - m22)^2 + 4 m12^2):
     phi_CPB= sqrt(phi_r2)                 RMS off-diagonal correlation at p = 2
     phi_lambda = (1-l)/Eff_D + l/Eff_R    compound D/R criterion
 
-Each formula is written once, next to its slope along a direction, in the
-table ``_criterion``: ``criterion_values_raw`` (the kernel) evaluates it on
-arrays, ``criterion_value`` and the phi_* functions on an InfoMatrix's Python
-floats.  EM's form avoids lambda_min = (tr - disc)/2, which cancels on badly
-scaled columns; 4 det = tr^2 - disc^2 = 4 m11 m22 (1 - r^2) does not.
+Each formula is written once in the table ``_criterion``, a convex kind's next
+to its slope along a direction: ``criterion_values_raw`` (the kernel) evaluates
+it on arrays, ``criterion_value`` and the phi_* on an InfoMatrix's floats.  EM's
+form avoids lambda_min = (tr - disc)/2, which cancels on badly scaled columns;
+4 det = tr^2 - disc^2 = 4 m11 m22 (1 - r^2) does not.
 
 Reported values use C pow.  The table's operations give the same bits on
 floats and on arrays, except a power: Python floats and numpy scalars take
@@ -107,9 +107,8 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
     """The one table of criterion formulas: (value, slope along d or None).
 
     Entries and det are Python floats or float arrays; the caller masks
-    singular matrices.  The slope along ``d = (d11, d12, d22)`` is the
-    criterion's or, at a kink, a smooth increasing transform's: r^2 for CPB,
-    (disc/tr)^2 for EM.
+    singular matrices.  A convex kind gives its slope along ``d = (d11, d12, d22)``;
+    R2, CPB and EM give None.
     """
     sqrt = np.sqrt if isinstance(det, np.ndarray) else math.sqrt
     kind, slope = spec.kind, None
@@ -128,8 +127,6 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
     elif kind in ("R2", "CPB"):
         r2 = (m12 * m12) / (m11 * m22)
         value = r2 if kind == "R2" else sqrt(r2)
-        if d is not None:
-            slope = (2.0 * m12 * d12 - r2 * dprod) / (m11 * m22)
     elif kind == "C":
         c1, c2 = spec.c  # type: ignore[misc]
         value = (c1 * c1 * m22 - 2.0 * c1 * c2 * m12 + c2 * c2 * m11) / det
@@ -144,10 +141,6 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
         tr = m11 + m22
         disc = sqrt((m11 - m22) * (m11 - m22) + 4.0 * m12 * m12)
         value = (tr + disc) * (tr + disc) / (4.0 * det)
-        if d is not None:
-            rho = disc / tr
-            slope = (2.0 * (m11 - m22) * (d11 - d22) + 8.0 * m12 * d12
-                     - 2.0 * (rho * rho) * tr * (d11 + d22)) / (tr * tr)
     elif kind == "COMPOUND":
         lam = spec.lam  # type: ignore[assignment]
         d_part = det ** -0.5
@@ -160,17 +153,6 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
     else:
         raise ValidationError(f"unknown criterion kind {kind!r}")
     return value, slope
-
-
-def _transform_rate(spec: CriterionSpec, value):
-    """dT/dvalue of the increasing transform T whose slope ``_criterion`` gives:
-    T = CPB^2 = r^2 for CPB, T = (disc/tr)^2 = ((EM - 1)/(EM + 1))^2 for EM,
-    and T = value for every other kind."""
-    if spec.kind == "CPB":
-        return 2.0 * value
-    if spec.kind == "EM":
-        return 4.0 * (value - 1.0) / (value + 1.0) ** 3
-    return 1.0
 
 
 def _correlation(m11, m12, m22):
@@ -288,11 +270,9 @@ def _dd_arrays(m: InfoMatrix, F: np.ndarray, spec: CriterionSpec) -> np.ndarray:
 
     F has shape (n, 2) holding regressor values at the probe points.  The
     derivative toward x is the slope of the criterion along f(x) f(x)^T - M,
-    taken from ``criterion_values_raw``.  Only the convex kinds are supported;
-    those are the ones with an equivalence theorem.
+    taken from ``criterion_values_raw``, so only for the convex kinds: those
+    are the ones with an equivalence theorem.
     """
-    if not spec.is_convex:
-        raise ValidationError(f"criterion {spec.kind} is not convex; no directional-derivative certificate exists")
     if m.is_singular:
         raise SingularDesignError("directional derivative needs a non-singular design")
     f1, f2 = F[:, 0], F[:, 1]
@@ -353,8 +333,10 @@ def criterion_values_raw(spec: CriterionSpec, m11: np.ndarray, m12: np.ndarray,
     whose correlation is undefined is simply inadmissible.
 
     With a direction ``d = (d11, d12, d22)`` it returns ``(values, slopes)``,
-    the table's slopes along d; singular entries get a NaN slope.
+    the table's slopes along d, for a convex kind only; singular entries get a NaN slope.
     """
+    if d is not None and not spec.is_convex:
+        raise ValidationError(f"criterion {spec.kind} is not convex: no slope and no certificate")
     m11, m12, m22 = (np.asarray(v, dtype=float) for v in (m11, m12, m22))
     singular = _is_singular(m11, m12, m22)
     d = None if d is None else tuple(np.asarray(v, dtype=float) for v in d)

@@ -4,29 +4,25 @@ Two support points suffice for every criterion: for D, R, SA and COMPOUND some
 two-point design dominates any design in the Loewner order (de la Garza 1954,
 *Ann. Math. Statist.* 25:123; Yang & Stufken 2009, *Ann. Statist.* 37:518), and
 r^2, CPB and EM, blind to the scale of M, are least on a chord of the
-normalised information disk.  So the search is over two-point supports,
-grid-plus-refinement: stage 1 weighs every pair of a 33-point coarse grid, all
-at once, each at loose optimal weights, and the best few are polished by moving
-their support points along the criterion's slope.  Convex results come back
-with a directional-derivative certificate on a fine grid; the non-convex
-criteria (squared correlation and condition number, which carry no equivalence
-theorem) are labeled best-found.
+normalised information disk.  Only D, R, SA and COMPOUND are searched,
+grid-plus-refinement: stage 1 weighs every pair of a 33-point coarse grid at
+once, each at loose optimal weights, and the best few are polished along the
+criterion's slope, then certified by the directional derivative on a fine grid.
+``c_optimal`` takes kind C (and the SA references) from Elfving's theorem, and
+``_disk_optimal`` r^2, CPB and EM from the chord, best-found for want of an
+equivalence theorem.
 
 A mass splits two points.  For D, SA, EM, r^2, CPB and R (a scale-free cubic's
 root) it is exact.  Every other solve is one row solver, a bracketed secant
-driving a slope to 0 on many rows at once: the mass of COMPOUND, and the points.
-By the envelope theorem, at optimal weights the criterion's derivative in a
-support point x_j is its slope along w_j (f' f^T + f f'^T)(x_j): the polish
-cycles the coordinates of all candidates (as rows of arrays), each
-evaluation a weight solve warm-started from the row's.
-
-Weight optimization relies on the criteria being unimodal along the weight
-segment of a fixed two-point support: the convex criteria trivially so, and
-the two non-convex ones by direct analysis of their one-dimensional slices.
+driving a slope to 0 on many rows at once: the mass of COMPOUND, the points of
+the polish and the chord's ends.  By the envelope theorem, at optimal weights
+the criterion's derivative in a support point x_j is its slope along
+w_j (f' f^T + f f'^T)(x_j): the polish cycles the coordinates of all
+candidates (as rows of arrays), each evaluation a weight solve warm-started
+from the row's.
 
 Everything is deterministic given the request; ties are broken by
-lexicographic design comparison.  c-optimal designs (kind C, the SA references)
-need no search: ``c_optimal`` takes them, on at most two points, from Elfving's theorem.
+lexicographic design comparison.
 """
 
 from __future__ import annotations
@@ -42,12 +38,11 @@ from .criteria import (
     DerivativeReport,
     EQUIVALENCE_TOL,
     _sampled_report,
-    _transform_rate,
     criterion_value,
     criterion_values_raw,
     derivative_report,
 )
-from .designs import Design, Model, fim, make_design
+from .designs import SINGULARITY_TOL, Design, Model, fim, fim_entries, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
 from .slr import _fmt
@@ -59,9 +54,8 @@ STAGE1_GRID = 33          # coarse-grid points whose pairs stage 1 weighs
 REFINE_TOP = 16            # stage-1 candidates kept for the polish
 FIRST_MOVE_REL = 1 / 200   # first trial move of the polish, relative to the width
 XTOL_REL = 1e-9            # support-point tolerance of the polish, relative to the width
-ELFVING_GRID = 400         # grid on which c_optimal finds Elfving's dual and the support
+ELFVING_GRID = 400         # grid on which c_optimal and _disk_optimal find their supports
 EPS = float(np.finfo(float).eps)
-M12_ROUNDING = 256 * EPS  # |m12| / sum_i w_i |f1 f2|(x_i) this small: r = 0
 
 
 @dataclass(frozen=True)
@@ -82,8 +76,8 @@ class OptimizeRequest:
 class OptimizeResult:
     """Outcome of a design search.
 
-    ``iterations`` counts the supports the refinement evaluated (each a weight
-    solve, over all candidates), or for kind C the points ``c_optimal``'s polish evaluated.
+    ``iterations`` counts the supports the refinement evaluated (each a weight solve, over all
+    candidates), or for C, R2, CPB and EM the points that ``c_optimal``'s or ``_disk_optimal``'s polish evaluated.
     """
 
     design: Design
@@ -280,7 +274,7 @@ def _refine(model: Model, spec: CriterionSpec,
 
     For each coordinate in turn, ``_zero_slope`` drives ``_point_slope`` to 0
     with x_j kept between its neighbours (or the ends of the space); a row
-    takes the result if it lowers the criterion beyond rounding.  X (n, 2)
+    takes the result if it lowers the criterion.  X (n, 2)
     holds the sorted initial supports; the first trial move is
     ``FIRST_MOVE_REL`` times the width.  A row retires after a cycle that
     moves no point by more than ``XTOL_REL`` times the width.  Returns the supports, their weights
@@ -291,28 +285,14 @@ def _refine(model: Model, spec: CriterionSpec,
     X, (n, k) = np.array(X, dtype=float), np.shape(X)
 
     def slope(F: np.ndarray, dF: np.ndarray, W: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
-        # A continuum of designs may reach r = 0 or EM = 1, where the slope is
-        # only rounding and weight error.  A row at the infimum (r = 0 to the
-        # rounding of a nonzero sum_i w_i |f1 f2|; EM - 1 within WEIGHT_TOL, as EM grows
-        # linearly off its kink at 1) cannot be beaten, so all rows stop.
-        nonlocal done
-        if spec.kind == "R2":
-            f12 = W * F[:, :, 0] * F[:, :, 1]
-            scale = np.abs(f12).sum(axis=1)
-            done |= bool(np.any((np.abs(f12.sum(axis=1)) <= M12_ROUNDING * scale) & (scale > 0.0)))
-        elif spec.kind == "EM":
-            done |= bool(np.any(V - 1.0 <= WEIGHT_TOL))
-        # Weights resolved to WEIGHT_TOL leave V's slope uncertain by about
-        # WEIGHT_TOL V / width; the kernel's slope is that of a transform of V, with rate dT.
+        # Weights resolved to WEIGHT_TOL leave V's slope uncertain by about WEIGHT_TOL V / width.
         s = _point_slope(spec, F, dF, W, j)
-        with np.errstate(invalid="ignore", over="ignore"):
-            dT = _transform_rate(spec, V)
-            return np.where(done | (np.abs(s) * space.width <= WEIGHT_TOL * np.abs(V * dT)), 0.0, s)
+        return np.where(np.abs(s) * space.width <= WEIGHT_TOL * np.abs(V), 0.0, s)
 
     F, dF = _regress(model, X)
     W, V = _support_weights(spec, _outer3(F), WEIGHT_TOL)
     V = np.where(np.all(np.isfinite(F), axis=(1, 2)), V, np.inf)
-    done, n_evals, live = False, n, np.flatnonzero(np.isfinite(V))
+    n_evals, live = n, np.flatnonzero(np.isfinite(V))
     while len(live):
         moved = np.zeros(len(live))
         for j in range(k):
@@ -329,11 +309,7 @@ def _refine(model: Model, spec: CriterionSpec,
             hi = X[live, j + 1] - gap if j < k - 1 else np.full(len(live), space.hi)
             x, v, Wx = _zero_slope(evaluate, lo, hi, x0, np.clip(x0 - np.sign(s0) * step, lo, hi),
                                    xtol, known=(V[live], s0, W[live]))
-            # A gain counts beyond the rounding of det(M), which near a singular
-            # design swamps the criterion: a continuum of optima leads there.
-            m11, m12, m22 = np.einsum("nk,nkc->cn", W[live], _outer3(F[live]))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                better = v < V[live] * (1.0 - 4.0 * EPS * m11 * m22 / (m11 * m22 - m12 * m12))
+            better = v < V[live]
             won = live[better]
             moved[better] = np.maximum(moved[better], np.abs(x - x0)[better])
             X[won, j], W[won], V[won] = x[better], Wx[better], v[better]
@@ -372,35 +348,34 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
 
     Convex criteria return with an equivalence certificate (directional
     derivative >= -1e-6, scaled, on the ``criteria.CERTIFICATE_GRID``-point
-    grid); the non-convex ones return the best design found by the grid search
-    and its polish.  Kind C is ``c_optimal``'s design, on one or two points.
+    grid).  Kind C is ``c_optimal``'s design, on one or two points; R2, CPB and
+    EM are ``_disk_optimal``'s, labeled best-found; the others are searched.
     """
     model, spec = request.model, request.criterion
     if spec.kind == "C":
         return c_optimal(model, spec.c)
-    # CPB is sqrt(r^2) for two parameters: the same designs, searched as r^2.
-    search = CriterionSpec("R2") if spec.kind == "CPB" else spec
+    if not spec.is_convex:
+        return _disk_optimal(model, spec)
 
-    starts = _stage1(model, search)
+    starts = _stage1(model, spec)
     if not len(starts):
         raise OptimizationError("no admissible (non-singular) design found on the grid")
 
-    X, W, V, total_iter = _refine(model, search, starts)
-    refined = sorted(((float(v), tuple(float(x) for x in xs), ws)
-                      for xs, ws, v in zip(X, W, V) if math.isfinite(v)),
+    X, W, V, total_iter = _refine(model, spec, starts)
+    refined = sorted(((float(v), tuple(float(x) for x in xs), ws) for xs, ws, v in zip(X, W, V)),
                      key=lambda r: (r[0], _design_key(r[1], r[2])))
-    if not refined:
-        raise OptimizationError("no admissible (non-singular) design found")
     return _result(model, spec, *refined[0][1:], total_iter)
 
 
 def _result(model: Model, spec: CriterionSpec, xs: Sequence[float], ws: Sequence[float],
             iterations: int) -> OptimizeResult:
-    """The design on xs with weights ws, its value and, for a convex kind, its certificate."""
+    """The design on xs with weights ws, its value and, for a convex kind, its certificate; raises if singular."""
     design = make_design(list(zip(xs, ws)), model.space)
     m = fim(model, design)
     value = criterion_value(m, spec)
-    if spec.is_convex and not m.is_singular:
+    if not math.isfinite(value):
+        raise OptimizationError("no admissible (non-singular) design found on the grid")
+    if spec.is_convex:
         report = derivative_report(model, design, spec)
         converged = report.passes(value, EQUIVALENCE_TOL)
         return OptimizeResult(design, value, report, converged, iterations,
@@ -453,6 +428,13 @@ def _grid_dual(a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[int, float], 
     return float(t), (i, s), (j, r)
 
 
+def _root(model: Model, u: np.ndarray, bracket: np.ndarray) -> np.ndarray:
+    """The root of u^T f, to EPS times the width, between the points (lo, hi) where it changes sign."""
+    sign = 1.0 if np.diff(_regress(model, bracket)[0] @ u)[0] >= 0.0 else -1.0
+    return _zero_slope(lambda rows, x: (0.0 * x, sign * (_regress(model, x)[0] @ u), None),
+                       bracket[:1], bracket[1:], bracket[:1], bracket[1:], EPS * model.space.width)[0]
+
+
 def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     """Design minimizing c^T M^- c, by Elfving's theorem (Elfving 1952; Pukelsheim 2006,
     ch. 2): the least value is 1/gamma^2, gamma the least over u with u^T c = 1 of
@@ -478,9 +460,7 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     (i, s), (j, r) = sorted(lines)
     n_evals = 0
     if s == r and j - i <= 1:  # one point: the root of c_perp^T f
-        sign = 1.0 if b[j] >= b[i] else -1.0
-        x = _zero_slope(lambda rows, x: (0.0 * x, sign * (_regress(model, x)[0] @ across), None),
-                        grid[[i]], grid[[j]], grid[[i]], grid[[j]], EPS * space.width)[0]
+        x = _root(model, across, grid[[i, j]])
         Fx, dFx = _regress(model, x)
         if space.lo < x[0] < space.hi and dFx[0] @ across != 0.0:
             t = -float(dFx[0] @ along) / float(dFx[0] @ across)  # u normal to the curve at x
@@ -521,6 +501,43 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     converged = report.passes(value, EQUIVALENCE_TOL)
     return COptimalResult(design, value, report, converged, n_evals,
                           "certified" if converged else "best-found", (float(u[0]), float(u[1])), gamma)
+
+
+def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
+    """The R2-, CPB- or EM-optimal design, without a search.  Up to scale, designs fill the convex hull of the
+    circle points f f^T / |f|^2 (Pukelsheim 2006, ch. 2); the unwrapped angle phi of f, on the grid points where
+    f is finite and nonzero, sweeps [phi_min, phi_max], whose ends span the largest gap: each is polished from its
+    grid cell, in a bracket reaching the other end.  Under a quarter turn their chord faces the diameter m12 = 0
+    and the centre M ~ I; otherwise EM, and R2 and CPB if the ends' f1 f2 share a sign, take phi_min's end and the
+    root of f(x_a)^T f(x).  ``_SPLIT_WEIGHT`` weighs the pair (EM: w ~ 1/|f|^2, the chord's midpoint), unclipped:
+    only the singularity test limits an end where f tends to 0 or lies on an axis (R2's f1 f2 = 0)."""
+    grid, n_evals = model.space.grid(ELFVING_GRID), 0
+    F = np.asarray(model.regressor(grid), dtype=float)
+    idx = np.flatnonzero(np.all(np.isfinite(F), axis=1) & np.any(F != 0.0, axis=1))
+    if not len(idx):
+        raise OptimizationError("no admissible (non-singular) design found on the grid")
+    phi = np.unwrap(np.arctan2(F[idx, 1], F[idx, 0]))
+    ends = idx[[np.argmin(phi), np.argmax(phi)]]
+
+    def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+        # phi's rate (row 0 lowers phi_min) times log(det / floor) of the chord design (fim's entries), 0 where the
+        # singularity test fails: a singular chord is NaN for its end of smaller |f|, the other moves on its rate.
+        nonlocal n_evals
+        n_evals += len(rows)
+        X, (Fx, dFx) = np.sort(np.stack([x, grid[ends[1 - rows]]], axis=1), axis=1), _regress(model, x)
+        m11, m12, m22 = fim_entries(model, X, _support_weights(spec, _outer3(_regress(model, X)[0]), 0.0)[0])
+        excess = (m11 * m22 - m12 * m12) / (SINGULARITY_TOL * np.maximum(1.0, m11 * m22))
+        rate = (1 - 2 * rows) * (Fx[:, 0] * dFx[:, 1] - Fx[:, 1] * dFx[:, 0])
+        out = np.where(np.sum(Fx * Fx, axis=1) <= np.sum(F[ends[1 - rows]] ** 2, axis=1), np.nan, rate)
+        return 0.0 * x, np.where(excess > 1.0, rate * np.log(np.maximum(excess, 1.0)), out), None
+
+    lo, hi, far = grid[np.maximum(ends - 1, 0)], grid[np.minimum(ends + 1, len(grid) - 1)], grid[ends[::-1]]
+    x = _zero_slope(evaluate, np.minimum(lo, far), np.maximum(hi, far), lo, hi, EPS * model.space.width)[0]
+    if np.ptp(phi) >= 0.5 * math.pi and (np.prod(f := _regress(model, x)[0]) >= 0.0 or spec.kind == "EM"):
+        k = np.flatnonzero(np.diff(F[idx] @ f[0] > 0.0))[0]
+        x = np.array([x[0], _root(model, f[0], grid[idx[[k, k + 1]]])[0]])
+    x = np.sort(x)
+    return _result(model, spec, x, _support_weights(spec, _outer3(_regress(model, x)[0])[None], 0.0)[0][0], n_evals)
 
 
 def sa_references(model: Model) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from optdesign import (
     phi_sa,
     slr_model,
 )
-from optdesign.criteria import _transform_rate, criterion_values_raw
+from optdesign.criteria import criterion_values_raw
 from optdesign.mm import MMParams, mm_model
 from optdesign.slr import SlrInterval, d_optimal_slr, r_optimal_slr
 from conftest import mixed, random_design, random_slr_model
@@ -388,15 +388,8 @@ RAW_SPECS = [CriterionSpec("D"), CriterionSpec("R"), CriterionSpec("R2"), Criter
              CriterionSpec("C", c=(1.0, -0.5)), CriterionSpec("SA", sa_refs=(2.0, 3.0)),
              CriterionSpec("EM"),
              CriterionSpec("COMPOUND", lam=0.3, phi_d_star=0.8, phi_r_star=1.1)]
-
-
-def slope_transform(kind, values):
-    """The increasing transform of the criterion whose slope the raw kernel reports."""
-    if kind == "CPB":
-        return values * values  # r^2
-    if kind == "EM":
-        return ((values - 1.0) / (values + 1.0)) ** 2  # (disc / tr)^2
-    return values
+# Only the convex kinds have a slope: nothing searches R2, CPB and EM.
+SLOPE_SPECS = [spec for spec in RAW_SPECS if spec.is_convex]
 
 
 class TestRawSlopes:
@@ -411,13 +404,12 @@ class TestRawSlopes:
     def shifted(self, spec, m, d, h):
         return criterion_values_raw(spec, *(mi + h * di for mi, di in zip(m, d)))
 
-    @pytest.mark.parametrize("spec", RAW_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", SLOPE_SPECS, ids=lambda s: s.kind)
     def test_slope_matches_finite_difference(self, spec):
         m, d = self.sample()
         values, slopes = criterion_values_raw(spec, *m, d=d)
         assert np.array_equal(values, criterion_values_raw(spec, *m))
-        fd = (slope_transform(spec.kind, self.shifted(spec, m, d, self.H))
-              - slope_transform(spec.kind, self.shifted(spec, m, d, -self.H))) / (2.0 * self.H)
+        fd = (self.shifted(spec, m, d, self.H) - self.shifted(spec, m, d, -self.H)) / (2.0 * self.H)
         # Relative, except for slopes so near 0 that the difference is rounding.
         assert np.all(np.abs(slopes - fd) <= 1e-6 * np.maximum(np.abs(fd), 1e-2))
 
@@ -426,37 +418,24 @@ class TestRawSlopes:
         # The certificate passes one matrix as floats; it must take the
         # batch's power too, not C pow on numpy scalars.
         m, d = self.sample(2000)
+        if not spec.is_convex:  # values only
+            values = criterion_values_raw(spec, *m).tolist()
+            assert [float(criterion_values_raw(spec, *(float(mi[i]) for mi in m))) for i in range(2000)] == values
+            return
         values, slopes = criterion_values_raw(spec, *m, d=d)
         for i in range(2000):
             v, s = criterion_values_raw(spec, *(float(mi[i]) for mi in m), d=d[:, i:i + 1])
             assert (float(v), s[0]) == (values[i], slopes[i])
 
     @pytest.mark.parametrize("spec", RAW_SPECS, ids=lambda s: s.kind)
-    def test_transform_rate_links_value_and_slope(self, spec):
-        # The kernel's slope is T's; dT/dvalue times the value's own slope gives it back.
-        m, d = self.sample()
-        values, slopes = criterion_values_raw(spec, *m, d=d)
-        fd = (self.shifted(spec, m, d, self.H) - self.shifted(spec, m, d, -self.H)) / (2.0 * self.H)
-        away = np.abs(values - (spec.kind == "EM")) > 0.05  # off the kinks r = 0 and EM = 1
-        assert np.count_nonzero(away) > 150
-        scaled = _transform_rate(spec, values[away]) * fd[away]
-        assert np.all(np.abs(slopes[away] - scaled) <= 1e-6 * np.maximum(np.abs(scaled), 1e-2))
-
-    @pytest.mark.parametrize("kind", ["CPB", "EM"])
-    def test_transform_slope_has_the_criterion_sign(self, kind):
-        spec = CriterionSpec(kind)
-        m, d = self.sample()
-        values, slopes = criterion_values_raw(spec, *m, d=d)
-        step = self.shifted(spec, m, d, self.H) - self.shifted(spec, m, d, -self.H)
-        # Away from the kink (r = 0, EM = 1) and from a zero slope.
-        away = (np.abs(values - (kind == "EM")) > 0.05) & (np.abs(step) > 1e-9)
-        assert np.count_nonzero(away) > 150
-        assert np.array_equal(np.sign(slopes[away]), np.sign(step[away]))
-
-    @pytest.mark.parametrize("spec", RAW_SPECS, ids=lambda s: s.kind)
     def test_singular_rows(self, spec):
         f = np.array([[1.0, 2.0], [0.5, -0.3], [0.0, 1.0]])  # rank-one M = f f^T
-        values, slopes = criterion_values_raw(spec, f[:, 0] ** 2, f[:, 0] * f[:, 1], f[:, 1] ** 2,
-                                              d=np.ones((3, 3)))
+        m = (f[:, 0] ** 2, f[:, 0] * f[:, 1], f[:, 1] ** 2)
+        assert np.all(criterion_values_raw(spec, *m) == np.inf)
+        if not spec.is_convex:
+            with pytest.raises(ValidationError, match="is not convex"):
+                criterion_values_raw(spec, *m, d=np.ones((3, 3)))
+            return
+        values, slopes = criterion_values_raw(spec, *m, d=np.ones((3, 3)))
         assert np.all(values == np.inf)
         assert np.all(np.isnan(slopes))
