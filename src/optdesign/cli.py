@@ -325,6 +325,8 @@ def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     if a_fixed is None:
         raise UsageError("sweep needs --a-fixed (lower support point; K units for mm)")
     n_p = _setting(args, cfg, "p_points", 199, convert=int)
+    if n_p < 1:
+        raise UsageError(f"need p_points >= 1, got {n_p}")
     p_grid = [(i + 1) / (n_p + 1) for i in range(n_p)]
     _emit(criterion_sweep_csv(model, a_fixed, p_grid), args.output)
     return EXIT_OK
@@ -342,6 +344,8 @@ def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
     design_path = _setting(args, cfg, "design")
     if design_path is None:
         raise UsageError("check needs --design FILE (design JSON)")
+    if not isinstance(design_path, str):
+        raise UsageError(f"config key 'design' must be a file name, got {design_path!r}")
     design = _read_design(design_path)
     spec = _build_criterion(kind, args, cfg, model, params)
     report = derivative_report(model, design, spec)
@@ -360,7 +364,9 @@ def _cmd_efficiency(args: argparse.Namespace, cfg: dict) -> int:
     paths = _setting(args, cfg, "designs")
     if paths is None:
         raise UsageError("efficiency needs --designs file1[,file2,...]")
-    path_list = paths.split(",") if isinstance(paths, str) else list(paths)
+    path_list = paths.split(",") if isinstance(paths, str) else paths
+    if not isinstance(path_list, list) or not all(isinstance(path, str) for path in path_list):
+        raise UsageError(f"config key 'designs' must be a file name or a list of them, got {paths!r}")
     d_star, r_star = _reference_stars(model, params)
     entries = []
     for path in path_list:

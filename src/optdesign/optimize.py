@@ -6,8 +6,10 @@ two-point design dominates any design in the Loewner order (de la Garza 1954,
 r^2, CPB and EM, blind to the scale of M, are least on a chord of the
 normalised information disk.  Only D, R, SA and COMPOUND are searched,
 grid-plus-refinement: stage 1 weighs every pair of a 33-point coarse grid at
-once, each at loose optimal weights, and the best few are polished along the
-criterion's slope, then certified by the directional derivative on a fine grid.
+once, and the best pair is polished along the criterion's slope, then
+certified by the directional derivative on a fine grid.  The equivalence
+theorem compares a certified design with every design, so no second
+candidate is polished.
 ``c_optimal`` takes kind C (and the SA references) from Elfving's theorem, and
 ``_disk_optimal`` r^2, CPB and EM from the chord, best-found for want of an
 equivalence theorem.
@@ -17,12 +19,11 @@ root) it is exact.  Every other solve is one row solver, a bracketed secant
 driving a slope to 0 on many rows at once: the mass of COMPOUND, the points of
 the polish and the chord's ends.  By the envelope theorem, at optimal weights
 the criterion's derivative in a support point x_j is its slope along
-w_j (f' f^T + f f'^T)(x_j): the polish cycles the coordinates of all
-candidates (as rows of arrays), each evaluation a weight solve warm-started
-from the row's.
+w_j (f' f^T + f f'^T)(x_j): the polish cycles the two points, each
+evaluation a weight solve warm-started from the current weights.
 
-Everything is deterministic given the request; ties are broken by
-lexicographic design comparison.
+Everything is deterministic given the request; a tie in stage 1 goes to the
+first support in lexicographic order.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ from .mm import MMParams, mm_d_optimal, mm_model
 from .slr import _fmt
 
 MASS_ITERS = 64            # cap on the secant iterations of one row solve
-WEIGHT_TOL = 1e-8          # weight tolerance of every solve but stage 1's
-STAGE1_WEIGHT_TOL = 1e-4   # stage 1's loose weight tolerance
+WEIGHT_TOL = 1e-8          # weight tolerance of every mass solve
 STAGE1_GRID = 33          # coarse-grid points whose pairs stage 1 weighs
-REFINE_TOP = 16            # stage-1 candidates kept for the polish
 FIRST_MOVE_REL = 1 / 200   # first trial move of the polish, relative to the width
 XTOL_REL = 1e-9            # support-point tolerance of the polish, relative to the width
 ELFVING_GRID = 400         # grid on which c_optimal and _disk_optimal find their supports
@@ -76,8 +75,8 @@ class OptimizeRequest:
 class OptimizeResult:
     """Outcome of a design search.
 
-    ``iterations`` counts the supports the refinement evaluated (each a weight solve, over all
-    candidates), or for C, R2, CPB and EM the points that ``c_optimal``'s or ``_disk_optimal``'s polish evaluated.
+    ``iterations`` counts the supports the refinement evaluated (each a weight solve, the start
+    included), or for C, R2, CPB and EM the points that ``c_optimal``'s or ``_disk_optimal``'s polish evaluated.
     """
 
     design: Design
@@ -268,21 +267,20 @@ def _regress(model: Model, x: np.ndarray) -> list[np.ndarray]:
             for f in (model.regressor, model.regressor_dx)]
 
 
-def _refine(model: Model, spec: CriterionSpec,
-            X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Batched cyclic polish of two-point supports by the slope in each point.
+def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Cyclic polish of a two-point support by the slope in each point.
 
-    For each coordinate in turn, ``_zero_slope`` drives ``_point_slope`` to 0
-    with x_j kept between its neighbours (or the ends of the space); a row
-    takes the result if it lowers the criterion.  X (n, 2)
-    holds the sorted initial supports; the first trial move is
-    ``FIRST_MOVE_REL`` times the width.  A row retires after a cycle that
-    moves no point by more than ``XTOL_REL`` times the width.  Returns the supports, their weights
-    (n, 2), the criterion values and the number of supports evaluated.
+    For each point in turn, ``_zero_slope`` drives ``_point_slope`` to 0 with
+    x_j kept between its neighbour and the end of the space; the support takes
+    the result if it lowers the criterion.  x (2,) is the sorted initial
+    support; the first trial move is ``FIRST_MOVE_REL`` times the width.  The
+    polish stops after a cycle that moves no point by more than ``XTOL_REL``
+    times the width.  Returns the support, its weights (2,), the criterion
+    value and the number of supports evaluated.
     """
     space = model.space
     xtol, gap, step = XTOL_REL * space.width, space.merge_tol(), FIRST_MOVE_REL * space.width
-    X, (n, k) = np.array(X, dtype=float), np.shape(X)
+    X = np.array(x, dtype=float)[None]  # one row of the batched solvers
 
     def slope(F: np.ndarray, dF: np.ndarray, W: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
         # Weights resolved to WEIGHT_TOL leave V's slope uncertain by about WEIGHT_TOL V / width.
@@ -291,35 +289,27 @@ def _refine(model: Model, spec: CriterionSpec,
 
     F, dF = _regress(model, X)
     W, V = _support_weights(spec, _outer3(F), WEIGHT_TOL)
-    V = np.where(np.all(np.isfinite(F), axis=(1, 2)), V, np.inf)
-    n_evals, live = n, np.flatnonzero(np.isfinite(V))
-    while len(live):
-        moved = np.zeros(len(live))
-        for j in range(k):
+    n_evals, moved = 1, math.inf
+    while moved > xtol and math.isfinite(V[0]):
+        moved = 0.0
+        for j in range(2):
             def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 nonlocal n_evals
                 n_evals += len(rows)
-                Fr, dFr = F[live[rows]], dF[live[rows]]
+                Fr, dFr = F[rows], dF[rows]
                 Fr[:, j], dFr[:, j] = _regress(model, x)
-                Wr, Vr = _support_weights(spec, _outer3(Fr), WEIGHT_TOL, W[live[rows]])
+                Wr, Vr = _support_weights(spec, _outer3(Fr), WEIGHT_TOL, W[rows])
                 return Vr, slope(Fr, dFr, Wr, Vr, j), Wr
 
-            x0, s0 = X[live, j], slope(F[live], dF[live], W[live], V[live], j)
-            lo = X[live, j - 1] + gap if j else np.full(len(live), space.lo)
-            hi = X[live, j + 1] - gap if j < k - 1 else np.full(len(live), space.hi)
-            x, v, Wx = _zero_slope(evaluate, lo, hi, x0, np.clip(x0 - np.sign(s0) * step, lo, hi),
-                                   xtol, known=(V[live], s0, W[live]))
-            better = v < V[live]
-            won = live[better]
-            moved[better] = np.maximum(moved[better], np.abs(x - x0)[better])
-            X[won, j], W[won], V[won] = x[better], Wx[better], v[better]
-            F[won, j], dF[won, j] = _regress(model, X[won, j])
-        live = live[moved > xtol]
-    return X, W, V, n_evals
-
-
-def _design_key(xs: Sequence[float], ws: Sequence[float]) -> tuple[float, ...]:
-    return tuple(float(v) for pair in zip(xs, ws) for v in pair)
+            x0, s0 = X[:, j], slope(F, dF, W, V, j)
+            lo, hi = (X[:, 0] + gap, np.array([space.hi])) if j else (np.array([space.lo]), X[:, 1] - gap)
+            x, v, Wx = _zero_slope(evaluate, lo, hi, x0, np.clip(x0 - np.sign(s0) * step, lo, hi), xtol,
+                                   known=(V, s0, W))
+            if v[0] < V[0]:
+                moved = max(moved, abs(x[0] - x0[0]))
+                X[:, j], W, V = x, Wx, v
+                F[:, j], dF[:, j] = _regress(model, x)
+    return X[0], W[0], float(V[0]), n_evals
 
 
 def _initial_supports(model: Model) -> tuple[np.ndarray, np.ndarray]:
@@ -333,13 +323,13 @@ def _initial_supports(model: Model) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stage1(model: Model, spec: CriterionSpec) -> np.ndarray:
-    """The best ``REFINE_TOP`` supports of ``_initial_supports``, best first,
-    each weighed at the loose ``STAGE1_WEIGHT_TOL``; singular supports are dropped."""
+    """The best support of ``_initial_supports``, each weighed at ``WEIGHT_TOL``;
+    the first in lexicographic order wins a tie.  Raises if every support is singular."""
     S, O = _initial_supports(model)
-    _, vals = _support_weights(spec, O, STAGE1_WEIGHT_TOL)
-    # The rows are in lexicographic order, so a stable sort breaks ties by support.
-    top = np.argsort(vals, kind="stable")[:REFINE_TOP]
-    return S[top[np.isfinite(vals[top])]]
+    _, vals = _support_weights(spec, O, WEIGHT_TOL)
+    if not np.isfinite(vals).any():
+        raise OptimizationError("no admissible (non-singular) design found on the grid")
+    return S[np.argmin(vals)]
 
 
 def optimize_design(request: OptimizeRequest) -> OptimizeResult:
@@ -357,14 +347,8 @@ def optimize_design(request: OptimizeRequest) -> OptimizeResult:
     if not spec.is_convex:
         return _disk_optimal(model, spec)
 
-    starts = _stage1(model, spec)
-    if not len(starts):
-        raise OptimizationError("no admissible (non-singular) design found on the grid")
-
-    X, W, V, total_iter = _refine(model, spec, starts)
-    refined = sorted(((float(v), tuple(float(x) for x in xs), ws) for xs, ws, v in zip(X, W, V)),
-                     key=lambda r: (r[0], _design_key(r[1], r[2])))
-    return _result(model, spec, *refined[0][1:], total_iter)
+    x, w, _, n_evals = _refine(model, spec, _stage1(model, spec))
+    return _result(model, spec, x, w, n_evals)
 
 
 def _result(model: Model, spec: CriterionSpec, xs: Sequence[float], ws: Sequence[float],
@@ -390,8 +374,8 @@ def mm_r_optimal(params: MMParams) -> OptimizeResult:
     c-optimal designs for e_1 and e_2, whose variances R multiplies.  A failed certificate runs the search."""
     model, spec, space, b = mm_model(params), CriterionSpec("R"), params.space(), params.b
     x0 = max((math.sqrt(2.0) - 1.0) * b / ((2.0 - math.sqrt(2.0)) * b + 1.0) * params.K, space.lo)
-    X, W, _, n_evals = _refine(model, spec, np.array([[x0, space.hi]]))
-    result = _result(model, spec, X[0].tolist(), W[0], n_evals)
+    x, w, _, n_evals = _refine(model, spec, np.array([x0, space.hi]))
+    result = _result(model, spec, x, w, n_evals)
     return result if result.converged else optimize_design(OptimizeRequest(model=model, criterion=spec))
 
 

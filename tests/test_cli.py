@@ -260,6 +260,14 @@ class TestParetoAndSweep:
         assert lines[0] == "p,phi_D,phi_R,phi_r2,corr"
         assert len(lines) == 20
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sweep_without_weights_is_usage_error(self, capsys, n):
+        # As pareto --n 0 is: a sweep of no weights would print only the header.
+        code, out, err = run(capsys, "sweep", "--model", "slr", "--a", "0.5", "--b", "5",
+                             "--a-fixed", "0.5", f"--p-points={n}")
+        assert code == EXIT_USAGE and out == ""
+        assert f"need p_points >= 1, got {n}" in err
+
     def test_sweep_compound(self, capsys):
         code, out, _ = run(capsys, "sweep", "--model", "slr", "--a", "1", "--b", "5",
                            "--sweep-kind", "compound", "--lam-list", "0,1")
@@ -560,6 +568,35 @@ class TestConfig:
         argv = ("table", "mm-efficiencies", "--eps-list", "0")
         code, out, _ = run(capsys, *argv, "--config", str(cfg))
         assert code == EXIT_OK and out == run(capsys, *argv, *flags)[1]
+
+    CHECK_D = ("check", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D")
+    EFFICIENCY = ("efficiency", "--model", "slr", "--a", "1", "--b", "5")
+
+    # A design path in the config must be a file name: open() takes an integer
+    # for a file descriptor (0: stdin) and raises TypeError on a list or a float.
+    @pytest.mark.parametrize("key,value,argv", [
+        ("design", 1.5, CHECK_D),
+        ("design", ["d.json"], CHECK_D),
+        ("designs", [0], EFFICIENCY),
+        ("designs", 1.5, EFFICIENCY),
+        ("designs", [["d.json"]], EFFICIENCY),
+    ], ids=["design-float", "design-list", "designs-descriptor", "designs-float", "designs-nested-list"])
+    def test_non_string_design_path_is_usage_error(self, capsys, tmp_path, key, value, argv):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert f"config key {key!r}" in err
+
+    def test_design_path_is_not_a_file_descriptor(self, capsys, tmp_path):
+        # The caller's open file is neither read nor closed.
+        cfg = tmp_path / "run.json"
+        with open(tmp_path / "held.json", "w") as held:
+            cfg.write_text(json.dumps({"design": held.fileno()}))
+            code, out, err = run(capsys, *self.CHECK_D, "--config", str(cfg))
+            assert code == EXIT_USAGE and out == ""
+            assert "config key 'design' must be a file name" in err
+            os.fstat(held.fileno())
 
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("OPTDESIGN_SEED", "123")

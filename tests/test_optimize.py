@@ -474,11 +474,12 @@ def test_stage1_heap_peak(kind):
 
 
 # criterion_values_raw calls of each PINNED_VALUES call, as recorded with the
-# slope polish of the support points, the exact two-point masses (R's included)
-# and the chord of R2, CPB and EM, whose ends here are the space's; a call may make 20% more.
+# slope polish of stage 1's best support, the exact two-point masses (R's included),
+# the chord of R2, CPB and EM, whose ends here are the space's, and Elfving's dual
+# for C, which calls no kernel; a call may make 20% more.
 KERNEL_CALLS = {
-    "slr": {"D": 14, "R": 14, "R2": 2, "C": 14, "SA": 14, "EM": 2, "CPB": 2, "COMPOUND": 36},
-    "mm": {"D": 36, "R": 38, "R2": 2, "C": 40, "SA": 38, "EM": 2, "CPB": 2, "COMPOUND": 95},
+    "slr": {"D": 4, "R": 4, "R2": 2, "C": 0, "SA": 4, "EM": 2, "CPB": 2, "COMPOUND": 14},
+    "mm": {"D": 18, "R": 22, "R2": 2, "C": 0, "SA": 22, "EM": 2, "CPB": 2, "COMPOUND": 34},
 }
 
 
@@ -591,8 +592,25 @@ def test_boundary_points_come_back_exact():
     # beside the end.
     model = slr_model(DesignSpace(-1.0, 1.0))
     for spec in (CriterionSpec("D"), CriterionSpec("R"), CriterionSpec("SA", sa_refs=sa_references(model))):
-        X, _, _, _ = _refine(model, spec, np.array([[-0.5, 0.5], [-0.9, 0.2]]))
-        assert np.array_equal(X, [[-1.0, 1.0], [-1.0, 1.0]]), spec.kind
+        for start in ([-0.5, 0.5], [-0.9, 0.2]):
+            x, _, _, _ = _refine(model, spec, np.array(start))
+            assert np.array_equal(x, [-1.0, 1.0]), (spec.kind, start)
+
+
+@pytest.mark.parametrize("model_name, kind", [(m, k) for m in PINNED_MODELS for k in ("D", "R", "SA", "COMPOUND")])
+def test_convex_search_polishes_one_support(monkeypatch, model_name, kind):
+    # Each convex result carries its certificate, so one polished candidate is enough.
+    supports = []
+
+    def counted(model, spec, x):
+        supports.append(np.shape(x))
+        return _refine(model, spec, x)
+
+    monkeypatch.setattr(optimize_module, "_refine", counted)
+    spec = PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
+    res = optimize_design(OptimizeRequest(model=PINNED_MODELS[model_name], criterion=spec))
+    assert supports == [(2,)]
+    assert res.label == "certified"
 
 
 class TestCOptimal:
