@@ -45,7 +45,6 @@ from .errors import (
 from .mm import MMParams, mm_d_optimal, mm_model, mm_regressor
 from .optimize import (
     MMTables,
-    OptimizeRequest,
     OptimizeResult,
     c_optimal,
     mm_designs_csv,

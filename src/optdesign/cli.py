@@ -49,7 +49,6 @@ from .designs import Design, DesignSpace, Model, design_from_json, design_to_jso
 from .errors import OptDesignError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
 from .optimize import (
-    OptimizeRequest,
     OptimizeResult,
     mm_designs_csv,
     mm_efficiencies_csv,
@@ -164,26 +163,34 @@ def _mm_params(args: argparse.Namespace, cfg: dict, names: Sequence[str], **fixe
 
 
 def _resolve_seed(args: argparse.Namespace, cfg: dict) -> int:
+    """The seed from --seed, else config key 'seed', else OPTDESIGN_SEED, else 0; numpy's
+    generator takes no negative seed, so one is a usage error that names its source."""
     val = _setting(args, cfg, "seed", convert=int)
-    if val is not None:
-        return val
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    source = "--seed" if args.seed is not None else "config key 'seed'"
+    if val is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            val, source = int(env), SEED_ENV_VAR
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
+    if val < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {val}")
+    return val
 
 
 def _parse_floats(value) -> list[float]:
-    """Numbers from a comma-separated flag value or from a config-file list."""
+    """One or more numbers from a comma-separated flag value or from a config-file list,
+    in which, as in a scalar setting, a JSON boolean is no number."""
     tokens = value if isinstance(value, list) else [
         tok for tok in str(value).split(",") if tok.strip() != ""]
-    try:
-        return [float(tok) for tok in tokens]
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"expected a comma-separated list of numbers, got {value!r}") from exc
+    if tokens and not any(isinstance(tok, bool) for tok in tokens):
+        try:
+            return [float(tok) for tok in tokens]
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"expected a comma-separated list of numbers, got {value!r}")
 
 
 def _build_model(args: argparse.Namespace, cfg: dict) -> tuple[Model, dict, SlrInterval | MMParams]:
@@ -265,13 +272,15 @@ def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
     if kind is None:
         raise UsageError("--criterion is required")
     spec = _build_criterion(str(kind), args, cfg, model, params)
-    request = OptimizeRequest(model=model, criterion=spec,
-                              n_support=_setting(args, cfg, "n_support", 2, convert=int))
-    result = optimize_design(request)
+    # Accepted and echoed for compatibility: every optimum needs at most two points.
+    n_support = _setting(args, cfg, "n_support", 2, convert=int)
+    if not 2 <= n_support <= 4:
+        raise UsageError(f"n_support must lie in [2, 4], got {n_support}")
+    result = optimize_design(model, spec)
     config = {"command": "optimal", "model": model_info["model"], "model_params": model_info,
               "criterion": spec.kind,
               "criterion_params": {"lam": spec.lam, "c": None if spec.c is None else list(spec.c)},
-              "options": {"n_support": request.n_support}, "output": args.output, "seed": seed}
+              "options": {"n_support": n_support}, "output": args.output, "seed": seed}
     _emit(_result_json(result, model, config), args.output)
     return EXIT_OK if result.converged else EXIT_BEST_FOUND
 
@@ -365,8 +374,8 @@ def _cmd_efficiency(args: argparse.Namespace, cfg: dict) -> int:
     if paths is None:
         raise UsageError("efficiency needs --designs file1[,file2,...]")
     path_list = paths.split(",") if isinstance(paths, str) else paths
-    if not isinstance(path_list, list) or not all(isinstance(path, str) for path in path_list):
-        raise UsageError(f"config key 'designs' must be a file name or a list of them, got {paths!r}")
+    if not isinstance(path_list, list) or not path_list or not all(isinstance(path, str) for path in path_list):
+        raise UsageError(f"config key 'designs' must be a file name or a non-empty list of them, got {paths!r}")
     d_star, r_star = _reference_stars(model, params)
     entries = []
     for path in path_list:
@@ -421,7 +430,7 @@ def build_parser() -> _Parser:
     p.add_argument("--c", default=None, help="c vector for criterion C, e.g. '1,0'")
     p.add_argument("--lam", type=float, default=None, help="compound weight in [0, 1]")
     p.add_argument("--n-support", type=int, default=None,
-                   help="most support points, in [2, 4] (default 2); every optimum needs at most two")
+                   help="accepted for compatibility, in [2, 4]; every optimum needs at most two points")
     p.set_defaults(func=_cmd_optimal)
 
     # No abbreviations: --a and --eps would read as --a-list and --eps-list.

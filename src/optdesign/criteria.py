@@ -297,8 +297,8 @@ class DerivativeReport:
     min_dd: float
     argmin_x: float
 
-    def passes(self, criterion_value_at_design: float, tol: float = EQUIVALENCE_TOL) -> bool:
-        return self.min_dd >= -tol * max(1.0, abs(criterion_value_at_design))
+    def passes(self, criterion_value_at_design: float) -> bool:
+        return self.min_dd >= -EQUIVALENCE_TOL * max(1.0, abs(criterion_value_at_design))
 
     def to_csv(self) -> str:
         lines = ["x,dd"]

@@ -22,8 +22,8 @@ the criterion's derivative in a support point x_j is its slope along
 w_j (f' f^T + f f'^T)(x_j): the polish cycles the two points, each
 evaluation a weight solve warm-started from the current weights.
 
-Everything is deterministic given the request; a tie in stage 1 goes to the
-first support in lexicographic order.
+Everything is deterministic given the model and criterion; a tie in stage 1
+goes to the first support in lexicographic order.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from .criteria import (
     CriterionSpec,
     DerivativeReport,
-    EQUIVALENCE_TOL,
     _sampled_report,
     criterion_value,
     criterion_values_raw,
@@ -58,25 +57,13 @@ EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
-class OptimizeRequest:
-    """One optimization problem: model, criterion and an upper bound in [2, 4] on the
-    support size; every optimum needs at most two points, so each bound gets the same design."""
-
-    model: Model
-    criterion: CriterionSpec
-    n_support: int = 2
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.n_support <= 4:
-            raise ValidationError(f"n_support must lie in [2, 4], got {self.n_support}")
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
-    """Outcome of a design search.
+    """An optimal design, its criterion value and how it was found.
 
-    ``iterations`` counts the supports the refinement evaluated (each a weight solve, the start
-    included), or for C, R2, CPB and EM the points that ``c_optimal``'s or ``_disk_optimal``'s polish evaluated.
+    ``converged`` is True when the equivalence certificate ``derivative_report`` holds, which only a
+    convex kind has; ``label`` names that outcome.  ``iterations`` counts the supports the refinement
+    evaluated (each a weight solve, the start included), or for C, R2, CPB and EM the points that
+    ``c_optimal``'s or ``_disk_optimal``'s polish evaluated.
     """
 
     design: Design
@@ -84,7 +71,10 @@ class OptimizeResult:
     derivative_report: DerivativeReport | None
     converged: bool
     iterations: int
-    label: str  # "certified" or "best-found"
+
+    @property
+    def label(self) -> str:
+        return "certified" if self.converged else "best-found"
 
 
 # g(f) of the exact mass g_b / (g_a + g_b) at point a of a closed pair, where
@@ -190,41 +180,35 @@ def _zero_slope(evaluate, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np
     return np.where(take_lo, lo, hi), np.where(take_lo, v_lo, v_hi), extra
 
 
-def _best_mass(spec: CriterionSpec, Oa: np.ndarray, Ob: np.ndarray, tol: float,
-               w0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal mass w at the first point of each row's two-point support.
+def _best_mass(spec: CriterionSpec, O: np.ndarray, tol: float,
+               W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal weights (n, 2) and values (n,) of n two-point supports with outer-product entries O (n, 2, 3).
 
-    Oa and Ob hold the (n, 3) outer-product entries of the two points; at mass
-    w the matrix is Ob + w (Oa - Ob), and the masses 0 and 1 are one-point
-    designs, singular.  A pair takes its ``_SPLIT_WEIGHT`` split, or R's
-    ``_r_mass``, kept tol/2 inside (0, 1) as a secant's bracket keeps it; otherwise
-    ``_zero_slope`` drives the slope along Oa - Ob to 0 from w0 (default 1/2).  Returns (w, value).
+    At mass w on the first point the matrix is Ob + w (Oa - Ob), and the masses
+    0 and 1 are one-point designs, singular.  A pair takes its ``_SPLIT_WEIGHT``
+    split, or R's ``_r_mass``, kept tol/2 inside (0, 1) as a secant's bracket
+    keeps it; otherwise ``_zero_slope`` drives the slope along Oa - Ob to 0 from
+    the weights W0 (default 1/2 each).
     """
+    Oa, Ob = O[:, 0], O[:, 1]
     base, direction = Ob.T.copy(), (Oa - Ob).T.copy()  # (3, n): m11, m12, m22
-    n = len(Oa)
+    n = len(O)
     split = _SPLIT_WEIGHT.get(spec.kind)
     if split is not None:
         ga, gb = split(spec, *Oa.T), split(spec, *Ob.T)
         w = np.divide(gb, ga + gb, out=np.full(n, 0.5), where=ga + gb > 0.0).clip(0.5 * tol, 1.0 - 0.5 * tol)
-        return w, criterion_values_raw(spec, *(base + w * direction))
-    if spec.kind == "R":
+        v = criterion_values_raw(spec, *(base + w * direction))
+    elif spec.kind == "R":
         w = _r_mass(Oa, Ob).clip(0.5 * tol, 1.0 - 0.5 * tol)
-        return w, criterion_values_raw(spec, *(base + w * direction))
+        v = criterion_values_raw(spec, *(base + w * direction))
+    else:
+        def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+            d = direction[:, rows]
+            return (*criterion_values_raw(spec, *(base[:, rows] + w * d), d=d), None)
 
-    def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
-        d = direction[:, rows]
-        return (*criterion_values_raw(spec, *(base[:, rows] + w * d), d=d), None)
-
-    w0 = np.full(n, 0.5) if w0 is None else w0
-    return _zero_slope(evaluate, np.zeros(n), np.ones(n), w0, np.where(w0 <= 0.5, w0 + 1e-6, w0 - 1e-6),
-                       tol, open_ends=False)[:2]
-
-
-def _support_weights(spec: CriterionSpec, O: np.ndarray, tol: float,
-                     W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal weights (n, 2) and values (n,) of n two-point supports with outer-product
-    entries O (n, 2, 3), from W0 if given."""
-    w, v = _best_mass(spec, O[:, 0], O[:, 1], tol, None if W0 is None else W0[:, 0])
+        w0 = np.full(n, 0.5) if W0 is None else W0[:, 0]
+        w, v, _ = _zero_slope(evaluate, np.zeros(n), np.ones(n), w0, np.where(w0 <= 0.5, w0 + 1e-6, w0 - 1e-6),
+                              tol, open_ends=False)
     return np.stack([w, 1.0 - w], axis=1), v
 
 
@@ -240,7 +224,7 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
         if not model.space.contains(x):
             raise ValidationError(f"support point {x} outside the design space")
     F = np.asarray(model.regressor(xs), dtype=float)
-    W, V = _support_weights(criterion, _outer3(F)[None], WEIGHT_TOL)
+    W, V = _best_mass(criterion, _outer3(F)[None], WEIGHT_TOL)
     if not math.isfinite(V[0]):
         raise OptimizationError("criterion is infinite for every weighting of this support")
     return W[0]
@@ -288,7 +272,7 @@ def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> tuple[np.ndarra
         return np.where(np.abs(s) * space.width <= WEIGHT_TOL * np.abs(V), 0.0, s)
 
     F, dF = _regress(model, X)
-    W, V = _support_weights(spec, _outer3(F), WEIGHT_TOL)
+    W, V = _best_mass(spec, _outer3(F), WEIGHT_TOL)
     n_evals, moved = 1, math.inf
     while moved > xtol and math.isfinite(V[0]):
         moved = 0.0
@@ -298,7 +282,7 @@ def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> tuple[np.ndarra
                 n_evals += len(rows)
                 Fr, dFr = F[rows], dF[rows]
                 Fr[:, j], dFr[:, j] = _regress(model, x)
-                Wr, Vr = _support_weights(spec, _outer3(Fr), WEIGHT_TOL, W[rows])
+                Wr, Vr = _best_mass(spec, _outer3(Fr), WEIGHT_TOL, W[rows])
                 return Vr, slope(Fr, dFr, Wr, Vr, j), Wr
 
             x0, s0 = X[:, j], slope(F, dF, W, V, j)
@@ -326,22 +310,21 @@ def _stage1(model: Model, spec: CriterionSpec) -> np.ndarray:
     """The best support of ``_initial_supports``, each weighed at ``WEIGHT_TOL``;
     the first in lexicographic order wins a tie.  Raises if every support is singular."""
     S, O = _initial_supports(model)
-    _, vals = _support_weights(spec, O, WEIGHT_TOL)
+    _, vals = _best_mass(spec, O, WEIGHT_TOL)
     if not np.isfinite(vals).any():
         raise OptimizationError("no admissible (non-singular) design found on the grid")
     return S[np.argmin(vals)]
 
 
-def optimize_design(request: OptimizeRequest) -> OptimizeResult:
-    """Best design under the requested criterion: a two-point design, whatever
-    ``n_support`` (only an upper bound), as no design on more points does better.
+def optimize_design(model: Model, spec: CriterionSpec) -> OptimizeResult:
+    """Best design on ``model`` under the criterion ``spec``: a design on at most two points, as no
+    design on more points does better.
 
     Convex criteria return with an equivalence certificate (directional
     derivative >= -1e-6, scaled, on the ``criteria.CERTIFICATE_GRID``-point
     grid).  Kind C is ``c_optimal``'s design, on one or two points; R2, CPB and
     EM are ``_disk_optimal``'s, labeled best-found; the others are searched.
     """
-    model, spec = request.model, request.criterion
     if spec.kind == "C":
         return c_optimal(model, spec.c)
     if not spec.is_convex:
@@ -361,10 +344,8 @@ def _result(model: Model, spec: CriterionSpec, xs: Sequence[float], ws: Sequence
         raise OptimizationError("no admissible (non-singular) design found on the grid")
     if spec.is_convex:
         report = derivative_report(model, design, spec)
-        converged = report.passes(value, EQUIVALENCE_TOL)
-        return OptimizeResult(design, value, report, converged, iterations,
-                              "certified" if converged else "best-found")
-    return OptimizeResult(design, value, None, False, iterations, "best-found")
+        return OptimizeResult(design, value, report, report.passes(value), iterations)
+    return OptimizeResult(design, value, None, False, iterations)
 
 
 def mm_r_optimal(params: MMParams) -> OptimizeResult:
@@ -376,7 +357,7 @@ def mm_r_optimal(params: MMParams) -> OptimizeResult:
     x0 = max((math.sqrt(2.0) - 1.0) * b / ((2.0 - math.sqrt(2.0)) * b + 1.0) * params.K, space.lo)
     x, w, _, n_evals = _refine(model, spec, np.array([x0, space.hi]))
     result = _result(model, spec, x, w, n_evals)
-    return result if result.converged else optimize_design(OptimizeRequest(model=model, criterion=spec))
+    return result if result.converged else optimize_design(model, spec)
 
 
 @dataclass(frozen=True)
@@ -482,9 +463,7 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
         raise OptimizationError("c is inestimable under every candidate design")
     design, value, u = make_design(list(zip(x.tolist(), w.tolist())), space), gamma**-2, along + t * across
     report = _sampled_report(model, design, lambda F: value * (1.0 - ((F @ u) / gamma) ** 2) + 0.0)
-    converged = report.passes(value, EQUIVALENCE_TOL)
-    return COptimalResult(design, value, report, converged, n_evals,
-                          "certified" if converged else "best-found", (float(u[0]), float(u[1])), gamma)
+    return COptimalResult(design, value, report, report.passes(value), n_evals, (float(u[0]), float(u[1])), gamma)
 
 
 def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
@@ -509,7 +488,7 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
         nonlocal n_evals
         n_evals += len(rows)
         X, (Fx, dFx) = np.sort(np.stack([x, grid[ends[1 - rows]]], axis=1), axis=1), _regress(model, x)
-        m11, m12, m22 = fim_entries(model, X, _support_weights(spec, _outer3(_regress(model, X)[0]), 0.0)[0])
+        m11, m12, m22 = fim_entries(model, X, _best_mass(spec, _outer3(_regress(model, X)[0]), 0.0)[0])
         excess = (m11 * m22 - m12 * m12) / (SINGULARITY_TOL * np.maximum(1.0, m11 * m22))
         rate = (1 - 2 * rows) * (Fx[:, 0] * dFx[:, 1] - Fx[:, 1] * dFx[:, 0])
         out = np.where(np.sum(Fx * Fx, axis=1) <= np.sum(F[ends[1 - rows]] ** 2, axis=1), np.nan, rate)
@@ -521,7 +500,7 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
         k = np.flatnonzero(np.diff(F[idx] @ f[0] > 0.0))[0]
         x = np.array([x[0], _root(model, f[0], grid[idx[[k, k + 1]]])[0]])
     x = np.sort(x)
-    return _result(model, spec, x, _support_weights(spec, _outer3(_regress(model, x)[0])[None], 0.0)[0][0], n_evals)
+    return _result(model, spec, x, _best_mass(spec, _outer3(_regress(model, x)[0])[None], 0.0)[0][0], n_evals)
 
 
 def sa_references(model: Model) -> tuple[float, float]:
@@ -588,7 +567,7 @@ def mm_tables(params: MMParams, eps_list: Sequence[float], compat: bool = True) 
             elif kind in ("EM", "R2") and compat and p_eps.space().lo == 0.0:
                 designs[kind] = None
             else:
-                designs[kind] = optimize_design(OptimizeRequest(model=model, criterion=evaluators[kind])).design
+                designs[kind] = optimize_design(model, evaluators[kind]).design
 
         stars = {k: None if designs[k] is None else criterion_value(fim(model, designs[k]), evaluators[k])
                  for k in MM_CRITERIA}

@@ -1,8 +1,8 @@
 """Multi-objective analysis: Pareto fronts, compound-criterion sweeps, and
 fixed-support criterion sweeps.
 
-Sampling, evaluation and the front run on arrays; objects are built only for
-what a caller gets back (``sampled_front`` builds the front's points alone).
+Sampling, evaluation and the front run on arrays; ``sampled_front`` builds
+points only for the few samples its prefilter keeps.
 
 Sampling.  Every attempt takes three uniforms (x1, x2, w) from one
 ``default_rng(seed)`` stream, drawn as blocks of rows of ``rng.random``;
@@ -41,7 +41,7 @@ from .criteria import (_D, _R, _R2, CriterionSpec, _correlation, _criterion, cor
                        criterion_values_raw, phi_d, phi_r)
 from .designs import Design, Model, _is_singular, fim, fim_entries
 from .errors import OptimizationError, SingularDesignError, ValidationError
-from .optimize import OptimizeRequest, optimize_design
+from .optimize import optimize_design
 
 TIE_TOL = 1e-12
 MARGIN = 1e-9  # relative slack on the prefilter's Eff_D, far above its few ulps of error
@@ -123,19 +123,6 @@ def _head_criteria(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray,
             criterion_values_raw(_R, m11, m12, m22), criterion_values_raw(_R2, m11, m12, m22))
 
 
-def _front_values(m: Sequence[np.ndarray], phi_d_star: float, phi_r_star: float,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Eff_D, Eff_R, r^2) of the matrices with entries m = (m11, m12, m22)."""
-    phi_d_, phi_r_, r2 = _head_criteria(*m)
-    return phi_d_star / phi_d_, phi_r_star / phi_r_, r2
-
-
-def _with_values(designs: Sequence[Design], values: Sequence[np.ndarray]) -> list[FrontPoint]:
-    eff_d, eff_r, r2 = (v.tolist() for v in values)
-    return [FrontPoint(design=d, eff_d=a, eff_r=b, r2=c)
-            for d, a, b, c in zip(designs, eff_d, eff_r, r2)]
-
-
 def evaluate_front_points(model: Model, designs: Sequence[Design],
                           phi_d_star: float, phi_r_star: float) -> list[FrontPoint]:
     """Efficiencies and squared correlation for each design."""
@@ -145,7 +132,9 @@ def evaluate_front_points(model: Model, designs: Sequence[Design],
         rows = np.flatnonzero(sizes == k)
         pts = np.array([designs[i].points for i in rows.tolist()], dtype=float)
         m[:, rows] = fim_entries(model, pts[:, :, 0], pts[:, :, 1])
-    return _with_values(designs, _front_values(m, phi_d_star, phi_r_star))
+    phi_d_, phi_r_, r2 = _head_criteria(*m)
+    return [FrontPoint(design=d, eff_d=a, eff_r=b, r2=c) for d, a, b, c in
+            zip(designs, (phi_d_star / phi_d_).tolist(), (phi_r_star / phi_r_).tolist(), r2.tolist())]
 
 
 def _dominated(d: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -179,10 +168,6 @@ def _dominated(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     return dominated
 
 
-def _by_eff_d(points: Sequence[FrontPoint]) -> list[FrontPoint]:
-    return sorted(points, key=lambda p: (-p.eff_d, -p.eff_r))
-
-
 def _survivors(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Rows that neither the row of largest r nor that of largest d surely dominates:
     by (a) or (b) of ``_dominated``, with d (within a few ulps) widened by MARGIN."""
@@ -197,18 +182,17 @@ def sampled_front(model: Model, n: int, seed: int, phi_d_star: float,
     """Pareto front of n sampled two-point designs, sorted by eff_d descending.
 
     Equal to ``pareto_front(evaluate_front_points(model,
-    sample_two_point_designs(model, n, seed), ...))``.  Eff_D = phi_D* sqrt(det)
-    is within a few ulps of the exact phi_D* / det ** -0.5, far inside MARGIN, so
-    ``_survivors`` drops only dominated rows.  Dominance on rounded differences
-    is transitive (they are monotone in each operand) and acyclic, so a row is
-    dominated iff a non-dominated row dominates it: the survivors' flags are exact.
+    sample_two_point_designs(model, n, seed), ...))``, run on ``_survivors``'
+    rows alone.  Eff_D = phi_D* sqrt(det) is within a few ulps of the exact
+    phi_D* / det ** -0.5, far inside MARGIN, so ``_survivors`` drops only
+    dominated rows.  Dominance on rounded differences is transitive (they are
+    monotone in each operand) and acyclic, so a row is dominated iff a
+    non-dominated row dominates it: the survivors' front is the samples'.
     """
     xs, ws, (m11, m12, m22) = _sample(model, n, seed)
     rows = _survivors(phi_d_star * np.sqrt(m11 * m22 - m12 * m12),
                       phi_r_star / criterion_values_raw(_R, m11, m12, m22))
-    values = _front_values((m11[rows], m12[rows], m22[rows]), phi_d_star, phi_r_star)
-    keep = np.flatnonzero(~_dominated(values[0], values[1]))
-    return _by_eff_d(_with_values(_designs(xs[rows[keep]], ws[rows[keep]]), [v[keep] for v in values]))
+    return pareto_front(evaluate_front_points(model, _designs(xs[rows], ws[rows]), phi_d_star, phi_r_star))
 
 
 def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:
@@ -219,7 +203,7 @@ def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:
     if len(points) == 0:
         raise ValidationError("pareto_front needs at least one point")
     flags = _dominated(np.array([p.eff_d for p in points]), np.array([p.eff_r for p in points]))
-    return _by_eff_d([p for p, f in zip(points, flags.tolist()) if not f])
+    return sorted((p for p, f in zip(points, flags.tolist()) if not f), key=lambda p: (-p.eff_d, -p.eff_r))
 
 
 def front_csv(points: Sequence[FrontPoint], x_scale: float = 1.0) -> str:
@@ -257,7 +241,7 @@ def compound_sweep(model: Model, lam_grid: Sequence[float], phi_d_star: float,
     rows = []
     for lam in lam_grid:
         spec = CriterionSpec("COMPOUND", lam=float(lam), phi_d_star=phi_d_star, phi_r_star=phi_r_star)
-        res = optimize_design(OptimizeRequest(model=model, criterion=spec))
+        res = optimize_design(model, spec)
         m = fim(model, res.design)
         rows.append(CompoundSweepRow(float(lam), res.design, res.criterion_value, phi_d_star / phi_d(m),
                                      phi_r_star / phi_r(m), correlation(m)))

@@ -277,16 +277,16 @@ def _fmt(value: float | None, ndigits: int) -> str:
     return f"{v:.{ndigits}f}"
 
 
-def table_slr_csv(rows: Sequence[SlrSummary], ndigits: int = 3) -> str:
+def table_slr_csv(rows: Sequence[SlrSummary]) -> str:
     """Render rows as CSV in the canonical column order, rounded for comparison."""
     lines = [",".join(TABLE_COLUMNS)]
     for r in rows:
         cells = [
             f"{r.a:g}",
-            _fmt(r.p_r, ndigits), _fmt(r.p_r2, ndigits),
-            _fmt(r.eff_d_of_r, ndigits), _fmt(r.eff_d_of_r2, ndigits),
-            _fmt(r.eff_r_of_d, ndigits), _fmt(r.eff_r_of_r2, ndigits),
-            _fmt(r.corr_d, ndigits), _fmt(r.corr_r, ndigits), _fmt(r.corr_r2, ndigits),
+            _fmt(r.p_r, 3), _fmt(r.p_r2, 3),
+            _fmt(r.eff_d_of_r, 3), _fmt(r.eff_d_of_r2, 3),
+            _fmt(r.eff_r_of_d, 3), _fmt(r.eff_r_of_r2, 3),
+            _fmt(r.corr_d, 3), _fmt(r.corr_r, 3), _fmt(r.corr_r2, 3),
         ]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

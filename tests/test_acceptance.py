@@ -30,7 +30,7 @@ from optdesign import (
 )
 from optdesign.cli import EXIT_OK, main
 from optdesign.mm import MMParams, mm_d_optimal, mm_model
-from optdesign.optimize import OptimizeRequest, mm_tables, optimize_design
+from optdesign.optimize import mm_tables, optimize_design
 from optdesign.pareto import (
     compound_sweep,
     criterion_sweep,
@@ -348,8 +348,8 @@ def test_09_closed_forms_beat_brute_force():
 
 def test_10_pareto_and_compound_endpoints():
     model = mm_model(MMParams(b=5.0, eps=0.5))
-    d_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("D"))).criterion_value
-    r_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R"))).criterion_value
+    d_star = optimize_design(model, CriterionSpec("D")).criterion_value
+    r_star = optimize_design(model, CriterionSpec("R")).criterion_value
     designs = sample_two_point_designs(model, 1000, seed=20260810)
     points = evaluate_front_points(model, designs, d_star, r_star)
     front = pareto_front(points)

@@ -15,7 +15,7 @@ import pytest
 
 import optdesign.cli as cli_module
 import optdesign.optimize as optimize_module
-from optdesign import CriterionSpec, OptimizeRequest, optimize_design
+from optdesign import CriterionSpec, optimize_design
 from optdesign.cli import (
     EXIT_BEST_FOUND,
     EXIT_ERROR,
@@ -124,6 +124,14 @@ class TestOptimal:
                            "--criterion", "R")
         assert code == EXIT_USAGE
         assert "needs" in err
+
+    @pytest.mark.parametrize("n_support", ["5", "1"])
+    def test_n_support_out_of_range_is_usage_error(self, capsys, n_support):
+        # --n-support is kept for compatibility, with its range check.
+        code, out, err = run(capsys, "optimal", "--model", "slr", "--a", "1", "--b", "5",
+                             "--criterion", "D", "--n-support", n_support)
+        assert code == EXIT_USAGE and out == ""
+        assert f"n_support must lie in [2, 4], got {n_support}" in err
 
     def test_nonconvex_returns_best_found(self, capsys):
         code, out, _ = run(capsys, "optimal", "--model", "slr", "--a", "1", "--b", "5",
@@ -281,7 +289,7 @@ class TestParetoAndSweep:
 
 
 def searched_stars(model):
-    return tuple(optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec(kind))).criterion_value
+    return tuple(optimize_design(model, CriterionSpec(kind)).criterion_value
                  for kind in ("D", "R"))
 
 
@@ -324,9 +332,9 @@ class TestReferenceStars:
     def test_searches_only_for_phi_r_on_mm(self, monkeypatch, name, searched):
         calls = []
 
-        def counted(request):
-            calls.append(request.criterion.kind)
-            return optimize_design(request)
+        def counted(model, spec):
+            calls.append(spec.kind)
+            return optimize_design(model, spec)
         monkeypatch.setattr(cli_module, "optimize_design", counted)
         monkeypatch.setattr(optimize_module, "optimize_design", counted)
         if name == "slr":
@@ -597,6 +605,48 @@ class TestConfig:
             assert code == EXIT_USAGE and out == ""
             assert "config key 'design' must be a file name" in err
             os.fstat(held.fileno())
+
+    # Each setting that holds a list takes one or more numbers, and a JSON
+    # boolean is no number in it, as in a scalar setting.
+    @pytest.mark.parametrize("argv,config,named", [
+        (("table", "mm-designs"), {"eps_list": [True]}, "[True]"),
+        (("optimal", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "C"), {"c": [True, 1]}, "[True, 1]"),
+        (("sweep", "--model", "slr", "--a", "1", "--b", "5", "--sweep-kind", "compound", "--lam-list=,"), None,
+         "','"),
+        (("table", "slr", "--b", "5", "--a-list=,"), None, "','"),
+        (("table", "mm-designs", "--eps-list=,"), None, "','"),
+        (("table", "slr", "--b", "5"), {"a_list": []}, "[]"),
+        (("efficiency", "--model", "slr", "--a", "1", "--b", "5"), {"designs": []}, "[]"),
+    ], ids=["eps_list-bool", "c-bool", "lam-list-empty", "a-list-empty", "eps-list-empty", "a_list-empty",
+            "designs-empty"])
+    def test_list_setting_without_numbers_is_usage_error(self, capsys, tmp_path, argv, config, named):
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv = (*argv, "--config", str(cfg))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert f"got {named}" in err
+
+    # numpy's generator takes no negative seed; the message names the seed's source.
+    PARETO = ("pareto", "--model", "slr", "--a", "1", "--b", "5", "--n", "10")
+
+    @pytest.mark.parametrize("argv,config,env,source", [
+        ((*PARETO, "--seed=-1"), None, None, "--seed"),
+        (PARETO, {"seed": -1}, None, "config key 'seed'"),
+        (PARETO, None, "-1", "OPTDESIGN_SEED"),
+        ((*SLR_D, "--seed=-1"), None, None, "--seed"),
+    ], ids=["pareto-flag", "pareto-config", "pareto-env", "optimal-flag"])
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch, tmp_path, argv, config, env, source):
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv = (*argv, "--config", str(cfg))
+        if env is not None:
+            monkeypatch.setenv("OPTDESIGN_SEED", env)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"optdesign: {source} must be a non-negative integer, got -1\n"
 
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("OPTDESIGN_SEED", "123")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import time
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import optdesign.optimize as optimize_module
+from optdesign.cli import main as cli_main
 from optdesign import (
     CriterionSpec,
     DesignSpace,
@@ -30,13 +32,11 @@ from optdesign.criteria import criterion_values_raw
 from optdesign.designs import fim_entries
 from optdesign.mm import MMParams, mm_d_optimal, mm_model
 from optdesign.optimize import (
-    OptimizeRequest,
     _best_mass,
     _outer3,
     _point_slope,
     _refine,
     _stage1,
-    _support_weights,
     _zero_slope,
     c_optimal,
     mm_designs_csv,
@@ -95,31 +95,27 @@ class TestOptimizeWeights:
 
 
 class TestOptimizeDesign:
-    def test_request_validation(self, slr_15):
-        with pytest.raises(ValidationError):
-            OptimizeRequest(model=slr_15, criterion=CriterionSpec("D"), n_support=5)
-
     def test_slr_d_matches_closed_form(self, slr_15):
-        res = optimize_design(OptimizeRequest(model=slr_15, criterion=CriterionSpec("D")))
+        res = optimize_design(slr_15, CriterionSpec("D"))
         xi_star = d_optimal_slr(SlrInterval(1.0, 5.0))
         assert res.converged and res.label == "certified"
         for (x, w), (xs, ws) in zip(res.design.points, xi_star.points):
             assert abs(x - xs) < 1e-6 and abs(w - ws) < 1e-6
 
     def test_slr_r_matches_closed_form(self, slr_15):
-        res = optimize_design(OptimizeRequest(model=slr_15, criterion=CriterionSpec("R")))
+        res = optimize_design(slr_15, CriterionSpec("R"))
         assert res.converged
         assert abs(res.design.points[1][0] - 5.0) < 1e-9
         assert abs(res.design.points[1][1] - p_r(SlrInterval(1.0, 5.0))) < 1e-6
 
     def test_certificate_contract(self, mm_half):
-        res = optimize_design(OptimizeRequest(model=mm_half, criterion=CriterionSpec("R")))
+        res = optimize_design(mm_half, CriterionSpec("R"))
         assert res.converged
         assert res.derivative_report is not None
         assert res.derivative_report.min_dd >= -1e-6 * max(1.0, res.criterion_value)
 
     def test_mm_em_interior_optimum(self, mm_half):
-        res = optimize_design(OptimizeRequest(model=mm_half, criterion=CriterionSpec("EM")))
+        res = optimize_design(mm_half, CriterionSpec("EM"))
         assert res.label == "best-found" and res.derivative_report is None
         K = 227.27
         assert abs(res.design.points[0][0] / K - 0.50) < 0.02
@@ -131,7 +127,7 @@ class TestOptimizeDesign:
         # two-point design (0.50, 0.61).
         params = MMParams(b=5.0, eps=0.05)
         model = mm_model(params)
-        res = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R2")))
+        res = optimize_design(model, CriterionSpec("R2"))
         K = params.K
         assert abs(res.design.points[0][0] / K - 0.05) < 0.01
         assert res.design.points[0][1] > 0.95
@@ -159,7 +155,7 @@ class TestOptimizeDesign:
                 ms.append(fim_entries(model, X, rng.dirichlet(np.ones(k), 10_000)))
             for kind in ("D", "R", "R2", "EM", "CPB"):
                 spec = CriterionSpec(kind)
-                res = optimize_design(OptimizeRequest(model=model, criterion=spec))
+                res = optimize_design(model, spec)
                 for k, m in enumerate(ms, start=2):
                     best_random = np.min(criterion_values_raw(spec, *m))
                     assert res.criterion_value <= best_random * (1 + 1e-8), (space, kind, k)
@@ -167,39 +163,31 @@ class TestOptimizeDesign:
     def test_chord_end_inside_the_space_is_polished(self):
         # On [0.25, 1.9] the angle of f = (1, 2x - x^2) peaks at x = 1, off the grid:
         # EM's chord joins that peak and the end 1.9, EM* = cot^2 of half their angle.
-        res = optimize_design(OptimizeRequest(hump_model(DesignSpace(0.25, 1.9)), CriterionSpec("EM")))
+        res = optimize_design(hump_model(DesignSpace(0.25, 1.9)), CriterionSpec("EM"))
         half = (math.atan(1.0) - math.atan(2.0 * 1.9 - 1.9 * 1.9)) / 2.0
         assert math.isclose(res.design.xs[0], 1.0, rel_tol=1e-12)
         assert math.isclose(res.criterion_value, 1.0 / math.tan(half) ** 2, rel_tol=1e-12)
 
     def test_determinism(self, mm_half):
-        req = OptimizeRequest(model=mm_half, criterion=CriterionSpec("EM"))
-        r1 = optimize_design(req)
-        r2 = optimize_design(req)
+        r1 = optimize_design(mm_half, CriterionSpec("EM"))
+        r2 = optimize_design(mm_half, CriterionSpec("EM"))
         assert r1.design == r2.design
         assert r1.criterion_value == r2.criterion_value
         assert r1.iterations == r2.iterations
 
     def test_self_efficiency_is_one(self, slr_15):
-        res = optimize_design(OptimizeRequest(model=slr_15, criterion=CriterionSpec("D")))
+        res = optimize_design(slr_15, CriterionSpec("D"))
         val = criterion_value(fim(slr_15, res.design), CriterionSpec("D"))
         assert abs(res.criterion_value / val - 1.0) <= 1e-9
 
     def test_cpb_shares_optimum_with_r2(self, mm_half):
         # CPB is the square root of the squared correlation for two
         # parameters, so the minimizers coincide.
-        res_cpb = optimize_design(OptimizeRequest(model=mm_half, criterion=CriterionSpec("CPB")))
-        res_r2 = optimize_design(OptimizeRequest(model=mm_half, criterion=CriterionSpec("R2")))
+        res_cpb = optimize_design(mm_half, CriterionSpec("CPB"))
+        res_r2 = optimize_design(mm_half, CriterionSpec("R2"))
         assert abs(res_cpb.criterion_value ** 2 - res_r2.criterion_value) < 1e-6
         for (x1, w1), (x2, w2) in zip(res_cpb.design.points, res_r2.design.points):
             assert abs(x1 - x2) < 1e-4 * mm_half.space.width and abs(w1 - w2) < 1e-4
-
-    def test_three_support_collapses_to_two(self, slr_15):
-        res = optimize_design(OptimizeRequest(model=slr_15, criterion=CriterionSpec("D"),
-                                              n_support=3))
-        # a support of at most three points gets the two-point optimum
-        assert res.design.support_size == 2
-        assert abs(res.criterion_value - phi_d(fim(slr_15, d_optimal_slr(SlrInterval(1, 5))))) < 1e-4
 
 
 # optimize_design results, recorded before the two-point refinement was
@@ -254,7 +242,7 @@ def test_pinned_results(model_name, kind):
     # r2 = 0 or EM = 1, so only the value is stable.  The recorded values came
     # from a search, which stopped short of those infima by up to 4.7e-9.
     spec = PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
-    res = optimize_design(OptimizeRequest(model=PINNED_MODELS[model_name], criterion=spec))
+    res = optimize_design(PINNED_MODELS[model_name], spec)
     pinned = PINNED_VALUES[model_name][kind]
     if spec.is_convex:
         assert res.label == "certified"
@@ -266,51 +254,51 @@ def test_pinned_results(model_name, kind):
 
 TWO_POINT_RULE_MODELS = {**PINNED_MODELS, "mm-floor-0": mm_model(MMParams(V=77.79, K=113.38, b=3.8, eps=0.0)),
                          "slr-1-5": slr_model(DesignSpace(1.0, 5.0)), "slr-sym": slr_model(DesignSpace(-1.0, 1.0))}
+# The same models as CLI flags.
+TWO_POINT_RULE_FLAGS = {
+    "slr": ("--model", "slr", "--a", "-1.3", "--b", "4.2"),
+    "mm": ("--model", "mm", "--V", "43.73", "--K", "227.27", "--b", "5", "--eps", "0.5"),
+    "mm-floor-0": ("--model", "mm", "--V", "77.79", "--K", "113.38", "--b", "3.8", "--eps", "0"),
+    "slr-1-5": ("--model", "slr", "--a", "1", "--b", "5"),
+    "slr-sym": ("--model", "slr", "--a", "-1", "--b", "1"),
+}
 
 
 @pytest.mark.parametrize("model_name", list(TWO_POINT_RULE_MODELS))
 @pytest.mark.parametrize("kind", list(PINNED_VALUES["slr"]))
-def test_larger_supports_get_the_two_point_search(monkeypatch, model_name, kind):
-    # Every optimum needs at most two points, so n_support is only an upper
-    # bound: 3 and 4 run the 2-point solve, kernel call for kernel call, and
-    # so reach the 2-point optima.  On mm-floor-0 a 4-point r^2 search once
-    # ended at 0.6685, against 0.5711; 3- and 4-point r^2 on slr once ended at
+def test_larger_supports_get_the_two_point_search(capsys, model_name, kind):
+    # Every optimum needs at most two points, so optimal's --n-support, kept for
+    # compatibility, changes nothing but its echo in the config.  Searches on 3
+    # and 4 points once fell short of these optima: on mm-floor-0 a 4-point r^2
+    # search ended at 0.6685, against 0.5711; on slr 3- and 4-point r^2 ended at
     # 2.2e-19 and 4.8e-18, EM on slr-sym at 1 + 1e-8, and 3-point D searches
     # stopped beside the optimum with a third point of weight near 1e-7.
-    calls = 0
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return criterion_values_raw(*args, **kwargs)
-
-    monkeypatch.setattr(optimize_module, "criterion_values_raw", counted)
-    model = TWO_POINT_RULE_MODELS[model_name]
-    spec = PINNED_SPECS["slr" if model_name == "slr" else "mm"].get(kind) or CriterionSpec(kind)
+    extra = {"C": ("--c", "1,6" if model_name == "slr" else "1,0.5"), "COMPOUND": ("--lam", "0.5")}
+    argv = ("optimal", *TWO_POINT_RULE_FLAGS[model_name], "--criterion", kind, *extra.get(kind, ()))
     runs = []
     for n_support in (2, 3, 4):
-        calls = 0
-        res = optimize_design(OptimizeRequest(model=model, criterion=spec, n_support=n_support))
-        runs.append((res.design, res.criterion_value, res.label, res.iterations, calls))
+        code = cli_main([*argv, f"--n-support={n_support}"])
+        out = capsys.readouterr().out
+        runs.append((code, out.replace(f'"n_support": {n_support}', '"n_support": 2')))
     assert runs[1] == runs[0] and runs[2] == runs[0]
-    assert runs[0][0].support_size <= 2
+    payload = json.loads(runs[0][1])
+    assert len(payload["design"]["points"]) <= 2
     expected = {("slr-1-5", "D"): 0.5, ("slr", "R2"): 1e-24, ("slr-sym", "EM"): 1.0}.get((model_name, kind))
-    assert expected is None or runs[0][1] <= expected * (1.0 + 1e-12)
+    assert expected is None or payload["criterion_value"] <= expected * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("model_name", list(TWO_POINT_RULE_MODELS))
 def test_disk_kinds_run_no_search(monkeypatch, model_name):
     # R2, CPB and EM take their optima from the chord of the normalised
-    # information disk, at every support size, with no stage 1 and no polish.
+    # information disk, with no stage 1 and no polish.
     def no_search(*args):
         raise AssertionError("a search ran")
     monkeypatch.setattr(optimize_module, "_stage1", no_search)
     monkeypatch.setattr(optimize_module, "_refine", no_search)
     model = TWO_POINT_RULE_MODELS[model_name]
     for kind in ("R2", "CPB", "EM"):
-        for n_support in (2, 3, 4):
-            res = optimize_design(OptimizeRequest(model, CriterionSpec(kind), n_support))
-            assert res.label == "best-found" and math.isfinite(res.criterion_value)
+        res = optimize_design(model, CriterionSpec(kind))
+        assert res.label == "best-found" and math.isfinite(res.criterion_value)
 
 
 class TestGoldenMass:
@@ -346,15 +334,15 @@ class TestGoldenMass:
         return self.rows(mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.05)), self.MM_SUPPORTS)
 
     def check_d_mass(self, O):
-        w, _ = _best_mass(CriterionSpec("D"), O[:, 0], O[:, 1], self.TOL)
-        assert np.all(np.abs(w - 0.5) <= self.TOL)
+        W, _ = _best_mass(CriterionSpec("D"), O, self.TOL)
+        assert np.all(np.abs(W - 0.5) <= self.TOL)
 
     def check_c_mass(self, F, O, c):
         # c^T M^-1 c = sum u_i^2 / w_i with u = F^-T c, minimized at w_i ~ |u_i|.
         u = np.linalg.solve(np.transpose(F, (0, 2, 1)), np.tile(c, (len(F), 1))[..., None])[..., 0]
         expected = np.abs(u[:, 0]) / np.abs(u).sum(axis=1)
-        w, vals = _best_mass(CriterionSpec("C", c=c), O[:, 0], O[:, 1], self.TOL)
-        assert np.all(np.abs(w - expected) <= self.TOL)
+        W, vals = _best_mass(CriterionSpec("C", c=c), O, self.TOL)
+        assert np.all(np.abs(W[:, 0] - expected) <= self.TOL)
         return vals, np.abs(u).sum(axis=1) ** 2
 
     def test_d_mass_is_half(self):
@@ -384,8 +372,8 @@ class TestGoldenMass:
     def test_exact_mass_beats_grid_and_secant(self, model_name, kind):
         spec = PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
         _, O = self.random_rows(model_name)
-        w, vals = _best_mass(spec, O[:, 0], O[:, 1], self.TOL)
-        assert np.all(np.isfinite(vals)) and np.all((0.0 < w) & (w < 1.0))
+        W, vals = _best_mass(spec, O, self.TOL)
+        assert np.all(np.isfinite(vals)) and np.all((0.0 < W) & (W < 1.0))
         if spec.is_convex:  # R2, CPB and EM have no slope for a secant
             assert np.all(vals <= self.secant(spec, O[:, 0], O[:, 1]) * (1.0 + 1e-12))
         grid = np.linspace(0.0, 1.0, 100_001)
@@ -399,7 +387,8 @@ class TestGoldenMass:
         across = F[:, 0, 0] * F[:, 0, 1] * F[:, 1, 0] * F[:, 1, 1] < 0.0
         assert np.count_nonzero(across) >= 20
         for kind in ("R2", "CPB"):
-            w, vals = _best_mass(CriterionSpec(kind), O[across, 0], O[across, 1], self.TOL)
+            W, vals = _best_mass(CriterionSpec(kind), O[across], self.TOL)
+            w = W[:, 0]
             m11, m12, m22 = (O[across, 1] + w[:, None] * (O[across, 0] - O[across, 1])).T
             scale = w * np.abs(O[across, 0, 1]) + (1.0 - w) * np.abs(O[across, 1, 1])
             assert np.all(np.abs(m12) <= 4.0 * np.finfo(float).eps * scale)
@@ -413,8 +402,8 @@ class TestGoldenMass:
         model = mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.0))
         spec = PINNED_SPECS["mm"].get(kind) or CriterionSpec(kind)
         _, O = self.rows(model, np.array([(0.0, 0.3 * 227.27), (0.0, 5.0 * 227.27)]))
-        w, vals = _best_mass(spec, O[:, 0], O[:, 1], self.TOL)
-        assert np.all((0.0 < w) & (w < 1.0)) and np.all(np.isinf(vals))
+        W, vals = _best_mass(spec, O, self.TOL)
+        assert np.all((0.0 < W) & (W < 1.0)) and np.all(np.isinf(vals))
 
     @pytest.mark.parametrize("model_name", [*PINNED_MODELS, "mm-badly-scaled"])
     def test_r_mass_lies_between_the_variance_splits(self, model_name):
@@ -430,12 +419,12 @@ class TestGoldenMass:
         rng = np.random.default_rng(20260813)
         F, O = self.rows(model, np.sort(rng.uniform(model.space.lo, model.space.hi, (24, 2)), axis=1))
         w1, w2 = (np.abs(F[:, 1, i]) / (np.abs(F[:, 0, i]) + np.abs(F[:, 1, i])) for i in (1, 0))
-        w, _ = _best_mass(CriterionSpec("R"), O[:, 0], O[:, 1], self.TOL)
+        w = _best_mass(CriterionSpec("R"), O, self.TOL)[0][:, 0]
         assert np.all((np.minimum(w1, w2) <= w) & (w <= np.maximum(w1, w2)))
         rescaled = _outer3(F * np.array([1e-9, 1e7]))
-        assert np.allclose(_best_mass(CriterionSpec("R"), rescaled[:, 0], rescaled[:, 1], self.TOL)[0], w,
+        assert np.allclose(_best_mass(CriterionSpec("R"), rescaled, self.TOL)[0][:, 0], w,
                            rtol=0.0, atol=4 * np.finfo(float).eps)
-        wc, _ = _best_mass(spec, O[:, 0], O[:, 1], self.TOL)
+        wc = _best_mass(spec, O, self.TOL)[0][:, 0]
         assert np.all((np.minimum(w, 0.5) - self.TOL <= wc) & (wc <= np.maximum(w, 0.5) + self.TOL))
 
 
@@ -447,12 +436,12 @@ def test_mm_r2_at_zero_floor_is_not_stopped_by_a_zero_matrix():
     model = mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.0))
     for kind, searched in (("R2", 0.49035553748920635), ("CPB", 0.7002539092994814),
                            ("EM", 160.43406171721313)):
-        request = OptimizeRequest(model=model, criterion=CriterionSpec(kind))
-        optimize_design(request)  # warm
+        spec = CriterionSpec(kind)
+        optimize_design(model, spec)  # warm
         seconds = []
         for _ in range(3):
             start = time.perf_counter()
-            res = optimize_design(request)
+            res = optimize_design(model, spec)
             seconds.append(time.perf_counter() - start)
         assert not fim(model, res.design).is_singular, kind
         assert res.criterion_value <= searched, kind
@@ -496,7 +485,7 @@ def test_kernel_call_budget(monkeypatch, model_name, kind):
     criterion_values_raw = optimize_module.criterion_values_raw
     monkeypatch.setattr(optimize_module, "criterion_values_raw", counted)
     spec = PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
-    optimize_design(OptimizeRequest(model=PINNED_MODELS[model_name], criterion=spec))
+    optimize_design(PINNED_MODELS[model_name], spec)
     assert calls <= 1.2 * KERNEL_CALLS[model_name][kind]
 
 
@@ -512,7 +501,7 @@ def test_point_slope_is_derivative_of_profiled_criterion(model_name, kind):
 
     def profile(X):
         F = np.asarray(model.regressor(X), dtype=float)
-        W, V = _support_weights(spec, _outer3(F), 1e-13)
+        W, V = _best_mass(spec, _outer3(F), 1e-13)
         return F, W, V
 
     F, W, V = profile(X)
@@ -529,7 +518,7 @@ def test_model_without_regressor_derivative_is_rejected():
     base = slr_model(DesignSpace(-1.0, 1.0))
     bare = Model(name="bare", space=base.space, regressor=base.regressor)
     with pytest.raises(ValidationError, match="regressor_dx"):
-        optimize_design(OptimizeRequest(model=bare, criterion=CriterionSpec("D")))
+        optimize_design(bare, CriterionSpec("D"))
 
 
 @given(a=st.floats(-5.0, 5.0), width=st.floats(0.5, 10.0), kind=st.sampled_from(["D", "R", "R2", "EM"]))
@@ -539,7 +528,7 @@ def test_slr_two_point_matches_closed_forms(a, width, kind):
     # An end at or near 0 takes the r^2 optimum to or toward a singular design.
     assume(kind != "R2" or min(abs(a), abs(a + width)) >= 0.05 * width)
     b, model = a + width, slr_model(DesignSpace(a, a + width))
-    res = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec(kind)))
+    res = optimize_design(model, CriterionSpec(kind))
     if kind == "EM":  # the chord's midpoint, or M ~ I once f(a) and f(-1/a) are perpendicular
         expected = 1.0 if a * b <= -1.0 else 1.0 / math.tan((math.atan(b) - math.atan(a)) / 2.0) ** 2
         assert math.isclose(res.criterion_value, expected, rel_tol=1e-12, abs_tol=0.0)
@@ -564,10 +553,9 @@ def test_mm_r2_is_slr_r2_in_t(log_v, log_k, b, floor):
     # Where the absolute floor of the singularity test rejects the chord of the space's ends (the
     # scale problem of ROADMAP item 3), MM's optimum is the floor's, not the chord's.
     F = np.asarray(model.regressor(np.array([model.space.lo, model.space.hi])), dtype=float)
-    assume(np.isfinite(_support_weights(CriterionSpec("R2"), _outer3(F)[None], 0.0)[1][0]))
-    mm = optimize_design(OptimizeRequest(model, CriterionSpec("R2")))
-    slr = optimize_design(OptimizeRequest(slr_model(DesignSpace(1.0 / (1.0 + b), 1.0 / (1.0 + eps))),
-                                          CriterionSpec("R2")))
+    assume(np.isfinite(_best_mass(CriterionSpec("R2"), _outer3(F)[None], 0.0)[1][0]))
+    mm = optimize_design(model, CriterionSpec("R2"))
+    slr = optimize_design(slr_model(DesignSpace(1.0 / (1.0 + b), 1.0 / (1.0 + eps))), CriterionSpec("R2"))
     assert math.isclose(mm.criterion_value, slr.criterion_value, rel_tol=1e-12, abs_tol=0.0)
 
 
@@ -580,7 +568,7 @@ def test_mm_two_point_d_matches_closed_form(log_v, log_k, b, floor):
     assume(log_v - log_k >= -3.0)
     params = MMParams(V=10.0 ** log_v, K=10.0 ** log_k, b=b, eps=floor * b)
     model = mm_model(params)
-    res = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("D")))
+    res = optimize_design(model, CriterionSpec("D"))
     assert res.label == "certified"
     assert math.isclose(res.criterion_value, phi_d(fim(model, mm_d_optimal(params))),
                         rel_tol=1e-12, abs_tol=0.0)
@@ -608,7 +596,7 @@ def test_convex_search_polishes_one_support(monkeypatch, model_name, kind):
 
     monkeypatch.setattr(optimize_module, "_refine", counted)
     spec = PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
-    res = optimize_design(OptimizeRequest(model=PINNED_MODELS[model_name], criterion=spec))
+    res = optimize_design(PINNED_MODELS[model_name], spec)
     assert supports == [(2,)]
     assert res.label == "certified"
 
@@ -663,7 +651,7 @@ class TestCOptimal:
         m = fim(mm_half, res1.design)
         assert abs(phi_c(m, (1.0, 0.0)) / ref1 - 1.0) <= 1e-9
 
-    def test_weight_tolerance_is_keyword_only(self, slr_15):
+    def test_positional_grid_size_is_rejected(self, slr_15):
         # A positional grid size from the old signatures must not pass as a tolerance.
         with pytest.raises(TypeError):
             c_optimal(slr_15, (1.0, 0.0), 401)
@@ -684,23 +672,27 @@ def exact_c_value(model: Model, design, c) -> float:
 
 
 def random_c_problems(kind: str, seed: int, n: int):
-    """n (model, c) pairs: random SLR intervals or MM models, c standard normal."""
+    """n (model, c, flags) triples: random SLR intervals or MM models, c standard normal,
+    and the model's CLI flags."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
         if kind == "slr":
             a = float(rng.uniform(-5.0, 4.0))
-            model = slr_model(DesignSpace(a, a + float(rng.uniform(0.5, 6.0))))
+            b = a + float(rng.uniform(0.5, 6.0))
+            model, flags = slr_model(DesignSpace(a, b)), {"a": a, "b": b}
         else:
             b = float(rng.uniform(0.5, 10.0))
-            model = mm_model(MMParams(V=float(rng.uniform(1.0, 100.0)), K=float(rng.uniform(1.0, 500.0)),
-                                      b=b, eps=float(rng.uniform(0.0, 0.9 * b)) * rng.integers(2)))
-        yield model, tuple(rng.normal(size=2).tolist())
+            params = MMParams(V=float(rng.uniform(1.0, 100.0)), K=float(rng.uniform(1.0, 500.0)),
+                              b=b, eps=float(rng.uniform(0.0, 0.9 * b) * rng.integers(2)))
+            model, flags = mm_model(params), {"V": params.V, "K": params.K, "b": b, "eps": params.eps}
+        yield (model, tuple(rng.normal(size=2).tolist()),
+               ("--model", kind, *(f"--{name}={value!r}" for name, value in flags.items())))
 
 
 class TestElfving:
     @pytest.mark.parametrize("kind", ["slr", "mm"])
     def test_dual_certificate(self, kind):
-        for model, c in random_c_problems(kind, 11, 30):
+        for model, c, _ in random_c_problems(kind, 11, 30):
             res = c_optimal(model, c)
             u = np.array(res.u)
             assert abs(u @ np.array(c) - 1.0) <= 1e-12
@@ -740,20 +732,25 @@ class TestElfving:
         # The search's value is taken at its design without cancellation: near a
         # singular design phi_c's det carries rounding that has read up to 1e-5
         # below the optimum.
-        for model, c in random_c_problems(kind, 13, 30):
-            found = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("C", c=c)))
+        for model, c, _ in random_c_problems(kind, 13, 30):
+            found = optimize_design(model, CriterionSpec("C", c=c))
             bound = exact_c_value(model, found.design, c) * (1.0 + 1e-12)
             assert c_optimal(model, c).criterion_value <= bound
 
     @pytest.mark.parametrize("kind", ["slr", "mm"])
     @pytest.mark.parametrize("n_support", [2, 3, 4])
-    def test_optimize_design_is_c_optimal(self, kind, n_support):
-        # Elfving's set is planar, so no support size needs more than c_optimal's two points.
-        for model, c in random_c_problems(kind, 17, 30):
-            res = optimize_design(OptimizeRequest(model, CriterionSpec("C", c=c), n_support))
+    def test_optimize_design_is_c_optimal(self, capsys, kind, n_support):
+        # Elfving's set is planar, so no support size needs more than c_optimal's two
+        # points: optimal gives c_optimal's design at every --n-support.
+        for model, c, flags in random_c_problems(kind, 17, 30):
+            code = cli_main(["optimal", *flags, "--criterion", "C", f"--c={c[0]!r},{c[1]!r}",
+                             f"--n-support={n_support}"])
+            res = json.loads(capsys.readouterr().out)
             dual = c_optimal(model, c)
-            assert res.design == dual.design and res.criterion_value == dual.criterion_value
-            assert res.label == dual.label == "certified"
+            assert [(p["x"], p["w"]) for p in res["design"]["points"]] == list(dual.design.points)
+            assert res["criterion_value"] == dual.criterion_value
+            assert code == 0 and res["label"] == dual.label == "certified"
+            assert optimize_design(model, CriterionSpec("C", c=c)) == dual
 
     def test_mm_lower_point_closed_form(self):
         # mm_r_optimal starts its polish here: on [0, bK] the c-optimal designs
@@ -768,7 +765,7 @@ class TestElfving:
 
     @pytest.mark.parametrize("name", ["slr", "mm"])
     def test_sa_references_match_the_recorded_ones_without_a_search(self, name, monkeypatch):
-        def no_search(request):
+        def no_search(*args):
             raise AssertionError("sa_references ran optimize_design")
         monkeypatch.setattr(optimize_module, "optimize_design", no_search)
         refs = sa_references(PINNED_MODELS[name])

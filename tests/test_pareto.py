@@ -32,7 +32,7 @@ from optdesign import pareto as pareto_module
 from optdesign.cli import _reference_stars, main
 from optdesign.designs import fim_entries
 from optdesign.mm import MMParams, mm_model
-from optdesign.optimize import OptimizeRequest, optimize_design
+from optdesign.optimize import optimize_design
 from optdesign.pareto import (
     MARGIN,
     TIE_TOL,
@@ -120,8 +120,8 @@ class TestFront:
 @pytest.fixture(scope="module")
 def mm_stars():
     model = mm_model(MMParams(eps=0.5))
-    d_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("D"))).criterion_value
-    r_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R"))).criterion_value
+    d_star = optimize_design(model, CriterionSpec("D")).criterion_value
+    r_star = optimize_design(model, CriterionSpec("R")).criterion_value
     return model, d_star, r_star
 
 
@@ -164,8 +164,8 @@ class TestCompoundSweep:
         # Any compound optimum is at least as efficient as the worse of the
         # pure optima under both criteria; the cross-efficiencies bound it.
         model = slr_model(DesignSpace(1.0, 5.0))
-        d_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("D"))).criterion_value
-        r_star = optimize_design(OptimizeRequest(model=model, criterion=CriterionSpec("R"))).criterion_value
+        d_star = optimize_design(model, CriterionSpec("D")).criterion_value
+        r_star = optimize_design(model, CriterionSpec("R")).criterion_value
         rows = compound_sweep(model, [0.5], d_star, r_star)
         assert rows[0].eff_d >= 0.934 and rows[0].eff_r >= 0.934
 
