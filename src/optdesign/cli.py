@@ -129,12 +129,16 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _read_design(path: str) -> Design:
-    """The design in a design JSON file; a file that is not one is a usage error."""
+def _read_design(path: str, space: DesignSpace) -> Design:
+    """The design in a design JSON file; a file that is not one, or a point outside ``space``, is a usage error."""
     try:
-        return design_from_json(_read_json(path, "design"))[0]
+        design = design_from_json(_read_json(path, "design"))[0]
     except ValidationError as exc:
         raise UsageError(f"design {path}: {exc}") from exc
+    for x, _ in design.points:
+        if not space.contains(x):
+            raise UsageError(f"design {path}: point x={x} lies outside the model's space [{space.lo}, {space.hi}]")
+    return design
 
 
 def _setting(args: argparse.Namespace, cfg: dict, name: str, default=None, convert=None):
@@ -297,14 +301,12 @@ def _cmd_table(args: argparse.Namespace, cfg: dict) -> int:
         rows = table_slr(_parse_floats(a_list), b)
         _emit(table_slr_csv(rows), args.output)
         return EXIT_OK
-    if name in ("mm-designs", "mm-efficiencies"):
-        eps_list = _setting(args, cfg, "eps_list", "0,0.05,0.5,1")
-        tables = mm_tables(_mm_params(args, cfg, ("V", "K", "b")), _parse_floats(eps_list),
-                           compat=not _setting(args, cfg, "strict", False, convert=bool))
-        text = mm_designs_csv(tables) if name == "mm-designs" else mm_efficiencies_csv(tables)
-        _emit(text, args.output)
-        return EXIT_OK
-    raise UsageError(f"unknown table {name!r}; choose slr, mm-designs, or mm-efficiencies")
+    # The parser's choices leave mm-designs and mm-efficiencies.
+    eps_list = _setting(args, cfg, "eps_list", "0,0.05,0.5,1")
+    tables = mm_tables(_mm_params(args, cfg, ("V", "K", "b")), _parse_floats(eps_list),
+                       compat=not _setting(args, cfg, "strict", False, convert=bool))
+    _emit(mm_designs_csv(tables) if name == "mm-designs" else mm_efficiencies_csv(tables), args.output)
+    return EXIT_OK
 
 
 def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
@@ -355,7 +357,7 @@ def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
         raise UsageError("check needs --design FILE (design JSON)")
     if not isinstance(design_path, str):
         raise UsageError(f"config key 'design' must be a file name, got {design_path!r}")
-    design = _read_design(design_path)
+    design = _read_design(design_path, model.space)
     spec = _build_criterion(kind, args, cfg, model, params)
     report = derivative_report(model, design, spec)
     value = criterion_value(fim(model, design), spec)
@@ -379,7 +381,7 @@ def _cmd_efficiency(args: argparse.Namespace, cfg: dict) -> int:
     d_star, r_star = _reference_stars(model, params)
     entries = []
     for path in path_list:
-        m = fim(model, _read_design(path))
+        m = fim(model, _read_design(path, model.space))
         if m.is_singular:
             values = dict.fromkeys(("phi_D", "phi_R", "phi_r2", "corr", "eff_D", "eff_R"))
         else:

@@ -19,8 +19,9 @@ root) it is exact.  Every other solve is one row solver, a bracketed secant
 driving a slope to 0 on many rows at once: the mass of COMPOUND, the points of
 the polish and the chord's ends.  By the envelope theorem, at optimal weights
 the criterion's derivative in a support point x_j is its slope along
-w_j (f' f^T + f f'^T)(x_j): the polish cycles the two points, each
-evaluation a weight solve warm-started from the current weights.
+w_j (f' f^T + f f'^T)(x_j): the polish moves the two points in turn, each
+evaluation a weight solve warm-started from the current weights, and stops once
+a point moves no more than ``XTOL_REL`` times the width right after the other's.
 
 Everything is deterministic given the model and criterion; a tie in stage 1
 goes to the first support in lexicographic order.
@@ -251,16 +252,25 @@ def _regress(model: Model, x: np.ndarray) -> list[np.ndarray]:
             for f in (model.regressor, model.regressor_dx)]
 
 
-def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Cyclic polish of a two-point support by the slope in each point.
+def _finite_grid(model: Model, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the n-point grid of the space where the regressor f is finite, and f there (m, 2)."""
+    grid = model.space.grid(n)
+    F = np.asarray(model.regressor(grid), dtype=float)
+    finite = np.all(np.isfinite(F), axis=1)
+    return grid[finite], F[finite]
 
-    For each point in turn, ``_zero_slope`` drives ``_point_slope`` to 0 with
-    x_j kept between its neighbour and the end of the space; the support takes
-    the result if it lowers the criterion.  x (2,) is the sorted initial
-    support; the first trial move is ``FIRST_MOVE_REL`` times the width.  The
-    polish stops after a cycle that moves no point by more than ``XTOL_REL``
-    times the width.  Returns the support, its weights (2,), the criterion
-    value and the number of supports evaluated.
+
+def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> OptimizeResult:
+    """Polish of the sorted two-point support x by the slope in each point, then ``_result``.
+
+    The points take turns: ``_zero_slope`` drives ``_point_slope`` to 0 with x_j
+    kept between its neighbour and the end of the space, from a first trial move
+    of ``FIRST_MOVE_REL`` times the width, and the support takes the result if it
+    lowers the criterion.  A trial move that clips to x_j (a zero slope, or an end
+    of the space with the slope pointing out) settles the point without a solve.
+    The polish stops once a point moves no more than ``XTOL_REL`` times the width
+    right after the other's polish: both then sit at a zero slope.  The result's
+    iterations count the supports evaluated.
     """
     space = model.space
     xtol, gap, step = XTOL_REL * space.width, space.merge_tol(), FIRST_MOVE_REL * space.width
@@ -271,49 +281,40 @@ def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> tuple[np.ndarra
         s = _point_slope(spec, F, dF, W, j)
         return np.where(np.abs(s) * space.width <= WEIGHT_TOL * np.abs(V), 0.0, s)
 
+    def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        nonlocal n_evals
+        n_evals += len(rows)
+        Fr, dFr = F[rows], dF[rows]
+        Fr[:, j], dFr[:, j] = _regress(model, x)
+        Wr, Vr = _best_mass(spec, _outer3(Fr), WEIGHT_TOL, W[rows])
+        return Vr, slope(Fr, dFr, Wr, Vr, j), Wr
+
     F, dF = _regress(model, X)
     W, V = _best_mass(spec, _outer3(F), WEIGHT_TOL)
-    n_evals, moved = 1, math.inf
-    while moved > xtol and math.isfinite(V[0]):
-        moved = 0.0
-        for j in range(2):
-            def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-                nonlocal n_evals
-                n_evals += len(rows)
-                Fr, dFr = F[rows], dF[rows]
-                Fr[:, j], dFr[:, j] = _regress(model, x)
-                Wr, Vr = _best_mass(spec, _outer3(Fr), WEIGHT_TOL, W[rows])
-                return Vr, slope(Fr, dFr, Wr, Vr, j), Wr
-
-            x0, s0 = X[:, j], slope(F, dF, W, V, j)
-            lo, hi = (X[:, 0] + gap, np.array([space.hi])) if j else (np.array([space.lo]), X[:, 1] - gap)
-            x, v, Wx = _zero_slope(evaluate, lo, hi, x0, np.clip(x0 - np.sign(s0) * step, lo, hi), xtol,
-                                   known=(V, s0, W))
+    n_evals, j, settled = 1, 0, 0  # settled: points polished in a row since, and with, the last move beyond xtol
+    while settled < 2 and math.isfinite(V[0]):
+        x0, s0 = X[:, j], slope(F, dF, W, V, j)
+        lo, hi = (X[:, 0] + gap, np.array([space.hi])) if j else (np.array([space.lo]), X[:, 1] - gap)
+        x1, moved = np.clip(x0 - np.sign(s0) * step, lo, hi), 0.0
+        if x1[0] != x0[0]:
+            x, v, Wx = _zero_slope(evaluate, lo, hi, x0, x1, xtol, known=(V, s0, W))
             if v[0] < V[0]:
-                moved = max(moved, abs(x[0] - x0[0]))
+                moved = abs(x[0] - x0[0])
                 X[:, j], W, V = x, Wx, v
                 F[:, j], dF[:, j] = _regress(model, x)
-    return X[0], W[0], float(V[0]), n_evals
-
-
-def _initial_supports(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate supports of stage 1: every pair of a coarse grid, in
-    lexicographic order, with their outer-product entries."""
-    grid = model.space.grid(STAGE1_GRID)
-    F = np.asarray(model.regressor(grid), dtype=float)
-    finite = np.all(np.isfinite(F), axis=1)
-    idx = np.stack(np.triu_indices(np.count_nonzero(finite), 1), axis=1)
-    return grid[finite][idx], _outer3(F[finite])[idx]
+        settled, j = 1 if moved > xtol else settled + 1, 1 - j
+    return _result(model, spec, X[0], W[0], n_evals)
 
 
 def _stage1(model: Model, spec: CriterionSpec) -> np.ndarray:
-    """The best support of ``_initial_supports``, each weighed at ``WEIGHT_TOL``;
-    the first in lexicographic order wins a tie.  Raises if every support is singular."""
-    S, O = _initial_supports(model)
-    _, vals = _best_mass(spec, O, WEIGHT_TOL)
+    """The best pair of the ``STAGE1_GRID``-point grid, each weighed at ``WEIGHT_TOL``; the first
+    in lexicographic order wins a tie.  Raises if every pair is singular."""
+    grid, F = _finite_grid(model, STAGE1_GRID)
+    idx = np.stack(np.triu_indices(len(grid), 1), axis=1)
+    _, vals = _best_mass(spec, _outer3(F)[idx], WEIGHT_TOL)
     if not np.isfinite(vals).any():
         raise OptimizationError("no admissible (non-singular) design found on the grid")
-    return S[np.argmin(vals)]
+    return grid[idx[np.argmin(vals)]]
 
 
 def optimize_design(model: Model, spec: CriterionSpec) -> OptimizeResult:
@@ -330,8 +331,7 @@ def optimize_design(model: Model, spec: CriterionSpec) -> OptimizeResult:
     if not spec.is_convex:
         return _disk_optimal(model, spec)
 
-    x, w, _, n_evals = _refine(model, spec, _stage1(model, spec))
-    return _result(model, spec, x, w, n_evals)
+    return _refine(model, spec, _stage1(model, spec))
 
 
 def _result(model: Model, spec: CriterionSpec, xs: Sequence[float], ws: Sequence[float],
@@ -355,9 +355,7 @@ def mm_r_optimal(params: MMParams) -> OptimizeResult:
     c-optimal designs for e_1 and e_2, whose variances R multiplies.  A failed certificate runs the search."""
     model, spec, space, b = mm_model(params), CriterionSpec("R"), params.space(), params.b
     x0 = max((math.sqrt(2.0) - 1.0) * b / ((2.0 - math.sqrt(2.0)) * b + 1.0) * params.K, space.lo)
-    x, w, _, n_evals = _refine(model, spec, np.array([x0, space.hi]))
-    result = _result(model, spec, x, w, n_evals)
-    return result if result.converged else optimize_design(model, spec)
+    return r if (r := _refine(model, spec, np.array([x0, space.hi]))).converged else optimize_design(model, spec)
 
 
 @dataclass(frozen=True)
@@ -415,9 +413,7 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
         raise ValidationError("c must be nonzero")
     space, along, across = model.space, np.array([c1, c2]) / (c1 * c1 + c2 * c2), np.array([-c2, c1])
 
-    grid = space.grid(ELFVING_GRID)
-    F = np.asarray(model.regressor(grid), dtype=float)
-    grid, F = grid[np.all(np.isfinite(F), axis=1)], F[np.all(np.isfinite(F), axis=1)]
+    grid, F = _finite_grid(model, ELFVING_GRID)
     a, b = F @ along, F @ across
     if not np.any(a):
         raise OptimizationError("c is inestimable under every candidate design")
@@ -453,11 +449,13 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
             # t's error is second order in the points', so theirs squares each round.
             if moved <= math.sqrt(tol * space.width):
                 break
-        # gamma c = sum_k w_k s_k f(x_k) with the w_k summing to 1: w / gamma by
-        # Cramer's rule, free of the cancellation in det M of a narrow support.
+        # gamma c = sum_k w_k s_k f(x_k) with the w_k summing to 1: w / gamma by Cramer's rule, free of the
+        # cancellation in det M of a narrow support.  f(x_k) parallel to rounding: f has rank one, c no estimate.
         (g11, g12), (g21, g22) = S[:, None] * Fx
-        w = np.clip(np.array([c1 * g22 - c2 * g21, g11 * c2 - g12 * c1]) / (g11 * g22 - g12 * g21),
-                    0.0, None)
+        det = g11 * g22 - g12 * g21
+        if abs(det) <= 4.0 * EPS * (abs(g11 * g22) + abs(g12 * g21)):
+            raise OptimizationError("c is inestimable under every candidate design")
+        w = np.clip(np.array([c1 * g22 - c2 * g21, g11 * c2 - g12 * c1]) / det, 0.0, None)
         gamma, w = 1.0 / float(np.sum(w)), w / np.sum(w)
     if not gamma > 0.0:
         raise OptimizationError("c is inestimable under every candidate design")
@@ -474,9 +472,8 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
     and the centre M ~ I; otherwise EM, and R2 and CPB if the ends' f1 f2 share a sign, take phi_min's end and the
     root of f(x_a)^T f(x).  ``_SPLIT_WEIGHT`` weighs the pair (EM: w ~ 1/|f|^2, the chord's midpoint), unclipped:
     only the singularity test limits an end where f tends to 0 or lies on an axis (R2's f1 f2 = 0)."""
-    grid, n_evals = model.space.grid(ELFVING_GRID), 0
-    F = np.asarray(model.regressor(grid), dtype=float)
-    idx = np.flatnonzero(np.all(np.isfinite(F), axis=1) & np.any(F != 0.0, axis=1))
+    (grid, F), n_evals = _finite_grid(model, ELFVING_GRID), 0
+    idx = np.flatnonzero(np.any(F != 0.0, axis=1))
     if not len(idx):
         raise OptimizationError("no admissible (non-singular) design found on the grid")
     phi = np.unwrap(np.arctan2(F[idx, 1], F[idx, 0]))

@@ -377,7 +377,8 @@ class TestEfficiencyCmd:
 
 class TestUnreadableDesignFile:
     # check and efficiency read design files through one reader: a file that
-    # cannot be opened or parsed is a usage error naming the file.
+    # cannot be opened or parsed, or that has a point outside the model's
+    # space, is a usage error naming the file.
     COMMANDS = {
         "check": ("check", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D", "--design"),
         "efficiency": ("efficiency", "--model", "slr", "--a", "1", "--b", "5", "--designs"),
@@ -401,6 +402,55 @@ class TestUnreadableDesignFile:
         code, out, err = run(capsys, *self.COMMANDS[command], str(path))
         assert code == EXIT_USAGE and out == ""
         assert f"design {path}" in err
+
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_point_outside_the_model_space_is_usage_error(self, capsys, tmp_path, command):
+        # The file's own space [0, 20] holds its points; the model's [1, 5] does not.
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({"points": [{"x": 0.0, "w": 0.5}, {"x": 20.0, "w": 0.5}],
+                                    "space": {"lo": 0.0, "hi": 20.0}}))
+        code, out, err = run(capsys, *self.COMMANDS[command], str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert f"design {path}: point x=0.0 lies outside the model's space [1.0, 5.0]" in err
+
+
+class TestUsageErrors:
+    SLR = ("--model", "slr", "--a", "1", "--b", "5")
+
+    # Each case: the argv, a config file's content or None, OPTDESIGN_SEED or None, and the message.
+    @pytest.mark.parametrize("argv,config,env,message", [
+        (("table", "slr", "--b", "5", "--a-list", "1"), [1, 2], None, "config file must hold a JSON object"),
+        (("optimal", *SLR, "--criterion", "D"), None, "seven", "OPTDESIGN_SEED must be an integer, got 'seven'"),
+        (("optimal", "--criterion", "D"), None, None, "--model is required (slr or mm)"),
+        (("optimal", "--model", "mm", "--criterion", "D"), None, None,
+         "model mm needs --b (upper end of the space, in K units)"),
+        (("optimal", "--criterion", "D"), {"model": "quadratic"}, None,
+         "unknown model 'quadratic'; choose slr or mm"),
+        (("optimal", *SLR, "--criterion", "T"), None, None, "unknown criterion 'T'; choose from ("),
+        (("optimal", *SLR, "--criterion", "C"), None, None, "criterion C needs --c 'c1,c2'"),
+        (("optimal", *SLR, "--criterion", "C", "--c", "1,2,3"), None, None, "--c must hold exactly two numbers"),
+        (("optimal", *SLR, "--criterion", "COMPOUND"), None, None, "criterion COMPOUND needs --lam in [0, 1]"),
+        (("table", "slr", "--a-list", "1"), None, None, "table slr needs --b"),
+        (("table", "slr", "--b", "5"), None, None, "table slr needs --a-list 'a1,a2,...'"),
+        (("table", "mm-tables"), None, None, "argument table: invalid choice: 'mm-tables'"),
+        (("sweep", *SLR), None, None, "sweep needs --a-fixed (lower support point; K units for mm)"),
+        (("check", *SLR, "--design", "d.json"), None, None, "--criterion is required"),
+        (("check", *SLR, "--criterion", "D"), None, None, "check needs --design FILE (design JSON)"),
+        (("efficiency", *SLR), None, None, "efficiency needs --designs file1[,file2,...]"),
+    ], ids=["config-not-object", "seed-env", "no-model", "mm-no-b", "unknown-model", "unknown-criterion",
+            "c-no-c", "c-three", "compound-no-lam", "table-slr-no-b", "table-slr-no-a-list", "unknown-table",
+            "sweep-no-a-fixed", "check-no-criterion", "check-no-design", "efficiency-no-designs"])
+    def test_exits_64_with_its_message(self, capsys, monkeypatch, tmp_path, argv, config, env, message):
+        monkeypatch.delenv("OPTDESIGN_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("OPTDESIGN_SEED", env)
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            argv = (*argv, "--config", str(tmp_path / "run.json"))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("optdesign: ") and message in err
 
 
 class TestOptimalThenCheckContract:

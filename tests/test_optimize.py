@@ -6,6 +6,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import optdesign.optimize as optimize_module
+from optdesign.cli import CRITERION_KINDS
 from optdesign.cli import main as cli_main
 from optdesign import (
     CriterionSpec,
@@ -468,7 +470,7 @@ def test_stage1_heap_peak(kind):
 # for C, which calls no kernel; a call may make 20% more.
 KERNEL_CALLS = {
     "slr": {"D": 4, "R": 4, "R2": 2, "C": 0, "SA": 4, "EM": 2, "CPB": 2, "COMPOUND": 14},
-    "mm": {"D": 18, "R": 22, "R2": 2, "C": 0, "SA": 22, "EM": 2, "CPB": 2, "COMPOUND": 34},
+    "mm": {"D": 16, "R": 16, "R2": 2, "C": 0, "SA": 16, "EM": 2, "CPB": 2, "COMPOUND": 32},
 }
 
 
@@ -512,6 +514,28 @@ def test_point_slope_is_derivative_of_profiled_criterion(model_name, kind):
         fd = (profile(X + step)[2] - profile(X - step)[2]) / (2 * h)
         slope = _point_slope(spec, F, np.asarray(model.regressor_dx(X), dtype=float), W, j)
         assert np.allclose(slope, fd, rtol=1e-6, atol=1e-8 * np.abs(V).max() / space.width)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 5.0), (-0.3, 0.9)])
+@pytest.mark.parametrize("ray", [(1.0, 2.0), (0.3, 0.7), (1.1, -0.37)])
+def test_rank_one_model_raises_for_every_kind(lo, hi, ray):
+    # f = x v spans one ray: every design is singular and only multiples of v
+    # are estimable, so each kind raises OptimizationError, with no numpy
+    # warning on the way (c_optimal's Cramer weights for two parallel f
+    # would divide by a zero det).
+    model = Model(name="rank-one", space=DesignSpace(lo, hi), regressor=lambda x: np.multiply.outer(x, ray),
+                  regressor_dx=lambda x: np.multiply.outer(np.ones_like(x), ray))
+    specs = {"SA": CriterionSpec("SA", sa_refs=(1.0, 1.0)),
+             "COMPOUND": CriterionSpec("COMPOUND", lam=0.5, phi_d_star=1.0, phi_r_star=1.0)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in CRITERION_KINDS:
+            for c in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)) if kind == "C" else [None]:
+                spec = CriterionSpec("C", c=c) if c else specs.get(kind) or CriterionSpec(kind)
+                with pytest.raises(OptimizationError, match="inestimable" if c else "no admissible"):
+                    optimize_design(model, spec)
+        with pytest.raises(OptimizationError, match="inestimable"):
+            sa_references(model)
 
 
 def test_model_without_regressor_derivative_is_rejected():
@@ -581,7 +605,7 @@ def test_boundary_points_come_back_exact():
     model = slr_model(DesignSpace(-1.0, 1.0))
     for spec in (CriterionSpec("D"), CriterionSpec("R"), CriterionSpec("SA", sa_refs=sa_references(model))):
         for start in ([-0.5, 0.5], [-0.9, 0.2]):
-            x, _, _, _ = _refine(model, spec, np.array(start))
+            x = _refine(model, spec, np.array(start)).design.xs
             assert np.array_equal(x, [-1.0, 1.0]), (spec.kind, start)
 
 

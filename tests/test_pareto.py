@@ -39,6 +39,8 @@ from optdesign.pareto import (
     FrontPoint,
     SweepRow,
     _dominated,
+    _head_criteria,
+    _sample,
     _survivors,
     compound_sweep,
     criterion_sweep,
@@ -509,20 +511,27 @@ def test_pareto_golden(capsys, model, seed):
     assert err == (GOLDEN / f"pareto-{model}-seed{seed}.meta").read_text()
 
 
-@pytest.mark.parametrize("name", ["slr-seed5", "slr-seed20260810", "mm-seed5", "mm-seed20260810"])
+PARETO_GOLDENS = ["slr-seed5", "slr-seed20260810", "mm-seed5", "mm-seed20260810"]
+
+
+def _golden_model(name: str) -> tuple[dict, Model]:
+    """The meta line of a pareto golden and the model it was sampled on."""
+    meta = json.loads((GOLDEN / f"pareto-{name}.meta").read_text())
+    info = meta["model"]
+    if info["model"] == "slr":
+        return meta, slr_model(DesignSpace(info["a"], info["b"]))
+    return meta, mm_model(MMParams(V=info["V"], K=info["K"], b=info["b"], eps=info["eps"],
+                                   eps_in_k_units=info["eps_in_k_units"]))
+
+
+@pytest.mark.parametrize("name", PARETO_GOLDENS)
 def test_pareto_golden_rebuilt_from_its_stars(name):
     # A golden depends on the optimizer only through phi_d_star and
     # phi_r_star in its meta line.  Fed those, the sampler and the front
     # rebuild the CSV byte for byte, so an optimizer change that moves a
     # star's last ulps moves only the stars and the eff_D/eff_R columns.
-    meta = json.loads((GOLDEN / f"pareto-{name}.meta").read_text())
-    info = meta["model"]
-    if info["model"] == "slr":
-        model, x_scale = slr_model(DesignSpace(info["a"], info["b"])), 1.0
-    else:
-        params = MMParams(V=info["V"], K=info["K"], b=info["b"], eps=info["eps"],
-                          eps_in_k_units=info["eps_in_k_units"])
-        model, x_scale = mm_model(params), params.K
+    meta, model = _golden_model(name)
+    x_scale = model.nominal_params[1] if model.name == "michaelis_menten" else 1.0
     front = sampled_front(model, meta["n"], meta["seed"], meta["phi_d_star"], meta["phi_r_star"])
     assert len(front) == meta["front_size"]
     assert front_csv(front, x_scale=x_scale) == (GOLDEN / f"pareto-{name}.csv").read_text()
@@ -540,3 +549,49 @@ def test_sweep_golden(capsys, model, flags, a_fixed):
 def test_compound_sweep_golden(capsys, model, flags):
     out, _ = run_cli(capsys, "sweep", "--sweep-kind", "compound", *flags)
     assert out == (GOLDEN / f"compound-sweep-{model}.csv").read_text()
+
+
+def _exact_front_cases() -> dict[str, tuple[Model, int]]:
+    """The pareto goldens' models and seeds, then 5 random SLR and 5 random MM models, 2 of them from eps = 0."""
+    cases = {name: (_golden_model(name)[1], _golden_model(name)[0]["seed"]) for name in PARETO_GOLDENS}
+    rng = np.random.default_rng(20261018)
+    for i in range(5):
+        a = float(rng.uniform(-5.0, 4.0))
+        cases[f"slr-random{i}"] = (slr_model(DesignSpace(a, a + float(rng.uniform(0.5, 6.0)))), i)
+    for i in range(5):
+        log_v, log_k, b = rng.uniform(-1.0, 2.0), rng.uniform(-1.0, 2.0), float(rng.uniform(1.0, 10.0))
+        eps = 0.0 if i < 2 else float(rng.uniform(0.0, 0.9)) * b
+        cases[f"mm-random{i}"] = (mm_model(MMParams(V=10.0 ** log_v, K=10.0 ** log_k, b=b, eps=eps)), i)
+    return cases
+
+
+EXACT_FRONT_CASES = _exact_front_cases()
+
+
+@pytest.mark.parametrize("name", list(EXACT_FRONT_CASES))
+def test_compound_sweep_is_the_exact_d_r_front(name):
+    # phi_D = det^(-1/2) and phi_R = sqrt({M^-1}_11 {M^-1}_22) are log-convex
+    # in M, so convex, and the matrices form a convex set: the pairs
+    # (phi_D, phi_R) of all designs, with everything above them, form a convex
+    # set, each Pareto-optimal design minimizes (1 - lam) phi_D / phi_D* +
+    # lam phi_R / phi_R* for some lam, and a compound optimum is Pareto
+    # optimal.  So no sampled design beats a certified compound optimum in
+    # both efficiencies, and the ends of the sweep are the D and R optima.
+    model, seed = EXACT_FRONT_CASES[name]
+    d_star = optimize_design(model, CriterionSpec("D")).criterion_value
+    r_star = optimize_design(model, CriterionSpec("R")).criterion_value
+    effs = []
+    for lam in np.linspace(0.0, 1.0, 21):
+        res = optimize_design(model, CriterionSpec("COMPOUND", lam=float(lam), phi_d_star=d_star,
+                                                   phi_r_star=r_star))
+        assert res.label == "certified", lam
+        m = fim(model, res.design)
+        effs.append((phi_d(m), phi_r(m)))
+    phis = np.array(effs)
+    assert math.isclose(phis[0, 0], d_star, rel_tol=1e-12, abs_tol=0.0)
+    assert math.isclose(phis[-1, 1], r_star, rel_tol=1e-12, abs_tol=0.0)
+    front = np.array([d_star, r_star]) / phis
+    # The designs of sample_two_point_designs(model, 20000, seed), as the arrays it wraps.
+    sampled = np.array([d_star, r_star]) / np.stack(_head_criteria(*_sample(model, 20000, seed)[2])[:2], axis=1)
+    beats = np.all(sampled[:, None, :] > front[None, :, :] + 1e-9, axis=2)
+    assert not beats.any(), sampled[np.any(beats, axis=1)][:3]
