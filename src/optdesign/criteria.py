@@ -1,7 +1,7 @@
 """Optimality criteria, efficiencies, correlations, and directional derivatives.
 
-All criteria are functions of the 2x2 information matrix M, through
-det = m11 m22 - m12^2, tr = m11 + m22 and disc = sqrt((m11 - m22)^2 + 4 m12^2):
+All criteria are functions of the 2x2 information matrix M, through its entries, det (passed
+in, by Cauchy-Binet: ``designs._det``), tr = m11 + m22 and disc = sqrt((m11 - m22)^2 + 4 m12^2):
 
     phi_D  = det^(-1/2)                   volume of the confidence ellipse
     phi_R  = sqrt(m11 m22) / det          sqrt({M^-1}_11 {M^-1}_22), product of variances
@@ -55,7 +55,7 @@ CONVEX_KINDS = frozenset({"D", "R", "C", "SA", "COMPOUND"})
 NONCONVEX_KINDS = frozenset({"R2", "EM", "CPB"})
 ALL_KINDS = CONVEX_KINDS | NONCONVEX_KINDS
 
-# Equivalence-theorem violation threshold, scaled by max(1, criterion value).
+# Equivalence-theorem violation threshold, relative to the criterion value (> 0 for every convex kind).
 EQUIVALENCE_TOL = 1e-6
 # Equispaced points on which the certificate samples the directional derivative.
 CERTIFICATE_GRID = 1000
@@ -278,7 +278,7 @@ def _dd_arrays(m: InfoMatrix, F: np.ndarray, spec: CriterionSpec) -> np.ndarray:
     f1, f2 = F[:, 0], F[:, 1]
     toward_x = (f1 * f1 - m.m11, f1 * f2 - m.m12, f2 * f2 - m.m22)  # f f^T - M
     # + 0.0 turns the -0.0 slope at an exact optimum into 0.0 and leaves the rest.
-    return criterion_values_raw(spec, m.m11, m.m12, m.m22, d=toward_x)[1] + 0.0
+    return criterion_values_raw(spec, m.m11, m.m12, m.m22, m.det, d=toward_x)[1] + 0.0
 
 
 def directional_derivative(model: Model, design: Design, x: float, spec: CriterionSpec) -> float:
@@ -298,7 +298,7 @@ class DerivativeReport:
     argmin_x: float
 
     def passes(self, criterion_value_at_design: float) -> bool:
-        return self.min_dd >= -EQUIVALENCE_TOL * max(1.0, abs(criterion_value_at_design))
+        return self.min_dd >= -EQUIVALENCE_TOL * abs(criterion_value_at_design)
 
     def to_csv(self) -> str:
         lines = ["x,dd"]
@@ -324,10 +324,10 @@ def derivative_report(model: Model, design: Design, spec: CriterionSpec) -> Deri
 
 # --- vectorized raw-entry evaluation (optimizer hot path) ---------------------
 
-def criterion_values_raw(spec: CriterionSpec, m11: np.ndarray, m12: np.ndarray,
-                         m22: np.ndarray, d: Sequence[np.ndarray] | None = None,
+def criterion_values_raw(spec: CriterionSpec, m11: np.ndarray, m12: np.ndarray, m22: np.ndarray,
+                         det: np.ndarray, d: Sequence[np.ndarray] | None = None,
                          ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Criterion values for arrays of matrix entries; singular entries map to +inf.
+    """Criterion values for arrays of matrix entries and their dets; singular matrices map to +inf.
 
     The R2/CPB kinds also map singular to +inf here: in an optimizer a design
     whose correlation is undefined is simply inadmissible.
@@ -337,10 +337,9 @@ def criterion_values_raw(spec: CriterionSpec, m11: np.ndarray, m12: np.ndarray,
     """
     if d is not None and not spec.is_convex:
         raise ValidationError(f"criterion {spec.kind} is not convex: no slope and no certificate")
-    m11, m12, m22 = (np.asarray(v, dtype=float) for v in (m11, m12, m22))
-    singular = _is_singular(m11, m12, m22)
+    m11, m12, m22, det = (np.asarray(v, dtype=float) for v in (m11, m12, m22, det))  # 0-d: numpy's pow
+    singular = _is_singular(m11, m22, det)
     d = None if d is None else tuple(np.asarray(v, dtype=float) for v in d)
-    det = np.asarray(m11 * m22 - m12 * m12)  # 0-d entries give a scalar; keep numpy's pow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals, slopes = _criterion(spec, m11, m12, m22, det, d)
     vals = np.where(singular | np.isnan(vals), np.inf, vals)

@@ -27,16 +27,14 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Tolerances (scale-relative where a scale is available).
-MERGE_TOL = 1e-9         # times max(1, hi - lo)
-SINGULARITY_TOL = 1e-12  # times max(1, m11 * m22)
-PSD_TOL = 1e-12          # times max(1, m11 * m22)
+# Tolerances, each relative to the scale it names: no floor, so the units of x and theta do not matter.
+MERGE_TOL = 1e-9         # times hi - lo
+SINGULARITY_TOL = 1e-12  # times m11 * m22
 
 
-def _is_singular(m11, m12, m22):
-    """det(M) <= SINGULARITY_TOL max(1, m11 m22), on floats or arrays of entries."""
-    prod = m11 * m22
-    return prod - m12 * m12 <= SINGULARITY_TOL * np.maximum(1.0, prod)
+def _is_singular(m11, m22, det):
+    """det(M) <= SINGULARITY_TOL m11 m22, that is 1 - r^2 <= SINGULARITY_TOL, on floats or arrays."""
+    return det <= SINGULARITY_TOL * (m11 * m22)
 
 
 @dataclass(frozen=True)
@@ -58,10 +56,10 @@ class DesignSpace:
 
     def merge_tol(self) -> float:
         """Distance below which two support points are considered the same."""
-        return MERGE_TOL * max(1.0, self.width)
+        return MERGE_TOL * self.width
 
     def contains(self, x: float) -> bool:
-        slack = 1e-12 * max(1.0, self.width)
+        slack = 1e-12 * self.width
         return self.lo - slack <= x <= self.hi + slack
 
     def clip(self, x: float) -> float:
@@ -114,25 +112,24 @@ class Model:
 
 @dataclass(frozen=True)
 class InfoMatrix:
-    """Symmetric positive-semidefinite 2x2 information matrix."""
+    """Symmetric positive-semidefinite 2x2 information matrix and the det it was built with (``fim``'s
+    is Cauchy-Binet's); from entries alone it is m11 m22 - m12^2, the package's only cancelling det."""
 
     m11: float
     m12: float
     m22: float
+    det: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        if self.det is None:
+            object.__setattr__(self, "det", self.m11 * self.m22 - self.m12 * self.m12)
         vals = (self.m11, self.m12, self.m22)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in (*vals, self.det)):
             raise ValidationError(f"information matrix entries must be finite, got {vals}")
-        scale = max(1.0, self.m11 * self.m22)
-        if self.m11 < -PSD_TOL * scale or self.m22 < -PSD_TOL * scale:
+        if self.m11 < 0.0 or self.m22 < 0.0:
             raise ValidationError(f"diagonal of a Gram matrix cannot be negative: {vals}")
-        if self.det < -PSD_TOL * scale:
+        if self.det < -SINGULARITY_TOL * (self.m11 * self.m22):
             raise ValidationError(f"matrix is not positive semidefinite: {vals}, det={self.det}")
-
-    @property
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m12
 
     @property
     def trace(self) -> float:
@@ -141,7 +138,7 @@ class InfoMatrix:
     @property
     def is_singular(self) -> bool:
         """The package's one singularity test; see ``_is_singular``."""
-        return bool(_is_singular(self.m11, self.m12, self.m22))
+        return bool(_is_singular(self.m11, self.m22, self.det))
 
 
 def make_design(pairs: Sequence[tuple[float, float]], space: DesignSpace) -> Design:
@@ -188,14 +185,22 @@ def make_design(pairs: Sequence[tuple[float, float]], space: DesignSpace) -> Des
     return Design(points=points)
 
 
+def _det(F: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """det of sum_i w_i f_i f_i^T for the regressors F (n, k, 2) and weights W (n, k), by Cauchy-Binet:
+    sum over point pairs i < j of w_i w_j (f_i x f_j)^2, f x g = f1 g2 - f2 g1, a sum of squares that
+    does not cancel, so a rank-one matrix (f = 0, or parallel f) gets exactly 0."""
+    return sum((W[:, i] * W[:, j] * (F[:, i, 0] * F[:, j, 1] - F[:, i, 1] * F[:, j, 0]) ** 2
+                for i in range(F.shape[1]) for j in range(i + 1, F.shape[1])), np.zeros(len(F)))
+
+
 def fim_entries(model: Model, xs: np.ndarray, ws: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries (m11, m12, m22) of the information matrices of n k-point designs.
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (m11, m12, m22) and det of the information matrices of n k-point designs.
 
     Row i of xs (n, k) holds the support points of design i and row i of ws
     its weights.  One regressor call covers every point; each matrix is the
-    product (F w)^T F of one stacked matmul, with m12 = (G12 + G21) / 2, so a
-    row's entries are bit for bit those of :func:`fim` on that design.
+    product (F w)^T F of one stacked matmul, with m12 = (G12 + G21) / 2, and its
+    det ``_det``'s, so a row's values are bit for bit those of :func:`fim` on it.
     """
     n, k = xs.shape
     flat = xs.reshape(-1)
@@ -207,13 +212,12 @@ def fim_entries(model: Model, xs: np.ndarray, ws: np.ndarray,
         raise ValidationError(f"regressor is non-finite at support point(s) {bad.tolist()}")
     F = F.reshape(n, k, 2)
     G = np.matmul((F * ws[:, :, None]).transpose(0, 2, 1), F)
-    return G[:, 0, 0], 0.5 * (G[:, 0, 1] + G[:, 1, 0]), G[:, 1, 1]
+    return G[:, 0, 0], 0.5 * (G[:, 0, 1] + G[:, 1, 0]), G[:, 1, 1], _det(F, ws)
 
 
 def fim(model: Model, design: Design) -> InfoMatrix:
-    """Information matrix M = sum_i w_i f(x_i) f(x_i)^T of a design."""
-    m11, m12, m22 = fim_entries(model, design.xs[None, :], design.ws[None, :])
-    return InfoMatrix(float(m11[0]), float(m12[0]), float(m22[0]))
+    """Information matrix M = sum_i w_i f(x_i) f(x_i)^T of a design, with its Cauchy-Binet det."""
+    return InfoMatrix(*(float(v[0]) for v in fim_entries(model, design.xs[None, :], design.ws[None, :])))
 
 
 def slr_model(space: DesignSpace) -> Model:

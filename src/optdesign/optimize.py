@@ -43,7 +43,7 @@ from .criteria import (
     criterion_values_raw,
     derivative_report,
 )
-from .designs import SINGULARITY_TOL, Design, Model, fim, fim_entries, make_design
+from .designs import Design, Model, _det, fim, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
 from .slr import _fmt
@@ -78,10 +78,9 @@ class OptimizeResult:
         return "certified" if self.converged else "best-found"
 
 
-# g(f) of the exact mass g_b / (g_a + g_b) at point a of a closed pair, where
-# det M = w (1 - w) (f_a x f_b)^2, from a point's entries (f1^2, f1 f2, f2^2).
-# R's mass is the root of a cubic (``_r_mass``); COMPOUND has none, and C is never searched.
-# R2 and CPB: m12 = 0 where the signs of f1 f2 differ, else the stationary point.
+# g(f) of the exact masses g_b / (g_a + g_b) at a and g_a / (g_a + g_b) at b of a closed pair, det M = w_a w_b
+# (f_a x f_b)^2, from a point's (f1^2, f1 f2, f2^2); R's is a cubic's root (``_r_mass``), COMPOUND has none, C is
+# never searched.  R2, CPB: m12 = 0 where f1 f2 changes sign, else the stationary point; on an axis g is 0.
 _SPLIT_WEIGHT = {
     "D": lambda s, o11, o12, o22: np.ones_like(o11),
     "SA": lambda s, o11, o12, o22: np.sqrt(o22 / s.sa_refs[0] + o11 / s.sa_refs[1]),
@@ -92,11 +91,11 @@ _SPLIT_WEIGHT = {
 
 
 def _r_mass(Oa: np.ndarray, Ob: np.ndarray) -> np.ndarray:
-    """R's mass at point a of closed pairs (a, b) with outer-product entries Oa and Ob (n, 3): with r_i the
+    """R's masses (2, n) on closed pairs (a, b) with outer-product entries Oa and Ob (3, n): with r_i the
     odds of w_i = |f_bi| / (|f_ai| + |f_bi|), which minimize the two variances R multiplies, its odds z solve
     2 z^3 + (r_1^2 + r_2^2)(z^2 - z) = 2 r_1^2 r_2^2, a cubic free of scale, convex for z > 0 and rising for
     z >= 1/2, so Newton from the middle's odds, >= 1 once a and b are swapped, needs no bracket."""
-    fa, fb = np.sqrt(Oa[:, ::2]), np.sqrt(Ob[:, ::2])  # |f1|, |f2|
+    fa, fb = np.sqrt(Oa[::2].T), np.sqrt(Ob[::2].T)  # |f1|, |f2|
     w = np.divide(fb, fa + fb, out=np.full_like(fb, 0.5), where=fa + fb > 0.0)
     swap = w.sum(axis=1) < 1.0
     w = np.minimum(np.where(swap[:, None], 1.0 - w, w), 1.0 - EPS)
@@ -107,7 +106,7 @@ def _r_mass(Oa: np.ndarray, Ob: np.ndarray) -> np.ndarray:
         z = z - step
         if not (step > 4.0 * EPS * z).any():
             break
-    return np.where(swap, 1.0, z) / (1.0 + z)
+    return np.stack([np.where(swap, 1.0, z), np.where(swap, z, 1.0)]) / (1.0 + z)
 
 
 def _outer3(f: np.ndarray) -> np.ndarray:
@@ -181,36 +180,40 @@ def _zero_slope(evaluate, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np
     return np.where(take_lo, lo, hi), np.where(take_lo, v_lo, v_hi), extra
 
 
-def _best_mass(spec: CriterionSpec, O: np.ndarray, tol: float,
+def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float,
                W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal weights (n, 2) and values (n,) of n two-point supports with outer-product entries O (n, 2, 3).
+    """Optimal weights (n, 2) and values (n,) of n two-point supports with regressor values F (n, 2, 2).
 
-    At mass w on the first point the matrix is Ob + w (Oa - Ob), and the masses
+    At masses (w, u), w + u = 1, on the points a and b the matrix is w Oa + u Ob,
+    O the outer products, with det w u (f_a x f_b)^2 (Cauchy-Binet); the masses
     0 and 1 are one-point designs, singular.  A pair takes its ``_SPLIT_WEIGHT``
-    split, or R's ``_r_mass``, kept tol/2 inside (0, 1) as a secant's bracket
-    keeps it; otherwise ``_zero_slope`` drives the slope along Oa - Ob to 0 from
-    the weights W0 (default 1/2 each).
+    split, each mass its own quotient, so a minor one survives beside 1, or R's
+    ``_r_mass``, kept tol/2 inside (0, 1) as a secant's bracket keeps it;
+    otherwise ``_zero_slope`` drives the slope along Oa - Ob to 0 from the
+    weights W0 (default 1/2 each).
     """
-    Oa, Ob = O[:, 0], O[:, 1]
-    base, direction = Ob.T.copy(), (Oa - Ob).T.copy()  # (3, n): m11, m12, m22
-    n = len(O)
-    split = _SPLIT_WEIGHT.get(spec.kind)
-    if split is not None:
-        ga, gb = split(spec, *Oa.T), split(spec, *Ob.T)
-        w = np.divide(gb, ga + gb, out=np.full(n, 0.5), where=ga + gb > 0.0).clip(0.5 * tol, 1.0 - 0.5 * tol)
-        v = criterion_values_raw(spec, *(base + w * direction))
-    elif spec.kind == "R":
-        w = _r_mass(Oa, Ob).clip(0.5 * tol, 1.0 - 0.5 * tol)
-        v = criterion_values_raw(spec, *(base + w * direction))
+    Oa, Ob = _outer3(F[:, 0]).T, _outer3(F[:, 1]).T  # (3, n): m11, m12, m22
+    cross2, n = (F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]) ** 2, len(F)
+
+    def values(rows, w: np.ndarray, u: np.ndarray, d: np.ndarray | None = None):
+        return criterion_values_raw(spec, *(w * Oa[:, rows] + u * Ob[:, rows]), w * u * cross2[rows], d=d)
+
+    if spec.kind == "R":
+        W = _r_mass(Oa, Ob)
+    elif (split := _SPLIT_WEIGHT.get(spec.kind)) is not None:
+        g = np.stack([split(spec, *Ob), split(spec, *Oa)])  # (g_b, g_a); zero or subnormal: EPS^2 times the other
+        W = np.divide(np.where(g >= np.finfo(float).tiny, g, EPS * EPS * g[::-1]), g.sum(0), out=np.full((2, n), 0.5),
+                      where=g.any(0))
     else:
         def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
-            d = direction[:, rows]
-            return (*criterion_values_raw(spec, *(base[:, rows] + w * d), d=d), None)
+            return (*values(rows, w, 1.0 - w, d=Oa[:, rows] - Ob[:, rows]), None)
 
         w0 = np.full(n, 0.5) if W0 is None else W0[:, 0]
         w, v, _ = _zero_slope(evaluate, np.zeros(n), np.ones(n), w0, np.where(w0 <= 0.5, w0 + 1e-6, w0 - 1e-6),
                               tol, open_ends=False)
-    return np.stack([w, 1.0 - w], axis=1), v
+        return np.stack([w, 1.0 - w], axis=1), v
+    w, u = W.clip(0.5 * tol, 1.0 - 0.5 * tol)
+    return np.stack([w, u], axis=1), values(slice(None), w, u)
 
 
 def optimize_weights(model: Model, support: Sequence[float], criterion: CriterionSpec) -> np.ndarray:
@@ -225,7 +228,7 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
         if not model.space.contains(x):
             raise ValidationError(f"support point {x} outside the design space")
     F = np.asarray(model.regressor(xs), dtype=float)
-    W, V = _best_mass(criterion, _outer3(F)[None], WEIGHT_TOL)
+    W, V = _best_mass(criterion, F[None], WEIGHT_TOL)
     if not math.isfinite(V[0]):
         raise OptimizationError("criterion is infinite for every weighting of this support")
     return W[0]
@@ -241,7 +244,7 @@ def _point_slope(spec: CriterionSpec, F: np.ndarray, dF: np.ndarray, W: np.ndarr
     f, g = F[:, j], dF[:, j]
     d = W[:, j] * np.stack([2.0 * f[:, 0] * g[:, 0], f[:, 0] * g[:, 1] + f[:, 1] * g[:, 0],
                             2.0 * f[:, 1] * g[:, 1]])
-    return criterion_values_raw(spec, *np.einsum("nk,nkc->cn", W, _outer3(F)), d=d)[1]
+    return criterion_values_raw(spec, *np.einsum("nk,nkc->cn", W, _outer3(F)), _det(F, W), d=d)[1]
 
 
 def _regress(model: Model, x: np.ndarray) -> list[np.ndarray]:
@@ -286,11 +289,11 @@ def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> OptimizeResult:
         n_evals += len(rows)
         Fr, dFr = F[rows], dF[rows]
         Fr[:, j], dFr[:, j] = _regress(model, x)
-        Wr, Vr = _best_mass(spec, _outer3(Fr), WEIGHT_TOL, W[rows])
+        Wr, Vr = _best_mass(spec, Fr, WEIGHT_TOL, W[rows])
         return Vr, slope(Fr, dFr, Wr, Vr, j), Wr
 
     F, dF = _regress(model, X)
-    W, V = _best_mass(spec, _outer3(F), WEIGHT_TOL)
+    W, V = _best_mass(spec, F, WEIGHT_TOL)
     n_evals, j, settled = 1, 0, 0  # settled: points polished in a row since, and with, the last move beyond xtol
     while settled < 2 and math.isfinite(V[0]):
         x0, s0 = X[:, j], slope(F, dF, W, V, j)
@@ -311,7 +314,7 @@ def _stage1(model: Model, spec: CriterionSpec) -> np.ndarray:
     in lexicographic order wins a tie.  Raises if every pair is singular."""
     grid, F = _finite_grid(model, STAGE1_GRID)
     idx = np.stack(np.triu_indices(len(grid), 1), axis=1)
-    _, vals = _best_mass(spec, _outer3(F)[idx], WEIGHT_TOL)
+    _, vals = _best_mass(spec, F[idx], WEIGHT_TOL)
     if not np.isfinite(vals).any():
         raise OptimizationError("no admissible (non-singular) design found on the grid")
     return grid[idx[np.argmin(vals)]]
@@ -466,38 +469,34 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
 
 def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
     """The R2-, CPB- or EM-optimal design, without a search.  Up to scale, designs fill the convex hull of the
-    circle points f f^T / |f|^2 (Pukelsheim 2006, ch. 2); the unwrapped angle phi of f, on the grid points where
-    f is finite and nonzero, sweeps [phi_min, phi_max], whose ends span the largest gap: each is polished from its
-    grid cell, in a bracket reaching the other end.  Under a quarter turn their chord faces the diameter m12 = 0
-    and the centre M ~ I; otherwise EM, and R2 and CPB if the ends' f1 f2 share a sign, take phi_min's end and the
-    root of f(x_a)^T f(x).  ``_SPLIT_WEIGHT`` weighs the pair (EM: w ~ 1/|f|^2, the chord's midpoint), unclipped:
-    only the singularity test limits an end where f tends to 0 or lies on an axis (R2's f1 f2 = 0)."""
+    circle points f f^T / |f|^2 (Pukelsheim 2006, ch. 2).  On the grid points where |f|^4, a chord's det scale,
+    is a normal float, the unwrapped angle phi of f, taken from the first such f (exact at any column scale),
+    sweeps [phi_min, phi_max], whose ends span the largest gap: each is polished from its grid cell, in a bracket
+    reaching the other end.  Under a quarter turn their chord faces the diameter m12 = 0 and the centre M ~ I;
+    otherwise EM, and R2 and CPB if the ends' f1 f2 share a sign, take phi_min's end and the root of f(x_a)^T f(x).
+    ``_SPLIT_WEIGHT`` weighs the chord (EM: at its midpoint), unclipped; an end at f -> 0 stops XTOL_REL widths off."""
     (grid, F), n_evals = _finite_grid(model, ELFVING_GRID), 0
-    idx = np.flatnonzero(np.any(F != 0.0, axis=1))
+    idx = np.flatnonzero(np.sum(F * F, axis=1) ** 2 >= np.finfo(float).tiny)
     if not len(idx):
         raise OptimizationError("no admissible (non-singular) design found on the grid")
-    phi = np.unwrap(np.arctan2(F[idx, 1], F[idx, 0]))
+    phi = np.unwrap(np.arctan2(F[idx] @ [-F[idx[0], 1], F[idx[0], 0]], F[idx] @ F[idx[0]]))
     ends = idx[[np.argmin(phi), np.argmax(phi)]]
 
     def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
-        # phi's rate (row 0 lowers phi_min) times log(det / floor) of the chord design (fim's entries), 0 where the
-        # singularity test fails: a singular chord is NaN for its end of smaller |f|, the other moves on its rate.
+        # phi's rate (row 0 lowers phi_min); NaN, pointing inward, where |f|^4 is not a normal float, as at f = 0.
         nonlocal n_evals
         n_evals += len(rows)
-        X, (Fx, dFx) = np.sort(np.stack([x, grid[ends[1 - rows]]], axis=1), axis=1), _regress(model, x)
-        m11, m12, m22 = fim_entries(model, X, _best_mass(spec, _outer3(_regress(model, X)[0]), 0.0)[0])
-        excess = (m11 * m22 - m12 * m12) / (SINGULARITY_TOL * np.maximum(1.0, m11 * m22))
+        Fx, dFx = _regress(model, x)
         rate = (1 - 2 * rows) * (Fx[:, 0] * dFx[:, 1] - Fx[:, 1] * dFx[:, 0])
-        out = np.where(np.sum(Fx * Fx, axis=1) <= np.sum(F[ends[1 - rows]] ** 2, axis=1), np.nan, rate)
-        return 0.0 * x, np.where(excess > 1.0, rate * np.log(np.maximum(excess, 1.0)), out), None
+        return 0.0 * x, np.where(np.sum(Fx * Fx, axis=1) ** 2 < np.finfo(float).tiny, np.nan, rate), None
 
     lo, hi, far = grid[np.maximum(ends - 1, 0)], grid[np.minimum(ends + 1, len(grid) - 1)], grid[ends[::-1]]
-    x = _zero_slope(evaluate, np.minimum(lo, far), np.maximum(hi, far), lo, hi, EPS * model.space.width)[0]
+    x = _zero_slope(evaluate, np.minimum(lo, far), np.maximum(hi, far), lo, hi, XTOL_REL * model.space.width)[0]
     if np.ptp(phi) >= 0.5 * math.pi and (np.prod(f := _regress(model, x)[0]) >= 0.0 or spec.kind == "EM"):
         k = np.flatnonzero(np.diff(F[idx] @ f[0] > 0.0))[0]
         x = np.array([x[0], _root(model, f[0], grid[idx[[k, k + 1]]])[0]])
     x = np.sort(x)
-    return _result(model, spec, x, _best_mass(spec, _outer3(_regress(model, x)[0])[None], 0.0)[0][0], n_evals)
+    return _result(model, spec, x, _best_mass(spec, _regress(model, x)[0][None], 0.0)[0][0], n_evals)
 
 
 def sa_references(model: Model) -> tuple[float, float]:

@@ -67,8 +67,8 @@ def _masses(w: np.ndarray) -> np.ndarray:
 
 
 def _sample(model: Model, n: int, seed: int,
-            ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Points (n, 2), weights (n, 2) and matrix entries of n random admissible designs."""
+            ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Points (n, 2), weights (n, 2) and matrix entries and dets of n random admissible designs."""
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
     space = model.space
@@ -84,17 +84,17 @@ def _sample(model: Model, n: int, seed: int,
         pts, w = pts[rows], w[rows]
         swap = (pts[:, 0] > pts[:, 1])[:, None]  # sort (no ties left) and clip, as make_design
         xs, ws = (np.where(swap, v[:, ::-1], v) for v in (np.clip(pts, lo, hi), _masses(w)))
-        m11, m12, m22 = fim_entries(model, xs, ws)
-        ok = ~_is_singular(m11, m12, m22)
+        m11, m12, m22, det = fim_entries(model, xs, ws)
+        ok = ~_is_singular(m11, m22, det)
         if not ok.any():
             raise OptimizationError(
                 f"no admissible (non-singular) two-point design in {size} random draws "
                 f"on [{lo!r}, {hi!r}]")
         take = np.flatnonzero(ok)[:n - got]
-        blocks.append((xs[take], ws[take], m11[take], m12[take], m22[take]))
+        blocks.append((xs[take], ws[take], m11[take], m12[take], m22[take], det[take]))
         got += len(take)
-    xs, ws, m11, m12, m22 = (np.concatenate(parts) for parts in zip(*blocks))
-    return xs, ws, (m11, m12, m22)
+    xs, ws, *entries = (np.concatenate(parts) for parts in zip(*blocks))
+    return xs, ws, tuple(entries)
 
 
 def sample_two_point_designs(model: Model, n: int, seed: int) -> list[Design]:
@@ -107,7 +107,7 @@ def sample_two_point_designs(model: Model, n: int, seed: int) -> list[Design]:
     return _designs(xs, ws)
 
 
-def _head_criteria(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray,
+def _head_criteria(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray, det: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(phi_D, phi_R, phi_r2) of non-singular matrices, bit for bit as phi_d,
     phi_r and phi_r2 give them.
@@ -116,17 +116,16 @@ def _head_criteria(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray,
     an object array of Python floats, so that its power is C pow as in phi_d:
     numpy's may differ by an ulp.
     """
-    if np.any(_is_singular(m11, m12, m22)):
+    if np.any(_is_singular(m11, m22, det)):
         raise SingularDesignError("correlation is undefined for a singular information matrix")
-    det = (m11 * m22 - m12 * m12).astype(object)
-    return (_criterion(_D, m11, m12, m22, det)[0].astype(float),
-            criterion_values_raw(_R, m11, m12, m22), criterion_values_raw(_R2, m11, m12, m22))
+    return (_criterion(_D, m11, m12, m22, det.astype(object))[0].astype(float),
+            criterion_values_raw(_R, m11, m12, m22, det), criterion_values_raw(_R2, m11, m12, m22, det))
 
 
 def evaluate_front_points(model: Model, designs: Sequence[Design],
                           phi_d_star: float, phi_r_star: float) -> list[FrontPoint]:
     """Efficiencies and squared correlation for each design."""
-    m = np.empty((3, len(designs)))
+    m = np.empty((4, len(designs)))
     sizes = np.array([d.support_size for d in designs], dtype=int)
     for k in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == k)
@@ -189,9 +188,8 @@ def sampled_front(model: Model, n: int, seed: int, phi_d_star: float,
     monotone in each operand) and acyclic, so a row is dominated iff a
     non-dominated row dominates it: the survivors' front is the samples'.
     """
-    xs, ws, (m11, m12, m22) = _sample(model, n, seed)
-    rows = _survivors(phi_d_star * np.sqrt(m11 * m22 - m12 * m12),
-                      phi_r_star / criterion_values_raw(_R, m11, m12, m22))
+    xs, ws, (m11, m12, m22, det) = _sample(model, n, seed)
+    rows = _survivors(phi_d_star * np.sqrt(det), phi_r_star / criterion_values_raw(_R, m11, m12, m22, det))
     return pareto_front(evaluate_front_points(model, _designs(xs[rows], ws[rows]), phi_d_star, phi_r_star))
 
 
@@ -276,8 +274,8 @@ def _sweep_columns(model: Model, a_fixed: float, p_grid: Sequence[float]) -> lis
             raise ValidationError(f"sweep weights must lie strictly in (0, 1), got {p}")
     ps = [float(p) for p in p_grid]
     xs = np.tile([model.space.clip(x_lo), x_hi], (len(ps), 1))
-    m11, m12, m22 = fim_entries(model, xs, _masses(np.array(ps)))
-    return [ps, *(v.tolist() for v in (*_head_criteria(m11, m12, m22), _correlation(m11, m12, m22)))]
+    m11, m12, m22, det = fim_entries(model, xs, _masses(np.array(ps)))
+    return [ps, *(v.tolist() for v in (*_head_criteria(m11, m12, m22, det), _correlation(m11, m12, m22)))]
 
 
 def criterion_sweep(model: Model, a_fixed: float, p_grid: Sequence[float]) -> list[SweepRow]:

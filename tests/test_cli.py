@@ -199,7 +199,7 @@ class TestCheck:
         assert code == EXIT_OK
         summary = json.loads(out)
         assert summary["certified"] is True
-        assert summary["min_dd"] >= -1e-6 * max(1.0, summary["criterion_value"])
+        assert summary["min_dd"] >= -1e-6 * summary["criterion_value"]
 
     def test_exact_optimum_reports_positive_zero(self, capsys, d_optimal_file, tmp_path):
         # The D slope at the support of an exact optimum is a signed zero;
@@ -228,6 +228,18 @@ class TestCheck:
         assert summary["certified"] is False
         assert summary["min_dd"] < 0
         assert abs(summary["argmin_x"] - 5.0) < 1e-9  # underweighted end
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_verdict_is_free_of_scale(self, capsys, tmp_path, scale):
+        # {-s: 0.55, s: 0.45} has eff_D 0.995 on [-s, s] at every s.  A threshold floored
+        # at max(1, phi_D) once certified it at s = 1e6, where phi_D is 1e-6.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"points": [{"x": -scale, "w": 0.55}, {"x": scale, "w": 0.45}],
+                                   "space": {"lo": -scale, "hi": scale}}))
+        code, out, _ = run(capsys, "check", "--model", "slr", f"--a={-scale!r}", f"--b={scale!r}",
+                           "--criterion", "D", "--design", str(bad))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["certified"] is False
 
     def test_nonconvex_refused(self, capsys, d_optimal_file):
         code, _, err = run(capsys, "check", "--model", "slr", "--a", "1", "--b", "5",

@@ -156,15 +156,30 @@ class TestInfoMatrix:
             InfoMatrix(-1.0, 0.0, 1.0)
 
     def test_singularity_is_one_predicate_on_floats_and_arrays(self):
-        # Rows at, just above and just below det = 1e-12 max(1, m11 m22).
+        # Rows at, just above and just below det = 1e-12 m11 m22, at any scale.
         rng = np.random.default_rng(5)
         m11, m22 = 10.0 ** rng.uniform(-8, 8, (2, 3000))
         rel = np.repeat([0.0, 1e-12, 2e-12, 0.5e-12, 1e-3], 600)
-        m12 = np.sqrt(np.maximum(m11 * m22 - rel * np.maximum(1.0, m11 * m22), 0.0))
-        flags = _is_singular(m11, m12, m22)
-        assert flags.any() and not flags.all()
-        for row, flag in zip(zip(m11.tolist(), m12.tolist(), m22.tolist()), flags.tolist()):
+        det = rel * (m11 * m22)
+        m12 = np.sqrt(m11 * m22 - det)
+        flags = _is_singular(m11, m22, det)
+        assert np.array_equal(flags, rel <= 1e-12)
+        for row, flag in zip(zip(m11.tolist(), m12.tolist(), m22.tolist(), det.tolist()), flags.tolist()):
             assert InfoMatrix(*row).is_singular is flag
+
+    def test_singularity_is_free_of_scale(self):
+        # Rescaling theta by diag(s1, s2) maps M to S M S: 1 - r^2 is unchanged, and so is the verdict.
+        for s1, s2 in ((1.0, 1.0), (1e-9, 1e-9), (1e-12, 1e6), (1e8, 1e-8)):
+            for r2, singular in ((0.5, False), (1.0 - 1e-9, False), (1.0, True)):
+                m11, m22 = s1 * s1, s2 * s2
+                m = InfoMatrix(m11, s1 * s2 * math.sqrt(r2), m22, (1.0 - r2) * m11 * m22)
+                assert m.is_singular is singular, (s1, s2, r2)
+
+    def test_entries_alone_give_the_cancelling_det(self):
+        assert InfoMatrix(2.0, 0.5, 1.0).det == 1.75
+        assert InfoMatrix(2.0, 0.5, 1.0, det=1.5).det == 1.5
+        with pytest.raises(ValidationError, match="semidefinite"):
+            InfoMatrix(1.0, 0.0, 1.0, det=-1e-6)
 
 
 class TestCovQuantities:

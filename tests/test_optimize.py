@@ -114,7 +114,7 @@ class TestOptimizeDesign:
         res = optimize_design(mm_half, CriterionSpec("R"))
         assert res.converged
         assert res.derivative_report is not None
-        assert res.derivative_report.min_dd >= -1e-6 * max(1.0, res.criterion_value)
+        assert res.derivative_report.min_dd >= -1e-6 * res.criterion_value
 
     def test_mm_em_interior_optimum(self, mm_half):
         res = optimize_design(mm_half, CriterionSpec("EM"))
@@ -318,16 +318,23 @@ class TestGoldenMass:
     def rows(self, model=None, supports=None):
         model = model or slr_model(DesignSpace(-3.0, 5.0))
         supports = self.SUPPORTS if supports is None else supports
-        F = np.asarray(model.regressor(supports.ravel()), dtype=float).reshape(-1, 2, 2)
-        return F, _outer3(F)
+        return np.asarray(model.regressor(supports.ravel()), dtype=float).reshape(-1, 2, 2)
 
-    def secant(self, spec, Oa, Ob):
+    @staticmethod
+    def on_line(spec, F, w, d=None):
+        # Criterion values at mass w on the first point of each pair: w Oa + (1 - w) Ob, with its
+        # Cauchy-Binet det w (1 - w) (f_a x f_b)^2.
+        Oa, Ob = _outer3(F[:, 0]).T[:, :, None], _outer3(F[:, 1]).T[:, :, None]
+        cross2 = ((F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]) ** 2)[:, None]
+        return criterion_values_raw(spec, *(Ob + w * (Oa - Ob)), w * (1.0 - w) * cross2, d=d)
+
+    def secant(self, spec, F):
         # The slope-zeroing secant that weighs COMPOUND, here with the masses 0 and 1 open to it.
-        base, direction, n = Ob.T, (Oa - Ob).T, len(Oa)
+        n = len(F)
 
         def evaluate(rows, w):
-            d = direction[:, rows]
-            return (*criterion_values_raw(spec, *(base[:, rows] + w * d), d=d), None)
+            d = (_outer3(F[rows, 0]) - _outer3(F[rows, 1])).T[:, :, None]
+            return (*(v[:, 0] for v in self.on_line(spec, F[rows], w[:, None], d=d)), None)
 
         return _zero_slope(evaluate, np.zeros(n), np.ones(n), np.full(n, 0.5), np.full(n, 0.5 + 1e-6),
                            self.TOL)[1]
@@ -335,34 +342,34 @@ class TestGoldenMass:
     def mm_rows(self):
         return self.rows(mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.05)), self.MM_SUPPORTS)
 
-    def check_d_mass(self, O):
-        W, _ = _best_mass(CriterionSpec("D"), O, self.TOL)
+    def check_d_mass(self, F):
+        W, _ = _best_mass(CriterionSpec("D"), F, self.TOL)
         assert np.all(np.abs(W - 0.5) <= self.TOL)
 
-    def check_c_mass(self, F, O, c):
+    def check_c_mass(self, F, c):
         # c^T M^-1 c = sum u_i^2 / w_i with u = F^-T c, minimized at w_i ~ |u_i|.
         u = np.linalg.solve(np.transpose(F, (0, 2, 1)), np.tile(c, (len(F), 1))[..., None])[..., 0]
         expected = np.abs(u[:, 0]) / np.abs(u).sum(axis=1)
-        W, vals = _best_mass(CriterionSpec("C", c=c), O, self.TOL)
+        W, vals = _best_mass(CriterionSpec("C", c=c), F, self.TOL)
         assert np.all(np.abs(W[:, 0] - expected) <= self.TOL)
         return vals, np.abs(u).sum(axis=1) ** 2
 
     def test_d_mass_is_half(self):
-        self.check_d_mass(self.rows()[1])
+        self.check_d_mass(self.rows())
 
     @pytest.mark.parametrize("c", [(1.0, 0.0), (0.0, 1.0), (1.0, 6.0), (2.0, -1.0)])
     def test_c_mass_closed_form(self, c):
-        vals, expected = self.check_c_mass(*self.rows(), c)
+        vals, expected = self.check_c_mass(self.rows(), c)
         assert np.allclose(vals, expected, rtol=1e-12)
 
     def test_mm_d_mass_is_half(self):
-        self.check_d_mass(self.mm_rows()[1])
+        self.check_d_mass(self.mm_rows())
 
     @pytest.mark.parametrize("c", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.5)])
     def test_mm_c_mass_closed_form(self, c):
         # The value itself carries the rounding of M^-1, about 1e-11 relative
         # on the close pair, so only the mass is checked to the tolerance.
-        self.check_c_mass(*self.mm_rows(), c)
+        self.check_c_mass(self.mm_rows(), c)
 
     def random_rows(self, model_name, n=24):
         model = PINNED_MODELS[model_name]
@@ -373,26 +380,25 @@ class TestGoldenMass:
     @pytest.mark.parametrize("kind", ["D", "C", "SA", "EM", "R2", "CPB", "R"])
     def test_exact_mass_beats_grid_and_secant(self, model_name, kind):
         spec = PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
-        _, O = self.random_rows(model_name)
-        W, vals = _best_mass(spec, O, self.TOL)
+        F = self.random_rows(model_name)
+        W, vals = _best_mass(spec, F, self.TOL)
         assert np.all(np.isfinite(vals)) and np.all((0.0 < W) & (W < 1.0))
         if spec.is_convex:  # R2, CPB and EM have no slope for a secant
-            assert np.all(vals <= self.secant(spec, O[:, 0], O[:, 1]) * (1.0 + 1e-12))
-        grid = np.linspace(0.0, 1.0, 100_001)
-        for Oa, Ob, v in zip(O[:, 0], O[:, 1], vals):
-            on_grid = criterion_values_raw(spec, *(Ob[:, None] + grid * (Oa - Ob)[:, None]))
-            assert v <= on_grid.min() * (1.0 + 1e-12)
+            assert np.all(vals <= self.secant(spec, F) * (1.0 + 1e-12))
+        grid = np.linspace(0.0, 1.0, 100_001)[None]
+        for i, v in enumerate(vals):
+            assert v <= self.on_line(spec, F[i:i + 1], grid).min() * (1.0 + 1e-12)
 
     def test_r2_mass_zeroes_m12_across_a_sign_change(self):
         # On SLR f1 f2 = x: a pair on both sides of 0 reaches m12 = 0.
-        F, O = self.random_rows("slr", n=200)
+        F = self.random_rows("slr", n=200)
+        O = _outer3(F)
         across = F[:, 0, 0] * F[:, 0, 1] * F[:, 1, 0] * F[:, 1, 1] < 0.0
         assert np.count_nonzero(across) >= 20
         for kind in ("R2", "CPB"):
-            W, vals = _best_mass(CriterionSpec(kind), O[across], self.TOL)
-            w = W[:, 0]
-            m11, m12, m22 = (O[across, 1] + w[:, None] * (O[across, 0] - O[across, 1])).T
-            scale = w * np.abs(O[across, 0, 1]) + (1.0 - w) * np.abs(O[across, 1, 1])
+            W, vals = _best_mass(CriterionSpec(kind), F[across], self.TOL)
+            m11, m12, m22 = (W[:, :1] * O[across, 0] + W[:, 1:] * O[across, 1]).T
+            scale = W[:, 0] * np.abs(O[across, 0, 1]) + W[:, 1] * np.abs(O[across, 1, 1])
             assert np.all(np.abs(m12) <= 4.0 * np.finfo(float).eps * scale)
             r2 = vals if kind == "R2" else vals * vals
             assert np.allclose(r2, m12 * m12 / (m11 * m22), rtol=1e-12, atol=0.0)
@@ -403,8 +409,8 @@ class TestGoldenMass:
         # give M = 0, which once stopped every row of the R2 polish.
         model = mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.0))
         spec = PINNED_SPECS["mm"].get(kind) or CriterionSpec(kind)
-        _, O = self.rows(model, np.array([(0.0, 0.3 * 227.27), (0.0, 5.0 * 227.27)]))
-        W, vals = _best_mass(spec, O, self.TOL)
+        F = self.rows(model, np.array([(0.0, 0.3 * 227.27), (0.0, 5.0 * 227.27)]))
+        W, vals = _best_mass(spec, F, self.TOL)
         assert np.all((0.0 < W) & (W < 1.0)) and np.all(np.isinf(vals))
 
     @pytest.mark.parametrize("model_name", [*PINNED_MODELS, "mm-badly-scaled"])
@@ -419,25 +425,27 @@ class TestGoldenMass:
         else:
             model, spec = PINNED_MODELS[model_name], PINNED_SPECS[model_name]["COMPOUND"]
         rng = np.random.default_rng(20260813)
-        F, O = self.rows(model, np.sort(rng.uniform(model.space.lo, model.space.hi, (24, 2)), axis=1))
+        F = self.rows(model, np.sort(rng.uniform(model.space.lo, model.space.hi, (24, 2)), axis=1))
         w1, w2 = (np.abs(F[:, 1, i]) / (np.abs(F[:, 0, i]) + np.abs(F[:, 1, i])) for i in (1, 0))
-        w = _best_mass(CriterionSpec("R"), O, self.TOL)[0][:, 0]
+        w = _best_mass(CriterionSpec("R"), F, self.TOL)[0][:, 0]
         assert np.all((np.minimum(w1, w2) <= w) & (w <= np.maximum(w1, w2)))
-        rescaled = _outer3(F * np.array([1e-9, 1e7]))
+        rescaled = F * np.array([1e-9, 1e7])
         assert np.allclose(_best_mass(CriterionSpec("R"), rescaled, self.TOL)[0][:, 0], w,
                            rtol=0.0, atol=4 * np.finfo(float).eps)
-        wc = _best_mass(spec, O, self.TOL)[0][:, 0]
+        wc = _best_mass(spec, F, self.TOL)[0][:, 0]
         assert np.all((np.minimum(w, 0.5) - self.TOL <= wc) & (wc <= np.maximum(w, 0.5) + self.TOL))
 
 
 def test_mm_r2_at_zero_floor_is_not_stopped_by_a_zero_matrix():
     # f(0) = 0, so the infima are limits: the mass goes to 1 at x -> 0 (r^2 = 24/49,
-    # SLR's on [1/6, 1]).  The chord's lower end stops where the singularity test
-    # does, at a design no worse than the grid search's (recorded here), which
-    # took 17-27 ms.  With M = 0 counted as r = 0, 2-point R2 once stopped at 0.5419.
-    model = mm_model(MMParams(V=43.73, K=227.27, b=5.0, eps=0.0))
-    for kind, searched in (("R2", 0.49035553748920635), ("CPB", 0.7002539092994814),
-                           ("EM", 160.43406171721313)):
+    # SLR's on [1/6, 1]; EM = cot^2 of half the angle f sweeps).  The chord's lower end
+    # stops at the polish's tolerance, 1e-9 times the width.  A grid search took 17-27 ms
+    # to reach r^2 = 0.49036, and a singularity test with an absolute floor stopped the
+    # chord there too.  With M = 0 counted as r = 0, 2-point R2 once stopped at 0.5419.
+    V, K = 43.73, 227.27
+    model = mm_model(MMParams(V=V, K=K, b=5.0, eps=0.0))
+    em = 1.0 / math.tan((math.atan(V / K) - math.atan(V / (6.0 * K))) / 2.0) ** 2
+    for kind, infimum in (("R2", 24.0 / 49.0), ("CPB", math.sqrt(24.0 / 49.0)), ("EM", em)):
         spec = CriterionSpec(kind)
         optimize_design(model, spec)  # warm
         seconds = []
@@ -446,8 +454,20 @@ def test_mm_r2_at_zero_floor_is_not_stopped_by_a_zero_matrix():
             res = optimize_design(model, spec)
             seconds.append(time.perf_counter() - start)
         assert not fim(model, res.design).is_singular, kind
-        assert res.criterion_value <= searched, kind
+        assert infimum <= res.criterion_value <= infimum * (1.0 + 1e-7), kind
         assert min(seconds) <= 0.010, kind
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 0.0), (0.0, 5.0)])
+def test_r2_chord_end_on_an_axis_keeps_a_minor_mass(a, b):
+    # f(0) = (1, 0) lies on an axis: r^2 -> 0 as the mass at 0 goes to 1, and all of
+    # it there is a one-point design, singular.  The split leaves about EPS^2 at the
+    # other end, where an absolute singularity floor stopped r^2 at 4e-12.
+    model = slr_model(DesignSpace(a, b))
+    for kind in ("R2", "CPB"):
+        res = optimize_design(model, CriterionSpec(kind))
+        assert res.label == "best-found" and not fim(model, res.design).is_singular, kind
+        assert res.criterion_value ** (2 if kind == "CPB" else 1) <= 1e-15, kind
 
 
 @pytest.mark.parametrize("kind", list(PINNED_VALUES["slr"]))
@@ -503,7 +523,7 @@ def test_point_slope_is_derivative_of_profiled_criterion(model_name, kind):
 
     def profile(X):
         F = np.asarray(model.regressor(X), dtype=float)
-        W, V = _best_mass(spec, _outer3(F), 1e-13)
+        W, V = _best_mass(spec, F, 1e-13)
         return F, W, V
 
     F, W, V = profile(X)
@@ -545,12 +565,20 @@ def test_model_without_regressor_derivative_is_rejected():
         optimize_design(bare, CriterionSpec("D"))
 
 
-@given(a=st.floats(-5.0, 5.0), width=st.floats(0.5, 10.0), kind=st.sampled_from(["D", "R", "R2", "EM"]))
+@given(a=st.floats(-5.0, 5.0), width=st.floats(0.5, 10.0), kind=st.sampled_from(["D", "R", "R2", "EM"]),
+       log_scale=st.one_of(st.just(0.0), st.floats(-12.0, 0.0)))
 @settings(max_examples=60, deadline=None)
-@example(a=-1.0, width=2.0, kind="EM")  # ab = -1: the ends are perpendicular
-def test_slr_two_point_matches_closed_forms(a, width, kind):
+@example(a=-1.0, width=2.0, kind="EM", log_scale=0.0)  # ab = -1: the ends are perpendicular
+# The benchmark's tiny interval around the origin, [-1e-7, 1e-7] and its kind.
+@example(a=-1.0, width=2.0, kind="D", log_scale=-7.0)
+@example(a=-1.0, width=2.0, kind="R", log_scale=-7.0)
+@example(a=-1.0, width=2.0, kind="R2", log_scale=-7.0)
+@example(a=-1.0, width=1.5, kind="D", log_scale=-8.0)
+def test_slr_two_point_matches_closed_forms(a, width, kind, log_scale):
+    # [a, a + width] scaled by 10^log_scale: widths from 5e-13 to 10, around the origin.
     # An end at or near 0 takes the r^2 optimum to or toward a singular design.
     assume(kind != "R2" or min(abs(a), abs(a + width)) >= 0.05 * width)
+    a, width = a * 10.0 ** log_scale, width * 10.0 ** log_scale
     b, model = a + width, slr_model(DesignSpace(a, a + width))
     res = optimize_design(model, CriterionSpec(kind))
     if kind == "EM":  # the chord's midpoint, or M ~ I once f(a) and f(-1/a) are perpendicular
@@ -566,7 +594,7 @@ def test_slr_two_point_matches_closed_forms(a, width, kind):
         assert math.isclose(res.criterion_value, expected, rel_tol=1e-12, abs_tol=0.0)
 
 
-@given(log_v=st.floats(-2.0, 3.0), log_k=st.floats(-2.0, 3.0), b=st.floats(1.0, 10.0),
+@given(log_v=st.floats(-6.0, 6.0), log_k=st.floats(-6.0, 6.0), b=st.floats(1.0, 10.0),
        floor=st.floats(0.01, 0.9))
 @settings(max_examples=25, deadline=None)
 def test_mm_r2_is_slr_r2_in_t(log_v, log_k, b, floor):
@@ -574,28 +602,114 @@ def test_mm_r2_is_slr_r2_in_t(log_v, log_k, b, floor):
     # factors: MM's r^2 on [eps K, b K] is SLR's on [1/(1 + b), 1/(1 + eps)].
     eps = floor * b
     model = mm_model(MMParams(V=10.0 ** log_v, K=10.0 ** log_k, b=b, eps=eps))
-    # Where the absolute floor of the singularity test rejects the chord of the space's ends (the
-    # scale problem of ROADMAP item 3), MM's optimum is the floor's, not the chord's.
-    F = np.asarray(model.regressor(np.array([model.space.lo, model.space.hi])), dtype=float)
-    assume(np.isfinite(_best_mass(CriterionSpec("R2"), _outer3(F)[None], 0.0)[1][0]))
     mm = optimize_design(model, CriterionSpec("R2"))
     slr = optimize_design(slr_model(DesignSpace(1.0 / (1.0 + b), 1.0 / (1.0 + eps))), CriterionSpec("R2"))
     assert math.isclose(mm.criterion_value, slr.criterion_value, rel_tol=1e-12, abs_tol=0.0)
 
 
-@given(log_v=st.floats(-2.0, 3.0), log_k=st.floats(-2.0, 3.0), b=st.floats(1.0, 10.0),
+@given(log_v=st.floats(-6.0, 6.0), log_k=st.floats(-6.0, 6.0), b=st.floats(1.0, 10.0),
        floor=st.floats(0.0, 0.9))
 @settings(max_examples=25, deadline=None)
+# The benchmark's MM family, V in [1e-6, 1e-3] and K in [1e4, 1e6]: V/K from 1e-12 to 1e-7.
+@example(log_v=-6.0, log_k=6.0, b=5.0, floor=0.1)
+@example(log_v=-3.0, log_k=6.0, b=5.0, floor=0.1)
+@example(log_v=-3.0, log_k=4.0, b=2.0, floor=0.45)
 def test_mm_two_point_d_matches_closed_form(log_v, log_k, b, floor):
-    # Below V/K = 1e-3 the absolute singularity threshold starts to reject
-    # every stage-1 pair: the scale problem of ROADMAP item 2, not tested here.
-    assume(log_v - log_k >= -3.0)
     params = MMParams(V=10.0 ** log_v, K=10.0 ** log_k, b=b, eps=floor * b)
     model = mm_model(params)
     res = optimize_design(model, CriterionSpec("D"))
     assert res.label == "certified"
     assert math.isclose(res.criterion_value, phi_d(fim(model, mm_d_optimal(params))),
                         rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-5e-10, 5e-10), (-1e-20, 1e-20), (3e-30, 5e-30)])
+def test_narrow_space_keeps_its_ends_apart(lo, hi):
+    # The merge and containment tolerances are relative to the width.  Floored at
+    # 1e-9 and 1e-12, they merged the ends of a space narrower than about 1e-9.
+    model = slr_model(DesignSpace(lo, hi))
+    res = optimize_design(model, CriterionSpec("D"))
+    assert res.label == "certified" and res.design.xs.tolist() == [lo, hi]
+    assert math.isclose(res.criterion_value, 2.0 / (hi - lo), rel_tol=1e-12, abs_tol=0.0)
+    assert not model.space.contains(hi + 1e-3 * (hi - lo))
+
+
+def rescaled(model: Model, s: np.ndarray) -> Model:
+    """The model in the parameters diag(s)^-1 theta: f -> S f, so M -> S M S with S = diag(s)."""
+    return Model(name=model.name, space=model.space, regressor=lambda x: model.regressor(x) * s,
+                 regressor_dx=lambda x: model.regressor_dx(x) * s)
+
+
+@given(mm=st.booleans(), lo=st.floats(-5.0, 5.0), width=st.floats(0.5, 10.0), log_v=st.floats(-2.0, 3.0),
+       log_k=st.floats(-2.0, 3.0), floor=st.floats(0.0, 0.9),
+       log_s=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)))
+@settings(max_examples=15, deadline=None)
+def test_optimum_is_free_of_the_parameter_scale(mm, lo, width, log_v, log_k, floor, log_s):
+    # D, R, r^2, SA and C with c -> S c are functions of S M S that S changes by a
+    # constant factor at most, so the optimal design is the same at every scale.  c
+    # is never parallel to f here (SLR's f = (1, x); MM's f1 f2 < 0), which makes C's
+    # optimum unique.  EM, the condition number of M, depends on the scale: only a
+    # common factor s1 = s2 keeps its design, and otherwise each parametrization's
+    # optimum beats the other's.
+    s = 10.0 ** np.array(log_s)
+    if mm:
+        model, c = mm_model(MMParams(V=10.0 ** log_v, K=10.0 ** log_k, b=width, eps=floor * width)), (1.0, 1.0)
+    else:
+        model, c = slr_model(DesignSpace(lo, lo + width)), (0.0, 1.0)
+    scaled, width = rescaled(model, s), model.space.width
+
+    def spec(kind, on, scale):
+        return {"C": CriterionSpec("C", c=tuple((scale * np.array(c)).tolist())),
+                "SA": CriterionSpec("SA", sa_refs=sa_references(on))}.get(kind) or CriterionSpec(kind)
+
+    for kind in ("D", "R", "R2", "SA", "C"):
+        res, res_s = optimize_design(model, spec(kind, model, 1.0)), optimize_design(scaled, spec(kind, scaled, s))
+        assert res_s.label == res.label, kind
+        if kind == "R2" and res.criterion_value <= 1e-12:  # r = 0 on a continuum of designs
+            assert res_s.criterion_value <= 1e-12
+            continue
+        assert np.allclose(res_s.design.xs, res.design.xs, rtol=0.0, atol=1e-9 * width), kind
+        assert np.allclose(res_s.design.ws, res.design.ws, rtol=0.0, atol=1e-9), kind
+    em, em_s = (optimize_design(m, CriterionSpec("EM")) for m in (model, scaled))
+    assert em_s.criterion_value <= criterion_value(fim(scaled, em.design), CriterionSpec("EM")) * (1.0 + 1e-12)
+    assert em.criterion_value <= criterion_value(fim(model, em_s.design), CriterionSpec("EM")) * (1.0 + 1e-12)
+    em_common = optimize_design(rescaled(model, np.full(2, s[0])), CriterionSpec("EM"))
+    assert np.allclose(em_common.design.xs, em.design.xs, rtol=0.0, atol=1e-9 * width)
+    assert np.allclose(em_common.design.ws, em.design.ws, rtol=0.0, atol=1e-9)
+
+
+def test_mm_at_small_v_over_k_solves_every_kind():
+    # V/K = 1e-4: the entries of M are below 1e-8, so a singularity test with an
+    # absolute floor once rejected every design for every kind but C.  D, R2, CPB
+    # and EM have closed forms here: r^2 is SLR's in t = K / (K + x), and f's angle
+    # turns by less than a quarter, so EM = cot^2 of half of it.  R, SA, C and
+    # COMPOUND carry their certificates.
+    params = MMParams(V=0.0368, K=368.8, b=8.218, eps=6.502)
+    model, space = mm_model(params), params.space()
+    t = SlrInterval(1.0 / (1.0 + params.b), 1.0 / (1.0 + params.eps))
+    r2 = phi_r2(fim(t.model(), r2_optimal_slr(t)))
+    turn = math.atan(params.V / (params.K + space.lo)) - math.atan(params.V / (params.K + space.hi))
+    closed = {"D": phi_d(fim(model, mm_d_optimal(params))), "R2": r2, "CPB": math.sqrt(r2),
+              "EM": 1.0 / math.tan(turn / 2.0) ** 2}
+    r_star = optimize_design(model, CriterionSpec("R")).criterion_value
+    specs = {"C": CriterionSpec("C", c=(1.0, 0.0)), "SA": CriterionSpec("SA", sa_refs=sa_references(model)),
+             "COMPOUND": CriterionSpec("COMPOUND", lam=0.5, phi_d_star=closed["D"], phi_r_star=r_star)}
+    for kind in CRITERION_KINDS:
+        spec = specs.get(kind) or CriterionSpec(kind)
+        res = optimize_design(model, spec)
+        assert res.label == ("certified" if spec.is_convex else "best-found"), kind
+        if kind in closed:
+            assert math.isclose(res.criterion_value, closed[kind], rel_tol=1e-12, abs_tol=0.0), kind
+
+
+@pytest.mark.parametrize("flags", [("--V", "0.0368", "--K", "368.8", "--b", "8.218", "--eps", "6.502"),
+                                   ("--V", "1e-3", "--K", "1e6", "--b", "2", "--eps", "1e-3")],
+                         ids=["v-over-k-1e-4", "v-over-k-1e-9"])
+def test_pareto_at_small_v_over_k(capsys, flags):
+    # Under an absolute floor of the singularity test every draw here was singular.
+    assert cli_main(["pareto", "--model", "mm", *flags, "--n", "2000", "--seed", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(err)["front_size"] == len(out.splitlines()) - 1 >= 1
 
 
 def test_boundary_points_come_back_exact():

@@ -282,8 +282,9 @@ class TestArraySampler:
         assert sampled_front(model, 3000, 5, d_star, r_star) == pareto_front(points)
 
     def test_all_singular_space_raises(self):
-        # Every draw on [-1e-7, 1e-7] is singular; the scalar loop never ended.
-        model = slr_model(DesignSpace(-1e-7, 1e-7))
+        # f = x (1, 2) spans one ray, so every draw is singular; the scalar loop never ended.
+        model = Model(name="rank-one", space=DesignSpace(-1e-7, 1e-7),
+                      regressor=lambda x: np.multiply.outer(x, (1.0, 2.0)))
         previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("sampler did not stop"))
         signal.alarm(30)
         try:
@@ -333,7 +334,7 @@ class TestArrayEvaluation:
             entries = np.stack(fim_entries(mm_half, xs, ws), axis=1).tolist()
             for x, w, e in zip(xs.tolist(), ws.tolist(), entries):
                 m = fim(mm_half, Design(points=tuple(zip(x, w))))
-                assert e == [m.m11, m.m12, m.m22]
+                assert e == [m.m11, m.m12, m.m22, m.det]
 
 
 def tie_heavy(rng, n):
@@ -462,9 +463,9 @@ class TestPrefilteredFront:
         seen = []
         head_criteria = pareto_module._head_criteria
 
-        def counted(m11, m12, m22):
+        def counted(m11, m12, m22, det):
             seen.append(len(m11))
-            return head_criteria(m11, m12, m22)
+            return head_criteria(m11, m12, m22, det)
         monkeypatch.setattr(pareto_module, "_head_criteria", counted)
         sampled_front(model, 20_000, seed, d_star, r_star)
         assert len(seen) == 1 and 1 <= seen[0] <= 64
