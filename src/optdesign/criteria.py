@@ -84,6 +84,8 @@ class CriterionSpec:
         if self.kind == "C":
             if self.c is None or len(self.c) != 2 or (self.c[0] == 0.0 and self.c[1] == 0.0):
                 raise ValidationError("criterion C needs a nonzero 2-vector c")
+            if not (math.isfinite(self.c[0]) and math.isfinite(self.c[1])):
+                raise ValidationError(f"c must be finite, got {tuple(self.c)}")
         if self.kind == "SA":
             if self.sa_refs is None or len(self.sa_refs) != 2:
                 raise ValidationError("criterion SA needs sa_refs=(ref1, ref2)")

@@ -17,6 +17,7 @@ what the numeric optimizer finds and what the equivalence check certifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,9 @@ class MMParams:
     eps_in_k_units: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("V", "K", "b", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.V > 0.0 and self.K > 0.0 and self.b > 0.0):
             raise ValidationError(f"V, K, b must be positive, got V={self.V}, K={self.K}, b={self.b}")
         if self.eps < 0.0:

@@ -20,8 +20,9 @@ driving a slope to 0 on many rows at once: the mass of COMPOUND, the points of
 the polish and the chord's ends.  By the envelope theorem, at optimal weights
 the criterion's derivative in a support point x_j is its slope along
 w_j (f' f^T + f f'^T)(x_j): the polish moves the two points in turn, each
-evaluation a weight solve warm-started from the current weights, and stops once
-a point moves no more than ``XTOL_REL`` times the width right after the other's.
+evaluation a weight solve warm-started from the current weights whose one kernel
+call gives the value and the slopes in both points, and stops once a point moves
+no more than ``XTOL_REL`` times the width right after the other's.
 
 Everything is deterministic given the model and criterion; a tie in stage 1
 goes to the first support in lexicographic order.
@@ -43,7 +44,7 @@ from .criteria import (
     criterion_values_raw,
     derivative_report,
 )
-from .designs import Design, Model, _det, fim, make_design
+from .designs import Design, Model, fim, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
 from .slr import _fmt
@@ -180,9 +181,10 @@ def _zero_slope(evaluate, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np
     return np.where(take_lo, lo, hi), np.where(take_lo, v_lo, v_hi), extra
 
 
-def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float,
-               W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal weights (n, 2) and values (n,) of n two-point supports with regressor values F (n, 2, 2).
+def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float, W0: np.ndarray | None = None,
+               dF: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Optimal weights (n, 2), values (n,) and, given the x-derivatives dF, slopes (n, 2) in both points of n
+    two-point supports with regressor values F (n, 2, 2).
 
     At masses (w, u), w + u = 1, on the points a and b the matrix is w Oa + u Ob,
     O the outer products, with det w u (f_a x f_b)^2 (Cauchy-Binet); the masses
@@ -190,7 +192,7 @@ def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float,
     split, each mass its own quotient, so a minor one survives beside 1, or R's
     ``_r_mass``, kept tol/2 inside (0, 1) as a secant's bracket keeps it;
     otherwise ``_zero_slope`` drives the slope along Oa - Ob to 0 from the
-    weights W0 (default 1/2 each).
+    weights W0 (default 1/2 each).  Point j's slope is along w_j (f' f^T + f f'^T)(x_j).
     """
     Oa, Ob = _outer3(F[:, 0]).T, _outer3(F[:, 1]).T  # (3, n): m11, m12, m22
     cross2, n = (F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]) ** 2, len(F)
@@ -198,6 +200,7 @@ def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float,
     def values(rows, w: np.ndarray, u: np.ndarray, d: np.ndarray | None = None):
         return criterion_values_raw(spec, *(w * Oa[:, rows] + u * Ob[:, rows]), w * u * cross2[rows], d=d)
 
+    V = None  # the secant's values
     if spec.kind == "R":
         W = _r_mass(Oa, Ob)
     elif (split := _SPLIT_WEIGHT.get(spec.kind)) is not None:
@@ -209,11 +212,17 @@ def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float,
             return (*values(rows, w, 1.0 - w, d=Oa[:, rows] - Ob[:, rows]), None)
 
         w0 = np.full(n, 0.5) if W0 is None else W0[:, 0]
-        w, v, _ = _zero_slope(evaluate, np.zeros(n), np.ones(n), w0, np.where(w0 <= 0.5, w0 + 1e-6, w0 - 1e-6),
+        w, V, _ = _zero_slope(evaluate, np.zeros(n), np.ones(n), w0, np.where(w0 <= 0.5, w0 + 1e-6, w0 - 1e-6),
                               tol, open_ends=False)
-        return np.stack([w, 1.0 - w], axis=1), v
-    w, u = W.clip(0.5 * tol, 1.0 - 0.5 * tol)
-    return np.stack([w, u], axis=1), values(slice(None), w, u)
+        W = np.stack([w, 1.0 - w])
+    if V is None:
+        W = W.clip(0.5 * tol, 1.0 - 0.5 * tol)
+    if dF is None:
+        return W.T, values(slice(None), *W) if V is None else V
+    f, df = F.transpose(2, 1, 0), dF.transpose(2, 1, 0)  # (coordinate, point, row)
+    U, S = values(slice(None), *W, d=W * np.stack([2.0 * f[0] * df[0], f[0] * df[1] + f[1] * df[0],
+                                                   2.0 * f[1] * df[1]]))
+    return W.T, U if V is None else V, S.T
 
 
 def optimize_weights(model: Model, support: Sequence[float], criterion: CriterionSpec) -> np.ndarray:
@@ -236,17 +245,6 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
 
 # --- support search -----------------------------------------------------------
 
-def _point_slope(spec: CriterionSpec, F: np.ndarray, dF: np.ndarray, W: np.ndarray, j: int) -> np.ndarray:
-    """The kernel's slope in point j of n supports, at weights W (n, k): along
-    w_j (f' f^T + f f'^T)(x_j), with F and dF (n, k, 2) the regressor and its
-    x-derivative.  At optimal weights it is, by the envelope theorem, the
-    derivative of the profiled criterion."""
-    f, g = F[:, j], dF[:, j]
-    d = W[:, j] * np.stack([2.0 * f[:, 0] * g[:, 0], f[:, 0] * g[:, 1] + f[:, 1] * g[:, 0],
-                            2.0 * f[:, 1] * g[:, 1]])
-    return criterion_values_raw(spec, *np.einsum("nk,nkc->cn", W, _outer3(F)), _det(F, W), d=d)[1]
-
-
 def _regress(model: Model, x: np.ndarray) -> list[np.ndarray]:
     """The regressor and its x-derivative at the points x, each shaped x.shape + (2,)."""
     if model.regressor_dx is None:
@@ -266,47 +264,48 @@ def _finite_grid(model: Model, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> OptimizeResult:
     """Polish of the sorted two-point support x by the slope in each point, then ``_result``.
 
-    The points take turns: ``_zero_slope`` drives ``_point_slope`` to 0 with x_j
-    kept between its neighbour and the end of the space, from a first trial move
-    of ``FIRST_MOVE_REL`` times the width, and the support takes the result if it
-    lowers the criterion.  A trial move that clips to x_j (a zero slope, or an end
-    of the space with the slope pointing out) settles the point without a solve.
-    The polish stops once a point moves no more than ``XTOL_REL`` times the width
-    right after the other's polish: both then sit at a zero slope.  The result's
+    The points take turns: ``_zero_slope`` drives x_j's slope, which the support's one
+    ``_best_mass`` call gives with its value and the other point's slope, to 0 with x_j kept
+    between its neighbour and the end of the space, from a first trial move of ``FIRST_MOVE_REL``
+    times the width, and the support takes the result if it lowers the criterion.  A trial move
+    that clips to x_j (a zero slope, or an end of the space with the slope pointing out) settles
+    the point without a solve.  The polish stops once a point moves no more than ``XTOL_REL``
+    times the width right after the other's polish: both then sit at a zero slope.  The result's
     iterations count the supports evaluated.
     """
     space = model.space
     xtol, gap, step = XTOL_REL * space.width, space.merge_tol(), FIRST_MOVE_REL * space.width
     X = np.array(x, dtype=float)[None]  # one row of the batched solvers
 
-    def slope(F: np.ndarray, dF: np.ndarray, W: np.ndarray, V: np.ndarray, j: int) -> np.ndarray:
-        # Weights resolved to WEIGHT_TOL leave V's slope uncertain by about WEIGHT_TOL V / width.
-        s = _point_slope(spec, F, dF, W, j)
-        return np.where(np.abs(s) * space.width <= WEIGHT_TOL * np.abs(V), 0.0, s)
+    def solve(F: np.ndarray, dF: np.ndarray, W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        # Values (n,) and the extra _zero_slope carries, weights and slopes (n, 4); weights resolved to
+        # WEIGHT_TOL leave a slope uncertain by about WEIGHT_TOL V / width.
+        W, V, S = _best_mass(spec, F, WEIGHT_TOL, W0, dF)
+        return V, np.hstack([W, np.where(np.abs(S) * space.width <= WEIGHT_TOL * np.abs(V)[:, None], 0.0, S)])
 
     def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nonlocal n_evals
         n_evals += len(rows)
         Fr, dFr = F[rows], dF[rows]
         Fr[:, j], dFr[:, j] = _regress(model, x)
-        Wr, Vr = _best_mass(spec, Fr, WEIGHT_TOL, W[rows])
-        return Vr, slope(Fr, dFr, Wr, Vr, j), Wr
+        Vr, WSr = solve(Fr, dFr, WS[rows, :2])
+        return Vr, WSr[:, 2 + j], WSr
 
     F, dF = _regress(model, X)
-    W, V = _best_mass(spec, F, WEIGHT_TOL)
+    V, WS = solve(F, dF)
     n_evals, j, settled = 1, 0, 0  # settled: points polished in a row since, and with, the last move beyond xtol
     while settled < 2 and math.isfinite(V[0]):
-        x0, s0 = X[:, j], slope(F, dF, W, V, j)
+        x0, s0 = X[:, j], WS[:, 2 + j]
         lo, hi = (X[:, 0] + gap, np.array([space.hi])) if j else (np.array([space.lo]), X[:, 1] - gap)
         x1, moved = np.clip(x0 - np.sign(s0) * step, lo, hi), 0.0
         if x1[0] != x0[0]:
-            x, v, Wx = _zero_slope(evaluate, lo, hi, x0, x1, xtol, known=(V, s0, W))
+            x, v, WSx = _zero_slope(evaluate, lo, hi, x0, x1, xtol, known=(V, s0, WS))
             if v[0] < V[0]:
                 moved = abs(x[0] - x0[0])
-                X[:, j], W, V = x, Wx, v
+                X[:, j], WS, V = x, WSx, v
                 F[:, j], dF[:, j] = _regress(model, x)
         settled, j = 1 if moved > xtol else settled + 1, 1 - j
-    return _result(model, spec, X[0], W[0], n_evals)
+    return _result(model, spec, X[0], WS[0, :2], n_evals)
 
 
 def _stage1(model: Model, spec: CriterionSpec) -> np.ndarray:
@@ -462,7 +461,11 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
         gamma, w = 1.0 / float(np.sum(w)), w / np.sum(w)
     if not gamma > 0.0:
         raise OptimizationError("c is inestimable under every candidate design")
-    design, value, u = make_design(list(zip(x.tolist(), w.tolist())), space), gamma**-2, along + t * across
+    try:
+        value = gamma**-2
+    except OverflowError:
+        raise OptimizationError(f"the c-optimal value 1/gamma^2 overflows a float (gamma = {gamma:.3g})") from None
+    design, u = make_design(list(zip(x.tolist(), w.tolist())), space), along + t * across
     report = _sampled_report(model, design, lambda F: value * (1.0 - ((F @ u) / gamma) ** 2) + 0.0)
     return COptimalResult(design, value, report, report.passes(value), n_evals, (float(u[0]), float(u[1])), gamma)
 

@@ -21,6 +21,7 @@ attained when one endpoint sits at zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -74,6 +75,22 @@ class SlrInterval:
         return slr_model(self.space())
 
 
+def _unit_scale(interval: SlrInterval) -> SlrInterval:
+    """The interval scaled by the power of two that brings max(|a|, |b|) into [1/2, 1), exactly."""
+    e = -math.frexp(max(abs(interval.a), abs(interval.b)))[1]
+    return SlrInterval(math.ldexp(interval.a, e), math.ldexp(interval.b, e)) if e else interval
+
+
+def _scale_free(closed_form):
+    """A closed form homogeneous of degree 0 in (a, b), evaluated at unit scale, where its powers of a and b
+    neither overflow nor underflow."""
+    @functools.wraps(closed_form)
+    def on_unit_scale(interval: SlrInterval):
+        return closed_form(_unit_scale(interval))
+    return on_unit_scale
+
+
+@_scale_free
 def p_r(interval: SlrInterval) -> float:
     """Mass at b of the R-optimal design.
 
@@ -93,6 +110,7 @@ def _a_minus(interval: SlrInterval) -> float:
     return a2 * (a2 + 14.0 * b2) / (interval.A + b2)
 
 
+@_scale_free
 def p_r2(interval: SlrInterval) -> float:
     """Mass at b of the minimum-correlation endpoint design."""
     if interval.a_is_zero or interval.b_is_zero:
@@ -123,6 +141,7 @@ def r2_optimal_slr(interval: SlrInterval) -> Design:
     return make_design([(interval.a, 1.0 - p), (interval.b, p)], interval.space())
 
 
+@_scale_free
 def eff_d_of_r(interval: SlrInterval) -> float:
     """D-efficiency of the R-optimal design; >= 2*sqrt(2)/3 with equality at a=0 or b=0."""
     if interval.a_is_zero or interval.b_is_zero:
@@ -132,6 +151,7 @@ def eff_d_of_r(interval: SlrInterval) -> float:
     return 4.0 * abs(interval.a) * math.sqrt(a2 + t) / (5.0 * a2 + t)
 
 
+@_scale_free
 def eff_d_of_r2(interval: SlrInterval) -> float:
     """D-efficiency of the minimum-correlation design; 0 when an endpoint is zero."""
     if interval.a_is_zero or interval.b_is_zero:
@@ -140,6 +160,7 @@ def eff_d_of_r2(interval: SlrInterval) -> float:
     return 2.0 * math.sqrt(aa * ab) / (aa + ab)
 
 
+@_scale_free
 def eff_r_of_d(interval: SlrInterval) -> float:
     """R-efficiency of the D-optimal design; >= 3*sqrt(3/2)/4 with equality at a=0 or b=0.
 
@@ -161,6 +182,7 @@ def eff_r_of_d(interval: SlrInterval) -> float:
     return math.sqrt(inner) / 8.0
 
 
+@_scale_free
 def eff_r_of_r2(interval: SlrInterval) -> float:
     """R-efficiency of the minimum-correlation design; 0 when an endpoint is zero."""
     if interval.a_is_zero or interval.b_is_zero:
@@ -180,12 +202,14 @@ def eff_r_of_r2(interval: SlrInterval) -> float:
     return num / den
 
 
+@_scale_free
 def corr_d(interval: SlrInterval) -> float:
     """Estimator correlation under the D-optimal design: -(a+b)/sqrt(2(a^2+b^2))."""
     a, b = interval.a, interval.b
     return -(a + b) / math.sqrt(2.0 * (a * a + b * b))
 
 
+@_scale_free
 def corr_r(interval: SlrInterval) -> float:
     """Estimator correlation under the R-optimal design.
 
@@ -204,6 +228,7 @@ def corr_r(interval: SlrInterval) -> float:
     return num / den
 
 
+@_scale_free
 def corr_r2(interval: SlrInterval) -> float:
     """Estimator correlation under the minimum-correlation design."""
     a, b = interval.a, interval.b
@@ -231,20 +256,21 @@ class SlrSummary:
 
 
 def summarize(interval: SlrInterval) -> SlrSummary:
-    degenerate = interval.a_is_zero or interval.b_is_zero
+    unit = _unit_scale(interval)  # once, so the closed forms need not rescale
+    degenerate = unit.a_is_zero or unit.b_is_zero
     return SlrSummary(
         a=interval.a,
         b=interval.b,
-        p_r=p_r(interval),
-        p_r2=None if degenerate else p_r2(interval),
-        eff_d_of_r=eff_d_of_r(interval),
-        eff_d_of_r2=eff_d_of_r2(interval),
-        eff_r_of_d=eff_r_of_d(interval),
-        eff_r_of_r2=eff_r_of_r2(interval),
-        corr_d=corr_d(interval),
-        corr_r=corr_r(interval),
-        corr_r2=None if degenerate else corr_r2(interval),
-        r2_design_unique=not interval.mixed_sign,
+        p_r=p_r(unit),
+        p_r2=None if degenerate else p_r2(unit),
+        eff_d_of_r=eff_d_of_r(unit),
+        eff_d_of_r2=eff_d_of_r2(unit),
+        eff_r_of_d=eff_r_of_d(unit),
+        eff_r_of_r2=eff_r_of_r2(unit),
+        corr_d=corr_d(unit),
+        corr_r=corr_r(unit),
+        corr_r2=None if degenerate else corr_r2(unit),
+        r2_design_unique=not unit.mixed_sign,
     )
 
 

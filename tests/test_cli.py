@@ -429,6 +429,7 @@ class TestUnreadableDesignFile:
 
 class TestUsageErrors:
     SLR = ("--model", "slr", "--a", "1", "--b", "5")
+    MM = ("--model", "mm", "--b", "5", "--eps", "0.5")
 
     # Each case: the argv, a config file's content or None, OPTDESIGN_SEED or None, and the message.
     @pytest.mark.parametrize("argv,config,env,message", [
@@ -450,9 +451,14 @@ class TestUsageErrors:
         (("check", *SLR, "--design", "d.json"), None, None, "--criterion is required"),
         (("check", *SLR, "--criterion", "D"), None, None, "check needs --design FILE (design JSON)"),
         (("efficiency", *SLR), None, None, "efficiency needs --designs file1[,file2,...]"),
+        (("optimal", *MM, "--V", "inf", "--criterion", "D"), None, None, "V must be finite, got inf"),
+        (("optimal", *MM, "--K", "inf", "--criterion", "D"), None, None, "K must be finite, got inf"),
+        (("optimal", *SLR, "--criterion", "C", "--c", "nan,1"), None, None, "c must be finite, got (nan, 1.0)"),
+        (("optimal", *SLR, "--criterion", "C", "--c", "inf,1"), None, None, "c must be finite, got (inf, 1.0)"),
     ], ids=["config-not-object", "seed-env", "no-model", "mm-no-b", "unknown-model", "unknown-criterion",
             "c-no-c", "c-three", "compound-no-lam", "table-slr-no-b", "table-slr-no-a-list", "unknown-table",
-            "sweep-no-a-fixed", "check-no-criterion", "check-no-design", "efficiency-no-designs"])
+            "sweep-no-a-fixed", "check-no-criterion", "check-no-design", "efficiency-no-designs",
+            "mm-v-inf", "mm-k-inf", "c-nan", "c-inf"])
     def test_exits_64_with_its_message(self, capsys, monkeypatch, tmp_path, argv, config, env, message):
         monkeypatch.delenv("OPTDESIGN_SEED", raising=False)
         if env is not None:
@@ -463,6 +469,31 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("optdesign: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimal", "--model", "slr", "--a", "1e-170", "--b", "3e-170", "--criterion", "C", "--c", "0,1"),
+    ("optimal", "--model", "slr", "--a", "1e-170", "--b", "3e-170", "--criterion", "SA"),
+    ("optimal", "--model", "mm", "--b", "5", "--eps", "0.5", "--V", "1e-160", "--criterion", "SA"),
+    ("table", "mm-designs", "--b", "5", "--V", "1e-160", "--eps-list", "0.5"),
+])
+def test_c_optimal_value_beyond_float_range_is_an_error(capsys, argv):
+    # 1/gamma^2 overflows: one line naming the overflow, not a traceback.
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("optdesign: ") and "overflows" in err and len(err.splitlines()) == 1
+
+
+def test_slr_compound_far_from_scale_one_is_the_unit_scale_design(capsys):
+    # The D and R references come from SLR's closed forms, which once overflowed at 1e80.
+    weights, labels = [], []
+    for a, b in (("1", "2"), ("1e80", "2e80")):
+        code, out, _ = run(capsys, "optimal", "--model", "slr", "--a", a, "--b", b, "--criterion", "COMPOUND",
+                           "--lam", "0.5")
+        payload = json.loads(out)
+        weights.append([p["w"] for p in payload["design"]["points"]])
+        labels.append((code, payload["label"]))
+    assert labels == [(EXIT_OK, "certified")] * 2 and weights[0] == weights[1]
 
 
 class TestOptimalThenCheckContract:

@@ -36,7 +36,6 @@ from optdesign.mm import MMParams, mm_d_optimal, mm_model
 from optdesign.optimize import (
     _best_mass,
     _outer3,
-    _point_slope,
     _refine,
     _stage1,
     _zero_slope,
@@ -485,12 +484,13 @@ def test_stage1_heap_peak(kind):
 
 
 # criterion_values_raw calls of each PINNED_VALUES call, as recorded with the
-# slope polish of stage 1's best support, the exact two-point masses (R's included),
-# the chord of R2, CPB and EM, whose ends here are the space's, and Elfving's dual
-# for C, which calls no kernel; a call may make 20% more.
+# slope polish of stage 1's best support, one call per support giving its value and
+# both point slopes (COMPOUND's mass secant adds its own), the exact two-point masses
+# (R's included), the chord of R2, CPB and EM, whose ends here are the space's, and
+# Elfving's dual for C, which calls no kernel; a call may make 20% more.
 KERNEL_CALLS = {
-    "slr": {"D": 4, "R": 4, "R2": 2, "C": 0, "SA": 4, "EM": 2, "CPB": 2, "COMPOUND": 14},
-    "mm": {"D": 16, "R": 16, "R2": 2, "C": 0, "SA": 16, "EM": 2, "CPB": 2, "COMPOUND": 32},
+    "slr": {"D": 2, "R": 2, "R2": 1, "C": 0, "SA": 2, "EM": 1, "CPB": 1, "COMPOUND": 13},
+    "mm": {"D": 8, "R": 8, "R2": 1, "C": 0, "SA": 8, "EM": 1, "CPB": 1, "COMPOUND": 31},
 }
 
 
@@ -522,18 +522,36 @@ def test_point_slope_is_derivative_of_profiled_criterion(model_name, kind):
     X = space.lo + space.width * np.array([[0.1, 0.55], [0.3, 0.9], [0.2, 0.7], [0.05, 0.95]])
 
     def profile(X):
-        F = np.asarray(model.regressor(X), dtype=float)
-        W, V = _best_mass(spec, F, 1e-13)
-        return F, W, V
+        return _best_mass(spec, np.asarray(model.regressor(X), dtype=float), 1e-13)[1]
 
-    F, W, V = profile(X)
+    _, V, S = _best_mass(spec, np.asarray(model.regressor(X), dtype=float), 1e-13,
+                         dF=np.asarray(model.regressor_dx(X), dtype=float))
     h = 1e-5 * space.width
     for j in range(2):
         step = np.zeros(2)
         step[j] = h
-        fd = (profile(X + step)[2] - profile(X - step)[2]) / (2 * h)
-        slope = _point_slope(spec, F, np.asarray(model.regressor_dx(X), dtype=float), W, j)
-        assert np.allclose(slope, fd, rtol=1e-6, atol=1e-8 * np.abs(V).max() / space.width)
+        fd = (profile(X + step) - profile(X - step)) / (2 * h)
+        assert np.allclose(S[:, j], fd, rtol=1e-6, atol=1e-8 * np.abs(V).max() / space.width)
+
+
+@pytest.mark.parametrize("model_name", list(PINNED_MODELS))
+@pytest.mark.parametrize("kind", ["D", "R", "C", "SA", "COMPOUND"])
+def test_point_slopes_are_the_kernels_on_fim_entries(model_name, kind):
+    # The mass solve reads both point slopes from the kernel call that gives its
+    # values: they are the kernel's slopes along w_j (f' f^T + f f'^T)(x_j) at the
+    # entries and det that fim_entries forms for the design on its own.
+    model, spec = PINNED_MODELS[model_name], PINNED_SPECS[model_name].get(kind) or CriterionSpec(kind)
+    space = model.space
+    X = np.sort(np.random.default_rng(20261019).uniform(space.lo, space.hi, (40, 2)), axis=1)
+    F, dF = (np.asarray(g(X), dtype=float) for g in (model.regressor, model.regressor_dx))
+    W, V, S = _best_mass(spec, F, 1e-10, dF=dF)
+    entries = fim_entries(model, X, W)
+    for j in range(2):
+        f, g = F[:, j].T, dF[:, j].T
+        d = W[:, j] * np.stack([2.0 * f[0] * g[0], f[0] * g[1] + f[1] * g[0], 2.0 * f[1] * g[1]])
+        values, slopes = criterion_values_raw(spec, *entries, d=d)
+        assert np.allclose(values, V, rtol=1e-12, atol=0.0)
+        assert np.allclose(S[:, j], slopes, rtol=1e-11, atol=1e-12 * np.abs(V).max() / space.width)
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 5.0), (-0.3, 0.9)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,15 @@ class TestReferenceValues:
 
 
 class TestCrossChecks:
+    @pytest.mark.parametrize("e", [-300, 300])
+    def test_closed_forms_are_free_of_scale(self, e):
+        # Each closed form is homogeneous of degree 0 in (a, b).  Written in a^4 and
+        # a^6, p_R once divided 0 by 0 at 2^-300 and Corr(xi_R) overflowed at 2^300.
+        fixed = [SlrInterval(a, b) for a, b in [(-1.3, 4.2), (1.0, 3.0), (-5.0, -0.5), (0.0, 2.0), (-2.0, 0.0)]]
+        for iv in fixed + random_intervals(np.random.default_rng(23), 40):
+            far = summarize(SlrInterval(math.ldexp(iv.a, e), math.ldexp(iv.b, e)))
+            assert replace(far, a=iv.a, b=iv.b) == summarize(iv), iv
+
     def test_formulas_equal_design_based_quantities(self):
         rng = np.random.default_rng(77)
         for iv in random_intervals(rng, 60):
