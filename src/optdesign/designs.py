@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import OptimizationError, ValidationError
 
 # Tolerances, each relative to the scale it names: no floor, so the units of x and theta do not matter.
 MERGE_TOL = 1e-9         # times hi - lo
@@ -201,18 +201,24 @@ def fim_entries(model: Model, xs: np.ndarray, ws: np.ndarray,
     its weights.  One regressor call covers every point; each matrix is the
     product (F w)^T F of one stacked matmul, with m12 = (G12 + G21) / 2, and its
     det ``_det``'s, so a row's values are bit for bit those of :func:`fim` on it.
+    An entry or det that overflows a float raises OptimizationError.
     """
     n, k = xs.shape
     flat = xs.reshape(-1)
     F = np.asarray(model.regressor(flat), dtype=float)
     if F.shape != (n * k, 2):
         raise ValidationError(f"regressor returned shape {F.shape}, expected ({n * k}, 2)")
-    if not np.all(np.isfinite(F)):
-        bad = flat[~np.all(np.isfinite(F), axis=1)]
-        raise ValidationError(f"regressor is non-finite at support point(s) {bad.tolist()}")
     F = F.reshape(n, k, 2)
-    G = np.matmul((F * ws[:, :, None]).transpose(0, 2, 1), F)
-    return G[:, 0, 0], 0.5 * (G[:, 0, 1] + G[:, 1, 0]), G[:, 1, 1], _det(F, ws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.matmul((F * ws[:, :, None]).transpose(0, 2, 1), F)
+        m12, det = 0.5 * (G[:, 0, 1] + G[:, 1, 0]), _det(F, ws)
+    if not (np.isfinite(G).all() and np.isfinite(m12).all() and np.isfinite(det).all()):
+        # A non-finite regressor value makes its row non-finite; on finite ones, that is an overflow.
+        if not np.all(finite := np.isfinite(F).all(axis=2)):
+            raise ValidationError(f"regressor is non-finite at support point(s) {xs[~finite].tolist()}")
+        bad = ~(np.isfinite(G).all(axis=(1, 2)) & np.isfinite(m12) & np.isfinite(det))
+        raise OptimizationError(f"information matrix overflows a float on the support {xs[bad][0].tolist()}")
+    return G[:, 0, 0], m12, G[:, 1, 1], det
 
 
 def fim(model: Model, design: Design) -> InfoMatrix:

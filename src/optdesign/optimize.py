@@ -44,7 +44,7 @@ from .criteria import (
     criterion_values_raw,
     derivative_report,
 )
-from .designs import Design, Model, fim, make_design
+from .designs import Design, Model, fim, fim_entries, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
 from .slr import _fmt
@@ -261,6 +261,17 @@ def _finite_grid(model: Model, n: int) -> tuple[np.ndarray, np.ndarray]:
     return grid[finite], F[finite]
 
 
+def _fim_grid(model: Model, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_finite_grid``, checked before any kernel runs: where a one-point information f f^T overflows
+    a float, ``fim_entries`` raises its error on the first such point."""
+    grid, F = _finite_grid(model, n)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(F * F).all(axis=1)
+    if not finite.all():
+        fim_entries(model, grid[~finite][:1, None], np.ones((1, 1)))
+    return grid, F
+
+
 def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> OptimizeResult:
     """Polish of the sorted two-point support x by the slope in each point, then ``_result``.
 
@@ -311,7 +322,7 @@ def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> OptimizeResult:
 def _stage1(model: Model, spec: CriterionSpec) -> np.ndarray:
     """The best pair of the ``STAGE1_GRID``-point grid, each weighed at ``WEIGHT_TOL``; the first
     in lexicographic order wins a tie.  Raises if every pair is singular."""
-    grid, F = _finite_grid(model, STAGE1_GRID)
+    grid, F = _fim_grid(model, STAGE1_GRID)
     idx = np.stack(np.triu_indices(len(grid), 1), axis=1)
     _, vals = _best_mass(spec, F[idx], WEIGHT_TOL)
     if not np.isfinite(vals).any():
@@ -478,7 +489,7 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
     reaching the other end.  Under a quarter turn their chord faces the diameter m12 = 0 and the centre M ~ I;
     otherwise EM, and R2 and CPB if the ends' f1 f2 share a sign, take phi_min's end and the root of f(x_a)^T f(x).
     ``_SPLIT_WEIGHT`` weighs the chord (EM: at its midpoint), unclipped; an end at f -> 0 stops XTOL_REL widths off."""
-    (grid, F), n_evals = _finite_grid(model, ELFVING_GRID), 0
+    (grid, F), n_evals = _fim_grid(model, ELFVING_GRID), 0
     idx = np.flatnonzero(np.sum(F * F, axis=1) ** 2 >= np.finfo(float).tiny)
     if not len(idx):
         raise OptimizationError("no admissible (non-singular) design found on the grid")

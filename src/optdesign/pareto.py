@@ -5,14 +5,16 @@ Sampling, evaluation and the front run on arrays; ``sampled_front`` builds
 points only for the few samples its prefilter keeps.
 
 Sampling.  Every attempt takes three uniforms (x1, x2, w) from one
-``default_rng(seed)`` stream, drawn as blocks of rows of ``rng.random``;
-x = lo + (hi - lo) u is the arithmetic of ``Generator.uniform``, so the
-stream is the one a draw-at-a-time loop consumes.  An attempt is rejected
-when w is not in (0, 1), when |x1 - x2| is within the merge tolerance, or
-when its information matrix is singular, in that order.  Accepted rows are
-canonical as ``make_design`` makes them (sorted, weights divided by the
-total mass, clipped), and the first n in draw order are kept.  A block of at
-least 4096 attempts without one admissible design raises OptimizationError.
+``default_rng(seed)`` stream, drawn in fixed blocks of 4096 rows of
+``rng.random`` and worked on as columns; x = lo + (hi - lo) u is the
+arithmetic of ``Generator.uniform``, so the stream is the one a
+draw-at-a-time loop consumes.  An attempt is rejected when w is not in
+(0, 1), when |x1 - x2| is within the merge tolerance, or when its
+information matrix, whose entries and det come from ``fim_entries``, is
+singular, in that order.  Accepted rows are canonical as ``make_design``
+makes them (clipped, sorted, weights divided by the total mass), and the
+first n in draw order are kept.  A block without one admissible design
+raises OptimizationError.
 
 Front.  The front is computed on (Eff_D, Eff_R), both maximized; that
 ordering is equivalent to minimizing the criteria themselves because both are
@@ -45,7 +47,7 @@ from .optimize import optimize_design
 
 TIE_TOL = 1e-12
 MARGIN = 1e-9  # relative slack on the prefilter's Eff_D, far above its few ulps of error
-_MIN_BLOCK = 4096  # attempts per sampling block, at least
+_MIN_BLOCK = 4096  # attempts per sampling block
 
 
 @dataclass(frozen=True)
@@ -77,22 +79,26 @@ def _sample(model: Model, n: int, seed: int,
     blocks: list[tuple[np.ndarray, ...]] = []
     got = 0
     while got < n:
-        size = max(_MIN_BLOCK, (n - got) * 5 // 4)
-        u = rng.random((size, 3))
-        pts, w = lo + (hi - lo) * u[:, :2], u[:, 2]
-        rows = (0.0 < w) & (w < 1.0) & (np.abs(pts[:, 0] - pts[:, 1]) > tol)
-        pts, w = pts[rows], w[rows]
-        swap = (pts[:, 0] > pts[:, 1])[:, None]  # sort (no ties left) and clip, as make_design
-        xs, ws = (np.where(swap, v[:, ::-1], v) for v in (np.clip(pts, lo, hi), _masses(w)))
+        u = rng.random((_MIN_BLOCK, 3))
+        x1, x2, w = lo + (hi - lo) * u[:, 0], lo + (hi - lo) * u[:, 1], u[:, 2]
+        rows = (0.0 < w) & (w < 1.0) & (np.abs(x1 - x2) > tol)
+        # Clip, then sort as make_design: kept points are more than tol apart, so clipping keeps their order.
+        x1, x2, w = np.clip(x1[rows], lo, hi), np.clip(x2[rows], lo, hi), w[rows]
+        t, swap = w + (1.0 - w), x1 > x2
+        wa, wb = w / t, (1.0 - w) / t  # the bits of _masses
+        xs = np.stack([np.minimum(x1, x2), np.maximum(x1, x2)], 1)
+        ws = np.stack([np.where(swap, wb, wa), np.where(swap, wa, wb)], 1)
         m11, m12, m22, det = fim_entries(model, xs, ws)
         ok = ~_is_singular(m11, m22, det)
         if not ok.any():
             raise OptimizationError(
-                f"no admissible (non-singular) two-point design in {size} random draws "
+                f"no admissible (non-singular) two-point design in {_MIN_BLOCK} random draws "
                 f"on [{lo!r}, {hi!r}]")
-        take = np.flatnonzero(ok)[:n - got]
-        blocks.append((xs[take], ws[take], m11[take], m12[take], m22[take], det[take]))
-        got += len(take)
+        cols = (xs, ws, m11, m12, m22, det)
+        if not ok.all():
+            cols = tuple(c[ok] for c in cols)
+        blocks.append(tuple(c[:n - got] for c in cols))
+        got += len(blocks[-1][0])
     xs, ws, *entries = (np.concatenate(parts) for parts in zip(*blocks))
     return xs, ws, tuple(entries)
 

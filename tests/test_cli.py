@@ -484,6 +484,37 @@ def test_c_optimal_value_beyond_float_range_is_an_error(capsys, argv):
     assert err.startswith("optdesign: ") and "overflows" in err and len(err.splitlines()) == 1
 
 
+BIG_SLR = ("--model", "slr", "--a", "-1e200", "--b", "1e200")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("pareto", *BIG_SLR, "--n", "50"),
+    ("check", *BIG_SLR, "--criterion", "D", "--design", "BIG"),
+    ("efficiency", *BIG_SLR, "--designs", "BIG"),
+    ("sweep", *BIG_SLR, "--a-fixed", "0"),
+    ("optimal", *BIG_SLR, "--criterion", "D"),
+    ("optimal", *BIG_SLR, "--criterion", "EM"),
+    ("pareto", "--model", "mm", "--b", "5", "--eps", "0.5", "--V", "1e200", "--n", "50"),
+])
+def test_information_matrix_beyond_float_range_is_an_error(capsys, tmp_path, argv):
+    # x^2 overflows on SLR [-1e200, 1e200], as V^2 does on MM: one line naming the overflow,
+    # with no numpy warning, not a usage error for a valid input.
+    design = tmp_path / "big.json"
+    design.write_text(json.dumps({"points": [{"x": -1e200, "w": 0.5}, {"x": 1e200, "w": 0.5}],
+                                  "space": {"lo": -1e200, "hi": 1e200}}))
+    code, out, err = run(capsys, *(str(design) if a == "BIG" else a for a in argv))
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("optdesign: ") and "overflows a float" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_c_optimal_forms_no_information_matrix(capsys):
+    # Elfving's theorem needs only u^T f, which stays finite where x^2 does not.
+    code, out, err = run(capsys, "optimal", *BIG_SLR, "--criterion", "C", "--c", "1,0")
+    assert code == EXIT_OK and err == "" and json.loads(out)["label"] == "certified"
+
+
 def test_slr_compound_far_from_scale_one_is_the_unit_scale_design(capsys):
     # The D and R references come from SLR's closed forms, which once overflowed at 1e80.
     weights, labels = [], []
