@@ -14,10 +14,11 @@ in, by Cauchy-Binet: ``designs._det``), tr = m11 + m22 and disc = sqrt((m11 - m2
     phi_lambda = (1-l)/Eff_D + l/Eff_R    compound D/R criterion
 
 Each formula is written once in the table ``_criterion``, a convex kind's next
-to its slope along a direction: ``criterion_values_raw`` (the kernel) evaluates
-it on arrays, ``criterion_value`` and the phi_* on an InfoMatrix's floats.  EM's
-form avoids lambda_min = (tr - disc)/2, which cancels on badly scaled columns;
-4 det = tr^2 - disc^2 = 4 m11 m22 (1 - r^2) does not.
+to its slope along a direction, whose slope of log det the caller forms from
+cross products, never from the entries, where it cancels: ``criterion_values_raw``
+(the kernel) evaluates it on arrays, ``criterion_value`` and the phi_* on an
+InfoMatrix's floats.  EM's form avoids lambda_min = (tr - disc)/2, which cancels
+on badly scaled columns; 4 det = tr^2 - disc^2 does not.
 
 Reported values use C pow.  The table's operations give the same bits on
 floats and on arrays, except a power: Python floats and numpy scalars take
@@ -35,9 +36,9 @@ Sign convention: a directional derivative >= 0 at x means "no improvement by
 moving mass toward x"; a design is optimal for a convex criterion iff its
 directional derivative is nonnegative everywhere on the design space.
 
-Singular matrices map to +inf for the inverse-monotone criteria (so optimizers
-can reject them uniformly); the correlation-based quantities raise instead,
-because a correlation of a rank-deficient system is undefined.
+Singular matrices (``designs._is_singular``) map to +inf for the inverse-monotone
+criteria, so optimizers reject them uniformly; the correlation-based quantities
+raise instead: a correlation of a rank-deficient system is undefined.
 """
 
 from __future__ import annotations
@@ -108,24 +109,23 @@ class CriterionSpec:
 def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
     """The one table of criterion formulas: (value, slope along d or None).
 
-    Entries and det are Python floats or float arrays; the caller masks
-    singular matrices.  A convex kind gives its slope along ``d = (d11, d12, d22)``;
-    R2, CPB and EM give None.
+    Entries and det are Python floats or float arrays; the caller masks singular matrices.  A convex kind
+    gives its slope along ``d = (d11, d12, d22, dlogdet)``, dlogdet the slope of log det, which the caller
+    forms from cross products; R2, CPB and EM give None.
     """
     sqrt = np.sqrt if isinstance(det, np.ndarray) else math.sqrt
     kind, slope = spec.kind, None
     if d is not None:
-        d11, d12, d22 = d
-        ddet = d11 * m22 + m11 * d22 - 2.0 * m12 * d12   # slope of det
-        dprod = d11 * m22 + m11 * d22                     # slope of m11 m22
+        d11, d12, d22, dlogdet = d
+        dprod = d11 * m22 + m11 * d22  # slope of m11 m22
     if kind == "D":
         value = det ** -0.5
         if d is not None:
-            slope = -0.5 * value * ddet / det
+            slope = -0.5 * value * dlogdet
     elif kind == "R":
         value = sqrt(m11 * m22) / det
         if d is not None:
-            slope = value * (0.5 * dprod / (m11 * m22) - ddet / det)
+            slope = value * (0.5 * dprod / (m11 * m22) - dlogdet)
     elif kind in ("R2", "CPB"):
         r2 = (m12 * m12) / (m11 * m22)
         value = r2 if kind == "R2" else sqrt(r2)
@@ -133,12 +133,12 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
         c1, c2 = spec.c  # type: ignore[misc]
         value = (c1 * c1 * m22 - 2.0 * c1 * c2 * m12 + c2 * c2 * m11) / det
         if d is not None:
-            slope = (c1 * c1 * d22 - 2.0 * c1 * c2 * d12 + c2 * c2 * d11 - value * ddet) / det
+            slope = (c1 * c1 * d22 - 2.0 * c1 * c2 * d12 + c2 * c2 * d11) / det - value * dlogdet
     elif kind == "SA":
         ref1, ref2 = spec.sa_refs  # type: ignore[misc]
         value = (m22 / det) / ref1 + (m11 / det) / ref2
         if d is not None:
-            slope = (d22 / ref1 + d11 / ref2 - value * ddet) / det
+            slope = (d22 / ref1 + d11 / ref2) / det - value * dlogdet
     elif kind == "EM":
         tr = m11 + m22
         disc = sqrt((m11 - m22) * (m11 - m22) + 4.0 * m12 * m12)
@@ -149,9 +149,8 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
         r_part = sqrt(m11 * m22) / det
         value = (1.0 - lam) * d_part / spec.phi_d_star + lam * r_part / spec.phi_r_star
         if d is not None:
-            slope = (-0.5 * (1.0 - lam) * d_part * ddet / det / spec.phi_d_star
-                     + lam * r_part * (0.5 * dprod / (m11 * m22) - ddet / det)
-                     / spec.phi_r_star)
+            slope = (-0.5 * (1.0 - lam) * d_part * dlogdet / spec.phi_d_star
+                     + lam * r_part * (0.5 * dprod / (m11 * m22) - dlogdet) / spec.phi_r_star)
     else:
         raise ValidationError(f"unknown criterion kind {kind!r}")
     return value, slope
@@ -267,27 +266,27 @@ def efficiency(kind: str, design: Design, design_star: Design, model: Model) -> 
 
 # --- directional derivatives -------------------------------------------------
 
-def _dd_arrays(m: InfoMatrix, F: np.ndarray, spec: CriterionSpec) -> np.ndarray:
-    """Directional derivative of the criterion toward one-point designs.
-
-    F has shape (n, 2) holding regressor values at the probe points.  The
-    derivative toward x is the slope of the criterion along f(x) f(x)^T - M,
-    taken from ``criterion_values_raw``, so only for the convex kinds: those
-    are the ones with an equivalence theorem.
-    """
+def _dd_of(model: Model, design: Design, spec: CriterionSpec):
+    """dd_of(F): the slopes along f f^T - M toward the one-point designs at regressor values F (n, 2), only for a
+    convex kind (one with an equivalence theorem); their slope of log det is f^T adj(M) f / det - 2, with
+    f^T adj(M) f = sum_i w_i (f_i x f)^2 over the support's regressors f_i, taken once."""
+    m, Fs = fim(model, design), np.asarray(model.regressor(design.xs), dtype=float)
     if m.is_singular:
         raise SingularDesignError("directional derivative needs a non-singular design")
-    f1, f2 = F[:, 0], F[:, 1]
-    toward_x = (f1 * f1 - m.m11, f1 * f2 - m.m12, f2 * f2 - m.m22)  # f f^T - M
-    # + 0.0 turns the -0.0 slope at an exact optimum into 0.0 and leaves the rest.
-    return criterion_values_raw(spec, m.m11, m.m12, m.m22, m.det, d=toward_x)[1] + 0.0
+
+    def dd_of(F: np.ndarray) -> np.ndarray:
+        f1, f2 = F[:, 0], F[:, 1]
+        adj = design.ws @ (np.multiply.outer(Fs[:, 0], f2) - np.multiply.outer(Fs[:, 1], f1)) ** 2
+        # + 0.0 turns the -0.0 slope at an exact optimum into 0.0 and leaves the rest.
+        return criterion_values_raw(spec, m.m11, m.m12, m.m22, m.det, d=(
+            f1 * f1 - m.m11, f1 * f2 - m.m12, f2 * f2 - m.m22, adj / m.det - 2.0))[1] + 0.0
+    return dd_of
 
 
 def directional_derivative(model: Model, design: Design, x: float, spec: CriterionSpec) -> float:
     """d phi[M(design), M(one-point at x)]; >= 0 everywhere iff design is optimal."""
-    m = fim(model, design)
     F = np.asarray(model.regressor(np.array([x], dtype=float)), dtype=float)
-    return float(_dd_arrays(m, F, spec)[0])
+    return float(_dd_of(model, design, spec)(F)[0])
 
 
 @dataclass(frozen=True)
@@ -320,8 +319,7 @@ def _sampled_report(model: Model, design: Design, dd_of) -> DerivativeReport:
 
 def derivative_report(model: Model, design: Design, spec: CriterionSpec) -> DerivativeReport:
     """Evaluate the directional derivative on the certificate grid plus the support."""
-    m = fim(model, design)
-    return _sampled_report(model, design, lambda F: _dd_arrays(m, F, spec))
+    return _sampled_report(model, design, _dd_of(model, design, spec))
 
 
 # --- vectorized raw-entry evaluation (optimizer hot path) ---------------------
@@ -334,13 +332,13 @@ def criterion_values_raw(spec: CriterionSpec, m11: np.ndarray, m12: np.ndarray, 
     The R2/CPB kinds also map singular to +inf here: in an optimizer a design
     whose correlation is undefined is simply inadmissible.
 
-    With a direction ``d = (d11, d12, d22)`` it returns ``(values, slopes)``,
+    With a direction ``d = (d11, d12, d22, dlogdet)`` it returns ``(values, slopes)``,
     the table's slopes along d, for a convex kind only; singular entries get a NaN slope.
     """
     if d is not None and not spec.is_convex:
         raise ValidationError(f"criterion {spec.kind} is not convex: no slope and no certificate")
     m11, m12, m22, det = (np.asarray(v, dtype=float) for v in (m11, m12, m22, det))  # 0-d: numpy's pow
-    singular = _is_singular(m11, m22, det)
+    singular = _is_singular(det)
     d = None if d is None else tuple(np.asarray(v, dtype=float) for v in d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals, slopes = _criterion(spec, m11, m12, m22, det, d)

@@ -1,25 +1,24 @@
 """Core data model: approximate designs, regression models, and 2x2 information matrices.
 
-An approximate design is a discrete probability measure on a one-dimensional
-design space [lo, hi]: support points x_i with weights w_i >= 0 summing to 1.
-Its information matrix is the weighted Gram matrix
+An approximate design is a discrete probability measure on a one-dimensional design space [lo, hi]:
+support points x_i with weights w_i >= 0 summing to 1.  Its information matrix is the weighted Gram matrix
 
     M = sum_i w_i f(x_i) f(x_i)^T,
 
-where f is the model's regressor (for nonlinear models, the gradient of the
-mean function at nominal parameters).  All models here have m = 2 parameters,
-so M is symmetric 2x2 and everything downstream works in closed form.
+where f is the model's regressor (for nonlinear models, the gradient of the mean function at nominal
+parameters).  All models here have m = 2 parameters, so M is symmetric 2x2 and everything downstream works
+in closed form.  All criteria are computed on the normalized matrix (noise variance 1, sample size 1);
+efficiencies and correlations are invariant to that common factor.
 
-All criteria are computed on the normalized matrix (noise variance 1, sample
-size 1); efficiencies and correlations are invariant to that common factor.
-
-Every type here is immutable after construction and every operation is a pure
-function, so unrestricted concurrent use is safe.
+One rounding rule decides singularity: only ``_cross`` forms a 2x2 cross product, and it sets one within
+its rounding bound to 0; det M, a sum of such squares (``_det``), is singular when it is not a positive
+normal float.  Every type here is immutable and every operation pure: concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,14 +26,19 @@ import numpy as np
 
 from .errors import OptimizationError, ValidationError
 
-# Tolerances, each relative to the scale it names: no floor, so the units of x and theta do not matter.
-MERGE_TOL = 1e-9         # times hi - lo
-SINGULARITY_TOL = 1e-12  # times m11 * m22
+MERGE_TOL = 1e-9  # times hi - lo: no floor, so the units of x do not matter
+EPS = sys.float_info.epsilon
 
 
-def _is_singular(m11, m22, det):
-    """det(M) <= SINGULARITY_TOL m11 m22, that is 1 - r^2 <= SINGULARITY_TOL, on floats or arrays."""
-    return det <= SINGULARITY_TOL * (m11 * m22)
+def _cross(p, q):
+    """The cross product f x g = p - q, p = f1 g2 and q = f2 g1, on floats or arrays: 0 within its rounding
+    bound 4 EPS (|p| + |q|) (Higham 2002, ch. 3), so parallel f and g give exactly 0 at any column scale."""
+    return (abs(c := p - q) > 4.0 * EPS * (abs(p) + abs(q))) * c
+
+
+def _is_singular(det):
+    """The package's one singularity rule, on floats or arrays: det M is not a positive normal float."""
+    return det < sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ class Model:
 @dataclass(frozen=True)
 class InfoMatrix:
     """Symmetric positive-semidefinite 2x2 information matrix and the det it was built with (``fim``'s
-    is Cauchy-Binet's); from entries alone it is m11 m22 - m12^2, the package's only cancelling det."""
+    is Cauchy-Binet's); from entries alone it is ``_cross(m11 m22, m12^2)``."""
 
     m11: float
     m12: float
@@ -122,13 +126,13 @@ class InfoMatrix:
 
     def __post_init__(self) -> None:
         if self.det is None:
-            object.__setattr__(self, "det", self.m11 * self.m22 - self.m12 * self.m12)
+            object.__setattr__(self, "det", _cross(self.m11 * self.m22, self.m12 * self.m12))
         vals = (self.m11, self.m12, self.m22)
         if not all(math.isfinite(v) for v in (*vals, self.det)):
             raise ValidationError(f"information matrix entries must be finite, got {vals}")
         if self.m11 < 0.0 or self.m22 < 0.0:
             raise ValidationError(f"diagonal of a Gram matrix cannot be negative: {vals}")
-        if self.det < -SINGULARITY_TOL * (self.m11 * self.m22):
+        if self.det < 0.0:
             raise ValidationError(f"matrix is not positive semidefinite: {vals}, det={self.det}")
 
     @property
@@ -138,7 +142,7 @@ class InfoMatrix:
     @property
     def is_singular(self) -> bool:
         """The package's one singularity test; see ``_is_singular``."""
-        return bool(_is_singular(self.m11, self.m22, self.det))
+        return bool(_is_singular(self.det))
 
 
 def make_design(pairs: Sequence[tuple[float, float]], space: DesignSpace) -> Design:
@@ -187,9 +191,9 @@ def make_design(pairs: Sequence[tuple[float, float]], space: DesignSpace) -> Des
 
 def _det(F: np.ndarray, W: np.ndarray) -> np.ndarray:
     """det of sum_i w_i f_i f_i^T for the regressors F (n, k, 2) and weights W (n, k), by Cauchy-Binet:
-    sum over point pairs i < j of w_i w_j (f_i x f_j)^2, f x g = f1 g2 - f2 g1, a sum of squares that
-    does not cancel, so a rank-one matrix (f = 0, or parallel f) gets exactly 0."""
-    return sum((W[:, i] * W[:, j] * (F[:, i, 0] * F[:, j, 1] - F[:, i, 1] * F[:, j, 0]) ** 2
+    sum over point pairs i < j of w_i w_j (f_i x f_j)^2 by ``_cross``, a sum of squares that does not
+    cancel, so a rank-one matrix (f = 0, or parallel f) gets exactly 0."""
+    return sum((W[:, i] * W[:, j] * _cross(F[:, i, 0] * F[:, j, 1], F[:, i, 1] * F[:, j, 0]) ** 2
                 for i in range(F.shape[1]) for j in range(i + 1, F.shape[1])), np.zeros(len(F)))
 
 

@@ -44,7 +44,7 @@ from .criteria import (
     criterion_values_raw,
     derivative_report,
 )
-from .designs import Design, Model, fim, fim_entries, make_design
+from .designs import EPS, Design, Model, _cross, _is_singular, fim, fim_entries, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
 from .slr import _fmt
@@ -55,7 +55,6 @@ STAGE1_GRID = 33          # coarse-grid points whose pairs stage 1 weighs
 FIRST_MOVE_REL = 1 / 200   # first trial move of the polish, relative to the width
 XTOL_REL = 1e-9            # support-point tolerance of the polish, relative to the width
 ELFVING_GRID = 400         # grid on which c_optimal and _disk_optimal find their supports
-EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -186,18 +185,20 @@ def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float, W0: np.ndarray | 
     """Optimal weights (n, 2), values (n,) and, given the x-derivatives dF, slopes (n, 2) in both points of n
     two-point supports with regressor values F (n, 2, 2).
 
-    At masses (w, u), w + u = 1, on the points a and b the matrix is w Oa + u Ob,
-    O the outer products, with det w u (f_a x f_b)^2 (Cauchy-Binet); the masses
-    0 and 1 are one-point designs, singular.  A pair takes its ``_SPLIT_WEIGHT``
-    split, each mass its own quotient, so a minor one survives beside 1, or R's
-    ``_r_mass``, kept tol/2 inside (0, 1) as a secant's bracket keeps it;
-    otherwise ``_zero_slope`` drives the slope along Oa - Ob to 0 from the
-    weights W0 (default 1/2 each).  Point j's slope is along w_j (f' f^T + f f'^T)(x_j).
+    At masses (w, u), w + u = 1, on the points a and b the matrix is w Oa + u Ob, O the outer products, with
+    det w u (f_a x f_b)^2 (Cauchy-Binet); the masses 0 and 1 are one-point designs, singular.  A pair takes its
+    ``_SPLIT_WEIGHT`` split, each mass its own quotient, so a minor one survives beside 1, or R's ``_r_mass``,
+    kept tol/2 inside (0, 1) as a secant's bracket keeps it; otherwise ``_zero_slope`` drives the slope along
+    Oa - Ob, where log det has the slope (u - w) / (w u), to 0 from the weights W0 (default 1/2 each).  Point j's
+    slope is along w_j (f' f^T + f f'^T)(x_j), where log det has the slope 2 (f_j' x f_k) / (f_j x f_k), k the
+    other point: each slope of log det is a quotient of cross products, free of the entries' cancellation.
     """
     Oa, Ob = _outer3(F[:, 0]).T, _outer3(F[:, 1]).T  # (3, n): m11, m12, m22
-    cross2, n = (F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]) ** 2, len(F)
+    cross, n = _cross(F[:, 0, 0] * F[:, 1, 1], F[:, 0, 1] * F[:, 1, 0]), len(F)
+    with np.errstate(over="ignore"):
+        cross2 = cross * cross
 
-    def values(rows, w: np.ndarray, u: np.ndarray, d: np.ndarray | None = None):
+    def values(rows, w: np.ndarray, u: np.ndarray, d: tuple | None = None):
         return criterion_values_raw(spec, *(w * Oa[:, rows] + u * Ob[:, rows]), w * u * cross2[rows], d=d)
 
     V = None  # the secant's values
@@ -209,7 +210,7 @@ def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float, W0: np.ndarray | 
                       where=g.any(0))
     else:
         def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
-            return (*values(rows, w, 1.0 - w, d=Oa[:, rows] - Ob[:, rows]), None)
+            return (*values(rows, w, u := 1.0 - w, d=(*(Oa[:, rows] - Ob[:, rows]), (u - w) / (w * u))), None)
 
         w0 = np.full(n, 0.5) if W0 is None else W0[:, 0]
         w, V, _ = _zero_slope(evaluate, np.zeros(n), np.ones(n), w0, np.where(w0 <= 0.5, w0 + 1e-6, w0 - 1e-6),
@@ -220,8 +221,9 @@ def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float, W0: np.ndarray | 
     if dF is None:
         return W.T, values(slice(None), *W) if V is None else V
     f, df = F.transpose(2, 1, 0), dF.transpose(2, 1, 0)  # (coordinate, point, row)
-    U, S = values(slice(None), *W, d=W * np.stack([2.0 * f[0] * df[0], f[0] * df[1] + f[1] * df[0],
-                                                   2.0 * f[1] * df[1]]))
+    d = W * np.stack([2.0 * f[0] * df[0], f[0] * df[1] + f[1] * df[0], 2.0 * f[1] * df[1]])
+    with np.errstate(divide="ignore", invalid="ignore"):  # cross = 0: singular
+        U, S = values(slice(None), *W, d=(*d, 2.0 * (df[0] * f[1, ::-1] - df[1] * f[0, ::-1]) / [cross, -cross]))
     return W.T, U if V is None else V, S.T
 
 
@@ -465,8 +467,7 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
         # gamma c = sum_k w_k s_k f(x_k) with the w_k summing to 1: w / gamma by Cramer's rule, free of the
         # cancellation in det M of a narrow support.  f(x_k) parallel to rounding: f has rank one, c no estimate.
         (g11, g12), (g21, g22) = S[:, None] * Fx
-        det = g11 * g22 - g12 * g21
-        if abs(det) <= 4.0 * EPS * (abs(g11 * g22) + abs(g12 * g21)):
+        if (det := _cross(g11 * g22, g12 * g21)) == 0.0:
             raise OptimizationError("c is inestimable under every candidate design")
         w = np.clip(np.array([c1 * g22 - c2 * g21, g11 * c2 - g12 * c1]) / det, 0.0, None)
         gamma, w = 1.0 / float(np.sum(w)), w / np.sum(w)
@@ -475,7 +476,10 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     try:
         value = gamma**-2
     except OverflowError:
-        raise OptimizationError(f"the c-optimal value 1/gamma^2 overflows a float (gamma = {gamma:.3g})") from None
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise OptimizationError(f"the c-optimal value 1/gamma^2 {'overflows' if value else 'underflows'} a float "
+                                f"(gamma = {gamma:.3g})")
     design, u = make_design(list(zip(x.tolist(), w.tolist())), space), along + t * across
     report = _sampled_report(model, design, lambda F: value * (1.0 - ((F @ u) / gamma) ** 2) + 0.0)
     return COptimalResult(design, value, report, report.passes(value), n_evals, (float(u[0]), float(u[1])), gamma)
@@ -490,7 +494,7 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
     otherwise EM, and R2 and CPB if the ends' f1 f2 share a sign, take phi_min's end and the root of f(x_a)^T f(x).
     ``_SPLIT_WEIGHT`` weighs the chord (EM: at its midpoint), unclipped; an end at f -> 0 stops XTOL_REL widths off."""
     (grid, F), n_evals = _fim_grid(model, ELFVING_GRID), 0
-    idx = np.flatnonzero(np.sum(F * F, axis=1) ** 2 >= np.finfo(float).tiny)
+    idx = np.flatnonzero(~_is_singular(np.sum(F * F, axis=1) ** 2))
     if not len(idx):
         raise OptimizationError("no admissible (non-singular) design found on the grid")
     phi = np.unwrap(np.arctan2(F[idx] @ [-F[idx[0], 1], F[idx[0], 0]], F[idx] @ F[idx[0]]))
@@ -502,7 +506,7 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
         n_evals += len(rows)
         Fx, dFx = _regress(model, x)
         rate = (1 - 2 * rows) * (Fx[:, 0] * dFx[:, 1] - Fx[:, 1] * dFx[:, 0])
-        return 0.0 * x, np.where(np.sum(Fx * Fx, axis=1) ** 2 < np.finfo(float).tiny, np.nan, rate), None
+        return 0.0 * x, np.where(_is_singular(np.sum(Fx * Fx, axis=1) ** 2), np.nan, rate), None
 
     lo, hi, far = grid[np.maximum(ends - 1, 0)], grid[np.minimum(ends + 1, len(grid) - 1)], grid[ends[::-1]]
     x = _zero_slope(evaluate, np.minimum(lo, far), np.maximum(hi, far), lo, hi, XTOL_REL * model.space.width)[0]

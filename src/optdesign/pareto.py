@@ -89,7 +89,7 @@ def _sample(model: Model, n: int, seed: int,
         xs = np.stack([np.minimum(x1, x2), np.maximum(x1, x2)], 1)
         ws = np.stack([np.where(swap, wb, wa), np.where(swap, wa, wb)], 1)
         m11, m12, m22, det = fim_entries(model, xs, ws)
-        ok = ~_is_singular(m11, m22, det)
+        ok = ~_is_singular(det)
         if not ok.any():
             raise OptimizationError(
                 f"no admissible (non-singular) two-point design in {_MIN_BLOCK} random draws "
@@ -122,7 +122,7 @@ def _head_criteria(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray, det: np.nd
     an object array of Python floats, so that its power is C pow as in phi_d:
     numpy's may differ by an ulp.
     """
-    if np.any(_is_singular(m11, m22, det)):
+    if np.any(_is_singular(det)):
         raise SingularDesignError("correlation is undefined for a singular information matrix")
     return (_criterion(_D, m11, m12, m22, det.astype(object))[0].astype(float),
             criterion_values_raw(_R, m11, m12, m22, det), criterion_values_raw(_R2, m11, m12, m22, det))

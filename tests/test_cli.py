@@ -484,7 +484,17 @@ def test_c_optimal_value_beyond_float_range_is_an_error(capsys, argv):
     assert err.startswith("optdesign: ") and "overflows" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [("--criterion", "SA"), ("--criterion", "C", "--c", "0,1")])
+def test_c_optimal_value_below_float_range_is_an_error(capsys, argv):
+    # 1/gamma^2 underflows to 0 for c = (0, 1) at V = 1e200: one line naming the underflow, not a usage
+    # error for a valid input.
+    code, out, err = run(capsys, "optimal", "--model", "mm", "--b", "5", "--eps", "0.5", "--V", "1e200", *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("optdesign: ") and "underflows" in err and len(err.splitlines()) == 1
+
+
 BIG_SLR = ("--model", "slr", "--a", "-1e200", "--b", "1e200")
+FAR_SLR = ("--model", "slr", "--a", "-1e154", "--b", "1e154")
 
 
 @pytest.mark.filterwarnings("error")
@@ -496,10 +506,12 @@ BIG_SLR = ("--model", "slr", "--a", "-1e200", "--b", "1e200")
     ("optimal", *BIG_SLR, "--criterion", "D"),
     ("optimal", *BIG_SLR, "--criterion", "EM"),
     ("pareto", "--model", "mm", "--b", "5", "--eps", "0.5", "--V", "1e200", "--n", "50"),
+    *(("optimal", *FAR_SLR, "--criterion", *kind) for kind in (("D",), ("R",), ("COMPOUND", "--lam", "0.5"))),
 ])
 def test_information_matrix_beyond_float_range_is_an_error(capsys, tmp_path, argv):
-    # x^2 overflows on SLR [-1e200, 1e200], as V^2 does on MM: one line naming the overflow,
-    # with no numpy warning, not a usage error for a valid input.
+    # x^2 overflows on SLR [-1e200, 1e200], as V^2 does on MM, and on SLR [-1e154, 1e154] a wide pair's
+    # squared cross product (x_b - x_a)^2 does: one line naming the overflow, with no numpy warning, not a
+    # usage error for a valid input.
     design = tmp_path / "big.json"
     design.write_text(json.dumps({"points": [{"x": -1e200, "w": 0.5}, {"x": 1e200, "w": 0.5}],
                                   "space": {"lo": -1e200, "hi": 1e200}}))

@@ -402,13 +402,15 @@ class TestRawSlopes:
     H = 3e-6  # central finite-difference step
 
     def sample(self, n=200):
+        # Directions d = (d11, d12, d22, slope of log det), the last formed from the entries, as the reference.
         rng = np.random.default_rng(17)
         A = rng.normal(size=(n, 2, 2))
         M = A @ np.transpose(A, (0, 2, 1)) + 0.2 * np.eye(2)  # det >= 0.04
-        return with_det(M[:, 0, 0], M[:, 0, 1], M[:, 1, 1]), rng.normal(size=(3, n))
+        (m11, m12, m22, det), d = with_det(M[:, 0, 0], M[:, 0, 1], M[:, 1, 1]), rng.normal(size=(3, n))
+        return (m11, m12, m22, det), np.vstack([d, (d[0] * m22 + m11 * d[2] - 2.0 * m12 * d[1]) / det])
 
     def shifted(self, spec, m, d, h):
-        return criterion_values_raw(spec, *with_det(*(mi + h * di for mi, di in zip(m, d))))
+        return criterion_values_raw(spec, *with_det(*(mi + h * di for mi, di in zip(m[:3], d[:3]))))
 
     @pytest.mark.parametrize("spec", SLOPE_SPECS, ids=lambda s: s.kind)
     def test_slope_matches_finite_difference(self, spec):
@@ -440,8 +442,8 @@ class TestRawSlopes:
         assert np.all(criterion_values_raw(spec, *m) == np.inf)
         if not spec.is_convex:
             with pytest.raises(ValidationError, match="is not convex"):
-                criterion_values_raw(spec, *m, d=np.ones((3, 3)))
+                criterion_values_raw(spec, *m, d=np.ones((4, 3)))
             return
-        values, slopes = criterion_values_raw(spec, *m, d=np.ones((3, 3)))
+        values, slopes = criterion_values_raw(spec, *m, d=np.ones((4, 3)))
         assert np.all(values == np.inf)
         assert np.all(np.isnan(slopes))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -156,16 +157,24 @@ class TestInfoMatrix:
             InfoMatrix(-1.0, 0.0, 1.0)
 
     def test_singularity_is_one_predicate_on_floats_and_arrays(self):
-        # Rows at, just above and just below det = 1e-12 m11 m22, at any scale.
+        # M is singular when det M is not a positive normal float, at any scale: a Cauchy-Binet det with
+        # 1 - r^2 down to 1e-15 is not, a subnormal det is, and entries of rank one give det exactly 0.
         rng = np.random.default_rng(5)
         m11, m22 = 10.0 ** rng.uniform(-8, 8, (2, 3000))
-        rel = np.repeat([0.0, 1e-12, 2e-12, 0.5e-12, 1e-3], 600)
+        rel = np.repeat([0.0, 1e-15, 1e-12, 1e-3, 0.5], 600)
         det = rel * (m11 * m22)
         m12 = np.sqrt(m11 * m22 - det)
-        flags = _is_singular(m11, m22, det)
-        assert np.array_equal(flags, rel <= 1e-12)
+        flags = _is_singular(det)
+        assert np.array_equal(flags, rel == 0.0)
         for row, flag in zip(zip(m11.tolist(), m12.tolist(), m22.tolist(), det.tolist()), flags.tolist()):
             assert InfoMatrix(*row).is_singular is flag
+        tiny = sys.float_info.min
+        dets = [-tiny, 0.0, 5e-324, 0.5 * tiny, tiny, 1.0]
+        assert _is_singular(np.array(dets)).tolist() == [True, True, True, True, False, False]
+        assert [InfoMatrix(1.0, 0.0, 1.0, det).is_singular for det in dets[1:]] == [True, True, True, False, False]
+        f1, f2 = rng.normal(size=(2, 3000)) * 10.0 ** rng.uniform(-8, 8, (2, 3000))
+        rank_one = [InfoMatrix(*row) for row in zip((f1 * f1).tolist(), (f1 * f2).tolist(), (f2 * f2).tolist())]
+        assert all(m.det == 0.0 and m.is_singular for m in rank_one)
 
     def test_singularity_is_free_of_scale(self):
         # Rescaling theta by diag(s1, s2) maps M to S M S: 1 - r^2 is unchanged, and so is the verdict.

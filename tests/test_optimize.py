@@ -322,10 +322,14 @@ class TestGoldenMass:
     @staticmethod
     def on_line(spec, F, w, d=None):
         # Criterion values at mass w on the first point of each pair: w Oa + (1 - w) Ob, with its
-        # Cauchy-Binet det w (1 - w) (f_a x f_b)^2.
+        # Cauchy-Binet det w (1 - w) (f_a x f_b)^2.  A direction's slope of log det, the kernel's
+        # 4th entry of d, is formed here from the entries, as the reference.
         Oa, Ob = _outer3(F[:, 0]).T[:, :, None], _outer3(F[:, 1]).T[:, :, None]
         cross2 = ((F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]) ** 2)[:, None]
-        return criterion_values_raw(spec, *(Ob + w * (Oa - Ob)), w * (1.0 - w) * cross2, d=d)
+        m, det = Ob + w * (Oa - Ob), w * (1.0 - w) * cross2
+        with np.errstate(divide="ignore", invalid="ignore"):  # the masses 0 and 1 are singular
+            d = None if d is None else (*d, (d[0] * m[2] + m[0] * d[2] - 2.0 * m[1] * d[1]) / det)
+        return criterion_values_raw(spec, *m, det, d=d)
 
     def secant(self, spec, F):
         # The slope-zeroing secant that weighs COMPOUND, here with the masses 0 and 1 open to it.
@@ -545,10 +549,12 @@ def test_point_slopes_are_the_kernels_on_fim_entries(model_name, kind):
     X = np.sort(np.random.default_rng(20261019).uniform(space.lo, space.hi, (40, 2)), axis=1)
     F, dF = (np.asarray(g(X), dtype=float) for g in (model.regressor, model.regressor_dx))
     W, V, S = _best_mass(spec, F, 1e-10, dF=dF)
-    entries = fim_entries(model, X, W)
+    entries = m11, m12, m22, det = fim_entries(model, X, W)
     for j in range(2):
         f, g = F[:, j].T, dF[:, j].T
-        d = W[:, j] * np.stack([2.0 * f[0] * g[0], f[0] * g[1] + f[1] * g[0], 2.0 * f[1] * g[1]])
+        d11, d12, d22 = W[:, j] * np.stack([2.0 * f[0] * g[0], f[0] * g[1] + f[1] * g[0], 2.0 * f[1] * g[1]])
+        # The slope of log det from the entries, as the reference for the mass solve's cross products.
+        d = (d11, d12, d22, (d11 * m22 + m11 * d22 - 2.0 * m12 * d12) / det)
         values, slopes = criterion_values_raw(spec, *entries, d=d)
         assert np.allclose(values, V, rtol=1e-12, atol=0.0)
         assert np.allclose(S[:, j], slopes, rtol=1e-11, atol=1e-12 * np.abs(V).max() / space.width)
@@ -610,6 +616,27 @@ def test_slr_two_point_matches_closed_forms(a, width, kind, log_scale):
     else:
         assert res.label == "certified"
         assert math.isclose(res.criterion_value, expected, rel_tol=1e-12, abs_tol=0.0)
+
+
+@given(log_ratio=st.floats(3.0, 9.0), log_width=st.floats(-3.0, 3.0), sign=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=30, deadline=None)
+@example(log_ratio=6.0, log_width=0.0, sign=1.0)  # [1e6, 1e6 + 1], the benchmark's far SLR space
+@example(log_ratio=9.0, log_width=-3.0, sign=-1.0)
+def test_far_slr_is_solved_and_certified(log_ratio, log_width, sign):
+    # [a, a + w] with |a| / w from 1e3 to 1e9: 1 - r^2 is as small as 1e-19 on every design, yet the
+    # Cauchy-Binet det is exact and every slope of det comes from cross products.
+    width = 10.0 ** log_width
+    a = sign * 10.0 ** log_ratio * width
+    iv, model = SlrInterval(a, a + width), slr_model(DesignSpace(a, a + width))
+    for kind, closed in (("D", d_optimal_slr), ("R", r_optimal_slr), ("R2", r2_optimal_slr)):
+        res = optimize_design(model, CriterionSpec(kind))
+        expected = criterion_value(fim(model, closed(iv)), CriterionSpec(kind))
+        if kind == "R2":
+            assert abs(res.criterion_value - expected) <= 1e-12
+        else:
+            assert res.label == "certified"
+            assert math.isclose(res.criterion_value, expected, rel_tol=1e-12, abs_tol=0.0)
+    assert optimize_design(model, CriterionSpec("SA", sa_refs=sa_references(model))).label == "certified"
 
 
 @given(log_v=st.floats(-6.0, 6.0), log_k=st.floats(-6.0, 6.0), b=st.floats(1.0, 10.0),
