@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .designs import Design, InfoMatrix, Model, _is_singular, fim
+from .designs import Design, InfoMatrix, Model, _cross, _fim_of, _is_singular, fim
 from .errors import SingularDesignError, ValidationError
 
 CONVEX_KINDS = frozenset({"D", "R", "C", "SA", "COMPOUND"})
@@ -67,7 +67,7 @@ class CriterionSpec:
     """Selects one criterion together with its parameters.
 
     kind: one of D, R, R2, C, SA, EM, CPB, COMPOUND.
-      C        needs ``c`` (nonzero 2-vector).
+      C        needs ``c`` (nonzero finite 2-vector).
       SA       needs ``sa_refs`` (the two positive c-optimal reference values).
       COMPOUND needs ``lam`` in [0, 1] plus positive ``phi_d_star``/``phi_r_star``.
     """
@@ -201,32 +201,17 @@ def correlation(m: InfoMatrix) -> float:
 
 
 def phi_c(m: InfoMatrix, c: Sequence[float]) -> float:
-    """Generalized variance c^T M^- c.
+    """Generalized variance c^T M^- c, c checked by ``CriterionSpec``.
 
-    Non-singular M: plain inverse.  Singular M: the pseudo-inverse value when
-    c^T theta is estimable (c in the column space of M), else +inf.
+    Non-singular M: the table's value.  Singular M: c^T theta is estimable iff c lies in the range of M
+    (Pukelsheim 2006, ch. 2), spanned by its larger column u when tr M > 0, that is iff ``_cross`` sets
+    c x u to 0; M is then tr M times the projection on u, so the value is |c|^2 / tr M.  Else +inf.
     """
-    c1, c2 = float(c[0]), float(c[1])
-    if c1 == 0.0 and c2 == 0.0:
-        raise ValidationError("c must be nonzero")
+    spec = CriterionSpec("C", c=tuple(map(float, c)))
     if not m.is_singular:
-        return _criterion(CriterionSpec("C", c=(c1, c2)), m.m11, m.m12, m.m22, m.det)[0]
-    t = m.trace
-    if t <= 0.0:
-        return math.inf
-    # Rank-1 PSD: M = t * u u^T with |u| = 1; u follows the dominant column.
-    if m.m11 >= m.m22:
-        u1, u2 = m.m11, m.m12
-    else:
-        u1, u2 = m.m12, m.m22
-    nrm = math.hypot(u1, u2)
-    if nrm == 0.0:
-        return math.inf
-    u1, u2 = u1 / nrm, u2 / nrm
-    cross = c1 * u2 - c2 * u1
-    if abs(cross) > 1e-9 * math.hypot(c1, c2):
-        return math.inf  # c not in the column space: not estimable
-    return (c1 * u1 + c2 * u2) ** 2 / t
+        return _criterion(spec, m.m11, m.m12, m.m22, m.det)[0]
+    (c1, c2), (u1, u2) = spec.c, (m.m11, m.m12) if m.m11 >= m.m22 else (m.m12, m.m22)
+    return (c1 * c1 + c2 * c2) / m.trace if m.trace > 0.0 and _cross(c1 * u2, c2 * u1) == 0.0 else math.inf
 
 
 def phi_sa(m: InfoMatrix, ref1: float, ref2: float) -> float:
@@ -266,27 +251,25 @@ def efficiency(kind: str, design: Design, design_star: Design, model: Model) -> 
 
 # --- directional derivatives -------------------------------------------------
 
-def _dd_of(model: Model, design: Design, spec: CriterionSpec):
-    """dd_of(F): the slopes along f f^T - M toward the one-point designs at regressor values F (n, 2), only for a
-    convex kind (one with an equivalence theorem); their slope of log det is f^T adj(M) f / det - 2, with
-    f^T adj(M) f = sum_i w_i (f_i x f)^2 over the support's regressors f_i, taken once."""
-    m, Fs = fim(model, design), np.asarray(model.regressor(design.xs), dtype=float)
+def _dd(spec: CriterionSpec, design: Design, F: np.ndarray, Fs: np.ndarray) -> np.ndarray:
+    """The slopes along f f^T - M toward the one-point designs at regressor values F (n, 2), M formed by
+    ``fim``'s own operations from the support's regressors Fs (k, 2), only for a convex kind (one with an
+    equivalence theorem); their slope of log det is f^T adj(M) f / det - 2, with f^T adj(M) f =
+    sum_i w_i (f_i x f)^2."""
+    m = InfoMatrix(*(float(v[0]) for v in _fim_of(Fs[None], design.xs[None], design.ws[None])))
     if m.is_singular:
         raise SingularDesignError("directional derivative needs a non-singular design")
-
-    def dd_of(F: np.ndarray) -> np.ndarray:
-        f1, f2 = F[:, 0], F[:, 1]
-        adj = design.ws @ (np.multiply.outer(Fs[:, 0], f2) - np.multiply.outer(Fs[:, 1], f1)) ** 2
-        # + 0.0 turns the -0.0 slope at an exact optimum into 0.0 and leaves the rest.
-        return criterion_values_raw(spec, m.m11, m.m12, m.m22, m.det, d=(
-            f1 * f1 - m.m11, f1 * f2 - m.m12, f2 * f2 - m.m22, adj / m.det - 2.0))[1] + 0.0
-    return dd_of
+    f1, f2 = F[:, 0], F[:, 1]
+    adj = design.ws @ (np.multiply.outer(Fs[:, 0], f2) - np.multiply.outer(Fs[:, 1], f1)) ** 2
+    # + 0.0 turns the -0.0 slope at an exact optimum into 0.0 and leaves the rest.
+    return criterion_values_raw(spec, m.m11, m.m12, m.m22, m.det, d=(
+        f1 * f1 - m.m11, f1 * f2 - m.m12, f2 * f2 - m.m22, adj / m.det - 2.0))[1] + 0.0
 
 
 def directional_derivative(model: Model, design: Design, x: float, spec: CriterionSpec) -> float:
     """d phi[M(design), M(one-point at x)]; >= 0 everywhere iff design is optimal."""
-    F = np.asarray(model.regressor(np.array([x], dtype=float)), dtype=float)
-    return float(_dd_of(model, design, spec)(F)[0])
+    F = np.asarray(model.regressor(np.concatenate([[float(x)], design.xs])), dtype=float)
+    return float(_dd(spec, design, F[:1], F[1:])[0])
 
 
 @dataclass(frozen=True)
@@ -308,18 +291,19 @@ class DerivativeReport:
 
 
 def _sampled_report(model: Model, design: Design, dd_of) -> DerivativeReport:
-    """``dd_of(F)`` at the regressors F of a ``CERTIFICATE_GRID``-point grid plus the support,
-    each point once (np.unique's grid, without the numpy.ma import it costs on first use)."""
+    """``dd_of(F, Fs)`` at the regressors F of a ``CERTIFICATE_GRID``-point grid plus the support, each point
+    once (np.unique's grid, without the numpy.ma import it costs on first use), Fs the support's rows of F."""
     grid = np.sort(np.concatenate([model.space.grid(CERTIFICATE_GRID), design.xs]))
     grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
-    dd = dd_of(np.asarray(model.regressor(grid), dtype=float))
+    F = np.asarray(model.regressor(grid), dtype=float)
+    dd = dd_of(F, F[np.searchsorted(grid, design.xs)])
     k = int(np.argmin(dd))
     return DerivativeReport(tuple(grid.tolist()), tuple(dd.tolist()), float(dd[k]), float(grid[k]))
 
 
 def derivative_report(model: Model, design: Design, spec: CriterionSpec) -> DerivativeReport:
-    """Evaluate the directional derivative on the certificate grid plus the support."""
-    return _sampled_report(model, design, _dd_of(model, design, spec))
+    """Evaluate the directional derivative on the certificate grid plus the support, in one regressor call."""
+    return _sampled_report(model, design, lambda F, Fs: _dd(spec, design, F, Fs))
 
 
 # --- vectorized raw-entry evaluation (optimizer hot path) ---------------------

@@ -10,9 +10,11 @@ parameters).  All models here have m = 2 parameters, so M is symmetric 2x2 and e
 in closed form.  All criteria are computed on the normalized matrix (noise variance 1, sample size 1);
 efficiencies and correlations are invariant to that common factor.
 
-One rounding rule decides singularity: only ``_cross`` forms a 2x2 cross product, and it sets one within
-its rounding bound to 0; det M, a sum of such squares (``_det``), is singular when it is not a positive
-normal float.  Every type here is immutable and every operation pure: concurrent use is safe.
+One rounding rule decides singularity: only ``_cross`` sets a 2x2 cross product to 0 within its rounding
+bound.  The slopes formed per evaluation (the certificate's, the polish's, ``_disk_optimal``'s rate and
+``c_optimal``'s Cramer numerators) take theirs as plain products and set none to 0.  det M, a sum of
+``_cross`` squares (``_det``), is singular when it is not a positive normal float.  Every type here is
+immutable and every operation pure: concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -199,20 +201,20 @@ def _det(F: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def fim_entries(model: Model, xs: np.ndarray, ws: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Entries (m11, m12, m22) and det of the information matrices of n k-point designs.
-
-    Row i of xs (n, k) holds the support points of design i and row i of ws
-    its weights.  One regressor call covers every point; each matrix is the
-    product (F w)^T F of one stacked matmul, with m12 = (G12 + G21) / 2, and its
-    det ``_det``'s, so a row's values are bit for bit those of :func:`fim` on it.
-    An entry or det that overflows a float raises OptimizationError.
-    """
+    """Entries (m11, m12, m22) and det of the information matrices of n k-point designs: row i of xs (n, k)
+    holds design i's support points and row i of ws its weights.  One regressor call covers every point, and
+    ``_fim_of`` forms the matrices, so a row's values are bit for bit those of :func:`fim` on it."""
     n, k = xs.shape
-    flat = xs.reshape(-1)
-    F = np.asarray(model.regressor(flat), dtype=float)
+    F = np.asarray(model.regressor(xs.reshape(-1)), dtype=float)
     if F.shape != (n * k, 2):
         raise ValidationError(f"regressor returned shape {F.shape}, expected ({n * k}, 2)")
-    F = F.reshape(n, k, 2)
+    return _fim_of(F.reshape(n, k, 2), xs, ws)
+
+
+def _fim_of(F: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``fim_entries`` from the regressor values F (n, k, 2) at the supports xs (n, k): each matrix is the
+    product (F w)^T F of one stacked matmul, with m12 = (G12 + G21) / 2, and its det ``_det``'s.  An entry
+    or det that overflows a float raises OptimizationError."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = np.matmul((F * ws[:, :, None]).transpose(0, 2, 1), F)
         m12, det = 0.5 * (G[:, 0, 1] + G[:, 1, 0]), _det(F, ws)

@@ -187,11 +187,12 @@ def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float, W0: np.ndarray | 
 
     At masses (w, u), w + u = 1, on the points a and b the matrix is w Oa + u Ob, O the outer products, with
     det w u (f_a x f_b)^2 (Cauchy-Binet); the masses 0 and 1 are one-point designs, singular.  A pair takes its
-    ``_SPLIT_WEIGHT`` split, each mass its own quotient, so a minor one survives beside 1, or R's ``_r_mass``,
-    kept tol/2 inside (0, 1) as a secant's bracket keeps it; otherwise ``_zero_slope`` drives the slope along
-    Oa - Ob, where log det has the slope (u - w) / (w u), to 0 from the weights W0 (default 1/2 each).  Point j's
-    slope is along w_j (f' f^T + f f'^T)(x_j), where log det has the slope 2 (f_j' x f_k) / (f_j x f_k), k the
-    other point: each slope of log det is a quotient of cross products, free of the entries' cancellation.
+    ``_SPLIT_WEIGHT`` split, each mass its own quotient, so a minor one survives beside 1, raised where needed
+    (and possible) to a mass whose det is a normal float, or R's ``_r_mass``, kept tol/2 inside (0, 1) as a
+    secant's bracket keeps it; otherwise ``_zero_slope`` drives the slope along Oa - Ob, where log det has the
+    slope (u - w) / (w u), to 0 from the weights W0 (default 1/2 each).  Point j's slope is along
+    w_j (f' f^T + f f'^T)(x_j), where log det has the slope 2 (f_j' x f_k) / (f_j x f_k), k the other point:
+    each slope of log det is a quotient of cross products, free of the entries' cancellation.
     """
     Oa, Ob = _outer3(F[:, 0]).T, _outer3(F[:, 1]).T  # (3, n): m11, m12, m22
     cross, n = _cross(F[:, 0, 0] * F[:, 1, 1], F[:, 0, 1] * F[:, 1, 0]), len(F)
@@ -205,9 +206,12 @@ def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float, W0: np.ndarray | 
     if spec.kind == "R":
         W = _r_mass(Oa, Ob)
     elif (split := _SPLIT_WEIGHT.get(spec.kind)) is not None:
-        g = np.stack([split(spec, *Ob), split(spec, *Oa)])  # (g_b, g_a); zero or subnormal: EPS^2 times the other
-        W = np.divide(np.where(g >= np.finfo(float).tiny, g, EPS * EPS * g[::-1]), g.sum(0), out=np.full((2, n), 0.5),
-                      where=g.any(0))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # g beyond the float range: NaN masses
+            g = np.stack([split(spec, *Ob), split(spec, *Oa)])  # (g_b, g_a); zero or subnormal: EPS^2 the other
+            W = np.divide(np.where(g >= np.finfo(float).tiny, g, EPS * EPS * g[::-1]), g.sum(0),
+                          out=np.full((2, n), 0.5), where=g.any(0))
+            least = 2.0 * np.finfo(float).tiny / cross2  # a minor mass w at which det w u cross2 (u >= 1/2) is normal
+            W = np.where(least <= 0.5, np.clip(W, least, 1.0 - least), W)
     else:
         def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
             return (*values(rows, w, u := 1.0 - w, d=(*(Oa[:, rows] - Ob[:, rows]), (u - w) / (w * u))), None)
@@ -356,7 +360,8 @@ def _result(model: Model, spec: CriterionSpec, xs: Sequence[float], ws: Sequence
     m = fim(model, design)
     value = criterion_value(m, spec)
     if not math.isfinite(value):
-        raise OptimizationError("no admissible (non-singular) design found on the grid")
+        raise OptimizationError("no admissible (non-singular) design found on the grid" if m.is_singular else
+                                f"criterion {spec.kind} overflows a float on the design {design.points}")
     if spec.is_convex:
         report = derivative_report(model, design, spec)
         return OptimizeResult(design, value, report, report.passes(value), iterations)
@@ -414,18 +419,18 @@ def _root(model: Model, u: np.ndarray, bracket: np.ndarray) -> np.ndarray:
 
 
 def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
-    """Design minimizing c^T M^- c, by Elfving's theorem (Elfving 1952; Pukelsheim 2006,
-    ch. 2): the least value is 1/gamma^2, gamma the least over u with u^T c = 1 of
-    max_x |u^T f(x)|, convex in t along u = c/|c|^2 + t c_perp.  ``_grid_dual``'s two
-    active lines name the support.  Points apart are polished to local maxima of s u^T f
-    and t moved to where their lines cross, until they stand still; the weights solve
-    gamma c = sum_k w_k s_k f(x_k).  Neighbours of one sign straddle the one point where
-    f is parallel to c, the optimum only if no non-singular design ties it.  The report
-    is c^T M^- c (1 - (u^T f(x) / gamma)^2), u's certificate.
+    """Design minimizing c^T M^- c, by Elfving's theorem (Elfving 1952; Pukelsheim 2006, ch. 2): the least
+    value is 1/gamma^2, gamma the least over u with u^T c = 1 of max_x |u^T f(x)|, convex in t along
+    u = c/|c|^2 + t c_perp.  ``_grid_dual``'s two active lines name the support.  Points apart are polished to
+    local maxima of s u^T f and t moved to where their lines cross, until they stand still; the weights solve
+    gamma c = sum_k w_k s_k f(x_k).  Neighbours of one sign straddle the one point where f is parallel to c,
+    the optimum only if no non-singular design ties it.  The report is c^T M^- c (1 - (u^T f(x) / gamma)^2),
+    u's certificate.  c, checked by ``CriterionSpec``, is divided by the power of two 2^e of its largest entry,
+    exactly, and u and gamma are scaled back by 2^-e.
     """
-    c1, c2 = float(c[0]), float(c[1])
-    if c1 == 0.0 and c2 == 0.0:
-        raise ValidationError("c must be nonzero")
+    c1, c2 = CriterionSpec("C", c=tuple(map(float, c))).c
+    e = math.frexp(max(abs(c1), abs(c2)))[1]
+    c1, c2 = math.ldexp(c1, -e), math.ldexp(c2, -e)
     space, along, across = model.space, np.array([c1, c2]) / (c1 * c1 + c2 * c2), np.array([-c2, c1])
 
     grid, F = _finite_grid(model, ELFVING_GRID)
@@ -473,6 +478,8 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
         gamma, w = 1.0 / float(np.sum(w)), w / np.sum(w)
     if not gamma > 0.0:
         raise OptimizationError("c is inestimable under every candidate design")
+    with np.errstate(over="ignore"):  # gamma overflows only where 1/gamma^2 underflows
+        gamma, u = float(np.ldexp(gamma, -e)), np.ldexp(along + t * across, -e)
     try:
         value = gamma**-2
     except OverflowError:
@@ -480,8 +487,8 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     if not 0.0 < value < math.inf:
         raise OptimizationError(f"the c-optimal value 1/gamma^2 {'overflows' if value else 'underflows'} a float "
                                 f"(gamma = {gamma:.3g})")
-    design, u = make_design(list(zip(x.tolist(), w.tolist())), space), along + t * across
-    report = _sampled_report(model, design, lambda F: value * (1.0 - ((F @ u) / gamma) ** 2) + 0.0)
+    design = make_design(list(zip(x.tolist(), w.tolist())), space)
+    report = _sampled_report(model, design, lambda F, _: value * (1.0 - ((F @ u) / gamma) ** 2) + 0.0)
     return COptimalResult(design, value, report, report.passes(value), n_evals, (float(u[0]), float(u[1])), gamma)
 
 
@@ -490,11 +497,13 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
     circle points f f^T / |f|^2 (Pukelsheim 2006, ch. 2).  On the grid points where |f|^4, a chord's det scale,
     is a normal float, the unwrapped angle phi of f, taken from the first such f (exact at any column scale),
     sweeps [phi_min, phi_max], whose ends span the largest gap: each is polished from its grid cell, in a bracket
-    reaching the other end.  Under a quarter turn their chord faces the diameter m12 = 0 and the centre M ~ I;
-    otherwise EM, and R2 and CPB if the ends' f1 f2 share a sign, take phi_min's end and the root of f(x_a)^T f(x).
-    ``_SPLIT_WEIGHT`` weighs the chord (EM: at its midpoint), unclipped; an end at f -> 0 stops XTOL_REL widths off."""
+    reaching the other end.  Under a quarter turn (f(x_a)^T f keeps its sign on the grid, x_a phi_min's end)
+    their chord faces the diameter m12 = 0 and the centre M ~ I; otherwise EM, and R2 and CPB if the ends' f1 f2
+    share a sign, take x_a and the root of f(x_a)^T f(x).  ``_SPLIT_WEIGHT`` weighs the chord (EM: at its
+    midpoint), unclipped; an end at f -> 0 stops XTOL_REL widths off."""
     (grid, F), n_evals = _fim_grid(model, ELFVING_GRID), 0
-    idx = np.flatnonzero(~_is_singular(np.sum(F * F, axis=1) ** 2))
+    with np.errstate(over="ignore"):  # an |f|^4 beyond the float range is no det scale to lose
+        idx = np.flatnonzero(~_is_singular(np.sum(F * F, axis=1) ** 2))
     if not len(idx):
         raise OptimizationError("no admissible (non-singular) design found on the grid")
     phi = np.unwrap(np.arctan2(F[idx] @ [-F[idx[0], 1], F[idx[0], 0]], F[idx] @ F[idx[0]]))
@@ -506,13 +515,14 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
         n_evals += len(rows)
         Fx, dFx = _regress(model, x)
         rate = (1 - 2 * rows) * (Fx[:, 0] * dFx[:, 1] - Fx[:, 1] * dFx[:, 0])
-        return 0.0 * x, np.where(_is_singular(np.sum(Fx * Fx, axis=1) ** 2), np.nan, rate), None
+        with np.errstate(over="ignore"):
+            return 0.0 * x, np.where(_is_singular(np.sum(Fx * Fx, axis=1) ** 2), np.nan, rate), None
 
     lo, hi, far = grid[np.maximum(ends - 1, 0)], grid[np.minimum(ends + 1, len(grid) - 1)], grid[ends[::-1]]
     x = _zero_slope(evaluate, np.minimum(lo, far), np.maximum(hi, far), lo, hi, XTOL_REL * model.space.width)[0]
-    if np.ptp(phi) >= 0.5 * math.pi and (np.prod(f := _regress(model, x)[0]) >= 0.0 or spec.kind == "EM"):
-        k = np.flatnonzero(np.diff(F[idx] @ f[0] > 0.0))[0]
-        x = np.array([x[0], _root(model, f[0], grid[idx[[k, k + 1]]])[0]])
+    turn = np.flatnonzero(np.diff(F[idx] @ (f := _regress(model, x)[0])[0] > 0.0))  # a quarter turn off f(x_a)
+    if len(turn) and (np.prod(f) >= 0.0 or spec.kind == "EM"):
+        x = np.array([x[0], _root(model, f[0], grid[idx[turn[0] + np.arange(2)]])[0]])
     x = np.sort(x)
     return _result(model, spec, x, _best_mass(spec, _regress(model, x)[0][None], 0.0)[0][0], n_evals)
 
@@ -583,21 +593,21 @@ def mm_tables(params: MMParams, eps_list: Sequence[float], compat: bool = True) 
             else:
                 designs[kind] = optimize_design(model, evaluators[kind]).design
 
-        stars = {k: None if designs[k] is None else criterion_value(fim(model, designs[k]), evaluators[k])
-                 for k in MM_CRITERIA}
+        # One value table: vals[k][j] is criterion j at kind k's design, one fim per design; its diagonal the stars.
+        ms = {k: fim(model, d) for k, d in designs.items() if d is not None}
+        vals = {k: {j: criterion_value(m, evaluators[j]) for j in MM_CRITERIA} for k, m in ms.items()}
         for kind in MM_CRITERIA:
             d = designs[kind]
             if d is None:
                 design_rows.append(MMDesignRow(float(eps), kind, 0.0, 1.0, None))
                 effs, r2 = [1.0 if k == kind else None for k in MM_CRITERIA], None
             else:
-                (x_lo, w_lo), m = d.points[0], fim(model, d)
+                (x_lo, w_lo), row = d.points[0], vals[kind]
                 design_rows.append(MMDesignRow(float(eps), kind, x_lo / p_eps.K, w_lo, d))
-                vals = {k: criterion_value(m, evaluators[k]) for k in MM_CRITERIA}
                 # MMEfficiencyRow's eff_* fields follow MM_CRITERIA's order.
-                effs = [stars[k] / vals[k] if stars[k] is not None and 0.0 < vals[k] < math.inf
+                effs = [vals[k][k] / row[k] if k in vals and 0.0 < row[k] < math.inf
                         else None for k in MM_CRITERIA]
-                r2 = vals["R2"] if math.isfinite(vals["R2"]) else None
+                r2 = row["R2"] if math.isfinite(row["R2"]) else None
             eff_rows.append(MMEfficiencyRow(float(eps), kind, *effs, r2))
 
     return MMTables(designs=tuple(design_rows), efficiencies=tuple(eff_rows))

@@ -495,6 +495,7 @@ def test_c_optimal_value_below_float_range_is_an_error(capsys, argv):
 
 BIG_SLR = ("--model", "slr", "--a", "-1e200", "--b", "1e200")
 FAR_SLR = ("--model", "slr", "--a", "-1e154", "--b", "1e154")
+HIGH_SLR = ("--model", "slr", "--a", "1e80", "--b", "2e80")
 
 
 @pytest.mark.filterwarnings("error")
@@ -505,19 +506,42 @@ FAR_SLR = ("--model", "slr", "--a", "-1e154", "--b", "1e154")
     ("sweep", *BIG_SLR, "--a-fixed", "0"),
     ("optimal", *BIG_SLR, "--criterion", "D"),
     ("optimal", *BIG_SLR, "--criterion", "EM"),
+    ("optimal", *HIGH_SLR, "--criterion", "EM"),
     ("pareto", "--model", "mm", "--b", "5", "--eps", "0.5", "--V", "1e200", "--n", "50"),
-    *(("optimal", *FAR_SLR, "--criterion", *kind) for kind in (("D",), ("R",), ("COMPOUND", "--lam", "0.5"))),
+    *(("optimal", *FAR_SLR, "--criterion", *kind) for kind in (("D",), ("R",), ("SA",), ("COMPOUND", "--lam", "0.5"))),
 ])
 def test_information_matrix_beyond_float_range_is_an_error(capsys, tmp_path, argv):
     # x^2 overflows on SLR [-1e200, 1e200], as V^2 does on MM, and on SLR [-1e154, 1e154] a wide pair's
-    # squared cross product (x_b - x_a)^2 does: one line naming the overflow, with no numpy warning, not a
-    # usage error for a valid input.
+    # squared cross product (x_b - x_a)^2 does; on SLR [1e80, 2e80] M is non-singular and only EM's
+    # (tr + disc)^2 overflows: one line naming the overflow, with no numpy warning, not a usage error for a
+    # valid input, nor "no admissible design".
     design = tmp_path / "big.json"
     design.write_text(json.dumps({"points": [{"x": -1e200, "w": 0.5}, {"x": 1e200, "w": 0.5}],
                                   "space": {"lo": -1e200, "hi": 1e200}}))
     code, out, err = run(capsys, *(str(design) if a == "BIG" else a for a in argv))
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("optdesign: ") and "overflows a float" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["R2", "CPB"])
+def test_disk_optimum_beyond_the_det_scale_prints_no_warning(capsys, kind):
+    # |f|^4, the chord's det scale, overflows on SLR [1e80, 2e80] while f f^T does not: such a point is
+    # no det scale to lose, and the chord's best-found design comes back without a numpy warning.
+    code, out, err = run(capsys, "optimal", *HIGH_SLR, "--criterion", kind)
+    assert code == EXIT_BEST_FOUND and err == "" and json.loads(out)["label"] == "best-found"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c, message", [("1e200,0", "overflows"), ("1e-200,0", "underflows"),
+                                        ("1e308,1e308", "overflows"), ("1e-320,0", "underflows")])
+def test_c_optimal_is_free_of_the_magnitude_of_c(capsys, c, message):
+    # c^T M^- c scales with |c|^2: beyond the float range it is the named error, not "c is inestimable"
+    # after numpy warnings from |c|^2 or from c / |c|^2.
+    code, out, err = run(capsys, "optimal", "--model", "slr", "--a", "-1", "--b", "2", "--criterion", "C",
+                         "--c", c)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("optdesign: the c-optimal value 1/gamma^2 " + message) and len(err.splitlines()) == 1
 
 
 @pytest.mark.filterwarnings("error")

@@ -12,6 +12,7 @@ from optdesign import (
     CriterionSpec,
     DesignSpace,
     InfoMatrix,
+    Model,
     SingularDesignError,
     ValidationError,
     correlation,
@@ -30,6 +31,8 @@ from optdesign import (
     phi_sa,
     slr_model,
 )
+import optdesign.criteria as criteria_module
+import optdesign.designs as designs_module
 from optdesign.criteria import criterion_values_raw
 from optdesign.mm import MMParams, mm_model
 from optdesign.slr import SlrInterval, d_optimal_slr, r_optimal_slr
@@ -93,6 +96,28 @@ class TestScalarCriteria:
         assert math.isclose(phi_c(SINGULAR, (1.0, 1.0)), 1.0, rel_tol=1e-12)  # estimable
         with pytest.raises(ValidationError):
             phi_c(IDENTITY, (0.0, 0.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [(math.nan, 1.0), (math.inf, 1.0)])
+    @pytest.mark.parametrize("m", [IDENTITY, SINGULAR])
+    def test_phi_c_rejects_a_non_finite_c(self, m, c):
+        # c is checked once, by CriterionSpec, on singular and non-singular M alike.
+        with pytest.raises(ValidationError, match="c must be finite"):
+            phi_c(m, c)
+
+    @pytest.mark.parametrize("e1, e2", [(0, 0), (-300, -300), (300, 300), (-300, 300), (300, -300), (-150, 200)])
+    def test_phi_c_estimability_on_rank_one_m_is_the_cross_product_rule(self, e1, e2):
+        # M = f f^T from a one-point design, columns scaled by 2^e1 and 2^e2: c parallel to f is
+        # estimable with c^T M^- c = |c|^2 / tr M (9 for c = 3 f), and c rotated by 1e-12 off f is not,
+        # at every column scale; a tolerance of 1e-9 |c| on c x u accepted the rotated c.
+        s = np.array([2.0 ** e1, 2.0 ** e2])
+        model = Model("scaled", DesignSpace(1.0, 3.0), lambda x: slr_model(DesignSpace(1.0, 3.0)).regressor(x) * s)
+        m, f = fim(model, make_design([(1.7, 1.0)], model.space)), model.regressor(np.array([1.7]))[0]
+        assert m.is_singular
+        c = 3.0 * f
+        assert math.isclose(phi_c(m, c), 9.0, rel_tol=1e-12)
+        rot = np.array([[math.cos(1e-12), -math.sin(1e-12)], [math.sin(1e-12), math.cos(1e-12)]])
+        assert phi_c(m, rot @ c) == math.inf
 
     def test_phi_sa(self):
         assert phi_sa(IDENTITY, 1.0, 1.0) == 2.0
@@ -283,6 +308,29 @@ class TestDirectionalDerivatives:
         one_pt = make_design([(2.0, 1.0)], slr_15.space)
         with pytest.raises(SingularDesignError):
             directional_derivative(slr_15, one_pt, 3.0, CriterionSpec("D"))
+
+    @pytest.mark.parametrize("name", ["slr", "mm"])
+    @pytest.mark.parametrize("kind", ["D", "R", "SA"])
+    def test_report_evaluates_the_regressor_once(self, monkeypatch, name, kind):
+        # The certificate's evaluation budget: the grid pass holds every support point, so M is formed
+        # from its rows, without a second regressor call or a call of designs.fim.
+        base = slr_model(DesignSpace(1.0, 5.0)) if name == "slr" else mm_model(MMParams(eps=0.5))
+        calls = {"regressor": 0, "fim": 0}
+
+        def counted(key, f):
+            def wrapper(*args):
+                calls[key] += 1
+                return f(*args)
+            return wrapper
+
+        model = Model(base.name, base.space, counted("regressor", base.regressor))
+        for module in (criteria_module, designs_module):
+            monkeypatch.setattr(module, "fim", counted("fim", designs_module.fim))
+        spec = CriterionSpec(kind, sa_refs=(1.0, 1.0) if kind == "SA" else None)
+        lo, width = base.space.lo, base.space.width
+        derivative_report(model, make_design([(lo + 0.1 * width, 0.4), (lo + 0.6 * width, 0.2),
+                                              (base.space.hi, 0.4)], base.space), spec)
+        assert calls == {"regressor": 1, "fim": 0}
 
     def test_report_internal_consistency(self, slr_15):
         iv = SlrInterval(1.0, 5.0)

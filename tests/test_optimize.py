@@ -689,6 +689,13 @@ def rescaled(model: Model, s: np.ndarray) -> Model:
        log_k=st.floats(-2.0, 3.0), floor=st.floats(0.0, 0.9),
        log_s=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)))
 @settings(max_examples=15, deadline=None)
+# SLR [0, 6] at s = (1e-7, 1e8): f's angle rounds to a quarter turn that f(0)^T f never reaches, which the
+# chord took for one and found no root.  Spaces starting near 1e-300 (SLR) or 1e-78 (MM): the exact split of
+# r^2 or EM leaves a det below the float range, at one scale or at both.
+@example(mm=False, lo=0.0, width=6.0, log_v=0.0, log_k=0.0, floor=0.0, log_s=(-7.0, 8.0))
+@example(mm=False, lo=4.855522930867115e-282, width=1.0, log_v=0.0, log_k=0.0, floor=0.0, log_s=(-6.0, -8.0))
+@example(mm=False, lo=2.6343336817125698e-306, width=1.0, log_v=0.0, log_k=0.0, floor=0.0, log_s=(0.0, -2.0))
+@example(mm=True, lo=0.0, width=1.0, log_v=1.0, log_k=0.0, floor=3.795108965499986e-78, log_s=(0.0, -1.0))
 def test_optimum_is_free_of_the_parameter_scale(mm, lo, width, log_v, log_k, floor, log_s):
     # D, R, r^2, SA and C with c -> S c are functions of S M S that S changes by a
     # constant factor at most, so the optimal design is the same at every scale.  c
@@ -825,6 +832,28 @@ class TestCOptimal:
     def test_rejects_zero_vector(self, slr_15):
         with pytest.raises(ValidationError):
             c_optimal(slr_15, (0.0, 0.0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [(math.nan, 1.0), (math.inf, 1.0)])
+    def test_rejects_a_non_finite_c(self, c):
+        # CriterionSpec's check, not "c is inestimable" after numpy warnings.
+        with pytest.raises(ValidationError, match="c must be finite"):
+            c_optimal(slr_model(DesignSpace(-1.0, 2.0)), c)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["slr", "mm"])
+    @pytest.mark.parametrize("k", [-520, -3, 1, 500])
+    def test_power_of_two_in_c_scales_the_result_exactly(self, name, k):
+        # c -> 2^k c: the same design, iterations and label, u and gamma times 2^-k and the value times 4^k,
+        # each exact, down to 2^-520, where |c|^2 is subnormal.
+        model = PINNED_MODELS[name]
+        for c in ((1.0, 0.0), (0.3, -1.7)):
+            res, res_k = c_optimal(model, c), c_optimal(model, tuple(math.ldexp(v, k) for v in c))
+            assert res_k.design == res.design and res_k.iterations == res.iterations
+            assert res_k.label == res.label == "certified"
+            assert [math.ldexp(v, k) for v in res_k.u] == list(res.u)
+            assert math.ldexp(res_k.gamma, k) == res.gamma
+            assert res_k.criterion_value == math.ldexp(res.criterion_value, 2 * k)
 
     def test_sa_references_self_efficiency(self, mm_half):
         ref1, ref2 = sa_references(mm_half)
