@@ -50,6 +50,8 @@ from .errors import OptDesignError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model
 from .optimize import (
     OptimizeResult,
+    _mix,
+    _polish_from,
     mm_designs_csv,
     mm_efficiencies_csv,
     mm_r_optimal,
@@ -231,19 +233,21 @@ def _result_json(result: OptimizeResult, model: Model, config: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _reference_stars(model: Model, params: SlrInterval | MMParams) -> tuple[float, float]:
-    """(phi_D*, phi_R*): the optimal D and R values, references of COMPOUND and the efficiencies.
-
-    Both come from closed forms on SLR; on MM phi_D* does, and phi_R*, which
-    has none, from ``mm_r_optimal``'s polish of one support, with no grid search.
-    """
+def _reference_stars(model: Model, params: SlrInterval | MMParams) -> tuple[tuple[float, float], tuple]:
+    """((phi_D*, phi_R*), (D design, R design)): the optimal D and R values, references of COMPOUND and the
+    efficiencies, and their designs.  Both come from closed forms on SLR; on MM the D design does, and the
+    R design from ``mm_r_optimal``, with no grid search."""
     if isinstance(params, SlrInterval):
-        return phi_d(fim(model, d_optimal_slr(params))), phi_r(fim(model, r_optimal_slr(params)))
-    return phi_d(fim(model, mm_d_optimal(params))), mm_r_optimal(params).criterion_value
+        d, r = d_optimal_slr(params), r_optimal_slr(params)
+        return (phi_d(fim(model, d)), phi_r(fim(model, r))), (d, r)
+    d = mm_d_optimal(params)
+    d_star, r = phi_d(fim(model, d)), mm_r_optimal(params)  # fim first: it names an M beyond the float range
+    return (d_star, r.criterion_value), (d, r.design)
 
 
 def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Model,
-                     params: SlrInterval | MMParams) -> CriterionSpec:
+                     params: SlrInterval | MMParams) -> tuple[CriterionSpec, tuple | None]:
+    """The criterion, and for SA and COMPOUND the designs of its references."""
     kind = kind.upper()
     if kind not in CRITERION_KINDS:
         raise UsageError(f"unknown criterion {kind!r}; choose from {CRITERION_KINDS}")
@@ -254,17 +258,31 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
         vec = _parse_floats(c)
         if len(vec) != 2:
             raise UsageError("--c must hold exactly two numbers")
-        return CriterionSpec("C", c=(vec[0], vec[1]))
+        return CriterionSpec("C", c=(vec[0], vec[1])), None
     if kind == "SA":
-        ref1, ref2 = sa_references(model)
-        return CriterionSpec("SA", sa_refs=(ref1, ref2))
+        refs, designs = sa_references(model)
+        return CriterionSpec("SA", sa_refs=refs), designs
     if kind == "COMPOUND":
         lam = _setting(args, cfg, "lam", convert=float)
         if lam is None:
             raise UsageError("criterion COMPOUND needs --lam in [0, 1]")
-        d_star, r_star = _reference_stars(model, params)
-        return CriterionSpec("COMPOUND", lam=lam, phi_d_star=d_star, phi_r_star=r_star)
-    return CriterionSpec(kind)
+        (d_star, r_star), designs = _reference_stars(model, params)
+        return CriterionSpec("COMPOUND", lam=lam, phi_d_star=d_star, phi_r_star=r_star), designs
+    return CriterionSpec(kind), None
+
+
+def _optimal(model: Model, params: SlrInterval | MMParams, spec: CriterionSpec, held: tuple | None) -> OptimizeResult:
+    """``optimize_design``'s result, where D, R, SA and COMPOUND polish a start the call holds (``_polish_from``):
+    D's closed form, R's on SLR (on MM ``mm_r_optimal``), and from the designs ``held`` of the references,
+    COMPOUND's (1 - lam) x_D + lam x_R and SA's midpoint of the two c-optimal supports, point by point."""
+    slr = isinstance(params, SlrInterval)
+    if spec.kind == "D":
+        return _polish_from(model, spec, (d_optimal_slr(params) if slr else mm_d_optimal(params)).xs)
+    if spec.kind == "R":
+        return _polish_from(model, spec, r_optimal_slr(params).xs) if slr else mm_r_optimal(params)
+    if held is not None:  # SA and COMPOUND
+        return _polish_from(model, spec, _mix(held, (0.5, 0.5) if spec.kind == "SA" else (1 - spec.lam, spec.lam)))
+    return optimize_design(model, spec)
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -275,12 +293,12 @@ def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
     kind = _setting(args, cfg, "criterion")
     if kind is None:
         raise UsageError("--criterion is required")
-    spec = _build_criterion(str(kind), args, cfg, model, params)
+    spec, held = _build_criterion(str(kind), args, cfg, model, params)
     # Accepted and echoed for compatibility: every optimum needs at most two points.
     n_support = _setting(args, cfg, "n_support", 2, convert=int)
     if not 2 <= n_support <= 4:
         raise UsageError(f"n_support must lie in [2, 4], got {n_support}")
-    result = optimize_design(model, spec)
+    result = _optimal(model, params, spec, held)
     config = {"command": "optimal", "model": model_info["model"], "model_params": model_info,
               "criterion": spec.kind,
               "criterion_params": {"lam": spec.lam, "c": None if spec.c is None else list(spec.c)},
@@ -313,7 +331,7 @@ def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
     model, model_info, params = _build_model(args, cfg)
     seed = _resolve_seed(args, cfg)
     n = _setting(args, cfg, "n", 1000, convert=int)
-    d_star, r_star = _reference_stars(model, params)
+    (d_star, r_star), _ = _reference_stars(model, params)
     front = sampled_front(model, n, seed, d_star, r_star)
     x_scale = model.nominal_params[1] if model.name == "michaelis_menten" else 1.0
     _emit(front_csv(front, x_scale=x_scale), args.output)
@@ -329,7 +347,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     kind = str(_setting(args, cfg, "sweep_kind", "criteria"))
     if kind == "compound":
         lam_list = _setting(args, cfg, "lam_list", "0,0.25,0.5,0.75,1")
-        d_star, r_star = _reference_stars(model, params)
+        (d_star, r_star), _ = _reference_stars(model, params)
         rows = compound_sweep(model, _parse_floats(lam_list), d_star, r_star)
         _emit(compound_sweep_csv(rows), args.output)
         return EXIT_OK
@@ -358,7 +376,7 @@ def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
     if not isinstance(design_path, str):
         raise UsageError(f"config key 'design' must be a file name, got {design_path!r}")
     design = _read_design(design_path, model.space)
-    spec = _build_criterion(kind, args, cfg, model, params)
+    spec, _ = _build_criterion(kind, args, cfg, model, params)
     report = derivative_report(model, design, spec)
     value = criterion_value(fim(model, design), spec)
     passed = report.passes(value)
@@ -378,7 +396,7 @@ def _cmd_efficiency(args: argparse.Namespace, cfg: dict) -> int:
     path_list = paths.split(",") if isinstance(paths, str) else paths
     if not isinstance(path_list, list) or not path_list or not all(isinstance(path, str) for path in path_list):
         raise UsageError(f"config key 'designs' must be a file name or a non-empty list of them, got {paths!r}")
-    d_star, r_star = _reference_stars(model, params)
+    (d_star, r_star), _ = _reference_stars(model, params)
     entries = []
     for path in path_list:
         m = fim(model, _read_design(path, model.space))

@@ -9,7 +9,8 @@ grid-plus-refinement: stage 1 weighs every pair of a 33-point coarse grid at
 once, and the best pair is polished along the criterion's slope, then
 certified by the directional derivative on a fine grid.  The equivalence
 theorem compares a certified design with every design, so no second
-candidate is polished.
+candidate is polished, and a start at hand stands in for stage 1 unless its
+certificate fails (``_polish_from``).
 ``c_optimal`` takes kind C (and the SA references) from Elfving's theorem, and
 ``_disk_optimal`` r^2, CPB and EM from the chord, best-found for want of an
 equivalence theorem.
@@ -63,8 +64,9 @@ class OptimizeResult:
 
     ``converged`` is True when the equivalence certificate ``derivative_report`` holds, which only a
     convex kind has; ``label`` names that outcome.  ``iterations`` counts the supports the refinement
-    evaluated (each a weight solve, the start included), or for C, R2, CPB and EM the points that
-    ``c_optimal``'s or ``_disk_optimal``'s polish evaluated.
+    evaluated (each a weight solve, the start included) from its start, stage 1's best pair or the one given
+    to ``_polish_from``, or for C, R2, CPB and EM the points that ``c_optimal``'s or ``_disk_optimal``'s
+    polish evaluated.
     """
 
     design: Design
@@ -278,8 +280,9 @@ def _fim_grid(model: Model, n: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, F
 
 
-def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> OptimizeResult:
-    """Polish of the sorted two-point support x by the slope in each point, then ``_result``.
+def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> OptimizeResult | None:
+    """Polish of the sorted two-point support x by the slope in each point, then ``_result``; None if the
+    criterion is not finite at x.
 
     The points take turns: ``_zero_slope`` drives x_j's slope, which the support's one
     ``_best_mass`` call gives with its value and the other point's slope, to 0 with x_j kept
@@ -310,8 +313,10 @@ def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> OptimizeResult:
 
     F, dF = _regress(model, X)
     V, WS = solve(F, dF)
+    if not math.isfinite(V[0]):
+        return None
     n_evals, j, settled = 1, 0, 0  # settled: points polished in a row since, and with, the last move beyond xtol
-    while settled < 2 and math.isfinite(V[0]):
+    while settled < 2:
         x0, s0 = X[:, j], WS[:, 2 + j]
         lo, hi = (X[:, 0] + gap, np.array([space.hi])) if j else (np.array([space.lo]), X[:, 1] - gap)
         x1, moved = np.clip(x0 - np.sign(s0) * step, lo, hi), 0.0
@@ -368,14 +373,27 @@ def _result(model: Model, spec: CriterionSpec, xs: Sequence[float], ws: Sequence
     return OptimizeResult(design, value, None, False, iterations)
 
 
+def _polish_from(model: Model, spec: CriterionSpec, x: np.ndarray | None) -> OptimizeResult:
+    """``_refine`` of the two-point start x after stage 1's float-range check, or the search if x is None, the
+    criterion is not finite at x or the certificate fails.  A certified design is optimal whatever its start."""
+    _fim_grid(model, STAGE1_GRID)
+    r = None if x is None else _refine(model, spec, x)
+    return r if r is not None and r.converged else optimize_design(model, spec)
+
+
+def _mix(designs: Sequence[Design], weights: Sequence[float]) -> np.ndarray | None:
+    """sum_i weights_i x_i over two-point designs, point by point; None if one has a single point."""
+    return None if any(d.support_size != 2 for d in designs) else sum(w * d.xs for d, w in zip(designs, weights))
+
+
 def mm_r_optimal(params: MMParams) -> OptimizeResult:
     """The R-optimal design on MM without stage 1: a two-point design with upper point bK dominates any
     design in the Loewner order (Yang & Stufken 2009, *Ann. Statist.* 37:518) and R is Loewner-antitone, so
-    ``_refine`` polishes bK and the lower point (sqrt 2 - 1) b K / ((2 - sqrt 2) b + 1) (or the floor) of the
-    c-optimal designs for e_1 and e_2, whose variances R multiplies.  A failed certificate runs the search."""
-    model, spec, space, b = mm_model(params), CriterionSpec("R"), params.space(), params.b
+    ``_polish_from`` starts from bK and the lower point (sqrt 2 - 1) b K / ((2 - sqrt 2) b + 1) (or the floor) of
+    the c-optimal designs for e_1 and e_2, whose variances R multiplies."""
+    space, b = params.space(), params.b
     x0 = max((math.sqrt(2.0) - 1.0) * b / ((2.0 - math.sqrt(2.0)) * b + 1.0) * params.K, space.lo)
-    return r if (r := _refine(model, spec, np.array([x0, space.hi]))).converged else optimize_design(model, spec)
+    return _polish_from(mm_model(params), CriterionSpec("R"), np.array([x0, space.hi]))
 
 
 @dataclass(frozen=True)
@@ -527,9 +545,10 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
     return _result(model, spec, x, _best_mass(spec, _regress(model, x)[0][None], 0.0)[0][0], n_evals)
 
 
-def sa_references(model: Model) -> tuple[float, float]:
-    """Optimal c-criterion values for c = (1,0) and c = (0,1), feeding the SA criterion."""
-    return c_optimal(model, (1.0, 0.0)).criterion_value, c_optimal(model, (0.0, 1.0)).criterion_value
+def sa_references(model: Model) -> tuple[tuple[float, float], tuple[Design, Design]]:
+    """Optimal c-criterion values for c = (1,0) and c = (0,1), feeding the SA criterion, and their designs."""
+    e1, e2 = c_optimal(model, (1.0, 0.0)), c_optimal(model, (0.0, 1.0))
+    return (e1.criterion_value, e2.criterion_value), (e1.design, e2.design)
 
 
 # --- Michaelis-Menten reference tables ---------------------------------------
@@ -581,13 +600,17 @@ def mm_tables(params: MMParams, eps_list: Sequence[float], compat: bool = True) 
     for eps in eps_list:
         p_eps = replace(params, eps=float(eps))
         model = mm_model(p_eps)
-        refs = sa_references(model)
+        refs, c_designs = sa_references(model)
 
         evaluators = {k: CriterionSpec(k, sa_refs=refs if k == "SA" else None) for k in MM_CRITERIA}
         designs: dict[str, Design | None] = {}
         for kind in MM_CRITERIA:
             if kind == "D":
                 designs[kind] = mm_d_optimal(p_eps)
+            elif kind == "SA":  # polished from the midpoint of its references' supports
+                designs[kind] = _polish_from(model, evaluators[kind], _mix(c_designs, (0.5, 0.5))).design
+            elif kind == "R":
+                designs[kind] = mm_r_optimal(p_eps).design
             elif kind in ("EM", "R2") and compat and p_eps.space().lo == 0.0:
                 designs[kind] = None
             else:

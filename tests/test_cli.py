@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,14 @@ from optdesign.cli import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_USAGE,
+    _optimal,
     _reference_stars,
     build_parser,
     main,
 )
+from optdesign.criteria import derivative_report
 from optdesign.mm import MMParams, mm_model
+from optdesign.optimize import sa_references
 from optdesign.slr import SlrInterval
 
 
@@ -321,14 +325,14 @@ class TestReferenceStars:
             (a, a + float(rng.uniform(0.5, 6.0))) for a in rng.uniform(-5.0, 4.0, 30).tolist()]
         for a, b in intervals:
             interval = SlrInterval(a, b)
-            stars = _reference_stars(interval.model(), interval)
+            stars, _ = _reference_stars(interval.model(), interval)
             for got, want in zip(stars, searched_stars(interval.model())):
                 assert math.isclose(got, want, rel_tol=1e-12), (a, b)
 
     def test_mm_closed_form_equals_the_search(self):
         for params in random_mm_params():
             model = mm_model(params)
-            for got, want in zip(_reference_stars(model, params), searched_stars(model)):
+            for got, want in zip(_reference_stars(model, params)[0], searched_stars(model)):
                 assert math.isclose(got, want, rel_tol=1e-12), params
 
     def test_mm_runs_no_stage1(self, monkeypatch):
@@ -356,6 +360,88 @@ class TestReferenceStars:
             params = MMParams(eps=0.5)
             _reference_stars(mm_model(params), params)
         assert calls == searched
+
+
+WARM_KINDS = (("D",), ("R",), ("SA",), ("COMPOUND", "--lam", "0.5"))
+PINNED_PARAMS = {"slr": SlrInterval(-1.3, 4.2), "mm": MMParams(V=43.73, K=227.27, b=5.0, eps=0.5)}
+
+
+def pinned_flags(params):
+    if isinstance(params, SlrInterval):
+        return "--model", "slr", "--a", repr(params.a), "--b", repr(params.b)
+    return "--model", "mm", *(f"--{name}={getattr(params, name)!r}" for name in ("V", "K", "b", "eps"))
+
+
+def random_models(n, seed):
+    """n seeded models, by turns: MM from eps = 0, MM above it, and SLR."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        if k % 3 == 2:
+            a = float(rng.uniform(-5.0, 4.0))
+            params = SlrInterval(a, a + float(rng.uniform(0.2, 6.0)))
+            yield params.model(), params
+        else:
+            b = float(rng.uniform(0.5, 10.0))
+            params = MMParams(V=float(rng.uniform(1.0, 100.0)), K=float(rng.uniform(1.0, 500.0)), b=b,
+                              eps=0.0 if k % 3 == 0 else float(rng.uniform(0.0, 0.9 * b)))
+            yield mm_model(params), params
+
+
+def warm_cases(model, params, lams):
+    """(spec, held) of D, R, SA and COMPOUND at each lam in lams, as `optimal` builds them."""
+    refs, c_designs = sa_references(model)
+    (d_star, r_star), dr = _reference_stars(model, params)
+    return [(CriterionSpec("D"), None), (CriterionSpec("R"), None), (CriterionSpec("SA", sa_refs=refs), c_designs),
+            *((CriterionSpec("COMPOUND", lam=lam, phi_d_star=d_star, phi_r_star=r_star), dr) for lam in lams)]
+
+
+def count_stage1(monkeypatch):
+    calls, stage1 = [], optimize_module._stage1
+
+    def counted(model, spec):
+        calls.append(spec.kind)
+        return stage1(model, spec)
+    monkeypatch.setattr(optimize_module, "_stage1", counted)
+    return calls
+
+
+class TestWarmStart:
+    def test_agrees_with_the_search(self):
+        # A certified design is optimal whatever its start: polished from the start the call holds, each
+        # result has the search's label and value.
+        for model, params in random_models(102, 28):
+            for spec, held in warm_cases(model, params, (0.25, 0.5, 0.9)):
+                warm, searched = _optimal(model, params, spec, held), optimize_design(model, spec)
+                assert warm.label == searched.label, (params, spec)
+                assert math.isclose(warm.criterion_value, searched.criterion_value, rel_tol=1e-12), (params, spec)
+
+    @pytest.mark.parametrize("name", list(PINNED_PARAMS))
+    @pytest.mark.parametrize("kind", WARM_KINDS, ids=lambda kind: kind[0])
+    def test_pinned_models_run_no_stage1(self, capsys, monkeypatch, name, kind):
+        calls = count_stage1(monkeypatch)
+        code, out, _ = run(capsys, "optimal", *pinned_flags(PINNED_PARAMS[name]), "--criterion", *kind)
+        assert code == EXIT_OK and json.loads(out)["label"] == "certified"
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(PINNED_PARAMS))
+    @pytest.mark.parametrize("index", range(4), ids=[kind[0] for kind in WARM_KINDS])
+    def test_failed_certificate_runs_the_search_once(self, monkeypatch, name, index):
+        # The first certificate, the warm polish's, reads a failing min_dd: the search runs once and its
+        # certified result comes back.
+        params = PINNED_PARAMS[name]
+        model = params.model() if isinstance(params, SlrInterval) else mm_model(params)
+        spec, held = warm_cases(model, params, (0.5,))[index]
+        reports = []
+
+        def first_fails(model, design, spec):
+            reports.append(derivative_report(model, design, spec))
+            return reports[-1] if len(reports) > 1 else replace(reports[-1], min_dd=-math.inf)
+        monkeypatch.setattr(optimize_module, "derivative_report", first_fails)
+        calls = count_stage1(monkeypatch)
+        res = _optimal(model, params, spec, held)
+        assert calls == [spec.kind] and len(reports) == 2
+        monkeypatch.undo()
+        assert res.label == "certified" and res == optimize_design(model, spec)
 
 
 class TestEfficiencyCmd:
@@ -496,6 +582,7 @@ def test_c_optimal_value_below_float_range_is_an_error(capsys, argv):
 BIG_SLR = ("--model", "slr", "--a", "-1e200", "--b", "1e200")
 FAR_SLR = ("--model", "slr", "--a", "-1e154", "--b", "1e154")
 HIGH_SLR = ("--model", "slr", "--a", "1e80", "--b", "2e80")
+HUGE_MM = ("--model", "mm", "--b", "5", "--eps", "0.5", "--V", "1e200")
 
 
 @pytest.mark.filterwarnings("error")
@@ -507,20 +594,23 @@ HIGH_SLR = ("--model", "slr", "--a", "1e80", "--b", "2e80")
     ("optimal", *BIG_SLR, "--criterion", "D"),
     ("optimal", *BIG_SLR, "--criterion", "EM"),
     ("optimal", *HIGH_SLR, "--criterion", "EM"),
-    ("pareto", "--model", "mm", "--b", "5", "--eps", "0.5", "--V", "1e200", "--n", "50"),
-    *(("optimal", *FAR_SLR, "--criterion", *kind) for kind in (("D",), ("R",), ("SA",), ("COMPOUND", "--lam", "0.5"))),
+    ("pareto", *HUGE_MM, "--n", "50"),
+    *(("optimal", *FAR_SLR, "--criterion", *kind) for kind in WARM_KINDS),
+    *(("optimal", *HUGE_MM, "--criterion", *kind) for kind in WARM_KINDS),
 ])
 def test_information_matrix_beyond_float_range_is_an_error(capsys, tmp_path, argv):
     # x^2 overflows on SLR [-1e200, 1e200], as V^2 does on MM, and on SLR [-1e154, 1e154] a wide pair's
     # squared cross product (x_b - x_a)^2 does; on SLR [1e80, 2e80] M is non-singular and only EM's
     # (tr + disc)^2 overflows: one line naming the overflow, with no numpy warning, not a usage error for a
-    # valid input, nor "no admissible design".
+    # valid input, nor "no admissible design".  The warm starts of D, R, SA and COMPOUND run the same check
+    # as the search; on MM at V = 1e200, SA's reference for c = (0, 1) underflows first.
     design = tmp_path / "big.json"
     design.write_text(json.dumps({"points": [{"x": -1e200, "w": 0.5}, {"x": 1e200, "w": 0.5}],
                                   "space": {"lo": -1e200, "hi": 1e200}}))
     code, out, err = run(capsys, *(str(design) if a == "BIG" else a for a in argv))
+    flows = "underflows" if argv == ("optimal", *HUGE_MM, "--criterion", "SA") else "overflows"
     assert code == EXIT_ERROR and out == ""
-    assert err.startswith("optdesign: ") and "overflows a float" in err and len(err.splitlines()) == 1
+    assert err.startswith("optdesign: ") and f"{flows} a float" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.filterwarnings("error")

@@ -35,7 +35,9 @@ from optdesign.designs import fim_entries
 from optdesign.mm import MMParams, mm_d_optimal, mm_model
 from optdesign.optimize import (
     _best_mass,
+    _mix,
     _outer3,
+    _polish_from,
     _refine,
     _stage1,
     _zero_slope,
@@ -636,7 +638,7 @@ def test_far_slr_is_solved_and_certified(log_ratio, log_width, sign):
         else:
             assert res.label == "certified"
             assert math.isclose(res.criterion_value, expected, rel_tol=1e-12, abs_tol=0.0)
-    assert optimize_design(model, CriterionSpec("SA", sa_refs=sa_references(model))).label == "certified"
+    assert optimize_design(model, CriterionSpec("SA", sa_refs=sa_references(model)[0])).label == "certified"
 
 
 @given(log_v=st.floats(-6.0, 6.0), log_k=st.floats(-6.0, 6.0), b=st.floats(1.0, 10.0),
@@ -712,7 +714,7 @@ def test_optimum_is_free_of_the_parameter_scale(mm, lo, width, log_v, log_k, flo
 
     def spec(kind, on, scale):
         return {"C": CriterionSpec("C", c=tuple((scale * np.array(c)).tolist())),
-                "SA": CriterionSpec("SA", sa_refs=sa_references(on))}.get(kind) or CriterionSpec(kind)
+                "SA": CriterionSpec("SA", sa_refs=sa_references(on)[0])}.get(kind) or CriterionSpec(kind)
 
     for kind in ("D", "R", "R2", "SA", "C"):
         res, res_s = optimize_design(model, spec(kind, model, 1.0)), optimize_design(scaled, spec(kind, scaled, s))
@@ -744,7 +746,7 @@ def test_mm_at_small_v_over_k_solves_every_kind():
     closed = {"D": phi_d(fim(model, mm_d_optimal(params))), "R2": r2, "CPB": math.sqrt(r2),
               "EM": 1.0 / math.tan(turn / 2.0) ** 2}
     r_star = optimize_design(model, CriterionSpec("R")).criterion_value
-    specs = {"C": CriterionSpec("C", c=(1.0, 0.0)), "SA": CriterionSpec("SA", sa_refs=sa_references(model)),
+    specs = {"C": CriterionSpec("C", c=(1.0, 0.0)), "SA": CriterionSpec("SA", sa_refs=sa_references(model)[0]),
              "COMPOUND": CriterionSpec("COMPOUND", lam=0.5, phi_d_star=closed["D"], phi_r_star=r_star)}
     for kind in CRITERION_KINDS:
         spec = specs.get(kind) or CriterionSpec(kind)
@@ -769,7 +771,7 @@ def test_boundary_points_come_back_exact():
     # that bisects toward an end of the space without evaluating it stops
     # beside the end.
     model = slr_model(DesignSpace(-1.0, 1.0))
-    for spec in (CriterionSpec("D"), CriterionSpec("R"), CriterionSpec("SA", sa_refs=sa_references(model))):
+    for spec in (CriterionSpec("D"), CriterionSpec("R"), CriterionSpec("SA", sa_refs=sa_references(model)[0])):
         for start in ([-0.5, 0.5], [-0.9, 0.2]):
             x = _refine(model, spec, np.array(start)).design.xs
             assert np.array_equal(x, [-1.0, 1.0]), (spec.kind, start)
@@ -789,6 +791,17 @@ def test_convex_search_polishes_one_support(monkeypatch, model_name, kind):
     res = optimize_design(PINNED_MODELS[model_name], spec)
     assert supports == [(2,)]
     assert res.label == "certified"
+
+
+def test_a_one_point_reference_design_leaves_no_start(monkeypatch):
+    # SA starts from the midpoint of its references' supports: a one-point c-optimal design leaves no
+    # start, and the search runs.
+    model, spec = PINNED_MODELS["slr"], PINNED_SPECS["slr"]["SA"]
+    one, two = make_design([(0.0, 1.0)], model.space), make_design([(-1.3, 0.5), (4.2, 0.5)], model.space)
+    assert _mix([one, two], (0.5, 0.5)) is None and _mix([two, two], (0.5, 0.5)).tolist() == [-1.3, 4.2]
+    calls = []
+    monkeypatch.setattr(optimize_module, "_stage1", lambda model, spec: calls.append(spec.kind) or _stage1(model, spec))
+    assert _polish_from(model, spec, None) == optimize_design(model, spec) and calls == ["SA", "SA"]
 
 
 class TestCOptimal:
@@ -856,7 +869,7 @@ class TestCOptimal:
             assert res_k.criterion_value == math.ldexp(res.criterion_value, 2 * k)
 
     def test_sa_references_self_efficiency(self, mm_half):
-        ref1, ref2 = sa_references(mm_half)
+        (ref1, ref2), _ = sa_references(mm_half)
         assert ref1 > 0 and ref2 > 0
         # first term of the SA criterion equals 1 at the c1-optimal design
         res1 = c_optimal(mm_half, (1.0, 0.0))
@@ -980,7 +993,7 @@ class TestElfving:
         def no_search(*args):
             raise AssertionError("sa_references ran optimize_design")
         monkeypatch.setattr(optimize_module, "optimize_design", no_search)
-        refs = sa_references(PINNED_MODELS[name])
+        refs, _ = sa_references(PINNED_MODELS[name])
         for got, recorded in zip(refs, PINNED_SPECS[name]["SA"].sa_refs):
             assert math.isclose(got, recorded, rel_tol=1e-12)
 

@@ -454,7 +454,7 @@ def front_case():
             params = FRONT_CASES[name]()
             model = (slr_model(DesignSpace(params.a, params.b)) if isinstance(params, SlrInterval)
                      else mm_model(params))
-            cache[name] = (model, *_reference_stars(model, params))
+            cache[name] = (model, *_reference_stars(model, params)[0])
         return cache[name]
     return get
 
