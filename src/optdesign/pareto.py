@@ -9,12 +9,12 @@ Sampling.  Every attempt takes three uniforms (x1, x2, w) from one
 ``rng.random`` and worked on as columns; x = lo + (hi - lo) u is the
 arithmetic of ``Generator.uniform``, so the stream is the one a
 draw-at-a-time loop consumes.  An attempt is rejected when w is not in
-(0, 1), when |x1 - x2| is within the merge tolerance, or when its
-information matrix, whose entries and det come from ``fim_entries``, is
-singular, in that order.  Accepted rows are canonical as ``make_design``
-makes them (clipped, sorted, weights divided by the total mass), and the
-first n in draw order are kept.  A block without one admissible design
-raises OptimizationError.
+(0, 1), when |x1 - x2| is within the merge tolerance, or when its det
+(``designs._det`` on one regressor call per block) is singular, in that
+order.  Accepted rows are canonical as ``make_design`` makes them (clipped,
+sorted, weights divided by the total mass); the first n in draw order are
+kept, with m11 = w_a f_a1^2 + w_b f_b1^2 and m22 for the prefilter: no m12,
+no matrix product.  A block without one admissible design raises OptimizationError.
 
 Front.  The front is computed on (Eff_D, Eff_R), both maximized; that
 ordering is equivalent to minimizing the criteria themselves because both are
@@ -22,9 +22,10 @@ inverse homogeneous, and it keeps the two axes on the same unit scale.  A
 point is dominated by one at least as good on both objectives and better by
 more than TIE_TOL = 1e-12 on one of them, so sampled designs with
 indistinguishable objectives are all retained.  ``sampled_front`` drops the rows
-that the row of largest Eff_R or of largest Eff_D surely dominates (filter, then
-exact: Bentley, Clarkson & Levine 1993, Algorithmica 9:168); the flags of the few
-left come from one sort by Eff_D and two prefix maxima of Eff_R (Kung et al. 1975).
+that the row of largest Eff_R or of largest Eff_D surely dominates, both widened
+by MARGIN (filter, then exact: Bentley, Clarkson & Levine 1993, Algorithmica
+9:168); the flags of the few left come from one sort by Eff_D and two prefix
+maxima of Eff_R (Kung et al. 1975).
 
 The fixed-support sweep moves the mass p between two fixed points and tabulates
 all three head criteria plus the correlation; it is the data behind the
@@ -41,12 +42,12 @@ import numpy as np
 
 from .criteria import (_D, _R, _R2, CriterionSpec, _correlation, _criterion, correlation,
                        criterion_values_raw, phi_d, phi_r)
-from .designs import Design, Model, _is_singular, fim, fim_entries
+from .designs import Design, Model, _det, _is_singular, fim, fim_entries
 from .errors import OptimizationError, SingularDesignError, ValidationError
 from .optimize import optimize_design
 
 TIE_TOL = 1e-12
-MARGIN = 1e-9  # relative slack on the prefilter's Eff_D, far above its few ulps of error
+MARGIN = 1e-9  # relative slack on the prefilter's Eff_D and Eff_R, far above their few ulps of error
 _MIN_BLOCK = 4096  # attempts per sampling block
 
 
@@ -58,9 +59,9 @@ class FrontPoint:
     r2: float
 
 
-def _designs(xs: np.ndarray, ws: np.ndarray) -> list[Design]:
+def _designs(xa: np.ndarray, xb: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> list[Design]:
     # Sampled rows are canonical already: sorted, normalized and clipped.
-    return [Design(points=tuple(zip(x, w))) for x, w in zip(xs.tolist(), ws.tolist())]
+    return [Design(points=((a, p), (b, q))) for a, b, p, q in zip(*(c.tolist() for c in (xa, xb, wa, wb)))]
 
 
 def _masses(w: np.ndarray) -> np.ndarray:
@@ -68,9 +69,8 @@ def _masses(w: np.ndarray) -> np.ndarray:
     return np.stack([w, 1.0 - w], 1) / (w + (1.0 - w))[:, None]
 
 
-def _sample(model: Model, n: int, seed: int,
-            ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Points (n, 2), weights (n, 2) and matrix entries and dets of n random admissible designs."""
+def _sample(model: Model, n: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Columns x_a < x_b, w_a, w_b, m11, m22 and det of n random admissible designs {x_a: w_a, x_b: w_b}."""
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
     space = model.space
@@ -84,23 +84,28 @@ def _sample(model: Model, n: int, seed: int,
         rows = (0.0 < w) & (w < 1.0) & (np.abs(x1 - x2) > tol)
         # Clip, then sort as make_design: kept points are more than tol apart, so clipping keeps their order.
         x1, x2, w = np.clip(x1[rows], lo, hi), np.clip(x2[rows], lo, hi), w[rows]
-        t, swap = w + (1.0 - w), x1 > x2
+        t, swap, m = w + (1.0 - w), x1 > x2, len(w)
         wa, wb = w / t, (1.0 - w) / t  # the bits of _masses
-        xs = np.stack([np.minimum(x1, x2), np.maximum(x1, x2)], 1)
-        ws = np.stack([np.where(swap, wb, wa), np.where(swap, wa, wb)], 1)
-        m11, m12, m22, det = fim_entries(model, xs, ws)
+        xa, xb, wa, wb = np.minimum(x1, x2), np.maximum(x1, x2), np.where(swap, wb, wa), np.where(swap, wa, wb)
+        F = np.asarray(model.regressor(np.concatenate([xa, xb])), dtype=float)
+        if F.shape != (2 * m, 2):
+            raise ValidationError(f"regressor returned shape {F.shape}, expected ({2 * m}, 2)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            m11, m22 = (wa[:, None] * F[:m] ** 2 + wb[:, None] * F[m:] ** 2).T
+            det = _det(F.reshape(2, m, 2).transpose(1, 0, 2), np.stack([wa, wb], 1))
+        if not (np.isfinite(m11 + m22).all() and np.isfinite(det).all()):  # fim_entries' checks raise
+            m11, _, m22, det = fim_entries(model, np.stack([xa, xb], 1), np.stack([wa, wb], 1))
         ok = ~_is_singular(det)
         if not ok.any():
             raise OptimizationError(
                 f"no admissible (non-singular) two-point design in {_MIN_BLOCK} random draws "
                 f"on [{lo!r}, {hi!r}]")
-        cols = (xs, ws, m11, m12, m22, det)
+        cols = (xa, xb, wa, wb, m11, m22, det)
         if not ok.all():
             cols = tuple(c[ok] for c in cols)
         blocks.append(tuple(c[:n - got] for c in cols))
         got += len(blocks[-1][0])
-    xs, ws, *entries = (np.concatenate(parts) for parts in zip(*blocks))
-    return xs, ws, tuple(entries)
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def sample_two_point_designs(model: Model, n: int, seed: int) -> list[Design]:
@@ -109,8 +114,7 @@ def sample_two_point_designs(model: Model, n: int, seed: int) -> list[Design]:
     Samples whose information matrix is singular (coincident points, degenerate
     regressors) are resampled, so every returned design is admissible.
     """
-    xs, ws, _ = _sample(model, n, seed)
-    return _designs(xs, ws)
+    return _designs(*_sample(model, n, seed)[:4])
 
 
 def _head_criteria(m11: np.ndarray, m12: np.ndarray, m22: np.ndarray, det: np.ndarray,
@@ -175,10 +179,10 @@ def _dominated(d: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _survivors(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Rows that neither the row of largest r nor that of largest d surely dominates:
-    by (a) or (b) of ``_dominated``, with d (within a few ulps) widened by MARGIN."""
-    s = MARGIN * np.abs(d) + np.finfo(float).tiny
-    lo, hi, a = d - s, d + s, np.array([[np.argmax(r)], [np.argmax(d)]])
-    sure = ((lo[a] >= hi) & (r[a] - r > TIE_TOL)) | ((r[a] >= r) & (lo[a] - hi > TIE_TOL))
+    by (a) or (b) of ``_dominated``, with d and r (each within a few ulps) widened by MARGIN."""
+    tiny, a = np.finfo(float).tiny, np.array([[np.argmax(r)], [np.argmax(d)]])
+    (dlo, dhi), (rlo, rhi) = ((v - (s := MARGIN * np.abs(v) + tiny), v + s) for v in (d, r))
+    sure = ((dlo[a] >= dhi) & (rlo[a] - rhi > TIE_TOL)) | ((rlo[a] >= rhi) & (dlo[a] - dhi > TIE_TOL))
     return np.flatnonzero(~sure.any(axis=0))
 
 
@@ -188,15 +192,16 @@ def sampled_front(model: Model, n: int, seed: int, phi_d_star: float,
 
     Equal to ``pareto_front(evaluate_front_points(model,
     sample_two_point_designs(model, n, seed), ...))``, run on ``_survivors``'
-    rows alone.  Eff_D = phi_D* sqrt(det) is within a few ulps of the exact
-    phi_D* / det ** -0.5, far inside MARGIN, so ``_survivors`` drops only
-    dominated rows.  Dominance on rounded differences is transitive (they are
-    monotone in each operand) and acyclic, so a row is dominated iff a
-    non-dominated row dominates it: the survivors' front is the samples'.
+    rows alone.  Eff_D = phi_D* sqrt(det) and Eff_R = phi_R* det / sqrt(m11 m22),
+    m11 and m22 sums that do not cancel, are within a few ulps of the exact
+    values, far inside MARGIN, so ``_survivors`` drops only dominated rows.
+    Dominance on rounded differences is transitive (monotone in each operand)
+    and acyclic, so a row is dominated iff a non-dominated row dominates it.
     """
-    xs, ws, (m11, m12, m22, det) = _sample(model, n, seed)
-    rows = _survivors(phi_d_star * np.sqrt(det), phi_r_star / criterion_values_raw(_R, m11, m12, m22, det))
-    return pareto_front(evaluate_front_points(model, _designs(xs[rows], ws[rows]), phi_d_star, phi_r_star))
+    *cols, m11, m22, det = _sample(model, n, seed)
+    with np.errstate(over="ignore"):
+        rows = _survivors(phi_d_star * np.sqrt(det), phi_r_star * det / np.sqrt(m11 * m22))
+    return pareto_front(evaluate_front_points(model, _designs(*(c[rows] for c in cols)), phi_d_star, phi_r_star))
 
 
 def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:

@@ -39,7 +39,6 @@ from optdesign.pareto import (
     FrontPoint,
     SweepRow,
     _dominated,
-    _head_criteria,
     _sample,
     _survivors,
     compound_sweep,
@@ -285,11 +284,21 @@ class TestArraySampler:
             got = sample_two_point_designs(model, n, 7)
             assert got == reference[:n] and got == longest[:n]
 
-    def test_front_of_samples_equals_composition(self, mm_stars):
-        model, d_star, r_star = mm_stars
-        points = evaluate_front_points(model, sample_two_point_designs(model, 3000, 5),
-                                       d_star, r_star)
-        assert sampled_front(model, 3000, 5, d_star, r_star) == pareto_front(points)
+    def test_front_of_samples_equals_composition(self):
+        # Every sampler model, seed and n on either side of a block: the prefilter's column efficiencies
+        # drop only dominated rows, and the accepted rows' det is fim_entries' bit for bit.
+        for name in sorted(SAMPLER_MODELS):
+            model = SAMPLER_MODELS[name]()
+            lo, hi = model.space.lo, model.space.hi
+            m = fim(model, make_design([(0.5 * (lo + hi), 0.5), (hi, 0.5)], model.space))
+            d_star, r_star = phi_d(m), phi_r(m)
+            for seed in (0, 11, 20260810):
+                xa, xb, wa, wb, _, _, det = _sample(model, 20_000, seed)
+                assert np.array_equal(det, fim_entries(model, np.stack([xa, xb], 1), np.stack([wa, wb], 1))[3])
+                for n in (1, 4097, 20_000):
+                    points = evaluate_front_points(model, sample_two_point_designs(model, n, seed),
+                                                   d_star, r_star)
+                    assert sampled_front(model, n, seed, d_star, r_star) == pareto_front(points), (name, seed, n)
 
     def test_all_singular_space_raises(self):
         # f = x (1, 2) spans one ray, so every draw is singular; the scalar loop never ended.
@@ -304,10 +313,23 @@ class TestArraySampler:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sampled_rows_that_overflow_raise(self):
+        model = Model("steep", DesignSpace(-2.0, 2.0), lambda x: np.stack([np.ones_like(x), 1e160 * x], axis=-1))
+        with pytest.raises(OptimizationError, match="information matrix overflows a float"):
+            sampled_front(model, 100, 0, 1.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_regressor_raises(self):
+        model = Model("holed", DesignSpace(-2.0, 2.0),
+                      lambda x: np.stack([np.ones_like(x), np.where(x > 1.0, np.nan, x)], axis=-1))
+        with pytest.raises(ValidationError, match="regressor is non-finite"):
+            sampled_front(model, 100, 0, 1.0, 1.0)
+
     def test_heap_peak(self, mm_stars):
-        # Blocks of 4096 attempts and the 20,000 kept rows: 3.24 MB at its peak,
-        # against 6.0 MB for one block of 25,000 attempts and about 12 MB when
-        # 20,000 designs and front points were objects.
+        # Blocks of 4096 attempts as columns and the 20,000 kept rows: 2.68 MB at its peak,
+        # against 3.24 MB with each block's 2x2 matrices, 6.0 MB for one block of 25,000
+        # attempts and about 12 MB when 20,000 designs and front points were objects.
         model, d_star, r_star = mm_stars
         tracemalloc.start()
         try:
@@ -315,7 +337,7 @@ class TestArraySampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4e6
+        assert peak <= 3.5e6
 
 
 class TestArrayEvaluation:
@@ -375,18 +397,18 @@ class TestSortAndSweepMask:
 
 
 def within_ulps(rng, d, k=2):
-    """d moved by up to k ulps either way, as the prefilter's Eff_D may be."""
+    """d moved by up to k ulps either way, as the prefilter's Eff_D and Eff_R may be."""
     for _ in range(k):
         away = np.nextafter(d, rng.choice([-math.inf, math.inf], len(d)))
         d = np.where(rng.random(len(d)) < 0.5, d, away)
     return d
 
 
-def assert_prefilter_exact(d, r, d_near):
-    """_survivors on (d_near, r) drops only dominated rows, and _dominated on
+def assert_prefilter_exact(d, r, d_near, r_near):
+    """_survivors on (d_near, r_near) drops only dominated rows, and _dominated on
     the survivors alone gives the flags of the O(n^2) definition on all rows."""
     flags = reference_dominated(d, r)
-    rows = _survivors(d_near, r)
+    rows = _survivors(d_near, r_near)
     assert all(flags[i] for i in sorted(set(range(len(d))) - set(rows.tolist())))
     assert _dominated(d[rows], r[rows]).tolist() == [flags[i] for i in rows.tolist()]
     return rows
@@ -398,7 +420,7 @@ class TestPrefilter:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 120))
         d, r = tie_heavy(rng, n), tie_heavy(rng, n)
-        assert_prefilter_exact(d, r, within_ulps(rng, d))
+        assert_prefilter_exact(d, r, within_ulps(rng, d), within_ulps(rng, r))
 
     @given(st.lists(st.tuples(
         st.sampled_from([0.0, 0.1, 0.3, 1.0, math.inf, math.nan]),
@@ -410,30 +432,36 @@ class TestPrefilter:
         d = np.array([a + b for a, b, _, _ in rows], dtype=float)
         r = np.array([c + e for _, _, c, e in rows], dtype=float)
         with np.errstate(invalid="ignore"):
-            assert_prefilter_exact(d, r, d)
+            assert_prefilter_exact(d, r, d, r)
 
     def test_single_row_and_exact_duplicates(self):
         one = np.array([0.5])
         assert _survivors(one, one).tolist() == [0]
         d = np.array([1.0, 1.0, 0.5, 0.5, 0.9])
         r = np.array([0.5, 0.5, 1.0, 1.0, 0.2])
-        assert assert_prefilter_exact(d, r, d).tolist() == [0, 1, 2, 3]
+        assert assert_prefilter_exact(d, r, d, r).tolist() == [0, 1, 2, 3]
 
     def test_approximation_that_ties_rows_an_ulp_apart(self):
         # Exact Eff_D puts row 1 an ulp above row 0 and the approximation ties
         # them: row 1 is on the front, though row 0 has the larger Eff_R.
         d = np.array([np.nextafter(1.0, 0.0), 1.0])
-        assert assert_prefilter_exact(d, np.array([1.0, 0.5]), np.ones(2)).tolist() == [0, 1]
+        r = np.array([1.0, 0.5])
+        assert assert_prefilter_exact(d, r, np.ones(2), r).tolist() == [0, 1]
 
     @pytest.mark.parametrize("r_row,gap", [(0.5, 0.0), (1.0, TIE_TOL)])  # test (a), then (b)
     def test_rows_ulps_apart_across_the_margin(self, r_row, gap):
         # 601 rows 1 ulp apart around 1 - 2 MARGIN - gap, every one dominated
         # by the anchor (1, 1); the prefilter keeps those within its margin.
+        # Eff_R is widened too, so the rows' r sits past the margin, at
+        # r_row - 2 MARGIN - gap / 2: for (b), equal r is no sure dominance,
+        # and r within TIE_TOL of the anchor's keeps (a) from deciding.  Then
+        # the same with the two coordinates exchanged.
         center = 1.0 - 2.0 * MARGIN - gap
         d = np.r_[1.0, center + np.arange(-300, 301) * np.spacing(center)]
-        r = np.r_[1.0, np.full(601, r_row)]
-        rows = assert_prefilter_exact(d, r, d)
-        assert 1 < len(rows) < len(d)
+        r = np.r_[1.0, np.full(601, r_row - 2.0 * MARGIN - 0.5 * gap)]
+        for a, b in ((d, r), (r, d)):
+            rows = assert_prefilter_exact(a, b, a, b)
+            assert 1 < len(rows) < len(a)
 
 
 FRONT_CASES = {
@@ -603,7 +631,7 @@ def test_compound_sweep_is_the_exact_d_r_front(name):
     assert math.isclose(phis[0, 0], d_star, rel_tol=1e-12, abs_tol=0.0)
     assert math.isclose(phis[-1, 1], r_star, rel_tol=1e-12, abs_tol=0.0)
     front = np.array([d_star, r_star]) / phis
-    # The designs of sample_two_point_designs(model, 20000, seed), as the arrays it wraps.
-    sampled = np.array([d_star, r_star]) / np.stack(_head_criteria(*_sample(model, 20000, seed)[2])[:2], axis=1)
+    points = evaluate_front_points(model, sample_two_point_designs(model, 20000, seed), d_star, r_star)
+    sampled = np.array([[p.eff_d, p.eff_r] for p in points])
     beats = np.all(sampled[:, None, :] > front[None, :, :] + 1e-9, axis=2)
     assert not beats.any(), sampled[np.any(beats, axis=1)][:3]
