@@ -31,8 +31,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Sequence
+
+import numpy as np
 
 from .criteria import (
     CERTIFICATE_GRID,
@@ -47,16 +49,14 @@ from .criteria import (
 )
 from .designs import Design, DesignSpace, Model, design_from_json, design_to_json, fim, slr_model
 from .errors import OptDesignError, ValidationError
-from .mm import MMParams, mm_d_optimal, mm_model
+from .mm import MMParams, mm_d_optimal, mm_model, mm_r_start
 from .optimize import (
     OptimizeResult,
     _mix,
     _polish_from,
     mm_designs_csv,
     mm_efficiencies_csv,
-    mm_r_optimal,
     mm_tables,
-    optimize_design,
     sa_references,
 )
 from .pareto import (
@@ -236,18 +236,19 @@ def _result_json(result: OptimizeResult, model: Model, config: dict) -> str:
 def _reference_stars(model: Model, params: SlrInterval | MMParams) -> tuple[tuple[float, float], tuple]:
     """((phi_D*, phi_R*), (D design, R design)): the optimal D and R values, references of COMPOUND and the
     efficiencies, and their designs.  Both come from closed forms on SLR; on MM the D design does, and the
-    R design from ``mm_r_optimal``, with no grid search."""
-    if isinstance(params, SlrInterval):
-        d, r = d_optimal_slr(params), r_optimal_slr(params)
-        return (phi_d(fim(model, d)), phi_r(fim(model, r))), (d, r)
-    d = mm_d_optimal(params)
-    d_star, r = phi_d(fim(model, d)), mm_r_optimal(params)  # fim first: it names an M beyond the float range
-    return (d_star, r.criterion_value), (d, r.design)
+    R design is polished from ``mm_r_start``, with no grid search."""
+    slr = isinstance(params, SlrInterval)
+    d = d_optimal_slr(params) if slr else mm_d_optimal(params)
+    d_star = phi_d(fim(model, d))  # fim first: it names an M beyond the float range
+    r = r_optimal_slr(params) if slr else _polish_from(model, CriterionSpec("R"), mm_r_start(params)).design
+    return (d_star, phi_r(fim(model, r))), (d, r)
 
 
 def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Model,
-                     params: SlrInterval | MMParams) -> tuple[CriterionSpec, tuple | None]:
-    """The criterion, and for SA and COMPOUND the designs of its references."""
+                     params: SlrInterval | MMParams) -> tuple[CriterionSpec, np.ndarray | None]:
+    """The criterion, and the start ``_polish_from`` polishes: D's closed form, R's on SLR (on MM
+    ``mm_r_start``), SA's from ``sa_references`` and COMPOUND's (1 - lam) x_D + lam x_R, point by point, from
+    the designs of its references; None for C, R2, CPB and EM."""
     kind = kind.upper()
     if kind not in CRITERION_KINDS:
         raise UsageError(f"unknown criterion {kind!r}; choose from {CRITERION_KINDS}")
@@ -259,30 +260,21 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
         if len(vec) != 2:
             raise UsageError("--c must hold exactly two numbers")
         return CriterionSpec("C", c=(vec[0], vec[1])), None
+    if kind == "D":
+        return CriterionSpec("D"), (d_optimal_slr if isinstance(params, SlrInterval) else mm_d_optimal)(params).xs
+    if kind == "R":
+        return CriterionSpec("R"), r_optimal_slr(params).xs if isinstance(params, SlrInterval) else mm_r_start(params)
     if kind == "SA":
-        refs, designs = sa_references(model)
-        return CriterionSpec("SA", sa_refs=refs), designs
+        refs, start = sa_references(model)
+        return CriterionSpec("SA", sa_refs=refs), start
     if kind == "COMPOUND":
         lam = _setting(args, cfg, "lam", convert=float)
         if lam is None:
             raise UsageError("criterion COMPOUND needs --lam in [0, 1]")
+        spec = CriterionSpec("COMPOUND", lam=lam, phi_d_star=1.0, phi_r_star=1.0)  # checks lam before the references
         (d_star, r_star), designs = _reference_stars(model, params)
-        return CriterionSpec("COMPOUND", lam=lam, phi_d_star=d_star, phi_r_star=r_star), designs
+        return replace(spec, phi_d_star=d_star, phi_r_star=r_star), _mix(designs, (1 - lam, lam))
     return CriterionSpec(kind), None
-
-
-def _optimal(model: Model, params: SlrInterval | MMParams, spec: CriterionSpec, held: tuple | None) -> OptimizeResult:
-    """``optimize_design``'s result, where D, R, SA and COMPOUND polish a start the call holds (``_polish_from``):
-    D's closed form, R's on SLR (on MM ``mm_r_optimal``), and from the designs ``held`` of the references,
-    COMPOUND's (1 - lam) x_D + lam x_R and SA's midpoint of the two c-optimal supports, point by point."""
-    slr = isinstance(params, SlrInterval)
-    if spec.kind == "D":
-        return _polish_from(model, spec, (d_optimal_slr(params) if slr else mm_d_optimal(params)).xs)
-    if spec.kind == "R":
-        return _polish_from(model, spec, r_optimal_slr(params).xs) if slr else mm_r_optimal(params)
-    if held is not None:  # SA and COMPOUND
-        return _polish_from(model, spec, _mix(held, (0.5, 0.5) if spec.kind == "SA" else (1 - spec.lam, spec.lam)))
-    return optimize_design(model, spec)
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -293,12 +285,12 @@ def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
     kind = _setting(args, cfg, "criterion")
     if kind is None:
         raise UsageError("--criterion is required")
-    spec, held = _build_criterion(str(kind), args, cfg, model, params)
     # Accepted and echoed for compatibility: every optimum needs at most two points.
     n_support = _setting(args, cfg, "n_support", 2, convert=int)
     if not 2 <= n_support <= 4:
         raise UsageError(f"n_support must lie in [2, 4], got {n_support}")
-    result = _optimal(model, params, spec, held)
+    spec, start = _build_criterion(str(kind), args, cfg, model, params)
+    result = _polish_from(model, spec, start)
     config = {"command": "optimal", "model": model_info["model"], "model_params": model_info,
               "criterion": spec.kind,
               "criterion_params": {"lam": spec.lam, "c": None if spec.c is None else list(spec.c)},

@@ -94,3 +94,12 @@ def mm_d_optimal(params: MMParams) -> Design:
     space = params.space()
     x_lo = max(params.b / (2.0 + params.b) * params.K, space.lo)
     return make_design([(x_lo, 0.5), (params.b * params.K, 0.5)], space)
+
+
+def mm_r_start(params: MMParams) -> np.ndarray:
+    """The support an R-optimal polish starts from: a two-point design with upper point bK dominates any
+    design in the Loewner order (Yang & Stufken 2009, *Ann. Statist.* 37:518) and R is Loewner-antitone, so
+    bK and the lower point (sqrt 2 - 1) b K / ((2 - sqrt 2) b + 1) (or the floor) of the c-optimal designs for
+    e_1 and e_2, whose variances R multiplies."""
+    x0 = (math.sqrt(2.0) - 1.0) * params.b / ((2.0 - math.sqrt(2.0)) * params.b + 1.0) * params.K
+    return np.array([max(x0, params.lower_extreme), params.b * params.K])

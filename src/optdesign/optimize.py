@@ -10,7 +10,7 @@ once, and the best pair is polished along the criterion's slope, then
 certified by the directional derivative on a fine grid.  The equivalence
 theorem compares a certified design with every design, so no second
 candidate is polished, and a start at hand stands in for stage 1 unless its
-certificate fails (``_polish_from``).
+certificate fails: each such optimum is one ``_polish_from`` call.
 ``c_optimal`` takes kind C (and the SA references) from Elfving's theorem, and
 ``_disk_optimal`` r^2, CPB and EM from the chord, best-found for want of an
 equivalence theorem.
@@ -47,7 +47,7 @@ from .criteria import (
 )
 from .designs import EPS, Design, Model, _cross, _is_singular, fim, fim_entries, make_design
 from .errors import OptimizationError, ValidationError
-from .mm import MMParams, mm_d_optimal, mm_model
+from .mm import MMParams, mm_d_optimal, mm_model, mm_r_start
 from .slr import _fmt
 
 MASS_ITERS = 64            # cap on the secant iterations of one row solve
@@ -64,9 +64,9 @@ class OptimizeResult:
 
     ``converged`` is True when the equivalence certificate ``derivative_report`` holds, which only a
     convex kind has; ``label`` names that outcome.  ``iterations`` counts the supports the refinement
-    evaluated (each a weight solve, the start included) from its start, stage 1's best pair or the one given
-    to ``_polish_from``, or for C, R2, CPB and EM the points that ``c_optimal``'s or ``_disk_optimal``'s
-    polish evaluated.
+    evaluated (each a weight solve, the start included) from its start, the one given to ``_polish_from``
+    or, without one or after a failed certificate, stage 1's best pair; for C, R2, CPB and EM it counts the
+    points that ``c_optimal``'s or ``_disk_optimal``'s polish evaluated.
     """
 
     design: Design
@@ -374,26 +374,18 @@ def _result(model: Model, spec: CriterionSpec, xs: Sequence[float], ws: Sequence
 
 
 def _polish_from(model: Model, spec: CriterionSpec, x: np.ndarray | None) -> OptimizeResult:
-    """``_refine`` of the two-point start x after stage 1's float-range check, or the search if x is None, the
-    criterion is not finite at x or the certificate fails.  A certified design is optimal whatever its start."""
+    """``_refine`` of the two-point start x after stage 1's float-range check, or ``optimize_design`` if x is None,
+    the criterion is not finite at x or the certificate fails.  A certified design is optimal whatever its start."""
+    if x is None:
+        return optimize_design(model, spec)
     _fim_grid(model, STAGE1_GRID)
-    r = None if x is None else _refine(model, spec, x)
+    r = _refine(model, spec, x)
     return r if r is not None and r.converged else optimize_design(model, spec)
 
 
 def _mix(designs: Sequence[Design], weights: Sequence[float]) -> np.ndarray | None:
     """sum_i weights_i x_i over two-point designs, point by point; None if one has a single point."""
     return None if any(d.support_size != 2 for d in designs) else sum(w * d.xs for d, w in zip(designs, weights))
-
-
-def mm_r_optimal(params: MMParams) -> OptimizeResult:
-    """The R-optimal design on MM without stage 1: a two-point design with upper point bK dominates any
-    design in the Loewner order (Yang & Stufken 2009, *Ann. Statist.* 37:518) and R is Loewner-antitone, so
-    ``_polish_from`` starts from bK and the lower point (sqrt 2 - 1) b K / ((2 - sqrt 2) b + 1) (or the floor) of
-    the c-optimal designs for e_1 and e_2, whose variances R multiplies."""
-    space, b = params.space(), params.b
-    x0 = max((math.sqrt(2.0) - 1.0) * b / ((2.0 - math.sqrt(2.0)) * b + 1.0) * params.K, space.lo)
-    return _polish_from(mm_model(params), CriterionSpec("R"), np.array([x0, space.hi]))
 
 
 @dataclass(frozen=True)
@@ -545,10 +537,11 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
     return _result(model, spec, x, _best_mass(spec, _regress(model, x)[0][None], 0.0)[0][0], n_evals)
 
 
-def sa_references(model: Model) -> tuple[tuple[float, float], tuple[Design, Design]]:
-    """Optimal c-criterion values for c = (1,0) and c = (0,1), feeding the SA criterion, and their designs."""
+def sa_references(model: Model) -> tuple[tuple[float, float], np.ndarray | None]:
+    """Optimal c-criterion values for c = (1,0) and c = (0,1), feeding the SA criterion, and SA's start: the
+    midpoint of their designs' supports, point by point, or None if one design has a single point."""
     e1, e2 = c_optimal(model, (1.0, 0.0)), c_optimal(model, (0.0, 1.0))
-    return (e1.criterion_value, e2.criterion_value), (e1.design, e2.design)
+    return (e1.criterion_value, e2.criterion_value), _mix((e1.design, e2.design), (0.5, 0.5))
 
 
 # --- Michaelis-Menten reference tables ---------------------------------------
@@ -600,21 +593,18 @@ def mm_tables(params: MMParams, eps_list: Sequence[float], compat: bool = True) 
     for eps in eps_list:
         p_eps = replace(params, eps=float(eps))
         model = mm_model(p_eps)
-        refs, c_designs = sa_references(model)
+        refs, sa_start = sa_references(model)
 
         evaluators = {k: CriterionSpec(k, sa_refs=refs if k == "SA" else None) for k in MM_CRITERIA}
+        starts = {"SA": sa_start, "R": mm_r_start(p_eps)}
         designs: dict[str, Design | None] = {}
         for kind in MM_CRITERIA:
             if kind == "D":
                 designs[kind] = mm_d_optimal(p_eps)
-            elif kind == "SA":  # polished from the midpoint of its references' supports
-                designs[kind] = _polish_from(model, evaluators[kind], _mix(c_designs, (0.5, 0.5))).design
-            elif kind == "R":
-                designs[kind] = mm_r_optimal(p_eps).design
             elif kind in ("EM", "R2") and compat and p_eps.space().lo == 0.0:
                 designs[kind] = None
             else:
-                designs[kind] = optimize_design(model, evaluators[kind]).design
+                designs[kind] = _polish_from(model, evaluators[kind], starts.get(kind)).design
 
         # One value table: vals[k][j] is criterion j at kind k's design, one fim per design; its diagonal the stars.
         ms = {k: fim(model, d) for k, d in designs.items() if d is not None}

@@ -83,9 +83,8 @@ def _sample(model: Model, n: int, seed: int) -> tuple[np.ndarray, ...]:
         x1, x2, w = lo + (hi - lo) * u[:, 0], lo + (hi - lo) * u[:, 1], u[:, 2]
         rows = (0.0 < w) & (w < 1.0) & (np.abs(x1 - x2) > tol)
         # Clip, then sort as make_design: kept points are more than tol apart, so clipping keeps their order.
-        x1, x2, w = np.clip(x1[rows], lo, hi), np.clip(x2[rows], lo, hi), w[rows]
-        t, swap, m = w + (1.0 - w), x1 > x2, len(w)
-        wa, wb = w / t, (1.0 - w) / t  # the bits of _masses
+        x1, x2, (wa, wb) = np.clip(x1[rows], lo, hi), np.clip(x2[rows], lo, hi), _masses(w[rows]).T
+        swap, m = x1 > x2, len(wa)
         xa, xb, wa, wb = np.minimum(x1, x2), np.maximum(x1, x2), np.where(swap, wb, wa), np.where(swap, wa, wb)
         F = np.asarray(model.regressor(np.concatenate([xa, xb])), dtype=float)
         if F.shape != (2 * m, 2):

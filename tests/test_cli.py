@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import optdesign.cli as cli_module
 import optdesign.optimize as optimize_module
 from optdesign import CriterionSpec, optimize_design
 from optdesign.cli import (
@@ -22,14 +21,14 @@ from optdesign.cli import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_USAGE,
-    _optimal,
+    _build_criterion,
     _reference_stars,
     build_parser,
     main,
 )
 from optdesign.criteria import derivative_report
 from optdesign.mm import MMParams, mm_model
-from optdesign.optimize import sa_references
+from optdesign.optimize import _polish_from, mm_tables
 from optdesign.slr import SlrInterval
 
 
@@ -336,8 +335,8 @@ class TestReferenceStars:
                 assert math.isclose(got, want, rel_tol=1e-12), params
 
     def test_mm_runs_no_stage1(self, monkeypatch):
-        # mm_r_optimal's certificate passes on every model, so its fallback,
-        # the grid search, never runs.
+        # The R polish from mm_r_start passes its certificate on every model,
+        # so its fallback, the grid search, never runs.
         def no_stage1(*args):
             raise AssertionError("stage 1 ran")
         monkeypatch.setattr(optimize_module, "_stage1", no_stage1)
@@ -351,7 +350,6 @@ class TestReferenceStars:
         def counted(model, spec):
             calls.append(spec.kind)
             return optimize_design(model, spec)
-        monkeypatch.setattr(cli_module, "optimize_design", counted)
         monkeypatch.setattr(optimize_module, "optimize_design", counted)
         if name == "slr":
             params = SlrInterval(-1.3, 4.2)
@@ -388,11 +386,9 @@ def random_models(n, seed):
 
 
 def warm_cases(model, params, lams):
-    """(spec, held) of D, R, SA and COMPOUND at each lam in lams, as `optimal` builds them."""
-    refs, c_designs = sa_references(model)
-    (d_star, r_star), dr = _reference_stars(model, params)
-    return [(CriterionSpec("D"), None), (CriterionSpec("R"), None), (CriterionSpec("SA", sa_refs=refs), c_designs),
-            *((CriterionSpec("COMPOUND", lam=lam, phi_d_star=d_star, phi_r_star=r_star), dr) for lam in lams)]
+    """(spec, start) of D, R, SA and COMPOUND at each lam in lams, as `optimal` builds them."""
+    return [_build_criterion(kind, argparse.Namespace(lam=lam), {}, model, params)
+            for kind, lam in (("D", None), ("R", None), ("SA", None), *(("COMPOUND", lam) for lam in lams))]
 
 
 def count_stage1(monkeypatch):
@@ -410,8 +406,8 @@ class TestWarmStart:
         # A certified design is optimal whatever its start: polished from the start the call holds, each
         # result has the search's label and value.
         for model, params in random_models(102, 28):
-            for spec, held in warm_cases(model, params, (0.25, 0.5, 0.9)):
-                warm, searched = _optimal(model, params, spec, held), optimize_design(model, spec)
+            for spec, start in warm_cases(model, params, (0.25, 0.5, 0.9)):
+                warm, searched = _polish_from(model, spec, start), optimize_design(model, spec)
                 assert warm.label == searched.label, (params, spec)
                 assert math.isclose(warm.criterion_value, searched.criterion_value, rel_tol=1e-12), (params, spec)
 
@@ -430,7 +426,7 @@ class TestWarmStart:
         # certified result comes back.
         params = PINNED_PARAMS[name]
         model = params.model() if isinstance(params, SlrInterval) else mm_model(params)
-        spec, held = warm_cases(model, params, (0.5,))[index]
+        spec, start = warm_cases(model, params, (0.5,))[index]
         reports = []
 
         def first_fails(model, design, spec):
@@ -438,7 +434,7 @@ class TestWarmStart:
             return reports[-1] if len(reports) > 1 else replace(reports[-1], min_dd=-math.inf)
         monkeypatch.setattr(optimize_module, "derivative_report", first_fails)
         calls = count_stage1(monkeypatch)
-        res = _optimal(model, params, spec, held)
+        res = _polish_from(model, spec, start)
         assert calls == [spec.kind] and len(reports) == 2
         monkeypatch.undo()
         assert res.label == "certified" and res == optimize_design(model, spec)
@@ -611,6 +607,34 @@ def test_information_matrix_beyond_float_range_is_an_error(capsys, tmp_path, arg
     flows = "underflows" if argv == ("optimal", *HUGE_MM, "--criterion", "SA") else "overflows"
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("optdesign: ") and f"{flows} a float" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("optimal", *HUGE_MM, "--criterion", "COMPOUND", "--lam", "2"), "compound weight must lie in [0, 1], got 2.0"),
+    (("optimal", *HUGE_MM, "--criterion", "SA", "--n-support", "9"), "n_support must lie in [2, 4], got 9"),
+    (("check", *HUGE_MM, "--criterion", "COMPOUND", "--lam", "2", "--design", "MM"),
+     "compound weight must lie in [0, 1], got 2.0"),
+], ids=["optimal-lam", "optimal-n-support", "check-lam"])
+def test_usage_error_comes_before_the_references(capsys, tmp_path, argv, message):
+    # On MM at V = 1e200 the D design's information matrix overflows and SA's reference for c = (0, 1)
+    # underflows: a bad lam or n_support is still the usage error, found before any reference is computed.
+    design = tmp_path / "mm.json"
+    design.write_text(json.dumps({"points": [{"x": 200.0, "w": 0.5}, {"x": 1136.35, "w": 0.5}],
+                                  "space": {"lo": 113.635, "hi": 1136.35}}))
+    code, out, err = run(capsys, *(str(design) if a == "MM" else a for a in argv))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"optdesign: {message}\n"
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.5, 1.0])
+def test_table_rows_are_the_optimal_designs(capsys, eps):
+    # `table mm-designs` polishes its R and SA rows from the starts `optimal` polishes, through the same call:
+    # the designs agree bit for bit.
+    rows = {row.criterion: row.design for row in mm_tables(MMParams(b=5.0), [eps]).designs}
+    for kind in ("R", "SA"):
+        code, out, _ = run(capsys, "optimal", "--model", "mm", "--b", "5", f"--eps={eps!r}", "--criterion", kind)
+        assert code == EXIT_OK
+        assert [(p["x"], p["w"]) for p in json.loads(out)["design"]["points"]] == list(rows[kind].points)
 
 
 @pytest.mark.filterwarnings("error")

@@ -978,7 +978,7 @@ class TestElfving:
             assert optimize_design(model, CriterionSpec("C", c=c)) == dual
 
     def test_mm_lower_point_closed_form(self):
-        # mm_r_optimal starts its polish here: on [0, bK] the c-optimal designs
+        # mm_r_start starts the R polish here: on [0, bK] the c-optimal designs
         # for e_1 and e_2 share the lower point (sqrt 2 - 1) b K / ((2 - sqrt 2) b + 1).
         for b in (0.5, 1.0, 5.0, 50.0):
             model = mm_model(MMParams(V=43.73, K=227.27, b=b, eps=0.0))
