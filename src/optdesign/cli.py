@@ -53,10 +53,10 @@ from .mm import MMParams, mm_d_optimal, mm_model, mm_r_start
 from .optimize import (
     OptimizeResult,
     _mix,
-    _polish_from,
     mm_designs_csv,
     mm_efficiencies_csv,
     mm_tables,
+    optimize_design,
     sa_references,
 )
 from .pareto import (
@@ -240,13 +240,13 @@ def _reference_stars(model: Model, params: SlrInterval | MMParams) -> tuple[tupl
     slr = isinstance(params, SlrInterval)
     d = d_optimal_slr(params) if slr else mm_d_optimal(params)
     d_star = phi_d(fim(model, d))  # fim first: it names an M beyond the float range
-    r = r_optimal_slr(params) if slr else _polish_from(model, CriterionSpec("R"), mm_r_start(params)).design
+    r = r_optimal_slr(params) if slr else optimize_design(model, CriterionSpec("R"), mm_r_start(params)).design
     return (d_star, phi_r(fim(model, r))), (d, r)
 
 
 def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Model,
                      params: SlrInterval | MMParams) -> tuple[CriterionSpec, np.ndarray | None]:
-    """The criterion, and the start ``_polish_from`` polishes: D's closed form, R's on SLR (on MM
+    """The criterion, and the start ``optimize_design`` polishes: D's closed form, R's on SLR (on MM
     ``mm_r_start``), SA's from ``sa_references`` and COMPOUND's (1 - lam) x_D + lam x_R, point by point, from
     the designs of its references; None for C, R2, CPB and EM."""
     kind = kind.upper()
@@ -290,7 +290,7 @@ def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
     if not 2 <= n_support <= 4:
         raise UsageError(f"n_support must lie in [2, 4], got {n_support}")
     spec, start = _build_criterion(str(kind), args, cfg, model, params)
-    result = _polish_from(model, spec, start)
+    result = optimize_design(model, spec, start)
     config = {"command": "optimal", "model": model_info["model"], "model_params": model_info,
               "criterion": spec.kind,
               "criterion_params": {"lam": spec.lam, "c": None if spec.c is None else list(spec.c)},

@@ -1,7 +1,7 @@
 """Optimality criteria, efficiencies, correlations, and directional derivatives.
 
 All criteria are functions of the 2x2 information matrix M, through its entries, det (passed
-in, by Cauchy-Binet: ``designs._det``), tr = m11 + m22 and disc = sqrt((m11 - m22)^2 + 4 m12^2):
+in, by Cauchy-Binet: ``designs._det``), tr = m11 + m22 and disc = hypot(m11 - m22, 2 m12) (numpy's):
 
     phi_D  = det^(-1/2)                   volume of the confidence ellipse
     phi_R  = sqrt(m11 m22) / det          sqrt({M^-1}_11 {M^-1}_22), product of variances
@@ -9,16 +9,17 @@ in, by Cauchy-Binet: ``designs._det``), tr = m11 + m22 and disc = sqrt((m11 - m2
     phi_c  = c^T M^- c                    variance of c^T theta-hat
     phi_SA = phi_c1/ref1 + phi_c2/ref2    variance sum, each term scaled by its
                                           own c-optimal value
-    phi_EM = (tr + disc)^2 / (4 det)      lambda_max / lambda_min, condition number
+    phi_EM = lmax^2 / det                 lambda_max / lambda_min, lmax = (tr + disc) / 2
     phi_CPB= sqrt(phi_r2)                 RMS off-diagonal correlation at p = 2
     phi_lambda = (1-l)/Eff_D + l/Eff_R    compound D/R criterion
 
-Each formula is written once in the table ``_criterion``, a convex kind's next
-to its slope along a direction, whose slope of log det the caller forms from
-cross products, never from the entries, where it cancels: ``criterion_values_raw``
-(the kernel) evaluates it on arrays, ``criterion_value`` and the phi_* on an
-InfoMatrix's floats.  EM's form avoids lambda_min = (tr - disc)/2, which cancels
-on badly scaled columns; 4 det = tr^2 - disc^2 does not.
+Each formula is written once in the table ``_criterion``, a convex kind's next to its slope along a
+direction, whose slope of log det the caller forms from cross products, never from the entries, where it
+cancels: ``criterion_values_raw`` (the kernel) evaluates it on arrays, ``criterion_value`` and the phi_* on
+an InfoMatrix's floats.  EM, lmax (lmax / det), avoids lambda_min = (tr - disc)/2, which cancels on badly
+scaled columns, and squares no entry, which overflows first.  C's c^T adj(M) c = p - q, p = c1^2 m22 +
+c2^2 m11, cancels where q = 2 c1 c2 m12 > 0; there it is (t^2 + 4 (c1 c2)^2 det) / (p + q),
+t = c1^2 m22 - c2^2 m11: (p - q)(p + q) is that numerator, whose terms share a sign.
 
 Reported values use C pow.  The table's operations give the same bits on
 floats and on arrays, except a power: Python floats and numpy scalars take
@@ -49,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .designs import Design, InfoMatrix, Model, _cross, _fim_of, _is_singular, fim
+from .designs import Design, InfoMatrix, Model, _cross, _fim_of, _is_singular, _regressor, fim
 from .errors import SingularDesignError, ValidationError
 
 CONVEX_KINDS = frozenset({"D", "R", "C", "SA", "COMPOUND"})
@@ -113,7 +114,8 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
     gives its slope along ``d = (d11, d12, d22, dlogdet)``, dlogdet the slope of log det, which the caller
     forms from cross products; R2, CPB and EM give None.
     """
-    sqrt = np.sqrt if isinstance(det, np.ndarray) else math.sqrt
+    array = isinstance(det, np.ndarray)
+    sqrt, hypot = (np.sqrt, np.hypot) if array else (math.sqrt, lambda a, b: float(np.hypot(a, b)))
     kind, slope = spec.kind, None
     if d is not None:
         d11, d12, d22, dlogdet = d
@@ -131,7 +133,12 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
         value = r2 if kind == "R2" else sqrt(r2)
     elif kind == "C":
         c1, c2 = spec.c  # type: ignore[misc]
-        value = (c1 * c1 * m22 - 2.0 * c1 * c2 * m12 + c2 * c2 * m11) / det
+        q = 2.0 * c1 * c2 * m12
+        value = (c1 * c1 * m22 - q + c2 * c2 * m11) / det  # (p - q) / det
+        if array or q > 0.0:  # p - q cancels: (t^2 + 4 (c1 c2)^2 det) / (p + q), see the module doc
+            t, pq = c1 * c1 * m22 - c2 * c2 * m11, c1 * c1 * m22 + c2 * c2 * m11 + q
+            exact = t / pq * (t / det) + 4.0 * (c1 * c2) * (c1 * c2) / pq
+            value = np.where(q > 0.0, exact, value) if array else exact
         if d is not None:
             slope = (c1 * c1 * d22 - 2.0 * c1 * c2 * d12 + c2 * c2 * d11) / det - value * dlogdet
     elif kind == "SA":
@@ -140,9 +147,8 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
         if d is not None:
             slope = (d22 / ref1 + d11 / ref2) / det - value * dlogdet
     elif kind == "EM":
-        tr = m11 + m22
-        disc = sqrt((m11 - m22) * (m11 - m22) + 4.0 * m12 * m12)
-        value = (tr + disc) * (tr + disc) / (4.0 * det)
+        lmax = 0.5 * (m11 + m22 + hypot(m11 - m22, 2.0 * m12))  # no lambda_min to cancel, no square to overflow
+        value = lmax * (lmax / det)
     elif kind == "COMPOUND":
         lam = spec.lam  # type: ignore[assignment]
         d_part = det ** -0.5
@@ -268,7 +274,7 @@ def _dd(spec: CriterionSpec, design: Design, F: np.ndarray, Fs: np.ndarray) -> n
 
 def directional_derivative(model: Model, design: Design, x: float, spec: CriterionSpec) -> float:
     """d phi[M(design), M(one-point at x)]; >= 0 everywhere iff design is optimal."""
-    F = np.asarray(model.regressor(np.concatenate([[float(x)], design.xs])), dtype=float)
+    F = _regressor(model, np.concatenate([[float(x)], design.xs]))
     return float(_dd(spec, design, F[:1], F[1:])[0])
 
 
@@ -295,7 +301,7 @@ def _sampled_report(model: Model, design: Design, dd_of) -> DerivativeReport:
     once (np.unique's grid, without the numpy.ma import it costs on first use), Fs the support's rows of F."""
     grid = np.sort(np.concatenate([model.space.grid(CERTIFICATE_GRID), design.xs]))
     grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
-    F = np.asarray(model.regressor(grid), dtype=float)
+    F = _regressor(model, grid)
     dd = dd_of(F, F[np.searchsorted(grid, design.xs)])
     k = int(np.argmin(dd))
     return DerivativeReport(tuple(grid.tolist()), tuple(dd.tolist()), float(dd[k]), float(grid[k]))

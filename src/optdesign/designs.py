@@ -199,16 +199,20 @@ def _det(F: np.ndarray, W: np.ndarray) -> np.ndarray:
                 for i in range(F.shape[1]) for j in range(i + 1, F.shape[1])), np.zeros(len(F)))
 
 
+def _regressor(model: Model, x: np.ndarray, dx: bool = False) -> np.ndarray:
+    """The regressor (``regressor_dx`` if dx) at the points x (n,), as floats (n, 2); another shape raises."""
+    F = np.asarray(getattr(model, name := "regressor_dx" if dx else "regressor")(x), dtype=float)
+    if F.shape != (len(x), 2):
+        raise ValidationError(f"{name} returned shape {F.shape}, expected ({len(x)}, 2)")
+    return F
+
+
 def fim_entries(model: Model, xs: np.ndarray, ws: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Entries (m11, m12, m22) and det of the information matrices of n k-point designs: row i of xs (n, k)
     holds design i's support points and row i of ws its weights.  One regressor call covers every point, and
     ``_fim_of`` forms the matrices, so a row's values are bit for bit those of :func:`fim` on it."""
-    n, k = xs.shape
-    F = np.asarray(model.regressor(xs.reshape(-1)), dtype=float)
-    if F.shape != (n * k, 2):
-        raise ValidationError(f"regressor returned shape {F.shape}, expected ({n * k}, 2)")
-    return _fim_of(F.reshape(n, k, 2), xs, ws)
+    return _fim_of(_regressor(model, xs.reshape(-1)).reshape(xs.shape + (2,)), xs, ws)
 
 
 def _fim_of(F: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ once, and the best pair is polished along the criterion's slope, then
 certified by the directional derivative on a fine grid.  The equivalence
 theorem compares a certified design with every design, so no second
 candidate is polished, and a start at hand stands in for stage 1 unless its
-certificate fails: each such optimum is one ``_polish_from`` call.
+certificate fails: each optimum is one ``optimize_design`` call.
 ``c_optimal`` takes kind C (and the SA references) from Elfving's theorem, and
 ``_disk_optimal`` r^2, CPB and EM from the chord, best-found for want of an
 equivalence theorem.
@@ -45,7 +45,7 @@ from .criteria import (
     criterion_values_raw,
     derivative_report,
 )
-from .designs import EPS, Design, Model, _cross, _is_singular, fim, fim_entries, make_design
+from .designs import EPS, Design, Model, _cross, _is_singular, _regressor, fim, fim_entries, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model, mm_r_start
 from .slr import _fmt
@@ -64,7 +64,7 @@ class OptimizeResult:
 
     ``converged`` is True when the equivalence certificate ``derivative_report`` holds, which only a
     convex kind has; ``label`` names that outcome.  ``iterations`` counts the supports the refinement
-    evaluated (each a weight solve, the start included) from its start, the one given to ``_polish_from``
+    evaluated (each a weight solve, the start included) from its start, the one given to ``optimize_design``
     or, without one or after a failed certificate, stage 1's best pair; for C, R2, CPB and EM it counts the
     points that ``c_optimal``'s or ``_disk_optimal``'s polish evaluated.
     """
@@ -165,7 +165,7 @@ def _zero_slope(evaluate, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np
         if not len(live):
             break
         xa, ya, xb, yb, left, right = (z[live] for z in (a, sa, b, sb, lo, hi))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x = xb - yb * (xb - xa) / (yb - ya)
         inside = (left <= x) & (x <= right) & np.isfinite(ya)  # ya infinite would freeze x at b
         # Points stay tol/2 inside the bracket and tol/2 from b, toward the other end.
@@ -244,8 +244,7 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
     for x in xs:
         if not model.space.contains(x):
             raise ValidationError(f"support point {x} outside the design space")
-    F = np.asarray(model.regressor(xs), dtype=float)
-    W, V = _best_mass(criterion, F[None], WEIGHT_TOL)
+    W, V = _best_mass(criterion, _regressor(model, xs)[None], WEIGHT_TOL)
     if not math.isfinite(V[0]):
         raise OptimizationError("criterion is infinite for every weighting of this support")
     return W[0]
@@ -257,14 +256,13 @@ def _regress(model: Model, x: np.ndarray) -> list[np.ndarray]:
     """The regressor and its x-derivative at the points x, each shaped x.shape + (2,)."""
     if model.regressor_dx is None:
         raise ValidationError(f"model {model.name!r} has no regressor_dx; the optimizer needs it")
-    return [np.asarray(f(x), dtype=float).reshape(x.shape + (2,))
-            for f in (model.regressor, model.regressor_dx)]
+    return [_regressor(model, x.reshape(-1), dx).reshape(x.shape + (2,)) for dx in (False, True)]
 
 
 def _finite_grid(model: Model, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The points of the n-point grid of the space where the regressor f is finite, and f there (m, 2)."""
     grid = model.space.grid(n)
-    F = np.asarray(model.regressor(grid), dtype=float)
+    F = _regressor(model, grid)
     finite = np.all(np.isfinite(F), axis=1)
     return grid[finite], F[finite]
 
@@ -341,20 +339,24 @@ def _stage1(model: Model, spec: CriterionSpec) -> np.ndarray:
     return grid[idx[np.argmin(vals)]]
 
 
-def optimize_design(model: Model, spec: CriterionSpec) -> OptimizeResult:
+def optimize_design(model: Model, spec: CriterionSpec, start: np.ndarray | None = None) -> OptimizeResult:
     """Best design on ``model`` under the criterion ``spec``: a design on at most two points, as no
     design on more points does better.
 
-    Convex criteria return with an equivalence certificate (directional
-    derivative >= -1e-6, scaled, on the ``criteria.CERTIFICATE_GRID``-point
-    grid).  Kind C is ``c_optimal``'s design, on one or two points; R2, CPB and
-    EM are ``_disk_optimal``'s, labeled best-found; the others are searched.
+    Kind C is ``c_optimal``'s design, on one or two points; R2, CPB and EM are ``_disk_optimal``'s, labeled
+    best-found.  D, R, SA and COMPOUND polish the two-point ``start``, if given, after stage 1's float-range
+    check, and run stage 1 and the polish if there is none, the criterion is not finite at it or the equivalence
+    certificate (directional derivative >= -1e-6, scaled, on the ``criteria.CERTIFICATE_GRID``-point grid)
+    fails: a certified design is optimal whatever its start.
     """
     if spec.kind == "C":
         return c_optimal(model, spec.c)
     if not spec.is_convex:
         return _disk_optimal(model, spec)
-
+    if start is not None:
+        _fim_grid(model, STAGE1_GRID)
+        if (r := _refine(model, spec, start)) is not None and r.converged:
+            return r
     return _refine(model, spec, _stage1(model, spec))
 
 
@@ -371,16 +373,6 @@ def _result(model: Model, spec: CriterionSpec, xs: Sequence[float], ws: Sequence
         report = derivative_report(model, design, spec)
         return OptimizeResult(design, value, report, report.passes(value), iterations)
     return OptimizeResult(design, value, None, False, iterations)
-
-
-def _polish_from(model: Model, spec: CriterionSpec, x: np.ndarray | None) -> OptimizeResult:
-    """``_refine`` of the two-point start x after stage 1's float-range check, or ``optimize_design`` if x is None,
-    the criterion is not finite at x or the certificate fails.  A certified design is optimal whatever its start."""
-    if x is None:
-        return optimize_design(model, spec)
-    _fim_grid(model, STAGE1_GRID)
-    r = _refine(model, spec, x)
-    return r if r is not None and r.converged else optimize_design(model, spec)
 
 
 def _mix(designs: Sequence[Design], weights: Sequence[float]) -> np.ndarray | None:
@@ -604,7 +596,7 @@ def mm_tables(params: MMParams, eps_list: Sequence[float], compat: bool = True) 
             elif kind in ("EM", "R2") and compat and p_eps.space().lo == 0.0:
                 designs[kind] = None
             else:
-                designs[kind] = _polish_from(model, evaluators[kind], starts.get(kind)).design
+                designs[kind] = optimize_design(model, evaluators[kind], starts.get(kind)).design
 
         # One value table: vals[k][j] is criterion j at kind k's design, one fim per design; its diagonal the stars.
         ms = {k: fim(model, d) for k, d in designs.items() if d is not None}

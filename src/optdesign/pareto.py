@@ -42,7 +42,7 @@ import numpy as np
 
 from .criteria import (_D, _R, _R2, CriterionSpec, _correlation, _criterion, correlation,
                        criterion_values_raw, phi_d, phi_r)
-from .designs import Design, Model, _det, _is_singular, fim, fim_entries
+from .designs import Design, Model, _det, _is_singular, _regressor, fim, fim_entries
 from .errors import OptimizationError, SingularDesignError, ValidationError
 from .optimize import optimize_design
 
@@ -86,9 +86,7 @@ def _sample(model: Model, n: int, seed: int) -> tuple[np.ndarray, ...]:
         x1, x2, (wa, wb) = np.clip(x1[rows], lo, hi), np.clip(x2[rows], lo, hi), _masses(w[rows]).T
         swap, m = x1 > x2, len(wa)
         xa, xb, wa, wb = np.minimum(x1, x2), np.maximum(x1, x2), np.where(swap, wb, wa), np.where(swap, wa, wb)
-        F = np.asarray(model.regressor(np.concatenate([xa, xb])), dtype=float)
-        if F.shape != (2 * m, 2):
-            raise ValidationError(f"regressor returned shape {F.shape}, expected ({2 * m}, 2)")
+        F = _regressor(model, np.concatenate([xa, xb]))
         with np.errstate(over="ignore", invalid="ignore"):
             m11, m22 = (wa[:, None] * F[:m] ** 2 + wb[:, None] * F[m:] ** 2).T
             det = _det(F.reshape(2, m, 2).transpose(1, 0, 2), np.stack([wa, wb], 1))

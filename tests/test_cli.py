@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import optdesign.cli as cli_module
 import optdesign.optimize as optimize_module
 from optdesign import CriterionSpec, optimize_design
 from optdesign.cli import (
@@ -28,7 +30,7 @@ from optdesign.cli import (
 )
 from optdesign.criteria import derivative_report
 from optdesign.mm import MMParams, mm_model
-from optdesign.optimize import _polish_from, mm_tables
+from optdesign.optimize import mm_tables
 from optdesign.slr import SlrInterval
 
 
@@ -85,6 +87,20 @@ class TestOptimal:
         [point] = payload["design"]["points"]
         assert point["w"] == 1.0 and math.isclose(point["x"], x0, rel_tol=1e-12)
         assert math.isclose(payload["criterion_value"], 2.89, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("mass", [5e-9, 5e-11, 5e-13])
+    def test_check_c_near_a_singular_design_reads_at_least_the_optimum(self, capsys, tmp_path, mass):
+        # No design beats the value 2.89 of c = 1.7 f(x0); with a minor mass at 688.91, c^T M^- c once read
+        # below it (2.88914 at 5e-13).
+        x0 = 241.474375
+        f = mm_model(MMParams(b=5.0, eps=0.5)).regressor(np.array([x0]))[0].tolist()
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"points": [{"x": x0, "w": 1.0 - mass}, {"x": 688.91, "w": mass}],
+                                    "space": {"lo": 113.635, "hi": 1136.35}}))
+        _, out, _ = run(capsys, "check", "--model", "mm", "--b", "5", "--eps", "0.5", "--criterion", "C",
+                        f"--c={1.7 * f[0]!r},{1.7 * f[1]!r}", "--design", str(path))
+        value = json.loads(out)["criterion_value"]
+        assert value >= 2.89 and math.isclose(value, 2.89, rel_tol=1e-8)
 
     @pytest.mark.parametrize("criterion", ["D", "EM"])
     def test_seed_does_not_move_the_optimizer(self, capsys, criterion):
@@ -343,14 +359,14 @@ class TestReferenceStars:
         for params in random_mm_params():
             _reference_stars(mm_model(params), params)
 
-    @pytest.mark.parametrize("name, searched", [("slr", []), ("mm", [])])
+    @pytest.mark.parametrize("name, searched", [("slr", []), ("mm", ["R"])])
     def test_searches_only_for_phi_r_on_mm(self, monkeypatch, name, searched):
         calls = []
 
-        def counted(model, spec):
+        def counted(model, spec, start=None):
             calls.append(spec.kind)
-            return optimize_design(model, spec)
-        monkeypatch.setattr(optimize_module, "optimize_design", counted)
+            return optimize_design(model, spec, start)
+        monkeypatch.setattr(cli_module, "optimize_design", counted)
         if name == "slr":
             params = SlrInterval(-1.3, 4.2)
             _reference_stars(params.model(), params)
@@ -407,7 +423,7 @@ class TestWarmStart:
         # result has the search's label and value.
         for model, params in random_models(102, 28):
             for spec, start in warm_cases(model, params, (0.25, 0.5, 0.9)):
-                warm, searched = _polish_from(model, spec, start), optimize_design(model, spec)
+                warm, searched = optimize_design(model, spec, start), optimize_design(model, spec)
                 assert warm.label == searched.label, (params, spec)
                 assert math.isclose(warm.criterion_value, searched.criterion_value, rel_tol=1e-12), (params, spec)
 
@@ -434,7 +450,7 @@ class TestWarmStart:
             return reports[-1] if len(reports) > 1 else replace(reports[-1], min_dd=-math.inf)
         monkeypatch.setattr(optimize_module, "derivative_report", first_fails)
         calls = count_stage1(monkeypatch)
-        res = _polish_from(model, spec, start)
+        res = optimize_design(model, spec, start)
         assert calls == [spec.kind] and len(reports) == 2
         monkeypatch.undo()
         assert res.label == "certified" and res == optimize_design(model, spec)
@@ -589,17 +605,15 @@ HUGE_MM = ("--model", "mm", "--b", "5", "--eps", "0.5", "--V", "1e200")
     ("sweep", *BIG_SLR, "--a-fixed", "0"),
     ("optimal", *BIG_SLR, "--criterion", "D"),
     ("optimal", *BIG_SLR, "--criterion", "EM"),
-    ("optimal", *HIGH_SLR, "--criterion", "EM"),
     ("pareto", *HUGE_MM, "--n", "50"),
     *(("optimal", *FAR_SLR, "--criterion", *kind) for kind in WARM_KINDS),
     *(("optimal", *HUGE_MM, "--criterion", *kind) for kind in WARM_KINDS),
 ])
 def test_information_matrix_beyond_float_range_is_an_error(capsys, tmp_path, argv):
     # x^2 overflows on SLR [-1e200, 1e200], as V^2 does on MM, and on SLR [-1e154, 1e154] a wide pair's
-    # squared cross product (x_b - x_a)^2 does; on SLR [1e80, 2e80] M is non-singular and only EM's
-    # (tr + disc)^2 overflows: one line naming the overflow, with no numpy warning, not a usage error for a
-    # valid input, nor "no admissible design".  The warm starts of D, R, SA and COMPOUND run the same check
-    # as the search; on MM at V = 1e200, SA's reference for c = (0, 1) underflows first.
+    # squared cross product (x_b - x_a)^2 does: one line naming the overflow, with no numpy warning, not a
+    # usage error for a valid input, nor "no admissible design".  The warm starts of D, R, SA and COMPOUND run
+    # the same check as the search; on MM at V = 1e200, SA's reference for c = (0, 1) underflows first.
     design = tmp_path / "big.json"
     design.write_text(json.dumps({"points": [{"x": -1e200, "w": 0.5}, {"x": 1e200, "w": 0.5}],
                                   "space": {"lo": -1e200, "hi": 1e200}}))
@@ -637,13 +651,29 @@ def test_table_rows_are_the_optimal_designs(capsys, eps):
         assert [(p["x"], p["w"]) for p in json.loads(out)["design"]["points"]] == list(rows[kind].points)
 
 
+def exact_condition_number(points):
+    """lambda_max / lambda_min = (tr + disc)^2 / (4 det) of SLR's M on the design's points, in 60 digits."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x, w = ([decimal.Decimal(p[key]) for p in points] for key in ("x", "w"))
+        m11, m12, m22 = sum(w), sum(a * b for a, b in zip(w, x)), sum(a * b * b for a, b in zip(w, x))
+        disc = ((m11 - m22) ** 2 + 4 * m12 ** 2).sqrt()
+        return float((m11 + m22 + disc) ** 2 / (4 * (m11 * m22 - m12 ** 2)))
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("kind", ["R2", "CPB"])
-def test_disk_optimum_beyond_the_det_scale_prints_no_warning(capsys, kind):
-    # |f|^4, the chord's det scale, overflows on SLR [1e80, 2e80] while f f^T does not: such a point is
-    # no det scale to lose, and the chord's best-found design comes back without a numpy warning.
-    code, out, err = run(capsys, "optimal", *HIGH_SLR, "--criterion", kind)
-    assert code == EXIT_BEST_FOUND and err == "" and json.loads(out)["label"] == "best-found"
+@pytest.mark.parametrize("space, kind", [(HIGH_SLR, "R2"), (HIGH_SLR, "CPB"), (HIGH_SLR, "EM"), (FAR_SLR, "EM")],
+                         ids=["R2", "CPB", "EM", "EM-far"])
+def test_disk_optimum_beyond_the_det_scale_prints_no_warning(capsys, space, kind):
+    # |f|^4, the chord's det scale, overflows on SLR [1e80, 2e80] and [-1e154, 1e154] while f f^T does not:
+    # such a point is no det scale to lose, and the chord's best-found design comes back without a numpy
+    # warning.  EM is M's condition number to rounding: lambda_max (lambda_max / det) stays in range where
+    # (tr + disc)^2 overflowed, and on [-1e154, 1e154] the chord polish bisects where its secant step overflows.
+    code, out, err = run(capsys, "optimal", *space, "--criterion", kind)
+    payload = json.loads(out)
+    assert code == EXIT_BEST_FOUND and err == "" and payload["label"] == "best-found"
+    if kind == "EM":
+        exact = exact_condition_number(payload["design"]["points"])
+        assert abs(payload["criterion_value"] - exact) <= 1e-12 * exact
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +97,21 @@ class TestScalarCriteria:
         assert math.isclose(phi_c(SINGULAR, (1.0, 1.0)), 1.0, rel_tol=1e-12)  # estimable
         with pytest.raises(ValidationError):
             phi_c(IDENTITY, (0.0, 0.0))
+
+    @pytest.mark.parametrize("mass", [5e-9, 5e-11, 5e-13])
+    def test_phi_c_near_a_singular_design_is_exact(self, mass):
+        # c = 1.7 f(x0) on MM: no design beats 1.7^2 = 2.89.  With a minor mass at 688.91, c1^2 m22 -
+        # 2 c1 c2 m12 + c2^2 m11 cancels and read as low as 2.88914; its exact value, in rationals from the
+        # same regressor values and weights, is above 2.89.
+        model = mm_model(MMParams(b=5.0, eps=0.5))
+        x0 = 241.474375
+        c = tuple((1.7 * model.regressor(np.array([x0]))[0]).tolist())
+        design = make_design([(x0, 1.0 - mass), (688.91, mass)], model.space)
+        (f1, f2), (g1, g2) = (tuple(map(Fraction, f)) for f in model.regressor(design.xs).tolist())
+        (w, u), (c1, c2) = map(Fraction, design.ws.tolist()), map(Fraction, c)
+        exact = (w * (c1 * f2 - c2 * f1) ** 2 + u * (c1 * g2 - c2 * g1) ** 2) / (w * u * (f1 * g2 - f2 * g1) ** 2)
+        value = phi_c(fim(model, design), c)
+        assert value >= 2.89 and abs(value - exact) <= 1e-13 * exact
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c", [(math.nan, 1.0), (math.inf, 1.0)])

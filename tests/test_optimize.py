@@ -7,6 +7,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,14 +31,13 @@ from optdesign import (
     phi_r2,
     slr_model,
 )
-from optdesign.criteria import criterion_values_raw
+from optdesign.criteria import criterion_values_raw, derivative_report
 from optdesign.designs import fim_entries
 from optdesign.mm import MMParams, mm_d_optimal, mm_model
 from optdesign.optimize import (
     _best_mass,
     _mix,
     _outer3,
-    _polish_from,
     _refine,
     _stage1,
     _zero_slope,
@@ -49,6 +49,7 @@ from optdesign.optimize import (
     optimize_weights,
     sa_references,
 )
+from optdesign.pareto import sampled_front
 from optdesign.slr import SlrInterval, d_optimal_slr, p_r, r2_optimal_slr, r_optimal_slr
 
 
@@ -591,6 +592,22 @@ def test_model_without_regressor_derivative_is_rejected():
         optimize_design(bare, CriterionSpec("D"))
 
 
+def test_regressor_of_the_wrong_shape_is_rejected():
+    # Every evaluation checks the shape (n, 2): a regressor with a third column is named, not a numpy
+    # error from the solver nor a certificate built from the wrong columns.
+    base = slr_model(DesignSpace(-1.0, 1.0))
+    wide = replace(base, regressor=lambda x: np.stack([np.ones_like(x), x, x * x], axis=-1))
+    design = make_design([(-1.0, 0.5), (1.0, 0.5)], base.space)
+    for call in (lambda: optimize_design(wide, CriterionSpec("D")), lambda: c_optimal(wide, (1.0, 0.0)),
+                 lambda: derivative_report(wide, design, CriterionSpec("D")), lambda: fim(wide, design),
+                 lambda: sampled_front(wide, 10, 0, 1.0, 1.0)):
+        with pytest.raises(ValidationError, match=r"regressor returned shape \(\d+, 3\), expected \(\d+, 2\)"):
+            call()
+    flat = replace(base, regressor_dx=lambda x: np.ones_like(x))
+    with pytest.raises(ValidationError, match=r"regressor_dx returned shape \(\d+,\), expected \(\d+, 2\)"):
+        optimize_design(flat, CriterionSpec("D"))
+
+
 @given(a=st.floats(-5.0, 5.0), width=st.floats(0.5, 10.0), kind=st.sampled_from(["D", "R", "R2", "EM"]),
        log_scale=st.one_of(st.just(0.0), st.floats(-12.0, 0.0)))
 @settings(max_examples=60, deadline=None)
@@ -801,7 +818,7 @@ def test_a_one_point_reference_design_leaves_no_start(monkeypatch):
     assert _mix([one, two], (0.5, 0.5)) is None and _mix([two, two], (0.5, 0.5)).tolist() == [-1.3, 4.2]
     calls = []
     monkeypatch.setattr(optimize_module, "_stage1", lambda model, spec: calls.append(spec.kind) or _stage1(model, spec))
-    assert _polish_from(model, spec, None) == optimize_design(model, spec) and calls == ["SA", "SA"]
+    assert optimize_design(model, spec, None) == optimize_design(model, spec) and calls == ["SA", "SA"]
 
 
 class TestCOptimal:
@@ -912,6 +929,33 @@ def random_c_problems(kind: str, seed: int, n: int):
             model, flags = mm_model(params), {"V": params.V, "K": params.K, "b": b, "eps": params.eps}
         yield (model, tuple(rng.normal(size=2).tolist()),
                ("--model", kind, *(f"--{name}={value!r}" for name, value in flags.items())))
+
+
+# Random SLR intervals and MM models, some of them from eps = 0.
+C_MODELS = st.one_of(
+    st.builds(lambda a, width: slr_model(DesignSpace(a, a + width)), st.floats(-5.0, 4.0), st.floats(0.5, 6.0)),
+    st.builds(lambda v, k, b, floor: mm_model(MMParams(V=v, K=k, b=b, eps=floor * b)), st.floats(1.0, 100.0),
+              st.floats(1.0, 500.0), st.floats(0.5, 10.0), st.one_of(st.just(0.0), st.floats(0.0, 0.9))))
+
+
+@given(model=C_MODELS, at=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), scale=st.floats(0.1, 10.0),
+       log_mass=st.floats(-13.0, -1.0))
+@settings(max_examples=200, deadline=None)
+@example(model=mm_model(MMParams(b=5.0, eps=0.5)), scale=1.7, log_mass=-13.0,
+         at=((241.474375 - 113.635) / 1022.715, (688.91 - 113.635) / 1022.715))
+def test_no_two_point_design_reads_below_the_c_optimum(model, at, scale, log_mass):
+    # c = scale f(x0) has the value scale^2 on the one point x0, and no design beats the c-optimum; a design
+    # with the minor mass 10^log_mass at x1 is nearly singular, and c1^2 m22 - 2 c1 c2 m12 + c2^2 m11 once
+    # cancelled there to values below both, down to a negative variance.  The bound is the lesser of the two:
+    # with x0 within a grid cell of an end of the space, c_optimal can return a best-found design above
+    # scale^2 (SLR [0, 1], x0 = 1e-20: 1.005).
+    space = model.space
+    x0, x1 = (space.lo + t * space.width for t in at)
+    c = tuple((scale * model.regressor(np.array([x0]))[0]).tolist())
+    assume(abs(x1 - x0) > space.merge_tol() and any(c))
+    m = fim(model, make_design([(x0, 1.0 - 10.0 ** log_mass), (x1, 10.0 ** log_mass)], space))
+    assume(not m.is_singular)
+    assert phi_c(m, c) >= min(scale * scale, c_optimal(model, c).criterion_value) * (1.0 - 1e-12)
 
 
 class TestElfving:

@@ -56,6 +56,20 @@ def test_pareto_runs_through_the_traced_front_layers(capsys):
     assert tracer.values["pareto.front.points_in"] >= 1
 
 
+def test_every_solve_runs_through_the_traced_design_layer(capsys):
+    # optimize_design is the one door to a solve, warm or cold: MM COMPOUND solves for its R reference and
+    # for itself, and the optimize.design layer sees both.
+    tracer = load_tracer().Tracer().install()
+    try:
+        code = optdesign.cli.main(["optimal", "--model", "mm", "--b", "5", "--eps", "0.5", "--criterion", "COMPOUND",
+                                   "--lam", "0.5"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.values["optimize.design.calls"] == 2
+
+
 # Every subcommand once, in a fresh interpreter; writes the exit codes and the
 # top-level modules the runs imported that belong to an installed distribution.
 IMPORTS_SCRIPT = """
