@@ -11,11 +11,13 @@ Exit codes distinguish certificate strength so scripts can rely on them:
 Options may come from flags or from a JSON config file (--config); flags
 override the file.  The seed (--seed, default OPTDESIGN_SEED) feeds only the
 sampler of `pareto`; `optimal` accepts it and echoes it in its config, and
-no other subcommand accepts it.  The optimizer is
-deterministic, and no option sets its accuracy: its weight tolerances and the
-certificate's grid are constants (``optimize.WEIGHT_TOL``,
-``criteria.CERTIFICATE_GRID``).  File outputs are written atomically (write
-to a temp file, then rename); with a fixed seed every run is byte-reproducible.
+no other subcommand accepts it.  The CLI reads a criterion's flags; its rule
+for each kind's criterion, references and start is ``optimize._criterion_start``,
+which ``table mm-*`` shares.  The optimizer is deterministic, and no option sets
+its accuracy: its weight tolerances and the certificate's grid are constants
+(``optimize.WEIGHT_TOL``, ``criteria.CERTIFICATE_GRID``).  File outputs are
+written atomically (write to a temp file, then rename); with a fixed seed every
+run is byte-reproducible.
 
 `main(argv)` may be called repeatedly in one process.  The argument parser is
 built on the first call and reused: parsing returns a fresh namespace, every
@@ -31,12 +33,13 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
 
 from .criteria import (
+    ALL_KINDS,
     CERTIFICATE_GRID,
     CONVEX_KINDS,
     CriterionSpec,
@@ -49,15 +52,15 @@ from .criteria import (
 )
 from .designs import Design, DesignSpace, Model, design_from_json, design_to_json, fim, slr_model
 from .errors import OptDesignError, ValidationError
-from .mm import MMParams, mm_d_optimal, mm_model, mm_r_start
+from .mm import MMParams, mm_model
 from .optimize import (
     OptimizeResult,
-    _mix,
+    _criterion_start,
+    _reference_stars,
     mm_designs_csv,
     mm_efficiencies_csv,
     mm_tables,
     optimize_design,
-    sa_references,
 )
 from .pareto import (
     compound_sweep,
@@ -66,7 +69,7 @@ from .pareto import (
     front_csv,
     sampled_front,
 )
-from .slr import SlrInterval, d_optimal_slr, r_optimal_slr, table_slr, table_slr_csv
+from .slr import SlrInterval, table_slr, table_slr_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -75,12 +78,10 @@ EXIT_USAGE = 64
 
 SEED_ENV_VAR = "OPTDESIGN_SEED"
 
-CRITERION_KINDS = ("D", "R", "R2", "C", "SA", "EM", "CPB", "COMPOUND")
 
-
-# A negative number, or a comma-separated list of numbers that starts with one.
-_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
-_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,-?{_NUMBER})*$")
+# A negative number, or a comma-separated list of numbers that starts with one; as float() reads them.
+_NUMBER = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,-?{_NUMBER})*$", re.IGNORECASE)
 
 
 class UsageError(Exception):
@@ -233,48 +234,21 @@ def _result_json(result: OptimizeResult, model: Model, config: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _reference_stars(model: Model, params: SlrInterval | MMParams) -> tuple[tuple[float, float], tuple]:
-    """((phi_D*, phi_R*), (D design, R design)): the optimal D and R values, references of COMPOUND and the
-    efficiencies, and their designs.  Both come from closed forms on SLR; on MM the D design does, and the
-    R design is polished from ``mm_r_start``, with no grid search."""
-    slr = isinstance(params, SlrInterval)
-    d = d_optimal_slr(params) if slr else mm_d_optimal(params)
-    d_star = phi_d(fim(model, d))  # fim first: it names an M beyond the float range
-    r = r_optimal_slr(params) if slr else optimize_design(model, CriterionSpec("R"), mm_r_start(params)).design
-    return (d_star, phi_r(fim(model, r))), (d, r)
-
-
 def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Model,
                      params: SlrInterval | MMParams) -> tuple[CriterionSpec, np.ndarray | None]:
-    """The criterion, and the start ``optimize_design`` polishes: D's closed form, R's on SLR (on MM
-    ``mm_r_start``), SA's from ``sa_references`` and COMPOUND's (1 - lam) x_D + lam x_R, point by point, from
-    the designs of its references; None for C, R2, CPB and EM."""
-    kind = kind.upper()
-    if kind not in CRITERION_KINDS:
-        raise UsageError(f"unknown criterion {kind!r}; choose from {CRITERION_KINDS}")
+    """``optimize._criterion_start`` of the criterion ``kind`` with C's --c and COMPOUND's --lam: the criterion
+    and its start.  A bad flag is a usage error before any reference is computed."""
+    kind, c, lam = kind.upper(), None, None
+    if kind not in ALL_KINDS:
+        raise UsageError(f"unknown criterion {kind!r}; choose from {ALL_KINDS}")
     if kind == "C":
-        c = _setting(args, cfg, "c")
-        if c is None:
+        if (c := _setting(args, cfg, "c")) is None:
             raise UsageError("criterion C needs --c 'c1,c2'")
-        vec = _parse_floats(c)
-        if len(vec) != 2:
+        if len(c := tuple(_parse_floats(c))) != 2:
             raise UsageError("--c must hold exactly two numbers")
-        return CriterionSpec("C", c=(vec[0], vec[1])), None
-    if kind == "D":
-        return CriterionSpec("D"), (d_optimal_slr if isinstance(params, SlrInterval) else mm_d_optimal)(params).xs
-    if kind == "R":
-        return CriterionSpec("R"), r_optimal_slr(params).xs if isinstance(params, SlrInterval) else mm_r_start(params)
-    if kind == "SA":
-        refs, start = sa_references(model)
-        return CriterionSpec("SA", sa_refs=refs), start
-    if kind == "COMPOUND":
-        lam = _setting(args, cfg, "lam", convert=float)
-        if lam is None:
-            raise UsageError("criterion COMPOUND needs --lam in [0, 1]")
-        spec = CriterionSpec("COMPOUND", lam=lam, phi_d_star=1.0, phi_r_star=1.0)  # checks lam before the references
-        (d_star, r_star), designs = _reference_stars(model, params)
-        return replace(spec, phi_d_star=d_star, phi_r_star=r_star), _mix(designs, (1 - lam, lam))
-    return CriterionSpec(kind), None
+    if kind == "COMPOUND" and (lam := _setting(args, cfg, "lam", convert=float)) is None:
+        raise UsageError("criterion COMPOUND needs --lam in [0, 1]")
+    return _criterion_start(model, params, kind, c, lam)
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -438,7 +412,7 @@ def build_parser() -> _Parser:
     _add_model_args(p)
     _add_common_args(p)
     p.add_argument("--seed", type=int, default=None, help="echoed only; the optimizer reads no seed")
-    p.add_argument("--criterion", default=None, help=f"one of {CRITERION_KINDS}")
+    p.add_argument("--criterion", default=None, help=f"one of {ALL_KINDS}")
     p.add_argument("--c", default=None, help="c vector for criterion C, e.g. '1,0'")
     p.add_argument("--lam", type=float, default=None, help="compound weight in [0, 1]")
     p.add_argument("--n-support", type=int, default=None,

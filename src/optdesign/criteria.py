@@ -53,9 +53,8 @@ import numpy as np
 from .designs import Design, InfoMatrix, Model, _cross, _fim_of, _is_singular, _regressor, fim
 from .errors import SingularDesignError, ValidationError
 
-CONVEX_KINDS = frozenset({"D", "R", "C", "SA", "COMPOUND"})
-NONCONVEX_KINDS = frozenset({"R2", "EM", "CPB"})
-ALL_KINDS = CONVEX_KINDS | NONCONVEX_KINDS
+ALL_KINDS = ("D", "R", "R2", "C", "SA", "EM", "CPB", "COMPOUND")  # in the order the CLI lists them
+CONVEX_KINDS = frozenset(ALL_KINDS) - {"R2", "EM", "CPB"}
 
 # Equivalence-theorem violation threshold, relative to the criterion value (> 0 for every convex kind).
 EQUIVALENCE_TOL = 1e-6
@@ -67,7 +66,7 @@ CERTIFICATE_GRID = 1000
 class CriterionSpec:
     """Selects one criterion together with its parameters.
 
-    kind: one of D, R, R2, C, SA, EM, CPB, COMPOUND.
+    kind: one of ``ALL_KINDS``.
       C        needs ``c`` (nonzero finite 2-vector).
       SA       needs ``sa_refs`` (the two positive c-optimal reference values).
       COMPOUND needs ``lam`` in [0, 1] plus positive ``phi_d_star``/``phi_r_star``.

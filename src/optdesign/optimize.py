@@ -9,8 +9,9 @@ grid-plus-refinement: stage 1 weighs every pair of a 33-point coarse grid at
 once, and the best pair is polished along the criterion's slope, then
 certified by the directional derivative on a fine grid.  The equivalence
 theorem compares a certified design with every design, so no second
-candidate is polished, and a start at hand stands in for stage 1 unless its
-certificate fails: each optimum is one ``optimize_design`` call.
+candidate is polished, and ``_criterion_start``'s start for each kind stands in
+for stage 1 unless its certificate fails: each optimum, of the CLI's
+``optimal`` and of every ``mm_tables`` row, is one ``optimize_design`` call.
 ``c_optimal`` takes kind C (and the SA references) from Elfving's theorem, and
 ``_disk_optimal`` r^2, CPB and EM from the chord, best-found for want of an
 equivalence theorem.
@@ -44,11 +45,13 @@ from .criteria import (
     criterion_value,
     criterion_values_raw,
     derivative_report,
+    phi_d,
+    phi_r,
 )
 from .designs import EPS, Design, Model, _cross, _is_singular, _regressor, fim, fim_entries, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model, mm_r_start
-from .slr import _fmt
+from .slr import SlrInterval, _fmt, d_optimal_slr, r_optimal_slr
 
 MASS_ITERS = 64            # cap on the secant iterations of one row solve
 WEIGHT_TOL = 1e-8          # weight tolerance of every mass solve
@@ -451,13 +454,16 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     else:
         X, S, tol = grid[[i, j]], np.array([s, r]), XTOL_REL * space.width
         lo, hi = grid[np.clip([[i - 1, j - 1], [i + 1, j + 1]], 0, len(grid) - 1)]
+        A, B = S * a[[i, j]], S * b[[i, j]]
 
         def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
             nonlocal n_evals
             n_evals += len(rows)
             (Fr, dFr), u = _regress(model, x), along + t * across
-            # A slope within the rounding of its terms is 0: a flat stretch of the boundary.
-            rounding = 8.0 * EPS * (np.abs(dFr) @ (np.abs(along) + abs(t) * np.abs(across)))
+            # A slope within the rounding of its terms is 0: a flat stretch of the boundary.  t, where the lines
+            # cross, is off by up to about EPS (|A_0| + |A_1|) / |B_0 - B_1|, all of t on a flat edge.
+            t_bound = abs(t) + np.sum(np.abs(A)) / abs(B[0] - B[1])
+            rounding = 8.0 * EPS * (np.abs(dFr) @ (np.abs(along) + t_bound * np.abs(across)))
             slope = np.where(np.abs(dFr @ u) <= rounding, 0.0, dFr @ u)
             return -S[rows] * (Fr @ u), -S[rows] * slope, None
 
@@ -536,6 +542,36 @@ def sa_references(model: Model) -> tuple[tuple[float, float], np.ndarray | None]
     return (e1.criterion_value, e2.criterion_value), _mix((e1.design, e2.design), (0.5, 0.5))
 
 
+def _reference_stars(model: Model, params: SlrInterval | MMParams) -> tuple[tuple[float, float], tuple]:
+    """((phi_D*, phi_R*), (D design, R design)), references of COMPOUND and the efficiencies: the closed forms
+    of ``params`` (SLR's interval or MM's parameters) but on MM the R design, polished from ``mm_r_start``."""
+    slr = isinstance(params, SlrInterval)
+    d = d_optimal_slr(params) if slr else mm_d_optimal(params)
+    d_star = phi_d(fim(model, d))  # fim first: it names an M beyond the float range
+    r = r_optimal_slr(params) if slr else optimize_design(model, *_criterion_start(model, params, "R")).design
+    return (d_star, phi_r(fim(model, r))), (d, r)
+
+
+def _criterion_start(model: Model, params: SlrInterval | MMParams, kind: str, c: tuple[float, float] | None = None,
+                     lam: float | None = None) -> tuple[CriterionSpec, np.ndarray | None]:
+    """The criterion ``kind`` (C takes c, COMPOUND lam) and the start ``optimize_design`` polishes: D's closed
+    form, R's on SLR (``mm_r_start`` on MM), SA's from ``sa_references``, COMPOUND's (1 - lam) x_D + lam x_R,
+    point by point, from the designs of its ``_reference_stars`` after lam's check; None for C, R2, CPB, EM."""
+    slr = isinstance(params, SlrInterval)
+    if kind == "D":
+        return CriterionSpec("D"), (d_optimal_slr(params) if slr else mm_d_optimal(params)).xs
+    if kind == "R":
+        return CriterionSpec("R"), r_optimal_slr(params).xs if slr else mm_r_start(params)
+    if kind == "SA":
+        refs, start = sa_references(model)
+        return CriterionSpec("SA", sa_refs=refs), start
+    if kind == "COMPOUND":
+        spec = CriterionSpec("COMPOUND", lam=lam, phi_d_star=1.0, phi_r_star=1.0)  # checks lam before the references
+        (d_star, r_star), designs = _reference_stars(model, params)
+        return replace(spec, phi_d_star=d_star, phi_r_star=r_star), _mix(designs, (1 - lam, lam))
+    return CriterionSpec(kind, c=c), None
+
+
 # --- Michaelis-Menten reference tables ---------------------------------------
 
 MM_CRITERIA = ("D", "SA", "R", "EM", "R2")
@@ -573,34 +609,23 @@ class MMTables:
 def mm_tables(params: MMParams, eps_list: Sequence[float], compat: bool = True) -> MMTables:
     """Optimal designs and cross-efficiencies per lower design-space extreme.
 
-    With ``compat=True`` (default) the criteria without an attained optimum on
-    a space containing zero (condition number and squared correlation, whose
-    infima sit at the singular boundary) are reported as the degenerate limit
-    rows a=0, p=1; their reference values are then unavailable and dependent
-    efficiency cells are left empty.  With ``compat=False`` the optimizer's
-    best-found non-singular design is reported instead.
+    Each row is the design ``optimal`` prints for its kind: ``_criterion_start``'s criterion and start through
+    ``optimize_design``.  With ``compat=True`` (default) the criteria without an attained optimum on a space
+    containing zero (condition number and squared correlation, whose infima sit at the singular boundary) are
+    reported as the degenerate limit rows a=0, p=1; their reference values are then unavailable and dependent
+    efficiency cells are left empty.  With ``compat=False`` the optimizer's best-found non-singular design is
+    reported instead.
     """
     design_rows, eff_rows = [], []
-
     for eps in eps_list:
-        p_eps = replace(params, eps=float(eps))
-        model = mm_model(p_eps)
-        refs, sa_start = sa_references(model)
-
-        evaluators = {k: CriterionSpec(k, sa_refs=refs if k == "SA" else None) for k in MM_CRITERIA}
-        starts = {"SA": sa_start, "R": mm_r_start(p_eps)}
-        designs: dict[str, Design | None] = {}
-        for kind in MM_CRITERIA:
-            if kind == "D":
-                designs[kind] = mm_d_optimal(p_eps)
-            elif kind in ("EM", "R2") and compat and p_eps.space().lo == 0.0:
-                designs[kind] = None
-            else:
-                designs[kind] = optimize_design(model, evaluators[kind], starts.get(kind)).design
+        model = mm_model(p_eps := replace(params, eps=float(eps)))
+        built = {k: _criterion_start(model, p_eps, k) for k in MM_CRITERIA}
+        designs = {k: None if k in ("EM", "R2") and compat and p_eps.space().lo == 0.0
+                   else optimize_design(model, *built[k]).design for k in MM_CRITERIA}
 
         # One value table: vals[k][j] is criterion j at kind k's design, one fim per design; its diagonal the stars.
         ms = {k: fim(model, d) for k, d in designs.items() if d is not None}
-        vals = {k: {j: criterion_value(m, evaluators[j]) for j in MM_CRITERIA} for k, m in ms.items()}
+        vals = {k: {j: criterion_value(m, built[j][0]) for j in MM_CRITERIA} for k, m in ms.items()}
         for kind in MM_CRITERIA:
             d = designs[kind]
             if d is None:

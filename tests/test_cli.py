@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import optdesign.cli as cli_module
 import optdesign.optimize as optimize_module
 from optdesign import CriterionSpec, optimize_design
 from optdesign.cli import (
@@ -24,13 +23,12 @@ from optdesign.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _build_criterion,
-    _reference_stars,
     build_parser,
     main,
 )
 from optdesign.criteria import derivative_report
 from optdesign.mm import MMParams, mm_model
-from optdesign.optimize import mm_tables
+from optdesign.optimize import MM_CRITERIA, _reference_stars, mm_tables
 from optdesign.slr import SlrInterval
 
 
@@ -64,6 +62,14 @@ class TestOptimal:
                            "--criterion", "D")
         assert code == EXIT_OK
         assert json.loads(out)["config"]["model_params"]["a"] == -1e-3
+
+    @pytest.mark.parametrize("value, shown", [("-inf", "-inf"), ("-Infinity", "-inf"), ("-INF", "-inf"),
+                                              ("-nan", "nan"), ("-NaN", "nan")])
+    def test_negative_infinity_and_nan_are_values(self, capsys, value, shown):
+        # float() reads these, case-insensitively; argparse once took them for options ("expected one argument").
+        code, out, err = run(capsys, "optimal", "--model", "slr", "--a", value, "--b", "1", "--criterion", "D")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"optdesign: design space endpoints must be finite, got [{shown}, 1.0]\n"
 
     @pytest.mark.parametrize("module", ["optdesign", "optdesign.cli"])
     def test_module_execution(self, module):
@@ -366,7 +372,7 @@ class TestReferenceStars:
         def counted(model, spec, start=None):
             calls.append(spec.kind)
             return optimize_design(model, spec, start)
-        monkeypatch.setattr(cli_module, "optimize_design", counted)
+        monkeypatch.setattr(optimize_module, "optimize_design", counted)
         if name == "slr":
             params = SlrInterval(-1.3, 4.2)
             _reference_stars(params.model(), params)
@@ -640,14 +646,15 @@ def test_usage_error_comes_before_the_references(capsys, tmp_path, argv, message
     assert err == f"optdesign: {message}\n"
 
 
-@pytest.mark.parametrize("eps", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.5, 1.0])
 def test_table_rows_are_the_optimal_designs(capsys, eps):
-    # `table mm-designs` polishes its R and SA rows from the starts `optimal` polishes, through the same call:
-    # the designs agree bit for bit.
-    rows = {row.criterion: row.design for row in mm_tables(MMParams(b=5.0), [eps]).designs}
-    for kind in ("R", "SA"):
+    # `table mm-designs` builds every row's criterion and start by the rule `optimal` uses and polishes it
+    # through the same call: each row is `optimal`'s design bit for bit.  From eps = 0 the EM and R2 rows
+    # have a design only without compat's degenerate limit.
+    rows = {row.criterion: row.design for row in mm_tables(MMParams(b=5.0), [eps], compat=False).designs}
+    for kind in MM_CRITERIA:
         code, out, _ = run(capsys, "optimal", "--model", "mm", "--b", "5", f"--eps={eps!r}", "--criterion", kind)
-        assert code == EXIT_OK
+        assert code == (EXIT_OK if kind in ("D", "SA", "R") else EXIT_BEST_FOUND)
         assert [(p["x"], p["w"]) for p in json.loads(out)["design"]["points"]] == list(rows[kind].points)
 
 

@@ -15,7 +15,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import optdesign.optimize as optimize_module
-from optdesign.cli import CRITERION_KINDS
 from optdesign.cli import main as cli_main
 from optdesign import (
     CriterionSpec,
@@ -31,7 +30,7 @@ from optdesign import (
     phi_r2,
     slr_model,
 )
-from optdesign.criteria import criterion_values_raw, derivative_report
+from optdesign.criteria import ALL_KINDS, criterion_values_raw, derivative_report
 from optdesign.designs import fim_entries
 from optdesign.mm import MMParams, mm_d_optimal, mm_model
 from optdesign.optimize import (
@@ -576,7 +575,7 @@ def test_rank_one_model_raises_for_every_kind(lo, hi, ray):
              "COMPOUND": CriterionSpec("COMPOUND", lam=0.5, phi_d_star=1.0, phi_r_star=1.0)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kind in CRITERION_KINDS:
+        for kind in ALL_KINDS:
             for c in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)) if kind == "C" else [None]:
                 spec = CriterionSpec("C", c=c) if c else specs.get(kind) or CriterionSpec(kind)
                 with pytest.raises(OptimizationError, match="inestimable" if c else "no admissible"):
@@ -765,7 +764,7 @@ def test_mm_at_small_v_over_k_solves_every_kind():
     r_star = optimize_design(model, CriterionSpec("R")).criterion_value
     specs = {"C": CriterionSpec("C", c=(1.0, 0.0)), "SA": CriterionSpec("SA", sa_refs=sa_references(model)[0]),
              "COMPOUND": CriterionSpec("COMPOUND", lam=0.5, phi_d_star=closed["D"], phi_r_star=r_star)}
-    for kind in CRITERION_KINDS:
+    for kind in ALL_KINDS:
         spec = specs.get(kind) or CriterionSpec(kind)
         res = optimize_design(model, spec)
         assert res.label == ("certified" if spec.is_convex else "best-found"), kind
@@ -943,19 +942,19 @@ C_MODELS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @example(model=mm_model(MMParams(b=5.0, eps=0.5)), scale=1.7, log_mass=-13.0,
          at=((241.474375 - 113.635) / 1022.715, (688.91 - 113.635) / 1022.715))
+@example(model=slr_model(DesignSpace(0.0, 1.0)), at=(1e-9, 0.5), scale=1.0, log_mass=-13.0)
 def test_no_two_point_design_reads_below_the_c_optimum(model, at, scale, log_mass):
     # c = scale f(x0) has the value scale^2 on the one point x0, and no design beats the c-optimum; a design
     # with the minor mass 10^log_mass at x1 is nearly singular, and c1^2 m22 - 2 c1 c2 m12 + c2^2 m11 once
-    # cancelled there to values below both, down to a negative variance.  The bound is the lesser of the two:
-    # with x0 within a grid cell of an end of the space, c_optimal can return a best-found design above
-    # scale^2 (SLR [0, 1], x0 = 1e-20: 1.005).
+    # cancelled there to values below both, down to a negative variance.  On SLR [0, 1] with x0 in the first
+    # grid cell, c lies on a flat edge of Elfving's set, where c_optimal once returned 1.005 for 1.
     space = model.space
     x0, x1 = (space.lo + t * space.width for t in at)
     c = tuple((scale * model.regressor(np.array([x0]))[0]).tolist())
     assume(abs(x1 - x0) > space.merge_tol() and any(c))
     m = fim(model, make_design([(x0, 1.0 - 10.0 ** log_mass), (x1, 10.0 ** log_mass)], space))
     assume(not m.is_singular)
-    assert phi_c(m, c) >= min(scale * scale, c_optimal(model, c).criterion_value) * (1.0 - 1e-12)
+    assert phi_c(m, c) >= c_optimal(model, c).criterion_value * (1.0 - 1e-12)
 
 
 class TestElfving:
@@ -995,6 +994,14 @@ class TestElfving:
             assert math.isclose(res.design.xs[0], x0, rel_tol=1e-12)
             assert math.isclose(res.criterion_value,
                                 phi_c(fim(mm, make_design([(x0, 1.0)], mm.space)), c), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("c", [(1.0, 1e-9), (1.0, 1e-6), (1.0, 1e-4), (3.0, 3e-6), (1.0, 1e-20)])
+    def test_flat_edge_next_to_an_end_is_certified(self, c):
+        # On SLR [0, 1], c = k f(x0) with x0 in the first grid cell lies on the flat edge of Elfving's set
+        # from f(0) to f(1): where the two end lines cross, t cancels to about EPS, and slopes of that size
+        # once moved the points to the best-found {1/399: 1} at 1.005 k^2.
+        res = c_optimal(slr_model(DesignSpace(0.0, 1.0)), c)
+        assert res.label == "certified" and math.isclose(res.criterion_value, c[0] ** 2, rel_tol=1e-12)
 
     @pytest.mark.parametrize("kind", ["slr", "mm"])
     def test_never_worse_than_the_search(self, kind):

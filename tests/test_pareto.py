@@ -29,10 +29,10 @@ from optdesign import (
     slr_model,
 )
 from optdesign import pareto as pareto_module
-from optdesign.cli import _reference_stars, main
+from optdesign.cli import main
 from optdesign.designs import fim_entries
 from optdesign.mm import MMParams, mm_model
-from optdesign.optimize import optimize_design
+from optdesign.optimize import _reference_stars, optimize_design
 from optdesign.pareto import (
     MARGIN,
     TIE_TOL,
