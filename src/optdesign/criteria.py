@@ -295,20 +295,30 @@ class DerivativeReport:
         return "\n".join(lines) + "\n"
 
 
-def _sampled_report(model: Model, design: Design, dd_of) -> DerivativeReport:
-    """``dd_of(F, Fs)`` at the regressors F of a ``CERTIFICATE_GRID``-point grid plus the support, each point
-    once (np.unique's grid, without the numpy.ma import it costs on first use), Fs the support's rows of F."""
-    grid = np.sort(np.concatenate([model.space.grid(CERTIFICATE_GRID), design.xs]))
-    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
-    F = _regressor(model, grid)
-    dd = dd_of(F, F[np.searchsorted(grid, design.xs)])
-    k = int(np.argmin(dd))
-    return DerivativeReport(tuple(grid.tolist()), tuple(dd.tolist()), float(dd[k]), float(grid[k]))
+def _once(x: np.ndarray) -> np.ndarray:
+    """The sorted values of x, each once (np.unique's, without the numpy.ma import it costs on first use)."""
+    x = np.sort(x)
+    return x[np.concatenate([[True], x[1:] != x[:-1]])]
+
+
+def _sampled_reports(model: Model, designs: Sequence[Design], dd_of) -> list[DerivativeReport]:
+    """Per design k, ``dd_of(k, F, Fs)`` at the regressors F of a ``CERTIFICATE_GRID``-point grid plus its support,
+    each point once, Fs the support's rows of F: one regressor call on the union of these grids serves all."""
+    base = model.space.grid(CERTIFICATE_GRID)
+    grids = [_once(np.concatenate([base, d.xs])) for d in designs]
+    every = _once(np.concatenate([base, *(d.xs for d in designs)])) if len(grids) > 1 else grids[0]
+    F_every, reports = _regressor(model, every), []
+    for k, (grid, design) in enumerate(zip(grids, designs)):
+        F = F_every if len(grid) == len(every) else F_every[np.searchsorted(every, grid)]
+        dd = dd_of(k, F, F[np.searchsorted(grid, design.xs)])
+        i = int(np.argmin(dd))
+        reports.append(DerivativeReport(tuple(grid.tolist()), tuple(dd.tolist()), float(dd[i]), float(grid[i])))
+    return reports
 
 
 def derivative_report(model: Model, design: Design, spec: CriterionSpec) -> DerivativeReport:
     """Evaluate the directional derivative on the certificate grid plus the support, in one regressor call."""
-    return _sampled_report(model, design, lambda F, Fs: _dd(spec, design, F, Fs))
+    return _sampled_reports(model, [design], lambda _, F, Fs: _dd(spec, design, F, Fs))[0]
 
 
 # --- vectorized raw-entry evaluation (optimizer hot path) ---------------------
@@ -327,11 +337,12 @@ def criterion_values_raw(spec: CriterionSpec, m11: np.ndarray, m12: np.ndarray, 
     if d is not None and not spec.is_convex:
         raise ValidationError(f"criterion {spec.kind} is not convex: no slope and no certificate")
     m11, m12, m22, det = (np.asarray(v, dtype=float) for v in (m11, m12, m22, det))  # 0-d: numpy's pow
-    singular = _is_singular(det)
     d = None if d is None else tuple(np.asarray(v, dtype=float) for v in d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals, slopes = _criterion(spec, m11, m12, m22, det, d)
-    vals = np.where(singular | np.isnan(vals), np.inf, vals)
+    if np.count_nonzero(bad := _is_singular(det) | np.isnan(vals)):
+        vals = np.where(bad, np.inf, vals)
     if d is None:
         return vals
-    return vals, np.where(np.isfinite(vals), slopes, np.nan)
+    finite = np.isfinite(vals)
+    return vals, slopes if np.count_nonzero(finite) == finite.size else np.where(finite, slopes, np.nan)

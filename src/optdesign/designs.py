@@ -240,11 +240,11 @@ def slr_model(space: DesignSpace) -> Model:
     """Simple linear regression y = theta1 + theta2 x + noise; regressor f(x) = (1, x), f' = (0, 1)."""
 
     def regressor(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.stack([np.ones_like(x), x], axis=-1)
+        x = np.asarray(x, dtype=float)[..., None]
+        return np.concatenate([np.ones_like(x), x], axis=-1)
 
     return Model(name="slr", space=space, regressor=regressor, nominal_params=None,
-                 regressor_dx=lambda x: np.tile([0.0, 1.0], np.shape(x) + (1,)))
+                 regressor_dx=lambda x: np.zeros(np.shape(x) + (2,)) + [0.0, 1.0])
 
 
 # --- JSON serialization (shared by the CLI and golden tests) ----------------

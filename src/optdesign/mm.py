@@ -67,19 +67,23 @@ class MMParams:
 
 def mm_regressor(params: MMParams, x: float | np.ndarray) -> np.ndarray:
     """Sensitivity vector(s) (x/(K+x), -V x/(K+x)^2); vectorized over x."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)[..., None]
     denom = params.K + x
-    return np.stack([x / denom, -params.V * x / denom ** 2], axis=-1)
+    return np.concatenate([x / denom, -params.V * x / denom ** 2], axis=-1)
 
 
 def mm_model(params: MMParams) -> Model:
+    def regressor_dx(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)[..., None]
+        denom = params.K + x
+        return np.concatenate([params.K / denom ** 2, -params.V * (params.K - x) / denom ** 3], axis=-1)
+
     return Model(
         name="michaelis_menten",
         space=params.space(),
         regressor=lambda x: mm_regressor(params, x),
         nominal_params=(params.V, params.K),
-        regressor_dx=lambda x: np.stack([params.K / (params.K + x) ** 2,
-                                         -params.V * (params.K - x) / (params.K + x) ** 3], axis=-1),
+        regressor_dx=regressor_dx,
     )
 
 

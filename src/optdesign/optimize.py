@@ -12,9 +12,9 @@ theorem compares a certified design with every design, so no second
 candidate is polished, and ``_criterion_start``'s start for each kind stands in
 for stage 1 unless its certificate fails: each optimum, of the CLI's
 ``optimal`` and of every ``mm_tables`` row, is one ``optimize_design`` call.
-``c_optimal`` takes kind C (and the SA references) from Elfving's theorem, and
-``_disk_optimal`` r^2, CPB and EM from the chord, best-found for want of an
-equivalence theorem.
+``c_optimal`` takes kind C (and the SA references, both c in one pass) from
+Elfving's theorem, and ``_disk_optimal`` r^2, CPB and EM from the chord,
+best-found for want of an equivalence theorem.
 
 A mass splits two points.  For D, SA, EM, r^2, CPB and R (a scale-free cubic's
 root) it is exact.  Every other solve is one row solver, a bracketed secant
@@ -41,7 +41,7 @@ import numpy as np
 from .criteria import (
     CriterionSpec,
     DerivativeReport,
-    _sampled_report,
+    _sampled_reports,
     criterion_value,
     criterion_values_raw,
     derivative_report,
@@ -95,28 +95,31 @@ _SPLIT_WEIGHT = {
 }
 
 
-def _r_mass(Oa: np.ndarray, Ob: np.ndarray) -> np.ndarray:
-    """R's masses (2, n) on closed pairs (a, b) with outer-product entries Oa and Ob (3, n): with r_i the
-    odds of w_i = |f_bi| / (|f_ai| + |f_bi|), which minimize the two variances R multiplies, its odds z solve
+def _r_mass(O: np.ndarray) -> np.ndarray:
+    """R's masses (2, n) on closed pairs (a, b) with outer-product entries O (3, 2, n): with r_i the odds of
+    w_i = |f_bi| / (|f_ai| + |f_bi|), which minimize the two variances R multiplies, its odds z solve
     2 z^3 + (r_1^2 + r_2^2)(z^2 - z) = 2 r_1^2 r_2^2, a cubic free of scale, convex for z > 0 and rising for
-    z >= 1/2, so Newton from the middle's odds, >= 1 once a and b are swapped, needs no bracket."""
-    fa, fb = np.sqrt(Oa[::2].T), np.sqrt(Ob[::2].T)  # |f1|, |f2|
-    w = np.divide(fb, fa + fb, out=np.full_like(fb, 0.5), where=fa + fb > 0.0)
+    z >= 1/2, so Newton from the middle's odds, >= 1 once a and b are swapped, needs no bracket.  A row stops
+    once its own step is below rounding, so its mass does not depend on the rows solved beside it."""
+    f = np.sqrt(O[::2].T)  # (n, point, |f1| and |f2|)
+    w = np.divide(f[:, 1], f[:, 0] + f[:, 1], out=np.full_like(f[:, 1], 0.5), where=f[:, 0] + f[:, 1] > 0.0)
     swap = w.sum(axis=1) < 1.0
     w = np.minimum(np.where(swap[:, None], 1.0 - w, w), 1.0 - EPS)
-    odds2 = (w / (1.0 - w)) ** 2
-    S, P, z = odds2.sum(axis=1), 2.0 * odds2.prod(axis=1), w.sum(axis=1) / (2.0 - w.sum(axis=1))
+    odds2, wsum = (w / (1.0 - w)) ** 2, w.sum(axis=1)
+    S, P, z = odds2.sum(axis=1), 2.0 * odds2.prod(axis=1), wsum / (2.0 - wsum)
+    rows = np.arange(len(z))  # the rows still moving: each stops at its own first step within rounding
     for _ in range(MASS_ITERS):
-        step = (((2.0 * z + S) * z - S) * z - P) / ((6.0 * z + 2.0 * S) * z - S)
-        z = z - step
-        if not (step > 4.0 * EPS * z).any():
+        zr, Sr, Pr = z[rows], S[rows], P[rows]
+        z[rows] = zr = zr - (step := (((2.0 * zr + Sr) * zr - Sr) * zr - Pr) / ((6.0 * zr + 2.0 * Sr) * zr - Sr))
+        if not len(rows := rows[step > 4.0 * EPS * zr]):
             break
-    return np.stack([np.where(swap, 1.0, z), np.where(swap, z, 1.0)]) / (1.0 + z)
+    W = np.array([z, np.ones_like(z)])
+    return np.where(swap, W[::-1], W) / (1.0 + z)
 
 
 def _outer3(f: np.ndarray) -> np.ndarray:
     """(..., 2) regressor values -> (..., 3) outer-product entries (f1^2, f1 f2, f2^2)."""
-    return np.stack([f[..., 0] ** 2, f[..., 0] * f[..., 1], f[..., 1] ** 2], axis=-1)
+    return np.concatenate([f[..., :1] ** 2, f[..., :1] * f[..., 1:], f[..., 1:] ** 2], axis=-1)
 
 
 def _zero_slope(evaluate, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np.ndarray, tol: float,
@@ -124,7 +127,7 @@ def _zero_slope(evaluate, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np
     """Drive a slope to 0 on many rows at once, each row inside its bracket [lo, hi].
 
     ``evaluate(rows, x)`` gives the values, the slopes (NaN: singular, next to
-    an end, so taken to point inward) and extras or None at the points x of
+    an end, so taken to point inward) and extras (n, k) or None at the points x of
     those rows.  A bracketed secant (Dekker's zero finder) starts from x0 and
     x1 (``known``: the results at x0).  A failed step bisects, or evaluates
     the end it would bisect toward if that end is not evaluated yet, so an
@@ -134,52 +137,59 @@ def _zero_slope(evaluate, lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np
     """
     n = len(lo)
     lo, hi, mid = lo.copy(), hi.copy(), 0.5 * (lo + hi)
-    # The slope is <= 0 at lo and >= 0 at hi; NaN: that end is not evaluated yet.
-    s_lo, s_hi = (np.full(n, np.nan if open_ends else inward) for inward in (-np.inf, np.inf))
-    v_lo, v_hi, e_at = np.full(n, np.inf), np.full(n, np.inf), [None, None]  # e_at: extras at lo, hi
-    a, sa, b, sb = x0.copy(), np.full(n, np.nan), x1.copy(), np.full(n, np.nan)  # the secant pair
+    # The slope is <= 0 at lo and >= 0 at hi; NaN: that end is not evaluated yet.  The secant pair is (a, b).
+    (s_lo, s_hi, sa, sb), (v_lo, v_hi), e_at = np.full((4, n), np.nan), np.full((2, n), np.inf), [None, None]
+    a, b = x0.copy(), x1.copy()
+    if not open_ends:
+        s_lo[:], s_hi[:] = -np.inf, np.inf
 
     def probe(rows: np.ndarray, x: np.ndarray, result: tuple, start: bool = False) -> None:
         v, s, extra = result
-        s = np.where(np.isnan(s), np.where(x > mid[rows], np.inf, -np.inf), s)
+        if np.count_nonzero(nan := np.isnan(s)):
+            s = np.where(nan, np.where(x > mid[rows], np.inf, -np.inf), s)
         below, above = s <= 0.0, s >= 0.0
         if start:  # a start beyond the other start's end must not widen the bracket
             below, above = below & (x >= lo[rows]), above & (x <= hi[rows])
+        if extra is not None and e_at[0] is None:
+            e_at[:] = (np.zeros((n,) + extra.shape[1:]) for _ in e_at)
         for i, (side, at, s_at, v_at) in enumerate(((below, lo, s_lo, v_lo), (above, hi, s_hi, v_hi))):
-            at[rows[side]], s_at[rows[side]], v_at[rows[side]] = x[side], s[side], v[side]
-            if extra is not None:
-                e_at[i] = np.zeros((n,) + extra.shape[1:]) if e_at[i] is None else e_at[i]
-                e_at[i][rows[side]] = extra[side]
+            if count := np.count_nonzero(side):
+                side = slice(None) if count == len(rows) else side  # every row: views, not copies
+                r = rows[side]
+                at[r], s_at[r], v_at[r] = x[side], s[side], v[side]
+                if extra is not None:
+                    e_at[i][r] = extra[side]
         a[rows], sa[rows], b[rows], sb[rows] = b[rows], sb[rows], x, s
 
-    rows = np.arange(n)
-    if known is None:  # both starts in one evaluation
-        both = evaluate(np.concatenate([rows, rows]), np.concatenate([x0, x1]))
-        known, first = ([z if z is None else z[h] for z in both] for h in (slice(n), slice(n, None)))
+    rows, first = np.arange(n), None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # the secant line's, once per solve
+        if known is None:  # both starts in one evaluation
+            both, live = evaluate(np.concatenate([rows, rows]), np.concatenate([x0, x1])), rows
+            known, first = ([z if z is None else z[h] for z in both] for h in (slice(n), slice(n, None)))
         probe(rows, x0, known, start=True)
-        probe(rows, x1, first, start=True)
-    else:
-        probe(rows, x0, known, start=True)
+        if first is None and len(live := rows[hi - lo > tol]):
+            first = evaluate(live, x1[live])
+        if first is not None:
+            probe(live, x1[live], first, start=True)
         live = rows[hi - lo > tol]
-        if len(live):
-            probe(live, x1[live], evaluate(live, x1[live]), start=True)
-    live = rows[hi - lo > tol]
-    for _ in range(MASS_ITERS):
-        if not len(live):
-            break
-        xa, ya, xb, yb, left, right = (z[live] for z in (a, sa, b, sb, lo, hi))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MASS_ITERS):
+            if not len(live):
+                break
+            xa, ya, xb, yb, left, right = a[live], sa[live], b[live], sb[live], lo[live], hi[live]
             x = xb - yb * (xb - xa) / (yb - ya)
-        inside = (left <= x) & (x <= right) & np.isfinite(ya)  # ya infinite would freeze x at b
-        # Points stay tol/2 inside the bracket and tol/2 from b, toward the other end.
-        x = np.where(inside, np.minimum(np.maximum(x, left + 0.5 * tol), right - 0.5 * tol),
-                     0.5 * (left + right))
-        x = np.where(np.abs(x - xb) < 0.5 * tol, xb + np.copysign(0.5 * tol, left + right - 2.0 * xb), x)
-        if open_ends:
-            x = np.where(inside | ~np.isnan(s_lo[live]) & ~np.isnan(s_hi[live]), x,
-                         np.where(np.isnan(s_lo[live]), left, right))
-        probe(live, x, evaluate(live, x))
-        live = live[hi[live] - lo[live] > tol]
+            inside = (left <= x) & (x <= right) & np.isfinite(ya)  # ya infinite would freeze x at b
+            # Points stay tol/2 inside the bracket and tol/2 from b, toward the other end; a step outside bisects.
+            x = x.clip(left + 0.5 * tol, right - 0.5 * tol)
+            if outside := np.count_nonzero(inside) < len(live):
+                x = np.where(inside, x, 0.5 * (left + right))
+            if np.count_nonzero(near := np.abs(x - xb) < 0.5 * tol):
+                x = np.where(near, xb + np.copysign(0.5 * tol, left + right - 2.0 * xb), x)
+            if open_ends and outside:  # or evaluates the end it bisects toward
+                nan_lo = np.isnan(s_lo[live])
+                if np.count_nonzero(to_end := ~inside & (nan_lo | np.isnan(s_hi[live]))):
+                    x = np.where(to_end, np.where(nan_lo, left, right), x)
+            probe(live, x, evaluate(live, x))
+            live = live[hi[live] - lo[live] > tol]
     take_lo = np.isnan(s_hi) | (np.abs(s_lo) <= np.abs(s_hi))
     extra = None if e_at[0] is None else np.where(take_lo[:, None], e_at[0], e_at[1])
     return np.where(take_lo, lo, hi), np.where(take_lo, v_lo, v_hi), extra
@@ -199,40 +209,43 @@ def _best_mass(spec: CriterionSpec, F: np.ndarray, tol: float, W0: np.ndarray | 
     w_j (f' f^T + f f'^T)(x_j), where log det has the slope 2 (f_j' x f_k) / (f_j x f_k), k the other point:
     each slope of log det is a quotient of cross products, free of the entries' cancellation.
     """
-    Oa, Ob = _outer3(F[:, 0]).T, _outer3(F[:, 1]).T  # (3, n): m11, m12, m22
-    cross, n = _cross(F[:, 0, 0] * F[:, 1, 1], F[:, 0, 1] * F[:, 1, 0]), len(F)
-    with np.errstate(over="ignore"):
+    O = _outer3(F).transpose(2, 1, 0)  # (3, 2, n): m11, m12, m22 of a and of b
+    (Oa, Ob), n = O.transpose(1, 0, 2), len(F)
+    cross = _cross(F[:, 0, 0] * F[:, 1, 1], F[:, 0, 1] * F[:, 1, 0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # one float-range context per solve
         cross2 = cross * cross
 
-    def values(rows, w: np.ndarray, u: np.ndarray, d: tuple | None = None):
-        return criterion_values_raw(spec, *(w * Oa[:, rows] + u * Ob[:, rows]), w * u * cross2[rows], d=d)
+        def values(rows, w: np.ndarray, u: np.ndarray, d: tuple | None = None):
+            return criterion_values_raw(spec, *(w * Oa[:, rows] + u * Ob[:, rows]), w * u * cross2[rows], d=d)
 
-    V = None  # the secant's values
-    if spec.kind == "R":
-        W = _r_mass(Oa, Ob)
-    elif (split := _SPLIT_WEIGHT.get(spec.kind)) is not None:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # g beyond the float range: NaN masses
-            g = np.stack([split(spec, *Ob), split(spec, *Oa)])  # (g_b, g_a); zero or subnormal: EPS^2 the other
-            W = np.divide(np.where(g >= np.finfo(float).tiny, g, EPS * EPS * g[::-1]), g.sum(0),
-                          out=np.full((2, n), 0.5), where=g.any(0))
-            least = 2.0 * np.finfo(float).tiny / cross2  # a minor mass w at which det w u cross2 (u >= 1/2) is normal
-            W = np.where(least <= 0.5, np.clip(W, least, 1.0 - least), W)
-    else:
-        def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
-            return (*values(rows, w, u := 1.0 - w, d=(*(Oa[:, rows] - Ob[:, rows]), (u - w) / (w * u))), None)
+        V = None  # the secant's values
+        if spec.kind == "R":
+            W = _r_mass(O)
+        elif (split := _SPLIT_WEIGHT.get(spec.kind)) is not None:
+            g, tiny = split(spec, *O[:, ::-1]), np.finfo(float).tiny  # (g_b, g_a); beyond the float range: NaN masses
+            top = g if np.count_nonzero(normal := g >= tiny) == g.size else np.where(normal, g, EPS * EPS * g[::-1])
+            W = np.divide(top, g.sum(0), out=np.full((2, n), 0.5), where=g.any(0))  # zero or subnormal: EPS^2 the other
+            least = 2.0 * tiny / cross2  # a minor mass w at which det w u cross2 (u >= 1/2) is normal
+            clipped = W.clip(least, 1.0 - least)
+            W = clipped if np.count_nonzero(fits := least <= 0.5) == n else np.where(fits, clipped, W)
+        else:
+            dO = Oa - Ob
 
-        w0 = np.full(n, 0.5) if W0 is None else W0[:, 0]
-        w, V, _ = _zero_slope(evaluate, np.zeros(n), np.ones(n), w0, np.where(w0 <= 0.5, w0 + 1e-6, w0 - 1e-6),
-                              tol, open_ends=False)
-        W = np.stack([w, 1.0 - w])
-    if V is None:
-        W = W.clip(0.5 * tol, 1.0 - 0.5 * tol)
-    if dF is None:
-        return W.T, values(slice(None), *W) if V is None else V
-    f, df = F.transpose(2, 1, 0), dF.transpose(2, 1, 0)  # (coordinate, point, row)
-    d = W * np.stack([2.0 * f[0] * df[0], f[0] * df[1] + f[1] * df[0], 2.0 * f[1] * df[1]])
-    with np.errstate(divide="ignore", invalid="ignore"):  # cross = 0: singular
-        U, S = values(slice(None), *W, d=(*d, 2.0 * (df[0] * f[1, ::-1] - df[1] * f[0, ::-1]) / [cross, -cross]))
+            def evaluate(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
+                return (*values(rows, w, u := 1.0 - w, d=(*dO[:, rows], (u - w) / (w * u))), None)
+
+            w0 = np.full(n, 0.5) if W0 is None else W0[:, 0]
+            w, V, _ = _zero_slope(evaluate, np.zeros(n), np.ones(n), w0, np.where(w0 <= 0.5, w0 + 1e-6, w0 - 1e-6),
+                                  tol, open_ends=False)
+            W = np.array([w, 1.0 - w])
+        if V is None:
+            W = W.clip(0.5 * tol, 1.0 - 0.5 * tol)
+        if dF is None:
+            return W.T, values(slice(None), *W) if V is None else V
+        f, df = F.transpose(2, 1, 0), dF.transpose(2, 1, 0)  # (coordinate, point, row)
+        d = W * np.array([2.0 * f[0] * df[0], f[0] * df[1] + f[1] * df[0], 2.0 * f[1] * df[1]])
+        dlogdet = 2.0 * (df[0] * f[1, ::-1] - df[1] * f[0, ::-1]) / np.array([cross, -cross])  # cross = 0: singular
+        U, S = values(slice(None), *W, d=(*d, dlogdet))
     return W.T, U if V is None else V, S.T
 
 
@@ -255,18 +268,18 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
 
 # --- support search -----------------------------------------------------------
 
-def _regress(model: Model, x: np.ndarray) -> list[np.ndarray]:
-    """The regressor and its x-derivative at the points x, each shaped x.shape + (2,)."""
+def _regress(model: Model, x: np.ndarray, dx: tuple[bool, ...] = (False, True)) -> list[np.ndarray]:
+    """The regressor and its x-derivative (those of ``dx``) at the points x, each shaped x.shape + (2,)."""
     if model.regressor_dx is None:
         raise ValidationError(f"model {model.name!r} has no regressor_dx; the optimizer needs it")
-    return [_regressor(model, x.reshape(-1), dx).reshape(x.shape + (2,)) for dx in (False, True)]
+    return [_regressor(model, x.reshape(-1), d).reshape(x.shape + (2,)) for d in dx]
 
 
 def _finite_grid(model: Model, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The points of the n-point grid of the space where the regressor f is finite, and f there (m, 2)."""
     grid = model.space.grid(n)
     F = _regressor(model, grid)
-    finite = np.all(np.isfinite(F), axis=1)
+    finite = np.isfinite(F).all(axis=1)
     return grid[finite], F[finite]
 
 
@@ -288,29 +301,31 @@ def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> OptimizeResult 
     The points take turns: ``_zero_slope`` drives x_j's slope, which the support's one
     ``_best_mass`` call gives with its value and the other point's slope, to 0 with x_j kept
     between its neighbour and the end of the space, from a first trial move of ``FIRST_MOVE_REL``
-    times the width, and the support takes the result if it lowers the criterion.  A trial move
-    that clips to x_j (a zero slope, or an end of the space with the slope pointing out) settles
-    the point without a solve.  The polish stops once a point moves no more than ``XTOL_REL``
-    times the width right after the other's polish: both then sit at a zero slope.  The result's
-    iterations count the supports evaluated.
+    times the width, and the support takes the result, with the regressor values its evaluation
+    carried, if it lowers the criterion.  A trial move that clips to x_j (a zero slope, or an end
+    of the space with the slope pointing out) settles the point without a solve.  The polish stops
+    once a point moves no more than ``XTOL_REL`` times the width right after the other's polish:
+    both then sit at a zero slope.  The result's iterations count the supports evaluated.
     """
     space = model.space
     xtol, gap, step = XTOL_REL * space.width, space.merge_tol(), FIRST_MOVE_REL * space.width
     X = np.array(x, dtype=float)[None]  # one row of the batched solvers
 
     def solve(F: np.ndarray, dF: np.ndarray, W0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        # Values (n,) and the extra _zero_slope carries, weights and slopes (n, 4); weights resolved to
-        # WEIGHT_TOL leave a slope uncertain by about WEIGHT_TOL V / width.
+        # Values (n,), weights and slopes (n, 4); weights resolved to WEIGHT_TOL leave a slope uncertain by
+        # about WEIGHT_TOL V / width.
         W, V, S = _best_mass(spec, F, WEIGHT_TOL, W0, dF)
-        return V, np.hstack([W, np.where(np.abs(S) * space.width <= WEIGHT_TOL * np.abs(V)[:, None], 0.0, S)])
+        S[np.abs(S) * space.width <= WEIGHT_TOL * np.abs(V)[:, None]] = 0.0
+        return V, np.concatenate((W, S), axis=1)
 
     def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The extra _zero_slope carries: weights, slopes and x_j's regressor and its derivative (n, 8).
         nonlocal n_evals
         n_evals += len(rows)
         Fr, dFr = F[rows], dF[rows]
-        Fr[:, j], dFr[:, j] = _regress(model, x)
+        Fr[:, j], dFr[:, j] = f = _regress(model, x)
         Vr, WSr = solve(Fr, dFr, WS[rows, :2])
-        return Vr, WSr[:, 2 + j], WSr
+        return Vr, WSr[:, 2 + j], np.concatenate((WSr, *f), axis=1)
 
     F, dF = _regress(model, X)
     V, WS = solve(F, dF)
@@ -320,13 +335,13 @@ def _refine(model: Model, spec: CriterionSpec, x: np.ndarray) -> OptimizeResult 
     while settled < 2:
         x0, s0 = X[:, j], WS[:, 2 + j]
         lo, hi = (X[:, 0] + gap, np.array([space.hi])) if j else (np.array([space.lo]), X[:, 1] - gap)
-        x1, moved = np.clip(x0 - np.sign(s0) * step, lo, hi), 0.0
+        x1, moved = (x0 - np.sign(s0) * step).clip(lo, hi), 0.0
         if x1[0] != x0[0]:
-            x, v, WSx = _zero_slope(evaluate, lo, hi, x0, x1, xtol, known=(V, s0, WS))
+            x, v, E = _zero_slope(evaluate, lo, hi, x0, x1, xtol,
+                                  known=(V, s0, np.concatenate((WS, F[:, j], dF[:, j]), axis=1)))
             if v[0] < V[0]:
                 moved = abs(x[0] - x0[0])
-                X[:, j], WS, V = x, WSx, v
-                F[:, j], dF[:, j] = _regress(model, x)
+                X[:, j], V, WS, F[:, j], dF[:, j] = x, v, E[:, :4], E[:, 4:6], E[:, 6:]
         settled, j = 1 if moved > xtol else settled + 1, 1 - j
     return _result(model, spec, X[0], WS[0, :2], n_evals)
 
@@ -398,10 +413,10 @@ def _grid_dual(a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[int, float], 
     first; a flat line (b_i = 0) at the max is both."""
     def top(t: float) -> tuple[int, float, float]:
         v = a + t * b
-        i = int(np.argmax(np.abs(v)))
+        i = int(np.abs(v).argmax())
         return i, (1.0 if v[i] >= 0.0 else -1.0), abs(float(v[i]))
 
-    T = 4.0 * np.max(np.abs(a)) / np.max(np.abs(b))  # at -T and T the max rises away from 0
+    T = 4.0 * np.abs(a).max() / np.abs(b).max()  # at -T and T the max rises away from 0
     (i, s, _), (j, r, _) = top(-T), top(T)
     for _ in range(len(a)):
         t = (r * a[j] - s * a[i]) / (s * b[i] - r * b[j])
@@ -419,7 +434,7 @@ def _grid_dual(a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[int, float], 
 def _root(model: Model, u: np.ndarray, bracket: np.ndarray) -> np.ndarray:
     """The root of u^T f, to EPS times the width, between the points (lo, hi) where it changes sign."""
     sign = 1.0 if np.diff(_regress(model, bracket)[0] @ u)[0] >= 0.0 else -1.0
-    return _zero_slope(lambda rows, x: (0.0 * x, sign * (_regress(model, x)[0] @ u), None),
+    return _zero_slope(lambda rows, x: (0.0 * x, sign * _regress(model, x)[0].dot(u), None),
                        bracket[:1], bracket[1:], bracket[:1], bracket[1:], EPS * model.space.width)[0]
 
 
@@ -433,71 +448,99 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     u's certificate.  c, checked by ``CriterionSpec``, is divided by the power of two 2^e of its largest entry,
     exactly, and u and gamma are scaled back by 2^-e.
     """
-    c1, c2 = CriterionSpec("C", c=tuple(map(float, c))).c
-    e = math.frexp(max(abs(c1), abs(c2)))[1]
-    c1, c2 = math.ldexp(c1, -e), math.ldexp(c2, -e)
-    space, along, across = model.space, np.array([c1, c2]) / (c1 * c1 + c2 * c2), np.array([-c2, c1])
+    return _elfving(model, [c])[0]
 
+
+def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[COptimalResult]:
+    """``c_optimal`` for each c of cs at once: one grid, one polish whose rows 2m and 2m + 1 hold c_m's points,
+    each row stopping with its c and following the arithmetic of its c alone, and one regressor call for the
+    certificates.  The first c that fails raises its error, as if each were solved in turn."""
+    space, tol, k = model.space, XTOL_REL * model.space.width, len(cs)
+    cs = [CriterionSpec("C", c=tuple(map(float, c))).c for c in cs]
     grid, F = _finite_grid(model, ELFVING_GRID)
-    a, b = F @ along, F @ across
-    if not np.any(a):
-        raise OptimizationError("c is inestimable under every candidate design")
-    t, *lines = _grid_dual(a, b) if np.any(b) else (0.0, *[(int(np.argmax(np.abs(a))), 1.0)] * 2)  # f || c
-    (i, s), (j, r) = sorted(lines)
-    n_evals = 0
-    if s == r and j - i <= 1:  # one point: the root of c_perp^T f
-        x = _root(model, across, grid[[i, j]])
-        Fx, dFx = _regress(model, x)
-        if space.lo < x[0] < space.hi and dFx[0] @ across != 0.0:
-            t = -float(dFx[0] @ along) / float(dFx[0] @ across)  # u normal to the curve at x
-        gamma, w = abs(float(Fx[0] @ along)), np.ones(1)
-    else:
-        X, S, tol = grid[[i, j]], np.array([s, r]), XTOL_REL * space.width
-        lo, hi = grid[np.clip([[i - 1, j - 1], [i + 1, j + 1]], 0, len(grid) - 1)]
-        A, B = S * a[[i, j]], S * b[[i, j]]
+    (X, S, lo, hi), (Fx, dFx), edges = np.zeros((4, 2 * k)), np.zeros((2, 2 * k, 2)), np.arange(0, 2 * k + 1, 2)
+    sol, n_evals, pairs = [], [0] * k, []  # sol[m]: c_m's error or [e, along, across, t, then A, B or x, w, gamma]
+    for m, c in enumerate(cs):
+        e = math.frexp(max(abs(c[0]), abs(c[1])))[1]
+        c1, c2 = math.ldexp(c[0], -e), math.ldexp(c[1], -e)
+        along, across = np.array([c1, c2]) / (c1 * c1 + c2 * c2), np.array([-c2, c1])
+        if not (a := F @ along).any():
+            sol.append(OptimizationError("c is inestimable under every candidate design"))
+            continue
+        b = F @ across
+        t, *active = _grid_dual(a, b) if b.any() else (0.0, *[(int(np.abs(a).argmax()), 1.0)] * 2)  # f || c
+        (i, s), (j, r) = sorted(active)
+        if s == r and j - i <= 1:  # one point: the root of c_perp^T f
+            x = _root(model, across, grid[[i, j]])
+            fx, dfx = _regress(model, x)
+            if space.lo < x[0] < space.hi and dfx[0] @ across != 0.0:
+                t = -float(dfx[0] @ along) / float(dfx[0] @ across)  # u normal to the curve at x
+            sol.append([e, along, across, t, x, np.ones(1), abs(float(fx[0] @ along))])
+        else:  # two points, their f from the grid
+            h = slice(2 * m, 2 * m + 2)
+            X[h], S[h], Fx[h], dFx[h] = grid[[i, j]], (s, r), F[[i, j]], _regress(model, grid[[i, j]], (True,))[0]
+            lo[h], hi[h] = grid[np.clip([[i - 1, j - 1], [i + 1, j + 1]], 0, len(grid) - 1)]
+            sol.append([e, along, across, t, S[h] * a[[i, j]], S[h] * b[[i, j]]])
+            pairs.append(m)
 
-        def evaluate(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, None]:
-            nonlocal n_evals
-            n_evals += len(rows)
-            (Fr, dFr), u = _regress(model, x), along + t * across
-            # A slope within the rounding of its terms is 0: a flat stretch of the boundary.  t, where the lines
-            # cross, is off by up to about EPS (|A_0| + |A_1|) / |B_0 - B_1|, all of t on a flat edge.
-            t_bound = abs(t) + np.sum(np.abs(A)) / abs(B[0] - B[1])
-            rounding = 8.0 * EPS * (np.abs(dFr) @ (np.abs(along) + t_bound * np.abs(across)))
-            slope = np.where(np.abs(dFr @ u) <= rounding, 0.0, dFr @ u)
-            return -S[rows] * (Fr @ u), -S[rows] * slope, None
+    def lines(rows: np.ndarray, Fr: np.ndarray, dFr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # -s u^T f and its slope -s u^T f', with f and f' as extras, c by c: a slope within the rounding of its
+        # terms is 0, a flat stretch of the boundary.
+        v, slope, cut = np.empty(len(rows)), np.empty(len(rows)), rows.searchsorted(edges).tolist()
+        for m, r0, r1 in zip(range(k), cut, cut[1:]):
+            if r1 > r0:
+                (u, bound), n_evals[m] = u_bound[m], n_evals[m] + r1 - r0
+                v[r0:r1], du = Fr[r0:r1].dot(u), dFr[r0:r1].dot(u)  # @'s product, at less call overhead
+                du[np.abs(du) <= 8.0 * EPS * np.abs(dFr[r0:r1]).dot(bound)] = 0.0
+                slope[r0:r1] = du
+        return (neg := -S[rows]) * v, neg * slope, np.concatenate((Fr, dFr), axis=1)
 
-        for _ in range(MASS_ITERS):
-            known = evaluate(np.arange(2), X)
-            x1 = np.clip(X - np.sign(known[1]) * tol, lo, hi)
-            x = _zero_slope(evaluate, lo, hi, X, x1, tol, known=known)[0]
-            Fx = _regress(model, x)[0]
-            A, B = S * (Fx @ along), S * (Fx @ across)
-            t, moved, X = float((A[1] - A[0]) / (B[0] - B[1])), np.max(np.abs(x - X)), x
-            # t's error is second order in the points', so theirs squares each round.
-            if moved <= math.sqrt(tol * space.width):
-                break
-        # gamma c = sum_k w_k s_k f(x_k) with the w_k summing to 1: w / gamma by Cramer's rule, free of the
-        # cancellation in det M of a narrow support.  f(x_k) parallel to rounding: f has rank one, c no estimate.
-        (g11, g12), (g21, g22) = S[:, None] * Fx
-        if (det := _cross(g11 * g22, g12 * g21)) == 0.0:
+    polish, u_bound = pairs, {}
+    for _ in range(MASS_ITERS):
+        if not polish:
+            break
+        for m in polish:  # t, where the lines cross, is off by up to about EPS (|A_0| + |A_1|) / |B_0 - B_1|,
+            _, along, across, t, A, B = sol[m]  # all of t on a flat edge
+            t_bound = abs(t) + np.abs(A).sum() / abs(B[0] - B[1])
+            u_bound[m] = along + t * across, np.abs(along) + t_bound * np.abs(across)
+        rows = np.array([2 * m + h for m in polish for h in (0, 1)])
+        known, x0, left, right = lines(rows, Fx[rows], dFx[rows]), X[rows], lo[rows], hi[rows]
+        x, _, fdf = _zero_slope(lambda r, x: lines(rows[r], *_regress(model, x)), left, right, x0,
+                                (x0 - np.sign(known[1]) * tol).clip(left, right), tol, known=known)
+        Fx[rows], dFx[rows], moved, X[rows] = fdf[:, :2], fdf[:, 2:], np.abs(x - x0), x
+        for m in polish:
+            A, B = (S[2 * m:2 * m + 2] * Fx[2 * m:2 * m + 2].dot(v) for v in sol[m][1:3])
+            sol[m][3:] = float((A[1] - A[0]) / (B[0] - B[1])), A, B
+        # t's error is second order in the points', so theirs squares each round.
+        polish = [m for p, m in enumerate(polish) if moved[2 * p:2 * p + 2].max() > math.sqrt(tol * space.width)]
+    designs, duals = [], []
+    for m, fit in enumerate(sol):
+        if isinstance(fit, Exception):
+            raise fit
+        if m in pairs:
+            # gamma c = sum_k w_k s_k f(x_k) with the w_k summing to 1: w / gamma by Cramer's rule, free of the
+            # cancellation in det M of a narrow support.  f(x_k) parallel to rounding: f has rank one, c no estimate.
+            h, c2, c1 = slice(2 * m, 2 * m + 2), -fit[2][0], fit[2][1]  # across = (-c2, c1)
+            (g11, g12), (g21, g22) = S[h, None] * Fx[h]
+            if (det := _cross(g11 * g22, g12 * g21)) == 0.0:
+                raise OptimizationError("c is inestimable under every candidate design")
+            w = np.clip(np.array([c1 * g22 - c2 * g21, g11 * c2 - g12 * c1]) / det, 0.0, None)
+            fit[4:] = X[h], w / w.sum(), 1.0 / float(w.sum())
+        e, along, across, t, x, w, gamma = fit
+        if not gamma > 0.0:
             raise OptimizationError("c is inestimable under every candidate design")
-        w = np.clip(np.array([c1 * g22 - c2 * g21, g11 * c2 - g12 * c1]) / det, 0.0, None)
-        gamma, w = 1.0 / float(np.sum(w)), w / np.sum(w)
-    if not gamma > 0.0:
-        raise OptimizationError("c is inestimable under every candidate design")
-    with np.errstate(over="ignore"):  # gamma overflows only where 1/gamma^2 underflows
-        gamma, u = float(np.ldexp(gamma, -e)), np.ldexp(along + t * across, -e)
-    try:
-        value = gamma**-2
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise OptimizationError(f"the c-optimal value 1/gamma^2 {'overflows' if value else 'underflows'} a float "
-                                f"(gamma = {gamma:.3g})")
-    design = make_design(list(zip(x.tolist(), w.tolist())), space)
-    report = _sampled_report(model, design, lambda F, _: value * (1.0 - ((F @ u) / gamma) ** 2) + 0.0)
-    return COptimalResult(design, value, report, report.passes(value), n_evals, (float(u[0]), float(u[1])), gamma)
+        with np.errstate(over="ignore"):  # gamma overflows only where 1/gamma^2 underflows; a scalar's pow is C's
+            gamma, u = float(np.ldexp(gamma, -e)), np.ldexp(along + t * across, -e)
+            value = float(np.float64(gamma) ** -2)
+        if not 0.0 < value < math.inf:
+            raise OptimizationError(f"the c-optimal value 1/gamma^2 {'overflows' if value else 'underflows'} a float "
+                                    f"(gamma = {gamma:.3g})")
+        designs.append(make_design(list(zip(x.tolist(), w.tolist())), space))
+        duals.append((value, u, gamma))
+    reports = _sampled_reports(model, designs, lambda m, F, _: duals[m][0] * (
+        1.0 - (F.dot(duals[m][1]) / duals[m][2]) ** 2) + 0.0)
+    return [COptimalResult(design, value, report, report.passes(value), n, (float(u[0]), float(u[1])), gamma)
+            for design, (value, u, gamma), report, n in zip(designs, duals, reports, n_evals)]
 
 
 def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
@@ -523,8 +566,8 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
         n_evals += len(rows)
         Fx, dFx = _regress(model, x)
         rate = (1 - 2 * rows) * (Fx[:, 0] * dFx[:, 1] - Fx[:, 1] * dFx[:, 0])
-        with np.errstate(over="ignore"):
-            return 0.0 * x, np.where(_is_singular(np.sum(Fx * Fx, axis=1) ** 2), np.nan, rate), None
+        rate[_is_singular((Fx * Fx).sum(axis=1) ** 2)] = np.nan  # |f|^4 may overflow: _zero_slope ignores it
+        return 0.0 * x, rate, None
 
     lo, hi, far = grid[np.maximum(ends - 1, 0)], grid[np.minimum(ends + 1, len(grid) - 1)], grid[ends[::-1]]
     x = _zero_slope(evaluate, np.minimum(lo, far), np.maximum(hi, far), lo, hi, XTOL_REL * model.space.width)[0]
@@ -538,7 +581,7 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
 def sa_references(model: Model) -> tuple[tuple[float, float], np.ndarray | None]:
     """Optimal c-criterion values for c = (1,0) and c = (0,1), feeding the SA criterion, and SA's start: the
     midpoint of their designs' supports, point by point, or None if one design has a single point."""
-    e1, e2 = c_optimal(model, (1.0, 0.0)), c_optimal(model, (0.0, 1.0))
+    e1, e2 = _elfving(model, [(1.0, 0.0), (0.0, 1.0)])
     return (e1.criterion_value, e2.criterion_value), _mix((e1.design, e2.design), (0.5, 0.5))
 
 

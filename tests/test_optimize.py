@@ -562,6 +562,87 @@ def test_point_slopes_are_the_kernels_on_fim_entries(model_name, kind):
         assert np.allclose(S[:, j], slopes, rtol=1e-11, atol=1e-12 * np.abs(V).max() / space.width)
 
 
+BATCH_MM = MMParams(V=43.73, K=227.27, b=8.35, eps=0.3)
+BATCH_MODELS = {"slr": (slr_model(DesignSpace(-1.3, 4.2)), SlrInterval(-1.3, 4.2)), "mm": (mm_model(BATCH_MM), BATCH_MM)}
+
+
+@pytest.mark.parametrize("model_name", list(BATCH_MODELS))
+@pytest.mark.parametrize("kind", ["D", "R", "SA", "COMPOUND", "EM", "R2"])
+def test_stage1_rows_are_solved_as_if_alone(model_name, kind):
+    # A row's mass and value do not depend on the rows solved beside it: every 7th pair of stage 1's batch
+    # (76 pairs) against the same pair solved on its own, bit for bit.  R's Newton steps must stop row by
+    # row: stepping every row until the last one converges moves 8 of these MM rows by up to 4.4e-16.
+    model, params = BATCH_MODELS[model_name]
+    spec = optimize_module._criterion_start(model, params, kind, lam=0.5)[0]
+    grid, F = optimize_module._fim_grid(model, optimize_module.STAGE1_GRID)
+    rows = F[np.stack(np.triu_indices(len(grid), 1), axis=1)][::7]
+    W, V = _best_mass(spec, rows, optimize_module.WEIGHT_TOL)
+    for i in range(len(rows)):
+        w, v = _best_mass(spec, rows[i:i + 1], optimize_module.WEIGHT_TOL)
+        assert np.array_equal(w[0], W[i]) and np.array_equal(v[0], V[i], equal_nan=True), i
+
+
+def recorded_regressor(model: Model) -> tuple[Model, list]:
+    """The model with a regressor that appends the points of each call to the returned list while the list's
+    first item, its switch, is True."""
+    calls: list = [False]
+
+    def regressor(x):
+        if calls[0]:
+            calls.append(np.asarray(x, dtype=float).tolist())
+        return model.regressor(x)
+
+    return replace(model, regressor=regressor), calls
+
+
+@pytest.mark.parametrize("kind", ["R", "SA", "COMPOUND"])
+def test_each_polished_point_reaches_the_regressor_once(monkeypatch, kind):
+    # The warm polish on MM: from _refine's start to _result, no point is handed to the regressor twice; an
+    # accepted move takes the regressor values its evaluation carried.
+    params = MMParams(V=43.73, K=227.27, b=5.0, eps=0.5)
+    model, calls = recorded_regressor(mm_model(params))
+    spec, start = optimize_module._criterion_start(model, params, kind, lam=0.5)
+    refine, result = optimize_module._refine, optimize_module._result
+
+    def recording_refine(*args):
+        calls[0] = True
+        return refine(*args)
+
+    def stop(*args):
+        calls[0] = False
+        return result(*args)
+
+    monkeypatch.setattr(optimize_module, "_refine", recording_refine)
+    monkeypatch.setattr(optimize_module, "_result", stop)
+    res = optimize_design(model, spec, start)
+    points = [x for call in calls[1:] for x in call]
+    assert res.converged and len(points) == len(set(points)) > 2
+
+
+@pytest.mark.parametrize("model_name, c", [("mm", (1.0, 0.0)), ("mm", (0.0, 1.0)), ("mm", (1.0, -30.0)),
+                                           ("slr", (1.0, 1.0)), ("slr", (0.3, -1.0))])
+def test_each_elfving_point_reaches_the_regressor_once(model_name, c):
+    # c_optimal's polish starts from grid points whose regressor values the grid pass gave, and every point it
+    # evaluates is evaluated once, the grid's included; the certificate's pass follows.
+    model, calls = recorded_regressor(BATCH_MODELS[model_name][0])
+    calls[0] = True
+    res = c_optimal(model, c)
+    grid, *polish, certificate = calls[1:]
+    points = grid + [x for call in polish for x in call]
+    assert res.converged and len(points) == len(set(points)) and len(certificate) >= 1000
+
+
+@pytest.mark.parametrize("model", [mm_model(MMParams(b=5.0, eps=0.5)), mm_model(MMParams(b=5.0, eps=0.0)),
+                                   mm_model(MMParams(V=1.0, K=3.0, b=2.0, eps=0.1)), slr_model(DesignSpace(-1.3, 4.2)),
+                                   slr_model(DesignSpace(1.0, 5.0))], ids=["mm", "mm-eps0", "mm-b2", "slr", "slr-1-5"])
+def test_one_pass_for_both_references_is_two_c_optimal_calls(model):
+    # SA's references solve e1 and e2 in one batched pass; each result, its certificate and iterations included,
+    # is c_optimal's on that c alone.
+    e1, e2 = optimize_module._elfving(model, [(1.0, 0.0), (0.0, 1.0)])
+    assert (e1, e2) == (c_optimal(model, (1.0, 0.0)), c_optimal(model, (0.0, 1.0)))
+    assert sa_references(model)[0] == (e1.criterion_value, e2.criterion_value)
+
+
 @pytest.mark.parametrize("lo, hi", [(1.0, 5.0), (-0.3, 0.9)])
 @pytest.mark.parametrize("ray", [(1.0, 2.0), (0.3, 0.7), (1.1, -0.37)])
 def test_rank_one_model_raises_for_every_kind(lo, hi, ray):

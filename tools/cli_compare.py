@@ -13,7 +13,9 @@ The calls are both benchmark workloads' coverage calls and cycles 0-2 at seeds 1
 ``perfbench.workloads`` (each distinct argv and design files once, the files written before the
 call), then calls at the edge of the float range: every kind of ``optimal`` on SLR and MM models
 whose information matrix overflows or underflows (and on two plain MM models), the MM tables
-with and without ``--strict``, kind C on a flat edge of Elfving's set, and infinite flag values.  ``diff`` exits 1 if any call differs.
+with and without ``--strict``, kind C on a flat edge of Elfving's set, infinite flag values, and the
+compound sweep on SLR and MM with the default and a 101-point lambda list (stage 1's many-row mass
+solve at each lambda, which no workload reaches).  ``diff`` exits 1 if any call differs.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ FLOAT_RANGE_MODELS = (
 
 
 def float_range_calls() -> list[list[str]]:
-    """Every kind on the float-range models, the MM tables, flat-edge C and infinite flag values."""
+    """Every kind on the float-range models, the MM tables, flat-edge C, infinite flag values and the compound
+    sweep."""
     extra = {"C": ["--c=1,1"], "COMPOUND": ["--lam=0.5"]}
     calls = [["optimal", *model, f"--criterion={kind}", *extra.get(kind, [])]
              for model in FLOAT_RANGE_MODELS for kind in KINDS]
@@ -55,6 +58,9 @@ def float_range_calls() -> list[list[str]]:
         calls.append(["optimal", "--model=slr", f"--a={a}", f"--b={b}", "--criterion=C", f"--c={c}"])
     for value in ("-inf", "-Infinity", "-nan", "inf"):
         calls.append(["optimal", "--model", "slr", "--a", value, "--b", "1", "--criterion", "D"])
+    for model in (["--model=slr", "--a=-1.3", "--b=4.2"], ["--model=mm", "--b=5", "--eps=0.5"]):
+        for lams in ([], [f"--lam-list={','.join(f'{i / 100:g}' for i in range(101))}"]):
+            calls.append(["sweep", *model, "--sweep-kind=compound", *lams])
     return calls
 
 
