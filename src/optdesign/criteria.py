@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .designs import Design, InfoMatrix, Model, _cross, _fim_of, _is_singular, _regressor, fim
+from .designs import Design, InfoMatrix, Model, _cross, _csv, _fim_of, _is_singular, _regressor, fim
 from .errors import SingularDesignError, ValidationError
 
 ALL_KINDS = ("D", "R", "R2", "C", "SA", "EM", "CPB", "COMPOUND")  # in the order the CLI lists them
@@ -290,9 +290,7 @@ class DerivativeReport:
         return self.min_dd >= -EQUIVALENCE_TOL * abs(criterion_value_at_design)
 
     def to_csv(self) -> str:
-        lines = ["x,dd"]
-        lines.extend(f"{x!r},{v!r}" for x, v in zip(self.x_grid, self.dd_values))
-        return "\n".join(lines) + "\n"
+        return _csv("x,dd", zip(self.x_grid, self.dd_values))
 
 
 def _once(x: np.ndarray) -> np.ndarray:
@@ -301,24 +299,20 @@ def _once(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate([[True], x[1:] != x[:-1]])]
 
 
-def _sampled_reports(model: Model, designs: Sequence[Design], dd_of) -> list[DerivativeReport]:
-    """Per design k, ``dd_of(k, F, Fs)`` at the regressors F of a ``CERTIFICATE_GRID``-point grid plus its support,
-    each point once, Fs the support's rows of F: one regressor call on the union of these grids serves all."""
-    base = model.space.grid(CERTIFICATE_GRID)
-    grids = [_once(np.concatenate([base, d.xs])) for d in designs]
-    every = _once(np.concatenate([base, *(d.xs for d in designs)])) if len(grids) > 1 else grids[0]
-    F_every, reports = _regressor(model, every), []
-    for k, (grid, design) in enumerate(zip(grids, designs)):
-        F = F_every if len(grid) == len(every) else F_every[np.searchsorted(every, grid)]
-        dd = dd_of(k, F, F[np.searchsorted(grid, design.xs)])
-        i = int(np.argmin(dd))
-        reports.append(DerivativeReport(tuple(grid.tolist()), tuple(dd.tolist()), float(dd[i]), float(grid[i])))
-    return reports
+def _sampled_report(model: Model, design: Design, dd_of) -> DerivativeReport:
+    """``dd_of(F, Fs)`` at the regressors F of a ``CERTIFICATE_GRID``-point grid plus the design's support, each
+    point once, Fs the support's rows of F: one regressor call."""
+    grid = _once(np.concatenate([model.space.grid(CERTIFICATE_GRID), design.xs]))
+    F = _regressor(model, grid)
+    dd = dd_of(F, F[np.searchsorted(grid, design.xs)])
+    i = int(np.argmin(dd))
+    return DerivativeReport(tuple(grid.tolist()), tuple(dd.tolist()), float(dd[i]), float(grid[i]))
 
 
 def derivative_report(model: Model, design: Design, spec: CriterionSpec) -> DerivativeReport:
-    """Evaluate the directional derivative on the certificate grid plus the support, in one regressor call."""
-    return _sampled_reports(model, [design], lambda _, F, Fs: _dd(spec, design, F, Fs))[0]
+    """The equivalence certificate of a convex kind: its directional derivative ``_dd`` on the certificate grid
+    plus the support, by ``_sampled_report``, whose one regressor call also gives the support's rows of M."""
+    return _sampled_report(model, design, lambda F, Fs: _dd(spec, design, F, Fs))
 
 
 # --- vectorized raw-entry evaluation (optimizer hot path) ---------------------

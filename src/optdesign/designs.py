@@ -165,6 +165,8 @@ def make_design(pairs: Sequence[tuple[float, float]], space: DesignSpace) -> Des
             raise ValidationError(f"negative weight {w} at x={x}")
         if not space.contains(x):
             raise ValidationError(f"point x={x} lies outside the design space [{space.lo}, {space.hi}]")
+    # A power-of-two scale is exact: the weights keep their ratios bit for bit, and the total and merge stay finite.
+    ws = [math.ldexp(w, -math.frexp(max(ws))[1]) for w in ws]
     total = sum(ws)
     if total <= 0.0:
         raise ValidationError("all weights are zero")
@@ -200,11 +202,14 @@ def _det(F: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _regressor(model: Model, x: np.ndarray, dx: bool = False) -> np.ndarray:
-    """The regressor (``regressor_dx`` if dx) at the points x (n,), as floats (n, 2); another shape raises."""
-    F = np.asarray(getattr(model, name := "regressor_dx" if dx else "regressor")(x), dtype=float)
-    if F.shape != (len(x), 2):
-        raise ValidationError(f"{name} returned shape {F.shape}, expected ({len(x)}, 2)")
-    return F
+    """The regressor (``regressor_dx`` if dx) at the points x of any shape, as floats x.shape + (2,), from one
+    call on x's n points, which must return (n, 2); a model without ``regressor_dx`` raises on dx."""
+    if (g := getattr(model, name := "regressor_dx" if dx else "regressor")) is None:
+        raise ValidationError(f"model {model.name!r} has no {name}; the optimizer needs it")
+    F = np.asarray(g(flat := x.reshape(-1)), dtype=float)
+    if F.shape != (len(flat), 2):
+        raise ValidationError(f"{name} returned shape {F.shape}, expected ({len(flat)}, 2)")
+    return F.reshape(x.shape + (2,))
 
 
 def fim_entries(model: Model, xs: np.ndarray, ws: np.ndarray,
@@ -212,7 +217,7 @@ def fim_entries(model: Model, xs: np.ndarray, ws: np.ndarray,
     """Entries (m11, m12, m22) and det of the information matrices of n k-point designs: row i of xs (n, k)
     holds design i's support points and row i of ws its weights.  One regressor call covers every point, and
     ``_fim_of`` forms the matrices, so a row's values are bit for bit those of :func:`fim` on it."""
-    return _fim_of(_regressor(model, xs.reshape(-1)).reshape(xs.shape + (2,)), xs, ws)
+    return _fim_of(_regressor(model, xs), xs, ws)
 
 
 def _fim_of(F: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -247,7 +252,12 @@ def slr_model(space: DesignSpace) -> Model:
                  regressor_dx=lambda x: np.zeros(np.shape(x) + (2,)) + [0.0, 1.0])
 
 
-# --- JSON serialization (shared by the CLI and golden tests) ----------------
+# --- JSON and CSV serialization (shared by the CLI and golden tests) --------
+
+def _csv(header: str, rows) -> str:
+    """CSV of the header line and rows of values, each written as its ``str`` (a float's shortest repr)."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
 
 def design_to_json(design: Design, space: DesignSpace) -> dict:
     return {

@@ -33,7 +33,7 @@ goes to the first support in lexicographic order.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,14 +41,14 @@ import numpy as np
 from .criteria import (
     CriterionSpec,
     DerivativeReport,
-    _sampled_reports,
+    _sampled_report,
     criterion_value,
     criterion_values_raw,
     derivative_report,
     phi_d,
     phi_r,
 )
-from .designs import EPS, Design, Model, _cross, _is_singular, _regressor, fim, fim_entries, make_design
+from .designs import EPS, Design, Model, _cross, _csv, _is_singular, _regressor, fim, fim_entries, make_design
 from .errors import OptimizationError, ValidationError
 from .mm import MMParams, mm_d_optimal, mm_model, mm_r_start
 from .slr import SlrInterval, _fmt, d_optimal_slr, r_optimal_slr
@@ -268,11 +268,9 @@ def optimize_weights(model: Model, support: Sequence[float], criterion: Criterio
 
 # --- support search -----------------------------------------------------------
 
-def _regress(model: Model, x: np.ndarray, dx: tuple[bool, ...] = (False, True)) -> list[np.ndarray]:
-    """The regressor and its x-derivative (those of ``dx``) at the points x, each shaped x.shape + (2,)."""
-    if model.regressor_dx is None:
-        raise ValidationError(f"model {model.name!r} has no regressor_dx; the optimizer needs it")
-    return [_regressor(model, x.reshape(-1), d).reshape(x.shape + (2,)) for d in dx]
+def _regress(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The regressor and its x-derivative at the points x, each shaped x.shape + (2,)."""
+    return _regressor(model, x), _regressor(model, x, True)
 
 
 def _finite_grid(model: Model, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -433,8 +431,8 @@ def _grid_dual(a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[int, float], 
 
 def _root(model: Model, u: np.ndarray, bracket: np.ndarray) -> np.ndarray:
     """The root of u^T f, to EPS times the width, between the points (lo, hi) where it changes sign."""
-    sign = 1.0 if np.diff(_regress(model, bracket)[0] @ u)[0] >= 0.0 else -1.0
-    return _zero_slope(lambda rows, x: (0.0 * x, sign * _regress(model, x)[0].dot(u), None),
+    sign = 1.0 if np.diff(_regressor(model, bracket) @ u)[0] >= 0.0 else -1.0
+    return _zero_slope(lambda rows, x: (0.0 * x, sign * _regressor(model, x).dot(u), None),
                        bracket[:1], bracket[1:], bracket[:1], bracket[1:], EPS * model.space.width)[0]
 
 
@@ -444,17 +442,19 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     u = c/|c|^2 + t c_perp.  ``_grid_dual``'s two active lines name the support.  Points apart are polished to
     local maxima of s u^T f and t moved to where their lines cross, until they stand still; the weights solve
     gamma c = sum_k w_k s_k f(x_k).  Neighbours of one sign straddle the one point where f is parallel to c,
-    the optimum only if no non-singular design ties it.  The report is c^T M^- c (1 - (u^T f(x) / gamma)^2),
-    u's certificate.  c, checked by ``CriterionSpec``, is divided by the power of two 2^e of its largest entry,
-    exactly, and u and gamma are scaled back by 2^-e.
+    the optimum only if no non-singular design ties it.  c, checked by ``CriterionSpec``, is divided by the power
+    of two 2^e of its largest entry, exactly, and u and gamma are scaled back by 2^-e.  The certificate is u's,
+    c^T M^- c (1 - (u^T f(x) / gamma)^2) >= 0, sampled by ``criteria._sampled_report`` as ``derivative_report``'s.
     """
-    return _elfving(model, [c])[0]
+    design, value, n_evals, u, gamma = _elfving(model, [c])[0]
+    report = _sampled_report(model, design, lambda F, _: value * (1.0 - (F.dot(u) / gamma) ** 2) + 0.0)
+    return COptimalResult(design, value, report, report.passes(value), n_evals, u, gamma)
 
 
-def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[COptimalResult]:
-    """``c_optimal`` for each c of cs at once: one grid, one polish whose rows 2m and 2m + 1 hold c_m's points,
-    each row stopping with its c and following the arithmetic of its c alone, and one regressor call for the
-    certificates.  The first c that fails raises its error, as if each were solved in turn."""
+def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[tuple[Design, float, int, tuple, float]]:
+    """``c_optimal``'s design, value, iterations, u and gamma, uncertified, for each c of cs at once: one grid, one
+    polish whose rows 2m and 2m + 1 hold c_m's points, each row stopping with its c and following the arithmetic
+    of its c alone.  The first c that fails raises its error, as if each were solved in turn."""
     space, tol, k = model.space, XTOL_REL * model.space.width, len(cs)
     cs = [CriterionSpec("C", c=tuple(map(float, c))).c for c in cs]
     grid, F = _finite_grid(model, ELFVING_GRID)
@@ -478,7 +478,7 @@ def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[COptimalResult
             sol.append([e, along, across, t, x, np.ones(1), abs(float(fx[0] @ along))])
         else:  # two points, their f from the grid
             h = slice(2 * m, 2 * m + 2)
-            X[h], S[h], Fx[h], dFx[h] = grid[[i, j]], (s, r), F[[i, j]], _regress(model, grid[[i, j]], (True,))[0]
+            X[h], S[h], Fx[h], dFx[h] = grid[[i, j]], (s, r), F[[i, j]], _regressor(model, grid[[i, j]], True)
             lo[h], hi[h] = grid[np.clip([[i - 1, j - 1], [i + 1, j + 1]], 0, len(grid) - 1)]
             sol.append([e, along, across, t, S[h] * a[[i, j]], S[h] * b[[i, j]]])
             pairs.append(m)
@@ -513,7 +513,7 @@ def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[COptimalResult
             sol[m][3:] = float((A[1] - A[0]) / (B[0] - B[1])), A, B
         # t's error is second order in the points', so theirs squares each round.
         polish = [m for p, m in enumerate(polish) if moved[2 * p:2 * p + 2].max() > math.sqrt(tol * space.width)]
-    designs, duals = [], []
+    out = []
     for m, fit in enumerate(sol):
         if isinstance(fit, Exception):
             raise fit
@@ -530,17 +530,13 @@ def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[COptimalResult
         if not gamma > 0.0:
             raise OptimizationError("c is inestimable under every candidate design")
         with np.errstate(over="ignore"):  # gamma overflows only where 1/gamma^2 underflows; a scalar's pow is C's
-            gamma, u = float(np.ldexp(gamma, -e)), np.ldexp(along + t * across, -e)
+            gamma, u = float(np.ldexp(gamma, -e)), tuple(np.ldexp(along + t * across, -e).tolist())
             value = float(np.float64(gamma) ** -2)
         if not 0.0 < value < math.inf:
             raise OptimizationError(f"the c-optimal value 1/gamma^2 {'overflows' if value else 'underflows'} a float "
                                     f"(gamma = {gamma:.3g})")
-        designs.append(make_design(list(zip(x.tolist(), w.tolist())), space))
-        duals.append((value, u, gamma))
-    reports = _sampled_reports(model, designs, lambda m, F, _: duals[m][0] * (
-        1.0 - (F.dot(duals[m][1]) / duals[m][2]) ** 2) + 0.0)
-    return [COptimalResult(design, value, report, report.passes(value), n, (float(u[0]), float(u[1])), gamma)
-            for design, (value, u, gamma), report, n in zip(designs, duals, reports, n_evals)]
+        out.append((make_design(list(zip(x.tolist(), w.tolist())), space), value, n_evals[m], u, gamma))
+    return out
 
 
 def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
@@ -571,18 +567,18 @@ def _disk_optimal(model: Model, spec: CriterionSpec) -> OptimizeResult:
 
     lo, hi, far = grid[np.maximum(ends - 1, 0)], grid[np.minimum(ends + 1, len(grid) - 1)], grid[ends[::-1]]
     x = _zero_slope(evaluate, np.minimum(lo, far), np.maximum(hi, far), lo, hi, XTOL_REL * model.space.width)[0]
-    turn = np.flatnonzero(np.diff(F[idx] @ (f := _regress(model, x)[0])[0] > 0.0))  # a quarter turn off f(x_a)
+    turn = np.flatnonzero(np.diff(F[idx] @ (f := _regressor(model, x))[0] > 0.0))  # a quarter turn off f(x_a)
     if len(turn) and (np.prod(f) >= 0.0 or spec.kind == "EM"):
         x = np.array([x[0], _root(model, f[0], grid[idx[turn[0] + np.arange(2)]])[0]])
     x = np.sort(x)
-    return _result(model, spec, x, _best_mass(spec, _regress(model, x)[0][None], 0.0)[0][0], n_evals)
+    return _result(model, spec, x, _best_mass(spec, _regressor(model, x)[None], 0.0)[0][0], n_evals)
 
 
 def sa_references(model: Model) -> tuple[tuple[float, float], np.ndarray | None]:
     """Optimal c-criterion values for c = (1,0) and c = (0,1), feeding the SA criterion, and SA's start: the
     midpoint of their designs' supports, point by point, or None if one design has a single point."""
-    e1, e2 = _elfving(model, [(1.0, 0.0), (0.0, 1.0)])
-    return (e1.criterion_value, e2.criterion_value), _mix((e1.design, e2.design), (0.5, 0.5))
+    (d1, v1, *_), (d2, v2, *_) = _elfving(model, [(1.0, 0.0), (0.0, 1.0)])
+    return (v1, v2), _mix((d1, d2), (0.5, 0.5))
 
 
 def _reference_stars(model: Model, params: SlrInterval | MMParams) -> tuple[tuple[float, float], tuple]:
@@ -687,11 +683,10 @@ def mm_tables(params: MMParams, eps_list: Sequence[float], compat: bool = True) 
 
 
 def mm_designs_csv(tables: MMTables) -> str:
-    return "\n".join(["eps,criterion,a,p", *(f"{r.eps:g},{r.criterion},{_fmt(r.a, 2)},{_fmt(r.p, 2)}"
-                                             for r in tables.designs)]) + "\n"
+    return _csv("eps,criterion,a,p", ((f"{r.eps:g}", r.criterion, _fmt(r.a, 2), _fmt(r.p, 2))
+                                      for r in tables.designs))
 
 
 def mm_efficiencies_csv(tables: MMTables) -> str:
-    return "\n".join(["eps,criterion,Eff_D,Eff_SA,Eff_R,Eff_EM,Eff_r2,r2", *(
-        f"{r.eps:g},{r.criterion}," + ",".join(_fmt(v, 2) for v in astuple(r)[2:])
-        for r in tables.efficiencies)]) + "\n"
+    return _csv("eps,criterion,Eff_D,Eff_SA,Eff_R,Eff_EM,Eff_r2,r2", ((f"{r.eps:g}", r.criterion, *(
+        _fmt(v, 2) for v in (r.eff_d, r.eff_sa, r.eff_r, r.eff_em, r.eff_r2, r.r2))) for r in tables.efficiencies))

@@ -42,7 +42,7 @@ import numpy as np
 
 from .criteria import (_D, _R, _R2, CriterionSpec, _correlation, _criterion, correlation,
                        criterion_values_raw, phi_d, phi_r)
-from .designs import Design, Model, _det, _is_singular, _regressor, fim, fim_entries
+from .designs import Design, Model, _csv, _det, _is_singular, _regressor, fim, fim_entries
 from .errors import OptimizationError, SingularDesignError, ValidationError
 from .optimize import optimize_design
 
@@ -220,11 +220,6 @@ def front_csv(points: Sequence[FrontPoint], x_scale: float = 1.0) -> str:
     """
     return _csv("eff_D,eff_R,p,a,r2", ((p.eff_d, p.eff_r, p.design.points[0][1],
                                          p.design.points[0][0] / x_scale, p.r2) for p in points))
-
-
-def _csv(header: str, rows) -> str:
-    """CSV of rows of floats, each written as its repr."""
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 @dataclass(frozen=True)

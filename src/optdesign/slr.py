@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .designs import Design, DesignSpace, Model, make_design, slr_model
+from .designs import Design, DesignSpace, Model, _csv, make_design, slr_model
 from .errors import DegenerateDesignError, ValidationError
 
 EFF_D_OF_R_MIN = 2.0 * math.sqrt(2.0) / 3.0     # 0.9428...
@@ -305,14 +305,5 @@ def _fmt(value: float | None, ndigits: int) -> str:
 
 def table_slr_csv(rows: Sequence[SlrSummary]) -> str:
     """Render rows as CSV in the canonical column order, rounded for comparison."""
-    lines = [",".join(TABLE_COLUMNS)]
-    for r in rows:
-        cells = [
-            f"{r.a:g}",
-            _fmt(r.p_r, 3), _fmt(r.p_r2, 3),
-            _fmt(r.eff_d_of_r, 3), _fmt(r.eff_d_of_r2, 3),
-            _fmt(r.eff_r_of_d, 3), _fmt(r.eff_r_of_r2, 3),
-            _fmt(r.corr_d, 3), _fmt(r.corr_r, 3), _fmt(r.corr_r2, 3),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(",".join(TABLE_COLUMNS), ((f"{r.a:g}", *(_fmt(v, 3) for v in (r.p_r, r.p_r2, r.eff_d_of_r,
+        r.eff_d_of_r2, r.eff_r_of_d, r.eff_r_of_r2, r.corr_d, r.corr_r, r.corr_r2))) for r in rows))

@@ -521,6 +521,17 @@ class TestUnreadableDesignFile:
 
 
     @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_weights_beyond_the_float_range_read_as_their_ratios(self, capsys, tmp_path, command):
+        results = []
+        for w in (1e308, 1.0):
+            path = tmp_path / f"design-{w}.json"
+            path.write_text(json.dumps({"points": [{"x": 1.0, "w": w}, {"x": 5.0, "w": w}],
+                                        "space": {"lo": 1.0, "hi": 5.0}}))
+            code, out, err = run(capsys, *self.COMMANDS[command], str(path))
+            results.append((code, out.replace(str(path), "F"), err))
+        assert results[0] == results[1] and results[0][0] == 0 and results[0][2] == ""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_point_outside_the_model_space_is_usage_error(self, capsys, tmp_path, command):
         # The file's own space [0, 20] holds its points; the model's [1, 5] does not.
         path = tmp_path / "design.json"

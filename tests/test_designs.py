@@ -78,6 +78,18 @@ class TestMakeDesign:
         with pytest.raises(ValidationError):
             make_design([(0.5, -0.1), (0.6, 1.0)], UNIT)  # negative weight
 
+    def test_weights_of_any_finite_size_read_as_their_ratios(self):
+        # A total beyond the float range, and a merge whose products would overflow one.
+        assert make_design([(0.2, 1e308), (0.8, 1e308)], UNIT).points == ((0.2, 0.5), (0.8, 0.5))
+        space = DesignSpace(0.0, 2e10)
+        assert (make_design([(1e10, 1e300), (1e10 + 1e-3, 1e300)], space).points
+                == make_design([(1e10, 1.0), (1e10 + 1e-3, 1.0)], space).points == ((1e10 + 5e-4, 1.0),))
+        # A power-of-two scale of every weight leaves the design's bits as they are.
+        pairs = [(0.1, 0.3), (0.1 + 1e-13, 0.7), (0.4, 2.2), (0.9, 0.01)]
+        for e in (-1000, -7, 3, 1000):
+            assert (make_design([(x, w * 2.0 ** e) for x, w in pairs], UNIT).points
+                    == make_design(pairs, UNIT).points)
+
     @given(scale=st.floats(min_value=1e-6, max_value=1e6),
            w1=st.floats(min_value=0.01, max_value=1.0),
            w2=st.floats(min_value=0.01, max_value=1.0))

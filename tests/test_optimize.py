@@ -636,11 +636,12 @@ def test_each_elfving_point_reaches_the_regressor_once(model_name, c):
                                    mm_model(MMParams(V=1.0, K=3.0, b=2.0, eps=0.1)), slr_model(DesignSpace(-1.3, 4.2)),
                                    slr_model(DesignSpace(1.0, 5.0))], ids=["mm", "mm-eps0", "mm-b2", "slr", "slr-1-5"])
 def test_one_pass_for_both_references_is_two_c_optimal_calls(model):
-    # SA's references solve e1 and e2 in one batched pass; each result, its certificate and iterations included,
-    # is c_optimal's on that c alone.
+    # SA's references solve e1 and e2 in one batched pass; each c's design, value, iterations, u and gamma are
+    # c_optimal's on that c alone, bit for bit.  The pass makes no certificate: only c_optimal certifies.
     e1, e2 = optimize_module._elfving(model, [(1.0, 0.0), (0.0, 1.0)])
-    assert (e1, e2) == (c_optimal(model, (1.0, 0.0)), c_optimal(model, (0.0, 1.0)))
-    assert sa_references(model)[0] == (e1.criterion_value, e2.criterion_value)
+    assert (e1, e2) == tuple((r.design, r.criterion_value, r.iterations, r.u, r.gamma)
+                             for r in (c_optimal(model, (1.0, 0.0)), c_optimal(model, (0.0, 1.0))))
+    assert sa_references(model)[0] == (e1[1], e2[1])
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 5.0), (-0.3, 0.9)])
@@ -666,10 +667,24 @@ def test_rank_one_model_raises_for_every_kind(lo, hi, ray):
 
 
 def test_model_without_regressor_derivative_is_rejected():
-    base = slr_model(DesignSpace(-1.0, 1.0))
+    # Every optimizer entry, cold or from a start, raises the one error of designs._regressor: C with c = f(x0)
+    # takes the one-point branch, C with c = e1 the two-point one.
+    base = mm_model(MMParams(b=5.0, eps=0.5))
     bare = Model(name="bare", space=base.space, regressor=base.regressor)
-    with pytest.raises(ValidationError, match="regressor_dx"):
-        optimize_design(bare, CriterionSpec("D"))
+    f = tuple(base.regressor(np.array([241.474375]))[0].tolist())
+    specs = [CriterionSpec("D"), CriterionSpec("R"), CriterionSpec("SA", sa_refs=(1.0, 1.0)),
+             CriterionSpec("COMPOUND", lam=0.5, phi_d_star=1.0, phi_r_star=1.0)]
+    calls = [lambda spec=spec, start=start: optimize_design(bare, spec, start)
+             for spec in specs for start in (None, np.array([100.0, base.space.hi]))]
+    calls += [lambda spec=spec: optimize_design(bare, spec)
+              for spec in (CriterionSpec("C", c=f), CriterionSpec("C", c=(1.0, 0.0)), CriterionSpec("R2"),
+                           CriterionSpec("EM"))]
+    for call in (*calls, lambda: c_optimal(bare, (1.0, 0.0)), lambda: sa_references(bare)):
+        with pytest.raises(ValidationError, match=r"^model 'bare' has no regressor_dx; the optimizer needs it$"):
+            call()
+    # The error names the callable that is missing.
+    with pytest.raises(ValidationError, match=r"^model 'bare' has no regressor; the optimizer needs it$"):
+        fim(replace(bare, regressor=None), make_design([(base.space.hi, 1.0)], base.space))
 
 
 def test_regressor_of_the_wrong_shape_is_rejected():

@@ -4,18 +4,22 @@
     python tools/cli_compare.py diff A.json B.json    # list the calls whose result differs
 
 ``record`` runs a fixed list of CLI calls in one subprocess whose import path starts with SRC
-(a tree's ``src`` directory) and writes, per call, its exit code, stdout and stderr, with the
-work directory and SRC replaced by placeholders so that two trees compare equal.  Each call goes
+(a tree's ``src`` directory) and writes, per call, its exit code, stdout, stderr and the content of
+the file it writes through ``--output`` or ``-o`` (null if none), with the work directory and SRC
+replaced by placeholders so that two trees compare equal.  Each call goes
 through ``optdesign.cli.main`` in its own warnings context, so a warning shows on every call that
 raises it, as in a fresh process; an uncaught exception is recorded by its type and message.
 
 The calls are both benchmark workloads' coverage calls and cycles 0-2 at seeds 1-3, taken from
 ``perfbench.workloads`` (each distinct argv and design files once, the files written before the
 call), then calls at the edge of the float range: every kind of ``optimal`` on SLR and MM models
-whose information matrix overflows or underflows (and on two plain MM models), the MM tables
-with and without ``--strict``, kind C on a flat edge of Elfving's set, infinite flag values, and the
+whose information matrix overflows or underflows, on SLR far from the origin (1e12 to 2e17,
+where kind C loses its answer), and on two plain MM models, the MM tables
+with and without ``--strict``, kind C on a flat edge of Elfving's set, infinite flag values, the
 compound sweep on SLR and MM with the default and a 101-point lambda list (stage 1's many-row mass
-solve at each lambda, which no workload reaches).  ``diff`` exits 1 if any call differs.
+solve at each lambda, which no workload reaches), ``check --output``'s certificate CSV for D on SLR
+and for SA and COMPOUND on MM, and a design file whose weights sum beyond the float range.  ``diff``
+exits 1 if any call differs.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ KINDS = ("D", "R", "R2", "C", "SA", "EM", "CPB", "COMPOUND")
 FLOAT_RANGE_MODELS = (
     *(["--model=slr", f"--a={a}", f"--b={b}"] for a, b in (
         ("-1e154", "1e154"), ("1e-170", "3e-170"), ("1e6", "1000001.0"), ("1e80", "2e80"),
-        ("-1e100", "1e100"), ("1e160", "2e160"), ("-1e200", "1e200"), ("-1e-300", "1e-300"))),
+        ("-1e100", "1e100"), ("1e160", "2e160"), ("-1e200", "1e200"), ("-1e-300", "1e-300"),
+        ("1e12", "2e12"), ("1e14", "2e14"), ("1e15", "2e15"), ("1e16", "2e16"), ("1e17", "2e17"))),
     *(["--model=mm", "--b=5", f"--eps={eps}", f"--V={V}", f"--K={K}"] for eps, V, K in (
         ("0.5", "1e200", "227.27"), ("0.5", "1e-200", "227.27"), ("0", "1e150", "1e-5"),
         ("0.5", "43.73", "227.27"), ("0", "43.73", "227.27"))),
@@ -64,6 +69,38 @@ def float_range_calls() -> list[list[str]]:
     return calls
 
 
+def design_file_calls(work_dir: str) -> list[dict]:
+    """``check --output`` on each model's D-optimal design: D on SLR, SA and COMPOUND on MM (b=5, eps=0.5); then
+    ``check`` and ``efficiency`` on SLR [1, 5] with a design whose weights sum beyond the float range."""
+    slr = (["--model=slr", "--a=-1.3", "--b=4.2"], [(-1.3, 0.5), (4.2, 0.5)], (-1.3, 4.2))
+    mm = (["--model=mm", "--b=5", "--eps=0.5"], [(5 / 7 * 227.27, 0.5), (5 * 227.27, 0.5)], (113.635, 1136.35))
+
+    def design(name: str, points: list, lo: float, hi: float) -> list:
+        return [os.path.join(work_dir, name), {"points": [{"x": x, "w": w} for x, w in points],
+                                               "space": {"lo": lo, "hi": hi}}]
+
+    calls = []
+    for kind, (flags, points, (lo, hi)) in (("D", slr), ("SA", mm), ("COMPOUND", mm)):
+        file, csv = design(f"check-{kind}.json", points, lo, hi), os.path.join(work_dir, f"check-{kind}.csv")
+        lam = ["--lam=0.5"] if kind == "COMPOUND" else []
+        calls.append({"argv": ["check", *flags, f"--criterion={kind}", *lam, f"--design={file[0]}", f"--output={csv}"],
+                      "files": [file]})
+    file, flags = design("huge-weights.json", [(1.0, 1e308), (5.0, 1e308)], 1.0, 5.0), ["--model=slr", "--a=1", "--b=5"]
+    calls.append({"argv": ["check", *flags, "--criterion=D", f"--design={file[0]}"], "files": [file]})
+    calls.append({"argv": ["efficiency", *flags, f"--designs={file[0]}"], "files": [file]})
+    return calls
+
+
+def output_path(argv: list[str]) -> str | None:
+    """The file a call writes through ``--output`` or ``-o``, or None."""
+    for flag, value in zip(argv, argv[1:] + [None]):
+        if flag.startswith("--output="):
+            return flag.split("=", 1)[1]
+        if flag in ("--output", "-o"):
+            return value
+    return None
+
+
 def all_calls(work_dir: str) -> list[dict]:
     """The distinct calls, in order: {"argv": [...], "files": [[path, payload], ...]}."""
     sys.path.insert(0, ROOT)
@@ -79,7 +116,7 @@ def all_calls(work_dir: str) -> list[dict]:
                 if key not in seen:
                     seen.add(key)
                     calls.append(entry)
-    return calls + [{"argv": argv, "files": []} for argv in float_range_calls()]
+    return calls + [{"argv": argv, "files": []} for argv in float_range_calls()] + design_file_calls(work_dir)
 
 
 def run_calls(calls: list[dict], placeholders: dict[str, str]) -> list[dict]:
@@ -96,14 +133,19 @@ def run_calls(calls: list[dict], placeholders: dict[str, str]) -> list[dict]:
         for path, payload in call["files"]:
             with open(path, "w") as fh:
                 json.dump(payload, fh)
-        out, err = io.StringIO(), io.StringIO()
+        if (target := output_path(call["argv"])) is not None and os.path.exists(target):
+            os.remove(target)
+        out, err, written = io.StringIO(), io.StringIO(), None
         try:
             with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = main(call["argv"])
         except Exception as exc:  # a crash of the program under test is a result, not ours
             rc = f"exception: {type(exc).__name__}: {exc}"
-        records.append({"argv": [normalise(a) for a in call["argv"]], "rc": rc,
-                        "stdout": normalise(out.getvalue()), "stderr": normalise(err.getvalue())})
+        if target is not None and os.path.exists(target):
+            with open(target, "rb") as fh:
+                written = normalise(fh.read().decode("latin-1"))  # latin-1: every byte, one character
+        records.append({"argv": [normalise(a) for a in call["argv"]], "rc": rc, "stdout": normalise(out.getvalue()),
+                        "stderr": normalise(err.getvalue()), "output": written})
     return records
 
 
@@ -136,7 +178,7 @@ def diff(a_path: str, b_path: str) -> int:
         return 1
     differ = 0
     for ra, rb in zip(a, b):
-        fields = [k for k in ("rc", "stdout", "stderr") if ra[k] != rb[k]]
+        fields = [k for k in ("rc", "stdout", "stderr", "output") if ra[k] != rb[k]]
         if not fields:
             continue
         differ += 1
@@ -144,7 +186,8 @@ def diff(a_path: str, b_path: str) -> int:
         if "rc" in fields:
             print(f"  exit code: {ra['rc']} -> {rb['rc']}")
         for k in fields[1 if "rc" in fields else 0:]:
-            lines = difflib.unified_diff(ra[k].splitlines(), rb[k].splitlines(), k, k, n=0, lineterm="")
+            lines = difflib.unified_diff((ra[k] or "").splitlines(), (rb[k] or "").splitlines(), k, k, n=0,
+                                         lineterm="")
             print("\n".join("  " + line for line in list(lines)[2:]))
     print(f"{differ} of {len(a)} calls differ")
     return 1 if differ else 0
