@@ -193,12 +193,12 @@ def make_design(pairs: Sequence[tuple[float, float]], space: DesignSpace) -> Des
     return Design(points=points)
 
 
-def _det(F: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """det of sum_i w_i f_i f_i^T for the regressors F (n, k, 2) and weights W (n, k), by Cauchy-Binet:
-    sum over point pairs i < j of w_i w_j (f_i x f_j)^2 by ``_cross``, a sum of squares that does not
-    cancel, so a rank-one matrix (f = 0, or parallel f) gets exactly 0."""
-    return sum((W[:, i] * W[:, j] * _cross(F[:, i, 0] * F[:, j, 1], F[:, i, 1] * F[:, j, 0]) ** 2
-                for i in range(F.shape[1]) for j in range(i + 1, F.shape[1])), np.zeros(len(F)))
+def _det(f1, f2, W) -> np.ndarray:
+    """det of sum_i w_i f_i f_i^T over the k points of n designs, f_i = (f1[i], f2[i]) and w_i = W[i] each
+    given as n values, by Cauchy-Binet: sum over point pairs i < j of w_i w_j (f_i x f_j)^2 by ``_cross``, a
+    sum of squares that does not cancel, so a rank-one matrix (f = 0, or parallel f) gets exactly 0."""
+    return sum((W[i] * W[j] * _cross(f1[i] * f2[j], f2[i] * f1[j]) ** 2
+                for i in range(len(W)) for j in range(i + 1, len(W))), np.zeros(len(W[0])))
 
 
 def _regressor(model: Model, x: np.ndarray, dx: bool = False) -> np.ndarray:
@@ -226,7 +226,7 @@ def _fim_of(F: np.ndarray, xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, 
     or det that overflows a float raises OptimizationError."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = np.matmul((F * ws[:, :, None]).transpose(0, 2, 1), F)
-        m12, det = 0.5 * (G[:, 0, 1] + G[:, 1, 0]), _det(F, ws)
+        m12, det = 0.5 * (G[:, 0, 1] + G[:, 1, 0]), _det(*F.T, ws.T)
     if not (np.isfinite(G).all() and np.isfinite(m12).all() and np.isfinite(det).all()):
         # A non-finite regressor value makes its row non-finite; on finite ones, that is an overflow.
         if not np.all(finite := np.isfinite(F).all(axis=2)):
@@ -255,8 +255,9 @@ def slr_model(space: DesignSpace) -> Model:
 # --- JSON and CSV serialization (shared by the CLI and golden tests) --------
 
 def _csv(header: str, rows) -> str:
-    """CSV of the header line and rows of values, each written as its ``str`` (a float's shortest repr)."""
-    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+    """CSV of the header and tuple rows, each value its ``str`` (a float's shortest repr), by one ``%s`` template."""
+    template = ",".join(["%s"] * (header.count(",") + 1))
+    return "\n".join([header, *(template % row for row in rows)]) + "\n"
 
 
 def design_to_json(design: Design, space: DesignSpace) -> dict:

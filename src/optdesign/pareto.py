@@ -4,17 +4,16 @@ fixed-support criterion sweeps.
 Sampling, evaluation and the front run on arrays; ``sampled_front`` builds
 points only for the few samples its prefilter keeps.
 
-Sampling.  Every attempt takes three uniforms (x1, x2, w) from one
-``default_rng(seed)`` stream, drawn in fixed blocks of 4096 rows of
-``rng.random`` and worked on as columns; x = lo + (hi - lo) u is the
-arithmetic of ``Generator.uniform``, so the stream is the one a
-draw-at-a-time loop consumes.  An attempt is rejected when w is not in
-(0, 1), when |x1 - x2| is within the merge tolerance, or when its det
-(``designs._det`` on one regressor call per block) is singular, in that
-order.  Accepted rows are canonical as ``make_design`` makes them (clipped,
-sorted, weights divided by the total mass); the first n in draw order are
-kept, with m11 = w_a f_a1^2 + w_b f_b1^2 and m22 for the prefilter: no m12,
-no matrix product.  A block without one admissible design raises OptimizationError.
+Sampling.  Every attempt takes three uniforms (x1, x2, w) from one ``default_rng(seed)`` stream, drawn in
+fixed blocks of 4096 rows of ``rng.random`` and turned by one transpose into three contiguous columns;
+x = lo + (hi - lo) u, in place, is the arithmetic of ``Generator.uniform``, so the stream is the one a
+draw-at-a-time loop consumes.  An attempt is rejected when w is not in (0, 1), when |x1 - x2| is within the
+merge tolerance (the block is compacted only then), or when its det (``designs._det`` on the columns of one
+regressor call per block) is singular, in that order.  Accepted rows are canonical as ``make_design`` makes
+them: clipped in place, sorted, and each weight's numerator, w or 1 - w, picked before the division by the
+total mass.  The first n in draw order are written into one array of 7 rows, with m11 = w_a (f_a1 f_a1) +
+w_b (f_b1 f_b1) and m22 for the prefilter, formed from the regressor's columns: no m12, no matrix product.
+A block without one admissible design raises OptimizationError.
 
 Front.  The front is computed on (Eff_D, Eff_R), both maximized; that
 ordering is equivalent to minimizing the criteria themselves because both are
@@ -64,9 +63,9 @@ def _designs(xa: np.ndarray, xb: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> 
     return [Design(points=((a, p), (b, q))) for a, b, p, q in zip(*(c.tolist() for c in (xa, xb, wa, wb)))]
 
 
-def _masses(w: np.ndarray) -> np.ndarray:
-    """Weights (w, 1 - w) divided by their total 0 + w + (1 - w), as make_design does."""
-    return np.stack([w, 1.0 - w], 1) / (w + (1.0 - w))[:, None]
+def _masses(w: np.ndarray, swap: np.ndarray | bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (w, 1 - w), exchanged where swap, divided by their total 0 + w + (1 - w) as make_design does."""
+    return np.where(swap, (v := 1.0 - w), w) / (t := w + v), np.where(swap, w, v) / t
 
 
 def _sample(model: Model, n: int, seed: int) -> tuple[np.ndarray, ...]:
@@ -76,33 +75,33 @@ def _sample(model: Model, n: int, seed: int) -> tuple[np.ndarray, ...]:
     space = model.space
     lo, hi, tol = space.lo, space.hi, space.merge_tol()
     rng = np.random.default_rng(seed)
-    blocks: list[tuple[np.ndarray, ...]] = []
-    got = 0
+    out, got = np.empty((7, n)), 0
     while got < n:
-        u = rng.random((_MIN_BLOCK, 3))
-        x1, x2, w = lo + (hi - lo) * u[:, 0], lo + (hi - lo) * u[:, 1], u[:, 2]
-        rows = (0.0 < w) & (w < 1.0) & (np.abs(x1 - x2) > tol)
+        u = rng.random((_MIN_BLOCK, 3)).T.copy()  # rows x1, x2, w; x = lo + (hi - lo) u in place
+        x = np.add(lo, np.multiply(hi - lo, u[:2], out=u[:2]), out=u[:2])
+        if np.count_nonzero(rows := (0.0 < u[2]) & (u[2] < 1.0) & (np.abs(x[0] - x[1]) > tol)) < _MIN_BLOCK:
+            u = u[:, rows]
         # Clip, then sort as make_design: kept points are more than tol apart, so clipping keeps their order.
-        x1, x2, (wa, wb) = np.clip(x1[rows], lo, hi), np.clip(x2[rows], lo, hi), _masses(w[rows]).T
-        swap, m = x1 > x2, len(wa)
-        xa, xb, wa, wb = np.minimum(x1, x2), np.maximum(x1, x2), np.where(swap, wb, wa), np.where(swap, wa, wb)
-        F = _regressor(model, np.concatenate([xa, xb]))
+        x1, x2 = np.clip(u[:2], lo, hi, out=u[:2])
+        W, X = _masses(u[2], x1 > x2), u[1:]  # x_b = max, then x_a = min, in place of w and x2
+        np.maximum(x1, x2, out=X[1])
+        np.minimum(x1, x2, out=X[0])
+        F = _regressor(model, X).transpose(2, 0, 1)  # F[c, i]: component c of f at the points i = a, b
         with np.errstate(over="ignore", invalid="ignore"):
-            m11, m22 = (wa[:, None] * F[:m] ** 2 + wb[:, None] * F[m:] ** 2).T
-            det = _det(F.reshape(2, m, 2).transpose(1, 0, 2), np.stack([wa, wb], 1))
+            m11, m22 = (W[0] * np.square(f[0]) + W[1] * np.square(f[1]) for f in F)
+            det = _det(*F, W)
         if not (np.isfinite(m11 + m22).all() and np.isfinite(det).all()):  # fim_entries' checks raise
-            m11, _, m22, det = fim_entries(model, np.stack([xa, xb], 1), np.stack([wa, wb], 1))
-        ok = ~_is_singular(det)
-        if not ok.any():
-            raise OptimizationError(
-                f"no admissible (non-singular) two-point design in {_MIN_BLOCK} random draws "
-                f"on [{lo!r}, {hi!r}]")
-        cols = (xa, xb, wa, wb, m11, m22, det)
+            m11, _, m22, det = fim_entries(model, X.T, np.stack(W, 1))
+        if not (ok := ~_is_singular(det)).any():
+            raise OptimizationError(f"no admissible (non-singular) two-point design in {_MIN_BLOCK} random draws "
+                                    f"on [{lo!r}, {hi!r}]")
+        cols = (*X, *W, m11, m22, det)
         if not ok.all():
             cols = tuple(c[ok] for c in cols)
-        blocks.append(tuple(c[:n - got] for c in cols))
-        got += len(blocks[-1][0])
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+        for o, c in zip(out, cols):
+            o[got:got + len(c)] = c[:n - got]
+        got += len(cols[0])
+    return tuple(out)
 
 
 def sample_two_point_designs(model: Model, n: int, seed: int) -> list[Design]:
@@ -175,11 +174,11 @@ def _dominated(d: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _survivors(d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rows that neither the row of largest r nor that of largest d surely dominates:
-    by (a) or (b) of ``_dominated``, with d and r (each within a few ulps) widened by MARGIN."""
+    """Rows that neither the row of largest r nor that of largest d surely dominates: by (a) or (b) of ``_dominated``,
+    with d and r (each within a few ulps) widened by MARGIN, down at those two rows alone and up at every row."""
     tiny, a = np.finfo(float).tiny, np.array([[np.argmax(r)], [np.argmax(d)]])
-    (dlo, dhi), (rlo, rhi) = ((v - (s := MARGIN * np.abs(v) + tiny), v + s) for v in (d, r))
-    sure = ((dlo[a] >= dhi) & (rlo[a] - rhi > TIE_TOL)) | ((rlo[a] >= rhi) & (dlo[a] - dhi > TIE_TOL))
+    (dlo, dhi), (rlo, rhi) = ((v[a] - (MARGIN * np.abs(v[a]) + tiny), v + (MARGIN * np.abs(v) + tiny)) for v in (d, r))
+    sure = ((dlo >= dhi) & (rlo - rhi > TIE_TOL)) | ((rlo >= rhi) & (dlo - dhi > TIE_TOL))
     return np.flatnonzero(~sure.any(axis=0))
 
 
@@ -277,7 +276,7 @@ def _sweep_columns(model: Model, a_fixed: float, p_grid: Sequence[float]) -> lis
             raise ValidationError(f"sweep weights must lie strictly in (0, 1), got {p}")
     ps = [float(p) for p in p_grid]
     xs = np.tile([model.space.clip(x_lo), x_hi], (len(ps), 1))
-    m11, m12, m22, det = fim_entries(model, xs, _masses(np.array(ps)))
+    m11, m12, m22, det = fim_entries(model, xs, np.stack(_masses(np.array(ps)), 1))
     return [ps, *(v.tolist() for v in (*_head_criteria(m11, m12, m22, det), _correlation(m11, m12, m22)))]
 
 

@@ -284,6 +284,18 @@ class TestArraySampler:
             got = sample_two_point_designs(model, n, 7)
             assert got == reference[:n] and got == longest[:n]
 
+    @pytest.mark.parametrize("name", sorted(SAMPLER_MODELS))
+    def test_m11_m22_match_per_row_floats(self, name):
+        # m11 = w_a (f_a1 f_a1) + w_b (f_b1 f_b1) and m22 alike, in Python floats row by row, bit for bit,
+        # with n on either side of one and two blocks.
+        model = SAMPLER_MODELS[name]()
+        for n in (1, 4095, 4096, 4097, 8193):
+            xa, xb, wa, wb, m11, m22, _ = _sample(model, n, 7)
+            fa, fb = (np.asarray(model.regressor(x), dtype=float).tolist() for x in (xa, xb))
+            for c, got in ((0, m11), (1, m22)):
+                want = [p * (f[c] * f[c]) + q * (g[c] * g[c]) for p, q, f, g in zip(wa.tolist(), wb.tolist(), fa, fb)]
+                assert list(map(float.hex, got.tolist())) == list(map(float.hex, want)), (n, c)
+
     def test_front_of_samples_equals_composition(self):
         # Every sampler model, seed and n on either side of a block: the prefilter's column efficiencies
         # drop only dominated rows, and the accepted rows' det is fim_entries' bit for bit.
@@ -327,8 +339,9 @@ class TestArraySampler:
             sampled_front(model, 100, 0, 1.0, 1.0)
 
     def test_heap_peak(self, mm_stars):
-        # Blocks of 4096 attempts as columns and the 20,000 kept rows: 2.68 MB at its peak,
-        # against 3.24 MB with each block's 2x2 matrices, 6.0 MB for one block of 25,000
+        # Blocks of 4096 attempts as columns, written into one array of the 20,000 kept rows:
+        # 2.20 MB at its peak, against 2.68 MB when each block's columns were kept and then
+        # concatenated, 3.24 MB with each block's 2x2 matrices, 6.0 MB for one block of 25,000
         # attempts and about 12 MB when 20,000 designs and front points were objects.
         model, d_star, r_star = mm_stars
         tracemalloc.start()
@@ -337,7 +350,7 @@ class TestArraySampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5e6
+        assert peak <= 2.55e6
 
 
 class TestArrayEvaluation:

@@ -15,14 +15,20 @@ The layers:
 - ``_best_mass`` on one MM row with slopes, as the polish calls it, for D, R, SA and COMPOUND;
 - ``c_optimal`` (c = e1) and ``derivative_report`` (SA's optimum) on MM, ``sa_references`` on SLR and MM;
 - ``optimal`` in process, the CLI's ``_criterion_start`` plus ``optimize_design``, for D, R, SA, C
-  (c = e1) and COMPOUND (lam = 0.5) on SLR [-1.3, 4.2] and on MM (V=43.73, K=227.27, b=5, eps=0.5).
+  (c = e1) and COMPOUND (lam = 0.5) on SLR [-1.3, 4.2] and on MM (V=43.73, K=227.27, b=5, eps=0.5);
+- pareto's sampler ``_sample`` and ``sampled_front`` at n = 20,000 and seed 5 on those two models, and
+  the prefilter ``_survivors`` on the (Eff_D, Eff_R) of SLR's 20,000 samples;
+- the CLI commands ``pareto --n=20000 --seed=5`` and ``sweep`` (a-fixed 0.35 on SLR, 1.5 K on MM) through
+  ``cli.main`` on both models, with stdout and stderr caught in memory; a non-zero exit raises.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import os
 import statistics
 import sys
@@ -43,8 +49,8 @@ def load(tree: str, name: str):
 def layers(opt) -> dict[str, tuple[object, int]]:
     """Layer name -> (a call taking no arguments, the number of units it does: calls or iterations)."""
     np = opt.np
-    criteria, designs, slr, mm = (importlib.import_module(f"{opt.__package__}.{m}")
-                                  for m in ("criteria", "designs", "slr", "mm"))
+    criteria, designs, slr, mm, pareto, cli = (importlib.import_module(f"{opt.__package__}.{m}")
+                                               for m in ("criteria", "designs", "slr", "mm", "pareto", "cli"))
     slr_params, mm_params = slr.SlrInterval(-1.3, 4.2), mm.MMParams(b=5.0, eps=0.5)
     models = {"slr": designs.slr_model(designs.DesignSpace(-1.3, 4.2)), "mm": mm.mm_model(mm_params)}
     params = {"slr": slr_params, "mm": mm_params}
@@ -81,7 +87,27 @@ def layers(opt) -> dict[str, tuple[object, int]]:
             out[f"optimal {name} {kind}"] = (
                 lambda name=name, kind=kind: opt.optimize_design(models[name], *opt._criterion_start(
                     models[name], params[name], kind, c=(1.0, 0.0), lam=0.5)), 1)
+    flags = {"slr": ["--model=slr", "--a=-1.3", "--b=4.2"], "mm": ["--model=mm", "--b=5", "--eps=0.5"]}
+    for name, a_fixed in (("slr", "0.35"), ("mm", "1.5")):
+        stars = opt._reference_stars(models[name], params[name])[0]
+        out[f"_sample {name}"] = (lambda name=name: pareto._sample(models[name], 20_000, 5), 1)
+        out[f"sampled_front {name}"] = (
+            lambda name=name, stars=stars: pareto.sampled_front(models[name], 20_000, 5, *stars), 1)
+        if name == "slr":
+            *_, m11, m22, det = pareto._sample(models[name], 20_000, 5)
+            d, r = stars[0] * np.sqrt(det), stars[1] * det / np.sqrt(m11 * m22)
+            out["_survivors slr"] = (lambda: pareto._survivors(d, r), 1)
+        for command, *rest in (("pareto", "--n=20000", "--seed=5"), ("sweep", f"--a-fixed={a_fixed}")):
+            out[f"cli {command} {name}"] = (lambda argv=[command, *flags[name], *rest]: run_cli(cli, argv), 1)
     return out
+
+
+def run_cli(cli, argv: list[str]) -> None:
+    """``cli.main(argv)`` with its stdout and stderr caught in memory; an exit code other than 0 raises."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"optdesign {' '.join(argv)} exited {code}: {err.getvalue()}")
 
 
 def sample(call, units: int, budget: float = 0.02) -> float:
