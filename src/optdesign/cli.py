@@ -234,13 +234,25 @@ def _result_json(result: OptimizeResult, model: Model, config: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _x_unit(params: SlrInterval | MMParams) -> float:
+    """The unit of x in the CLI's --a-fixed and pareto's a column: K on Michaelis-Menten, 1 on SLR."""
+    return params.K if isinstance(params, MMParams) else 1.0
+
+
+def _criterion_kind(args: argparse.Namespace, cfg: dict) -> str:
+    """The --criterion setting, required, upper-cased and one of ``ALL_KINDS``."""
+    if (kind := _setting(args, cfg, "criterion")) is None:
+        raise UsageError("--criterion is required")
+    if (kind := str(kind).upper()) not in ALL_KINDS:
+        raise UsageError(f"unknown criterion {kind!r}; choose from {ALL_KINDS}")
+    return kind
+
+
 def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Model,
                      params: SlrInterval | MMParams) -> tuple[CriterionSpec, np.ndarray | None]:
-    """``optimize._criterion_start`` of the criterion ``kind`` with C's --c and COMPOUND's --lam: the criterion
-    and its start.  A bad flag is a usage error before any reference is computed."""
-    kind, c, lam = kind.upper(), None, None
-    if kind not in ALL_KINDS:
-        raise UsageError(f"unknown criterion {kind!r}; choose from {ALL_KINDS}")
+    """``optimize._criterion_start`` of the ``_criterion_kind`` ``kind`` with C's --c and COMPOUND's --lam: the
+    criterion and its start.  A bad flag is a usage error before any reference is computed."""
+    c, lam = None, None
     if kind == "C":
         if (c := _setting(args, cfg, "c")) is None:
             raise UsageError("criterion C needs --c 'c1,c2'")
@@ -256,14 +268,12 @@ def _build_criterion(kind: str, args: argparse.Namespace, cfg: dict, model: Mode
 def _cmd_optimal(args: argparse.Namespace, cfg: dict) -> int:
     model, model_info, params = _build_model(args, cfg)
     seed = _resolve_seed(args, cfg)
-    kind = _setting(args, cfg, "criterion")
-    if kind is None:
-        raise UsageError("--criterion is required")
+    kind = _criterion_kind(args, cfg)
     # Accepted and echoed for compatibility: every optimum needs at most two points.
     n_support = _setting(args, cfg, "n_support", 2, convert=int)
     if not 2 <= n_support <= 4:
         raise UsageError(f"n_support must lie in [2, 4], got {n_support}")
-    spec, start = _build_criterion(str(kind), args, cfg, model, params)
+    spec, start = _build_criterion(kind, args, cfg, model, params)
     result = optimize_design(model, spec, start)
     config = {"command": "optimal", "model": model_info["model"], "model_params": model_info,
               "criterion": spec.kind,
@@ -299,8 +309,7 @@ def _cmd_pareto(args: argparse.Namespace, cfg: dict) -> int:
     n = _setting(args, cfg, "n", 1000, convert=int)
     (d_star, r_star), _ = _reference_stars(model, params)
     front = sampled_front(model, n, seed, d_star, r_star)
-    x_scale = model.nominal_params[1] if model.name == "michaelis_menten" else 1.0
-    _emit(front_csv(front, x_scale=x_scale), args.output)
+    _emit(front_csv(front, x_scale=_x_unit(params)), args.output)
     meta = {"seed": seed, "n": n, "front_size": len(front), "model": model_info,
             "phi_d_star": d_star, "phi_r_star": r_star}
     sys.stderr.write(json.dumps(meta, sort_keys=True) + "\n")
@@ -323,17 +332,13 @@ def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     if n_p < 1:
         raise UsageError(f"need p_points >= 1, got {n_p}")
     p_grid = [(i + 1) / (n_p + 1) for i in range(n_p)]
-    _emit(criterion_sweep_csv(model, a_fixed, p_grid), args.output)
+    _emit(criterion_sweep_csv(model, a_fixed * _x_unit(params), p_grid), args.output)
     return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace, cfg: dict) -> int:
     model, _, params = _build_model(args, cfg)
-    kind = _setting(args, cfg, "criterion")
-    if kind is None:
-        raise UsageError("--criterion is required")
-    kind = str(kind).upper()
-    if kind not in CONVEX_KINDS:
+    if (kind := _criterion_kind(args, cfg)) not in CONVEX_KINDS:
         raise UsageError(
             f"criterion {kind} is not convex: no equivalence certificate exists, refusing to check")
     design_path = _setting(args, cfg, "design")

@@ -156,8 +156,6 @@ def _criterion(spec: CriterionSpec, m11, m12, m22, det, d=None) -> tuple:
         if d is not None:
             slope = (-0.5 * (1.0 - lam) * d_part * dlogdet / spec.phi_d_star
                      + lam * r_part * (0.5 * dprod / (m11 * m22) - dlogdet) / spec.phi_r_star)
-    else:
-        raise ValidationError(f"unknown criterion kind {kind!r}")
     return value, slope
 
 

@@ -45,16 +45,18 @@ def _is_singular(det):
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """Closed interval [lo, hi] of admissible experimental conditions."""
+    """Closed interval [lo, hi] of admissible experimental conditions, its ends stored as floats."""
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):  # a non-number raises TypeError here
             raise ValidationError(f"design space endpoints must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValidationError(f"design space needs lo < hi, got [{self.lo}, {self.hi}]")
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
 
     @property
     def width(self) -> float:
@@ -101,12 +103,12 @@ class Design:
 
 @dataclass(frozen=True)
 class Model:
-    """Two-parameter regression model seen through its regressor vector.
+    """Two-parameter regression model seen through its regressor vector, all that generic code reads.
 
-    regressor must be vectorized: given an ndarray of shape (n,) it returns
-    the regressor values with shape (n, 2).  For nonlinear models this is the
-    gradient of the mean function evaluated at ``nominal_params``.
-    ``regressor_dx``, vectorized alike, is its x-derivative; the optimizer needs it.
+    regressor must be vectorized: given an ndarray of shape (n,) it returns the values with shape (n, 2); for
+    nonlinear models, the gradient of the mean function at ``nominal_params``, which generic code does not read.
+    ``regressor_dx``, vectorized alike, is its x-derivative; the optimizer needs it.  x is in the units of
+    ``space``, and ``name`` appears only in messages.
     """
 
     name: str
@@ -184,11 +186,7 @@ def make_design(pairs: Sequence[tuple[float, float]], space: DesignSpace) -> Des
         else:
             merged.append([xs[i], ws[i]])
 
-    points = tuple(
-        (space.clip(x), w / total) for x, w in merged if w > 0.0
-    )
-    if not points:
-        raise ValidationError("all weights are zero")
+    points = tuple((space.clip(x), w / total) for x, w in merged if w > 0.0)  # merging keeps a total > 0: not empty
     assert abs(sum(w for _, w in points) - 1.0) <= 1e-9
     return Design(points=points)
 

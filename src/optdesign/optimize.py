@@ -39,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .criteria import (
+    EQUIVALENCE_TOL,
     CriterionSpec,
     DerivativeReport,
     _sampled_report,
@@ -437,13 +438,14 @@ def _root(model: Model, u: np.ndarray, bracket: np.ndarray) -> np.ndarray:
 
 
 def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
-    """Design minimizing c^T M^- c, by Elfving's theorem (Elfving 1952; Pukelsheim 2006, ch. 2): the least
-    value is 1/gamma^2, gamma the least over u with u^T c = 1 of max_x |u^T f(x)|, convex in t along
-    u = c/|c|^2 + t c_perp.  ``_grid_dual``'s two active lines name the support.  Points apart are polished to
-    local maxima of s u^T f and t moved to where their lines cross, until they stand still; the weights solve
-    gamma c = sum_k w_k s_k f(x_k).  Neighbours of one sign straddle the one point where f is parallel to c,
-    the optimum only if no non-singular design ties it.  c, checked by ``CriterionSpec``, is divided by the power
-    of two 2^e of its largest entry, exactly, and u and gamma are scaled back by 2^-e.  The certificate is u's,
+    """Design minimizing c^T M^- c, by Elfving's theorem (Elfving 1952; Pukelsheim 2006, ch. 2): the least value is
+    1/gamma^2, gamma the least over u with u^T c = 1 of max_x |u^T f(x)|, convex in t along u = c/|c|^2 + t c_perp.
+    ``_grid_dual``'s two active lines name the support.  Points apart are polished to local maxima of s u^T f and t
+    moved to where their lines cross, until they stand still; the weights solve gamma c = sum_k w_k s_k f(x_k).
+    Neighbours of one sign straddle the one point where f is parallel to c, the optimum if no non-singular design
+    ties it and, u normal to f there, |u^T f| <= gamma (1 + EQUIVALENCE_TOL)^(1/2) on the grid; else the largest
+    |u^T f| there joins a neighbour.  c, checked by ``CriterionSpec``, is divided by the power of two 2^e of its
+    largest entry, exactly, and u and gamma are scaled back by 2^-e.  The certificate is u's,
     c^T M^- c (1 - (u^T f(x) / gamma)^2) >= 0, sampled by ``criteria._sampled_report`` as ``derivative_report``'s.
     """
     design, value, n_evals, u, gamma = _elfving(model, [c])[0]
@@ -475,13 +477,17 @@ def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[tuple[Design, 
             fx, dfx = _regress(model, x)
             if space.lo < x[0] < space.hi and dfx[0] @ across != 0.0:
                 t = -float(dfx[0] @ along) / float(dfx[0] @ across)  # u normal to the curve at x
-            sol.append([e, along, across, t, x, np.ones(1), abs(float(fx[0] @ along))])
-        else:  # two points, their f from the grid
-            h = slice(2 * m, 2 * m + 2)
-            X[h], S[h], Fx[h], dFx[h] = grid[[i, j]], (s, r), F[[i, j]], _regressor(model, grid[[i, j]], True)
-            lo[h], hi[h] = grid[np.clip([[i - 1, j - 1], [i + 1, j + 1]], 0, len(grid) - 1)]
-            sol.append([e, along, across, t, S[h] * a[[i, j]], S[h] * b[[i, j]]])
-            pairs.append(m)
+            gamma, v = abs(float(fx[0] @ along)), a + t * b  # v: u^T f on the grid
+            if np.abs(v).max() <= gamma * math.sqrt(1.0 + EQUIVALENCE_TOL):  # u's bound holds: x is the optimum
+                sol.append([e, along, across, t, x, np.ones(1), gamma])
+                continue
+            g = int(np.abs(v).argmax())  # f(x) is inside Elfving's set: the largest |u^T f| joins the pair
+            (i, s), (j, r) = sorted([(j, r) if g == i else (i, s), (g, math.copysign(1.0, v[g]))])
+        h = slice(2 * m, 2 * m + 2)  # two points, their f from the grid
+        X[h], S[h], Fx[h], dFx[h] = grid[[i, j]], (s, r), F[[i, j]], _regressor(model, grid[[i, j]], True)
+        lo[h], hi[h] = grid[np.clip([[i - 1, j - 1], [i + 1, j + 1]], 0, len(grid) - 1)]
+        sol.append([e, along, across, t, S[h] * a[[i, j]], S[h] * b[[i, j]]])
+        pairs.append(m)
 
     def lines(rows: np.ndarray, Fr: np.ndarray, dFr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # -s u^T f and its slope -s u^T f', with f and f' as extras, c by c: a slope within the rounding of its

@@ -214,8 +214,8 @@ def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:
 def front_csv(points: Sequence[FrontPoint], x_scale: float = 1.0) -> str:
     """CSV of front points: efficiencies plus the (a, p) shape of each design.
 
-    a is the lower support point divided by x_scale (pass K to get K-units),
-    p the mass it carries.
+    a is the lower support point divided by x_scale (the CLI passes K on Michaelis-Menten, so a reads in
+    units of K), p the mass it carries.
     """
     return _csv("eff_D,eff_R,p,a,r2", ((p.eff_d, p.eff_r, p.design.points[0][1],
                                          p.design.points[0][0] / x_scale, p.r2) for p in points))
@@ -262,10 +262,8 @@ class SweepRow:
     corr: float
 
 
-def _sweep_columns(model: Model, a_fixed: float, p_grid: Sequence[float]) -> list[list[float]]:
+def _sweep_columns(model: Model, x_lo: float, p_grid: Sequence[float]) -> list[list[float]]:
     """The columns p, phi_D, phi_R, phi_r2 and corr of ``criterion_sweep``."""
-    mm = model.name == "michaelis_menten" and model.nominal_params is not None
-    x_lo = a_fixed * model.nominal_params[1] if mm else a_fixed
     if not model.space.contains(x_lo):
         raise ValidationError(f"fixed point {x_lo} outside the design space")
     x_hi = model.space.hi
@@ -280,20 +278,19 @@ def _sweep_columns(model: Model, a_fixed: float, p_grid: Sequence[float]) -> lis
     return [ps, *(v.tolist() for v in (*_head_criteria(m11, m12, m22, det), _correlation(m11, m12, m22)))]
 
 
-def criterion_sweep(model: Model, a_fixed: float, p_grid: Sequence[float]) -> list[SweepRow]:
+def criterion_sweep(model: Model, x_lo: float, p_grid: Sequence[float]) -> list[SweepRow]:
     """Criterion values of the designs {x_lo: p, hi: 1-p} as the mass p varies.
 
-    x_lo is a_fixed, interpreted in K-units for the Michaelis-Menten model
-    (matching how its design spaces are specified) and in raw units otherwise.
-    The upper point is the top of the design space.  Every row satisfies the
-    identity phi_R^2 = phi_D^2 / (1 - phi_r2).
+    x_lo, the fixed lower point, is in the model's own units, those of its space (the CLI's ``--a-fixed``
+    is in units of K on Michaelis-Menten and multiplied by K before it gets here).  The upper point is the
+    top of the design space.  Every row satisfies the identity phi_R^2 = phi_D^2 / (1 - phi_r2).
     """
-    return [SweepRow(*row) for row in zip(*_sweep_columns(model, a_fixed, p_grid))]
+    return [SweepRow(*row) for row in zip(*_sweep_columns(model, x_lo, p_grid))]
 
 
-def criterion_sweep_csv(model: Model, a_fixed: float, p_grid: Sequence[float]) -> str:
+def criterion_sweep_csv(model: Model, x_lo: float, p_grid: Sequence[float]) -> str:
     """CSV of ``criterion_sweep``'s rows, each value its repr, formatted from the columns."""
-    return _csv("p,phi_D,phi_R,phi_r2,corr", zip(*_sweep_columns(model, a_fixed, p_grid)))
+    return _csv("p,phi_D,phi_R,phi_r2,corr", zip(*_sweep_columns(model, x_lo, p_grid)))
 
 
 def has_mutually_nondominated_rows(rows: Sequence[SweepRow]) -> bool:

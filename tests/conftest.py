@@ -55,3 +55,46 @@ def random_slr_model(rng: np.random.Generator, min_width: float = 0.5) -> Model:
     a = float(rng.uniform(-5.0, 4.0))
     b = a + float(rng.uniform(min_width, 6.0))
     return slr_model(DesignSpace(a, b))
+
+
+# Test-only models, which the package does not name: generic code must serve them as it serves SLR and MM.
+
+def logistic_model(lo: float, hi: float) -> Model:
+    """Logistic regression at theta = (0, 1) (Abdelbasit & Plackett 1983, JASA 78:90): f = sqrt(p (1 - p)) (1, x),
+    p = 1 / (1 + e^-x), and f' = (g', g' x + g) with g = sqrt(p (1 - p)) and g' = g (1 - 2p) / 2."""
+
+    def parts(x):
+        x = np.asarray(x, dtype=float)
+        p = 1.0 / (1.0 + np.exp(-x))
+        return x, p, np.sqrt(p * (1.0 - p))
+
+    def regressor(x):
+        x, _, g = parts(x)
+        return np.stack([g, g * x], axis=-1)
+
+    def regressor_dx(x):
+        x, p, g = parts(x)
+        dg = 0.5 * g * (1.0 - 2.0 * p)
+        return np.stack([dg, dg * x + g], axis=-1)
+
+    return Model(name="logistic", space=DesignSpace(lo, hi), regressor=regressor, regressor_dx=regressor_dx)
+
+
+def exp_decay_model(lo: float, hi: float) -> Model:
+    """Exponential decay E[y] = theta1 exp(-theta2 x) at theta = (1, 1) (Atkinson, Donev & Tobias 2007, *Optimum
+    Experimental Designs, with SAS*): f = (e^-x, -x e^-x), f' = (-e^-x, (x - 1) e^-x)."""
+
+    def regressor(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([np.exp(-x), -x * np.exp(-x)], axis=-1)
+
+    def regressor_dx(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([-np.exp(-x), (x - 1.0) * np.exp(-x)], axis=-1)
+
+    return Model(name="exp_decay", space=DesignSpace(lo, hi), regressor=regressor, regressor_dx=regressor_dx)
+
+
+@pytest.fixture
+def logistic() -> Model:
+    return logistic_model(-5.0, 5.0)

@@ -401,8 +401,8 @@ def test_11_loop_effect_tradeoff():
     rows = criterion_sweep(slr, 0.5, [i / 200 for i in range(1, 200)])
     if not has_mutually_nondominated_rows(rows):
         violations.append("slr sweep (a=0.5) has no mutually non-dominated pair")
-    mm = mm_model(MMParams(b=5.0, eps=0.0))
-    rows = criterion_sweep(mm, 0.71, [i / 200 for i in range(1, 200)])
+    mm = mm_model(params := MMParams(b=5.0, eps=0.0))
+    rows = criterion_sweep(mm, 0.71 * params.K, [i / 200 for i in range(1, 200)])  # a = 0.71K, in x's units
     if not has_mutually_nondominated_rows(rows):
         violations.append("mm sweep (a=0.71) has no mutually non-dominated pair")
     report(11, "loop effect: non-dominated (phi_D, phi_R) pairs in weight sweeps",

@@ -72,15 +72,17 @@ class TestOptimal:
         assert err == f"optdesign: design space endpoints must be finite, got [{shown}, 1.0]\n"
 
     @pytest.mark.parametrize("module", ["optdesign", "optdesign.cli"])
-    def test_module_execution(self, module):
+    def test_module_execution(self, capsys, monkeypatch, module):
+        # __main__.py and cli.console_main: a fresh process exits 0 and prints what cli.main prints.
+        monkeypatch.delenv("OPTDESIGN_SEED", raising=False)
         src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", module, "optimal", "--model", "slr", "--a", "-1", "--b", "1",
-             "--criterion", "D"],
-            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        argv = ("optimal", "--model", "slr", "--a", "1", "--b", "5", "--criterion", "D")
+        proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == EXIT_OK, proc.stderr
         points = json.loads(proc.stdout)["design"]["points"]
-        assert [p["x"] for p in points] == [-1.0, 1.0]
+        assert [p["x"] for p in points] == [1.0, 5.0]
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
 
     @pytest.mark.parametrize("x0", [241.474375, 624.9925, 5.0 * 227.27])
     def test_c_parallel_to_one_regressor_is_the_one_point_design(self, capsys, x0):
@@ -271,6 +273,19 @@ class TestCheck:
                            "--criterion", "R2", "--design", d_optimal_file)
         assert code == EXIT_USAGE
         assert "not convex" in err
+
+    @pytest.mark.parametrize("command", ["check", "optimal"])
+    def test_unknown_criterion_reads_as_in_optimal(self, capsys, d_optimal_file, command):
+        # One reader of --criterion: an unknown kind is unknown to both commands, not "not convex" to check.
+        design = ("--design", d_optimal_file) if command == "check" else ()
+        code, out, err = run(capsys, command, "--model", "slr", "--a", "1", "--b", "5", "--criterion", "foo", *design)
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("optdesign: unknown criterion 'FOO'; choose from "
+                       "('D', 'R', 'R2', 'C', 'SA', 'EM', 'CPB', 'COMPOUND')\n")
+
+    def test_lower_case_kind_is_the_upper_case_one(self, capsys, d_optimal_file):
+        argv = ("check", "--model", "slr", "--a", "1", "--b", "5", "--design", d_optimal_file, "--criterion")
+        assert run(capsys, *argv, "d") == run(capsys, *argv, "D")
 
     def test_report_csv_written(self, capsys, d_optimal_file, tmp_path):
         report = tmp_path / "report.csv"

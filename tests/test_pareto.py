@@ -184,9 +184,10 @@ class TestCompoundSweep:
 
 
 class TestCriterionSweep:
+    # The sweep's fixed point is in the model's units: a = 0.71K is x = 0.71 K.
     def test_identity_holds_rowwise(self):
-        model = mm_model(MMParams(eps=0.0))
-        rows = criterion_sweep(model, 0.71, [i / 50 for i in range(1, 50)])
+        model = mm_model(params := MMParams(eps=0.0))
+        rows = criterion_sweep(model, 0.71 * params.K, [i / 50 for i in range(1, 50)])
         for r in rows:
             lhs = r.phi_r ** 2
             rhs = r.phi_d ** 2 / (1.0 - r.phi_r2)
@@ -195,9 +196,9 @@ class TestCriterionSweep:
     def test_mm_phi_d_minimized_at_half(self):
         # a = 0.71K is (nearly) the D-optimal lower point, so the sweep's
         # phi_D minimum over p sits at 1/2.
-        model = mm_model(MMParams(eps=0.0))
+        model = mm_model(params := MMParams(eps=0.0))
         p_grid = [i / 100 for i in range(1, 100)]
-        rows = criterion_sweep(model, 5.0 / 7.0, p_grid)
+        rows = criterion_sweep(model, 5.0 / 7.0 * params.K, p_grid)
         best = min(rows, key=lambda r: r.phi_d)
         assert abs(best.p - 0.5) < 0.011
 
@@ -207,8 +208,8 @@ class TestCriterionSweep:
         assert has_mutually_nondominated_rows(rows)
 
     def test_loop_effect_mm(self):
-        model = mm_model(MMParams(eps=0.0))
-        rows = criterion_sweep(model, 0.71, [i / 200 for i in range(1, 200)])
+        model = mm_model(params := MMParams(eps=0.0))
+        rows = criterion_sweep(model, 0.71 * params.K, [i / 200 for i in range(1, 200)])
         assert has_mutually_nondominated_rows(rows)
 
     def test_validation(self):

@@ -18,8 +18,8 @@ where kind C loses its answer), and on two plain MM models, the MM tables
 with and without ``--strict``, kind C on a flat edge of Elfving's set, infinite flag values, the
 compound sweep on SLR and MM with the default and a 101-point lambda list (stage 1's many-row mass
 solve at each lambda, which no workload reaches), ``check --output``'s certificate CSV for D on SLR
-and for SA and COMPOUND on MM, and a design file whose weights sum beyond the float range.  ``diff``
-exits 1 if any call differs.
+and for SA and COMPOUND on MM, a design file whose weights sum beyond the float range, and ``check``
+with an unknown kind and with a convex kind in lower case.  ``diff`` exits 1 if any call differs.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ def float_range_calls() -> list[list[str]]:
 
 def design_file_calls(work_dir: str) -> list[dict]:
     """``check --output`` on each model's D-optimal design: D on SLR, SA and COMPOUND on MM (b=5, eps=0.5); then
-    ``check`` and ``efficiency`` on SLR [1, 5] with a design whose weights sum beyond the float range."""
+    ``check`` and ``efficiency`` on SLR [1, 5] with a design whose weights sum beyond the float range; then
+    ``check`` of SLR's design with an unknown kind and with a convex kind in lower case."""
     slr = (["--model=slr", "--a=-1.3", "--b=4.2"], [(-1.3, 0.5), (4.2, 0.5)], (-1.3, 4.2))
     mm = (["--model=mm", "--b=5", "--eps=0.5"], [(5 / 7 * 227.27, 0.5), (5 * 227.27, 0.5)], (113.635, 1136.35))
 
@@ -88,6 +89,9 @@ def design_file_calls(work_dir: str) -> list[dict]:
     file, flags = design("huge-weights.json", [(1.0, 1e308), (5.0, 1e308)], 1.0, 5.0), ["--model=slr", "--a=1", "--b=5"]
     calls.append({"argv": ["check", *flags, "--criterion=D", f"--design={file[0]}"], "files": [file]})
     calls.append({"argv": ["efficiency", *flags, f"--designs={file[0]}"], "files": [file]})
+    file = design("check-kind.json", slr[1], *slr[2])
+    for kind in ("FOO", "d"):  # an unknown kind, and a convex one in lower case
+        calls.append({"argv": ["check", *slr[0], f"--criterion={kind}", f"--design={file[0]}"], "files": [file]})
     return calls
 
 
