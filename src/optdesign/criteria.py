@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .designs import Design, InfoMatrix, Model, _cross, _csv, _fim_of, _is_singular, _regressor, fim
+from .designs import EPS, Design, InfoMatrix, Model, _cross, _csv, _fim_of, _is_singular, _regressor, fim
 from .errors import SingularDesignError, ValidationError
 
 ALL_KINDS = ("D", "R", "R2", "C", "SA", "EM", "CPB", "COMPOUND")  # in the order the CLI lists them
@@ -309,8 +309,66 @@ def _sampled_report(model: Model, design: Design, dd_of) -> DerivativeReport:
 
 def derivative_report(model: Model, design: Design, spec: CriterionSpec) -> DerivativeReport:
     """The equivalence certificate of a convex kind: its directional derivative ``_dd`` on the certificate grid
-    plus the support, by ``_sampled_report``, whose one regressor call also gives the support's rows of M."""
+    plus the support, by ``_sampled_report``, whose one regressor call also gives the support's rows of M.  Kind C
+    on a singular M has no slope; where c is in M's range, ``_dual_report`` certifies the value with the dual u
+    of ``_singular_c_dual`` and gamma = value^(-1/2), as ``optimize.c_optimal`` certifies its design."""
+    if spec.kind == "C" and (m := fim(model, design)).is_singular and 0.0 < (value := phi_c(m, spec.c)) < math.inf:
+        return _dual_report(model, design, value, _singular_c_dual(model, design, spec.c), value ** -0.5)
     return _sampled_report(model, design, lambda F, Fs: _dd(spec, design, F, Fs))
+
+
+def _c_frame(c: Sequence[float]) -> tuple[int, np.ndarray, np.ndarray]:
+    """e, c/|c|^2 and c_perp = (-c2, c1) of c divided by 2^e, exactly, 2^e the power of two of its largest entry."""
+    e = math.frexp(max(abs(c[0]), abs(c[1])))[1]
+    c1, c2 = math.ldexp(c[0], -e), math.ldexp(c[1], -e)
+    return e, np.array([c1, c2]) / (c1 * c1 + c2 * c2), np.array([-c2, c1])
+
+
+def _dual_report(model: Model, design: Design, value: float, u, gamma: float) -> DerivativeReport:
+    """Kind C's certificate from Elfving's dual u, u^T c = 1: c^T M^- c (1 - (u^T f(x) / gamma)^2), >= 0 wherever
+    |u^T f(x)| <= gamma, sampled by ``_sampled_report``."""
+    return _sampled_report(model, design, lambda F, _: value * (1.0 - (F.dot(u) / gamma) ** 2) + 0.0)
+
+
+def _singular_c_dual(model: Model, design: Design, c: Sequence[float]) -> np.ndarray:
+    """Elfving's dual u = c/|c|^2 + t c_perp for a design whose singular M holds c in its range.  t makes u normal to
+    the curve f at the first interior support point, as ``optimize._elfving`` takes it for one point; where there is
+    none, or f has no slope across c there, t is ``_grid_dual``'s on the certificate grid.  c is scaled by
+    ``_c_frame``, and u scaled back."""
+    e, along, across = _c_frame(c)
+    inner = design.xs[(model.space.lo < design.xs) & (design.xs < model.space.hi)][:1]
+    df = _regressor(model, inner, True)[0] if len(inner) and model.regressor_dx is not None else np.zeros(2)
+    if df @ across != 0.0:
+        t = -float(df @ along) / float(df @ across)
+    else:
+        F = _regressor(model, model.space.grid(CERTIFICATE_GRID))
+        t = _grid_dual(F @ along, b)[0] if (b := F @ across).any() else 0.0
+    return np.ldexp(along + t * across, -e)
+
+
+def _grid_dual(a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[int, float], tuple[int, float]]:
+    """min over t of max_i |a_i + t b_i|, by cutting planes: the max at t adds the
+    line s (a_i + t b_i) of its row, s its sign, and t moves to where the highest
+    falling and rising lines cross.  Returns t and those lines (i, s), falling
+    first; a flat line (b_i = 0) at the max is both."""
+    def top(t: float) -> tuple[int, float, float]:
+        v = a + t * b
+        i = int(np.abs(v).argmax())
+        return i, (1.0 if v[i] >= 0.0 else -1.0), abs(float(v[i]))
+
+    T = 4.0 * np.abs(a).max() / np.abs(b).max()  # at -T and T the max rises away from 0
+    (i, s, _), (j, r, _) = top(-T), top(T)
+    for _ in range(len(a)):
+        t = (r * a[j] - s * a[i]) / (s * b[i] - r * b[j])
+        k, q, v = top(t)
+        if (k, q) in ((i, s), (j, r)) or v <= r * (a[j] + t * b[j]) * (1.0 + 4.0 * EPS):
+            break
+        g = q * b[k]
+        i, s = (k, q) if g <= 0.0 else (i, s)
+        j, r = (k, q) if g >= 0.0 else (j, r)
+        if g == 0.0:
+            break
+    return float(t), (i, s), (j, r)
 
 
 # --- vectorized raw-entry evaluation (optimizer hot path) ---------------------

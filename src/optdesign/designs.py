@@ -269,6 +269,8 @@ def design_from_json(obj: dict) -> tuple[Design, DesignSpace]:
     try:
         space = DesignSpace(float(obj["space"]["lo"]), float(obj["space"]["hi"]))
         pairs = [(float(p["x"]), float(p["w"])) for p in obj["points"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:  # its text is the key's repr
+        raise ValidationError(f"malformed design JSON: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed design JSON: {exc}") from exc
     return make_design(pairs, space), space

@@ -42,7 +42,9 @@ from .criteria import (
     EQUIVALENCE_TOL,
     CriterionSpec,
     DerivativeReport,
-    _sampled_report,
+    _c_frame,
+    _dual_report,
+    _grid_dual,
     criterion_value,
     criterion_values_raw,
     derivative_report,
@@ -405,31 +407,6 @@ class COptimalResult(OptimizeResult):
     gamma: float
 
 
-def _grid_dual(a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[int, float], tuple[int, float]]:
-    """min over t of max_i |a_i + t b_i|, by cutting planes: the max at t adds the
-    line s (a_i + t b_i) of its row, s its sign, and t moves to where the highest
-    falling and rising lines cross.  Returns t and those lines (i, s), falling
-    first; a flat line (b_i = 0) at the max is both."""
-    def top(t: float) -> tuple[int, float, float]:
-        v = a + t * b
-        i = int(np.abs(v).argmax())
-        return i, (1.0 if v[i] >= 0.0 else -1.0), abs(float(v[i]))
-
-    T = 4.0 * np.abs(a).max() / np.abs(b).max()  # at -T and T the max rises away from 0
-    (i, s, _), (j, r, _) = top(-T), top(T)
-    for _ in range(len(a)):
-        t = (r * a[j] - s * a[i]) / (s * b[i] - r * b[j])
-        k, q, v = top(t)
-        if (k, q) in ((i, s), (j, r)) or v <= r * (a[j] + t * b[j]) * (1.0 + 4.0 * EPS):
-            break
-        g = q * b[k]
-        i, s = (k, q) if g <= 0.0 else (i, s)
-        j, r = (k, q) if g >= 0.0 else (j, r)
-        if g == 0.0:
-            break
-    return float(t), (i, s), (j, r)
-
-
 def _root(model: Model, u: np.ndarray, bracket: np.ndarray) -> np.ndarray:
     """The root of u^T f, to EPS times the width, between the points (lo, hi) where it changes sign."""
     sign = 1.0 if np.diff(_regressor(model, bracket) @ u)[0] >= 0.0 else -1.0
@@ -446,10 +423,11 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     ties it and, u normal to f there, |u^T f| <= gamma (1 + EQUIVALENCE_TOL)^(1/2) on the grid; else the largest
     |u^T f| there joins a neighbour.  c, checked by ``CriterionSpec``, is divided by the power of two 2^e of its
     largest entry, exactly, and u and gamma are scaled back by 2^-e.  The certificate is u's,
-    c^T M^- c (1 - (u^T f(x) / gamma)^2) >= 0, sampled by ``criteria._sampled_report`` as ``derivative_report``'s.
+    c^T M^- c (1 - (u^T f(x) / gamma)^2) >= 0, sampled by ``criteria._dual_report``, as ``derivative_report``'s on a
+    singular M.
     """
     design, value, n_evals, u, gamma = _elfving(model, [c])[0]
-    report = _sampled_report(model, design, lambda F, _: value * (1.0 - (F.dot(u) / gamma) ** 2) + 0.0)
+    report = _dual_report(model, design, value, u, gamma)
     return COptimalResult(design, value, report, report.passes(value), n_evals, u, gamma)
 
 
@@ -463,9 +441,7 @@ def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[tuple[Design, 
     (X, S, lo, hi), (Fx, dFx), edges = np.zeros((4, 2 * k)), np.zeros((2, 2 * k, 2)), np.arange(0, 2 * k + 1, 2)
     sol, n_evals, pairs = [], [0] * k, []  # sol[m]: c_m's error or [e, along, across, t, then A, B or x, w, gamma]
     for m, c in enumerate(cs):
-        e = math.frexp(max(abs(c[0]), abs(c[1])))[1]
-        c1, c2 = math.ldexp(c[0], -e), math.ldexp(c[1], -e)
-        along, across = np.array([c1, c2]) / (c1 * c1 + c2 * c2), np.array([-c2, c1])
+        e, along, across = _c_frame(c)
         if not (a := F @ along).any():
             sol.append(OptimizationError("c is inestimable under every candidate design"))
             continue

@@ -7,13 +7,13 @@ points only for the few samples its prefilter keeps.
 Sampling.  Every attempt takes three uniforms (x1, x2, w) from one ``default_rng(seed)`` stream, drawn in
 fixed blocks of 4096 rows of ``rng.random`` and turned by one transpose into three contiguous columns;
 x = lo + (hi - lo) u, in place, is the arithmetic of ``Generator.uniform``, so the stream is the one a
-draw-at-a-time loop consumes.  An attempt is rejected when w is not in (0, 1), when |x1 - x2| is within the
-merge tolerance (the block is compacted only then), or when its det (``designs._det`` on the columns of one
-regressor call per block) is singular, in that order.  Accepted rows are canonical as ``make_design`` makes
-them: clipped in place, sorted, and each weight's numerator, w or 1 - w, picked before the division by the
-total mass.  The first n in draw order are written into one array of 7 rows, with m11 = w_a (f_a1 f_a1) +
-w_b (f_b1 f_b1) and m22 for the prefilter, formed from the regressor's columns: no m12, no matrix product.
-A block without one admissible design raises OptimizationError.
+draw-at-a-time loop consumes.  An attempt is rejected when w = 0 (``Generator.random`` draws from [0, 1)), when
+|x1 - x2| is within the merge tolerance (the block is compacted only then), or when its det (``designs._det`` on
+the columns of one regressor call per block) is singular, in that order.  Accepted rows are canonical as
+``make_design`` makes them: clipped in place, sorted, and each weight's numerator, w or 1 - w, picked before the
+division by the total mass.  ``_blocks`` yields each block's rows among the first n in draw order as 7 columns,
+with m11 = w_a (f_a1 f_a1) + w_b (f_b1 f_b1) and m22 for the prefilter, formed from the regressor's columns: no
+m12, no matrix product.  A block without one admissible design raises OptimizationError.
 
 Front.  The front is computed on (Eff_D, Eff_R), both maximized; that
 ordering is equivalent to minimizing the criteria themselves because both are
@@ -23,8 +23,9 @@ more than TIE_TOL = 1e-12 on one of them, so sampled designs with
 indistinguishable objectives are all retained.  ``sampled_front`` drops the rows
 that the row of largest Eff_R or of largest Eff_D surely dominates, both widened
 by MARGIN (filter, then exact: Bentley, Clarkson & Levine 1993, Algorithmica
-9:168); the flags of the few left come from one sort by Eff_D and two prefix
-maxima of Eff_R (Kung et al. 1975).
+9:168) among the rows kept so far and each block as it is drawn (the block-nested-loops
+skyline of Borzsonyi, Kossmann & Stocker 2001, ICDE), in memory free of n; the flags
+of the few left come from one sort by Eff_D and two prefix maxima of Eff_R (Kung et al. 1975).
 
 The fixed-support sweep moves the mass p between two fixed points and tabulates
 all three head criteria plus the correlation; it is the data behind the
@@ -35,7 +36,7 @@ non-dominated, so neither criterion can be improved without hurting the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -68,21 +69,20 @@ def _masses(w: np.ndarray, swap: np.ndarray | bool = False) -> tuple[np.ndarray,
     return np.where(swap, (v := 1.0 - w), w) / (t := w + v), np.where(swap, w, v) / t
 
 
-def _sample(model: Model, n: int, seed: int) -> tuple[np.ndarray, ...]:
-    """Columns x_a < x_b, w_a, w_b, m11, m22 and det of n random admissible designs {x_a: w_a, x_b: w_b}."""
+def _blocks(model: Model, n: int, seed: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Columns x_a < x_b, w_a, w_b, m11, m22 and det of n random admissible designs {x_a: w_a, x_b: w_b}, by block."""
     if n < 1:
         raise ValidationError(f"need n >= 1 samples, got {n}")
     space = model.space
     lo, hi, tol = space.lo, space.hi, space.merge_tol()
     rng = np.random.default_rng(seed)
-    out, got = np.empty((7, n)), 0
-    while got < n:
+    while n > 0:
         u = rng.random((_MIN_BLOCK, 3)).T.copy()  # rows x1, x2, w; x = lo + (hi - lo) u in place
         x = np.add(lo, np.multiply(hi - lo, u[:2], out=u[:2]), out=u[:2])
-        if np.count_nonzero(rows := (0.0 < u[2]) & (u[2] < 1.0) & (np.abs(x[0] - x[1]) > tol)) < _MIN_BLOCK:
+        if np.count_nonzero(rows := (0.0 < u[2]) & (np.abs(x[0] - x[1]) > tol)) < _MIN_BLOCK:
             u = u[:, rows]
-        # Clip, then sort as make_design: kept points are more than tol apart, so clipping keeps their order.
-        x1, x2 = np.clip(u[:2], lo, hi, out=u[:2])
+        # make_design's clip (x >= lo already), then its sort: kept points are over tol apart, so clipping keeps order.
+        x1, x2 = np.minimum(u[:2], hi, out=u[:2])
         W, X = _masses(u[2], x1 > x2), u[1:]  # x_b = max, then x_a = min, in place of w and x2
         np.maximum(x1, x2, out=X[1])
         np.minimum(x1, x2, out=X[0])
@@ -92,16 +92,19 @@ def _sample(model: Model, n: int, seed: int) -> tuple[np.ndarray, ...]:
             det = _det(*F, W)
         if not (np.isfinite(m11 + m22).all() and np.isfinite(det).all()):  # fim_entries' checks raise
             m11, _, m22, det = fim_entries(model, X.T, np.stack(W, 1))
-        if not (ok := ~_is_singular(det)).any():
+        if (bad := _is_singular(det)).all():
             raise OptimizationError(f"no admissible (non-singular) two-point design in {_MIN_BLOCK} random draws "
                                     f"on [{lo!r}, {hi!r}]")
         cols = (*X, *W, m11, m22, det)
-        if not ok.all():
-            cols = tuple(c[ok] for c in cols)
-        for o, c in zip(out, cols):
-            o[got:got + len(c)] = c[:n - got]
-        got += len(cols[0])
-    return tuple(out)
+        if len(det) > n or bad.any():
+            cols = tuple(c[~bad][:n] for c in cols)
+        n -= len(cols[0])
+        yield cols
+
+
+def _sample(model: Model, n: int, seed: int) -> tuple[np.ndarray, ...]:
+    """``_blocks``' columns of n designs, each concatenated."""
+    return tuple(map(np.concatenate, zip(*_blocks(model, n, seed))))
 
 
 def sample_two_point_designs(model: Model, n: int, seed: int) -> list[Design]:
@@ -187,17 +190,22 @@ def sampled_front(model: Model, n: int, seed: int, phi_d_star: float,
     """Pareto front of n sampled two-point designs, sorted by eff_d descending.
 
     Equal to ``pareto_front(evaluate_front_points(model,
-    sample_two_point_designs(model, n, seed), ...))``, run on ``_survivors``'
-    rows alone.  Eff_D = phi_D* sqrt(det) and Eff_R = phi_R* det / sqrt(m11 m22),
-    m11 and m22 sums that do not cancel, are within a few ulps of the exact
-    values, far inside MARGIN, so ``_survivors`` drops only dominated rows.
-    Dominance on rounded differences is transitive (monotone in each operand)
-    and acyclic, so a row is dominated iff a non-dominated row dominates it.
+    sample_two_point_designs(model, n, seed), ...))``, run on the rows that ``_survivors``
+    keeps of each block with the rows kept before it: no array grows with n.  Eff_D =
+    phi_D* sqrt(det) and Eff_R = phi_R* det / sqrt(m11 m22), m11 and m22 sums that do not
+    cancel, are within a few ulps of the exact values, far inside MARGIN, so a pass drops
+    only dominated rows.  Dominance on rounded differences is transitive (monotone in each
+    operand) and acyclic, so a row is dominated iff a non-dominated row dominates it.
     """
-    *cols, m11, m22, det = _sample(model, n, seed)
-    with np.errstate(over="ignore"):
-        rows = _survivors(phi_d_star * np.sqrt(det), phi_r_star * det / np.sqrt(m11 * m22))
-    return pareto_front(evaluate_front_points(model, _designs(*(c[rows] for c in cols)), phi_d_star, phi_r_star))
+    kept = np.empty((6, 0))  # x_a, x_b, w_a, w_b, Eff_D and Eff_R of the rows no pass has dropped
+    for *cols, m11, m22, det in _blocks(model, n, seed):
+        with np.errstate(over="ignore"):
+            d, r = phi_d_star * np.sqrt(det), phi_r_star * det / np.sqrt(m11 * m22)
+        rows = _survivors(np.concatenate((kept[4], d)), np.concatenate((kept[5], r)))
+        j = np.searchsorted(rows, k := kept.shape[1])  # rows[:j] are kept's, rows[j:] the block's
+        new = rows[j:] - k
+        kept = np.concatenate((kept[:, rows[:j]], [c[new] for c in (*cols, d, r)]), axis=1)
+    return pareto_front(evaluate_front_points(model, _designs(*kept[:4]), phi_d_star, phi_r_star))
 
 
 def pareto_front(points: Sequence[FrontPoint]) -> list[FrontPoint]:
@@ -264,16 +272,16 @@ class SweepRow:
 
 def _sweep_columns(model: Model, x_lo: float, p_grid: Sequence[float]) -> list[list[float]]:
     """The columns p, phi_D, phi_R, phi_r2 and corr of ``criterion_sweep``."""
-    if not model.space.contains(x_lo):
-        raise ValidationError(f"fixed point {x_lo} outside the design space")
-    x_hi = model.space.hi
-    if abs(x_hi - x_lo) <= model.space.merge_tol():
+    if not (space := model.space).contains(x_lo):
+        raise ValidationError(f"fixed point {x_lo} lies outside the model's space [{space.lo}, {space.hi}]")
+    x_hi = space.hi
+    if abs(x_hi - x_lo) <= space.merge_tol():
         raise ValidationError("fixed point coincides with the upper end of the space")
     for p in p_grid:
         if not 0.0 < p < 1.0:
             raise ValidationError(f"sweep weights must lie strictly in (0, 1), got {p}")
     ps = [float(p) for p in p_grid]
-    xs = np.tile([model.space.clip(x_lo), x_hi], (len(ps), 1))
+    xs = np.tile([space.clip(x_lo), x_hi], (len(ps), 1))
     m11, m12, m22, det = fim_entries(model, xs, np.stack(_masses(np.array(ps)), 1))
     return [ps, *(v.tolist() for v in (*_head_criteria(m11, m12, m22, det), _correlation(m11, m12, m22)))]
 

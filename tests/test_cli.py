@@ -320,6 +320,13 @@ class TestParetoAndSweep:
         assert lines[0] == "p,phi_D,phi_R,phi_r2,corr"
         assert len(lines) == 20
 
+    def test_sweep_fixed_point_outside_the_space_names_the_space(self, capsys):
+        # --a-fixed is in units of K on MM: 0.2 K lies below the space [0.5 K, 5 K], both printed in x's units.
+        code, out, err = run(capsys, "sweep", "--model", "mm", "--b", "5", "--eps", "0.5", "--a-fixed", "0.2")
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("optdesign: fixed point 45.45400000000001 lies outside the model's space "
+                       "[113.635, 1136.3500000000001]\n")
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_sweep_without_weights_is_usage_error(self, capsys, n):
         # As pareto --n 0 is: a sweep of no weights would print only the header.
@@ -536,6 +543,21 @@ class TestUnreadableDesignFile:
 
 
     @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("payload, key", [
+        ({"points": [{"x": 1.0}], "space": {"lo": -1.0, "hi": 4.0}}, "w"),
+        ({"points": [{"w": 1.0}], "space": {"lo": -1.0, "hi": 4.0}}, "x"),
+        ({"points": [{"x": 1.0, "w": 1.0}]}, "space"),
+        ({"points": [{"x": 1.0, "w": 1.0}], "space": {"hi": 4.0}}, "lo"),
+        ({"space": {"lo": -1.0, "hi": 4.0}}, "points"),
+    ], ids=["w", "x", "space", "lo", "points"])
+    def test_missing_key_is_named(self, capsys, tmp_path, command, payload, key):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, *self.COMMANDS[command], str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"optdesign: design {path}: malformed design JSON: missing key '{key}'\n"
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_weights_beyond_the_float_range_read_as_their_ratios(self, capsys, tmp_path, command):
         results = []
         for w in (1e308, 1.0):
@@ -750,6 +772,7 @@ class TestOptimalThenCheckContract:
     @pytest.mark.parametrize("criterion,extra", [
         ("D", []), ("R", []), ("SA", []), ("C", ["--c", "0,1"]),
         ("COMPOUND", ["--lam", "0.5"]),
+        ("C", ["--c", "1,-0.0829366358791511"]),  # on MM, the one point {300: 1}: a singular M
     ])
     def test_check_certifies_optimal_output(self, capsys, tmp_path, model_key,
                                             criterion, extra):

@@ -23,7 +23,7 @@ from optdesign import (
     sa_references,
     sampled_front,
 )
-from optdesign.criteria import ALL_KINDS
+from optdesign.criteria import ALL_KINDS, derivative_report
 from optdesign.mm import MMParams, mm_model
 from optdesign.optimize import _criterion_start
 
@@ -94,6 +94,35 @@ def test_c_inside_elfvings_set_gets_the_two_point_optimum():
     res = c_optimal(logistic_model(-20.0, 30.0), INSIDE_C)
     assert res.label == "certified" and res.design.support_size == 2
     assert math.isclose(res.criterion_value, 1.289584357115344, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("make, at_ends", [(lambda: mm_model(MMParams(b=5.0, eps=0.5)), {True, False}),
+                                           (lambda: logistic_model(-5.0, 5.0), {False})], ids=["mm", "logistic"])
+def test_check_certifies_every_one_point_c_optimum(make, at_ends):
+    # For c parallel to f(x0), c_optimal certifies {x0: 1} by Elfving's dual.  M = f f^T is singular, so
+    # derivative_report has no slope; it certifies the design with the dual u, from the tangent at an interior
+    # x0 or from the grid at an end.  The grid of 20 points misses x = 0, where the logistic's f lies on an
+    # axis: test_one_point_on_an_axis holds that case.
+    model = make()
+    ends = set()
+    for f in np.asarray(model.regressor(model.space.grid(20))).tolist():
+        for c in (f, [-1e3 * f[0], -1e3 * f[1]]):
+            res = c_optimal(model, c)
+            if res.design.support_size == 1 and res.label == "certified":
+                report = derivative_report(model, res.design, CriterionSpec("C", c=tuple(c)))
+                assert report.passes(res.criterion_value), (c, res.design)
+                ends.add(res.design.xs[0] in (model.space.lo, model.space.hi))
+    assert ends == at_ends  # whether some, and which, one-point optima sit at an end
+
+
+@pytest.mark.xfail(strict=True, reason="c_optimal's root lands 1.7e-18 off 0, where f is not parallel to c")
+def test_one_point_on_an_axis():
+    # f(0) = (1/2, 0): c = (500, 0) is estimable only at x = 0, and phi_c of the design c_optimal certifies,
+    # {1.7e-18: 1}, is infinite; derivative_report then raises for want of a non-singular design.
+    model, c = logistic_model(-5.0, 5.0), (500.0, 0.0)
+    res = c_optimal(model, c)
+    assert res.label == "certified"
+    assert derivative_report(model, res.design, CriterionSpec("C", c=c)).passes(res.criterion_value)
 
 
 @pytest.mark.xfail(strict=True, reason="the polish collapses onto one point; the root of c_perp^T f is optimal")

@@ -308,7 +308,7 @@ class TestArraySampler:
             for seed in (0, 11, 20260810):
                 xa, xb, wa, wb, _, _, det = _sample(model, 20_000, seed)
                 assert np.array_equal(det, fim_entries(model, np.stack([xa, xb], 1), np.stack([wa, wb], 1))[3])
-                for n in (1, 4097, 20_000):
+                for n in (1, 4097, 3 * 4096 + 1, 20_000):
                     points = evaluate_front_points(model, sample_two_point_designs(model, n, seed),
                                                    d_star, r_star)
                     assert sampled_front(model, n, seed, d_star, r_star) == pareto_front(points), (name, seed, n)
@@ -340,18 +340,26 @@ class TestArraySampler:
             sampled_front(model, 100, 0, 1.0, 1.0)
 
     def test_heap_peak(self, mm_stars):
-        # Blocks of 4096 attempts as columns, written into one array of the 20,000 kept rows:
-        # 2.20 MB at its peak, against 2.68 MB when each block's columns were kept and then
-        # concatenated, 3.24 MB with each block's 2x2 matrices, 6.0 MB for one block of 25,000
-        # attempts and about 12 MB when 20,000 designs and front points were objects.
-        model, d_star, r_star = mm_stars
-        tracemalloc.start()
-        try:
-            sampled_front(model, 20_000, 5, d_star, r_star)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.55e6
+        # Each block of 4096 attempts is prefiltered as it is drawn, with the rows kept before it:
+        # 1.0 MB at its peak, against 2.20 MB when all 20,000 rows were written into one array of 7
+        # rows, 2.68 MB when each block's columns were kept and then concatenated, 3.24 MB with each
+        # block's 2x2 matrices, 6.0 MB for one block of 25,000 attempts and about 12 MB when 20,000
+        # designs and front points were objects.
+        assert sampled_front_heap_peak(*mm_stars, 20_000) <= 1.5e6
+
+    def test_heap_peak_free_of_n(self, mm_stars):
+        # 1.0 MB, as at n = 20,000; 22.0 MB when all n rows were held at once.
+        assert sampled_front_heap_peak(*mm_stars, 200_000) <= 1.5e6
+
+
+def sampled_front_heap_peak(model, d_star, r_star, n):
+    """The tracemalloc peak, in bytes, of one ``sampled_front`` call at seed 5."""
+    tracemalloc.start()
+    try:
+        sampled_front(model, n, 5, d_star, r_star)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestArrayEvaluation:

@@ -17,9 +17,12 @@ whose information matrix overflows or underflows, on SLR far from the origin (1e
 where kind C loses its answer), and on two plain MM models, the MM tables
 with and without ``--strict``, kind C on a flat edge of Elfving's set, infinite flag values, the
 compound sweep on SLR and MM with the default and a 101-point lambda list (stage 1's many-row mass
-solve at each lambda, which no workload reaches), ``check --output``'s certificate CSV for D on SLR
-and for SA and COMPOUND on MM, a design file whose weights sum beyond the float range, and ``check``
-with an unknown kind and with a convex kind in lower case.  ``diff`` exits 1 if any call differs.
+solve at each lambda, which no workload reaches), ``pareto --n=200000`` on SLR and MM (many sampling
+blocks), ``sweep`` with ``--a-fixed`` below MM's space, ``check --output``'s certificate CSV for D on SLR
+and for SA and COMPOUND on MM, a design file whose weights sum beyond the float range, ``check``
+with an unknown kind and with a convex kind in lower case, ``check`` of the one-point C-optimal design on
+MM (a singular information matrix), and ``check`` of a design file with a missing key.  ``diff`` exits 1
+if any call differs.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ FLOAT_RANGE_MODELS = (
 
 
 def float_range_calls() -> list[list[str]]:
-    """Every kind on the float-range models, the MM tables, flat-edge C, infinite flag values and the compound
-    sweep."""
+    """Every kind on the float-range models, the MM tables, flat-edge C, infinite flag values, the compound
+    sweep, pareto at n = 200,000, and a sweep whose fixed point lies outside the space."""
     extra = {"C": ["--c=1,1"], "COMPOUND": ["--lam=0.5"]}
     calls = [["optimal", *model, f"--criterion={kind}", *extra.get(kind, [])]
              for model in FLOAT_RANGE_MODELS for kind in KINDS]
@@ -66,13 +69,16 @@ def float_range_calls() -> list[list[str]]:
     for model in (["--model=slr", "--a=-1.3", "--b=4.2"], ["--model=mm", "--b=5", "--eps=0.5"]):
         for lams in ([], [f"--lam-list={','.join(f'{i / 100:g}' for i in range(101))}"]):
             calls.append(["sweep", *model, "--sweep-kind=compound", *lams])
+        calls.append(["pareto", *model, "--n=200000", "--seed=5"])  # 49 sampling blocks
+    calls.append(["sweep", "--model=mm", "--b=5", "--eps=0.5", "--a-fixed=0.2"])  # below the space
     return calls
 
 
 def design_file_calls(work_dir: str) -> list[dict]:
     """``check --output`` on each model's D-optimal design: D on SLR, SA and COMPOUND on MM (b=5, eps=0.5); then
     ``check`` and ``efficiency`` on SLR [1, 5] with a design whose weights sum beyond the float range; then
-    ``check`` of SLR's design with an unknown kind and with a convex kind in lower case."""
+    ``check`` of SLR's design with an unknown kind and with a convex kind in lower case; then ``check`` of MM's
+    one-point C-optimal design, and of a file whose point has no weight."""
     slr = (["--model=slr", "--a=-1.3", "--b=4.2"], [(-1.3, 0.5), (4.2, 0.5)], (-1.3, 4.2))
     mm = (["--model=mm", "--b=5", "--eps=0.5"], [(5 / 7 * 227.27, 0.5), (5 * 227.27, 0.5)], (113.635, 1136.35))
 
@@ -92,6 +98,12 @@ def design_file_calls(work_dir: str) -> list[dict]:
     file = design("check-kind.json", slr[1], *slr[2])
     for kind in ("FOO", "d"):  # an unknown kind, and a convex one in lower case
         calls.append({"argv": ["check", *slr[0], f"--criterion={kind}", f"--design={file[0]}"], "files": [file]})
+    file = design("one-point.json", [(300.0, 1.0)], *mm[2])  # optimal's C design for this c: a singular M
+    calls.append({"argv": ["check", *mm[0], "--criterion=C", "--c=1,-0.0829366358791511", f"--design={file[0]}"],
+                  "files": [file]})
+    file = [os.path.join(work_dir, "no-w.json"), {"points": [{"x": 1}], "space": {"lo": -1, "hi": 4}}]
+    calls.append({"argv": ["check", "--model=slr", "--a=-1", "--b=4", "--criterion=D", f"--design={file[0]}"],
+                  "files": [file]})
     return calls
 
 
