@@ -419,13 +419,12 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
     1/gamma^2, gamma the least over u with u^T c = 1 of max_x |u^T f(x)|, convex in t along u = c/|c|^2 + t c_perp.
     ``_grid_dual``'s two active lines name the support.  Points apart are polished to local maxima of s u^T f and t
     moved to where their lines cross, until they stand still; the weights solve gamma c = sum_k w_k s_k f(x_k).
-    Neighbours of one sign straddle the one point where f is parallel to c, the optimum if no non-singular design
-    ties it and, u normal to f there, |u^T f| <= gamma (1 + EQUIVALENCE_TOL)^(1/2) on the grid; else the largest
-    |u^T f| there joins a neighbour.  c, checked by ``CriterionSpec``, is divided by the power of two 2^e of its
-    largest entry, exactly, and u and gamma are scaled back by 2^-e.  The certificate is u's,
-    c^T M^- c (1 - (u^T f(x) / gamma)^2) >= 0, sampled by ``criteria._dual_report``, as ``derivative_report``'s on a
-    singular M.
-    """
+    A one-point design lies at the root of c_perp^T f in a grid cell, where f is parallel to c, u normal to f there:
+    in the cell neighbours of one sign straddle, if |u^T f| <= gamma (1 + EQUIVALENCE_TOL)^(1/2) on the grid (else
+    the largest |u^T f| joins a neighbour), or, where a polished pair has a negative weight, its face missing c, in
+    the cell of c_perp^T f's sign change nearest its heavier point.  c is divided by 2^e, the power of two of its
+    largest entry, and u and gamma scaled back.  The certificate is u's, c^T M^- c (1 - (u^T f(x) / gamma)^2) >= 0,
+    sampled by ``criteria._dual_report``, as ``derivative_report``'s on a singular M."""
     design, value, n_evals, u, gamma = _elfving(model, [c])[0]
     report = _dual_report(model, design, value, u, gamma)
     return COptimalResult(design, value, report, report.passes(value), n_evals, u, gamma)
@@ -433,37 +432,52 @@ def c_optimal(model: Model, c: Sequence[float]) -> COptimalResult:
 
 def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[tuple[Design, float, int, tuple, float]]:
     """``c_optimal``'s design, value, iterations, u and gamma, uncertified, for each c of cs at once: one grid, one
-    polish whose rows 2m and 2m + 1 hold c_m's points, each row stopping with its c and following the arithmetic
-    of its c alone.  The first c that fails raises its error, as if each were solved in turn."""
+    polish whose rows 2m and 2m + 1 hold c_m's pair, each row stopping with its c and following the arithmetic
+    of its c alone.  Each c raises its error where it arises: a one-point c in the grid pass, a pair after it."""
     space, tol, k = model.space, XTOL_REL * model.space.width, len(cs)
     cs = [CriterionSpec("C", c=tuple(map(float, c))).c for c in cs]
     grid, F = _finite_grid(model, ELFVING_GRID)
     (X, S, lo, hi), (Fx, dFx), edges = np.zeros((4, 2 * k)), np.zeros((2, 2 * k, 2)), np.arange(0, 2 * k + 1, 2)
-    sol, n_evals, pairs = [], [0] * k, []  # sol[m]: c_m's error or [e, along, across, t, then A, B or x, w, gamma]
+    frames, sol, n_evals, out = [], {}, [0] * k, [None] * k  # c_m's (e, along, across, a, b); its pair's (t, A, B)
+
+    def one_point(m: int, t: float, cell: list) -> tuple[float, np.ndarray, float, np.ndarray]:
+        # t, x, gamma and u^T f on the grid: x the root of c_perp^T f in the cell, u normal to the curve there or t's.
+        _, along, across, a, b = frames[m]
+        fx, dfx = _regress(model, x := _root(model, across, grid[cell]))
+        if space.lo < x[0] < space.hi and dfx[0] @ across != 0.0:
+            t = -float(dfx[0] @ along) / float(dfx[0] @ across)
+        return t, x, abs(float(fx[0] @ along)), a + t * b
+
+    def finish(m: int, t: float, x: np.ndarray, gamma: float, w: np.ndarray) -> None:  # u, gamma scaled by 2^-e
+        e, along, across = frames[m][:3]
+        if not gamma > 0.0:
+            raise OptimizationError("c is inestimable under every candidate design")
+        with np.errstate(over="ignore"):  # gamma overflows only where 1/gamma^2 underflows; a scalar's pow is C's
+            gamma, u = float(np.ldexp(gamma, -e)), tuple(np.ldexp(along + t * across, -e).tolist())
+            value = float(np.float64(gamma) ** -2)
+        if not 0.0 < value < math.inf:
+            raise OptimizationError(f"the c-optimal value 1/gamma^2 {'overflows' if value else 'underflows'} a float "
+                                    f"(gamma = {gamma:.3g})")
+        out[m] = make_design(list(zip(x.tolist(), w.tolist())), space), value, n_evals[m], u, gamma
+
     for m, c in enumerate(cs):
         e, along, across = _c_frame(c)
         if not (a := F @ along).any():
-            sol.append(OptimizationError("c is inestimable under every candidate design"))
-            continue
-        b = F @ across
+            raise OptimizationError("c is inestimable under every candidate design")
+        frames.append((e, along, across, a, b := F @ across))
         t, *active = _grid_dual(a, b) if b.any() else (0.0, *[(int(np.abs(a).argmax()), 1.0)] * 2)  # f || c
         (i, s), (j, r) = sorted(active)
-        if s == r and j - i <= 1:  # one point: the root of c_perp^T f
-            x = _root(model, across, grid[[i, j]])
-            fx, dfx = _regress(model, x)
-            if space.lo < x[0] < space.hi and dfx[0] @ across != 0.0:
-                t = -float(dfx[0] @ along) / float(dfx[0] @ across)  # u normal to the curve at x
-            gamma, v = abs(float(fx[0] @ along)), a + t * b  # v: u^T f on the grid
+        if s == r and j - i <= 1:  # neighbours of one sign straddle the one point where f is parallel to c
+            t, x, gamma, v = one_point(m, t, [i, j])
             if np.abs(v).max() <= gamma * math.sqrt(1.0 + EQUIVALENCE_TOL):  # u's bound holds: x is the optimum
-                sol.append([e, along, across, t, x, np.ones(1), gamma])
+                finish(m, t, x, gamma, np.ones(1))
                 continue
             g = int(np.abs(v).argmax())  # f(x) is inside Elfving's set: the largest |u^T f| joins the pair
             (i, s), (j, r) = sorted([(j, r) if g == i else (i, s), (g, math.copysign(1.0, v[g]))])
         h = slice(2 * m, 2 * m + 2)  # two points, their f from the grid
         X[h], S[h], Fx[h], dFx[h] = grid[[i, j]], (s, r), F[[i, j]], _regressor(model, grid[[i, j]], True)
         lo[h], hi[h] = grid[np.clip([[i - 1, j - 1], [i + 1, j + 1]], 0, len(grid) - 1)]
-        sol.append([e, along, across, t, S[h] * a[[i, j]], S[h] * b[[i, j]]])
-        pairs.append(m)
+        sol[m] = t, S[h] * a[[i, j]], S[h] * b[[i, j]]
 
     def lines(rows: np.ndarray, Fr: np.ndarray, dFr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # -s u^T f and its slope -s u^T f', with f and f' as extras, c by c: a slope within the rounding of its
@@ -477,12 +491,12 @@ def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[tuple[Design, 
                 slope[r0:r1] = du
         return (neg := -S[rows]) * v, neg * slope, np.concatenate((Fr, dFr), axis=1)
 
-    polish, u_bound = pairs, {}
+    polish, u_bound = list(sol), {}
     for _ in range(MASS_ITERS):
         if not polish:
             break
         for m in polish:  # t, where the lines cross, is off by up to about EPS (|A_0| + |A_1|) / |B_0 - B_1|,
-            _, along, across, t, A, B = sol[m]  # all of t on a flat edge
+            (_, along, across, *_), (t, A, B) = frames[m], sol[m]  # all of t on a flat edge
             t_bound = abs(t) + np.abs(A).sum() / abs(B[0] - B[1])
             u_bound[m] = along + t * across, np.abs(along) + t_bound * np.abs(across)
         rows = np.array([2 * m + h for m in polish for h in (0, 1)])
@@ -491,33 +505,25 @@ def _elfving(model: Model, cs: Sequence[Sequence[float]]) -> list[tuple[Design, 
                                 (x0 - np.sign(known[1]) * tol).clip(left, right), tol, known=known)
         Fx[rows], dFx[rows], moved, X[rows] = fdf[:, :2], fdf[:, 2:], np.abs(x - x0), x
         for m in polish:
-            A, B = (S[2 * m:2 * m + 2] * Fx[2 * m:2 * m + 2].dot(v) for v in sol[m][1:3])
-            sol[m][3:] = float((A[1] - A[0]) / (B[0] - B[1])), A, B
+            A, B = (S[2 * m:2 * m + 2] * Fx[2 * m:2 * m + 2].dot(v) for v in frames[m][1:3])
+            sol[m] = float((A[1] - A[0]) / (B[0] - B[1])), A, B
         # t's error is second order in the points', so theirs squares each round.
         polish = [m for p, m in enumerate(polish) if moved[2 * p:2 * p + 2].max() > math.sqrt(tol * space.width)]
-    out = []
-    for m, fit in enumerate(sol):
-        if isinstance(fit, Exception):
-            raise fit
-        if m in pairs:
-            # gamma c = sum_k w_k s_k f(x_k) with the w_k summing to 1: w / gamma by Cramer's rule, free of the
-            # cancellation in det M of a narrow support.  f(x_k) parallel to rounding: f has rank one, c no estimate.
-            h, c2, c1 = slice(2 * m, 2 * m + 2), -fit[2][0], fit[2][1]  # across = (-c2, c1)
-            (g11, g12), (g21, g22) = S[h, None] * Fx[h]
-            if (det := _cross(g11 * g22, g12 * g21)) == 0.0:
-                raise OptimizationError("c is inestimable under every candidate design")
-            w = np.clip(np.array([c1 * g22 - c2 * g21, g11 * c2 - g12 * c1]) / det, 0.0, None)
-            fit[4:] = X[h], w / w.sum(), 1.0 / float(w.sum())
-        e, along, across, t, x, w, gamma = fit
-        if not gamma > 0.0:
+    for m, (t, _, _) in sol.items():
+        # gamma c = sum_k w_k s_k f(x_k) with the w_k summing to 1: w / gamma by Cramer's rule, free of the
+        # cancellation in det M of a narrow support.  f(x_k) parallel to rounding: f has rank one, c no estimate.
+        h, (c2, c1), b = slice(2 * m, 2 * m + 2), frames[m][2] * (-1.0, 1.0), frames[m][4]  # across = (-c2, c1)
+        (g11, g12), (g21, g22) = S[h, None] * Fx[h]
+        if (det := _cross(g11 * g22, g12 * g21)) == 0.0:
             raise OptimizationError("c is inestimable under every candidate design")
-        with np.errstate(over="ignore"):  # gamma overflows only where 1/gamma^2 underflows; a scalar's pow is C's
-            gamma, u = float(np.ldexp(gamma, -e)), tuple(np.ldexp(along + t * across, -e).tolist())
-            value = float(np.float64(gamma) ** -2)
-        if not 0.0 < value < math.inf:
-            raise OptimizationError(f"the c-optimal value 1/gamma^2 {'overflows' if value else 'underflows'} a float "
-                                    f"(gamma = {gamma:.3g})")
-        out.append((make_design(list(zip(x.tolist(), w.tolist())), space), value, n_evals[m], u, gamma))
+        if (w := np.array([c1 * g22 - c2 * g21, g11 * c2 - g12 * c1]) / det).min() >= 0.0:
+            finish(m, t, X[h], 1.0 / float(w.sum()), w / w.sum())
+            continue
+        # A negative weight: the face misses c; f || c at the sign change of c_perp^T f nearest the heavier point.
+        if not len(cells := np.flatnonzero(np.diff(b > 0.0))):
+            raise OptimizationError("the polished pair misses c, and c_perp^T f changes sign nowhere on the grid")
+        i = cells[np.abs(grid[cells] + grid[cells + 1] - 2.0 * X[h][w.argmax()]).argmin()]
+        finish(m, *one_point(m, t, [i, i + 1])[:3], np.ones(1))
     return out
 
 

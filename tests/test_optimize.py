@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import optdesign.optimize as optimize_module
+from conftest import exp_decay_model, logistic_model
 from optdesign.cli import main as cli_main
 from optdesign import (
     CriterionSpec,
@@ -644,6 +645,18 @@ def test_one_pass_for_both_references_is_two_c_optimal_calls(model):
     assert sa_references(model)[0] == (e1[1], e2[1])
 
 
+def test_c_orthogonal_to_every_f_is_inestimable():
+    # f = x (1, 0) on [1, 5]: c = (0, 1) is orthogonal to every f, and the grid pass raises for it alone or
+    # beside e1; c = (1, 0) is estimable, best at the largest |f|.
+    model = Model(name="axis", space=DesignSpace(1.0, 5.0), regressor=lambda x: np.multiply.outer(x, (1.0, 0.0)),
+                  regressor_dx=lambda x: np.multiply.outer(np.ones_like(x), (1.0, 0.0)))
+    for solve in (lambda: c_optimal(model, (0.0, 1.0)), lambda: sa_references(model)):
+        with pytest.raises(OptimizationError, match="c is inestimable under every candidate design"):
+            solve()
+    res = c_optimal(model, (1.0, 0.0))
+    assert res.design.points == ((5.0, 1.0),) and res.label == "certified"
+
+
 @pytest.mark.parametrize("lo, hi", [(1.0, 5.0), (-0.3, 0.9)])
 @pytest.mark.parametrize("ray", [(1.0, 2.0), (0.3, 0.7), (1.1, -0.37)])
 def test_rank_one_model_raises_for_every_kind(lo, hi, ray):
@@ -1026,11 +1039,13 @@ def random_c_problems(kind: str, seed: int, n: int):
                ("--model", kind, *(f"--{name}={value!r}" for name, value in flags.items())))
 
 
-# Random SLR intervals and MM models, some of them from eps = 0.
+# Random SLR intervals, MM models, some of them from eps = 0, and logistic and exponential decay spaces.
 C_MODELS = st.one_of(
     st.builds(lambda a, width: slr_model(DesignSpace(a, a + width)), st.floats(-5.0, 4.0), st.floats(0.5, 6.0)),
     st.builds(lambda v, k, b, floor: mm_model(MMParams(V=v, K=k, b=b, eps=floor * b)), st.floats(1.0, 100.0),
-              st.floats(1.0, 500.0), st.floats(0.5, 10.0), st.one_of(st.just(0.0), st.floats(0.0, 0.9))))
+              st.floats(1.0, 500.0), st.floats(0.5, 10.0), st.one_of(st.just(0.0), st.floats(0.0, 0.9))),
+    st.builds(lambda lo, width: logistic_model(lo, lo + width), st.floats(-20.0, 5.0), st.floats(0.5, 25.0)),
+    st.builds(lambda lo, width: exp_decay_model(lo, lo + width), st.floats(0.0, 5.0), st.floats(0.5, 38.0)))
 
 
 @given(model=C_MODELS, at=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), scale=st.floats(0.1, 10.0),
@@ -1039,11 +1054,15 @@ C_MODELS = st.one_of(
 @example(model=mm_model(MMParams(b=5.0, eps=0.5)), scale=1.7, log_mass=-13.0,
          at=((241.474375 - 113.635) / 1022.715, (688.91 - 113.635) / 1022.715))
 @example(model=slr_model(DesignSpace(0.0, 1.0)), at=(1e-9, 0.5), scale=1.0, log_mass=-13.0)
+@example(model=mm_model(MMParams(V=1.0, K=1.0, b=0.5, eps=0.0)), at=(0.32059877678048615, 1.0), scale=1.0,
+         log_mass=-4.0)
+@example(model=mm_model(MMParams(V=1.0, K=1.0, b=5.375, eps=0.0)), at=(0.1, 1.0), scale=1.0, log_mass=-4.0)
 def test_no_two_point_design_reads_below_the_c_optimum(model, at, scale, log_mass):
     # c = scale f(x0) has the value scale^2 on the one point x0, and no design beats the c-optimum; a design
     # with the minor mass 10^log_mass at x1 is nearly singular, and c1^2 m22 - 2 c1 c2 m12 + c2^2 m11 once
     # cancelled there to values below both, down to a negative variance.  On SLR [0, 1] with x0 in the first
-    # grid cell, c lies on a flat edge of Elfving's set, where c_optimal once returned 1.005 for 1.
+    # grid cell, c lies on a flat edge of Elfving's set, where c_optimal once returned 1.005 for 1.  On the two
+    # MM models from 0 the polish collapsed onto a point where f is not parallel to c and read 1.0007 and 1.0006.
     space = model.space
     x0, x1 = (space.lo + t * space.width for t in at)
     c = tuple((scale * model.regressor(np.array([x0]))[0]).tolist())

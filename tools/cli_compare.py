@@ -15,7 +15,8 @@ The calls are both benchmark workloads' coverage calls and cycles 0-2 at seeds 1
 call), then calls at the edge of the float range: every kind of ``optimal`` on SLR and MM models
 whose information matrix overflows or underflows, on SLR far from the origin (1e12 to 2e17,
 where kind C loses its answer), and on two plain MM models, the MM tables
-with and without ``--strict``, kind C on a flat edge of Elfving's set, infinite flag values, the
+with and without ``--strict``, kind C on a flat edge of Elfving's set, kind C on MM (V = K = 1, from 0) where
+the two-point polish collapses and the optimum is one point, infinite flag values, the
 compound sweep on SLR and MM with the default and a 101-point lambda list (stage 1's many-row mass
 solve at each lambda, which no workload reaches), ``pareto --n=200000`` on SLR and MM (many sampling
 blocks), ``sweep`` with ``--a-fixed`` below MM's space, ``check --output``'s certificate CSV for D on SLR
@@ -53,8 +54,8 @@ FLOAT_RANGE_MODELS = (
 
 
 def float_range_calls() -> list[list[str]]:
-    """Every kind on the float-range models, the MM tables, flat-edge C, infinite flag values, the compound
-    sweep, pareto at n = 200,000, and a sweep whose fixed point lies outside the space."""
+    """Every kind on the float-range models, the MM tables, flat-edge C, C where the polish collapses, infinite
+    flag values, the compound sweep, pareto at n = 200,000, and a sweep whose fixed point lies outside the space."""
     extra = {"C": ["--c=1,1"], "COMPOUND": ["--lam=0.5"]}
     calls = [["optimal", *model, f"--criterion={kind}", *extra.get(kind, [])]
              for model in FLOAT_RANGE_MODELS for kind in KINDS]
@@ -64,6 +65,9 @@ def float_range_calls() -> list[list[str]]:
     for a, b, c in (("0", "1", "1,1e-9"), ("0", "1", "1,1e-6"), ("0", "1", "1,1e-4"), ("0", "1", "3,3e-6"),
                     ("0", "1", "1,0.002"), ("-1", "2", "1,-0.999999997"), ("1", "5", "1,1.0004")):
         calls.append(["optimal", "--model=slr", f"--a={a}", f"--b={b}", "--criterion=C", f"--c={c}"])
+    for b, c in (("0.5", "0.13822876959200245,-0.11912157684908353"),
+                 ("5.375", "0.3495934959349593,-0.22737788353493288")):
+        calls.append(["optimal", "--model=mm", "--V=1", "--K=1", f"--b={b}", "--eps=0", "--criterion=C", f"--c={c}"])
     for value in ("-inf", "-Infinity", "-nan", "inf"):
         calls.append(["optimal", "--model", "slr", "--a", value, "--b", "1", "--criterion", "D"])
     for model in (["--model=slr", "--a=-1.3", "--b=4.2"], ["--model=mm", "--b=5", "--eps=0.5"]):
